@@ -17,9 +17,8 @@
 //!   before allocation, so a flipped length byte yields
 //!   [`Error::Archive`] instead of an out-of-memory abort.
 //!
-//! v1 archives remain readable ([`Archive::read_from`] dispatches on the
-//! header version); [`Archive::write_v1_to`] keeps the legacy writer
-//! available for compatibility tests.
+//! The unchecksummed v1 layout is no longer read: a version-1 header is
+//! rejected as unsupported.
 
 use crate::ops::{Op, ScenarioKind, Transaction};
 use bitempo_core::crc::{crc32, Crc32};
@@ -29,7 +28,6 @@ use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"BIHA";
 const FOOTER_MAGIC: [u8; 4] = *b"BIHF";
-const VERSION_V1: u32 = 1;
 const VERSION: u32 = 2;
 
 /// Upper bound on one encoded transaction body. Far above anything the
@@ -96,21 +94,7 @@ impl Archive {
         Ok(())
     }
 
-    /// Serializes into `w` using the legacy v1 format (no checksums, no
-    /// footer). Kept for the v1→v2 compatibility tests.
-    pub fn write_v1_to(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&VERSION_V1.to_le_bytes())?;
-        w.write_all(&self.dbgen_seed.to_le_bytes())?;
-        w.write_all(&self.hist_seed.to_le_bytes())?;
-        w.write_all(&(self.transactions.len() as u64).to_le_bytes())?;
-        for txn in &self.transactions {
-            write_txn_body(w, txn)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes from `r` (v1 or v2), without knowing the input size.
+    /// Deserializes from `r`, without knowing the input size.
     /// Length prefixes are still bounded (allocation is capped and grows by
     /// reading), but exact length-vs-remaining validation needs a sized
     /// source — prefer [`Archive::load`] or [`Archive::read_from_slice`].
@@ -138,11 +122,10 @@ impl Archive {
         let dbgen_seed = src.read_u64("dbgen seed")?;
         let hist_seed = src.read_u64("hist seed")?;
         let n = src.read_u64("transaction count")?;
-        let transactions = match version {
-            VERSION_V1 => read_txns_v1(&mut src, n)?,
-            VERSION => read_txns_v2(&mut src, n)?,
-            other => return Err(Error::Archive(format!("unsupported version {other}"))),
-        };
+        if version != VERSION {
+            return Err(Error::Archive(format!("unsupported version {version}")));
+        }
+        let transactions = read_txns(&mut src, n)?;
         if let Some(rem) = src.remaining {
             if rem != 0 {
                 return Err(Error::Archive(format!(
@@ -210,8 +193,7 @@ pub fn decode_txn(bytes: &[u8]) -> Result<Transaction> {
     Ok(txn)
 }
 
-/// Encodes one transaction body (shared between v1's inline stream and
-/// v2's checksummed records).
+/// Encodes one transaction body (the payload of a checksummed record).
 fn write_txn_body(w: &mut impl Write, txn: &Transaction) -> Result<()> {
     w.write_all(&(txn.scenarios.len() as u16).to_le_bytes())?;
     for s in &txn.scenarios {
@@ -224,17 +206,7 @@ fn write_txn_body(w: &mut impl Write, txn: &Transaction) -> Result<()> {
     Ok(())
 }
 
-fn read_txns_v1<R: Read>(src: &mut Src<'_, R>, n: u64) -> Result<Vec<Transaction>> {
-    // Each transaction needs at least 6 bytes (scenario count + op count).
-    src.claim(n.saturating_mul(6), "transaction count")?;
-    let mut transactions = Vec::with_capacity(cap_count(n, src.remaining, 6));
-    for _ in 0..n {
-        transactions.push(read_txn_body(src)?);
-    }
-    Ok(transactions)
-}
-
-fn read_txns_v2<R: Read>(src: &mut Src<'_, R>, n: u64) -> Result<Vec<Transaction>> {
+fn read_txns<R: Read>(src: &mut Src<'_, R>, n: u64) -> Result<Vec<Transaction>> {
     // Each record needs at least 8 bytes (length + checksum).
     src.claim(n.saturating_mul(8), "transaction count")?;
     let mut transactions = Vec::with_capacity(cap_count(n, src.remaining, 8));
@@ -680,18 +652,6 @@ mod tests {
         let b = Archive::load(&path).unwrap();
         assert_eq!(a, b);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v1_archives_remain_readable() {
-        let a = sample_archive();
-        let mut v1 = Vec::new();
-        a.write_v1_to(&mut v1).unwrap();
-        let mut v2 = Vec::new();
-        a.write_to(&mut v2).unwrap();
-        assert_ne!(v1, v2, "v2 adds checksums and a footer");
-        assert_eq!(Archive::read_from_slice(&v1).unwrap(), a);
-        assert_eq!(Archive::read_from(&mut v1.as_slice()).unwrap(), a);
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl Op {
 }
 
 /// One transaction: one or more scenarios' operations, committed atomically.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Transaction {
     /// The scenarios bundled into this transaction (one, unless the loader
     /// batches; Fig 13 varies this).

@@ -31,10 +31,10 @@
 //!   decision evidence.
 //!
 //! **Lock hierarchy** (outermost first): shard gates (ascending index) →
-//! cluster state → oracle. The per-shard `TxnManager` locks nest strictly
-//! inside a gate. Durability waits run outside everything except the gates
-//! held across the prepare barrier, which is the point of 2PC — and the
-//! one deliberate blocking-under-lock site in the workspace.
+//! cluster `commit_log` → oracle. The per-shard `TxnManager` locks nest
+//! strictly inside a gate. Durability waits run outside everything except
+//! the gates held across the prepare barrier, which is the point of 2PC —
+//! and the one deliberate blocking-under-lock site in the workspace.
 
 use crate::oracle::CommitOracle;
 use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, Value};
@@ -42,10 +42,12 @@ use bitempo_engine::api::{
     AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
 };
 use bitempo_engine::{build_engine, ScanMetrics, SystemKind};
-use bitempo_txn::{CommitWait, PreparedTxn, Snapshot, TxnCounters, TxnManager};
+use bitempo_txn::{
+    CheckedOp, CommitLog, CommitWait, OpBuffer, PreparedTxn, Snapshot, TxnCounters, TxnManager,
+    WriteEntry,
+};
 use bitempo_wal::{Checkpoint, TxnWal};
 use bitempo_workloads::sharding::shard_of;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -56,38 +58,6 @@ use std::sync::Mutex;
 struct Shard {
     mgr: TxnManager,
     gate: Mutex<()>,
-}
-
-/// A cluster-level write-set entry, the unit of cross-shard
-/// first-committer-wins validation (same shape as the per-shard entry:
-/// disjoint `FOR PORTION OF` writes to one key do not conflict).
-#[derive(Debug, Clone)]
-struct CWrite {
-    /// Table index in load order.
-    table: u8,
-    /// Primary key touched.
-    key: Key,
-    /// Application-period range touched.
-    app: AppPeriod,
-}
-
-/// What one committed cluster transaction wrote, kept for validating later
-/// committers whose read watermarks predate it.
-struct ClusterCommit {
-    gts: u64,
-    writes: Vec<CWrite>,
-}
-
-/// Cluster state under its own mutex: the global commit log for
-/// first-committer-wins plus the registry of active read pins (the floor
-/// below which log entries can be pruned).
-struct ClusterState {
-    /// Ascending by `gts` — maintained by sorted insertion in
-    /// [`Cluster::publish_commit`], because *publish* order inverts when
-    /// disjoint-shard commits race (a later timestamp can publish first).
-    commit_log: Vec<ClusterCommit>,
-    /// `read watermark -> count` of open [`ClusterTxn`]s pinned there.
-    pins: BTreeMap<u64, usize>,
 }
 
 /// Monotonic counters for the `sharding` experiment's series.
@@ -112,13 +82,9 @@ pub struct ClusterCounters {
 pub struct Cluster {
     shards: Vec<Shard>,
     oracle: CommitOracle,
-    cstate: Mutex<ClusterState>,
-    /// Table ids in load order — identical on every shard (asserted at
-    /// construction), which is what lets one `TableId` address all shards.
-    ids: Vec<TableId>,
-    /// Immutable table metadata, cached like the per-shard managers do so
-    /// routing never takes a shard lock.
-    defs: Vec<TableDef>,
+    /// The cluster-level first-committer-wins log (timestamps are oracle
+    /// issued) and the read pins that floor its pruning.
+    commit_log: Mutex<CommitLog>,
     counters: ClusterCounters,
 }
 
@@ -131,19 +97,15 @@ impl Cluster {
         let first = shards
             .first()
             .ok_or_else(|| Error::Invalid("a cluster needs at least one shard".into()))?;
-        let ids = first.table_ids().to_vec();
+        // One table layout on every shard is what lets one `TableId` —
+        // and one checked op — address all of them.
         for (i, s) in shards.iter().enumerate() {
-            if s.table_ids() != ids {
+            if s.table_ids() != first.table_ids() {
                 return Err(Error::Invalid(format!(
                     "shard {i} disagrees with shard 0 on table layout"
                 )));
             }
         }
-        let defs: Vec<TableDef> = {
-            let snap = first.snapshot_at(SysTime::ZERO)?;
-            let view = snap.view();
-            ids.iter().map(|&id| view.table_def(id).clone()).collect()
-        };
         let start = shards
             .iter()
             .map(|s| s.now())
@@ -158,12 +120,7 @@ impl Cluster {
                 })
                 .collect(),
             oracle: CommitOracle::new(start),
-            cstate: Mutex::new(ClusterState {
-                commit_log: Vec::new(),
-                pins: BTreeMap::new(),
-            }),
-            ids,
-            defs,
+            commit_log: Mutex::new(CommitLog::default()),
             counters: ClusterCounters::default(),
         })
     }
@@ -199,7 +156,7 @@ impl Cluster {
 
     /// Table ids in load order (valid on every shard).
     pub fn table_ids(&self) -> &[TableId] {
-        &self.ids
+        self.shards[0].mgr.table_ids()
     }
 
     /// The cluster counters.
@@ -223,8 +180,8 @@ impl Cluster {
     /// resolved — the balance the isolation suite asserts.
     pub fn active_pins(&self) -> usize {
         let shard_pins: usize = self.shards.iter().map(|s| s.mgr.active_pins()).sum();
-        let cs = self.cstate.lock().expect("cluster state poisoned");
-        shard_pins + cs.pins.values().sum::<usize>()
+        let log = self.commit_log.lock().expect("commit log poisoned");
+        shard_pins + log.active_pins()
     }
 
     /// The oracle's read watermark: the newest globally consistent
@@ -253,17 +210,18 @@ impl Cluster {
             // Register the pin and read the watermark under the cluster
             // lock, so no concurrent committer can prune commit-log
             // entries newer than our watermark in between.
-            let mut cs = self.cstate.lock().expect("cluster state poisoned");
-            let g = self.oracle.read_ts().0;
-            *cs.pins.entry(g).or_insert(0) += 1;
+            let mut log = self.commit_log.lock().expect("commit log poisoned");
+            let g = self.oracle.read_ts();
+            log.pin(g);
             g
         };
         self.counters.begun.fetch_add(1, Ordering::Relaxed);
         Ok(ClusterTxn {
             cluster: self,
             read_g,
-            per_shard: (0..self.shards.len()).map(|_| Vec::new()).collect(),
-            writes: Vec::new(),
+            per_shard: (0..self.shards.len())
+                .map(|_| OpBuffer::default())
+                .collect(),
             unpinned: false,
         })
     }
@@ -299,54 +257,30 @@ impl Cluster {
         Ok(ClusterRead { snaps, at })
     }
 
-    fn def_index(&self, table: TableId) -> Result<usize> {
-        self.ids
-            .iter()
-            .position(|&id| id == table)
-            .ok_or_else(|| Error::Invalid(format!("table {table:?} is not managed here")))
+    fn unpin(&self, g: SysTime) {
+        let mut log = self.commit_log.lock().expect("commit log poisoned");
+        log.unpin(g);
     }
 
-    fn unpin(&self, g: u64) {
-        let mut cs = self.cstate.lock().expect("cluster state poisoned");
-        if let Some(n) = cs.pins.get_mut(&g) {
-            *n -= 1;
-            if *n == 0 {
-                cs.pins.remove(&g);
-            }
-        }
-    }
-
-    /// Inserts the commit record in `gts` order, advances the oracle, and
-    /// prunes entries no active pin can still conflict with. Called with
-    /// the participating gates held, so any later committer sharing a
-    /// shard observes the entry.
-    fn publish_commit(&self, gts: u64, writes: Vec<CWrite>) {
-        let mut cs = self.cstate.lock().expect("cluster state poisoned");
-        // Sorted insertion, not a push: publishes of disjoint-shard
-        // commits can arrive out of timestamp order, and the validation
-        // scan's early exit relies on the log being ascending by `gts`.
-        let at = cs.commit_log.partition_point(|r| r.gts < gts);
-        cs.commit_log.insert(at, ClusterCommit { gts, writes });
-        // Advance the oracle *while still holding the cluster state* (the
-        // documented lock hierarchy runs cluster state → oracle): begin()
+    /// Logs the write set at `gts`, advances the oracle, and prunes
+    /// entries no active pin can still conflict with. Called with the
+    /// participating gates held, so any later committer sharing a shard
+    /// observes the entry.
+    fn publish_commit(&self, gts: u64, writes: Vec<WriteEntry>) {
+        let mut log = self.commit_log.lock().expect("commit log poisoned");
+        log.insert(SysTime(gts), writes);
+        // Advance the oracle *while still holding the commit log* (the
+        // documented lock hierarchy runs commit log → oracle): begin()
         // reads the watermark under this same lock, so a concurrent
         // transaction either pins before this publish — its pin is
         // registered and floors the prune below — or after it, at a
         // watermark past everything pruned here.
         self.oracle.publish(gts);
-        // The pruning floor falls back to the *watermark*, never to `gts`
-        // itself: with older commits still in flight the watermark (and
-        // any future pin) can sit well below `gts`, and a transaction
-        // pinned there must still find this entry to validate against.
-        let floor = cs
-            .pins
-            .keys()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.oracle.read_ts().0);
-        if cs.commit_log.first().is_some_and(|r| r.gts <= floor) {
-            cs.commit_log.retain(|r| r.gts > floor);
-        }
+        // The idle floor is the *watermark*, never `gts` itself: with
+        // older commits still in flight the watermark (and any future
+        // pin) can sit well below `gts`, and a transaction pinned there
+        // must still find this entry to validate against.
+        log.prune(self.oracle.read_ts());
     }
 }
 
@@ -376,83 +310,48 @@ pub fn partition_checkpoint(base: &Checkpoint, shards: usize) -> Vec<Checkpoint>
     out
 }
 
-/// A buffered cluster DML statement, replayed into the owning shard's
-/// transaction at commit time.
-enum BufOp {
-    Insert {
-        t: usize,
-        row: Row,
-        app: Option<AppPeriod>,
-    },
-    Update {
-        t: usize,
-        key: Key,
-        updates: Vec<(usize, Value)>,
-        portion: Option<AppPeriod>,
-    },
-    Delete {
-        t: usize,
-        key: Key,
-        portion: Option<AppPeriod>,
-    },
-    Overwrite {
-        t: usize,
-        key: Key,
-        period: AppPeriod,
-    },
-}
-
 /// An open cluster transaction: a read watermark plus DML buffered per
 /// owning shard. Dropping it without committing is a rollback.
 pub struct ClusterTxn<'a> {
     cluster: &'a Cluster,
     /// The read watermark this transaction's snapshot and validation pin.
-    read_g: u64,
-    /// Buffered ops, routed; index = shard.
-    per_shard: Vec<Vec<BufOp>>,
-    /// The cluster-level write set.
-    writes: Vec<CWrite>,
+    read_g: SysTime,
+    /// Checked writes, routed; index = shard. Each participant's buffer
+    /// becomes its shard transaction at commit.
+    per_shard: Vec<OpBuffer>,
     unpinned: bool,
 }
 
 impl<'a> ClusterTxn<'a> {
     /// The pinned read watermark.
     pub fn pin(&self) -> SysTime {
-        SysTime(self.read_g)
+        self.read_g
     }
 
     /// Opens the transaction's consistent snapshot: every shard `AS OF`
     /// the pinned watermark. Holds every shard's shared lock for the
     /// guard's lifetime — obtain per query burst and drop promptly.
     pub fn read(&self) -> Result<ClusterRead<'a>> {
-        self.cluster.read_at(SysTime(self.read_g))
+        self.cluster.read_at(self.read_g)
     }
 
-    fn route(&mut self, table: TableId) -> Result<(usize, &TableDef)> {
-        let idx = self.cluster.def_index(table)?;
-        Ok((idx, &self.cluster.defs[idx]))
+    /// Table metadata is immutable and identical on every shard, so shard
+    /// 0's cache answers for all of them without taking a shard lock.
+    fn def_for(&self, table: TableId) -> Result<(u8, &'a TableDef)> {
+        self.cluster.shards[0].mgr.def_for(table)
+    }
+
+    /// Routes a checked write to the shard owning its key.
+    fn buffer(&mut self, op: CheckedOp) {
+        let shard = shard_of(op.key(), self.per_shard.len());
+        self.per_shard[shard].push(op);
     }
 
     /// Buffers an insert of `row` valid for `app`, routed to the shard
     /// owning the row's primary key.
     pub fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-        let (idx, def) = self.route(table)?;
-        if row.arity() != def.schema.arity() {
-            return Err(Error::Invalid(format!(
-                "arity {} vs schema {} for {}",
-                row.arity(),
-                def.schema.arity(),
-                def.name
-            )));
-        }
-        let key = Key::from_row(&row, &def.key);
-        let shard = shard_of(&key, self.cluster.shards.len());
-        self.writes.push(CWrite {
-            table: idx as u8,
-            key,
-            app: app.unwrap_or(AppPeriod::ALL),
-        });
-        self.per_shard[shard].push(BufOp::Insert { t: idx, row, app });
+        let (t, def) = self.def_for(table)?;
+        self.buffer(CheckedOp::insert(t, def, row, app)?);
         Ok(())
     }
 
@@ -465,37 +364,16 @@ impl<'a> ClusterTxn<'a> {
         updates: &[(usize, Value)],
         portion: Option<AppPeriod>,
     ) -> Result<()> {
-        let (idx, _) = self.route(table)?;
-        let shard = shard_of(key, self.cluster.shards.len());
-        self.writes.push(CWrite {
-            table: idx as u8,
-            key: key.clone(),
-            app: portion.unwrap_or(AppPeriod::ALL),
-        });
-        self.per_shard[shard].push(BufOp::Update {
-            t: idx,
-            key: key.clone(),
-            updates: updates.to_vec(),
-            portion,
-        });
+        let (t, def) = self.def_for(table)?;
+        self.buffer(CheckedOp::update(t, def, key, updates, portion)?);
         Ok(())
     }
 
     /// Buffers a sequenced delete of `key` for `portion` on its owning
     /// shard.
     pub fn delete(&mut self, table: TableId, key: &Key, portion: Option<AppPeriod>) -> Result<()> {
-        let (idx, _) = self.route(table)?;
-        let shard = shard_of(key, self.cluster.shards.len());
-        self.writes.push(CWrite {
-            table: idx as u8,
-            key: key.clone(),
-            app: portion.unwrap_or(AppPeriod::ALL),
-        });
-        self.per_shard[shard].push(BufOp::Delete {
-            t: idx,
-            key: key.clone(),
-            portion,
-        });
+        let (t, def) = self.def_for(table)?;
+        self.buffer(CheckedOp::delete(t, def, key, portion)?);
         Ok(())
     }
 
@@ -508,25 +386,13 @@ impl<'a> ClusterTxn<'a> {
         key: &Key,
         period: AppPeriod,
     ) -> Result<()> {
-        let (idx, _) = self.route(table)?;
-        let shard = shard_of(key, self.cluster.shards.len());
-        self.writes.push(CWrite {
-            table: idx as u8,
-            key: key.clone(),
-            app: AppPeriod::ALL,
-        });
-        self.per_shard[shard].push(BufOp::Overwrite {
-            t: idx,
-            key: key.clone(),
-            period,
-        });
+        let (t, def) = self.def_for(table)?;
+        self.buffer(CheckedOp::overwrite_app_period(t, def, key, period)?);
         Ok(())
     }
 
     /// Discards the buffered writes and releases the read pin.
     pub fn rollback(mut self) {
-        self.per_shard.clear();
-        self.writes.clear();
         self.release_pin();
     }
 
@@ -551,22 +417,21 @@ impl<'a> ClusterTxn<'a> {
     /// transaction is then globally committed, the poisoned shard catches
     /// up at recovery.
     pub fn commit(mut self) -> Result<SysTime> {
-        let ops = std::mem::take(&mut self.per_shard);
-        let writes = std::mem::take(&mut self.writes);
+        let bufs = std::mem::take(&mut self.per_shard);
         let cluster = self.cluster;
-        let participants: Vec<usize> = ops
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| !o.is_empty())
-            .map(|(i, _)| i)
-            .collect();
+        let participants: Vec<usize> = (0..bufs.len()).filter(|&i| !bufs[i].is_empty()).collect();
         if participants.is_empty() {
             cluster.counters.read_only.fetch_add(1, Ordering::Relaxed);
             cluster.counters.committed.fetch_add(1, Ordering::Relaxed);
-            let g = self.read_g;
             self.release_pin();
-            return Ok(SysTime(g));
+            return Ok(self.read_g);
         }
+        // The cluster-level write set: the shard transactions consume
+        // their buffers, the cluster log keeps its own copy.
+        let writes: Vec<WriteEntry> = participants
+            .iter()
+            .flat_map(|&i| bufs[i].writes().iter().cloned())
+            .collect();
 
         // Commit gates, ascending shard index (the workspace lock order).
         // Conflicting committers share a key, hence a shard, hence a gate.
@@ -578,35 +443,21 @@ impl<'a> ClusterTxn<'a> {
         // Cluster-level first-committer-wins, then draw the timestamp.
         // Validated under the gates: any conflicting commit either already
         // published its record (we see it here) or is queued behind a gate
-        // we hold (it will see ours). The log is kept ascending by `gts`
-        // (sorted insertion in publish_commit), so the reverse scan may
-        // stop at the first record at or below our pin.
+        // we hold (it will see ours).
         let gts = {
-            let cs = cluster.cstate.lock().expect("cluster state poisoned");
-            for rec in cs.commit_log.iter().rev() {
-                if rec.gts <= self.read_g {
-                    break;
-                }
-                for theirs in &rec.writes {
-                    for ours in &writes {
-                        if theirs.table == ours.table
-                            && theirs.key == ours.key
-                            && theirs.app.overlaps(&ours.app)
-                        {
-                            cluster.counters.conflicts.fetch_add(1, Ordering::Relaxed);
-                            return Err(Error::Conflict(format!(
-                                "table {} key {} app {:?}: written by the cluster \
-                                 transaction committed at {} after this pin {}",
-                                theirs.table, theirs.key, theirs.app, rec.gts, self.read_g
-                            )));
-                        }
-                    }
-                }
+            let log = cluster.commit_log.lock().expect("commit log poisoned");
+            if let Some((ts, theirs)) = log.first_conflict(self.read_g, &writes) {
+                cluster.counters.conflicts.fetch_add(1, Ordering::Relaxed);
+                return Err(Error::Conflict(format!(
+                    "table {} key {} app {:?}: written by the cluster \
+                     transaction committed at {ts} after this pin {}",
+                    theirs.table, theirs.key, theirs.app, self.read_g
+                )));
             }
             cluster.oracle.begin_commit()
         };
 
-        match run_on_shards(cluster, &participants, ops, gts) {
+        match run_on_shards(cluster, &participants, bufs, gts) {
             Ok(waits) => {
                 cluster.publish_commit(gts, writes);
                 self.release_pin();
@@ -667,8 +518,8 @@ impl Drop for ClusterTxn<'_> {
     }
 }
 
-/// Replays the routed ops onto the participating shards and lands the
-/// commit at `gts`: directly for one participant, via two-phase commit for
+/// Hands each participating shard its routed buffer and lands the commit
+/// at `gts`: directly for one participant, via two-phase commit for
 /// several. On error the second slot says whether a commit decision was
 /// already logged somewhere: `Some(waits)` means the transaction stands
 /// globally and carries the committed shards' durability waits, which the
@@ -677,39 +528,20 @@ impl Drop for ClusterTxn<'_> {
 fn run_on_shards<'a>(
     cluster: &'a Cluster,
     participants: &[usize],
-    mut ops: Vec<Vec<BufOp>>,
+    mut bufs: Vec<OpBuffer>,
     gts: u64,
 ) -> std::result::Result<Vec<CommitWait<'a>>, (Error, Option<Vec<CommitWait<'a>>>)> {
-    // Buffer each shard's ops into a shard transaction. Failures here —
-    // poisoned shard, arity or period validation — leave nothing applied
-    // and nothing logged.
+    // A failure here — a poisoned shard — leaves nothing applied and
+    // nothing logged.
     let mut txns = Vec::with_capacity(participants.len());
     for &i in participants {
-        let mgr = &cluster.shards[i].mgr;
-        let ids = mgr.table_ids().to_vec();
-        let mut txn = match mgr.begin() {
-            Ok(t) => t,
+        match cluster.shards[i]
+            .mgr
+            .begin_with(std::mem::take(&mut bufs[i]))
+        {
+            Ok(txn) => txns.push(txn),
             Err(e) => return Err((e, None)),
-        };
-        for op in std::mem::take(&mut ops[i]) {
-            let buffered = match op {
-                BufOp::Insert { t, row, app } => txn.insert(ids[t], row, app),
-                BufOp::Update {
-                    t,
-                    key,
-                    updates,
-                    portion,
-                } => txn.update(ids[t], &key, &updates, portion),
-                BufOp::Delete { t, key, portion } => txn.delete(ids[t], &key, portion),
-                BufOp::Overwrite { t, key, period } => {
-                    txn.overwrite_app_period(ids[t], &key, period)
-                }
-            };
-            if let Err(e) = buffered {
-                return Err((e, None));
-            }
         }
-        txns.push(txn);
     }
 
     // Fast path: one participant needs no coordination — a stamped commit
@@ -1225,7 +1057,7 @@ mod tests {
         let b = cluster.oracle.begin_commit();
         cluster.publish_commit(
             b,
-            vec![CWrite {
+            vec![WriteEntry {
                 table: 0,
                 key: Key::int(0),
                 app: AppPeriod::ALL,
@@ -1233,9 +1065,9 @@ mod tests {
         );
         assert!(cluster.read_ts().0 < b, "a still in flight");
         {
-            let cs = cluster.cstate.lock().expect("cluster state");
+            let log = cluster.commit_log.lock().expect("commit log");
             assert!(
-                cs.commit_log.iter().any(|r| r.gts == b),
+                log.timestamps().any(|ts| ts.0 == b),
                 "pruning must floor at the watermark, not at the published gts"
             );
         }
@@ -1264,7 +1096,7 @@ mod tests {
         let c = cluster.oracle.begin_commit();
         cluster.publish_commit(
             c,
-            vec![CWrite {
+            vec![WriteEntry {
                 table: 0,
                 key: Key::int(0),
                 app: AppPeriod::ALL,
@@ -1272,8 +1104,8 @@ mod tests {
         );
         cluster.publish_commit(a, Vec::new());
         {
-            let cs = cluster.cstate.lock().expect("cluster state");
-            let order: Vec<u64> = cs.commit_log.iter().map(|r| r.gts).collect();
+            let log = cluster.commit_log.lock().expect("commit log");
+            let order: Vec<u64> = log.timestamps().map(|ts| ts.0).collect();
             assert_eq!(order, vec![a, c], "log stays ascending by gts");
         }
         assert_eq!(cluster.read_ts().0, a, "b still holds the watermark at a");
@@ -1334,7 +1166,13 @@ mod tests {
         // over it), but no shard applied anything and nothing was published.
         assert_eq!(cluster.shard_now(0), before);
         assert_eq!(cluster.shard_now(1), before);
-        assert!(cluster.cstate.lock().unwrap().commit_log.is_empty());
+        assert!(cluster
+            .commit_log
+            .lock()
+            .unwrap()
+            .timestamps()
+            .next()
+            .is_none());
         // The poisoned shard makes any cluster-wide cut potentially
         // non-atomic; reads fail-stop instead of serving it.
         match cluster.snapshot().read() {
@@ -1396,7 +1234,9 @@ mod tests {
             .expect("update");
         txn.update(t, &Key::int(k1), &[(1, Value::Int(-2))], None)
             .expect("update");
-        let err = txn.commit().expect_err("shard 1's decision submit must fail");
+        let err = txn
+            .commit()
+            .expect_err("shard 1's decision submit must fail");
         assert!(matches!(err, Error::Internal(_)), "{err:?}");
         // Shard 0 decided: the transaction stands globally — the watermark
         // and commit log reflect it, shard 0 holds the effects, and its
@@ -1421,11 +1261,64 @@ mod tests {
                 checkpoints: vec![parts[1].encode()],
             },
         ];
-        let rec =
-            recover_cluster(SystemKind::A, &inputs, &TuningConfig::none()).expect("recover");
+        let rec = recover_cluster(SystemKind::A, &inputs, &TuningConfig::none()).expect("recover");
         assert_eq!(rec.committed_pending, vec![(1, gts)]);
         assert!(rec.degraded.is_empty());
         assert_eq!(rec.consistent_prefix(), SysTime(gts));
+    }
+
+    /// Malformed DML fails when it is buffered, with the error a
+    /// `Transaction` gives — not at commit, after gates are taken and
+    /// shard transactions begun — and the rejection costs nothing: the
+    /// same `ClusterTxn` still commits, and every pin is released.
+    #[test]
+    fn malformed_dml_is_rejected_at_buffer_time() {
+        use bitempo_core::AppDate;
+        let mut engine = build_engine(SystemKind::A);
+        let t = engine.create_table(bitemp_table("t")).expect("create");
+        let p = engine
+            .create_table(bitempo_engine::testutil::plain_table("p"))
+            .expect("create");
+        for k in 0..4 {
+            engine.insert(t, simple_row(k, k), None).expect("insert");
+            engine.insert(p, simple_row(k, k), None).expect("insert");
+        }
+        engine.commit();
+        let base = Checkpoint::capture(engine.as_mut(), &[t, p], 0).expect("capture");
+        let cluster =
+            Cluster::from_checkpoint(SystemKind::A, &base, vec![None, None]).expect("cluster");
+
+        let empty = AppPeriod::new(AppDate(7), AppDate(7));
+        let some = AppPeriod::new(AppDate(0), AppDate(10));
+        let key = Key::int(0);
+        let mut txn = cluster.begin().expect("begin");
+        assert!(matches!(
+            txn.update(t, &key, &[(7, Value::Int(0))], None),
+            Err(Error::Invalid(_))
+        ));
+        assert!(matches!(
+            txn.update(p, &key, &[(1, Value::Int(0))], Some(some)),
+            Err(Error::Unsupported(_))
+        ));
+        assert!(matches!(
+            txn.delete(p, &key, Some(some)),
+            Err(Error::Unsupported(_))
+        ));
+        assert!(matches!(
+            txn.overwrite_app_period(t, &key, empty),
+            Err(Error::EmptyPeriod(_))
+        ));
+        assert!(matches!(
+            txn.overwrite_app_period(p, &key, some),
+            Err(Error::Unsupported(_))
+        ));
+        assert_eq!(cluster.active_pins(), 1, "only the cluster's own read pin");
+
+        txn.update(t, &key, &[(1, Value::Int(5))], None)
+            .expect("update");
+        txn.commit().expect("the rejections buffered nothing");
+        assert_eq!(cluster.active_pins(), 0, "all pins released");
+        assert_eq!(cluster.counters().single_shard.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -84,26 +84,19 @@ fn every_header_truncation_is_detected() {
     }
 }
 
-/// Format compatibility: v1 archives (no checksums, no footer) written by
-/// older builds must still load and match the v2 payload exactly.
+/// The unchecksummed v1 layout is gone: a version-1 header is rejected by
+/// name, and a payload bit flip in a v2 archive — which v1 parsed without
+/// complaint — is caught by the per-transaction checksum.
 #[test]
-fn v1_archives_remain_loadable_and_equal() {
-    let (archive, _) = archive_bytes();
-    let mut v1 = Vec::new();
-    archive.write_v1_to(&mut v1).unwrap();
-    let reloaded = Archive::read_from_slice(&v1).unwrap();
-    assert_eq!(archive, &reloaded);
-}
-
-/// A bit flip in a v2 archive is detected by the per-transaction checksum;
-/// the identical flip in a v1 archive parses without complaint — the
-/// regression guard that justifies the format bump.
-#[test]
-fn v2_detects_what_v1_cannot() {
-    let (archive, v2) = archive_bytes();
-    let mut v1 = Vec::new();
-    archive.write_v1_to(&mut v1).unwrap();
-    // Flip one payload bit well past the headers in both encodings.
+fn v1_is_rejected_and_v2_detects_payload_flips() {
+    let (_, v2) = archive_bytes();
+    let mut v1_header = v2.clone();
+    v1_header[4..8].copy_from_slice(&1u32.to_le_bytes());
+    match Archive::read_from_slice(&v1_header) {
+        Err(Error::Archive(msg)) => assert_eq!(msg, "unsupported version 1"),
+        other => panic!("expected the version to be rejected, got {other:?}"),
+    }
+    // Flip one payload bit well past the headers.
     let mut v2_bad = v2.clone();
     let off2 = v2.len() / 2;
     v2_bad[off2] ^= 0x40;
