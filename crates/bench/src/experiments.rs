@@ -988,6 +988,12 @@ pub fn explain(cfg: &BenchConfig) -> Result<FigureReport> {
     Ok(report)
 }
 
+/// Most resident temporal-index bytes per stored version `temporal-index`
+/// accepts from any engine: a version costs its two 24 B events and two
+/// 24 B endpoint entries, and marks, version-sets and the live mirror must
+/// stay a fraction of that — an index that outgrows its log fails the run.
+const TINDEX_BYTES_PER_VERSION_CEILING: f64 = 130.0;
+
 /// `temporal-index`: the index the 2014 systems lacked, measured with the
 /// paper's own discipline. Part one reruns the Fig 3/9/12 query shapes
 /// (T time travel, K audit, R range-timeslice) with the `bitempo-tindex`
@@ -997,7 +1003,8 @@ pub fn explain(cfg: &BenchConfig) -> Result<FigureReport> {
 /// superseding versions, so its history deepens with `m` and the probe
 /// touches an ever-smaller fraction of it. Index build time and resident
 /// footprint are reported next to the wins, so the report never shows a
-/// probe-time benefit without its maintenance cost.
+/// probe-time benefit without its maintenance cost, and the run fails when
+/// the footprint passes [`TINDEX_BYTES_PER_VERSION_CEILING`].
 pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
     let mut inst = Instance::build(cfg, &TuningConfig::none())?;
     let mut report = FigureReport::new(
@@ -1042,12 +1049,26 @@ pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
         engine.apply_tuning(&tuning)?;
         let built_ms = t0.elapsed().as_secs_f64() * 1e3;
         let fp = engine.temporal_index_footprint();
+        let mut versions = 0;
+        for name in bitempo_dbgen::TPCH_TABLES {
+            versions += engine.stats(engine.resolve(name)?).total();
+        }
+        let per_version = fp.bytes as f64 / versions.max(1) as f64;
         report.note(format!(
-            "{kind}: index build {built_ms:.2} ms — {} events, {} checkpoints, {:.1} KiB resident",
+            "{kind}: index build {built_ms:.2} ms — {} events, {} marks, {} version-sets \
+             ({} slots), {:.1} KiB resident ({per_version:.0} B/version)",
             fp.events,
-            fp.checkpoints,
+            fp.marks,
+            fp.sets,
+            fp.set_slots,
             fp.bytes as f64 / 1024.0
         ));
+        if per_version > TINDEX_BYTES_PER_VERSION_CEILING {
+            return Err(Error::Invalid(format!(
+                "{kind}: temporal index holds {per_version:.0} resident bytes per stored \
+                 version, over the {TINDEX_BYTES_PER_VERSION_CEILING} B ceiling: {fp:?}"
+            )));
+        }
     }
     run_setting(&inst, "temporal index", &mut report, &mut faults)?;
 

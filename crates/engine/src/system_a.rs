@@ -48,35 +48,18 @@ struct TableA {
     key_map: HashMap<Key, Vec<u64>>,
 }
 
-/// Rebuilds a history-partition temporal index from an existing heap —
-/// shared by Systems A and B, whose history partitions are identical heaps
-/// of closed versions.
-pub(crate) fn build_history_tindex(name: &str, history: &Heap<Version>) -> TemporalIndex {
-    let mut tix = TemporalIndex::new(
-        format!("tx_hist_{name}"),
+/// Rebuilds a temporal index over one heap partition at tuning time —
+/// shared by Systems A, B and D, whose partitions are heaps of versions.
+/// System A's current heap reuses slots, so correctness there leans on the
+/// candidate-superset contract: replay is causal, and the scan re-checks
+/// every candidate against its authoritative period.
+pub(crate) fn build_heap_tindex(index_name: String, heap: &Heap<Version>) -> TemporalIndex {
+    TemporalIndex::build(
+        index_name,
         bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-    );
-    for (slot, v) in history.iter() {
-        tix.insert(u64::from(slot.0), v.app, v.sys);
-    }
-    tix.prepare();
-    tix
-}
-
-/// Rebuilds a current-partition temporal index from a heap of (mostly
-/// open) versions, at tuning time. System A's current heap reuses slots, so
-/// correctness leans on the candidate-superset contract: replay is causal,
-/// and the scan re-checks every candidate against its authoritative period.
-fn build_current_tindex(name: &str, current: &Heap<Version>) -> TemporalIndex {
-    let mut tix = TemporalIndex::new(
-        format!("tx_cur_{name}"),
-        bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-    );
-    for (slot, v) in current.iter() {
-        tix.insert(u64::from(slot.0), v.app, v.sys);
-    }
-    tix.prepare();
-    tix
+        heap.iter()
+            .map(|(slot, v)| (u64::from(slot.0), v.app, v.sys)),
+    )
 }
 
 /// The System A engine. See module docs.
@@ -418,9 +401,9 @@ impl BitemporalEngine for SystemA {
                 }
             }
             t.tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_history_tindex(&def.name, &t.history));
+                .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &t.history));
             t.cur_tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_current_tindex(&def.name, &t.current));
+                .then(|| build_heap_tindex(format!("tx_cur_{}", def.name), &t.current));
         }
         Ok(())
     }

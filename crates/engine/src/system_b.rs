@@ -29,7 +29,7 @@ use crate::index::{IndexDef, IndexedCol, OrderedIndex};
 use crate::morsel::ScanMetrics;
 use crate::rowscan::{merge_access, scan_partition, PartitionView, Reconstructed, ScanSite};
 use crate::system_a::{
-    build_history_tindex, build_tuning_defs, overwrite_period, sequenced_dml, SequencedOps,
+    build_heap_tindex, build_tuning_defs, overwrite_period, sequenced_dml, SequencedOps,
 };
 use crate::version::Version;
 use bitempo_core::{
@@ -375,17 +375,13 @@ impl BitemporalEngine for SystemB {
                 }
             }
             t.tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_history_tindex(&def.name, &t.history));
+                .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &t.history));
             t.cur_tindex = (tuning.temporal_index && def.has_system_time()).then(|| {
-                let mut tix = TemporalIndex::new(
+                TemporalIndex::build(
                     format!("tx_cur_{}", def.name),
                     bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-                );
-                for (uid, v) in &recon.0 {
-                    tix.insert(*uid, v.app, v.sys);
-                }
-                tix.prepare();
-                tix
+                    recon.0.iter().map(|(uid, v)| (*uid, v.app, v.sys)),
+                )
             });
         }
         Ok(())

@@ -118,16 +118,14 @@ fn build_column_tindex(
     hidden: HiddenCols,
     part: &ColumnTable,
 ) -> TemporalIndex {
-    let mut tix = TemporalIndex::new(
+    TemporalIndex::build(
         index_name,
         bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-    );
-    for rowid in 0..part.len() {
-        let (app, sys) = periods_of(part, hidden, rowid);
-        tix.insert(rowid as u64, app, sys);
-    }
-    tix.prepare();
-    tix
+        (0..part.len()).map(|rowid| {
+            let (app, sys) = periods_of(part, hidden, rowid);
+            (rowid as u64, app, sys)
+        }),
+    )
 }
 
 /// The System C engine. See module docs.

@@ -17,7 +17,7 @@ use crate::catalog::Catalog;
 use crate::index::{GistIndex, IndexDef, IndexedCol, OrderedIndex};
 use crate::morsel::ScanMetrics;
 use crate::rowscan::{merge_access, scan_partition, PartitionView, ScanSite};
-use crate::system_a::{build_history_tindex, overwrite_period, sequenced_dml, SequencedOps};
+use crate::system_a::{build_heap_tindex, overwrite_period, sequenced_dml, SequencedOps};
 use crate::version::Version;
 use bitempo_core::{
     obs, AppPeriod, Error, Key, Result, Row, SysPeriod, SysTime, TableDef, TableId, TemporalClass,
@@ -247,7 +247,7 @@ impl BitemporalEngine for SystemD {
                 }
             }
             t.tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_history_tindex(&def.name, &t.all));
+                .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &t.all));
         }
         Ok(())
     }

@@ -64,9 +64,22 @@ impl IntervalIndex {
         self.by_lo.is_empty()
     }
 
-    /// Approximate resident bytes of both endpoint lists.
+    /// Pre-sizes both endpoint lists for `entries` more entries.
+    pub fn reserve(&mut self, entries: usize) {
+        self.by_lo.reserve(entries);
+        self.by_hi.reserve(entries);
+    }
+
+    /// Releases spare capacity; worth calling once a bulk build is done.
+    pub fn shrink_to_fit(&mut self) {
+        self.by_lo.shrink_to_fit();
+        self.by_hi.shrink_to_fit();
+    }
+
+    /// Resident bytes of both endpoint lists, counting allocated capacity
+    /// rather than length.
     pub fn memory_bytes(&self) -> u64 {
-        ((self.by_lo.len() + self.by_hi.len()) * std::mem::size_of::<Entry>()) as u64
+        ((self.by_lo.capacity() + self.by_hi.capacity()) * std::mem::size_of::<Entry>()) as u64
     }
 
     /// Slots whose period contains `d`, sorted ascending.

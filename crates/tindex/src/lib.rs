@@ -10,10 +10,10 @@
 //! `bitempo-core`:
 //!
 //! * [`Timeline`] — a system-time visibility index: an append-only log of
-//!   *activation* / *invalidation* events with periodic **checkpoint
+//!   *activation* / *invalidation* events with amortised **checkpoint
 //!   version-sets**, so "which slots are visible at system version S" is
-//!   answered from the nearest checkpoint plus a bounded event replay
-//!   instead of a scan over the full history.
+//!   answered from the nearest set plus a bounded event replay instead of
+//!   a scan over the full history, in space linear in the log.
 //! * [`IntervalIndex`] — an application-time stabbing structure over sorted
 //!   endpoint lists, answering timeslice (`AS OF` a date) and overlap
 //!   (`BETWEEN` two dates) probes without touching every stored period.
@@ -43,7 +43,7 @@ use bitempo_core::{AppDate, AppPeriod, SysPeriod, SysTime};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeCost {
     /// Internal entries examined: replayed timeline events, restored
-    /// checkpoint members, and endpoint-list entries scanned.
+    /// version-set members, and endpoint-list entries scanned.
     pub node_visits: u64,
 }
 
@@ -73,12 +73,17 @@ pub enum AppProbe {
 /// their memory cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexFootprint {
-    /// Resident bytes across the event log, checkpoints and endpoint lists.
+    /// Resident bytes, by allocated capacity: event log, marks,
+    /// version-sets, segment bounds, live mirror and both endpoint lists.
     pub bytes: u64,
     /// Timeline events recorded.
     pub events: u64,
+    /// Timeline marks placed (one per `checkpoint_every` events).
+    pub marks: u64,
     /// Checkpoint version-sets materialized.
-    pub checkpoints: u64,
+    pub sets: u64,
+    /// Slots held across those version-sets.
+    pub set_slots: u64,
 }
 
 impl IndexFootprint {
@@ -88,7 +93,9 @@ impl IndexFootprint {
         IndexFootprint {
             bytes: self.bytes + other.bytes,
             events: self.events + other.events,
-            checkpoints: self.checkpoints + other.checkpoints,
+            marks: self.marks + other.marks,
+            sets: self.sets + other.sets,
+            set_slots: self.set_slots + other.set_slots,
         }
     }
 }
@@ -109,15 +116,37 @@ pub struct TemporalIndex {
 }
 
 impl TemporalIndex {
-    /// Creates an empty index. `checkpoint_every` bounds the event replay
-    /// per probe: a checkpoint version-set is cut each time that many
-    /// events accumulate.
+    /// Creates an empty index. `checkpoint_every` is the timeline's mark
+    /// spacing: the unit of its event replay per probe and of the log
+    /// prefixes a checkpoint version-set can be cut at.
     pub fn new(name: impl Into<String>, checkpoint_every: usize) -> TemporalIndex {
         TemporalIndex {
             name: name.into(),
             timeline: Timeline::new(checkpoint_every),
             intervals: IntervalIndex::new(),
         }
+    }
+
+    /// Bulk-builds an index over `(slot, application period, system
+    /// period)` versions, inserted in iteration order: sized once from the
+    /// iterator's lower bound, endpoint lists sorted once, spare capacity
+    /// released.
+    pub fn build(
+        name: impl Into<String>,
+        checkpoint_every: usize,
+        versions: impl Iterator<Item = (u64, AppPeriod, SysPeriod)>,
+    ) -> TemporalIndex {
+        let mut tix = TemporalIndex::new(name, checkpoint_every);
+        let expected = versions.size_hint().0;
+        tix.timeline.reserve(expected);
+        tix.intervals.reserve(expected);
+        for (slot, app, sys) in versions {
+            tix.insert(slot, app, sys);
+        }
+        tix.prepare();
+        tix.timeline.shrink_to_fit();
+        tix.intervals.shrink_to_fit();
+        tix
     }
 
     /// The index name, as surfaced in access-path displays.
@@ -158,7 +187,9 @@ impl TemporalIndex {
         IndexFootprint {
             bytes: self.timeline.memory_bytes() + self.intervals.memory_bytes(),
             events: self.timeline.event_count() as u64,
-            checkpoints: self.timeline.checkpoint_count() as u64,
+            marks: self.timeline.mark_count() as u64,
+            sets: self.timeline.set_count() as u64,
+            set_slots: self.timeline.set_slots() as u64,
         }
     }
 
@@ -306,10 +337,47 @@ mod tests {
         }
         let fp = ix.footprint();
         assert_eq!(fp.events, 20, "activate + invalidate per version");
-        assert!(fp.checkpoints >= 5);
-        assert!(fp.bytes > 0);
+        assert_eq!(fp.marks, 10, "one mark per two events");
+        assert!(fp.sets >= 1 && fp.sets <= fp.marks);
+        // Capacity-true: at least the 24 B events and the two 24 B endpoint
+        // entries every version costs.
+        assert!(fp.bytes >= 20 * 24 + 10 * 48, "{fp:?}");
         let doubled = fp.merged(fp);
         assert_eq!(doubled.events, 40);
+        assert_eq!(doubled.marks, 20);
+    }
+
+    #[test]
+    fn bulk_build_answers_like_inserts_and_holds_no_spare_capacity() {
+        let versions: Vec<(u64, AppPeriod, SysPeriod)> = (0..300u64)
+            .map(|slot| {
+                (
+                    slot,
+                    appp(slot as i64 % 7, 10),
+                    sysp(slot, slot + 1 + slot % 3),
+                )
+            })
+            .collect();
+        let mut inserted = TemporalIndex::new("t", 16);
+        for &(slot, app, sys) in &versions {
+            inserted.insert(slot, app, sys);
+        }
+        inserted.prepare();
+        // A filtered iterator reports a lower size bound of zero, like the
+        // engines' heap iterators do.
+        let built = TemporalIndex::build("t", 16, versions.iter().copied().filter(|_| true));
+        let (sys, app) = (SysProbe::At(SysTime(150)), AppProbe::At(AppDate(3)));
+        let mut cost = ProbeCost::default();
+        assert_eq!(
+            built.candidates(Some(&sys), Some(&app), &mut cost),
+            inserted.candidates(Some(&sys), Some(&app), &mut cost)
+        );
+        let fp = built.footprint();
+        assert!(fp.bytes <= inserted.footprint().bytes);
+        // 600 events, 300 entries per endpoint list, 37 marks and segment
+        // bounds at 16 B each; the rest is version-sets and live mirror.
+        let exact = 600 * 24 + 2 * 300 * 24;
+        assert!(fp.bytes >= exact && fp.bytes <= exact + exact / 4, "{fp:?}");
     }
 
     #[test]

@@ -3,12 +3,22 @@
 //! System time only ever moves forward, and a version's visibility changes
 //! at exactly two moments — when it is recorded (*activation*) and when it
 //! is superseded or deleted (*invalidation*). The Timeline therefore stores
-//! history as an **append-only event log** in causal order, and cuts a
-//! **checkpoint version-set** (the sorted set of visible slots) every
-//! `checkpoint_every` events. A probe "visible at system version S"
-//! restores the nearest checkpoint whose events all precede `S` and replays
-//! the bounded slice of events up to `S` — work proportional to the answer
-//! plus the checkpoint interval, not to the length of history. That is the
+//! history as an **append-only event log** in causal order, annotated at
+//! two densities:
+//!
+//! * a **mark** at every `checkpoint_every`-aligned log boundary — the
+//!   running maximum event time and the *size* of the visible set there,
+//!   two words per segment. Marks are all the planner's estimates read.
+//! * a **version-set** (the sorted visible slots themselves) at a mark only
+//!   once enough events have accumulated to pay for the copy — see
+//!   [`SET_SPACING`]. That amortisation keeps the whole index linear in
+//!   the number of events.
+//!
+//! A probe "visible at system version S" takes the nearest version-set
+//! whose events all precede `S`, collapses the bounded slice of events up
+//! to `S` into one final state per touched slot, and merges that delta
+//! with the set in a single pass — work proportional to the answer plus
+//! the replay bound, not to the length of history. That is the
 //! sublinearity the benchmarked 2014 systems lacked (paper Figs 3, 9, 10).
 //!
 //! Correctness does not depend on events arriving in time order: replay is
@@ -23,8 +33,28 @@ use bitempo_core::{SysPeriod, SysTime};
 use std::collections::BTreeSet;
 
 /// Default checkpoint interval: small enough to bound replays tightly,
-/// large enough that checkpoint memory stays a fraction of the event log.
+/// large enough that marks, segment bounds and version-sets together stay
+/// a fraction of the event log (two words of mark per 256 three-word
+/// events; version-set slots are bounded by [`SET_SPACING`] times the
+/// event count whatever the interval).
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
+
+/// A version-set is cut at a mark only when the events appended since the
+/// previous set number at least `1 / SET_SPACING` of the visible set, which
+/// charges every copied slot to the events that precede it:
+///
+/// * **space** — a set of `L` slots follows at least `L / SET_SPACING`
+///   events of its own, so all sets together hold at most
+///   `SET_SPACING × events` slots;
+/// * **replay** — a mark that declines to cut has fewer than
+///   `live / SET_SPACING` events behind it, so a probe replays fewer than
+///   `checkpoint_every + live / SET_SPACING` events past its set.
+const SET_SPACING: usize = 2;
+
+/// Resident bytes charged per slot of the `live` mirror: `BTreeSet<u64>`
+/// leaves hold up to 11 keys in ~100 B and sit half full under the
+/// ascending inserts activations produce (measured 15–20 B per slot).
+const LIVE_BYTES_PER_SLOT: usize = 20;
 
 /// What happened to a slot's visibility.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,29 +77,46 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// What the planner needs to know about one `every`-aligned log prefix:
+/// mark `k` describes `events[..(k + 1) * every]`.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Maximum event time in the prefix: the prefix applies wholesale to a
+    /// probe at `S` only when `max_at <= S`.
+    max_at: SysTime,
+    /// Size of the visible set after the prefix.
+    live_len: usize,
+}
+
 /// The visible slot set after applying a prefix of the log.
 #[derive(Debug, Clone)]
-struct Checkpoint {
+struct VersionSet {
     /// Number of log events this set reflects.
     upto: usize,
-    /// Maximum event time in that prefix: the checkpoint serves a probe at
-    /// `S` only when `max_at <= S`, so every reflected event applies.
+    /// Maximum event time in that prefix: the set serves a probe at `S`
+    /// only when `max_at <= S`, so every reflected event applies.
     max_at: SysTime,
     /// Sorted visible slots.
-    visible: Vec<u64>,
+    visible: Box<[u64]>,
 }
+
+/// Replayed events in causal order, reduced to `(slot, kind)`.
+type Delta = Vec<(u64, EventKind)>;
 
 /// The system-time visibility index. See the module docs.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     events: Vec<Event>,
-    checkpoints: Vec<Checkpoint>,
+    /// One per complete segment, in log order.
+    marks: Vec<Mark>,
+    /// Sparse, in log order; each sits on a mark boundary.
+    sets: Vec<VersionSet>,
     every: usize,
     /// `(min, max)` event time per checkpoint-aligned log segment
     /// (`events[k * every .. (k + 1) * every]`), for segment skipping in
     /// non-monotone replays.
     seg_bounds: Vec<(SysTime, SysTime)>,
-    /// Running mirror of the visible set, snapshot at checkpoint cuts.
+    /// Running mirror of the visible set, snapshot at version-set cuts.
     live: BTreeSet<u64>,
     /// Running maximum event time.
     max_at: SysTime,
@@ -90,12 +137,13 @@ impl Default for Timeline {
 }
 
 impl Timeline {
-    /// Creates an empty timeline cutting a checkpoint every
-    /// `checkpoint_every` events (clamped to at least 1).
+    /// Creates an empty timeline placing a mark every `checkpoint_every`
+    /// events (clamped to at least 1).
     pub fn new(checkpoint_every: usize) -> Timeline {
         Timeline {
             events: Vec::new(),
-            checkpoints: Vec::new(),
+            marks: Vec::new(),
+            sets: Vec::new(),
             every: checkpoint_every.max(1),
             seg_bounds: Vec::new(),
             live: BTreeSet::new(),
@@ -163,12 +211,32 @@ impl Timeline {
             None => self.seg_bounds.push((e.at, e.at)),
         }
         if self.events.len().is_multiple_of(self.every) {
-            self.checkpoints.push(Checkpoint {
-                upto: self.events.len(),
+            self.marks.push(Mark {
                 max_at: self.max_at,
-                visible: self.live.iter().copied().collect(),
+                live_len: self.live.len(),
             });
+            let since = self.events.len() - self.sets.last().map_or(0, |s| s.upto);
+            if since * SET_SPACING >= self.live.len() {
+                self.sets.push(VersionSet {
+                    upto: self.events.len(),
+                    max_at: self.max_at,
+                    visible: self.live.iter().copied().collect(),
+                });
+            }
         }
+    }
+
+    /// Pre-sizes the log for `events` more events.
+    pub fn reserve(&mut self, events: usize) {
+        self.events.reserve(events);
+    }
+
+    /// Releases spare capacity; worth calling once a bulk build is done.
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+        self.marks.shrink_to_fit();
+        self.sets.shrink_to_fit();
+        self.seg_bounds.shrink_to_fit();
     }
 
     /// Number of events recorded.
@@ -176,33 +244,32 @@ impl Timeline {
         self.events.len()
     }
 
-    /// Number of checkpoint version-sets cut so far.
-    pub fn checkpoint_count(&self) -> usize {
-        self.checkpoints.len()
+    /// Number of marks placed so far: one per complete segment.
+    pub fn mark_count(&self) -> usize {
+        self.marks.len()
     }
 
-    /// Approximate resident bytes of the log, checkpoints and live mirror.
+    /// Number of version-sets cut so far.
+    pub fn set_count(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// Slots held across all version-sets; at most `SET_SPACING` times
+    /// [`Timeline::event_count`].
+    pub fn set_slots(&self) -> usize {
+        self.sets.iter().map(|s| s.visible.len()).sum()
+    }
+
+    /// Resident bytes of the log, marks, version-sets, segment bounds and
+    /// live mirror, counting allocated capacity rather than length.
     pub fn memory_bytes(&self) -> u64 {
-        let events = self.events.len() * std::mem::size_of::<Event>();
-        let ckpts: usize = self
-            .checkpoints
-            .iter()
-            .map(|c| std::mem::size_of::<Checkpoint>() + c.visible.len() * 8)
-            .sum();
-        (events + ckpts + self.live.len() * 8) as u64
-    }
-
-    /// The nearest usable checkpoint for a probe at `at`: the latest whose
-    /// whole prefix applies. Returns `(events_reflected, start_set)`.
-    fn restore(&self, at: SysTime, visits: &mut u64) -> (usize, BTreeSet<u64>) {
-        let ci = self.checkpoints.partition_point(|c| c.max_at <= at);
-        match ci.checked_sub(1).and_then(|i| self.checkpoints.get(i)) {
-            Some(c) => {
-                *visits += c.visible.len() as u64;
-                (c.upto, c.visible.iter().copied().collect())
-            }
-            None => (0, BTreeSet::new()),
-        }
+        use std::mem::size_of;
+        (self.events.capacity() * size_of::<Event>()
+            + self.marks.capacity() * size_of::<Mark>()
+            + self.sets.capacity() * size_of::<VersionSet>()
+            + self.set_slots() * size_of::<u64>()
+            + self.seg_bounds.capacity() * size_of::<(SysTime, SysTime)>()
+            + self.live.len() * LIVE_BYTES_PER_SLOT) as u64
     }
 
     /// Walks `events[upto..]` segment by segment, invoking `f` on every
@@ -269,36 +336,45 @@ impl Timeline {
         n
     }
 
+    /// The visible set at `at`, unmerged: the latest version-set whose whole
+    /// prefix applies (every reflected event is at or before `at`), and the
+    /// later events that took effect at or before `at`, in causal order.
+    fn state_at(&self, at: SysTime, cost: &mut crate::ProbeCost) -> (&[u64], Delta) {
+        let si = self.sets.partition_point(|s| s.max_at <= at);
+        let (upto, set): (usize, &[u64]) = match si.checked_sub(1).and_then(|i| self.sets.get(i)) {
+            Some(s) => (s.upto, &s.visible),
+            None => (0, &[]),
+        };
+        cost.node_visits += set.len() as u64;
+        let mut delta = Delta::new();
+        if self.monotone {
+            let hi = self.events.partition_point(|e| e.at <= at);
+            let applied = self.events.get(upto..hi).unwrap_or(&[]);
+            cost.node_visits += applied.len() as u64;
+            delta.extend(applied.iter().map(|e| (e.slot, e.kind)));
+        } else {
+            // Segments whose earliest event is already past `at` cannot
+            // change visibility at `at`.
+            self.replay_segments(
+                upto,
+                |lo, _| lo <= at,
+                cost,
+                |e| {
+                    if e.at <= at {
+                        delta.push((e.slot, e.kind));
+                    }
+                },
+            );
+        }
+        (set, delta)
+    }
+
     /// Slots visible at system version `at`: activated at or before `at`
     /// and not invalidated at or before it. `SysTime::MAX` yields the
     /// current snapshot (never-invalidated slots). Sorted ascending.
     pub fn visible_at(&self, at: SysTime, cost: &mut crate::ProbeCost) -> Vec<u64> {
-        let (upto, mut set) = self.restore(at, &mut cost.node_visits);
-        let apply = |e: &Event, set: &mut BTreeSet<u64>| {
-            if e.at > at {
-                return;
-            }
-            match e.kind {
-                EventKind::Activate => {
-                    set.insert(e.slot);
-                }
-                EventKind::Invalidate => {
-                    set.remove(&e.slot);
-                }
-            }
-        };
-        if self.monotone {
-            let hi = self.events.partition_point(|e| e.at <= at);
-            for e in self.events.iter().take(hi).skip(upto) {
-                cost.node_visits += 1;
-                apply(e, &mut set);
-            }
-        } else {
-            // Segments whose earliest event is already past `at` cannot
-            // change visibility at `at`.
-            self.replay_segments(upto, |lo, _| lo <= at, cost, |e| apply(e, &mut set));
-        }
-        set.into_iter().collect()
+        let (set, delta) = self.state_at(at, cost);
+        apply_delta(set, delta)
     }
 
     /// Candidate slots for versions whose system period overlaps `range`:
@@ -307,16 +383,20 @@ impl Timeline {
     /// are filtered by the caller's authoritative re-check). Sorted
     /// ascending.
     pub fn visible_during(&self, range: &SysPeriod, cost: &mut crate::ProbeCost) -> Vec<u64> {
-        let mut set: BTreeSet<u64> = self.visible_at(range.start, cost).into_iter().collect();
+        let (set, mut delta) = self.state_at(range.start, cost);
+        // In-range activations go last, so they win over whatever the
+        // replay said about the same slot.
         if self.monotone {
             let lo = self.events.partition_point(|e| e.at < range.start);
             let hi = self.events.partition_point(|e| e.at < range.end);
-            for e in self.events.iter().take(hi).skip(lo) {
-                cost.node_visits += 1;
-                if e.kind == EventKind::Activate {
-                    set.insert(e.slot);
-                }
-            }
+            let inside = self.events.get(lo..hi).unwrap_or(&[]);
+            cost.node_visits += inside.len() as u64;
+            delta.extend(
+                inside
+                    .iter()
+                    .filter(|e| e.kind == EventKind::Activate)
+                    .map(|e| (e.slot, e.kind)),
+            );
         } else {
             self.replay_segments(
                 0,
@@ -324,18 +404,20 @@ impl Timeline {
                 cost,
                 |e| {
                     if e.kind == EventKind::Activate && range.contains_point(e.at) {
-                        set.insert(e.slot);
+                        delta.push((e.slot, e.kind));
                     }
                 },
             );
         }
-        set.into_iter().collect()
+        apply_delta(set, delta)
     }
 
     /// Upper bound on the number of slots [`Timeline::visible_at`] can
-    /// return: the restored checkpoint size plus one per activation the
-    /// replay could insert. Only activations at or before `at` count —
-    /// invalidations and later events can never grow the visible set.
+    /// return: the visible-set size at the nearest mark plus one per
+    /// activation a replay from there could insert. Only activations at or
+    /// before `at` count — invalidations and later events can never grow
+    /// the visible set. Reads marks only, so the bound does not depend on
+    /// where version-sets happen to be cut.
     pub fn estimate_at(&self, at: SysTime) -> usize {
         if at >= self.max_at {
             // Every recorded event applies, so the live mirror *is* the
@@ -343,13 +425,13 @@ impl Timeline {
             // probe.
             return self.live.len();
         }
-        let ci = self.checkpoints.partition_point(|c| c.max_at <= at);
-        let (upto, base) = match ci.checked_sub(1).and_then(|i| self.checkpoints.get(i)) {
-            Some(c) => (c.upto, c.visible.len()),
-            None => (0, 0),
-        };
+        let mi = self.marks.partition_point(|m| m.max_at <= at);
+        let base = mi
+            .checked_sub(1)
+            .and_then(|i| self.marks.get(i))
+            .map_or(0, |m| m.live_len);
         let replay = self.count_events(
-            upto,
+            mi * self.every,
             |lo, _| lo <= at,
             |e| e.kind == EventKind::Activate && e.at <= at,
         );
@@ -368,6 +450,33 @@ impl Timeline {
         self.estimate_at(range.start) + activations
     }
 }
+
+/// Applies replayed events to a restored version-set in one pass: each
+/// touched slot ends in the state its *last* event left it in, every other
+/// slot keeps its membership in `set`. Sorted ascending.
+fn apply_delta(set: &[u64], mut delta: Delta) -> Vec<u64> {
+    // Stable, so a slot's events stay in causal order within its run.
+    delta.sort_by_key(|&(slot, _)| slot);
+    let mut out = Vec::with_capacity(set.len() + delta.len());
+    let mut rest = set;
+    for run in delta.chunk_by(|a, b| a.0 == b.0) {
+        let Some(&(slot, last)) = run.last() else {
+            continue;
+        };
+        // A linear advance: everything skipped is copied anyway.
+        let (below, from) = rest.split_at(rest.iter().take_while(|&&s| s < slot).count());
+        out.extend_from_slice(below);
+        rest = from.strip_prefix(&[slot]).unwrap_or(from);
+        if last == EventKind::Activate {
+            out.push(slot);
+        }
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+#[cfg(test)]
+mod props;
 
 #[cfg(test)]
 mod tests {
@@ -599,12 +708,66 @@ mod tests {
     fn memory_and_counts_grow_with_history() {
         let mut tl = Timeline::new(4);
         assert_eq!(tl.event_count(), 0);
-        assert_eq!(tl.checkpoint_count(), 0);
+        assert_eq!(tl.mark_count(), 0);
+        assert_eq!(tl.set_count(), 0);
         for i in 0..20u64 {
             tl.activate(i, SysTime(i));
         }
         assert_eq!(tl.event_count(), 20);
-        assert_eq!(tl.checkpoint_count(), 5);
+        // Marks stay dense — one per `every` events — while version-sets
+        // thin out as the live set outgrows the events between them: the
+        // marks at 12 and 20 events have one 4-event segment behind them
+        // and 12 and 20 live slots ahead, so they decline to cut.
+        assert_eq!(tl.mark_count(), 5);
+        assert_eq!(tl.set_count(), 3);
+        assert_eq!(tl.set_slots(), 4 + 8 + 16);
         assert!(tl.memory_bytes() > 0);
+    }
+
+    /// The linear-space regression: a growth-only history (every slot
+    /// activated, none invalidated) is the worst case for version-set
+    /// copies — a full set at every mark would hold 1.5 KB per event at
+    /// this size.
+    #[test]
+    fn growth_only_history_stays_linear_in_space() {
+        let n = 100_000u64;
+        let mut tl = Timeline::default();
+        tl.reserve(n as usize);
+        for i in 0..n {
+            tl.activate(i, SysTime(i + 1));
+        }
+        assert!(tl.set_slots() <= SET_SPACING * tl.event_count());
+        let per_event = tl.memory_bytes() / n;
+        assert!(
+            per_event <= 64,
+            "{per_event} B/event: the index must stay within a small multiple of its log"
+        );
+        // Sparse sets keep the probe exact and its replay bounded.
+        let mut cost = crate::ProbeCost::default();
+        let visible = tl.visible_at(SysTime(n / 2), &mut cost);
+        assert_eq!(visible.len() as u64, n / 2);
+        assert!(
+            cost.node_visits <= n / 2 + 1,
+            "visits {} must stay within the answer size",
+            cost.node_visits
+        );
+    }
+
+    #[test]
+    fn apply_delta_keeps_each_slots_last_event() {
+        use EventKind::{Activate, Invalidate};
+        let set = [1, 3, 5, 7];
+        let delta = vec![
+            (5, Invalidate),
+            (4, Activate),
+            (9, Activate),
+            (9, Invalidate),
+            (3, Invalidate),
+            (3, Activate),
+            (7, Activate),
+        ];
+        assert_eq!(apply_delta(&set, delta), vec![1, 3, 4, 7]);
+        assert_eq!(apply_delta(&set, Delta::new()), set.to_vec());
+        assert_eq!(apply_delta(&[], vec![(2, Activate)]), vec![2]);
     }
 }
