@@ -739,7 +739,24 @@ pub fn table2(cfg: &BenchConfig) -> Result<FigureReport> {
     Ok(report)
 }
 
-/// §5.2: the architecture analysis.
+/// Ceiling on the resident bytes an engine's key → open-version structures
+/// hold per open version (`BitemporalEngine::key_structures_footprint`),
+/// the gate of the `arch` experiment, set 10 % over the largest value
+/// measured across `--h` 0.0005 … 0.012. Systems A and B answer from the
+/// system PK index (a packed B+Tree entry, the key's heap, separators):
+/// 83–85 B at every scale. C and D answer from the inline-one `KeyMap`: a
+/// hash table sits between 7/16 and 7/8 full, so its bytes per key swing
+/// with the table sizes — 57–92 B measured, 61 at the default scale.
+fn key_structure_bytes_ceiling(kind: SystemKind) -> f64 {
+    match kind {
+        SystemKind::A | SystemKind::B => 93.0,
+        SystemKind::C | SystemKind::D => 101.0,
+    }
+}
+
+/// §5.2: the architecture analysis — what each layout stores per version.
+/// Fails when an engine's key structures outgrow
+/// [`key_structure_bytes_ceiling`].
 pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
     let inst = Instance::build(cfg, &TuningConfig::none())?;
     let mut report = FigureReport::new("arch", "Architecture Analysis (§5.2)", "rows");
@@ -752,8 +769,26 @@ pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
             s.push(format!("{name} current"), st.current_rows as f64);
             s.push(format!("{name} history"), st.history_rows as f64);
         }
+        let fp = engine.key_structures_footprint();
+        let per_open = fp.key_bytes_per_open_version();
+        s.push("key structures B / open version", per_open);
         report.add(s);
         report.note(format!("{}: {}", kind.name(), engine.architecture()));
+        report.note(format!(
+            "{}: key structures {:.1} KiB for {} open versions ({per_open:.0} B each); \
+             heap slot arrays {:.1} KiB",
+            kind.name(),
+            fp.key_bytes as f64 / 1024.0,
+            fp.open_versions,
+            fp.heap_bytes as f64 / 1024.0
+        ));
+        let ceiling = key_structure_bytes_ceiling(kind);
+        if per_open > ceiling {
+            return Err(Error::Invalid(format!(
+                "{kind}: key structures hold {per_open:.0} resident bytes per open version, \
+                 over the {ceiling} B ceiling: {fp:?}"
+            )));
+        }
     }
     Ok(report)
 }
@@ -2347,6 +2382,15 @@ mod tests {
         assert_eq!(r.series.len(), 7);
         let r = architecture(&micro_cfg()).unwrap();
         assert_eq!(r.series.len(), 4);
+        for s in &r.series {
+            let (x, bytes) = s.points.last().unwrap();
+            assert_eq!(x, "key structures B / open version");
+            assert!(
+                *bytes > 0.0,
+                "{}: every engine reports its key structures",
+                s.label
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@ use crate::schema::table_defs;
 use crate::text;
 use crate::{ScaleConfig, LAST_ORDER_DATE, START_DATE};
 use bitempo_core::{AppDate, AppPeriod, Pcg32, Period, Row, TableDef, Value};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// TPC-H CURRENTDATE (1995-06-17), used for order status derivation.
 pub const CURRENT_DATE: AppDate = AppDate::from_ymd(1995, 6, 17);
@@ -73,11 +75,32 @@ fn ints(v: i64) -> Value {
     Value::Int(v)
 }
 
+/// One shared string per distinct value of the low-cardinality columns
+/// (flags, statuses, modes, segments, brands, types, containers, clerks):
+/// a cell of those is a reference-count bump on the value's one `Arc<str>`
+/// instead of an allocation of its own, in the generated data and in every
+/// engine loaded from it.
+#[derive(Default)]
+struct Interner(HashSet<Arc<str>>);
+
+impl Interner {
+    fn value(&mut self, s: impl AsRef<str>) -> Value {
+        let s = s.as_ref();
+        if let Some(shared) = self.0.get(s) {
+            return Value::Str(Arc::clone(shared));
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.0.insert(Arc::clone(&shared));
+        Value::Str(shared)
+    }
+}
+
 /// Generates all eight tables.
 pub fn generate(config: &ScaleConfig) -> TpchData {
     let defs = table_defs();
     let root = Pcg32::new(config.seed, 0xB17E);
-    let (orders, lineitems) = gen_orders_and_lineitems(config, &root);
+    let mut shared = Interner::default();
+    let (orders, lineitems) = gen_orders_and_lineitems(config, &root, &mut shared);
     let mut orders = Some(orders);
     let mut lineitems = Some(lineitems);
     let mut tables = Vec::with_capacity(8);
@@ -86,8 +109,8 @@ pub fn generate(config: &ScaleConfig) -> TpchData {
             "region" => gen_region(),
             "nation" => gen_nation(),
             "supplier" => gen_supplier(config, &root),
-            "customer" => gen_customer(config, &root),
-            "part" => gen_part(config, &root),
+            "customer" => gen_customer(config, &root, &mut shared),
+            "part" => gen_part(config, &root, &mut shared),
             "partsupp" => gen_partsupp(config, &root),
             "orders" => orders.take().expect("orders generated once"),
             "lineitem" => lineitems.take().expect("lineitems generated once"),
@@ -138,7 +161,11 @@ fn gen_supplier(config: &ScaleConfig, root: &Pcg32) -> Vec<(Row, Option<AppPerio
         .collect()
 }
 
-fn gen_customer(config: &ScaleConfig, root: &Pcg32) -> Vec<(Row, Option<AppPeriod>)> {
+fn gen_customer(
+    config: &ScaleConfig,
+    root: &Pcg32,
+    shared: &mut Interner,
+) -> Vec<(Row, Option<AppPeriod>)> {
     (1..=config.customers() as i64)
         .map(|k| {
             let mut rng = root.derive_stream(tag::CUSTOMER | k as u64);
@@ -150,7 +177,7 @@ fn gen_customer(config: &ScaleConfig, root: &Pcg32) -> Vec<(Row, Option<AppPerio
                 ints(nation),
                 Value::str(text::phone(&mut rng, nation)),
                 Value::Double(rng.int_range(-99_999, 999_999) as f64 / 100.0),
-                Value::str(*rng.pick(&text::SEGMENTS)),
+                shared.value(rng.pick(&text::SEGMENTS)),
             ]);
             // Non-uniform application time: most customers became visible
             // early in the TPC-H epoch (Zipf-skewed offset).
@@ -161,7 +188,11 @@ fn gen_customer(config: &ScaleConfig, root: &Pcg32) -> Vec<(Row, Option<AppPerio
         .collect()
 }
 
-fn gen_part(config: &ScaleConfig, root: &Pcg32) -> Vec<(Row, Option<AppPeriod>)> {
+fn gen_part(
+    config: &ScaleConfig,
+    root: &Pcg32,
+    shared: &mut Interner,
+) -> Vec<(Row, Option<AppPeriod>)> {
     let span = LAST_ORDER_DATE.0 - START_DATE.0;
     (1..=config.parts() as i64)
         .map(|k| {
@@ -171,16 +202,16 @@ fn gen_part(config: &ScaleConfig, root: &Pcg32) -> Vec<(Row, Option<AppPeriod>)>
             let row = Row::new(vec![
                 ints(k),
                 Value::str(text::part_name(&mut rng)),
-                Value::str(format!("Manufacturer#{mfgr}")),
-                Value::str(format!("Brand#{brand}")),
-                Value::str(format!(
+                shared.value(format!("Manufacturer#{mfgr}")),
+                shared.value(format!("Brand#{brand}")),
+                shared.value(format!(
                     "{} {} {}",
                     rng.pick(&text::TYPE_S1),
                     rng.pick(&text::TYPE_S2),
                     rng.pick(&text::TYPE_S3)
                 )),
                 ints(rng.int_range(1, 50)),
-                Value::str(format!(
+                shared.value(format!(
                     "{} {}",
                     rng.pick(&text::CONTAINER_S1),
                     rng.pick(&text::CONTAINER_S2)
@@ -228,7 +259,11 @@ type TableRows = Vec<(Row, Option<AppPeriod>)>;
 
 /// Orders and lineitems are generated together: the order's status, total
 /// price and both application times derive from its lines.
-fn gen_orders_and_lineitems(config: &ScaleConfig, root: &Pcg32) -> (TableRows, TableRows) {
+fn gen_orders_and_lineitems(
+    config: &ScaleConfig,
+    root: &Pcg32,
+    shared: &mut Interner,
+) -> (TableRows, TableRows) {
     let customers = config.customers() as i64;
     let parts = config.parts() as i64;
     let suppliers = config.suppliers() as i64;
@@ -285,13 +320,13 @@ fn gen_orders_and_lineitems(config: &ScaleConfig, root: &Pcg32) -> (TableRows, T
                 Value::Double(extended),
                 Value::Double(discount),
                 Value::Double(tax),
-                Value::str(returnflag),
-                Value::str(linestatus),
+                shared.value(returnflag),
+                shared.value(linestatus),
                 Value::Date(shipdate),
                 Value::Date(commitdate),
                 Value::Date(receiptdate),
-                Value::str(*rng.pick(&text::INSTRUCTIONS)),
-                Value::str(*rng.pick(&text::MODES)),
+                shared.value(rng.pick(&text::INSTRUCTIONS)),
+                shared.value(rng.pick(&text::MODES)),
             ]);
             // A lineitem is "active" from shipment to receipt.
             lineitems.push((row, Some(Period::new(shipdate, receiptdate))));
@@ -321,11 +356,11 @@ fn gen_orders_and_lineitems(config: &ScaleConfig, root: &Pcg32) -> (TableRows, T
         let row = Row::new(vec![
             ints(ok),
             ints(custkey),
-            Value::str(status),
+            shared.value(status),
             Value::Double((total * 100.0).round() / 100.0),
             Value::Date(orderdate),
-            Value::str(*rng.pick(&text::PRIORITIES)),
-            Value::str(format!("Clerk#{:09}", rng.int_range(1, clerks))),
+            shared.value(rng.pick(&text::PRIORITIES)),
+            shared.value(format!("Clerk#{:09}", rng.int_range(1, clerks))),
             ints(0),
             Value::str(text::order_comment(&mut rng)),
             Value::Date(recv_start),
@@ -366,6 +401,61 @@ mod tests {
         for (ta, tb) in a.tables.iter().zip(&b.tables) {
             assert_eq!(ta.rows, tb.rows, "table {}", ta.def.name);
         }
+    }
+
+    #[test]
+    fn low_cardinality_strings_are_shared_not_copied() {
+        let d = data();
+        // Every cell of these columns points at its value's one allocation,
+        // across tables too (`F`/`O` are line and order statuses).
+        let mut allocations: std::collections::HashMap<&str, *const u8> = Default::default();
+        let shared_cols: [(&str, &[usize]); 4] = [
+            (
+                "lineitem",
+                &[
+                    col::lineitem::RETURNFLAG,
+                    col::lineitem::LINESTATUS,
+                    col::lineitem::SHIPINSTRUCT,
+                    col::lineitem::SHIPMODE,
+                ],
+            ),
+            (
+                "orders",
+                &[
+                    col::orders::ORDERSTATUS,
+                    col::orders::ORDERPRIORITY,
+                    col::orders::CLERK,
+                ],
+            ),
+            ("customer", &[col::customer::MKTSEGMENT]),
+            (
+                "part",
+                &[
+                    col::part::MFGR,
+                    col::part::BRAND,
+                    col::part::TYPE,
+                    col::part::CONTAINER,
+                ],
+            ),
+        ];
+        for (table, cols) in shared_cols {
+            for (row, _) in &d.table(table).rows {
+                for &c in cols {
+                    let s = row.get(c).as_str().unwrap();
+                    let first = *allocations.entry(s).or_insert(s.as_ptr());
+                    assert_eq!(first, s.as_ptr(), "{table} column {c}: {s:?} was copied");
+                }
+            }
+        }
+        assert!(allocations.len() > 50, "flags, modes, types, clerks…");
+        // High-cardinality text keeps its own payload per cell.
+        let comments: HashSet<*const u8> = d
+            .table("orders")
+            .rows
+            .iter()
+            .map(|(row, _)| row.get(col::orders::COMMENT).as_str().unwrap().as_ptr())
+            .collect();
+        assert_eq!(comments.len(), d.table("orders").rows.len());
     }
 
     #[test]

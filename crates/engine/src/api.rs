@@ -308,6 +308,39 @@ impl TableStats {
     }
 }
 
+/// Resident size of an engine's key → open-version structures, by capacity
+/// (see [`BitemporalEngine::key_structures_footprint`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KeyStructuresFootprint {
+    /// Bytes of the structures that map a key to its open versions: the
+    /// system-defined PK indexes on Systems A and B, the key maps on C and D.
+    pub key_bytes: usize,
+    /// Bytes of the heap slot arrays those slots address (row payloads
+    /// behind their `Arc` excluded; 0 on System C, whose rows live in
+    /// column fragments).
+    pub heap_bytes: usize,
+    /// Open versions the key structures address.
+    pub open_versions: usize,
+}
+
+impl KeyStructuresFootprint {
+    /// Key-structure bytes per open version (0 for an empty engine).
+    pub fn key_bytes_per_open_version(&self) -> f64 {
+        self.key_bytes as f64 / self.open_versions.max(1) as f64
+    }
+}
+
+/// Field-wise, for rolling an engine's tables up.
+impl std::iter::Sum for KeyStructuresFootprint {
+    fn sum<I: Iterator<Item = Self>>(tables: I) -> Self {
+        tables.fold(Self::default(), |a, b| KeyStructuresFootprint {
+            key_bytes: a.key_bytes + b.key_bytes,
+            heap_bytes: a.heap_bytes + b.heap_bytes,
+            open_versions: a.open_versions + b.open_versions,
+        })
+    }
+}
+
 /// The result of a scan: materialized rows plus the access paths taken.
 #[derive(Debug, Clone)]
 pub struct ScanOutput {
@@ -518,6 +551,13 @@ pub trait BitemporalEngine: Send + Sync {
     /// next to the probe-time wins so maintenance cost is never hidden.
     fn temporal_index_footprint(&self) -> bitempo_tindex::IndexFootprint {
         bitempo_tindex::IndexFootprint::default()
+    }
+
+    /// What the engine holds to answer "which open versions does key *k*
+    /// have", next to the heaps those answers point into — the first slice
+    /// of the per-layer space accounting. Zero for views that own no data.
+    fn key_structures_footprint(&self) -> KeyStructuresFootprint {
+        KeyStructuresFootprint::default()
     }
 
     /// True if the engine lets the loader set system time explicitly and

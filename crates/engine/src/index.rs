@@ -62,6 +62,13 @@ fn numeric(v: &Value) -> Option<f64> {
     }
 }
 
+/// The finite position of `v` on the real line, if it has one: what
+/// [`OrderedIndex::estimate_selectivity`] can interpolate over. Strings,
+/// NULL and the open-ended `SysTime::MAX` have none.
+fn interpolable(v: &Value) -> Option<f64> {
+    numeric(v).filter(|x| x.is_finite())
+}
+
 /// A B-Tree index over versions stored in some slot-addressed container.
 #[derive(Debug, Clone)]
 pub struct OrderedIndex {
@@ -70,10 +77,12 @@ pub struct OrderedIndex {
     tree: BPlusTree<Vec<Value>, u64>,
     lo: f64,
     hi: f64,
-    /// Entry count per distinct leading-column value, maintained on
-    /// insert/remove. Feeds the equality-selectivity estimate for columns
-    /// interpolation cannot handle (strings): one key group out of
-    /// `distinct_first()` — instead of a hard-coded guess.
+    /// Entry count per distinct leading-column value that is not
+    /// [`interpolable`], maintained on insert/remove. Feeds the
+    /// equality-selectivity estimate where interpolation has nothing to
+    /// offer (strings): one key group out of `distinct_first()` — instead
+    /// of a hard-coded guess. Interpolable values are covered by `lo`/`hi`
+    /// and cost nothing here, so a unique integer key adds no entry.
     first_col: BTreeMap<Value, u64>,
 }
 
@@ -101,14 +110,12 @@ impl OrderedIndex {
     /// Indexes `version` under `slot`.
     pub fn insert(&mut self, version: &Version, slot: u64) {
         let key = self.key_of(version);
-        if let Some(x) = numeric(&key[0]) {
-            if x.is_finite() {
+        match interpolable(&key[0]) {
+            Some(x) => {
                 self.lo = self.lo.min(x);
                 self.hi = self.hi.max(x);
             }
-        }
-        if let Some(first) = key.first() {
-            *self.first_col.entry(first.clone()).or_insert(0) += 1;
+            None => *self.first_col.entry(key[0].clone()).or_insert(0) += 1,
         }
         self.tree.insert(key, slot);
     }
@@ -118,21 +125,41 @@ impl OrderedIndex {
         let key = self.key_of(version);
         let existed = self.tree.remove(&key, &slot);
         if existed {
-            if let Some(first) = key.first() {
-                if let Some(count) = self.first_col.get_mut(first) {
-                    *count -= 1;
-                    if *count == 0 {
-                        self.first_col.remove(first);
-                    }
+            if let Some(count) = self.first_col.get_mut(&key[0]) {
+                *count -= 1;
+                if *count == 0 {
+                    self.first_col.remove(&key[0]);
                 }
             }
         }
         existed
     }
 
-    /// Number of distinct leading-column values currently indexed.
+    /// Number of distinct leading-column values currently indexed that
+    /// [`OrderedIndex::estimate_selectivity`] cannot place (strings, NULL,
+    /// `SysTime::MAX`) — the denominator of the equality estimate the scan
+    /// planner falls back to exactly when that function returns `None`.
     pub fn distinct_first(&self) -> usize {
         self.first_col.len()
+    }
+
+    /// Slots indexed under exactly `key` (every index column), in insertion
+    /// order. This is how sequenced DML on Systems A and B finds a key's
+    /// open versions in the primary-key index; it is bookkeeping, not a
+    /// query access path, so it records no span and counts no visits.
+    pub fn slots_of(&self, key: Vec<Value>) -> Vec<u64> {
+        self.tree.get(&key)
+    }
+
+    /// Bytes the index holds, by capacity: tree nodes, the heap behind
+    /// every key (leaf keys and separator copies) and the distinct-count
+    /// map, whose B-Tree nodes hold 6–11 of 11 slots and are priced at 1.5×
+    /// their entries. String payloads are shared with the rows and not
+    /// counted.
+    pub fn memory_bytes(&self) -> usize {
+        let value = std::mem::size_of::<Value>();
+        self.tree.memory_bytes(|key| key.capacity() * value)
+            + self.first_col.len() * (value + std::mem::size_of::<u64>()) * 3 / 2
     }
 
     /// Number of indexed entries.

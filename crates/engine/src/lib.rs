@@ -24,7 +24,10 @@
 pub mod api;
 pub mod catalog;
 pub mod index;
+mod keymap;
 pub mod morsel;
+#[cfg(test)]
+mod open_slots_tests;
 pub mod rowscan;
 pub mod sequenced;
 pub mod system_a;
@@ -35,8 +38,8 @@ pub mod testutil;
 pub mod version;
 
 pub use api::{
-    AccessPath, AppSpec, BitemporalEngine, ColRange, IndexKind, ScanOutput, SysSpec, TableStats,
-    TuningConfig,
+    AccessPath, AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput,
+    SysSpec, TableStats, TuningConfig,
 };
 pub use catalog::Catalog;
 pub use morsel::{MorselExec, ScanMetrics};

@@ -8,7 +8,8 @@
 //! no indexes unless the tuning study adds them.
 
 use crate::api::{
-    AppSpec, BitemporalEngine, ColRange, IndexKind, ScanOutput, SysSpec, TableStats, TuningConfig,
+    AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput, SysSpec,
+    TableStats, TuningConfig,
 };
 use crate::catalog::Catalog;
 use crate::index::{IndexDef, IndexedCol, OrderedIndex};
@@ -22,13 +23,14 @@ use bitempo_core::{
 };
 use bitempo_storage::{Heap, SlotId};
 use bitempo_tindex::{IndexFootprint, TemporalIndex};
-use std::collections::HashMap;
 
 #[derive(Debug, Default)]
 struct TableA {
     current: Heap<Version>,
     history: Heap<Version>,
-    /// System-defined PK index over the current partition.
+    /// System-defined PK index over the current partition (absent on a
+    /// table without key columns). It is also what sequenced DML resolves a
+    /// key's open versions with: every entry is an open version.
     pk: Option<OrderedIndex>,
     /// Tuning indexes over the current partition.
     cur_indexes: Vec<OrderedIndex>,
@@ -44,8 +46,6 @@ struct TableA {
     /// the open versions even when the probe instant predates almost all of
     /// them.
     cur_tindex: Option<TemporalIndex>,
-    /// Open versions per key, for DML resolution.
-    key_map: HashMap<Key, Vec<u64>>,
 }
 
 /// Rebuilds a temporal index over one heap partition at tuning time —
@@ -81,9 +81,7 @@ impl SystemA {
         self.now.next()
     }
 
-    fn insert_version(&mut self, table: TableId, version: Version) {
-        let def_key = self.catalog.def(table).key.clone();
-        let key = Key::from_row(&version.row, &def_key);
+    fn insert_version(&mut self, table: TableId, version: Version) -> u64 {
         let t = self.table_mut(table);
         let slot64 = u64::from(t.current.insert(version.clone()).0);
         if let Some(pk) = &mut t.pk {
@@ -92,17 +90,16 @@ impl SystemA {
         for ix in &mut t.cur_indexes {
             ix.insert(&version, slot64);
         }
-        t.key_map.entry(key).or_default().push(slot64);
         if let Some(tix) = &mut t.cur_tindex {
             tix.insert(slot64, version.app, version.sys);
         }
+        slot64
     }
 
     /// Closes the open version in `slot` at `end`, moving it to history.
     /// Versions whose system period would be empty (created and superseded
     /// inside the same transaction) are discarded: they were never visible.
     fn close_version(&mut self, table: TableId, slot64: u64, end: SysTime) -> Result<Version> {
-        let def_key = self.catalog.def(table).key.clone();
         let nontemporal = self.catalog.def(table).temporal == TemporalClass::NonTemporal;
         let t = self.table_mut(table);
         let slot = SlotId(slot64 as u32);
@@ -124,10 +121,6 @@ impl SystemA {
         for ix in &mut t.cur_indexes {
             ix.remove(&v, slot64);
         }
-        let key = Key::from_row(&v.row, &def_key);
-        if let Some(slots) = t.key_map.get_mut(&key) {
-            slots.retain(|&s| s != slot64);
-        }
         let closed = v.clone();
         v.sys = SysPeriod::new(v.sys.start, end);
         if !nontemporal && !v.sys.is_empty() {
@@ -141,14 +134,6 @@ impl SystemA {
             }
         }
         Ok(closed)
-    }
-
-    fn open_slots_of_key(&self, table: TableId, key: &Key) -> Vec<u64> {
-        self.table(table)
-            .key_map
-            .get(key)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// `TableId`s are issued densely by the catalog, so indexing with one it
@@ -297,7 +282,26 @@ pub(crate) trait SequencedOps {
     /// Closing a slot with no live version is an engine bug, reported as
     /// [`Error::Internal`] rather than a panic.
     fn close(&mut self, table: TableId, slot: u64, end: SysTime) -> Result<Version>;
-    fn insert_version_at(&mut self, table: TableId, version: Version);
+    /// Stores `version` and returns its slot.
+    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64;
+}
+
+/// The open versions of `key` on an engine whose current partition carries
+/// the system-defined PK index (Systems A and B): an exact-key probe, in the
+/// order the versions were inserted. A table without key columns has no PK
+/// index; its one, empty key covers every open version (`all_open`, in slot
+/// order) and no other key matches anything.
+pub(crate) fn open_slots_in(
+    pk: Option<&OrderedIndex>,
+    key: &Key,
+    all_open: impl FnOnce() -> Vec<u64>,
+) -> Vec<u64> {
+    let key = key.to_values();
+    match pk {
+        Some(pk) => pk.slots_of(key),
+        None if key.is_empty() => all_open(),
+        None => Vec::new(),
+    }
 }
 
 impl SequencedOps for SystemA {
@@ -308,7 +312,13 @@ impl SequencedOps for SystemA {
         self.pending()
     }
     fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        self.open_slots_of_key(table, key)
+        let t = self.table(table);
+        open_slots_in(t.pk.as_ref(), key, || {
+            t.current
+                .iter()
+                .map(|(slot, _)| u64::from(slot.0))
+                .collect()
+        })
     }
     fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
         self.table(table).current.get(SlotId(slot as u32)).cloned()
@@ -316,8 +326,8 @@ impl SequencedOps for SystemA {
     fn close(&mut self, table: TableId, slot: u64, end: SysTime) -> Result<Version> {
         self.close_version(table, slot, end)
     }
-    fn insert_version_at(&mut self, table: TableId, version: Version) {
-        self.insert_version(table, version);
+    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
+        self.insert_version(table, version)
     }
 }
 
@@ -614,6 +624,17 @@ impl BitemporalEngine for SystemA {
             })
     }
 
+    fn key_structures_footprint(&self) -> KeyStructuresFootprint {
+        self.tables
+            .iter()
+            .map(|t| KeyStructuresFootprint {
+                key_bytes: t.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
+                heap_bytes: t.current.memory_bytes() + t.history.memory_bytes(),
+                open_versions: t.current.len(),
+            })
+            .sum()
+    }
+
     fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {
         let t = self.table(table);
         let mut out: Vec<Version> = t.current.iter().map(|(_, v)| v.clone()).collect();
@@ -637,7 +658,7 @@ impl BitemporalEngine for SystemA {
         for v in versions {
             if v.sys.is_current() {
                 // Open (and non-temporal) versions go through the normal
-                // insert path so the PK index and key map are rebuilt.
+                // insert path so the PK index is rebuilt.
                 self.insert_version(table, v);
             } else {
                 self.table_mut(table).history.insert(v);

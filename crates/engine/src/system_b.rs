@@ -22,14 +22,16 @@
 //!    percentile loading latencies (§5.8, Fig 16).
 
 use crate::api::{
-    AppSpec, BitemporalEngine, ColRange, IndexKind, ScanOutput, SysSpec, TableStats, TuningConfig,
+    AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput, SysSpec,
+    TableStats, TuningConfig,
 };
 use crate::catalog::Catalog;
 use crate::index::{IndexDef, IndexedCol, OrderedIndex};
 use crate::morsel::ScanMetrics;
 use crate::rowscan::{merge_access, scan_partition, PartitionView, Reconstructed, ScanSite};
 use crate::system_a::{
-    build_heap_tindex, build_tuning_defs, overwrite_period, sequenced_dml, SequencedOps,
+    build_heap_tindex, build_tuning_defs, open_slots_in, overwrite_period, sequenced_dml,
+    SequencedOps,
 };
 use crate::version::Version;
 use bitempo_core::{
@@ -38,7 +40,7 @@ use bitempo_core::{
 };
 use bitempo_storage::{Heap, SlotId};
 use bitempo_tindex::{IndexFootprint, TemporalIndex};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Undo-log entries drained to the history table per batch. Roughly 3 % of
 /// single-scenario load transactions trigger a drain, matching the paper's
@@ -63,11 +65,12 @@ struct TableB {
     history: Heap<Version>,
     hist_meta: Vec<HistoryMeta>,
     undo: Vec<(Version, HistoryMeta)>,
+    /// System-defined PK index over the current partition; also resolves a
+    /// key's open versions for sequenced DML (see `system_a::open_slots_in`).
     pk: Option<OrderedIndex>,
     cur_indexes: Vec<OrderedIndex>,
     hist_indexes: Vec<OrderedIndex>,
     hist_key_index: Option<usize>,
-    key_map: HashMap<Key, Vec<u64>>,
     /// The history table's physical layout: slots ordered by closing time.
     /// System B stores history "in an optimized and compressed format using
     /// a background process" (paper §2.4/§5.8) — this is that format, and
@@ -235,11 +238,13 @@ impl SequencedOps for SystemB {
         self.now.next()
     }
     fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        self.table(table)
-            .key_map
-            .get(key)
-            .cloned()
-            .unwrap_or_default()
+        let t = self.table(table);
+        open_slots_in(t.pk.as_ref(), key, || {
+            t.cur_values
+                .iter()
+                .map(|(slot, _)| u64::from(slot.0))
+                .collect()
+        })
     }
     fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
         self.version_of(table, slot)
@@ -250,7 +255,6 @@ impl SequencedOps for SystemB {
                 "closing uid {uid} with no live version"
             )));
         };
-        let def_key = self.catalog.def(table).key.clone();
         let nontemporal = self.catalog.def(table).temporal == TemporalClass::NonTemporal;
         let t = self.table_mut(table);
         t.cur_values.remove(SlotId(uid as u32));
@@ -264,10 +268,6 @@ impl SequencedOps for SystemB {
         for ix in &mut t.cur_indexes {
             ix.remove(&before, uid);
         }
-        let key = Key::from_row(&before.row, &def_key);
-        if let Some(slots) = t.key_map.get_mut(&key) {
-            slots.retain(|&s| s != uid);
-        }
         let mut closed = before.clone();
         closed.sys = SysPeriod::new(closed.sys.start, end);
         if !nontemporal && !closed.sys.is_empty() {
@@ -278,8 +278,7 @@ impl SequencedOps for SystemB {
         }
         Ok(before)
     }
-    fn insert_version_at(&mut self, table: TableId, version: Version) {
-        let def_key = self.catalog.def(table).key.clone();
+    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
         let t = self.table_mut(table);
         let slot = t.cur_values.insert(version.row.clone());
         let uid = u64::from(slot.0);
@@ -290,11 +289,10 @@ impl SequencedOps for SystemB {
         for ix in &mut t.cur_indexes {
             ix.insert(&version, uid);
         }
-        let key = Key::from_row(&version.row, &def_key);
-        t.key_map.entry(key).or_default().push(uid);
         if let Some(tix) = &mut t.cur_tindex {
             tix.insert(uid, version.app, version.sys);
         }
+        uid
     }
 }
 
@@ -645,6 +643,17 @@ impl BitemporalEngine for SystemB {
             .fold(IndexFootprint::default(), |acc, tix| {
                 acc.merged(tix.footprint())
             })
+    }
+
+    fn key_structures_footprint(&self) -> KeyStructuresFootprint {
+        self.tables
+            .iter()
+            .map(|t| KeyStructuresFootprint {
+                key_bytes: t.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
+                heap_bytes: t.cur_values.memory_bytes() + t.history.memory_bytes(),
+                open_versions: t.cur_values.len(),
+            })
+            .sum()
     }
 
     fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {

@@ -15,9 +15,11 @@
 //! scan path never uses them — which is exactly what the paper measured.
 
 use crate::api::{
-    AccessPath, AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
+    AccessPath, AppSpec, BitemporalEngine, ColRange, KeyStructuresFootprint, ScanOutput, SysSpec,
+    TableStats, TuningConfig,
 };
 use crate::catalog::Catalog;
+use crate::keymap::KeyMap;
 use crate::morsel::{run_morsels, ScanMetrics};
 use crate::rowscan::{app_probe_for, merge_access, pred_class, sys_probe_for, ScanSite};
 use crate::system_a::{overwrite_period, sequenced_dml, SequencedOps};
@@ -29,7 +31,7 @@ use bitempo_core::{
 use bitempo_query::optimizer::{self, PathKind};
 use bitempo_storage::ColumnTable;
 use bitempo_tindex::{IndexFootprint, ProbeCost, TemporalIndex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 #[derive(Debug)]
 struct TableC {
@@ -37,8 +39,9 @@ struct TableC {
     current: ColumnTable,
     /// History partition.
     history: ColumnTable,
-    /// Open versions per key (row ids in `current`).
-    key_map: HashMap<Key, Vec<usize>>,
+    /// Open versions per key (row ids in `current`). A column store keeps
+    /// no PK index, so this map is the only key structure it has.
+    key_map: KeyMap,
     /// Rows in `current` that must never be surfaced (non-temporal deletes
     /// and versions that died inside their creating transaction).
     dead: HashSet<usize>,
@@ -206,7 +209,7 @@ impl SystemC {
             return;
         }
         let old = std::mem::replace(&mut t.current, ColumnTable::new(phys));
-        let mut new_map: HashMap<Key, Vec<usize>> = HashMap::new();
+        t.key_map.clear();
         for rowid in 0..old.len() {
             if t.dead.contains(&rowid) {
                 continue;
@@ -219,14 +222,10 @@ impl SystemC {
             if open {
                 // tblint: allow(TB004) row came from a fragment with the identical physical schema
                 let new_id = t.current.append_row(&row).expect("schema preserved");
-                let key_vals: Vec<Value> =
-                    def.key.iter().map(|&c| old.get_value(c, rowid)).collect();
-                let key = match key_vals.as_slice() {
-                    [Value::Int(a)] => Key::Int(*a),
-                    [Value::Int(a), Value::Int(b)] => Key::Int2(*a, *b),
-                    other => Key::General(other.to_vec()),
-                };
-                new_map.entry(key).or_default().push(new_id);
+                // The physical row leads with the logical columns, so the
+                // key columns sit at their logical positions.
+                t.key_map
+                    .insert(Key::from_row(&row, &def.key), new_id as u64);
             } else {
                 // tblint: allow(TB004) row came from a fragment with the identical physical schema
                 let hist_id = t.history.append_row(&row).expect("schema preserved");
@@ -236,7 +235,6 @@ impl SystemC {
                 }
             }
         }
-        t.key_map = new_map;
         t.dead.clear();
         t.closed_in_current = 0;
         t.current.merge();
@@ -263,11 +261,7 @@ impl SequencedOps for SystemC {
         self.now.next()
     }
     fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        self.table(table)
-            .key_map
-            .get(key)
-            .map(|v| v.iter().map(|&r| r as u64).collect())
-            .unwrap_or_default()
+        self.table(table).key_map.get(key).to_vec()
     }
     fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
         let t = self.table(table);
@@ -287,10 +281,8 @@ impl SequencedOps for SystemC {
         let def_key = self.catalog.def(table).key.clone();
         let hidden = self.hidden_of(table);
         let t = self.table_mut(table);
-        let key = Key::from_row(&before.row, &def_key);
-        if let Some(rows) = t.key_map.get_mut(&key) {
-            rows.retain(|&r| r != rowid);
-        }
+        t.key_map
+            .remove(&Key::from_row(&before.row, &def_key), slot);
         let never_visible = before.sys.start >= end;
         // `sys_start` is `Some` exactly when the table is system-versioned.
         match hidden.sys_start {
@@ -309,17 +301,18 @@ impl SequencedOps for SystemC {
         }
         Ok(before)
     }
-    fn insert_version_at(&mut self, table: TableId, version: Version) {
+    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
         let def_key = self.catalog.def(table).key.clone();
         let phys = self.physical_row(table, &version);
         let t = self.table_mut(table);
         // tblint: allow(TB004) physical_row builds against this table's own physical schema
-        let rowid = t.current.append_row(&phys).expect("schema matches");
-        let key = Key::from_row(&version.row, &def_key);
-        t.key_map.entry(key).or_default().push(rowid);
+        let rowid = t.current.append_row(&phys).expect("schema matches") as u64;
+        t.key_map
+            .insert(Key::from_row(&version.row, &def_key), rowid);
         if let Some(tix) = &mut t.cur_tindex {
-            tix.insert(rowid as u64, version.app, version.sys);
+            tix.insert(rowid, version.app, version.sys);
         }
+        rowid
     }
 }
 
@@ -340,7 +333,7 @@ impl BitemporalEngine for SystemC {
         self.tables.push(TableC {
             current: ColumnTable::new(phys.clone()),
             history: ColumnTable::new(phys),
-            key_map: HashMap::new(),
+            key_map: KeyMap::default(),
             dead: HashSet::new(),
             closed_in_current: 0,
             ignored_indexes: Vec::new(),
@@ -768,9 +761,8 @@ impl BitemporalEngine for SystemC {
 
     fn stats(&self, table: TableId) -> TableStats {
         let t = self.table(table);
-        let open: usize = t.key_map.values().map(Vec::len).sum();
         TableStats {
-            current_rows: open,
+            current_rows: t.key_map.open_versions(),
             history_rows: t.history.len() + t.closed_in_current,
         }
     }
@@ -802,6 +794,17 @@ impl BitemporalEngine for SystemC {
             .fold(IndexFootprint::default(), |acc, tix| {
                 acc.merged(tix.footprint())
             })
+    }
+
+    fn key_structures_footprint(&self) -> KeyStructuresFootprint {
+        self.tables
+            .iter()
+            .map(|t| KeyStructuresFootprint {
+                key_bytes: t.key_map.memory_bytes(),
+                heap_bytes: 0,
+                open_versions: t.key_map.open_versions(),
+            })
+            .sum()
     }
 
     fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {

@@ -11,10 +11,12 @@
 //! GiST (R-Tree) indexes are available through tuning.
 
 use crate::api::{
-    AppSpec, BitemporalEngine, ColRange, IndexKind, ScanOutput, SysSpec, TableStats, TuningConfig,
+    AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput, SysSpec,
+    TableStats, TuningConfig,
 };
 use crate::catalog::Catalog;
 use crate::index::{GistIndex, IndexDef, IndexedCol, OrderedIndex};
+use crate::keymap::KeyMap;
 use crate::morsel::ScanMetrics;
 use crate::rowscan::{merge_access, scan_partition, PartitionView, ScanSite};
 use crate::system_a::{build_heap_tindex, overwrite_period, sequenced_dml, SequencedOps};
@@ -25,7 +27,6 @@ use bitempo_core::{
 };
 use bitempo_storage::{Heap, SlotId};
 use bitempo_tindex::{IndexFootprint, TemporalIndex};
-use std::collections::HashMap;
 
 #[derive(Debug, Default)]
 struct TableD {
@@ -40,7 +41,7 @@ struct TableD {
     /// Open versions per key — the bookkeeping any *application* simulating
     /// temporal tables must carry (the paper's §2.4 note that DML semantics
     /// fall to the application when support is not native).
-    key_map: HashMap<Key, Vec<u64>>,
+    key_map: KeyMap,
     /// Optional temporal index over the single flat table, maintained at
     /// DML time: System D is the showcase for inline maintenance because
     /// versions activate in commit order, keeping the event log monotone
@@ -64,7 +65,7 @@ impl SystemD {
         SystemD::default()
     }
 
-    fn insert_version(&mut self, table: TableId, version: Version) {
+    fn insert_version(&mut self, table: TableId, version: Version) -> u64 {
         let def_key = self.catalog.def(table).key.clone();
         let t = self.table_mut(table);
         let slot64 = u64::from(t.all.insert(version.clone()).0);
@@ -78,9 +79,10 @@ impl SystemD {
             tix.insert(slot64, version.app, version.sys);
         }
         if version.sys.is_current() {
-            let key = Key::from_row(&version.row, &def_key);
-            t.key_map.entry(key).or_default().push(slot64);
+            t.key_map
+                .insert(Key::from_row(&version.row, &def_key), slot64);
         }
+        slot64
     }
 
     /// `TableId`s are issued densely by the catalog, so indexing with one it
@@ -104,11 +106,7 @@ impl SequencedOps for SystemD {
         self.now.next()
     }
     fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        self.table(table)
-            .key_map
-            .get(key)
-            .cloned()
-            .unwrap_or_default()
+        self.table(table).key_map.get(key).to_vec()
     }
     fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
         self.table(table).all.get(SlotId(slot as u32)).cloned()
@@ -123,10 +121,8 @@ impl SequencedOps for SystemD {
                 "closing slot {slot64} with no live version"
             )));
         };
-        let key = Key::from_row(&before.row, &def_key);
-        if let Some(slots) = t.key_map.get_mut(&key) {
-            slots.retain(|&s| s != slot64);
-        }
+        t.key_map
+            .remove(&Key::from_row(&before.row, &def_key), slot64);
         let never_visible = before.sys.start >= end;
         if nontemporal || never_visible {
             // Non-versioned tables (and never-visible versions) vanish.
@@ -149,8 +145,8 @@ impl SequencedOps for SystemD {
         }
         Ok(before)
     }
-    fn insert_version_at(&mut self, table: TableId, version: Version) {
-        self.insert_version(table, version);
+    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
+        self.insert_version(table, version)
     }
 }
 
@@ -390,7 +386,7 @@ impl BitemporalEngine for SystemD {
 
     fn stats(&self, table: TableId) -> TableStats {
         let t = self.table(table);
-        let current = t.key_map.values().map(Vec::len).sum();
+        let current = t.key_map.open_versions();
         TableStats {
             current_rows: current,
             history_rows: t.all.len() - current,
@@ -443,6 +439,17 @@ impl BitemporalEngine for SystemD {
             .fold(IndexFootprint::default(), |acc, tix| {
                 acc.merged(tix.footprint())
             })
+    }
+
+    fn key_structures_footprint(&self) -> KeyStructuresFootprint {
+        self.tables
+            .iter()
+            .map(|t| KeyStructuresFootprint {
+                key_bytes: t.key_map.memory_bytes(),
+                heap_bytes: t.all.memory_bytes(),
+                open_versions: t.key_map.open_versions(),
+            })
+            .sum()
     }
 
     fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {

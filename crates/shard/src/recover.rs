@@ -162,9 +162,9 @@ pub fn recover_cluster(
                 // with partial pending state and no rollback path. Mark
                 // the shard degraded and keep going — one shard's
                 // problems never block its siblings' recovery.
-                rec.report
-                    .unreplayable
-                    .get_or_insert_with(|| format!("decided prepare {} failed to apply: {e}", p.gts));
+                rec.report.unreplayable.get_or_insert_with(|| {
+                    format!("decided prepare {} failed to apply: {e}", p.gts)
+                });
                 degraded.push((si, p.gts, e.to_string()));
                 broken = true;
                 continue;

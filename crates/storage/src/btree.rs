@@ -6,26 +6,46 @@
 //! date), and leaves are chained for cheap range scans — the access pattern
 //! of `FOR SYSTEM_TIME FROM .. TO ..` queries.
 //!
+//! Nodes are packed: a node is split *before* the insert that would
+//! overflow it, so no node vector ever holds — or, growing by doubling from
+//! 4, has capacity for — more than [`MAX_KEYS`] slots, and an insert past
+//! the right edge of the tree starts a fresh leaf instead of halving the
+//! full one. Ascending loads (the initial load in key order, every index
+//! led by a system-time start) therefore leave every leaf but the last
+//! full; random loads settle around the usual 2/3 fill.
+//!
 //! Deletion tolerates underfull leaves (no rebalancing): the engines delete
 //! only when versions move from the current to the history partition, and a
 //! slightly sparse leaf chain changes constants, not complexity. Separator
 //! keys in internal nodes remain valid bounds after any delete.
 
+use std::mem::size_of;
 use std::ops::Bound;
 
+/// Entries per leaf, and children per internal node, at most.
 const MAX_KEYS: usize = 32;
+
+/// Inserts into a node vector that may hold at most `limit` items, growing
+/// it by doubling (from 4) but never past `limit` slots — `Vec`'s own
+/// doubling would take a 16-slot split half to 32 and then to 64.
+fn insert_capped<T>(v: &mut Vec<T>, pos: usize, item: T, limit: usize) {
+    if v.len() == v.capacity() {
+        let target = (v.capacity() * 2).clamp(4, limit);
+        v.reserve_exact(target - v.len());
+    }
+    v.insert(pos, item);
+}
 
 #[derive(Debug, Clone)]
 enum Node<K, V> {
     Internal {
-        /// `keys[i]` separates `children[i]` (strictly less) from
+        /// `keys[i]` separates `children[i]` (less or equal) from
         /// `children[i + 1]` (greater or equal).
         keys: Vec<K>,
         children: Vec<usize>,
     },
     Leaf {
-        keys: Vec<K>,
-        values: Vec<V>,
+        entries: Vec<(K, V)>,
         next: Option<usize>,
     },
 }
@@ -49,8 +69,7 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     pub fn new() -> Self {
         BPlusTree {
             nodes: vec![Node::Leaf {
-                keys: Vec::new(),
-                values: Vec::new(),
+                entries: Vec::new(),
                 next: None,
             }],
             root: 0,
@@ -68,6 +87,30 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
         self.len == 0
     }
 
+    /// Bytes the tree holds, by capacity: the node arena plus every node's
+    /// key, child and entry vectors. `key_heap` prices what one key owns
+    /// outside its own `size_of` (0 for plain integers), and is asked for
+    /// leaf keys and separator copies alike.
+    pub fn memory_bytes(&self, key_heap: impl Fn(&K) -> usize) -> usize {
+        let arena = self.nodes.capacity() * size_of::<Node<K, V>>();
+        let nodes: usize = self
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Internal { keys, children } => {
+                    keys.capacity() * size_of::<K>()
+                        + children.capacity() * size_of::<usize>()
+                        + keys.iter().map(&key_heap).sum::<usize>()
+                }
+                Node::Leaf { entries, .. } => {
+                    entries.capacity() * size_of::<(K, V)>()
+                        + entries.iter().map(|(k, _)| key_heap(k)).sum::<usize>()
+                }
+            })
+            .sum();
+        arena + nodes
+    }
+
     /// Inserts an entry. Duplicate keys are kept in insertion order.
     pub fn insert(&mut self, key: K, value: V) {
         if let Some((sep, right)) = self.insert_into(self.root, key, value) {
@@ -83,69 +126,70 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
 
     /// Recursive insert; returns `(separator, new_right_node)` on split.
     fn insert_into(&mut self, node: usize, key: K, value: V) -> Option<(K, usize)> {
+        let new_idx = self.nodes.len();
         match &mut self.nodes[node] {
-            Node::Leaf { keys, values, .. } => {
+            Node::Leaf { entries, next } => {
                 // Upper bound keeps duplicates in insertion order.
-                let pos = keys.partition_point(|k| *k <= key);
-                keys.insert(pos, key);
-                values.insert(pos, value);
-                if keys.len() > MAX_KEYS {
-                    return Some(self.split_leaf(node));
+                let pos = entries.partition_point(|(k, _)| *k <= key);
+                if entries.len() < MAX_KEYS {
+                    insert_capped(entries, pos, (key, value), MAX_KEYS);
+                    return None;
                 }
-                None
+                // Past the right edge of the tree the full leaf stays full
+                // and the new entry opens the next one; anywhere else the
+                // leaf halves.
+                let at = if pos == MAX_KEYS && next.is_none() {
+                    MAX_KEYS
+                } else {
+                    MAX_KEYS / 2
+                };
+                let mut right = entries.split_off(at);
+                if pos < at {
+                    insert_capped(entries, pos, (key, value), MAX_KEYS);
+                } else {
+                    insert_capped(&mut right, pos - at, (key, value), MAX_KEYS);
+                }
+                let sep = right[0].0.clone();
+                let right = Node::Leaf {
+                    entries: right,
+                    next: next.replace(new_idx),
+                };
+                self.nodes.push(right);
+                Some((sep, new_idx))
             }
             Node::Internal { keys, children } => {
                 let child_pos = keys.partition_point(|k| *k <= key);
                 let child = children[child_pos];
-                if let Some((sep, right)) = self.insert_into(child, key, value) {
-                    if let Node::Internal { keys, children } = &mut self.nodes[node] {
-                        keys.insert(child_pos, sep);
-                        children.insert(child_pos + 1, right);
-                        if keys.len() > MAX_KEYS {
-                            return Some(self.split_internal(node));
-                        }
-                    }
+                let (sep, right) = self.insert_into(child, key, value)?;
+                let new_idx = self.nodes.len();
+                let Node::Internal { keys, children } = &mut self.nodes[node] else {
+                    unreachable!("node kind changed during insert");
+                };
+                if children.len() < MAX_KEYS {
+                    insert_capped(keys, child_pos, sep, MAX_KEYS - 1);
+                    insert_capped(children, child_pos + 1, right, MAX_KEYS);
+                    return None;
                 }
-                None
+                // Full: the middle key moves up, the halves keep the rest,
+                // and the new separator joins the half its child is in.
+                let mid = keys.len() / 2;
+                let mut right_keys = keys.split_off(mid + 1);
+                let mut right_children = children.split_off(mid + 1);
+                let up = keys.pop().expect("a full internal node has keys");
+                if child_pos <= mid {
+                    insert_capped(keys, child_pos, sep, MAX_KEYS - 1);
+                    insert_capped(children, child_pos + 1, right, MAX_KEYS);
+                } else {
+                    insert_capped(&mut right_keys, child_pos - (mid + 1), sep, MAX_KEYS - 1);
+                    insert_capped(&mut right_children, child_pos - mid, right, MAX_KEYS);
+                }
+                self.nodes.push(Node::Internal {
+                    keys: right_keys,
+                    children: right_children,
+                });
+                Some((up, new_idx))
             }
         }
-    }
-
-    fn split_leaf(&mut self, node: usize) -> (K, usize) {
-        let new_idx = self.nodes.len();
-        let Node::Leaf { keys, values, next } = &mut self.nodes[node] else {
-            unreachable!("split_leaf on internal node");
-        };
-        let mid = keys.len() / 2;
-        let right_keys: Vec<K> = keys.split_off(mid);
-        let right_values: Vec<V> = values.split_off(mid);
-        let sep = right_keys[0].clone();
-        let right = Node::Leaf {
-            keys: right_keys,
-            values: right_values,
-            next: next.take(),
-        };
-        *next = Some(new_idx);
-        self.nodes.push(right);
-        (sep, new_idx)
-    }
-
-    fn split_internal(&mut self, node: usize) -> (K, usize) {
-        let new_idx = self.nodes.len();
-        let Node::Internal { keys, children } = &mut self.nodes[node] else {
-            unreachable!("split_internal on leaf");
-        };
-        let mid = keys.len() / 2;
-        let sep = keys[mid].clone();
-        let right_keys: Vec<K> = keys.split_off(mid + 1);
-        keys.pop(); // the separator moves up
-        let right_children: Vec<usize> = children.split_off(mid + 1);
-        let right = Node::Internal {
-            keys: right_keys,
-            children: right_children,
-        };
-        self.nodes.push(right);
-        (sep, new_idx)
     }
 
     /// The leaf that may contain `key`, and the index of the first entry
@@ -164,11 +208,11 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
                     };
                     node = children[pos];
                 }
-                Node::Leaf { keys, .. } => {
+                Node::Leaf { entries, .. } => {
                     let pos = if lower {
-                        keys.partition_point(|k| k < key)
+                        entries.partition_point(|(k, _)| k < key)
                     } else {
-                        keys.partition_point(|k| k <= key)
+                        entries.partition_point(|(k, _)| k <= key)
                     };
                     return (node, pos);
                 }
@@ -195,22 +239,20 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     }
 
     /// Iterates entries whose keys fall in `range`, in key order.
-    pub fn range(&self, range: (Bound<&K>, Bound<&K>)) -> impl Iterator<Item = (&K, &V)> + '_ {
+    pub fn range<'a>(
+        &'a self,
+        range: (Bound<&'a K>, Bound<&'a K>),
+    ) -> impl Iterator<Item = (&'a K, &'a V)> + 'a {
         let (leaf, pos) = match range.0 {
             Bound::Included(k) => self.seek(k, true),
             Bound::Excluded(k) => self.seek(k, false),
             Bound::Unbounded => (self.leftmost(), 0),
         };
-        let upper: Option<(K, bool)> = match range.1 {
-            Bound::Included(k) => Some((k.clone(), true)),
-            Bound::Excluded(k) => Some((k.clone(), false)),
-            Bound::Unbounded => None,
-        };
         RangeIter {
             tree: self,
             leaf: Some(leaf),
             pos,
-            upper,
+            upper: range.1,
         }
     }
 
@@ -227,10 +269,10 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
     {
         let (mut leaf, mut pos) = self.seek(key, true);
         loop {
-            let Node::Leaf { keys, values, next } = &mut self.nodes[leaf] else {
+            let Node::Leaf { entries, next } = &mut self.nodes[leaf] else {
                 unreachable!("seek returned internal node");
             };
-            if pos >= keys.len() {
+            if pos >= entries.len() {
                 match *next {
                     Some(n) => {
                         leaf = n;
@@ -240,12 +282,11 @@ impl<K: Ord + Clone, V: Clone> BPlusTree<K, V> {
                     None => return false,
                 }
             }
-            if keys[pos] != *key {
+            if entries[pos].0 != *key {
                 return false;
             }
-            if values[pos] == *value {
-                keys.remove(pos);
-                values.remove(pos);
+            if entries[pos].1 == *value {
+                entries.remove(pos);
                 self.len -= 1;
                 return true;
             }
@@ -258,7 +299,7 @@ struct RangeIter<'a, K, V> {
     tree: &'a BPlusTree<K, V>,
     leaf: Option<usize>,
     pos: usize,
-    upper: Option<(K, bool)>,
+    upper: Bound<&'a K>,
 }
 
 impl<'a, K: Ord + Clone, V: Clone> Iterator for RangeIter<'a, K, V> {
@@ -267,23 +308,24 @@ impl<'a, K: Ord + Clone, V: Clone> Iterator for RangeIter<'a, K, V> {
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             let leaf = self.leaf?;
-            let Node::Leaf { keys, values, next } = &self.tree.nodes[leaf] else {
+            let Node::Leaf { entries, next } = &self.tree.nodes[leaf] else {
                 unreachable!("leaf chain contains internal node");
             };
-            if self.pos >= keys.len() {
+            if self.pos >= entries.len() {
                 self.leaf = *next;
                 self.pos = 0;
                 continue;
             }
-            let k = &keys[self.pos];
-            if let Some((hi, inclusive)) = &self.upper {
-                let in_range = if *inclusive { k <= hi } else { k < hi };
-                if !in_range {
-                    self.leaf = None;
-                    return None;
-                }
+            let (k, v) = &entries[self.pos];
+            let in_range = match self.upper {
+                Bound::Included(hi) => k <= hi,
+                Bound::Excluded(hi) => k < hi,
+                Bound::Unbounded => true,
+            };
+            if !in_range {
+                self.leaf = None;
+                return None;
             }
-            let v = &values[self.pos];
             self.pos += 1;
             return Some((k, v));
         }
@@ -417,5 +459,85 @@ mod tests {
             let slice = collect_range(&t, Bound::Included(&100), Bound::Excluded(&110));
             assert_eq!(slice.len(), 10);
         }
+    }
+
+    /// `(entries, leaf slots, leaves)` of a tree.
+    fn leaf_stats<K, V>(t: &BPlusTree<K, V>) -> (usize, usize, usize) {
+        let mut stats = (0, 0, 0);
+        for node in &t.nodes {
+            if let Node::Leaf { entries, .. } = node {
+                stats.0 += entries.len();
+                stats.1 += entries.capacity();
+                stats.2 += 1;
+            }
+        }
+        stats
+    }
+
+    /// A 24-byte key that owns heap, like the engines' `Vec<Value>` keys.
+    fn wide(k: i64) -> Vec<i64> {
+        vec![k]
+    }
+
+    #[test]
+    fn ascending_load_fills_leaves() {
+        let mut t = BPlusTree::new();
+        for k in 0..50_000i64 {
+            t.insert(wide(k), k as u64);
+        }
+        let (entries, slots, leaves) = leaf_stats(&t);
+        assert_eq!(entries, 50_000);
+        assert_eq!(
+            leaves,
+            50_000usize.div_ceil(MAX_KEYS),
+            "every leaf but the last is full"
+        );
+        assert!(
+            entries * 10 >= slots * 9,
+            "{entries} entries in {slots} leaf slots"
+        );
+        // Whole tree (arena, internal nodes, separators) per 32-byte entry.
+        let per_entry = t.memory_bytes(|_| 0) as f64 / entries as f64;
+        assert!(per_entry <= 1.2 * 32.0, "{per_entry} B per entry");
+    }
+
+    #[test]
+    fn no_node_vector_outgrows_a_node() {
+        let mut rng = bitempo_core::Pcg32::new(7, 3);
+        let mut t = BPlusTree::new();
+        for i in 0..40_000u64 {
+            t.insert(wide(rng.int_range(0, 1_000_000)), i);
+        }
+        for node in &t.nodes {
+            match node {
+                Node::Leaf { entries, .. } => assert!(entries.capacity() <= MAX_KEYS),
+                Node::Internal { keys, children } => {
+                    assert!(keys.capacity() < MAX_KEYS && children.capacity() <= MAX_KEYS);
+                    assert_eq!(keys.len() + 1, children.len());
+                }
+            }
+        }
+        let (entries, slots, _) = leaf_stats(&t);
+        assert_eq!(entries, 40_000);
+        assert!(
+            entries * 10 >= slots * 6,
+            "random fill: {entries} in {slots} slots"
+        );
+        let per_entry = t.memory_bytes(|_| 0) as f64 / entries as f64;
+        assert!(per_entry <= 1.6 * 32.0, "{per_entry} B per entry");
+    }
+
+    #[test]
+    fn memory_bytes_prices_key_heap_for_leaves_and_separators() {
+        let mut t = BPlusTree::new();
+        for k in 0..1_000i64 {
+            t.insert(wide(k), k as u64);
+        }
+        let separators = t.memory_bytes(|_| 1) - t.memory_bytes(|_| 0) - 1_000;
+        assert_eq!(
+            separators,
+            leaf_stats(&t).2 - 1,
+            "one separator per leaf boundary"
+        );
     }
 }

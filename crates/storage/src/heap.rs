@@ -83,6 +83,13 @@ impl<T> Heap<T> {
         self.slots.len()
     }
 
+    /// Bytes the slot array holds, by capacity (tombstones included).
+    /// What a record owns outside its own `size_of` — row payloads behind
+    /// an `Arc` — is the caller's to price.
+    pub fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<T>>()
+    }
+
     /// Iterates over live records with their slots, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotId, &T)> {
         self.iter_range(0..self.slots.len())
@@ -164,6 +171,14 @@ mod tests {
         // Out-of-bounds ranges are clamped, not panicking.
         assert_eq!(h.iter_range(8..100).count(), 2);
         assert_eq!(h.iter_range(50..60).count(), 0);
+    }
+
+    #[test]
+    fn memory_bytes_counts_capacity_and_tombstones() {
+        let mut h: Heap<u64> = Heap::with_capacity(100);
+        let a = h.insert(1);
+        h.remove(a);
+        assert_eq!(h.memory_bytes(), 100 * std::mem::size_of::<Option<u64>>());
     }
 
     #[test]

@@ -12,56 +12,73 @@ use std::ops::Bound;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Insert/remove/range behaviour matches a `BTreeMap<key, Vec<val>>`
-    /// multimap model.
+    /// Insert/remove/range behaviour matches a `BTreeMap<(key, seq), val>`
+    /// model, `seq` being the insertion counter: range order is key order,
+    /// duplicates of a key come back in insertion order, and `remove` takes
+    /// exactly the first `(key, val)` entry. Long enough op lists split
+    /// leaves in the middle, at the right edge (ascending runs) and split
+    /// the root.
     #[test]
     fn bplustree_matches_btreemap_model(
-        ops in proptest::collection::vec((0i64..40, 0u32..8, prop::bool::ANY), 1..300),
-        range in (0i64..40, 0i64..40),
+        ops in proptest::collection::vec((0i64..120, 0u32..4, 0u8..4), 1..2500),
+        ascending_from in 0i64..120,
+        range in (0i64..120, 0i64..120),
     ) {
         let mut tree: BPlusTree<i64, u32> = BPlusTree::new();
-        let mut model: BTreeMap<i64, Vec<u32>> = BTreeMap::new();
-        for (key, val, insert) in ops {
-            if insert {
-                tree.insert(key, val);
-                model.entry(key).or_default().push(val);
-            } else {
+        let mut model: BTreeMap<(i64, usize), u32> = BTreeMap::new();
+        let mut rising = ascending_from;
+        for (seq, (key, val, kind)) in ops.into_iter().enumerate() {
+            // kind 0 removes, 1 appends past the largest key so far, the
+            // rest insert anywhere.
+            if kind == 0 {
                 let removed = tree.remove(&key, &val);
-                let model_removed = match model.get_mut(&key) {
-                    Some(vals) => match vals.iter().position(|&v| v == val) {
-                        Some(i) => {
-                            vals.remove(i);
-                            if vals.is_empty() {
-                                model.remove(&key);
-                            }
-                            true
-                        }
-                        None => false,
-                    },
-                    None => false,
+                let hit = model
+                    .range((key, 0)..=(key, usize::MAX))
+                    .find(|(_, v)| **v == val)
+                    .map(|(k, _)| *k);
+                prop_assert_eq!(removed, hit.is_some());
+                if let Some(k) = hit {
+                    model.remove(&k);
+                }
+            } else {
+                let key = if kind == 1 {
+                    rising += 1;
+                    rising
+                } else {
+                    key
                 };
-                prop_assert_eq!(removed, model_removed);
+                tree.insert(key, val);
+                model.insert((key, seq), val);
             }
         }
-        let model_len: usize = model.values().map(Vec::len).sum();
-        prop_assert_eq!(tree.len(), model_len);
-        // Point lookups (sorted; the tree keeps insertion order per key,
-        // the model does too, so exact order must match).
-        for key in 0..40 {
-            prop_assert_eq!(
-                tree.get(&key),
-                model.get(&key).cloned().unwrap_or_default()
-            );
+        prop_assert_eq!(tree.len(), model.len());
+        let all: Vec<(i64, u32)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
+        let want_all: Vec<(i64, u32)> = model.iter().map(|((k, _), v)| (*k, *v)).collect();
+        prop_assert_eq!(all, want_all);
+        for key in [0, 7, 60, 119, rising] {
+            let want: Vec<u32> = model
+                .range((key, 0)..=(key, usize::MAX))
+                .map(|(_, v)| *v)
+                .collect();
+            prop_assert_eq!(tree.get(&key), want);
         }
-        // Range scan.
         let (lo, hi) = (range.0.min(range.1), range.0.max(range.1));
         let got: Vec<(i64, u32)> = tree
             .range((Bound::Included(&lo), Bound::Excluded(&hi)))
             .map(|(k, v)| (*k, *v))
             .collect();
         let want: Vec<(i64, u32)> = model
-            .range(lo..hi)
-            .flat_map(|(k, vs)| vs.iter().map(move |&v| (*k, v)))
+            .range((lo, 0)..(hi, 0))
+            .map(|((k, _), v)| (*k, *v))
+            .collect();
+        prop_assert_eq!(got, want);
+        let got: Vec<(i64, u32)> = tree
+            .range((Bound::Excluded(&lo), Bound::Included(&hi)))
+            .map(|(k, v)| (*k, *v))
+            .collect();
+        let want: Vec<(i64, u32)> = model
+            .range((lo, usize::MAX)..=(hi, usize::MAX))
+            .map(|((k, _), v)| (*k, *v))
             .collect();
         prop_assert_eq!(got, want);
     }
