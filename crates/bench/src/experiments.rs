@@ -1003,17 +1003,22 @@ pub fn explain(cfg: &BenchConfig) -> Result<FigureReport> {
         let _ = bitemporal::b3_variant(&ctx, 2, 55, p.app_mid, p.sys_initial);
         combined.merge(obs::disable());
     }
-    if !combined.is_empty() {
-        let path = std::path::Path::new("results/explain.trace.json");
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, combined.to_chrome_trace())?;
-        report.note(format!(
-            "Chrome-trace timeline written to {} (load in about:tracing or Perfetto).",
-            path.display()
+    if combined.scans.is_empty() {
+        return Err(Error::Invalid(
+            "explain: the traced pass recorded no ScanTrace, so there is no access-path \
+             breakdown to report"
+                .into(),
         ));
     }
+    let path = std::path::Path::new("results/explain.trace.json");
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, combined.to_chrome_trace())?;
+    report.note(format!(
+        "Chrome-trace timeline written to {} (load in about:tracing or Perfetto).",
+        path.display()
+    ));
     report.note(
         "Read next to paper §5: T1 resolves via the time index where the engine exposes one, \
          K1 via key lookup, R1/B3 fall back to partition scans; the breakdown shows which \
@@ -1039,7 +1044,8 @@ const TINDEX_BYTES_PER_VERSION_CEILING: f64 = 130.0;
 /// touches an ever-smaller fraction of it. Index build time and resident
 /// footprint are reported next to the wins, so the report never shows a
 /// probe-time benefit without its maintenance cost, and the run fails when
-/// the footprint passes [`TINDEX_BYTES_PER_VERSION_CEILING`].
+/// the footprint passes [`TINDEX_BYTES_PER_VERSION_CEILING`] or when no
+/// engine's planner took the index for the sweep's early probe.
 pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
     let mut inst = Instance::build(cfg, &TuningConfig::none())?;
     let mut report = FigureReport::new(
@@ -1115,6 +1121,7 @@ pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
     // a usable temporal index must track the *answer* size, not the
     // history size.
     let probe_at = SysSpec::AsOf(SysTime(2));
+    let mut probed = false;
     let mut off_sweep: Vec<Series> = SystemKind::ALL
         .into_iter()
         .map(|k| Series::new(format!("{k} - sweep: full scan")))
@@ -1143,6 +1150,10 @@ pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
                 ctx.scan(ctx.t.customer, &probe_at, &AppSpec::All, &[])
             });
             let out = ctx.scan_output(ctx.t.customer, &probe_at, &AppSpec::All, &[])?;
+            probed |= matches!(
+                out.access,
+                bitempo_engine::api::AccessPath::TemporalProbe(_)
+            );
             report.note(format!(
                 "{kind} @ {x}: early AS OF visited {} of the {} rows a full scan reads, \
                  via {} ({} hits, {} node visits)",
@@ -1153,6 +1164,12 @@ pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
                 out.metrics.index_node_visits,
             ));
         }
+    }
+    if !probed {
+        return Err(Error::Invalid(
+            "temporal-index: no engine's planner chose a tindex( path for the early AS OF sweep"
+                .into(),
+        ));
     }
     for s in off_sweep {
         report.add(s);

@@ -361,7 +361,7 @@ pub struct ScanOutput {
 /// produced it: every row carries the declared output arity, the surfaced
 /// periods satisfy the temporal specs, and every pushed predicate holds
 /// (pushed predicates promise "no residual filtering needed" — see
-/// [`ColRange`]). The four engines call this under `debug_assertions` after
+/// [`ColRange`]). The engine shell calls this under `debug_assertions` after
 /// every scan, so any drift between an access path and the logical
 /// specification fails loudly in tests instead of skewing measurements.
 pub fn validate_scan_output(

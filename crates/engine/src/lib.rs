@@ -2,9 +2,11 @@
 //!
 //! Four bitemporal storage engines behind one trait, each reproducing the
 //! *architecture archetype* of one of the anonymized systems in the paper
-//! (§2, §5.2). All four implement the same logical bitemporal model — the
-//! cross-engine equivalence tests depend on that — and differ only in
-//! physical design:
+//! (§2, §5.2). The logical bitemporal model is implemented once, by the
+//! [`Engine`] shell ([`shell`]): validation, sequenced DML, the commit
+//! clock, key lookups and the scan driver that runs every partition through
+//! the one planner-and-executor in [`rowscan`]. The four engines are that
+//! shell over four [`TableLayout`]s and differ only in physical design:
 //!
 //! | Engine | Archetype | Physical design |
 //! |---|---|---|
@@ -15,7 +17,10 @@
 //!
 //! The observation the paper leads with — *"all systems store their data in
 //! regular, statically partitioned tables and rely on standard indexes as
-//! well as query rewrites"* — is the design rule for this crate.
+//! well as query rewrites"* — is the design rule for this crate: a layout
+//! says where versions live, which structure resolves a key's open
+//! versions, which partitions and indexes a scan may use and what a
+//! checkpoint reorganizes, and nothing else.
 
 // Tests may unwrap freely; production engine code must not (TB004, and
 // `clippy::unwrap_used` in Cargo.toml as the compiler-level backstop).
@@ -26,10 +31,9 @@ pub mod catalog;
 pub mod index;
 mod keymap;
 pub mod morsel;
-#[cfg(test)]
-mod open_slots_tests;
 pub mod rowscan;
 pub mod sequenced;
+pub mod shell;
 pub mod system_a;
 pub mod system_b;
 pub mod system_c;
@@ -43,6 +47,7 @@ pub use api::{
 };
 pub use catalog::Catalog;
 pub use morsel::{MorselExec, ScanMetrics};
+pub use shell::{Engine, TableLayout};
 pub use system_a::SystemA;
 pub use system_b::SystemB;
 pub use system_c::SystemC;
@@ -92,3 +97,6 @@ pub fn build_engine(kind: SystemKind) -> Box<dyn BitemporalEngine> {
         SystemKind::D => Box::new(SystemD::new()),
     }
 }
+
+#[cfg(test)]
+mod open_slots_tests;

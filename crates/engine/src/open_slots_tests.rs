@@ -1,77 +1,107 @@
 //! Differential test of "which open versions does key *k* have" on all four
-//! engines: the PK-index probe of Systems A and B and the `KeyMap` of C and
+//! layouts: the PK-index probe of Systems A and B and the `KeyMap` of C and
 //! D against the bookkeeping every engine used to carry — a
 //! `HashMap<Key, Vec<slot>>` pushed at insert and `retain`ed at close — kept
-//! here as the reference.
+//! here as the reference, wrapped around each layout as a layout of its own.
 
-use crate::api::BitemporalEngine;
-use crate::system_a::{overwrite_period, sequenced_dml, SequencedOps};
+use crate::api::{BitemporalEngine, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
+use crate::rowscan::PartitionView;
+use crate::shell::{Engine, TableLayout};
+use crate::system_a::TableA;
+use crate::system_b::TableB;
+use crate::system_c::TableC;
+use crate::system_d::TableD;
 use crate::version::Version;
-use crate::{SystemA, SystemB, SystemC, SystemD};
 use bitempo_core::{
-    AppDate, AppPeriod, Column, DataType, Key, Pcg32, Period, Result, Row, Schema, SysPeriod,
-    SysTime, TableDef, TableId, TemporalClass, Value,
+    AppDate, AppPeriod, Column, DataType, Key, Pcg32, Period, Result, Row, Schema, SysTime,
+    TableDef, TableId, TemporalClass, Value,
 };
+use bitempo_tindex::TemporalIndex;
 use std::collections::HashMap;
 
-/// An engine driven through its close/insert primitives, with sequenced DML
-/// resolving keys from the old map instead of the engine's own structure.
-struct OldMap<E> {
-    engine: E,
+/// A layout whose sequenced DML resolves keys from the old map instead of
+/// the layout's own structure; everything else is the wrapped layout's.
+struct OldMap<T> {
+    inner: T,
     map: HashMap<Key, Vec<u64>>,
     /// One past the highest slot ever handed out.
     slots: u64,
 }
 
-impl<E: SequencedOps> OldMap<E> {
-    fn key_of(&self, table: TableId, row: &Row) -> Key {
-        Key::from_row(row, &self.engine.def(table).key)
-    }
+impl<T: TableLayout> TableLayout for OldMap<T> {
+    const NAME: &'static str = T::NAME;
+    const ARCHITECTURE: &'static str = T::ARCHITECTURE;
 
-    /// What System C's merge did to its map (it renumbers row ids); on the
-    /// other engines slots are stable and this changes nothing.
-    fn rebuild(&mut self, table: TableId) {
-        self.map.clear();
-        for slot in 0..self.slots {
-            if let Some(v) = self.engine.peek(table, slot).filter(|v| v.sys.is_current()) {
-                self.map
-                    .entry(self.key_of(table, &v.row))
-                    .or_default()
-                    .push(slot);
-            }
+    fn new(def: &TableDef) -> Self {
+        OldMap {
+            inner: T::new(def),
+            map: HashMap::new(),
+            slots: 0,
         }
     }
-}
-
-impl<E: SequencedOps> SequencedOps for OldMap<E> {
-    fn def(&self, table: TableId) -> &TableDef {
-        self.engine.def(table)
-    }
-    fn pending_time(&self) -> SysTime {
-        self.engine.pending_time()
-    }
-    fn open_slots(&self, _: TableId, key: &Key) -> Vec<u64> {
+    fn open_slots(&self, key: &Key) -> Vec<u64> {
         self.map.get(key).cloned().unwrap_or_default()
     }
-    fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
-        self.engine.peek(table, slot)
+    fn peek(&self, def: &TableDef, slot: u64) -> Option<Version> {
+        self.inner.peek(def, slot)
     }
-    fn close(&mut self, table: TableId, slot: u64, end: SysTime) -> Result<Version> {
-        let closed = self.engine.close(table, slot, end)?;
-        if let Some(slots) = self.map.get_mut(&self.key_of(table, &closed.row)) {
+    fn close(&mut self, def: &TableDef, slot: u64, end: SysTime) -> Result<Version> {
+        let closed = self.inner.close(def, slot, end)?;
+        if let Some(slots) = self.map.get_mut(&Key::from_row(&closed.row, &def.key)) {
             slots.retain(|&s| s != slot);
         }
         Ok(closed)
     }
-    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
-        let key = self.key_of(table, &version.row);
+    fn insert_version(&mut self, def: &TableDef, version: Version) -> u64 {
+        let key = Key::from_row(&version.row, &def.key);
         let open = version.sys.is_current();
-        let slot = self.engine.insert_version_at(table, version);
+        let slot = self.inner.insert_version(def, version);
         self.slots = self.slots.max(slot + 1);
         if open {
             self.map.entry(key).or_default().push(slot);
         }
         slot
+    }
+    fn partitions(
+        &self,
+        def: &TableDef,
+        sys: &SysSpec,
+        scan: &mut dyn FnMut(&'static str, &PartitionView<'_>) -> Result<()>,
+    ) -> Result<()> {
+        self.inner.partitions(def, sys, scan)
+    }
+    fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
+        self.inner.retune(def, tuning)
+    }
+    /// Rebuilds the map afterwards, which is what System C's merge did to
+    /// its own (it renumbers row ids); on the other layouts slots are
+    /// stable and the rebuild changes nothing.
+    fn checkpoint(&mut self, def: &TableDef) {
+        self.inner.checkpoint(def);
+        self.map.clear();
+        for slot in 0..self.slots {
+            if let Some(v) = self.peek(def, slot).filter(|v| v.sys.is_current()) {
+                self.map
+                    .entry(Key::from_row(&v.row, &def.key))
+                    .or_default()
+                    .push(slot);
+            }
+        }
+    }
+    fn stats(&self) -> TableStats {
+        self.inner.stats()
+    }
+    fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
+        self.inner.temporal_indexes()
+    }
+    fn key_structures_footprint(&self) -> KeyStructuresFootprint {
+        self.inner.key_structures_footprint()
+    }
+    fn snapshot_versions(&self, def: &TableDef) -> Vec<Version> {
+        self.inner.snapshot_versions(def)
+    }
+    fn restore_from(_: &TableDef, _: Vec<Version>) -> Result<Self> {
+        unimplemented!("the reference model is never restored")
     }
 }
 
@@ -119,19 +149,15 @@ fn canonical(engine: &dyn BitemporalEngine, t: TableId) -> Vec<String> {
     lines
 }
 
-/// Runs `statements` random statements on a real engine (public API) and on
-/// the old-map model (same primitives, reference map), comparing every key's
-/// open slots — content and order — after each one.
-fn run<E: BitemporalEngine + SequencedOps + Default>(seed: u64, key: &[usize], statements: usize) {
+/// Runs `statements` random statements on a real engine and on one whose
+/// tables resolve keys from the old map, comparing every key's open slots —
+/// content and order — after each one.
+fn run<T: TableLayout>(seed: u64, key: &[usize], statements: usize) {
     let mut rng = Pcg32::new(seed, 0x51075);
-    let mut real = E::default();
+    let mut real = Engine::<T>::new();
     let t = real.create_table(table(key)).unwrap();
-    let mut model = OldMap {
-        engine: E::default(),
-        map: HashMap::new(),
-        slots: 0,
-    };
-    assert_eq!(model.engine.create_table(table(key)).unwrap(), t);
+    let mut model = Engine::<OldMap<T>>::new();
+    assert_eq!(model.create_table(table(key)).unwrap(), t);
     let what = format!("{} key {key:?} seed {seed}", real.name());
     let mut spilled = false;
 
@@ -140,76 +166,54 @@ fn run<E: BitemporalEngine + SequencedOps + Default>(seed: u64, key: &[usize], s
         let k = Key::from_row(&row, key);
         let val = Value::Int(step as i64);
         let portion = rng.chance(0.5).then(|| period(&mut rng));
-        let (got, want) = match rng.int_range(0, 9) {
+        let apply = |e: &mut dyn BitemporalEngine, op: i64, p: AppPeriod| match op {
             // Inserts do not check for an open version of the key, so a key
             // is deleted and re-inserted, and re-inserted while still open.
-            0..=2 => {
-                let app = period(&mut rng);
-                let version = Version {
-                    row: row.with(3, val),
-                    app,
-                    sys: SysPeriod::since(model.pending_time()),
-                };
-                model.insert_version_at(t, version.clone());
-                (real.insert(t, version.row, Some(app)).map(|()| 1), Ok(1))
-            }
-            3..=5 => {
-                let updates = [(3, val)];
-                (
-                    real.update(t, &k, &updates, portion),
-                    sequenced_dml(&mut model, t, &k, portion, Some(&updates)),
-                )
-            }
-            6..=7 => (
-                real.delete(t, &k, portion),
-                sequenced_dml(&mut model, t, &k, portion, None),
-            ),
-            8 => {
-                let p = period(&mut rng);
-                (
-                    real.overwrite_app_period(t, &k, p),
-                    overwrite_period(&mut model, t, &k, p),
-                )
-            }
+            0..=2 => e.insert(t, row.with(3, val.clone()), Some(p)).map(|()| 1),
+            3..=5 => e.update(t, &k, &[(3, val.clone())], portion),
+            6..=7 => e.delete(t, &k, portion),
+            8 => e.overwrite_app_period(t, &k, p),
             _ => {
-                real.checkpoint();
-                model.engine.checkpoint();
-                model.rebuild(t);
-                (Ok(0), Ok(0))
+                e.checkpoint();
+                Ok(0)
             }
         };
+        let op = rng.int_range(0, 9);
+        let p = if op <= 2 || op == 8 {
+            period(&mut rng)
+        } else {
+            AppPeriod::ALL
+        };
+        let (got, want) = (apply(&mut real, op, p), apply(&mut model, op, p));
         assert_eq!(got.ok(), want.ok(), "{what} step {step}: affected rows");
         // Often no commit: the next statement then closes versions created
         // in the same transaction, which are discarded, not archived.
         if rng.chance(0.6) {
-            assert_eq!(real.commit(), model.engine.commit());
+            assert_eq!(real.commit(), model.commit());
         }
-        for probe in model.map.keys().chain([&k]) {
-            let want = model.open_slots(t, probe);
+        let (real_t, model_t) = (&real.tables[0], &model.tables[0]);
+        for probe in model_t.map.keys().chain([&k]) {
+            let want = model_t.open_slots(probe);
             assert_eq!(
-                real.open_slots(t, probe),
+                real_t.open_slots(probe),
                 want,
                 "{what} step {step}: {probe}"
             );
-            assert_eq!(
-                model.engine.open_slots(t, probe),
-                want,
-                "{what} step {step}"
-            );
+            assert_eq!(model_t.inner.open_slots(probe), want, "{what} step {step}");
             spilled |= want.len() > 1;
         }
     }
     assert!(spilled, "{what}: no key ever held two open versions");
     real.checkpoint();
-    model.engine.checkpoint();
+    model.checkpoint();
     assert_eq!(
         canonical(&real, t),
-        canonical(&model.engine, t),
+        canonical(&model, t),
         "{what}: state after driving DML from the old map"
     );
 }
 
-fn run_all_keys<E: BitemporalEngine + SequencedOps + Default>() {
+fn run_all_keys<T: TableLayout>() {
     for (seed, key) in [
         (1, &[0][..]),
         (2, &[0, 1]),
@@ -218,28 +222,28 @@ fn run_all_keys<E: BitemporalEngine + SequencedOps + Default>() {
         (5, &[]),
         (6, &[0]),
     ] {
-        run::<E>(seed, key, 400);
+        run::<T>(seed, key, 400);
     }
 }
 
 #[test]
 fn system_a_pk_probe_matches_the_old_key_map() {
-    run_all_keys::<SystemA>();
+    run_all_keys::<TableA>();
 }
 
 #[test]
 fn system_b_pk_probe_matches_the_old_key_map() {
-    run_all_keys::<SystemB>();
+    run_all_keys::<TableB>();
 }
 
 #[test]
 fn system_c_key_map_matches_the_old_key_map() {
-    run_all_keys::<SystemC>();
+    run_all_keys::<TableC>();
 }
 
 #[test]
 fn system_d_key_map_matches_the_old_key_map() {
-    run_all_keys::<SystemD>();
+    run_all_keys::<TableD>();
 }
 
 /// A table without key columns has one key, the empty one, and it covers
@@ -247,8 +251,8 @@ fn system_d_key_map_matches_the_old_key_map() {
 /// on the ones with a map. Any other key matches nothing.
 #[test]
 fn keyless_table_addresses_every_open_row_by_the_empty_key() {
-    fn check<E: BitemporalEngine + SequencedOps + Default>() {
-        let mut e = E::default();
+    fn check<T: TableLayout>() {
+        let mut e = Engine::<T>::new();
         let t = e.create_table(table(&[])).unwrap();
         for a in 0..3 {
             let row = Row::new(vec![
@@ -261,16 +265,25 @@ fn keyless_table_addresses_every_open_row_by_the_empty_key() {
             e.commit();
         }
         let empty = Key::General(Vec::new());
-        assert_eq!(e.open_slots(t, &empty), vec![0, 1, 2], "{}", e.name());
-        assert!(e.open_slots(t, &Key::int(0)).is_empty(), "{}", e.name());
+        assert_eq!(
+            e.tables[0].open_slots(&empty),
+            vec![0, 1, 2],
+            "{}",
+            e.name()
+        );
+        assert!(
+            e.tables[0].open_slots(&Key::int(0)).is_empty(),
+            "{}",
+            e.name()
+        );
         assert_eq!(e.delete(t, &Key::int(0), None).unwrap(), 0);
         assert_eq!(e.delete(t, &empty, None).unwrap(), 3, "{}", e.name());
         e.commit();
-        assert!(e.open_slots(t, &empty).is_empty());
+        assert!(e.tables[0].open_slots(&empty).is_empty());
         assert_eq!(e.stats(t).current_rows, 0);
     }
-    check::<SystemA>();
-    check::<SystemB>();
-    check::<SystemC>();
-    check::<SystemD>();
+    check::<TableA>();
+    check::<TableB>();
+    check::<TableC>();
+    check::<TableD>();
 }

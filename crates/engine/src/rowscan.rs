@@ -1,10 +1,10 @@
 //! Partition scanning with cost-based access-path selection.
 //!
-//! Every row-store engine answers a scan per physical partition by choosing
-//! among: primary-key lookup, B-Tree index scan, GiST scan, temporal-index
-//! probe, or a full scan. All applicable paths are enumerated into a
-//! [`bitempo_query::optimizer::Memo`], costed from the partition's row
-//! count and each index's candidate-fraction estimate, and the cheapest
+//! Every engine answers a scan per physical partition by choosing among the
+//! paths its layout offers: primary-key lookup, B-Tree index scan, GiST scan,
+//! temporal-index probe, or a full scan. All applicable paths are enumerated
+//! into a [`bitempo_query::optimizer::Memo`], costed from the partition's
+//! row count and each index's candidate-fraction estimate, and the cheapest
 //! wins. The cost weights keep the regime the paper measured — indexes pay
 //! off only for selective predicates, and optimizers flip to table scans
 //! otherwise (§5.3.2, §5.4.1, §5.9) — but the flip point now falls out of
@@ -78,47 +78,107 @@ impl ScanSite<'_> {
     }
 }
 
-/// A slot-addressable collection of versions (one physical partition).
+/// One physical partition as the scan pipeline sees it: a slot-addressable
+/// collection of versions that filters first and materialises second. Given
+/// the scan's specification, a source judges a version — does it qualify
+/// under both temporal specs and every pushed predicate? — and appends the
+/// output row (in `def.scan_schema()` layout) only if it does, so a layout
+/// that can judge a version without assembling it (a column store) never
+/// builds a row it prunes. The pipeline does the counting.
 ///
 /// `Sync` is a supertrait so sequential scans over a partition can be split
 /// into morsels and executed by scoped worker threads (see
 /// [`crate::morsel`]); every implementation is plain owned data.
 pub trait VersionSource: Sync {
-    /// The version stored at `slot`, if live.
-    fn version(&self, slot: u64) -> Option<&Version>;
     /// Upper bound (exclusive) on scan positions: the range `0..scan_units()`
     /// covers every live version, and disjoint sub-ranges visit disjoint
     /// versions. For heaps this counts tombstoned slots too.
     fn scan_units(&self) -> usize;
-    /// All live `(slot, version)` pairs whose scan position is in `range`,
-    /// in position order.
-    fn for_each_in(&self, range: Range<usize>, f: &mut dyn FnMut(u64, &Version));
-    /// All live `(slot, version)` pairs, in position order.
-    fn for_each(&self, f: &mut dyn FnMut(u64, &Version)) {
-        self.for_each_in(0..self.scan_units(), f);
-    }
-    /// Number of live versions.
+    /// Number of versions the planner costs the partition at.
     fn len(&self) -> usize;
-    /// True when the partition holds no live versions.
+    /// True when the partition holds no versions.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+    /// Judges the version stored at `slot`, appending its output row to
+    /// `out` if it qualifies: `Some(qualified)`, or `None` when no live
+    /// version is stored there (index candidates are supersets).
+    fn probe(
+        &self,
+        slot: u64,
+        def: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> Option<bool>;
+    /// Judges every live version whose scan position is in `range`, in
+    /// position order, appending the output rows of the qualifying ones to
+    /// `out`. Returns how many versions it judged.
+    fn scan_range(
+        &self,
+        range: Range<usize>,
+        def: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> u64;
+}
+
+/// The verdict on a stored [`Version`] — all a row source has to do.
+fn judge(
+    v: &Version,
+    def: &TableDef,
+    sys: &SysSpec,
+    app: &AppSpec,
+    preds: &[ColRange],
+) -> Option<Row> {
+    (v.matches(sys, app) && v.matches_preds(preds)).then(|| v.output_row(def))
 }
 
 impl VersionSource for Heap<Version> {
-    fn version(&self, slot: u64) -> Option<&Version> {
-        self.get(bitempo_storage::SlotId(slot as u32))
-    }
     fn scan_units(&self) -> usize {
         self.allocated()
     }
-    fn for_each_in(&self, range: Range<usize>, f: &mut dyn FnMut(u64, &Version)) {
-        for (slot, v) in self.iter_range(range) {
-            f(u64::from(slot.0), v);
-        }
-    }
     fn len(&self) -> usize {
         Heap::len(self)
+    }
+    fn probe(
+        &self,
+        slot: u64,
+        def: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> Option<bool> {
+        let row = judge(
+            self.get(bitempo_storage::SlotId(slot as u32))?,
+            def,
+            sys,
+            app,
+            preds,
+        );
+        Some(row.map(|row| out.push(row)).is_some())
+    }
+    fn scan_range(
+        &self,
+        range: Range<usize>,
+        def: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> u64 {
+        let mut judged = 0;
+        for (_, v) in self.iter_range(range) {
+            judged += 1;
+            if let Some(row) = judge(v, def, sys, app, preds) {
+                out.push(row);
+            }
+        }
+        judged
     }
 }
 
@@ -127,24 +187,43 @@ impl VersionSource for Heap<Version> {
 pub struct Reconstructed(pub Vec<(u64, Version)>);
 
 impl VersionSource for Reconstructed {
-    fn version(&self, slot: u64) -> Option<&Version> {
-        self.0
-            .binary_search_by_key(&slot, |(s, _)| *s)
-            .ok()
-            .and_then(|i| self.0.get(i))
-            .map(|(_, v)| v)
-    }
     fn scan_units(&self) -> usize {
         self.0.len()
     }
-    fn for_each_in(&self, range: Range<usize>, f: &mut dyn FnMut(u64, &Version)) {
-        let end = range.end.min(self.0.len());
-        for (slot, v) in self.0.get(range.start.min(end)..end).unwrap_or(&[]) {
-            f(*slot, v);
-        }
-    }
     fn len(&self) -> usize {
         self.0.len()
+    }
+    fn probe(
+        &self,
+        slot: u64,
+        def: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> Option<bool> {
+        let i = self.0.binary_search_by_key(&slot, |(s, _)| *s).ok()?;
+        let (_, v) = self.0.get(i)?;
+        let row = judge(v, def, sys, app, preds);
+        Some(row.map(|row| out.push(row)).is_some())
+    }
+    fn scan_range(
+        &self,
+        range: Range<usize>,
+        def: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> u64 {
+        let end = range.end.min(self.0.len());
+        let versions = self.0.get(range.start.min(end)..end).unwrap_or(&[]);
+        out.extend(
+            versions
+                .iter()
+                .filter_map(|(_, v)| judge(v, def, sys, app, preds)),
+        );
+        versions.len() as u64
     }
 }
 
@@ -396,14 +475,19 @@ fn scan_partition_inner(
         return Ok(AccessPath::FullScan { partitions: 1 });
     }
 
-    let emit = |v: &Version, out: &mut Vec<Row>, m: &mut ScanMetrics| -> bool {
-        m.rows_visited += 1;
-        if v.matches(sys, app) && v.matches_preds(preds) {
-            out.push(v.output_row(def));
-            true
-        } else {
-            m.versions_pruned += 1;
-            false
+    // Resolves one index candidate through the source.
+    let probe = |slot: u64, out: &mut Vec<Row>, m: &mut ScanMetrics| {
+        m.index_probes += 1;
+        match part.source.probe(slot, def, sys, app, preds, out) {
+            Some(true) => {
+                m.rows_visited += 1;
+                m.index_hits += 1;
+            }
+            Some(false) => {
+                m.rows_visited += 1;
+                m.versions_pruned += 1;
+            }
+            None => {}
         }
     };
 
@@ -412,9 +496,10 @@ fn scan_partition_inner(
     // count.
     let run_seq = |out: &mut Vec<Row>, metrics: &mut ScanMetrics| -> Result<AccessPath> {
         let (rows, scan_metrics) = run_morsels(part.source.scan_units(), exec, |range, buf, m| {
-            part.source.for_each_in(range, &mut |_, v| {
-                emit(v, buf, m);
-            });
+            let before = buf.len();
+            let judged = part.source.scan_range(range, def, sys, app, preds, buf);
+            m.rows_visited += judged;
+            m.versions_pruned += judged - (buf.len() - before) as u64;
         })?;
         metrics.merge(&scan_metrics);
         out.extend(rows);
@@ -484,7 +569,7 @@ fn scan_partition_inner(
     }
 
     // Temporal index, applicable whenever either temporal dimension is
-    // constrained. Candidates are a superset, re-checked by `emit`, and
+    // constrained. Candidates are a superset, re-checked by the source, and
     // arrive sorted by slot so output order matches a sequential scan.
     if let Some(tix) = part.tindex {
         let sys_probe = sys_probe_for(sys);
@@ -531,12 +616,7 @@ fn scan_partition_inner(
     let path = match choices.into_iter().nth(winner_index) {
         Some(Choice::Key(pk, key_vals)) => {
             for slot in pk.probe_prefix_counted(&key_vals, &mut metrics.index_node_visits) {
-                metrics.index_probes += 1;
-                if let Some(v) = part.source.version(slot) {
-                    if emit(v, out, metrics) {
-                        metrics.index_hits += 1;
-                    }
-                }
+                probe(slot, out, metrics);
             }
             AccessPath::KeyLookup(pk.def.name.clone())
         }
@@ -546,23 +626,13 @@ fn scan_partition_inner(
                 bound_ref(&range.hi),
                 &mut metrics.index_node_visits,
             ) {
-                metrics.index_probes += 1;
-                if let Some(v) = part.source.version(slot) {
-                    if emit(v, out, metrics) {
-                        metrics.index_hits += 1;
-                    }
-                }
+                probe(slot, out, metrics);
             }
             AccessPath::IndexScan(index.def.name.clone())
         }
         Some(Choice::Gist(gist, rect)) => {
             for slot in gist.probe_counted(&rect, &mut metrics.index_node_visits) {
-                metrics.index_probes += 1;
-                if let Some(v) = part.source.version(slot) {
-                    if emit(v, out, metrics) {
-                        metrics.index_hits += 1;
-                    }
-                }
+                probe(slot, out, metrics);
             }
             AccessPath::GistScan(gist.name.clone())
         }
@@ -572,12 +642,7 @@ fn scan_partition_inner(
                 Some(slots) => {
                     metrics.index_node_visits += cost.node_visits;
                     for slot in slots {
-                        metrics.index_probes += 1;
-                        if let Some(v) = part.source.version(slot) {
-                            if emit(v, out, metrics) {
-                                metrics.index_hits += 1;
-                            }
-                        }
+                        probe(slot, out, metrics);
                     }
                     AccessPath::TemporalProbe(tix.name().to_string())
                 }
@@ -969,12 +1034,17 @@ mod tests {
             (5, mk_version(5, 50, 0, None)),
             (9, mk_version(9, 90, 0, None)),
         ]);
-        assert!(recon.version(5).is_some());
-        assert!(recon.version(3).is_none());
-        assert_eq!(recon.len(), 3);
-        let mut n = 0;
-        recon.for_each(&mut |_, _| n += 1);
-        assert_eq!(n, 3);
+        let (d, preds) = (def(), [ColRange::eq(1, Value::Int(50))]);
+        let mut rows = Vec::new();
+        let mut probe =
+            |slot| recon.probe(slot, &d, &SysSpec::All, &AppSpec::All, &preds, &mut rows);
+        assert_eq!(probe(5), Some(true), "stored and qualifying");
+        assert_eq!(probe(2), Some(false), "stored, pruned by the predicate");
+        assert_eq!(probe(3), None, "nothing stored at slot 3");
+        assert_eq!((recon.len(), rows.len()), (3, 1));
+        rows.clear();
+        let judged = recon.scan_range(0..9, &d, &SysSpec::All, &AppSpec::All, &preds, &mut rows);
+        assert_eq!((judged, rows.len()), (3, 1), "three stored, one qualifies");
     }
 
     #[test]

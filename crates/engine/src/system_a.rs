@@ -7,25 +7,21 @@
 //! primary-key index exists on the current table only; the history table has
 //! no indexes unless the tuning study adds them.
 
-use crate::api::{
-    AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput, SysSpec,
-    TableStats, TuningConfig,
-};
-use crate::catalog::Catalog;
+use crate::api::{IndexKind, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::{IndexDef, IndexedCol, OrderedIndex};
-use crate::morsel::ScanMetrics;
-use crate::rowscan::{merge_access, scan_partition, PartitionView, ScanSite};
-use crate::sequenced::split_for_portion;
+use crate::rowscan::PartitionView;
+use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
-use bitempo_core::{
-    obs, AppPeriod, Error, Key, Result, Row, SysPeriod, SysTime, TableDef, TableId, TemporalClass,
-    Value,
-};
+use bitempo_core::{Error, Key, Result, SysPeriod, SysTime, TableDef, TemporalClass};
 use bitempo_storage::{Heap, SlotId};
-use bitempo_tindex::{IndexFootprint, TemporalIndex};
+use bitempo_tindex::TemporalIndex;
 
+/// The System A engine. See module docs.
+pub type SystemA = Engine<TableA>;
+
+/// System A's table layout. See module docs.
 #[derive(Debug, Default)]
-struct TableA {
+pub struct TableA {
     current: Heap<Version>,
     history: Heap<Version>,
     /// System-defined PK index over the current partition (absent on a
@@ -57,233 +53,20 @@ pub(crate) fn build_heap_tindex(index_name: String, heap: &Heap<Version>) -> Tem
     TemporalIndex::build(
         index_name,
         bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-        heap.iter()
-            .map(|(slot, v)| (u64::from(slot.0), v.app, v.sys)),
+        heap_entries(heap).map(|(slot, v)| (slot, v.app, v.sys)),
     )
 }
 
-/// The System A engine. See module docs.
-#[derive(Debug, Default)]
-pub struct SystemA {
-    catalog: Catalog,
-    tables: Vec<TableA>,
-    now: SysTime,
-    tuning: TuningConfig,
-}
-
-impl SystemA {
-    /// Creates an empty engine.
-    pub fn new() -> SystemA {
-        SystemA::default()
-    }
-
-    fn pending(&self) -> SysTime {
-        self.now.next()
-    }
-
-    fn insert_version(&mut self, table: TableId, version: Version) -> u64 {
-        let t = self.table_mut(table);
-        let slot64 = u64::from(t.current.insert(version.clone()).0);
-        if let Some(pk) = &mut t.pk {
-            pk.insert(&version, slot64);
-        }
-        for ix in &mut t.cur_indexes {
-            ix.insert(&version, slot64);
-        }
-        if let Some(tix) = &mut t.cur_tindex {
-            tix.insert(slot64, version.app, version.sys);
-        }
-        slot64
-    }
-
-    /// Closes the open version in `slot` at `end`, moving it to history.
-    /// Versions whose system period would be empty (created and superseded
-    /// inside the same transaction) are discarded: they were never visible.
-    fn close_version(&mut self, table: TableId, slot64: u64, end: SysTime) -> Result<Version> {
-        let nontemporal = self.catalog.def(table).temporal == TemporalClass::NonTemporal;
-        let t = self.table_mut(table);
-        let slot = SlotId(slot64 as u32);
-        let Some(mut v) = t.current.remove(slot) else {
-            return Err(Error::Internal(format!(
-                "closing slot {slot64} with no live version"
-            )));
-        };
-        if let Some(tix) = &mut t.cur_tindex {
-            // The slot leaves the current partition whatever its fate
-            // (archived, discarded, or re-inserted in place): invalidating
-            // here keeps later probes from resurrecting it, and probes
-            // before `end` re-check whatever occupies the slot by then.
-            tix.close(slot64, end);
-        }
-        if let Some(pk) = &mut t.pk {
-            pk.remove(&v, slot64);
-        }
-        for ix in &mut t.cur_indexes {
-            ix.remove(&v, slot64);
-        }
-        let closed = v.clone();
-        v.sys = SysPeriod::new(v.sys.start, end);
-        if !nontemporal && !v.sys.is_empty() {
-            let hslot = t.history.insert(v.clone());
-            let h64 = u64::from(hslot.0);
-            for ix in &mut t.hist_indexes {
-                ix.insert(&v, h64);
-            }
-            if let Some(tix) = &mut t.tindex {
-                tix.insert(h64, v.app, v.sys);
-            }
-        }
-        Ok(closed)
-    }
-
-    /// `TableId`s are issued densely by the catalog, so indexing with one it
-    /// handed out cannot go out of bounds.
-    fn table(&self, table: TableId) -> &TableA {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for reads
-        &self.tables[table.0 as usize]
-    }
-
-    fn table_mut(&mut self, table: TableId) -> &mut TableA {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for writes
-        &mut self.tables[table.0 as usize]
-    }
-}
-
-/// Applies a sequenced update/delete/overwrite to one engine via its
-/// close/insert primitives. Shared verbatim by Systems A, B and D through a
-/// tiny adapter trait, so the logical semantics cannot drift apart.
-pub(crate) fn sequenced_dml<E: SequencedOps>(
-    engine: &mut E,
-    table: TableId,
-    key: &Key,
-    portion: Option<AppPeriod>,
-    new_values: Option<&[(usize, Value)]>, // None = delete
-) -> Result<usize> {
-    let def = engine.def(table).clone();
-    if def.temporal != TemporalClass::Bitemporal && portion.is_some() {
-        return Err(Error::Unsupported(format!(
-            "FOR PORTION OF on table {} without application time",
-            def.name
-        )));
-    }
-    let portion = portion.unwrap_or(AppPeriod::ALL);
-    let pending = engine.pending_time();
-    let slots = engine.open_slots(table, key);
-    if slots.is_empty() {
-        return Ok(0);
-    }
-    let mut affected = 0;
-    for slot in slots {
-        let Some(v) = engine.peek(table, slot) else {
-            continue;
-        };
-        let Some(split) = split_for_portion(v.app, portion) else {
-            continue;
-        };
-        affected += 1;
-        let old = engine.close(table, slot, pending)?;
-        if def.temporal == TemporalClass::NonTemporal {
-            // Non-versioned tables update in place (no history, no residue).
-            if let Some(updates) = new_values {
-                engine.insert_version_at(
-                    table,
-                    Version {
-                        row: old.row.with_all(updates),
-                        app: old.app,
-                        sys: old.sys,
-                    },
-                );
-            }
-            continue;
-        }
-        for residue in &split.residues {
-            engine.insert_version_at(
-                table,
-                Version {
-                    row: old.row.clone(),
-                    app: *residue,
-                    sys: SysPeriod::since(pending),
-                },
-            );
-        }
-        if let Some(updates) = new_values {
-            engine.insert_version_at(
-                table,
-                Version {
-                    row: old.row.with_all(updates),
-                    app: split.affected,
-                    sys: SysPeriod::since(pending),
-                },
-            );
-        }
-    }
-    Ok(affected)
-}
-
-/// Overwrite of the application period (paper Table 2, "Overwrite
-/// App.Time"): all open versions of the key are superseded by a single
-/// version, carrying the values of the latest (by application start)
-/// version, valid for `period`.
-pub(crate) fn overwrite_period<E: SequencedOps>(
-    engine: &mut E,
-    table: TableId,
-    key: &Key,
-    period: AppPeriod,
-) -> Result<usize> {
-    let def = engine.def(table).clone();
-    if def.temporal != TemporalClass::Bitemporal {
-        return Err(Error::Unsupported(format!(
-            "application-period overwrite on table {}",
-            def.name
-        )));
-    }
-    if period.is_empty() {
-        return Err(Error::EmptyPeriod(format!("{period}")));
-    }
-    let pending = engine.pending_time();
-    let slots = engine.open_slots(table, key);
-    if slots.is_empty() {
-        return Err(Error::KeyNotFound(format!("{key} in {}", def.name)));
-    }
-    let mut representative: Option<Version> = None;
-    let n = slots.len();
-    for slot in slots {
-        let closed = engine.close(table, slot, pending)?;
-        let better = representative
-            .as_ref()
-            .is_none_or(|r| closed.app.start >= r.app.start);
-        if better {
-            representative = Some(closed);
-        }
-    }
-    let Some(rep) = representative else {
-        return Err(Error::Internal(
-            "overwrite closed no versions despite a non-empty slot list".into(),
-        ));
-    };
-    engine.insert_version_at(
-        table,
-        Version {
-            row: rep.row,
-            app: period,
-            sys: SysPeriod::since(pending),
-        },
-    );
-    Ok(n)
-}
-
-/// The close/insert primitives sequenced DML needs from an engine.
-pub(crate) trait SequencedOps {
-    fn def(&self, table: TableId) -> &TableDef;
-    fn pending_time(&self) -> SysTime;
-    fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64>;
-    fn peek(&self, table: TableId, slot: u64) -> Option<Version>;
-    /// Closes the open version at `slot` and returns it (pre-close periods).
-    /// Closing a slot with no live version is an engine bug, reported as
-    /// [`Error::Internal`] rather than a panic.
-    fn close(&mut self, table: TableId, slot: u64, end: SysTime) -> Result<Version>;
-    /// Stores `version` and returns its slot.
-    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64;
+/// The system-defined primary-key index Systems A and B keep on the current
+/// partition; a table without key columns has none.
+pub(crate) fn system_pk_index(def: &TableDef) -> Option<OrderedIndex> {
+    (!def.key.is_empty()).then(|| {
+        OrderedIndex::new(IndexDef {
+            name: format!("pk_{}", def.name),
+            cols: def.key.iter().map(|&c| IndexedCol::Value(c)).collect(),
+            kind: IndexKind::BTree,
+        })
+    })
 }
 
 /// The open versions of `key` on an engine whose current partition carries
@@ -304,434 +87,265 @@ pub(crate) fn open_slots_in(
     }
 }
 
-impl SequencedOps for SystemA {
-    fn def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
-    }
-    fn pending_time(&self) -> SysTime {
-        self.pending()
-    }
-    fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        let t = self.table(table);
-        open_slots_in(t.pk.as_ref(), key, || {
-            t.current
-                .iter()
-                .map(|(slot, _)| u64::from(slot.0))
-                .collect()
+/// Builds the defined tuning indexes over a partition's `(slot, version)`
+/// pairs, walking `entries()` once per index.
+pub(crate) fn ordered_indexes_over<'a, I: Iterator<Item = (u64, &'a Version)>>(
+    defs: Vec<IndexDef>,
+    entries: impl Fn() -> I,
+) -> Vec<OrderedIndex> {
+    defs.into_iter()
+        .map(|def| {
+            let mut ix = OrderedIndex::new(def);
+            for (slot, v) in entries() {
+                ix.insert(v, slot);
+            }
+            ix
         })
-    }
-    fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
-        self.table(table).current.get(SlotId(slot as u32)).cloned()
-    }
-    fn close(&mut self, table: TableId, slot: u64, end: SysTime) -> Result<Version> {
-        self.close_version(table, slot, end)
-    }
-    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
-        self.insert_version(table, version)
-    }
+        .collect()
 }
 
-impl BitemporalEngine for SystemA {
-    fn name(&self) -> &'static str {
-        "System A"
-    }
+/// `(slot, version)` pairs of a heap partition, in slot order.
+pub(crate) fn heap_entries(heap: &Heap<Version>) -> impl Iterator<Item = (u64, &Version)> {
+    heap.iter().map(|(slot, v)| (u64::from(slot.0), v))
+}
 
-    fn architecture(&self) -> &'static str {
+impl TableLayout for TableA {
+    const NAME: &'static str = "System A";
+    const ARCHITECTURE: &'static str =
         "row store; current + history tables (same schema); synchronous history writes; \
-         system PK index on current table only"
-    }
+         system PK index on current table only";
 
-    fn create_table(&mut self, def: TableDef) -> Result<TableId> {
-        let pk = (!def.key.is_empty()).then(|| {
-            OrderedIndex::new(IndexDef {
-                name: format!("pk_{}", def.name),
-                cols: def.key.iter().map(|&c| IndexedCol::Value(c)).collect(),
-                kind: IndexKind::BTree,
-            })
-        });
-        let id = self.catalog.create(def)?;
-        self.tables.push(TableA {
-            pk,
+    fn new(def: &TableDef) -> TableA {
+        TableA {
+            pk: system_pk_index(def),
             ..TableA::default()
-        });
-        Ok(id)
-    }
-
-    fn resolve(&self, name: &str) -> Result<TableId> {
-        self.catalog.resolve(name)
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        self.catalog.iter().map(|(_, d)| d.name.clone()).collect()
-    }
-
-    fn table_def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
-    }
-
-    fn apply_tuning(&mut self, tuning: &TuningConfig) -> Result<()> {
-        self.tuning = tuning.clone();
-        let defs: Vec<(TableId, TableDef)> =
-            self.catalog.iter().map(|(i, d)| (i, d.clone())).collect();
-        for (id, def) in defs {
-            let t = self.table_mut(id);
-            t.cur_indexes.clear();
-            t.hist_indexes.clear();
-            t.hist_key_index = None;
-            let mut cur_defs = Vec::new();
-            let mut hist_defs = Vec::new();
-            build_tuning_defs(
-                &def,
-                tuning,
-                &mut cur_defs,
-                &mut hist_defs,
-                &mut t.hist_key_index,
-            )?;
-            t.cur_indexes = cur_defs.into_iter().map(OrderedIndex::new).collect();
-            t.hist_indexes = hist_defs.into_iter().map(OrderedIndex::new).collect();
-            // Populate from existing data.
-            let entries: Vec<(u64, Version)> = t
-                .current
-                .iter()
-                .map(|(s, v)| (u64::from(s.0), v.clone()))
-                .collect();
-            for ix in &mut t.cur_indexes {
-                for (slot, v) in &entries {
-                    ix.insert(v, *slot);
-                }
-            }
-            let entries: Vec<(u64, Version)> = t
-                .history
-                .iter()
-                .map(|(s, v)| (u64::from(s.0), v.clone()))
-                .collect();
-            for ix in &mut t.hist_indexes {
-                for (slot, v) in &entries {
-                    ix.insert(v, *slot);
-                }
-            }
-            t.tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &t.history));
-            t.cur_tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_heap_tindex(format!("tx_cur_{}", def.name), &t.current));
         }
-        Ok(())
     }
 
-    fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-        let def = self.catalog.def(table);
-        if row.arity() != def.schema.arity() {
-            return Err(Error::Invalid(format!(
-                "arity {} vs schema {} for {}",
-                row.arity(),
-                def.schema.arity(),
-                def.name
+    fn open_slots(&self, key: &Key) -> Vec<u64> {
+        open_slots_in(self.pk.as_ref(), key, || {
+            heap_entries(&self.current).map(|(slot, _)| slot).collect()
+        })
+    }
+
+    fn peek(&self, _: &TableDef, slot: u64) -> Option<Version> {
+        self.current.get(SlotId(slot as u32)).cloned()
+    }
+
+    /// Moves the closed version to the history table.
+    fn close(&mut self, def: &TableDef, slot64: u64, end: SysTime) -> Result<Version> {
+        let Some(mut v) = self.current.remove(SlotId(slot64 as u32)) else {
+            return Err(Error::Internal(format!(
+                "closing slot {slot64} with no live version"
             )));
+        };
+        if let Some(tix) = &mut self.cur_tindex {
+            // The slot leaves the current partition whatever its fate
+            // (archived, discarded, or re-inserted in place): invalidating
+            // here keeps later probes from resurrecting it, and probes
+            // before `end` re-check whatever occupies the slot by then.
+            tix.close(slot64, end);
         }
-        let app = match (def.temporal, app) {
-            (TemporalClass::Bitemporal, Some(p)) if p.is_empty() => {
-                return Err(Error::EmptyPeriod(format!("{p}")))
+        if let Some(pk) = &mut self.pk {
+            pk.remove(&v, slot64);
+        }
+        for ix in &mut self.cur_indexes {
+            ix.remove(&v, slot64);
+        }
+        let closed = v.clone();
+        v.sys = SysPeriod::new(v.sys.start, end);
+        if def.temporal != TemporalClass::NonTemporal && !v.sys.is_empty() {
+            let h64 = u64::from(self.history.insert(v.clone()).0);
+            for ix in &mut self.hist_indexes {
+                ix.insert(&v, h64);
             }
-            (TemporalClass::Bitemporal, Some(p)) => p,
-            (TemporalClass::Bitemporal, None) => AppPeriod::ALL,
-            (_, Some(_)) => {
-                return Err(Error::Unsupported(format!(
-                    "application period on table {}",
-                    def.name
-                )))
+            if let Some(tix) = &mut self.tindex {
+                tix.insert(h64, v.app, v.sys);
             }
-            (_, None) => AppPeriod::ALL,
-        };
-        let sys = if def.temporal == TemporalClass::NonTemporal {
-            SysPeriod::ALL
-        } else {
-            SysPeriod::since(self.pending())
-        };
-        self.insert_version(table, Version { row, app, sys });
+        }
+        Ok(closed)
+    }
+
+    fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
+        let slot64 = u64::from(self.current.insert(version.clone()).0);
+        if let Some(pk) = &mut self.pk {
+            pk.insert(&version, slot64);
+        }
+        for ix in &mut self.cur_indexes {
+            ix.insert(&version, slot64);
+        }
+        if let Some(tix) = &mut self.cur_tindex {
+            tix.insert(slot64, version.app, version.sys);
+        }
+        slot64
+    }
+
+    fn partitions(
+        &self,
+        def: &TableDef,
+        sys: &SysSpec,
+        scan: &mut dyn FnMut(&'static str, &PartitionView<'_>) -> Result<()>,
+    ) -> Result<()> {
+        scan(
+            "current",
+            &PartitionView {
+                source: &self.current,
+                pk: self.pk.as_ref(),
+                indexes: &self.cur_indexes,
+                gist: None,
+                tindex: self.cur_tindex.as_ref(),
+            },
+        )?;
+        if sys.current_only() || !def.has_system_time() {
+            return Ok(());
+        }
+        scan(
+            "history",
+            &PartitionView {
+                source: &self.history,
+                pk: self.hist_key_index.and_then(|i| self.hist_indexes.get(i)),
+                indexes: &self.hist_indexes,
+                gist: None,
+                tindex: self.tindex.as_ref(),
+            },
+        )
+    }
+
+    fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
+        let defs = TuningDefs::build(def, tuning)?;
+        self.cur_indexes = ordered_indexes_over(defs.cur, || heap_entries(&self.current));
+        self.hist_indexes = ordered_indexes_over(defs.hist, || heap_entries(&self.history));
+        self.hist_key_index = defs.hist_key_index;
+        let temporal = tuning.temporal_index && def.has_system_time();
+        self.tindex =
+            temporal.then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &self.history));
+        self.cur_tindex =
+            temporal.then(|| build_heap_tindex(format!("tx_cur_{}", def.name), &self.current));
         Ok(())
     }
 
-    fn update(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        updates: &[(usize, Value)],
-        portion: Option<AppPeriod>,
-    ) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, Some(updates))
-    }
-
-    fn delete(&mut self, table: TableId, key: &Key, portion: Option<AppPeriod>) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, None)
-    }
-
-    fn overwrite_app_period(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        period: AppPeriod,
-    ) -> Result<usize> {
-        overwrite_period(self, table, key, period)
-    }
-
-    fn commit(&mut self) -> SysTime {
-        self.now = self.now.next();
-        self.now
-    }
-
-    fn now(&self) -> SysTime {
-        self.now
-    }
-
-    fn advance_clock(&mut self, to: SysTime) {
-        if self.now < to {
-            self.now = to;
-        }
-    }
-
-    fn scan(
-        &self,
-        table: TableId,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let t = self.table(table);
-        let exec = self.tuning.exec();
-        let _span = obs::span_dyn("engine", || format!("System A scan {}", def.name));
-        let mut rows = Vec::new();
-        let mut paths = Vec::new();
-        let mut metrics = ScanMetrics::default();
-        let site = |partition| ScanSite {
-            engine: "System A",
-            table: &def.name,
-            partition,
-        };
-        let cur_view = PartitionView {
-            source: &t.current,
-            pk: t.pk.as_ref(),
-            indexes: &t.cur_indexes,
-            gist: None,
-            tindex: t.cur_tindex.as_ref(),
-        };
-        paths.push(scan_partition(
-            site("current"),
-            &cur_view,
-            def,
-            sys,
-            app,
-            preds,
-            self.now,
-            self.tuning.adaptive,
-            exec,
-            &mut rows,
-            &mut metrics,
-        )?);
-        if !sys.current_only() && def.has_system_time() {
-            let hist_view = PartitionView {
-                source: &t.history,
-                pk: t.hist_key_index.and_then(|i| t.hist_indexes.get(i)),
-                indexes: &t.hist_indexes,
-                gist: None,
-                tindex: t.tindex.as_ref(),
-            };
-            paths.push(scan_partition(
-                site("history"),
-                &hist_view,
-                def,
-                sys,
-                app,
-                preds,
-                self.now,
-                self.tuning.adaptive,
-                exec,
-                &mut rows,
-                &mut metrics,
-            )?);
-        }
-        let out = ScanOutput {
-            access: merge_access(paths.clone()),
-            partition_paths: paths,
-            rows,
-            metrics,
-        };
-        #[cfg(debug_assertions)]
-        crate::api::validate_scan_output(def, sys, app, preds, &out)
-            .unwrap_or_else(|msg| panic!("System A scan postcondition: {msg}"));
-        Ok(out)
-    }
-
-    fn lookup_key(
-        &self,
-        table: TableId,
-        key: &Key,
-        sys: &SysSpec,
-        app: &AppSpec,
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let preds: Vec<ColRange> = def
-            .key
-            .iter()
-            .zip(key.to_values())
-            .map(|(&c, v)| ColRange::eq(c, v))
-            .collect();
-        self.scan(table, sys, app, &preds)
-    }
-
-    fn stats(&self, table: TableId) -> TableStats {
-        let t = self.table(table);
-        TableStats {
-            current_rows: t.current.len(),
-            history_rows: t.history.len(),
-        }
-    }
-
-    fn supports_manual_system_time(&self) -> bool {
-        false
-    }
-
-    fn bulk_load(
-        &mut self,
-        _table: TableId,
-        _versions: Vec<(Row, AppPeriod, SysPeriod)>,
-    ) -> Result<()> {
-        Err(Error::Unsupported(
-            "bulk load with manual system time".into(),
-        ))
-    }
-
-    fn checkpoint(&mut self) {
+    fn checkpoint(&mut self, _: &TableDef) {
         // History writes are synchronous (§5.2): nothing staged to flush.
         // The temporal index still uses the quiescent point to sort its
         // interval endpoint lists.
-        for t in &mut self.tables {
-            if let Some(tix) = &mut t.tindex {
-                tix.prepare();
-            }
-            if let Some(tix) = &mut t.cur_tindex {
-                tix.prepare();
-            }
+        for tix in self.tindex.iter_mut().chain(&mut self.cur_tindex) {
+            tix.prepare();
         }
     }
 
-    fn temporal_index_footprint(&self) -> IndexFootprint {
-        self.tables
-            .iter()
-            .flat_map(|t| t.tindex.iter().chain(t.cur_tindex.iter()))
-            .fold(IndexFootprint::default(), |acc, tix| {
-                acc.merged(tix.footprint())
-            })
+    fn stats(&self) -> TableStats {
+        TableStats {
+            current_rows: self.current.len(),
+            history_rows: self.history.len(),
+        }
+    }
+
+    fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
+        [self.tindex.as_ref(), self.cur_tindex.as_ref()]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
-        self.tables
-            .iter()
-            .map(|t| KeyStructuresFootprint {
-                key_bytes: t.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
-                heap_bytes: t.current.memory_bytes() + t.history.memory_bytes(),
-                open_versions: t.current.len(),
-            })
-            .sum()
+        KeyStructuresFootprint {
+            key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
+            heap_bytes: self.current.memory_bytes() + self.history.memory_bytes(),
+            open_versions: self.current.len(),
+        }
     }
 
-    fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {
-        let t = self.table(table);
-        let mut out: Vec<Version> = t.current.iter().map(|(_, v)| v.clone()).collect();
-        out.extend(t.history.iter().map(|(_, v)| v.clone()));
-        Ok(out)
+    fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
+        let mut out: Vec<Version> = self.current.iter().map(|(_, v)| v.clone()).collect();
+        out.extend(self.history.iter().map(|(_, v)| v.clone()));
+        out
     }
 
-    fn restore(&mut self, table: TableId, versions: Vec<Version>, now: SysTime) -> Result<()> {
-        let def = self.catalog.def(table);
-        let pk = (!def.key.is_empty()).then(|| {
-            OrderedIndex::new(IndexDef {
-                name: format!("pk_{}", def.name),
-                cols: def.key.iter().map(|&c| IndexedCol::Value(c)).collect(),
-                kind: IndexKind::BTree,
-            })
-        });
-        *self.table_mut(table) = TableA {
-            pk,
-            ..TableA::default()
-        };
+    fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableA> {
+        let mut t = TableA::new(def);
         for v in versions {
             if v.sys.is_current() {
                 // Open (and non-temporal) versions go through the normal
                 // insert path so the PK index is rebuilt.
-                self.insert_version(table, v);
+                t.insert_version(def, v);
             } else {
-                self.table_mut(table).history.insert(v);
+                t.history.insert(v);
             }
         }
-        self.now = now;
-        Ok(())
+        Ok(t)
     }
 }
 
-/// Builds the tuning index definitions for one table — shared by Systems A
-/// and B, which expose the same logical index surface (paper §5.1).
-pub(crate) fn build_tuning_defs(
-    def: &TableDef,
-    tuning: &TuningConfig,
-    cur: &mut Vec<IndexDef>,
-    hist: &mut Vec<IndexDef>,
-    hist_key_index: &mut Option<usize>,
-) -> Result<()> {
-    if tuning.time_index {
-        if def.has_app_time() {
-            cur.push(IndexDef {
-                name: format!("ix_cur_app_{}", def.name),
-                cols: vec![IndexedCol::AppStart],
-                kind: IndexKind::BTree,
-            });
-            hist.push(IndexDef {
-                name: format!("ix_hist_app_{}", def.name),
-                cols: vec![IndexedCol::AppStart],
-                kind: IndexKind::BTree,
-            });
-        }
-        if def.has_system_time() {
-            hist.push(IndexDef {
-                name: format!("ix_hist_sys_{}", def.name),
-                cols: vec![IndexedCol::SysStart],
-                kind: IndexKind::BTree,
-            });
-        }
-    }
-    if tuning.key_time_index && def.has_system_time() && !def.key.is_empty() {
-        let mut cols: Vec<IndexedCol> = def.key.iter().map(|&c| IndexedCol::Value(c)).collect();
-        cols.push(IndexedCol::SysStart);
-        *hist_key_index = Some(hist.len());
-        hist.push(IndexDef {
-            name: format!("ix_hist_key_{}", def.name),
-            cols,
-            kind: IndexKind::BTree,
-        });
-    }
-    for (tname, cname) in &tuning.value_index {
-        if *tname == def.name {
-            let col = def.schema.col(cname)?;
-            let d = IndexDef {
-                name: format!("ix_val_{}_{}", def.name, cname),
-                cols: vec![IndexedCol::Value(col)],
-                kind: IndexKind::BTree,
-            };
-            cur.push(d.clone());
+/// The tuning index definitions for one table — shared by Systems A and B,
+/// which expose the same logical index surface (paper §5.1).
+pub(crate) struct TuningDefs {
+    /// Indexes over the current partition.
+    pub(crate) cur: Vec<IndexDef>,
+    /// Indexes over the history partition.
+    pub(crate) hist: Vec<IndexDef>,
+    /// Position in `hist` of the index that serves history key lookups.
+    pub(crate) hist_key_index: Option<usize>,
+}
+
+impl TuningDefs {
+    pub(crate) fn build(def: &TableDef, tuning: &TuningConfig) -> Result<TuningDefs> {
+        let (mut cur, mut hist, mut hist_key_index) = (Vec::new(), Vec::new(), None);
+        if tuning.time_index {
+            if def.has_app_time() {
+                cur.push(IndexDef {
+                    name: format!("ix_cur_app_{}", def.name),
+                    cols: vec![IndexedCol::AppStart],
+                    kind: IndexKind::BTree,
+                });
+                hist.push(IndexDef {
+                    name: format!("ix_hist_app_{}", def.name),
+                    cols: vec![IndexedCol::AppStart],
+                    kind: IndexKind::BTree,
+                });
+            }
             if def.has_system_time() {
-                hist.push(d);
+                hist.push(IndexDef {
+                    name: format!("ix_hist_sys_{}", def.name),
+                    cols: vec![IndexedCol::SysStart],
+                    kind: IndexKind::BTree,
+                });
             }
         }
+        if tuning.key_time_index && def.has_system_time() && !def.key.is_empty() {
+            let mut cols: Vec<IndexedCol> = def.key.iter().map(|&c| IndexedCol::Value(c)).collect();
+            cols.push(IndexedCol::SysStart);
+            hist_key_index = Some(hist.len());
+            hist.push(IndexDef {
+                name: format!("ix_hist_key_{}", def.name),
+                cols,
+                kind: IndexKind::BTree,
+            });
+        }
+        for (tname, cname) in &tuning.value_index {
+            if *tname == def.name {
+                let col = def.schema.col(cname)?;
+                let d = IndexDef {
+                    name: format!("ix_val_{}_{}", def.name, cname),
+                    cols: vec![IndexedCol::Value(col)],
+                    kind: IndexKind::BTree,
+                };
+                cur.push(d.clone());
+                if def.has_system_time() {
+                    hist.push(d);
+                }
+            }
+        }
+        Ok(TuningDefs {
+            cur,
+            hist,
+            hist_key_index,
+        })
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::AccessPath;
+    use crate::api::{AccessPath, AppSpec, BitemporalEngine};
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
-    use bitempo_core::{AppDate, Period};
+    use bitempo_core::{AppDate, Period, Value};
 
     #[test]
     fn insert_commit_scan_current() {

@@ -21,26 +21,24 @@
 //!    absorbs the cost, producing the paper's two-orders-of-magnitude 97th
 //!    percentile loading latencies (§5.8, Fig 16).
 
-use crate::api::{
-    AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput, SysSpec,
-    TableStats, TuningConfig,
-};
-use crate::catalog::Catalog;
-use crate::index::{IndexDef, IndexedCol, OrderedIndex};
-use crate::morsel::ScanMetrics;
-use crate::rowscan::{merge_access, scan_partition, PartitionView, Reconstructed, ScanSite};
+use crate::api::{KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
+use crate::index::OrderedIndex;
+use crate::rowscan::{PartitionView, Reconstructed};
+use crate::shell::{Engine, TableLayout};
 use crate::system_a::{
-    build_heap_tindex, build_tuning_defs, open_slots_in, overwrite_period, sequenced_dml,
-    SequencedOps,
+    build_heap_tindex, heap_entries, open_slots_in, ordered_indexes_over, system_pk_index,
+    TuningDefs,
 };
 use crate::version::Version;
 use bitempo_core::{
-    obs, AppPeriod, Error, Key, Result, Row, SysPeriod, SysTime, TableDef, TableId, TemporalClass,
-    Value,
+    AppPeriod, Error, Key, Result, Row, SysPeriod, SysTime, TableDef, TemporalClass,
 };
 use bitempo_storage::{Heap, SlotId};
-use bitempo_tindex::{IndexFootprint, TemporalIndex};
+use bitempo_tindex::TemporalIndex;
 use std::collections::BTreeMap;
+
+/// The System B engine. See module docs.
+pub type SystemB = Engine<TableB>;
 
 /// Undo-log entries drained to the history table per batch. Roughly 3 % of
 /// single-scenario load transactions trigger a drain, matching the paper's
@@ -56,8 +54,9 @@ pub struct HistoryMeta {
     pub op: u8,
 }
 
+/// System B's table layout. See module docs.
 #[derive(Debug, Default)]
-struct TableB {
+pub struct TableB {
     /// Value part of the current table — no temporal columns.
     cur_values: Heap<Row>,
     /// Temporal part of the current table, vertically partitioned away.
@@ -137,8 +136,7 @@ impl TableB {
             return;
         }
         for (v, meta) in self.undo.drain(..) {
-            let slot = self.history.insert(v.clone());
-            let slot64 = u64::from(slot.0);
+            let slot64 = u64::from(self.history.insert(v.clone()).0);
             debug_assert_eq!(slot64 as usize, self.hist_meta.len());
             self.hist_meta.push(meta);
             for ix in &mut self.hist_indexes {
@@ -191,296 +189,102 @@ impl TableB {
     }
 }
 
-/// The System B engine. See module docs.
-#[derive(Debug, Default)]
-pub struct SystemB {
-    catalog: Catalog,
-    tables: Vec<TableB>,
-    now: SysTime,
-    tuning: TuningConfig,
-}
-
-impl SystemB {
-    /// Creates an empty engine.
-    pub fn new() -> SystemB {
-        SystemB::default()
-    }
-
-    fn version_of(&self, table: TableId, uid: u64) -> Option<Version> {
-        let t = self.table(table);
-        let row = t.cur_values.get(SlotId(uid as u32))?.clone();
-        let &(app, start) = t.cur_temporal.get(&uid)?;
+impl TableB {
+    /// Joins the two vertical halves of one open version.
+    fn version_of(&self, uid: u64) -> Option<Version> {
+        let row = self.cur_values.get(SlotId(uid as u32))?.clone();
+        let &(app, start) = self.cur_temporal.get(&uid)?;
         Some(Version {
             row,
             app,
             sys: SysPeriod::since(start),
         })
     }
-
-    /// `TableId`s are issued densely by the catalog, so indexing with one it
-    /// handed out cannot go out of bounds.
-    fn table(&self, table: TableId) -> &TableB {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for reads
-        &self.tables[table.0 as usize]
-    }
-
-    fn table_mut(&mut self, table: TableId) -> &mut TableB {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for writes
-        &mut self.tables[table.0 as usize]
-    }
 }
 
-impl SequencedOps for SystemB {
-    fn def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
+impl TableLayout for TableB {
+    const NAME: &'static str = "System B";
+    const ARCHITECTURE: &'static str =
+        "row store; current table vertically partitioned (values / temporal metadata, \
+         merge-joined at access time); undo-log staging into a history table that carries \
+         transaction-id and operation metadata";
+
+    fn new(def: &TableDef) -> TableB {
+        TableB {
+            pk: system_pk_index(def),
+            ..TableB::default()
+        }
     }
-    fn pending_time(&self) -> SysTime {
-        self.now.next()
-    }
-    fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        let t = self.table(table);
-        open_slots_in(t.pk.as_ref(), key, || {
-            t.cur_values
+
+    fn open_slots(&self, key: &Key) -> Vec<u64> {
+        open_slots_in(self.pk.as_ref(), key, || {
+            self.cur_values
                 .iter()
                 .map(|(slot, _)| u64::from(slot.0))
                 .collect()
         })
     }
-    fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
-        self.version_of(table, slot)
+
+    fn peek(&self, _: &TableDef, slot: u64) -> Option<Version> {
+        self.version_of(slot)
     }
-    fn close(&mut self, table: TableId, uid: u64, end: SysTime) -> Result<Version> {
-        let Some(before) = self.version_of(table, uid) else {
+
+    /// Stages the closed version in the undo log.
+    fn close(&mut self, def: &TableDef, uid: u64, end: SysTime) -> Result<Version> {
+        let Some(before) = self.version_of(uid) else {
             return Err(Error::Internal(format!(
                 "closing uid {uid} with no live version"
             )));
         };
-        let nontemporal = self.catalog.def(table).temporal == TemporalClass::NonTemporal;
-        let t = self.table_mut(table);
-        t.cur_values.remove(SlotId(uid as u32));
-        t.cur_temporal.remove(&uid);
-        if let Some(tix) = &mut t.cur_tindex {
+        self.cur_values.remove(SlotId(uid as u32));
+        self.cur_temporal.remove(&uid);
+        if let Some(tix) = &mut self.cur_tindex {
             tix.close(uid, end);
         }
-        if let Some(pk) = &mut t.pk {
+        if let Some(pk) = &mut self.pk {
             pk.remove(&before, uid);
         }
-        for ix in &mut t.cur_indexes {
+        for ix in &mut self.cur_indexes {
             ix.remove(&before, uid);
         }
         let mut closed = before.clone();
         closed.sys = SysPeriod::new(closed.sys.start, end);
-        if !nontemporal && !closed.sys.is_empty() {
-            t.undo.push((closed, HistoryMeta { txn: end.0, op: 0 }));
-            if t.undo.len() >= UNDO_DRAIN_THRESHOLD {
-                t.drain_undo();
+        if def.temporal != TemporalClass::NonTemporal && !closed.sys.is_empty() {
+            self.undo.push((closed, HistoryMeta { txn: end.0, op: 0 }));
+            if self.undo.len() >= UNDO_DRAIN_THRESHOLD {
+                self.drain_undo();
             }
         }
         Ok(before)
     }
-    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
-        let t = self.table_mut(table);
-        let slot = t.cur_values.insert(version.row.clone());
-        let uid = u64::from(slot.0);
-        t.cur_temporal.insert(uid, (version.app, version.sys.start));
-        if let Some(pk) = &mut t.pk {
+
+    fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
+        let uid = u64::from(self.cur_values.insert(version.row.clone()).0);
+        self.cur_temporal
+            .insert(uid, (version.app, version.sys.start));
+        if let Some(pk) = &mut self.pk {
             pk.insert(&version, uid);
         }
-        for ix in &mut t.cur_indexes {
+        for ix in &mut self.cur_indexes {
             ix.insert(&version, uid);
         }
-        if let Some(tix) = &mut t.cur_tindex {
+        if let Some(tix) = &mut self.cur_tindex {
             tix.insert(uid, version.app, version.sys);
         }
         uid
     }
-}
 
-impl BitemporalEngine for SystemB {
-    fn name(&self) -> &'static str {
-        "System B"
-    }
-
-    fn architecture(&self) -> &'static str {
-        "row store; current table vertically partitioned (values / temporal metadata, \
-         merge-joined at access time); undo-log staging into a history table that carries \
-         transaction-id and operation metadata"
-    }
-
-    fn create_table(&mut self, def: TableDef) -> Result<TableId> {
-        let pk = (!def.key.is_empty()).then(|| {
-            OrderedIndex::new(IndexDef {
-                name: format!("pk_{}", def.name),
-                cols: def.key.iter().map(|&c| IndexedCol::Value(c)).collect(),
-                kind: IndexKind::BTree,
-            })
-        });
-        let id = self.catalog.create(def)?;
-        self.tables.push(TableB {
-            pk,
-            ..TableB::default()
-        });
-        Ok(id)
-    }
-
-    fn resolve(&self, name: &str) -> Result<TableId> {
-        self.catalog.resolve(name)
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        self.catalog.iter().map(|(_, d)| d.name.clone()).collect()
-    }
-
-    fn table_def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
-    }
-
-    fn apply_tuning(&mut self, tuning: &TuningConfig) -> Result<()> {
-        self.tuning = tuning.clone();
-        let defs: Vec<(TableId, TableDef)> =
-            self.catalog.iter().map(|(i, d)| (i, d.clone())).collect();
-        for (id, def) in defs {
-            let t = self.table_mut(id);
-            t.drain_undo();
-            t.cur_indexes.clear();
-            t.hist_indexes.clear();
-            t.hist_key_index = None;
-            let mut cur_defs = Vec::new();
-            let mut hist_defs = Vec::new();
-            build_tuning_defs(
-                &def,
-                tuning,
-                &mut cur_defs,
-                &mut hist_defs,
-                &mut t.hist_key_index,
-            )?;
-            t.cur_indexes = cur_defs.into_iter().map(OrderedIndex::new).collect();
-            t.hist_indexes = hist_defs.into_iter().map(OrderedIndex::new).collect();
-            let recon = t.reconstruct_current();
-            for ix in &mut t.cur_indexes {
-                for (uid, v) in &recon.0 {
-                    ix.insert(v, *uid);
-                }
-            }
-            let hist_entries: Vec<(u64, Version)> = t
-                .history
-                .iter()
-                .map(|(s, v)| (u64::from(s.0), v.clone()))
-                .collect();
-            for ix in &mut t.hist_indexes {
-                for (slot, v) in &hist_entries {
-                    ix.insert(v, *slot);
-                }
-            }
-            t.tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &t.history));
-            t.cur_tindex = (tuning.temporal_index && def.has_system_time()).then(|| {
-                TemporalIndex::build(
-                    format!("tx_cur_{}", def.name),
-                    bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-                    recon.0.iter().map(|(uid, v)| (*uid, v.app, v.sys)),
-                )
-            });
-        }
-        Ok(())
-    }
-
-    fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-        let def = self.catalog.def(table);
-        if row.arity() != def.schema.arity() {
-            return Err(Error::Invalid(format!(
-                "arity {} vs schema {} for {}",
-                row.arity(),
-                def.schema.arity(),
-                def.name
-            )));
-        }
-        let app = match (def.temporal, app) {
-            (TemporalClass::Bitemporal, Some(p)) if p.is_empty() => {
-                return Err(Error::EmptyPeriod(format!("{p}")))
-            }
-            (TemporalClass::Bitemporal, Some(p)) => p,
-            (TemporalClass::Bitemporal, None) => AppPeriod::ALL,
-            (_, Some(_)) => {
-                return Err(Error::Unsupported(format!(
-                    "application period on table {}",
-                    def.name
-                )))
-            }
-            (_, None) => AppPeriod::ALL,
-        };
-        let sys = if def.temporal == TemporalClass::NonTemporal {
-            SysPeriod::ALL
-        } else {
-            SysPeriod::since(self.pending_time())
-        };
-        self.insert_version_at(table, Version { row, app, sys });
-        Ok(())
-    }
-
-    fn update(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        updates: &[(usize, Value)],
-        portion: Option<AppPeriod>,
-    ) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, Some(updates))
-    }
-
-    fn delete(&mut self, table: TableId, key: &Key, portion: Option<AppPeriod>) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, None)
-    }
-
-    fn overwrite_app_period(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        period: AppPeriod,
-    ) -> Result<usize> {
-        overwrite_period(self, table, key, period)
-    }
-
-    fn commit(&mut self) -> SysTime {
-        self.now = self.now.next();
-        self.now
-    }
-
-    fn now(&self) -> SysTime {
-        self.now
-    }
-
-    fn advance_clock(&mut self, to: SysTime) {
-        if self.now < to {
-            self.now = to;
-        }
-    }
-
-    fn scan(
+    fn partitions(
         &self,
-        table: TableId,
+        def: &TableDef,
         sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let t = self.table(table);
-        let exec = self.tuning.exec();
-        let _span = obs::span_dyn("engine", || format!("System B scan {}", def.name));
-        let mut rows = Vec::new();
-        let mut paths = Vec::new();
-        let mut metrics = ScanMetrics::default();
-        let site = |partition| ScanSite {
-            engine: "System B",
-            table: &def.name,
-            partition,
-        };
-
+        scan: &mut dyn FnMut(&'static str, &PartitionView<'_>) -> Result<()>,
+    ) -> Result<()> {
         // Current partition: every *temporal* table pays the
         // vertical-partition merge join; non-temporal tables are stored as
         // plain rows (System B only splits tables with system versioning).
         let recon = if def.temporal == TemporalClass::NonTemporal {
-            let mut out: Vec<(u64, Version)> = t
+            let mut out: Vec<(u64, Version)> = self
                 .cur_values
                 .iter()
                 .map(|(slot, row)| {
@@ -489,7 +293,7 @@ impl BitemporalEngine for SystemB {
                         Version {
                             row: row.clone(),
                             app: AppPeriod::ALL,
-                            sys: bitempo_core::SysPeriod::ALL,
+                            sys: SysPeriod::ALL,
                         },
                     )
                 })
@@ -497,197 +301,122 @@ impl BitemporalEngine for SystemB {
             out.sort_by_key(|(uid, _)| *uid);
             Reconstructed(out)
         } else {
-            t.reconstruct_current()
+            self.reconstruct_current()
         };
-        let cur_view = PartitionView {
-            source: &recon,
-            pk: t.pk.as_ref(),
-            indexes: &t.cur_indexes,
-            gist: None,
-            tindex: t.cur_tindex.as_ref(),
-        };
-        paths.push(scan_partition(
-            site("current"),
-            &cur_view,
-            def,
-            sys,
-            app,
-            preds,
-            self.now,
-            self.tuning.adaptive,
-            exec,
-            &mut rows,
-            &mut metrics,
-        )?);
-
-        if !sys.current_only() && def.has_system_time() {
-            let hist_view = PartitionView {
-                source: &t.history,
-                pk: t.hist_key_index.and_then(|i| t.hist_indexes.get(i)),
-                indexes: &t.hist_indexes,
+        scan(
+            "current",
+            &PartitionView {
+                source: &recon,
+                pk: self.pk.as_ref(),
+                indexes: &self.cur_indexes,
                 gist: None,
-                tindex: t.tindex.as_ref(),
-            };
-            paths.push(scan_partition(
-                site("history"),
-                &hist_view,
-                def,
-                sys,
-                app,
-                preds,
-                self.now,
-                self.tuning.adaptive,
-                exec,
-                &mut rows,
-                &mut metrics,
-            )?);
-            // Staged, not-yet-drained undo entries form a third partition
-            // that only sequential access can see.
-            if !t.undo.is_empty() {
-                let staged = Reconstructed(
-                    t.undo
-                        .iter()
-                        .enumerate()
-                        .map(|(i, (v, _))| (i as u64, v.clone()))
-                        .collect(),
-                );
-                let undo_view = PartitionView {
-                    source: &staged,
-                    pk: None,
-                    indexes: &[],
-                    gist: None,
-                    tindex: None,
-                };
-                paths.push(scan_partition(
-                    site("staging"),
-                    &undo_view,
-                    def,
-                    sys,
-                    app,
-                    preds,
-                    self.now,
-                    self.tuning.adaptive,
-                    exec,
-                    &mut rows,
-                    &mut metrics,
-                )?);
-            }
+                tindex: self.cur_tindex.as_ref(),
+            },
+        )?;
+        if sys.current_only() || !def.has_system_time() {
+            return Ok(());
         }
-        let out = ScanOutput {
-            access: merge_access(paths.clone()),
-            partition_paths: paths,
-            rows,
-            metrics,
-        };
-        #[cfg(debug_assertions)]
-        crate::api::validate_scan_output(def, sys, app, preds, &out)
-            .unwrap_or_else(|msg| panic!("System B scan postcondition: {msg}"));
-        Ok(out)
+        scan(
+            "history",
+            &PartitionView {
+                source: &self.history,
+                pk: self.hist_key_index.and_then(|i| self.hist_indexes.get(i)),
+                indexes: &self.hist_indexes,
+                gist: None,
+                tindex: self.tindex.as_ref(),
+            },
+        )?;
+        // Staged, not-yet-drained undo entries form a third partition that
+        // only sequential access can see.
+        if self.undo.is_empty() {
+            return Ok(());
+        }
+        let staged = Reconstructed(
+            self.undo
+                .iter()
+                .enumerate()
+                .map(|(i, (v, _))| (i as u64, v.clone()))
+                .collect(),
+        );
+        scan(
+            "staging",
+            &PartitionView {
+                source: &staged,
+                pk: None,
+                indexes: &[],
+                gist: None,
+                tindex: None,
+            },
+        )
     }
 
-    fn lookup_key(
-        &self,
-        table: TableId,
-        key: &Key,
-        sys: &SysSpec,
-        app: &AppSpec,
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let preds: Vec<ColRange> = def
-            .key
-            .iter()
-            .zip(key.to_values())
-            .map(|(&c, v)| ColRange::eq(c, v))
-            .collect();
-        self.scan(table, sys, app, &preds)
+    fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
+        self.drain_undo();
+        let defs = TuningDefs::build(def, tuning)?;
+        let recon = self.reconstruct_current();
+        self.cur_indexes =
+            ordered_indexes_over(defs.cur, || recon.0.iter().map(|(uid, v)| (*uid, v)));
+        self.hist_indexes = ordered_indexes_over(defs.hist, || heap_entries(&self.history));
+        self.hist_key_index = defs.hist_key_index;
+        let temporal = tuning.temporal_index && def.has_system_time();
+        self.tindex =
+            temporal.then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &self.history));
+        self.cur_tindex = temporal.then(|| {
+            TemporalIndex::build(
+                format!("tx_cur_{}", def.name),
+                bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
+                recon.0.iter().map(|(uid, v)| (*uid, v.app, v.sys)),
+            )
+        });
+        Ok(())
     }
 
-    fn stats(&self, table: TableId) -> TableStats {
-        let t = self.table(table);
+    fn checkpoint(&mut self, _: &TableDef) {
+        self.drain_undo();
+        for tix in self.tindex.iter_mut().chain(&mut self.cur_tindex) {
+            tix.prepare();
+        }
+    }
+
+    fn stats(&self) -> TableStats {
         TableStats {
-            current_rows: t.cur_values.len(),
-            history_rows: t.history.len() + t.undo.len(),
+            current_rows: self.cur_values.len(),
+            history_rows: self.history.len() + self.undo.len(),
         }
     }
 
-    fn supports_manual_system_time(&self) -> bool {
-        false
-    }
-
-    fn bulk_load(
-        &mut self,
-        _table: TableId,
-        _versions: Vec<(Row, AppPeriod, SysPeriod)>,
-    ) -> Result<()> {
-        Err(Error::Unsupported(
-            "bulk load with manual system time".into(),
-        ))
-    }
-
-    fn checkpoint(&mut self) {
-        for t in &mut self.tables {
-            t.drain_undo();
-            if let Some(tix) = &mut t.tindex {
-                tix.prepare();
-            }
-            if let Some(tix) = &mut t.cur_tindex {
-                tix.prepare();
-            }
-        }
-    }
-
-    fn temporal_index_footprint(&self) -> IndexFootprint {
-        self.tables
-            .iter()
-            .flat_map(|t| t.tindex.iter().chain(t.cur_tindex.iter()))
-            .fold(IndexFootprint::default(), |acc, tix| {
-                acc.merged(tix.footprint())
-            })
+    fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
+        [self.tindex.as_ref(), self.cur_tindex.as_ref()]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
-        self.tables
-            .iter()
-            .map(|t| KeyStructuresFootprint {
-                key_bytes: t.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
-                heap_bytes: t.cur_values.memory_bytes() + t.history.memory_bytes(),
-                open_versions: t.cur_values.len(),
-            })
-            .sum()
+        KeyStructuresFootprint {
+            key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
+            heap_bytes: self.cur_values.memory_bytes() + self.history.memory_bytes(),
+            open_versions: self.cur_values.len(),
+        }
     }
 
-    fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {
-        let t = self.table(table);
-        let mut out: Vec<Version> = t
+    fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
+        let mut out: Vec<Version> = self
             .reconstruct_current()
             .0
             .into_iter()
             .map(|(_, v)| v)
             .collect();
-        out.extend(t.history.iter().map(|(_, v)| v.clone()));
+        out.extend(self.history.iter().map(|(_, v)| v.clone()));
         // Staged undo entries are part of logical history even before the
         // background writer drains them (snapshots taken after checkpoint
         // find this empty).
-        out.extend(t.undo.iter().map(|(v, _)| v.clone()));
-        Ok(out)
+        out.extend(self.undo.iter().map(|(v, _)| v.clone()));
+        out
     }
 
-    fn restore(&mut self, table: TableId, versions: Vec<Version>, now: SysTime) -> Result<()> {
-        let def = self.catalog.def(table);
-        let pk = (!def.key.is_empty()).then(|| {
-            OrderedIndex::new(IndexDef {
-                name: format!("pk_{}", def.name),
-                cols: def.key.iter().map(|&c| IndexedCol::Value(c)).collect(),
-                kind: IndexKind::BTree,
-            })
-        });
-        *self.table_mut(table) = TableB {
-            pk,
-            ..TableB::default()
-        };
+    fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableB> {
+        let mut t = TableB::new(def);
         for v in versions {
             if v.sys.is_current() {
-                self.insert_version_at(table, v);
+                t.insert_version(def, v);
             } else {
                 // Closed versions land directly in the drained history, with
                 // the metadata the undo-log path would have recorded: the
@@ -696,24 +425,22 @@ impl BitemporalEngine for SystemB {
                     txn: v.sys.end.0,
                     op: 0,
                 };
-                let t = self.table_mut(table);
                 let slot = t.history.insert(v);
-                debug_assert_eq!(u64::from(slot.0) as usize, t.hist_meta.len());
+                debug_assert_eq!(slot.0 as usize, t.hist_meta.len());
                 t.hist_meta.push(meta);
             }
         }
-        self.table_mut(table).rebuild_compressed_layout();
-        self.now = now;
-        Ok(())
+        t.rebuild_compressed_layout();
+        Ok(t)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::AccessPath;
+    use crate::api::{AccessPath, AppSpec, BitemporalEngine};
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
-    use bitempo_core::{AppDate, Period};
+    use bitempo_core::{AppDate, Period, Value};
 
     #[test]
     fn basic_dml_and_time_travel() {

@@ -14,31 +14,32 @@
 //! accepted (the paper's team built B-Trees on System C too, Fig 3) but the
 //! scan path never uses them — which is exactly what the paper measured.
 
-use crate::api::{
-    AccessPath, AppSpec, BitemporalEngine, ColRange, KeyStructuresFootprint, ScanOutput, SysSpec,
-    TableStats, TuningConfig,
-};
-use crate::catalog::Catalog;
+use crate::api::{AppSpec, ColRange, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::keymap::KeyMap;
-use crate::morsel::{run_morsels, ScanMetrics};
-use crate::rowscan::{app_probe_for, merge_access, pred_class, sys_probe_for, ScanSite};
-use crate::system_a::{overwrite_period, sequenced_dml, SequencedOps};
+use crate::rowscan::{PartitionView, VersionSource};
+use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
 use bitempo_core::{
-    obs, AppDate, AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime,
-    TableDef, TableId, TemporalClass, Value,
+    AppDate, AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime,
+    TableDef, Value,
 };
-use bitempo_query::optimizer::{self, PathKind};
 use bitempo_storage::ColumnTable;
-use bitempo_tindex::{IndexFootprint, ProbeCost, TemporalIndex};
+use bitempo_tindex::TemporalIndex;
 use std::collections::HashSet;
+use std::ops::Range;
 
+/// The System C engine. See module docs.
+pub type SystemC = Engine<TableC>;
+
+/// System C's table layout. See module docs.
 #[derive(Debug)]
-struct TableC {
+pub struct TableC {
     /// Current partition (delta + main inside [`ColumnTable`]).
     current: ColumnTable,
     /// History partition.
     history: ColumnTable,
+    /// Where the hidden temporal columns sit in both partitions' schema.
+    hidden: HiddenCols,
     /// Open versions per key (row ids in `current`). A column store keeps
     /// no PK index, so this map is the only key structure it has.
     key_map: KeyMap,
@@ -67,6 +68,9 @@ struct HiddenCols {
     sys_start: Option<usize>,
 }
 
+/// The physical schema: the value columns, then the hidden period columns
+/// in [`TableDef::scan_schema`]'s order — so a physical row *is* a scan
+/// output row, and [`Version::output_row`] builds a physical row.
 fn physical_schema(def: &TableDef) -> (Schema, HiddenCols) {
     let mut cols = def.schema.columns().to_vec();
     let mut hidden = HiddenCols {
@@ -101,17 +105,51 @@ fn decode_sys(part: &ColumnTable, col: usize, rowid: usize) -> SysTime {
         .expect("systime column")
 }
 
-/// Decodes both periods of one physical row from the hidden columns.
-fn periods_of(part: &ColumnTable, hidden: HiddenCols, rowid: usize) -> (AppPeriod, SysPeriod) {
-    let app = match hidden.app_start {
-        Some(c) => AppPeriod::new(decode_date(part, c, rowid), decode_date(part, c + 1, rowid)),
-        None => AppPeriod::ALL,
-    };
-    let sys = match hidden.sys_start {
-        Some(c) => SysPeriod::new(decode_sys(part, c, rowid), decode_sys(part, c + 1, rowid)),
-        None => SysPeriod::ALL,
-    };
-    (app, sys)
+impl HiddenCols {
+    /// The stored application period of one physical row; `None` on a
+    /// table without application time (every such version is valid always).
+    fn app_of(self, part: &ColumnTable, rowid: usize) -> Option<AppPeriod> {
+        let c = self.app_start?;
+        Some(AppPeriod::new(
+            decode_date(part, c, rowid),
+            decode_date(part, c + 1, rowid),
+        ))
+    }
+
+    /// The stored system period of one physical row; `None` on a table that
+    /// is not system-versioned.
+    fn sys_of(self, part: &ColumnTable, rowid: usize) -> Option<SysPeriod> {
+        let c = self.sys_start?;
+        Some(SysPeriod::new(
+            decode_sys(part, c, rowid),
+            decode_sys(part, c + 1, rowid),
+        ))
+    }
+
+    /// Both periods of one physical row, as a [`Version`] carries them.
+    fn periods_of(self, part: &ColumnTable, rowid: usize) -> (AppPeriod, SysPeriod) {
+        (
+            self.app_of(part, rowid).unwrap_or(AppPeriod::ALL),
+            self.sys_of(part, rowid).unwrap_or(SysPeriod::ALL),
+        )
+    }
+
+    /// The version stored in one physical row of a table with `arity` value
+    /// columns.
+    fn version_at(self, part: &ColumnTable, arity: usize, rowid: usize) -> Version {
+        let (app, sys) = self.periods_of(part, rowid);
+        Version {
+            row: (0..arity).map(|c| part.get_value(c, rowid)).collect(),
+            app,
+            sys,
+        }
+    }
+}
+
+/// Appends a physical row to a fragment of the same table.
+fn append_physical(part: &mut ColumnTable, row: &Row) -> u64 {
+    // tblint: allow(TB004) the row was built against, or read from, this table's own physical schema
+    part.append_row(row).expect("physical schema preserved") as u64
 }
 
 /// Rebuilds a temporal index over one column-store fragment from scratch
@@ -125,743 +163,335 @@ fn build_column_tindex(
         index_name,
         bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
         (0..part.len()).map(|rowid| {
-            let (app, sys) = periods_of(part, hidden, rowid);
+            let (app, sys) = hidden.periods_of(part, rowid);
             (rowid as u64, app, sys)
         }),
     )
 }
 
-/// The System C engine. See module docs.
-#[derive(Debug, Default)]
-pub struct SystemC {
-    catalog: Catalog,
-    tables: Vec<TableC>,
-    hidden: Vec<HiddenCols>,
-    now: SysTime,
-    /// Only [`TuningConfig::workers`] is consulted — the index settings are
-    /// accepted but ignored (see [`SystemC::apply_tuning`]).
-    tuning: TuningConfig,
+/// One column-store fragment as a scan source. Column-store execution: the
+/// temporal filter and the pushed predicates are evaluated on the *columns
+/// they touch*, and a full row is materialized only for qualifying
+/// positions — the scan discipline that makes System C "not as sensitive to
+/// plan changes" (paper §5.4.1). The planner costs a fragment at its
+/// physical length, dead rows included.
+pub struct ColumnFragment<'a> {
+    part: &'a ColumnTable,
+    /// Rows never to surface (the current fragment's; history has none).
+    dead: Option<&'a HashSet<usize>>,
+    hidden: HiddenCols,
 }
 
-impl SystemC {
-    /// Creates an empty engine.
-    pub fn new() -> SystemC {
-        SystemC::default()
+impl ColumnFragment<'_> {
+    /// This fragment as the planner sees it. No ordered index is ever
+    /// offered — the B-Trees are labels (Fig 3); the temporal index is the
+    /// one index System C consults.
+    fn view<'a>(&'a self, tindex: Option<&'a TemporalIndex>) -> PartitionView<'a> {
+        PartitionView {
+            source: self,
+            pk: None,
+            indexes: &[],
+            gist: None,
+            tindex,
+        }
     }
 
-    fn physical_row(&self, table: TableId, v: &Version) -> Row {
-        let def = self.catalog.def(table);
-        let mut values = v.row.values().to_vec();
-        if def.has_app_time() {
-            values.push(Value::Date(v.app.start));
-            values.push(Value::Date(v.app.end));
-        }
-        if def.has_system_time() {
-            values.push(Value::SysTime(v.sys.start));
-            values.push(Value::SysTime(v.sys.end));
-        }
-        Row::new(values)
-    }
-
-    fn version_from(&self, table: TableId, part: &ColumnTable, rowid: usize) -> Version {
-        let def = self.catalog.def(table);
-        let hidden = self.hidden_of(table);
-        let arity = def.schema.arity();
-        let row: Row = (0..arity).map(|c| part.get_value(c, rowid)).collect();
-        let app = match hidden.app_start {
-            Some(c) => AppPeriod::new(decode_date(part, c, rowid), decode_date(part, c + 1, rowid)),
-            None => AppPeriod::ALL,
-        };
-        let sys = match hidden.sys_start {
-            Some(c) => SysPeriod::new(decode_sys(part, c, rowid), decode_sys(part, c + 1, rowid)),
-            None => SysPeriod::ALL,
-        };
-        Version { row, app, sys }
-    }
-
-    /// `TableId`s are issued densely by the catalog, so indexing with one it
-    /// handed out cannot go out of bounds.
-    fn table(&self, table: TableId) -> &TableC {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for reads
-        &self.tables[table.0 as usize]
-    }
-
-    fn table_mut(&mut self, table: TableId) -> &mut TableC {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for writes
-        &mut self.tables[table.0 as usize]
-    }
-
-    fn hidden_of(&self, table: TableId) -> HiddenCols {
-        // tblint: allow(TB004) hidden-column positions are pushed in lockstep with create_table
-        self.hidden[table.0 as usize]
-    }
-
-    /// The HANA-style delta merge: seals the column deltas *and* moves
-    /// superseded records from the current to the history partition.
-    fn merge_table(&mut self, table: TableId) {
-        let def = self.catalog.def(table).clone();
-        let (phys, _) = physical_schema(&def);
-        let hidden = self.hidden_of(table);
-        let t = self.table_mut(table);
-        if t.closed_in_current == 0 && t.dead.is_empty() {
-            t.current.merge();
-            t.history.merge();
-            return;
-        }
-        let old = std::mem::replace(&mut t.current, ColumnTable::new(phys));
-        t.key_map.clear();
-        for rowid in 0..old.len() {
-            if t.dead.contains(&rowid) {
-                continue;
-            }
-            let row = old.get_row(rowid);
-            let open = match hidden.sys_start {
-                Some(c) => decode_sys(&old, c + 1, rowid) == SysTime::MAX,
-                None => true,
-            };
-            if open {
-                // tblint: allow(TB004) row came from a fragment with the identical physical schema
-                let new_id = t.current.append_row(&row).expect("schema preserved");
-                // The physical row leads with the logical columns, so the
-                // key columns sit at their logical positions.
-                t.key_map
-                    .insert(Key::from_row(&row, &def.key), new_id as u64);
-            } else {
-                // tblint: allow(TB004) row came from a fragment with the identical physical schema
-                let hist_id = t.history.append_row(&row).expect("schema preserved");
-                if let Some(tix) = &mut t.tindex {
-                    let (app, sysp) = periods_of(&old, hidden, rowid);
-                    tix.insert(hist_id as u64, app, sysp);
-                }
-            }
-        }
-        t.dead.clear();
-        t.closed_in_current = 0;
-        t.current.merge();
-        t.history.merge();
-        if let Some(tix) = &mut t.tindex {
-            tix.prepare();
-        }
-        if t.cur_tindex.is_some() {
-            // The rebuild above renumbered every current rowid.
-            t.cur_tindex = Some(build_column_tindex(
-                format!("tx_cur_{}", def.name),
-                hidden,
-                &t.current,
-            ));
-        }
+    /// The authoritative per-row check, shared by the sequential path and
+    /// by temporal-index candidates so index precision can never change
+    /// scan results.
+    fn qualifies(&self, rowid: usize, sys: &SysSpec, app: &AppSpec, preds: &[ColRange]) -> bool {
+        let (part, hidden) = (self.part, self.hidden);
+        hidden.sys_of(part, rowid).is_none_or(|p| sys.matches(&p))
+            && hidden.app_of(part, rowid).is_none_or(|p| app.matches(&p))
+            && preds
+                .iter()
+                .all(|p| p.matches(&part.get_value(p.col, rowid)))
     }
 }
 
-impl SequencedOps for SystemC {
-    fn def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
+impl VersionSource for ColumnFragment<'_> {
+    fn scan_units(&self) -> usize {
+        self.part.len()
     }
-    fn pending_time(&self) -> SysTime {
-        self.now.next()
+    fn len(&self) -> usize {
+        self.part.len()
     }
-    fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        self.table(table).key_map.get(key).to_vec()
-    }
-    fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
-        let t = self.table(table);
+    fn probe(
+        &self,
+        slot: u64,
+        def: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> Option<bool> {
         let rowid = slot as usize;
-        if rowid >= t.current.len() || t.dead.contains(&rowid) {
+        if rowid >= self.part.len() {
             return None;
         }
-        Some(self.version_from(table, &t.current, rowid))
+        // A one-row scan: the per-row check keeps a single call site (the
+        // loop below) and so stays inlined into it — a second one measured
+        // 7–17 % slower key-predicate scans.
+        let before = out.len();
+        let judged = self.scan_range(rowid..rowid + 1, def, sys, app, preds, out);
+        (judged == 1).then_some(out.len() > before)
     }
-    fn close(&mut self, table: TableId, slot: u64, end: SysTime) -> Result<Version> {
-        let rowid = slot as usize;
-        let Some(before) = self.peek(table, slot) else {
-            return Err(Error::Internal(format!(
-                "closing row {rowid} with no live version"
-            )));
-        };
-        let def_key = self.catalog.def(table).key.clone();
-        let hidden = self.hidden_of(table);
-        let t = self.table_mut(table);
-        t.key_map
-            .remove(&Key::from_row(&before.row, &def_key), slot);
-        let never_visible = before.sys.start >= end;
-        // `sys_start` is `Some` exactly when the table is system-versioned.
-        match hidden.sys_start {
-            Some(c) if !never_visible => {
-                t.current
-                    .set_value(c + 1, rowid, &Value::SysTime(end))
-                    .map_err(|e| Error::Internal(format!("validto update: {e}")))?;
-                t.closed_in_current += 1;
+    fn scan_range(
+        &self,
+        range: Range<usize>,
+        _: &TableDef,
+        sys: &SysSpec,
+        app: &AppSpec,
+        preds: &[ColRange],
+        out: &mut Vec<Row>,
+    ) -> u64 {
+        let mut judged = 0;
+        for rowid in range {
+            if self.dead.is_some_and(|d| d.contains(&rowid)) {
+                continue;
             }
-            _ => {
-                t.dead.insert(rowid);
+            judged += 1;
+            if self.qualifies(rowid, sys, app, preds) {
+                #[cfg(test)]
+                tests::MATERIALISED.with(|n| n.set(n.get() + 1));
+                // The physical row is the scan-output row.
+                out.push(self.part.get_row(rowid));
             }
         }
-        if let Some(tix) = &mut t.cur_tindex {
-            tix.close(slot, end);
-        }
-        Ok(before)
-    }
-    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
-        let def_key = self.catalog.def(table).key.clone();
-        let phys = self.physical_row(table, &version);
-        let t = self.table_mut(table);
-        // tblint: allow(TB004) physical_row builds against this table's own physical schema
-        let rowid = t.current.append_row(&phys).expect("schema matches") as u64;
-        t.key_map
-            .insert(Key::from_row(&version.row, &def_key), rowid);
-        if let Some(tix) = &mut t.cur_tindex {
-            tix.insert(rowid, version.app, version.sys);
-        }
-        rowid
+        judged
     }
 }
 
-impl BitemporalEngine for SystemC {
-    fn name(&self) -> &'static str {
-        "System C"
-    }
-
-    fn architecture(&self) -> &'static str {
+impl TableLayout for TableC {
+    const NAME: &'static str = "System C";
+    const ARCHITECTURE: &'static str =
         "in-memory column store; delta/main fragments; hidden validfrom/validto system-time \
          columns; merge moves superseded records to a history partition; application time \
-         simulated with plain columns; scan-based execution, indexes unused"
-    }
+         simulated with plain columns; scan-based execution, indexes unused";
 
-    fn create_table(&mut self, def: TableDef) -> Result<TableId> {
-        let (phys, hidden) = physical_schema(&def);
-        let id = self.catalog.create(def)?;
-        self.tables.push(TableC {
+    fn new(def: &TableDef) -> TableC {
+        let (phys, hidden) = physical_schema(def);
+        TableC {
             current: ColumnTable::new(phys.clone()),
             history: ColumnTable::new(phys),
+            hidden,
             key_map: KeyMap::default(),
             dead: HashSet::new(),
             closed_in_current: 0,
             ignored_indexes: Vec::new(),
             tindex: None,
             cur_tindex: None,
-        });
-        self.hidden.push(hidden);
-        Ok(id)
-    }
-
-    fn resolve(&self, name: &str) -> Result<TableId> {
-        self.catalog.resolve(name)
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        self.catalog.iter().map(|(_, d)| d.name.clone()).collect()
-    }
-
-    fn table_def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
-    }
-
-    fn apply_tuning(&mut self, tuning: &TuningConfig) -> Result<()> {
-        self.tuning = tuning.clone();
-        // Build (label) the requested indexes so the tuning study can report
-        // them, but never consult them: the scan path is the plan (Fig 3).
-        for (id, def) in self.catalog.iter() {
-            // tblint: allow(TB004) hidden-column positions are pushed in lockstep with create_table
-            let hidden = self.hidden[id.0 as usize];
-            // tblint: allow(TB004) TableId is catalog-issued and dense (borrow split from catalog)
-            let t = &mut self.tables[id.0 as usize];
-            t.tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_column_tindex(format!("tx_hist_{}", def.name), hidden, &t.history));
-            t.cur_tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_column_tindex(format!("tx_cur_{}", def.name), hidden, &t.current));
-            t.ignored_indexes.clear();
-            if tuning.time_index && def.has_system_time() {
-                t.ignored_indexes.push(format!("ix_sys_{}", def.name));
-            }
-            if tuning.key_time_index && !def.key.is_empty() {
-                t.ignored_indexes.push(format!("ix_key_{}", def.name));
-            }
-            for (tname, cname) in &tuning.value_index {
-                if *tname == def.name {
-                    def.schema.col(cname)?;
-                    t.ignored_indexes
-                        .push(format!("ix_val_{}_{}", def.name, cname));
-                }
-            }
         }
-        Ok(())
     }
 
-    fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-        let def = self.catalog.def(table);
-        if row.arity() != def.schema.arity() {
-            return Err(Error::Invalid(format!(
-                "arity {} vs schema {} for {}",
-                row.arity(),
-                def.schema.arity(),
-                def.name
+    fn open_slots(&self, key: &Key) -> Vec<u64> {
+        self.key_map.get(key).to_vec()
+    }
+
+    fn peek(&self, def: &TableDef, slot: u64) -> Option<Version> {
+        let rowid = slot as usize;
+        if rowid >= self.current.len() || self.dead.contains(&rowid) {
+            return None;
+        }
+        Some(
+            self.hidden
+                .version_at(&self.current, def.schema.arity(), rowid),
+        )
+    }
+
+    /// Terminates the row's `$validto` in place; the merge archives it.
+    fn close(&mut self, def: &TableDef, slot: u64, end: SysTime) -> Result<Version> {
+        let rowid = slot as usize;
+        let Some(before) = self.peek(def, slot) else {
+            return Err(Error::Internal(format!(
+                "closing row {rowid} with no live version"
             )));
+        };
+        self.key_map
+            .remove(&Key::from_row(&before.row, &def.key), slot);
+        let never_visible = before.sys.start >= end;
+        // `sys_start` is `Some` exactly when the table is system-versioned.
+        match self.hidden.sys_start {
+            Some(c) if !never_visible => {
+                self.current
+                    .set_value(c + 1, rowid, &Value::SysTime(end))
+                    .map_err(|e| Error::Internal(format!("validto update: {e}")))?;
+                self.closed_in_current += 1;
+            }
+            _ => {
+                self.dead.insert(rowid);
+            }
         }
-        let app = match (def.temporal, app) {
-            (TemporalClass::Bitemporal, Some(p)) if p.is_empty() => {
-                return Err(Error::EmptyPeriod(format!("{p}")))
-            }
-            (TemporalClass::Bitemporal, Some(p)) => p,
-            (TemporalClass::Bitemporal, None) => AppPeriod::ALL,
-            (_, Some(_)) => {
-                return Err(Error::Unsupported(format!(
-                    "application period on table {}",
-                    def.name
-                )))
-            }
-            (_, None) => AppPeriod::ALL,
+        if let Some(tix) = &mut self.cur_tindex {
+            tix.close(slot, end);
+        }
+        Ok(before)
+    }
+
+    fn insert_version(&mut self, def: &TableDef, version: Version) -> u64 {
+        let rowid = append_physical(&mut self.current, &version.output_row(def));
+        self.key_map
+            .insert(Key::from_row(&version.row, &def.key), rowid);
+        if let Some(tix) = &mut self.cur_tindex {
+            tix.insert(rowid, version.app, version.sys);
+        }
+        rowid
+    }
+
+    fn partitions(
+        &self,
+        def: &TableDef,
+        sys: &SysSpec,
+        scan: &mut dyn FnMut(&'static str, &PartitionView<'_>) -> Result<()>,
+    ) -> Result<()> {
+        let current = ColumnFragment {
+            part: &self.current,
+            dead: Some(&self.dead),
+            hidden: self.hidden,
         };
-        let sys = if def.temporal == TemporalClass::NonTemporal {
-            SysPeriod::ALL
-        } else {
-            SysPeriod::since(self.pending_time())
+        scan("current", &current.view(self.cur_tindex.as_ref()))?;
+        if sys.current_only() || !def.has_system_time() {
+            return Ok(());
+        }
+        let history = ColumnFragment {
+            part: &self.history,
+            dead: None,
+            hidden: self.hidden,
         };
-        self.insert_version_at(table, Version { row, app, sys });
+        scan("history", &history.view(self.tindex.as_ref()))
+    }
+
+    /// Builds (labels) the requested indexes so the tuning study can report
+    /// them, but never consults them: the scan path is the plan (Fig 3).
+    fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
+        let temporal = tuning.temporal_index && def.has_system_time();
+        self.tindex = temporal.then(|| {
+            build_column_tindex(format!("tx_hist_{}", def.name), self.hidden, &self.history)
+        });
+        self.cur_tindex = temporal.then(|| {
+            build_column_tindex(format!("tx_cur_{}", def.name), self.hidden, &self.current)
+        });
+        self.ignored_indexes.clear();
+        if tuning.time_index && def.has_system_time() {
+            self.ignored_indexes.push(format!("ix_sys_{}", def.name));
+        }
+        if tuning.key_time_index && !def.key.is_empty() {
+            self.ignored_indexes.push(format!("ix_key_{}", def.name));
+        }
+        for (tname, cname) in &tuning.value_index {
+            if *tname == def.name {
+                def.schema.col(cname)?;
+                self.ignored_indexes
+                    .push(format!("ix_val_{}_{}", def.name, cname));
+            }
+        }
         Ok(())
     }
 
-    fn update(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        updates: &[(usize, Value)],
-        portion: Option<AppPeriod>,
-    ) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, Some(updates))
-    }
-
-    fn delete(&mut self, table: TableId, key: &Key, portion: Option<AppPeriod>) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, None)
-    }
-
-    fn overwrite_app_period(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        period: AppPeriod,
-    ) -> Result<usize> {
-        overwrite_period(self, table, key, period)
-    }
-
-    fn commit(&mut self) -> SysTime {
-        self.now = self.now.next();
-        self.now
-    }
-
-    fn now(&self) -> SysTime {
-        self.now
-    }
-
-    fn advance_clock(&mut self, to: SysTime) {
-        if self.now < to {
-            self.now = to;
+    /// The HANA-style delta merge: seals the column deltas *and* moves
+    /// superseded records from the current to the history partition.
+    fn checkpoint(&mut self, def: &TableDef) {
+        if self.closed_in_current == 0 && self.dead.is_empty() {
+            self.current.merge();
+            self.history.merge();
+            return;
         }
-    }
-
-    fn scan(
-        &self,
-        table: TableId,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let hidden = self.hidden_of(table);
-        let t = self.table(table);
-        let exec = self.tuning.exec();
-        let _span = obs::span_dyn("engine", || format!("System C scan {}", def.name));
-        let mut rows = Vec::new();
-        let mut metrics = ScanMetrics::default();
-        let mut paths: Vec<AccessPath> = Vec::new();
-
-        // Shared residual filter: the authoritative per-row re-check, used
-        // by the sequential path and by temporal-index candidates alike so
-        // index precision can never change scan results.
-        let qualifies = |part: &ColumnTable, rowid: usize| -> bool {
-            let sys_ok = match hidden.sys_start {
-                Some(c) => {
-                    let start = decode_sys(part, c, rowid);
-                    let end = decode_sys(part, c + 1, rowid);
-                    sys.matches(&SysPeriod::new(start, end))
-                }
-                None => true,
-            };
-            let app_ok = sys_ok
-                && match hidden.app_start {
-                    Some(c) => {
-                        let start = decode_date(part, c, rowid);
-                        let end = decode_date(part, c + 1, rowid);
-                        app.matches(&AppPeriod::new(start, end))
-                    }
-                    None => true,
-                };
-            app_ok
-                && preds
-                    .iter()
-                    .all(|p| p.matches(&part.get_value(p.col, rowid)))
-        };
-
-        // Column-store execution: evaluate the temporal filter and the
-        // pushed predicates on the *columns they touch*, and materialize a
-        // full row only for qualifying positions — the scan discipline that
-        // makes System C "not as sensitive to plan changes" (paper §5.4.1).
-        // Each fragment is scanned in row-range morsels; merging per-morsel
-        // buffers in morsel order keeps the output order identical to the
-        // single-threaded loop.
-        let scan_fragment = |partition: &'static str,
-                             part: &ColumnTable,
-                             dead: Option<&HashSet<usize>>,
-                             tix: Option<&TemporalIndex>,
-                             rows: &mut Vec<Row>,
-                             metrics: &mut ScanMetrics|
-         -> Result<()> {
-            let start = obs::trace_clock();
-            let (frag_rows, mut m) = run_morsels(part.len(), exec, |range, buf, m| {
-                for rowid in range {
-                    if dead.is_some_and(|d| d.contains(&rowid)) {
-                        continue;
-                    }
-                    m.rows_visited += 1;
-                    if !qualifies(part, rowid) {
-                        m.versions_pruned += 1;
-                        continue;
-                    }
-                    let v = self.version_from(table, part, rowid);
-                    buf.push(v.output_row(def));
-                }
-            })?;
-            m.planned_rows = part.len() as u64;
-            // System C has no B-Tree paths, so the per-fragment trace is
-            // assembled here rather than in `rowscan::scan_partition`.
-            if let Some(start) = start {
-                let end = obs::trace_clock().unwrap_or(start);
-                ScanSite {
-                    engine: "System C",
-                    table: &def.name,
-                    partition,
-                }
-                .record(
-                    &AccessPath::FullScan { partitions: 1 },
-                    m,
-                    frag_rows.len() as u64,
-                    exec.workers.max(1),
-                    start,
-                    end.saturating_sub(start),
-                );
-            }
-            // Closing the loop from the sequential side: a declined probe's
-            // estimate is still scored against the rows the scan emitted
-            // (its candidate set is a superset of them), so a repeated
-            // overestimate re-plans onto the probe.
-            if self.tuning.adaptive {
-                if let Some(tix) = tix {
-                    let sys_probe = sys_probe_for(sys);
-                    let app_probe = app_probe_for(app);
-                    let n = part.len();
-                    if (sys_probe.is_some() || app_probe.is_some()) && n > 0 {
-                        let raw = tix.estimate_candidates(sys_probe.as_ref(), app_probe.as_ref(), n)
-                            as u64;
-                        let fsite = optimizer::FeedbackSite {
-                            engine: "System C",
-                            table: &def.name,
-                            partition,
-                        };
-                        optimizer::observe(
-                            &fsite,
-                            &pred_class(sys, app, preds),
-                            PathKind::TemporalProbe,
-                            raw,
-                            frag_rows.len() as u64,
-                        );
-                    }
-                }
-            }
-            metrics.merge(&m);
-            rows.extend(frag_rows);
-            Ok(())
-        };
-        // The temporal index is the one index System C consults: when the
-        // estimated candidate fraction for a fragment is selective enough,
-        // the probe visits candidate rowids (ascending, so output order
-        // matches the sequential scan) instead of walking the fragment.
-        let probe_fragment = |partition: &'static str,
-                              part: &ColumnTable,
-                              dead: Option<&HashSet<usize>>,
-                              tix: Option<&TemporalIndex>,
-                              rows: &mut Vec<Row>,
-                              metrics: &mut ScanMetrics|
-         -> Option<AccessPath> {
-            let tix = tix?;
-            let sys_probe = sys_probe_for(sys);
-            let app_probe = app_probe_for(app);
-            if sys_probe.is_none() && app_probe.is_none() {
-                return None;
-            }
-            let n = part.len();
-            // An empty fragment defeats the estimator (its divisor was once
-            // patched with `.max(1)`, making an empty fragment estimate
-            // fraction 0 and always "win"); the trivial scan handles it.
-            if n == 0 {
-                return None;
-            }
-            let frac = tix.estimate_fraction(sys_probe.as_ref(), app_probe.as_ref(), n);
-            let mut memo = optimizer::Memo::new(n);
-            memo.add(optimizer::Alternative::seq());
-            memo.add(optimizer::Alternative::new(
-                PathKind::TemporalProbe,
-                tix.name(),
-                Some(frac),
-            ));
-            let class = pred_class(sys, app, preds);
-            let fsite = optimizer::FeedbackSite {
-                engine: "System C",
-                table: &def.name,
-                partition,
-            };
-            let with_feedback = |kind: PathKind, f: f64| {
-                (f * optimizer::correction(&fsite, &class, kind)).clamp(0.0, 1.0)
-            };
-            let identity = |_: PathKind, f: f64| f;
-            let decision = if self.tuning.adaptive {
-                memo.best(&with_feedback)
+        let hidden = self.hidden;
+        let fresh = ColumnTable::new(self.current.schema().clone());
+        let old = std::mem::replace(&mut self.current, fresh);
+        self.key_map.clear();
+        for rowid in (0..old.len()).filter(|rowid| !self.dead.contains(rowid)) {
+            let row = old.get_row(rowid);
+            let (app, sys) = hidden.periods_of(&old, rowid);
+            if sys.is_current() {
+                let new_id = append_physical(&mut self.current, &row);
+                // The physical row leads with the logical columns, so the
+                // key columns sit at their logical positions.
+                self.key_map.insert(Key::from_row(&row, &def.key), new_id);
             } else {
-                memo.best(&identity)
-            }?;
-            if decision.winner.kind != PathKind::TemporalProbe {
-                return None;
-            }
-            let mut cost = ProbeCost::default();
-            let cands = tix.candidates(sys_probe.as_ref(), app_probe.as_ref(), &mut cost)?;
-            let start = obs::trace_clock();
-            let mut m = ScanMetrics {
-                index_node_visits: cost.node_visits,
-                planned_rows: decision.winner.est_rows,
-                ..ScanMetrics::default()
-            };
-            let mut buf = Vec::new();
-            for slot in cands {
-                let rowid = slot as usize;
-                m.index_probes += 1;
-                if rowid >= part.len() || dead.is_some_and(|d| d.contains(&rowid)) {
-                    continue;
-                }
-                m.rows_visited += 1;
-                if !qualifies(part, rowid) {
-                    m.versions_pruned += 1;
-                    continue;
-                }
-                m.index_hits += 1;
-                let v = self.version_from(table, part, rowid);
-                buf.push(v.output_row(def));
-            }
-            let path = AccessPath::TemporalProbe(tix.name().to_string());
-            if let Some(start) = start {
-                let end = obs::trace_clock().unwrap_or(start);
-                ScanSite {
-                    engine: "System C",
-                    table: &def.name,
-                    partition,
-                }
-                .record(
-                    &path,
-                    m,
-                    buf.len() as u64,
-                    1,
-                    start,
-                    end.saturating_sub(start),
-                );
-            }
-            if self.tuning.adaptive {
-                optimizer::observe(
-                    &fsite,
-                    &class,
-                    PathKind::TemporalProbe,
-                    decision.winner.raw_rows,
-                    m.rows_visited,
-                );
-            }
-            metrics.merge(&m);
-            rows.extend(buf);
-            Some(path)
-        };
-
-        match probe_fragment(
-            "current",
-            &t.current,
-            Some(&t.dead),
-            t.cur_tindex.as_ref(),
-            &mut rows,
-            &mut metrics,
-        ) {
-            Some(path) => paths.push(path),
-            None => {
-                scan_fragment(
-                    "current",
-                    &t.current,
-                    Some(&t.dead),
-                    t.cur_tindex.as_ref(),
-                    &mut rows,
-                    &mut metrics,
-                )?;
-                paths.push(AccessPath::FullScan { partitions: 1 });
-            }
-        }
-        if !sys.current_only() && def.has_system_time() {
-            match probe_fragment(
-                "history",
-                &t.history,
-                None,
-                t.tindex.as_ref(),
-                &mut rows,
-                &mut metrics,
-            ) {
-                Some(path) => paths.push(path),
-                None => {
-                    scan_fragment(
-                        "history",
-                        &t.history,
-                        None,
-                        t.tindex.as_ref(),
-                        &mut rows,
-                        &mut metrics,
-                    )?;
-                    paths.push(AccessPath::FullScan { partitions: 1 });
+                let hist_id = append_physical(&mut self.history, &row);
+                if let Some(tix) = &mut self.tindex {
+                    tix.insert(hist_id, app, sys);
                 }
             }
         }
-        let out = ScanOutput {
-            rows,
-            access: merge_access(paths.clone()),
-            partition_paths: paths,
-            metrics,
-        };
-        #[cfg(debug_assertions)]
-        crate::api::validate_scan_output(def, sys, app, preds, &out)
-            .unwrap_or_else(|msg| panic!("System C scan postcondition: {msg}"));
-        Ok(out)
+        self.dead.clear();
+        self.closed_in_current = 0;
+        self.current.merge();
+        self.history.merge();
+        if let Some(tix) = &mut self.tindex {
+            tix.prepare();
+        }
+        if self.cur_tindex.is_some() {
+            // The rebuild above renumbered every current rowid.
+            self.cur_tindex = Some(build_column_tindex(
+                format!("tx_cur_{}", def.name),
+                hidden,
+                &self.current,
+            ));
+        }
     }
 
-    fn lookup_key(
-        &self,
-        table: TableId,
-        key: &Key,
-        sys: &SysSpec,
-        app: &AppSpec,
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let preds: Vec<ColRange> = def
-            .key
-            .iter()
-            .zip(key.to_values())
-            .map(|(&c, v)| ColRange::eq(c, v))
-            .collect();
-        // Column stores answer even point lookups with scans.
-        self.scan(table, sys, app, &preds)
-    }
-
-    fn stats(&self, table: TableId) -> TableStats {
-        let t = self.table(table);
+    fn stats(&self) -> TableStats {
         TableStats {
-            current_rows: t.key_map.open_versions(),
-            history_rows: t.history.len() + t.closed_in_current,
+            current_rows: self.key_map.open_versions(),
+            history_rows: self.history.len() + self.closed_in_current,
         }
     }
 
-    fn supports_manual_system_time(&self) -> bool {
-        false
-    }
-
-    fn bulk_load(
-        &mut self,
-        _table: TableId,
-        _versions: Vec<(Row, AppPeriod, SysPeriod)>,
-    ) -> Result<()> {
-        Err(Error::Unsupported(
-            "bulk load with manual system time".into(),
-        ))
-    }
-
-    fn checkpoint(&mut self) {
-        for id in 0..self.tables.len() {
-            self.merge_table(TableId(id as u32));
-        }
-    }
-
-    fn temporal_index_footprint(&self) -> IndexFootprint {
-        self.tables
-            .iter()
-            .flat_map(|t| t.tindex.iter().chain(t.cur_tindex.iter()))
-            .fold(IndexFootprint::default(), |acc, tix| {
-                acc.merged(tix.footprint())
-            })
+    fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
+        [self.tindex.as_ref(), self.cur_tindex.as_ref()]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
-        self.tables
-            .iter()
-            .map(|t| KeyStructuresFootprint {
-                key_bytes: t.key_map.memory_bytes(),
-                heap_bytes: 0,
-                open_versions: t.key_map.open_versions(),
-            })
-            .sum()
+        KeyStructuresFootprint {
+            key_bytes: self.key_map.memory_bytes(),
+            heap_bytes: 0,
+            open_versions: self.key_map.open_versions(),
+        }
     }
 
-    fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {
-        let t = self.table(table);
-        let mut out = Vec::with_capacity(t.current.len() + t.history.len());
-        for rowid in 0..t.current.len() {
-            if t.dead.contains(&rowid) {
-                continue;
-            }
-            out.push(self.version_from(table, &t.current, rowid));
-        }
-        for rowid in 0..t.history.len() {
-            out.push(self.version_from(table, &t.history, rowid));
-        }
-        Ok(out)
+    fn snapshot_versions(&self, def: &TableDef) -> Vec<Version> {
+        let arity = def.schema.arity();
+        let current = (0..self.current.len())
+            .filter(|rowid| !self.dead.contains(rowid))
+            .map(|rowid| self.hidden.version_at(&self.current, arity, rowid));
+        let history = (0..self.history.len())
+            .map(|rowid| self.hidden.version_at(&self.history, arity, rowid));
+        current.chain(history).collect()
     }
 
-    fn restore(&mut self, table: TableId, versions: Vec<Version>, now: SysTime) -> Result<()> {
-        let def = self.catalog.def(table).clone();
-        let (phys, _) = physical_schema(&def);
-        {
-            let t = self.table_mut(table);
-            t.current = ColumnTable::new(phys.clone());
-            t.history = ColumnTable::new(phys);
-            t.key_map.clear();
-            t.dead.clear();
-            t.closed_in_current = 0;
-            t.ignored_indexes.clear();
-            t.tindex = None;
-            t.cur_tindex = None;
-        }
+    fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableC> {
+        let mut t = TableC::new(def);
         for v in versions {
             if v.sys.is_current() {
-                self.insert_version_at(table, v);
+                t.insert_version(def, v);
             } else {
-                let phys_row = self.physical_row(table, &v);
-                let t = self.table_mut(table);
                 t.history
-                    .append_row(&phys_row)
+                    .append_row(&v.output_row(def))
                     .map_err(|e| Error::Internal(format!("restore history append: {e}")))?;
             }
         }
         // The snapshot was taken from merged fragments; seal the deltas so
         // the restored physical layout matches the uncrashed engine's.
-        let t = self.table_mut(table);
         t.current.merge();
         t.history.merge();
-        self.now = now;
-        Ok(())
+        Ok(t)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{AccessPath, BitemporalEngine};
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
-    use bitempo_core::{AppDate, Period};
+    use bitempo_core::Period;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Rows this thread's [`ColumnFragment`]s have materialised.
+        pub(super) static MATERIALISED: Cell<u64> = const { Cell::new(0) };
+    }
 
     #[test]
     fn insert_update_time_travel() {
@@ -1033,5 +663,41 @@ mod tests {
         );
         assert!(probed.metrics.index_hits > 0);
         assert_eq!(probed.rows, plain.rows);
+    }
+
+    #[test]
+    fn pruned_rows_are_never_materialised() {
+        let mut e = SystemC::new();
+        let t = e.create_table(bitemp_table("t")).unwrap();
+        let rows: Vec<(i64, i64)> = (1..=60).map(|id| (id, id)).collect();
+        insert_rows(&mut e, t, &rows);
+        let early = e.now();
+        for i in 0..300 {
+            e.update(t, &Key::int(i % 60 + 1), &[(1, Value::Int(1000 + i))], None)
+                .unwrap();
+            e.commit();
+        }
+        e.checkpoint();
+        // One worker: every morsel runs on this thread, where the counter is.
+        e.apply_tuning(&TuningConfig::temporal().with_workers(1))
+            .unwrap();
+        let key7 = [ColRange::eq(0, Value::Int(7))];
+        for (sys, preds, path) in [
+            (SysSpec::All, &key7[..], "full-scan(2)"),
+            (SysSpec::AsOf(early), &key7[..], "tindex(tx_cur_t)"),
+            (SysSpec::Current, &[][..], "full-scan(1)"),
+        ] {
+            MATERIALISED.set(0);
+            let out = e.scan(t, &sys, &AppSpec::All, preds).unwrap();
+            assert_eq!(out.access.to_string(), path, "{sys:?}");
+            assert!(!out.rows.is_empty(), "{sys:?}");
+            assert_eq!(
+                out.metrics.versions_pruned > 0,
+                !preds.is_empty(),
+                "{sys:?}: {:?}",
+                out.metrics
+            );
+            assert_eq!(MATERIALISED.get(), out.rows.len() as u64, "{sys:?}");
+        }
     }
 }

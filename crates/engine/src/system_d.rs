@@ -10,26 +10,23 @@
 //! history at current system time more expensive", §5.5.1). B-Tree *and*
 //! GiST (R-Tree) indexes are available through tuning.
 
-use crate::api::{
-    AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput, SysSpec,
-    TableStats, TuningConfig,
-};
-use crate::catalog::Catalog;
+use crate::api::{IndexKind, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::{GistIndex, IndexDef, IndexedCol, OrderedIndex};
 use crate::keymap::KeyMap;
-use crate::morsel::ScanMetrics;
-use crate::rowscan::{merge_access, scan_partition, PartitionView, ScanSite};
-use crate::system_a::{build_heap_tindex, overwrite_period, sequenced_dml, SequencedOps};
+use crate::rowscan::PartitionView;
+use crate::shell::{Engine, TableLayout};
+use crate::system_a::{build_heap_tindex, heap_entries, ordered_indexes_over};
 use crate::version::Version;
-use bitempo_core::{
-    obs, AppPeriod, Error, Key, Result, Row, SysPeriod, SysTime, TableDef, TableId, TemporalClass,
-    Value,
-};
+use bitempo_core::{Error, Key, Result, SysPeriod, SysTime, TableDef, TemporalClass};
 use bitempo_storage::{Heap, SlotId};
-use bitempo_tindex::{IndexFootprint, TemporalIndex};
+use bitempo_tindex::TemporalIndex;
 
+/// The System D engine. See module docs.
+pub type SystemD = Engine<TableD>;
+
+/// System D's table layout. See module docs.
 #[derive(Debug, Default)]
-struct TableD {
+pub struct TableD {
     /// The single physical table holding every version.
     all: Heap<Version>,
     /// Tuning indexes.
@@ -50,438 +47,199 @@ struct TableD {
     tindex: Option<TemporalIndex>,
 }
 
-/// The System D engine. See module docs.
-#[derive(Debug, Default)]
-pub struct SystemD {
-    catalog: Catalog,
-    tables: Vec<TableD>,
-    now: SysTime,
-    tuning: TuningConfig,
-}
+impl TableLayout for TableD {
+    const NAME: &'static str = "System D";
+    const ARCHITECTURE: &'static str =
+        "row store without temporal support; single table with explicit period columns; \
+         manual timestamps and bulk load; B-Tree and GiST indexes via tuning";
+    const MANUAL_SYSTEM_TIME: bool = true;
 
-impl SystemD {
-    /// Creates an empty engine.
-    pub fn new() -> SystemD {
-        SystemD::default()
+    fn new(_: &TableDef) -> TableD {
+        TableD::default()
     }
 
-    fn insert_version(&mut self, table: TableId, version: Version) -> u64 {
-        let def_key = self.catalog.def(table).key.clone();
-        let t = self.table_mut(table);
-        let slot64 = u64::from(t.all.insert(version.clone()).0);
-        for ix in &mut t.indexes {
-            ix.insert(&version, slot64);
-        }
-        if let Some(g) = &mut t.gist {
-            g.insert(&version, slot64);
-        }
-        if let Some(tix) = &mut t.tindex {
-            tix.insert(slot64, version.app, version.sys);
-        }
-        if version.sys.is_current() {
-            t.key_map
-                .insert(Key::from_row(&version.row, &def_key), slot64);
-        }
-        slot64
+    fn open_slots(&self, key: &Key) -> Vec<u64> {
+        self.key_map.get(key).to_vec()
     }
 
-    /// `TableId`s are issued densely by the catalog, so indexing with one it
-    /// handed out cannot go out of bounds.
-    fn table(&self, table: TableId) -> &TableD {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for reads
-        &self.tables[table.0 as usize]
+    fn peek(&self, _: &TableDef, slot: u64) -> Option<Version> {
+        self.all.get(SlotId(slot as u32)).cloned()
     }
 
-    fn table_mut(&mut self, table: TableId) -> &mut TableD {
-        // tblint: allow(TB004) TableId is catalog-issued and dense; sole indexing point for writes
-        &mut self.tables[table.0 as usize]
-    }
-}
-
-impl SequencedOps for SystemD {
-    fn def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
-    }
-    fn pending_time(&self) -> SysTime {
-        self.now.next()
-    }
-    fn open_slots(&self, table: TableId, key: &Key) -> Vec<u64> {
-        self.table(table).key_map.get(key).to_vec()
-    }
-    fn peek(&self, table: TableId, slot: u64) -> Option<Version> {
-        self.table(table).all.get(SlotId(slot as u32)).cloned()
-    }
-    fn close(&mut self, table: TableId, slot64: u64, end: SysTime) -> Result<Version> {
-        let def_key = self.catalog.def(table).key.clone();
-        let nontemporal = self.catalog.def(table).temporal == TemporalClass::NonTemporal;
-        let t = self.table_mut(table);
+    /// Ends the version's period in place.
+    fn close(&mut self, def: &TableDef, slot64: u64, end: SysTime) -> Result<Version> {
         let slot = SlotId(slot64 as u32);
-        let Some(before) = t.all.get(slot).cloned() else {
+        let Some(before) = self.all.get(slot).cloned() else {
             return Err(Error::Internal(format!(
                 "closing slot {slot64} with no live version"
             )));
         };
-        t.key_map
-            .remove(&Key::from_row(&before.row, &def_key), slot64);
+        self.key_map
+            .remove(&Key::from_row(&before.row, &def.key), slot64);
         let never_visible = before.sys.start >= end;
-        if nontemporal || never_visible {
+        if def.temporal == TemporalClass::NonTemporal || never_visible {
             // Non-versioned tables (and never-visible versions) vanish.
-            t.all.remove(slot);
-            for ix in &mut t.indexes {
+            self.all.remove(slot);
+            for ix in &mut self.indexes {
                 ix.remove(&before, slot64);
             }
             // GiST entries are left stale: the tombstoned slot resolves to
             // nothing at probe time, which is sound (conservative rects).
-        } else if let Some(v) = t.all.get_mut(slot) {
+        } else if let Some(v) = self.all.get_mut(slot) {
             // In-place close: the version stays put with an ended period.
             // Period *starts* are the only indexed boundaries, so B-Tree
             // entries remain valid; the GiST rect becomes conservative.
             v.sys = SysPeriod::new(v.sys.start, end);
         }
-        if let Some(tix) = &mut t.tindex {
+        if let Some(tix) = &mut self.tindex {
             // Invalidating removed slots too keeps candidate sets tight;
             // a stale candidate resolves to nothing at probe time anyway.
             tix.close(slot64, end);
         }
         Ok(before)
     }
-    fn insert_version_at(&mut self, table: TableId, version: Version) -> u64 {
-        self.insert_version(table, version)
-    }
-}
 
-impl BitemporalEngine for SystemD {
-    fn name(&self) -> &'static str {
-        "System D"
-    }
-
-    fn architecture(&self) -> &'static str {
-        "row store without temporal support; single table with explicit period columns; \
-         manual timestamps and bulk load; B-Tree and GiST indexes via tuning"
-    }
-
-    fn create_table(&mut self, def: TableDef) -> Result<TableId> {
-        let id = self.catalog.create(def)?;
-        self.tables.push(TableD::default());
-        Ok(id)
-    }
-
-    fn resolve(&self, name: &str) -> Result<TableId> {
-        self.catalog.resolve(name)
+    /// Takes open and closed versions alike (bulk loads and restores carry
+    /// both); only open ones enter the key map.
+    fn insert_version(&mut self, def: &TableDef, version: Version) -> u64 {
+        let slot64 = u64::from(self.all.insert(version.clone()).0);
+        for ix in &mut self.indexes {
+            ix.insert(&version, slot64);
+        }
+        if let Some(g) = &mut self.gist {
+            g.insert(&version, slot64);
+        }
+        if let Some(tix) = &mut self.tindex {
+            tix.insert(slot64, version.app, version.sys);
+        }
+        if version.sys.is_current() {
+            self.key_map
+                .insert(Key::from_row(&version.row, &def.key), slot64);
+        }
+        slot64
     }
 
-    fn table_names(&self) -> Vec<String> {
-        self.catalog.iter().map(|(_, d)| d.name.clone()).collect()
+    fn partitions(
+        &self,
+        _: &TableDef,
+        _: &SysSpec,
+        scan: &mut dyn FnMut(&'static str, &PartitionView<'_>) -> Result<()>,
+    ) -> Result<()> {
+        scan(
+            "all",
+            &PartitionView {
+                source: &self.all,
+                pk: self.key_index.and_then(|i| self.indexes.get(i)),
+                indexes: &self.indexes,
+                gist: self.gist.as_ref(),
+                tindex: self.tindex.as_ref(),
+            },
+        )
     }
 
-    fn table_def(&self, table: TableId) -> &TableDef {
-        self.catalog.def(table)
-    }
-
-    fn apply_tuning(&mut self, tuning: &TuningConfig) -> Result<()> {
-        self.tuning = tuning.clone();
-        let defs: Vec<(TableId, TableDef)> =
-            self.catalog.iter().map(|(i, d)| (i, d.clone())).collect();
-        for (id, def) in defs {
-            let mut index_defs: Vec<IndexDef> = Vec::new();
-            let mut key_index = None;
-            if tuning.time_index {
-                if def.has_app_time() {
-                    index_defs.push(IndexDef {
-                        name: format!("ix_app_{}", def.name),
-                        cols: vec![IndexedCol::AppStart],
-                        kind: IndexKind::BTree,
-                    });
-                }
-                if def.has_system_time() {
-                    index_defs.push(IndexDef {
-                        name: format!("ix_sys_{}", def.name),
-                        cols: vec![IndexedCol::SysStart],
-                        kind: IndexKind::BTree,
-                    });
-                }
-            }
-            if tuning.key_time_index && !def.key.is_empty() {
-                let mut cols: Vec<IndexedCol> =
-                    def.key.iter().map(|&c| IndexedCol::Value(c)).collect();
-                cols.push(IndexedCol::SysStart);
-                key_index = Some(index_defs.len());
+    fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
+        let mut index_defs: Vec<IndexDef> = Vec::new();
+        let mut key_index = None;
+        if tuning.time_index {
+            if def.has_app_time() {
                 index_defs.push(IndexDef {
-                    name: format!("ix_key_{}", def.name),
-                    cols,
+                    name: format!("ix_app_{}", def.name),
+                    cols: vec![IndexedCol::AppStart],
                     kind: IndexKind::BTree,
                 });
             }
-            for (tname, cname) in &tuning.value_index {
-                if *tname == def.name {
-                    let col = def.schema.col(cname)?;
-                    index_defs.push(IndexDef {
-                        name: format!("ix_val_{}_{}", def.name, cname),
-                        cols: vec![IndexedCol::Value(col)],
-                        kind: IndexKind::BTree,
-                    });
-                }
+            if def.has_system_time() {
+                index_defs.push(IndexDef {
+                    name: format!("ix_sys_{}", def.name),
+                    cols: vec![IndexedCol::SysStart],
+                    kind: IndexKind::BTree,
+                });
             }
-            let t = self.table_mut(id);
-            t.indexes = index_defs.into_iter().map(OrderedIndex::new).collect();
-            t.key_index = key_index;
-            t.gist = (tuning.gist && def.has_system_time())
-                .then(|| GistIndex::new(format!("gist_{}", def.name)));
-            let entries: Vec<(u64, Version)> = t
-                .all
-                .iter()
-                .map(|(s, v)| (u64::from(s.0), v.clone()))
-                .collect();
-            for ix in &mut t.indexes {
-                for (slot, v) in &entries {
-                    ix.insert(v, *slot);
-                }
-            }
-            if let Some(g) = &mut t.gist {
-                for (slot, v) in &entries {
-                    g.insert(v, *slot);
-                }
-            }
-            t.tindex = (tuning.temporal_index && def.has_system_time())
-                .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &t.all));
         }
+        if tuning.key_time_index && !def.key.is_empty() {
+            let mut cols: Vec<IndexedCol> = def.key.iter().map(|&c| IndexedCol::Value(c)).collect();
+            cols.push(IndexedCol::SysStart);
+            key_index = Some(index_defs.len());
+            index_defs.push(IndexDef {
+                name: format!("ix_key_{}", def.name),
+                cols,
+                kind: IndexKind::BTree,
+            });
+        }
+        for (tname, cname) in &tuning.value_index {
+            if *tname == def.name {
+                let col = def.schema.col(cname)?;
+                index_defs.push(IndexDef {
+                    name: format!("ix_val_{}_{}", def.name, cname),
+                    cols: vec![IndexedCol::Value(col)],
+                    kind: IndexKind::BTree,
+                });
+            }
+        }
+        self.indexes = ordered_indexes_over(index_defs, || heap_entries(&self.all));
+        self.key_index = key_index;
+        self.gist = (tuning.gist && def.has_system_time()).then(|| {
+            let mut g = GistIndex::new(format!("gist_{}", def.name));
+            for (slot, v) in heap_entries(&self.all) {
+                g.insert(v, slot);
+            }
+            g
+        });
+        self.tindex = (tuning.temporal_index && def.has_system_time())
+            .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &self.all));
         Ok(())
     }
 
-    fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-        let def = self.catalog.def(table);
-        if row.arity() != def.schema.arity() {
-            return Err(Error::Invalid(format!(
-                "arity {} vs schema {} for {}",
-                row.arity(),
-                def.schema.arity(),
-                def.name
-            )));
-        }
-        let app = match (def.temporal, app) {
-            (TemporalClass::Bitemporal, Some(p)) if p.is_empty() => {
-                return Err(Error::EmptyPeriod(format!("{p}")))
-            }
-            (TemporalClass::Bitemporal, Some(p)) => p,
-            (TemporalClass::Bitemporal, None) => AppPeriod::ALL,
-            (_, Some(_)) => {
-                return Err(Error::Unsupported(format!(
-                    "application period on table {}",
-                    def.name
-                )))
-            }
-            (_, None) => AppPeriod::ALL,
-        };
-        let sys = if def.temporal == TemporalClass::NonTemporal {
-            SysPeriod::ALL
-        } else {
-            SysPeriod::since(self.pending_time())
-        };
-        self.insert_version(table, Version { row, app, sys });
-        Ok(())
-    }
-
-    fn update(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        updates: &[(usize, Value)],
-        portion: Option<AppPeriod>,
-    ) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, Some(updates))
-    }
-
-    fn delete(&mut self, table: TableId, key: &Key, portion: Option<AppPeriod>) -> Result<usize> {
-        sequenced_dml(self, table, key, portion, None)
-    }
-
-    fn overwrite_app_period(
-        &mut self,
-        table: TableId,
-        key: &Key,
-        period: AppPeriod,
-    ) -> Result<usize> {
-        overwrite_period(self, table, key, period)
-    }
-
-    fn commit(&mut self) -> SysTime {
-        self.now = self.now.next();
-        self.now
-    }
-
-    fn now(&self) -> SysTime {
-        self.now
-    }
-
-    fn advance_clock(&mut self, to: SysTime) {
-        if self.now < to {
-            self.now = to;
-        }
-    }
-
-    fn scan(
-        &self,
-        table: TableId,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let t = self.table(table);
-        let _span = obs::span_dyn("engine", || format!("System D scan {}", def.name));
-        let view = PartitionView {
-            source: &t.all,
-            pk: t.key_index.and_then(|i| t.indexes.get(i)),
-            indexes: &t.indexes,
-            gist: t.gist.as_ref(),
-            tindex: t.tindex.as_ref(),
-        };
-        let mut rows = Vec::new();
-        let mut metrics = ScanMetrics::default();
-        let path = scan_partition(
-            ScanSite {
-                engine: "System D",
-                table: &def.name,
-                partition: "all",
-            },
-            &view,
-            def,
-            sys,
-            app,
-            preds,
-            self.now,
-            self.tuning.adaptive,
-            self.tuning.exec(),
-            &mut rows,
-            &mut metrics,
-        )?;
-        let out = ScanOutput {
-            access: merge_access(vec![path.clone()]),
-            partition_paths: vec![path],
-            rows,
-            metrics,
-        };
-        #[cfg(debug_assertions)]
-        crate::api::validate_scan_output(def, sys, app, preds, &out)
-            .unwrap_or_else(|msg| panic!("System D scan postcondition: {msg}"));
-        Ok(out)
-    }
-
-    fn lookup_key(
-        &self,
-        table: TableId,
-        key: &Key,
-        sys: &SysSpec,
-        app: &AppSpec,
-    ) -> Result<ScanOutput> {
-        let def = self.catalog.def(table);
-        let preds: Vec<ColRange> = def
-            .key
-            .iter()
-            .zip(key.to_values())
-            .map(|(&c, v)| ColRange::eq(c, v))
-            .collect();
-        self.scan(table, sys, app, &preds)
-    }
-
-    fn stats(&self, table: TableId) -> TableStats {
-        let t = self.table(table);
-        let current = t.key_map.open_versions();
-        TableStats {
-            current_rows: current,
-            history_rows: t.all.len() - current,
-        }
-    }
-
-    fn supports_manual_system_time(&self) -> bool {
-        true
-    }
-
-    fn bulk_load(
-        &mut self,
-        table: TableId,
-        versions: Vec<(Row, AppPeriod, SysPeriod)>,
-    ) -> Result<()> {
-        for (row, app, sys) in versions {
-            if sys.is_empty() {
-                return Err(Error::EmptyPeriod(format!("{sys}")));
-            }
-            self.insert_version(table, Version { row, app, sys });
-            if self.now < sys.start {
-                self.now = sys.start;
-            }
-            if sys.end != SysTime::MAX && self.now < sys.end {
-                self.now = sys.end;
-            }
-        }
-        // Manual timestamps arrive out of order; re-sort the endpoint lists
-        // so the next probe is not stuck on the linear tail.
-        if let Some(tix) = &mut self.table_mut(table).tindex {
+    fn checkpoint(&mut self, _: &TableDef) {
+        // One flat table, no staged reorganization to flush — but a tuned
+        // temporal index re-sorts its endpoint lists at quiescent points
+        // (and after a bulk load, whose manual timestamps arrive unordered).
+        if let Some(tix) = &mut self.tindex {
             tix.prepare();
         }
-        Ok(())
     }
 
-    fn checkpoint(&mut self) {
-        // One flat table, no staged reorganization to flush — but a tuned
-        // temporal index re-sorts its endpoint lists at quiescent points.
-        for t in &mut self.tables {
-            if let Some(tix) = &mut t.tindex {
-                tix.prepare();
-            }
+    fn stats(&self) -> TableStats {
+        let current = self.key_map.open_versions();
+        TableStats {
+            current_rows: current,
+            history_rows: self.all.len() - current,
         }
     }
 
-    fn temporal_index_footprint(&self) -> IndexFootprint {
-        self.tables
-            .iter()
-            .filter_map(|t| t.tindex.as_ref())
-            .fold(IndexFootprint::default(), |acc, tix| {
-                acc.merged(tix.footprint())
-            })
+    fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
+        [self.tindex.as_ref(), None]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
-        self.tables
-            .iter()
-            .map(|t| KeyStructuresFootprint {
-                key_bytes: t.key_map.memory_bytes(),
-                heap_bytes: t.all.memory_bytes(),
-                open_versions: t.key_map.open_versions(),
-            })
-            .sum()
+        KeyStructuresFootprint {
+            key_bytes: self.key_map.memory_bytes(),
+            heap_bytes: self.all.memory_bytes(),
+            open_versions: self.key_map.open_versions(),
+        }
     }
 
-    fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {
+    fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
         // One flat table; removed (never-visible / non-temporal-deleted)
         // slots are tombstones the iterator already skips.
-        Ok(self
-            .table(table)
-            .all
-            .iter()
-            .map(|(_, v)| v.clone())
-            .collect())
+        self.all.iter().map(|(_, v)| v.clone()).collect()
     }
 
-    fn restore(&mut self, table: TableId, versions: Vec<Version>, now: SysTime) -> Result<()> {
-        *self.table_mut(table) = TableD::default();
+    fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableD> {
+        let mut t = TableD::default();
         for v in versions {
-            // insert_version handles both open and closed versions: key_map
-            // entries are only added for currently-open ones, and all tuning
-            // indexes are empty until tuning is re-applied.
-            self.insert_version(table, v);
+            t.insert_version(def, v);
         }
-        self.now = now;
-        Ok(())
+        Ok(t)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::AccessPath;
+    use crate::api::{AccessPath, AppSpec, BitemporalEngine};
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
-    use bitempo_core::{AppDate, Period};
+    use bitempo_core::{AppDate, AppPeriod, Period, Value};
 
     #[test]
     fn single_partition_even_for_current_queries() {

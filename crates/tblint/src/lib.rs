@@ -3,9 +3,9 @@
 //! Workspace-wide temporal-invariant static analysis for the TPC-BiH
 //! benchmark repo: a dependency-free lexer + token-stream rule engine
 //! enforcing the invariants the paper's findings hinge on (half-open
-//! periods, deterministic history, panic-free scan hot paths, engine
-//! parity). See [`rules`] for the catalogue and DESIGN.md §"Static
-//! analysis" for the waiver policy.
+//! periods, deterministic history, panic-free scan hot paths). See
+//! [`rules`] for the catalogue and DESIGN.md §"Static analysis" for the
+//! waiver policy.
 //!
 //! Run it as `cargo run -p tblint --release`; it exits non-zero on any
 //! unwaived finding, which is how CI gates on it.
@@ -176,9 +176,9 @@ pub fn check_concurrency_sources(files: &[(&str, &str)]) -> Vec<Diagnostic> {
 }
 
 /// Per-file analysis state for [`run_workspace`]: one waiver set per file
-/// is threaded through *every* pass (per-file rules, TB005 parity, the
-/// concurrency pass) so a waiver for a workspace-level finding is claimed
-/// by it and only genuinely unclaimed waivers are reported unused.
+/// is threaded through *every* pass (per-file rules, the concurrency
+/// pass) so a waiver for a workspace-level finding is claimed by it and
+/// only genuinely unclaimed waivers are reported unused.
 struct FileCtx {
     rel: String,
     src: String,
@@ -188,9 +188,9 @@ struct FileCtx {
 
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
 /// `crates/`, `tests/` and `examples/`, except fixture directories and
-/// build output. Runs the per-file rules, the cross-file TB005 parity
-/// rule, and the flow-aware concurrency pass (TB008, TB009) over all
-/// `crates/` files, then reports unused waivers.
+/// build output. Runs the per-file rules and the flow-aware concurrency
+/// pass (TB008, TB009) over all `crates/` files, then reports unused
+/// waivers.
 pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     for top in ["crates", "tests", "examples"] {
@@ -235,19 +235,7 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
         }
     }
 
-    // Pass 2: TB005 parity across the engine files.
-    let parity_idx: Vec<usize> = (0..ctxs.len())
-        .filter(|&i| rules::tb005_scope(&ctxs[i].rel))
-        .collect();
-    let parity: Vec<(String, Vec<lexer::Tok>)> = parity_idx
-        .iter()
-        .map(|&i| (ctxs[i].rel.clone(), ctxs[i].toks.clone()))
-        .collect();
-    for (pi, f) in rules::check_parity(&parity) {
-        findings.push((parity_idx[pi], f));
-    }
-
-    // Pass 3: the flow-aware concurrency rules over all crate sources.
+    // Pass 2: the flow-aware concurrency rules over all crate sources.
     let conc_idx: Vec<usize> = (0..ctxs.len())
         .filter(|&i| ctxs[i].rel.starts_with("crates/"))
         .collect();

@@ -7,7 +7,7 @@
 //! | TB002 | no closed-interval comparisons on period endpoints |
 //! | TB003 | no hash-ordered iteration feeding report/archive/trace output |
 //! | TB004 | no `unwrap`/`expect`/slice-indexing in engine scan hot paths |
-//! | TB005 | engine parity: all four engines define the same method set |
+//! | TB005 | *retired*: engine parity is the compiler's job since the four engines are one `Engine<T: TableLayout>` |
 //! | TB006 | WAL construction sites must declare an explicit durability mode |
 //! | TB007 | no direct engine DML outside the sanctioned write paths |
 //! | TB008 | no blocking operation (fsync, sleep, group-commit wait, file open) while a lock guard is live, directly or one call deep |
@@ -37,9 +37,6 @@ pub const TB003: &str = "TB003";
 /// Panic-free hot paths: no `unwrap` / `expect` / slice-indexing in the
 /// engine scan files.
 pub const TB004: &str = "TB004";
-/// Engine parity: all four `system_*.rs` implement the same
-/// `BitemporalEngine` method set.
-pub const TB005: &str = "TB005";
 /// Explicit durability: every `TxnWal::create` / `TxnWal::open` call must
 /// pass a visible [`DurabilityMode`] — a mode-typed expression or a binding
 /// named `mode` / `durability` — and never `DurabilityMode::default()`.
@@ -113,6 +110,7 @@ fn tb004_scope(path: &str) -> bool {
     match path.strip_prefix("crates/engine/src/") {
         Some(rest) => {
             (rest.starts_with("system_") && rest.ends_with(".rs"))
+                || rest == "shell.rs"
                 || rest == "rowscan.rs"
                 || rest == "morsel.rs"
         }
@@ -141,17 +139,6 @@ fn tb007_exempt(path: &str) -> bool {
 /// oracle — the write lands but no cross-shard snapshot is safe again.
 fn tb007_shard_scope(path: &str) -> bool {
     path.starts_with("crates/shard/") && path != "crates/shard/src/cluster.rs"
-}
-
-/// The four engine files compared by TB005.
-pub fn tb005_scope(path: &str) -> bool {
-    matches!(
-        path,
-        "crates/engine/src/system_a.rs"
-            | "crates/engine/src/system_b.rs"
-            | "crates/engine/src/system_c.rs"
-            | "crates/engine/src/system_d.rs"
-    )
 }
 
 /// Production lock sites live in `crates/` (TB010); the integration-test
@@ -485,8 +472,7 @@ fn tb010(toks: &[Tok], out: &mut Vec<Finding>) {
 
 /// Runs the flow-aware concurrency rules (TB008, TB009) across the
 /// workspace files. Test modules are stripped first — tests may hold
-/// guards across asserts freely. Returns `(file index, finding)` pairs
-/// like [`check_parity`].
+/// guards across asserts freely. Returns `(file index, finding)` pairs.
 pub fn check_concurrency(files: &[(String, Vec<Tok>)]) -> Vec<(usize, Finding)> {
     let models: Vec<model::FileModel> = files
         .iter()
@@ -669,96 +655,6 @@ fn skip_braced_block(toks: &[Tok], i: usize) -> usize {
     j
 }
 
-/// The method names a file defines inside
-/// `impl BitemporalEngine for <X> { ... }`, with the line of the `impl`.
-pub fn engine_method_set(toks: &[Tok]) -> Option<(u32, Vec<String>)> {
-    let mut i = 0;
-    while i + 3 < toks.len() {
-        if toks[i].text == "impl"
-            && toks[i + 1].text == "BitemporalEngine"
-            && toks[i + 2].text == "for"
-            && toks[i + 3].kind == TokKind::Ident
-        {
-            let impl_line = toks[i].line;
-            // Find the opening brace (no generics in our engines, but be
-            // tolerant of a `where` clause).
-            let mut j = i + 4;
-            while j < toks.len() && toks[j].text != "{" {
-                j += 1;
-            }
-            let mut depth = 0usize;
-            let mut methods = Vec::new();
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            methods.sort();
-                            return Some((impl_line, methods));
-                        }
-                    }
-                    "fn" if depth == 1 => {
-                        if let Some(name) = toks.get(j + 1) {
-                            methods.push(name.text.clone());
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-            methods.sort();
-            return Some((impl_line, methods));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// TB005: compares the `BitemporalEngine` method sets across the engine
-/// files. Returns `(file index, finding)` pairs.
-pub fn check_parity(files: &[(String, Vec<Tok>)]) -> Vec<(usize, Finding)> {
-    let mut sets: Vec<(usize, u32, Vec<String>)> = Vec::new();
-    let mut out = Vec::new();
-    for (idx, (path, toks)) in files.iter().enumerate() {
-        match engine_method_set(toks) {
-            Some((line, methods)) => sets.push((idx, line, methods)),
-            None => out.push((
-                idx,
-                Finding {
-                    line: 1,
-                    code: TB005,
-                    message: format!("no `impl BitemporalEngine for …` block found in {path}"),
-                },
-            )),
-        }
-    }
-    let Some((_, _, reference)) = sets.first() else {
-        return out;
-    };
-    let reference = reference.clone();
-    for (idx, line, methods) in &sets[1..] {
-        if *methods == reference {
-            continue;
-        }
-        let missing: Vec<&String> = reference.iter().filter(|m| !methods.contains(m)).collect();
-        let extra: Vec<&String> = methods.iter().filter(|m| !reference.contains(m)).collect();
-        out.push((
-            *idx,
-            Finding {
-                line: *line,
-                code: TB005,
-                message: format!(
-                    "engine method set diverges from {}: missing {missing:?}, extra {extra:?} — \
-                     all four engines must define the same BitemporalEngine API surface",
-                    files[sets[0].0].0
-                ),
-            },
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -898,25 +794,5 @@ mod tests {
         let src =
             "fn f() {}\n#[cfg(test)]\nmod tests {\n fn t() { engine.insert(a, b, None); }\n}\n";
         assert!(codes(path, src).is_empty());
-    }
-
-    #[test]
-    fn tb005_detects_method_set_divergence() {
-        let a = "impl BitemporalEngine for A { fn scan(&self) {} fn commit(&mut self) {} }";
-        let b = "impl BitemporalEngine for B { fn commit(&mut self) {} fn scan(&self) {} }";
-        let c = "impl BitemporalEngine for C { fn scan(&self) {} }";
-        let files = vec![
-            ("a.rs".to_string(), lex(a).toks),
-            ("b.rs".to_string(), lex(b).toks),
-        ];
-        assert!(check_parity(&files).is_empty(), "order must not matter");
-        let files = vec![
-            ("a.rs".to_string(), lex(a).toks),
-            ("c.rs".to_string(), lex(c).toks),
-        ];
-        let findings = check_parity(&files);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].0, 1);
-        assert!(findings[0].1.message.contains("commit"));
     }
 }

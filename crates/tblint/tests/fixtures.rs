@@ -2,7 +2,7 @@
 //! fixture under `fixtures/` (a directory the workspace walker skips, so
 //! the firing fixtures never pollute a real lint run).
 
-use tblint::rules::{self, check_parity};
+use tblint::rules;
 use tblint::{check_source, Diagnostic};
 
 fn fixture(name: &str) -> String {
@@ -222,43 +222,6 @@ fn tb007_waiver_fixture_suppresses_with_reason() {
     assert_eq!(diags.len(), 1, "{diags:?}");
     let reason = diags[0].waived.as_deref().expect("finding is waived");
     assert!(reason.contains("pre-serving"), "{reason}");
-}
-
-#[test]
-fn tb005_clean_fixture_pair_has_parity() {
-    let files = vec![
-        (
-            "a.rs".to_string(),
-            tblint::lexer::lex(&fixture("tb005_clean_a.rs")).toks,
-        ),
-        (
-            "b.rs".to_string(),
-            tblint::lexer::lex(&fixture("tb005_clean_b.rs")).toks,
-        ),
-    ];
-    assert!(check_parity(&files).is_empty(), "order must not matter");
-}
-
-#[test]
-fn tb005_firing_fixture_reports_divergence() {
-    let files = vec![
-        (
-            "a.rs".to_string(),
-            tblint::lexer::lex(&fixture("tb005_clean_a.rs")).toks,
-        ),
-        (
-            "b.rs".to_string(),
-            tblint::lexer::lex(&fixture("tb005_fires_b.rs")).toks,
-        ),
-    ];
-    let findings = check_parity(&files);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].0, 1, "the diverging file is flagged");
-    let msg = &findings[0].1.message;
-    assert!(
-        msg.contains("checkpoint") && msg.contains("vacuum"),
-        "{msg}"
-    );
 }
 
 #[test]
