@@ -743,13 +743,15 @@ pub fn table2(cfg: &BenchConfig) -> Result<FigureReport> {
 /// hold per open version (`BitemporalEngine::key_structures_footprint`),
 /// the gate of the `arch` experiment, set 10 % over the largest value
 /// measured across `--h` 0.0005 … 0.012. Systems A and B answer from the
-/// system PK index (a packed B+Tree entry, the key's heap, separators):
-/// 83–85 B at every scale. C and D answer from the inline-one `KeyMap`: a
-/// hash table sits between 7/16 and 7/8 full, so its bytes per key swing
-/// with the table sizes — 57–92 B measured, 61 at the default scale.
+/// system PK index, a packed B+Tree whose leaves store the key cells flat
+/// beside the slots (24 B per key column + 8 B, plus nodes and separators;
+/// no per-key allocation): 61–64 B at every scale. C and D answer from the
+/// inline-one `KeyMap`: a hash table sits between 7/16 and 7/8 full, so its
+/// bytes per key swing with the table sizes — 57–92 B measured, 61 at the
+/// default scale.
 fn key_structure_bytes_ceiling(kind: SystemKind) -> f64 {
     match kind {
-        SystemKind::A | SystemKind::B => 93.0,
+        SystemKind::A | SystemKind::B => 70.0,
         SystemKind::C | SystemKind::D => 101.0,
     }
 }
@@ -774,9 +776,13 @@ pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
         s.push("key structures B / open version", per_open);
         report.add(s);
         report.note(format!("{}: {}", kind.name(), engine.architecture()));
+        let addressed = match kind {
+            SystemKind::C => "column fragments",
+            SystemKind::A | SystemKind::B | SystemKind::D => "heap slot arrays",
+        };
         report.note(format!(
             "{}: key structures {:.1} KiB for {} open versions ({per_open:.0} B each); \
-             heap slot arrays {:.1} KiB",
+             {addressed} {:.1} KiB",
             kind.name(),
             fp.key_bytes as f64 / 1024.0,
             fp.open_versions,
@@ -1436,8 +1442,8 @@ pub fn optimizer_experiment(cfg: &BenchConfig) -> Result<FigureReport> {
 /// the default checkpoint cadence, closes the log, then rebuilds a fresh
 /// engine from the written bytes plus the captured checkpoints and proves
 /// the recovered state is byte-identical to the live one before any
-/// timing is reported — a cell that cannot recover is an error cell, not
-/// a number.
+/// timing is reported — a cell that cannot recover fails the experiment,
+/// so every engine × mode cell of a report that renders is a number.
 pub fn durability(cfg: &BenchConfig) -> Result<FigureReport> {
     let data = bitempo_dbgen::generate(&bitempo_dbgen::ScaleConfig::with_h(cfg.h));
     let history =
@@ -1458,24 +1464,16 @@ pub fn durability(cfg: &BenchConfig) -> Result<FigureReport> {
         "Commit durability: throughput and recovery time per WAL mode",
         "txn/s (throughput series) · ms (recovery series)",
     );
-    let mut faults = FaultSummary::default();
     for kind in SystemKind::ALL {
         let mut tput = Series::new(format!("{kind} - commit throughput (txn/s)"));
         let mut rcv = Series::new(format!("{kind} - recovery time (ms)"));
         for &mode in &modes {
             let x = mode.label();
-            match durability_cell(kind, mode, &data, &history.archive, &tuning) {
-                Ok((txn_per_s, recovery_ms)) => {
-                    tput.push(x.clone(), txn_per_s);
-                    rcv.push(x, recovery_ms);
-                }
-                Err(e) => {
-                    faults.detected += 1;
-                    faults.recovered += 1;
-                    tput.push_error(x.clone(), e.to_string());
-                    rcv.push_error(x, e.to_string());
-                }
-            }
+            let (txn_per_s, recovery_ms) =
+                durability_cell(kind, mode, &data, &history.archive, &tuning)
+                    .map_err(|e| Error::Invalid(format!("{kind} {x}: {e}")))?;
+            tput.push(x.clone(), txn_per_s);
+            rcv.push(x, recovery_ms);
         }
         report.add(tput);
         report.add(rcv);
@@ -1488,7 +1486,6 @@ pub fn durability(cfg: &BenchConfig) -> Result<FigureReport> {
          contract). Recovery time is checkpoint-bounded (cadence: every {CHECKPOINT_EVERY} \
          commits), so it is flat across modes.",
     ));
-    report.faults = faults;
     Ok(report)
 }
 

@@ -315,9 +315,10 @@ pub struct KeyStructuresFootprint {
     /// Bytes of the structures that map a key to its open versions: the
     /// system-defined PK indexes on Systems A and B, the key maps on C and D.
     pub key_bytes: usize,
-    /// Bytes of the heap slot arrays those slots address (row payloads
-    /// behind their `Arc` excluded; 0 on System C, whose rows live in
-    /// column fragments).
+    /// Bytes of what those slots address: the heap slot arrays on A, B and
+    /// D (row payloads behind their `Arc` excluded), the column fragments
+    /// on System C (payload vectors, null masks and dictionaries — its
+    /// rows live nowhere else; shared string payloads excluded).
     pub heap_bytes: usize,
     /// Open versions the key structures address.
     pub open_versions: usize,

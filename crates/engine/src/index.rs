@@ -40,7 +40,7 @@ pub struct IndexDef {
     pub kind: IndexKind,
 }
 
-/// Extracts the index key of `version` for the given column spec.
+/// Extracts the index cell of `version` for the given column spec.
 fn extract_col(version: &Version, col: IndexedCol) -> Value {
     match col {
         IndexedCol::Value(i) => version.row.get(i).clone(),
@@ -74,7 +74,11 @@ fn interpolable(v: &Value) -> Option<f64> {
 pub struct OrderedIndex {
     /// Definition.
     pub def: IndexDef,
-    tree: BPlusTree<Vec<Value>, u64>,
+    /// One cell per index column, stored flat in the tree's nodes.
+    tree: BPlusTree<Value, u64>,
+    /// The key of the version being inserted or removed, extracted into
+    /// one reused buffer so that neither allocates.
+    key: Vec<Value>,
     lo: f64,
     hi: f64,
     /// Entry count per distinct leading-column value that is not
@@ -90,45 +94,44 @@ impl OrderedIndex {
     /// Creates an empty index.
     pub fn new(def: IndexDef) -> OrderedIndex {
         OrderedIndex {
+            tree: BPlusTree::new(def.cols.len()),
+            key: Vec::with_capacity(def.cols.len()),
             def,
-            tree: BPlusTree::new(),
             lo: f64::INFINITY,
             hi: f64::NEG_INFINITY,
             first_col: BTreeMap::new(),
         }
     }
 
-    /// The key this index extracts from a version.
-    pub fn key_of(&self, version: &Version) -> Vec<Value> {
-        self.def
-            .cols
-            .iter()
-            .map(|&c| extract_col(version, c))
-            .collect()
+    /// Extracts the key of `version` into the reused buffer.
+    fn extract_key(&mut self, version: &Version) {
+        self.key.clear();
+        let cols = self.def.cols.iter();
+        self.key.extend(cols.map(|&c| extract_col(version, c)));
     }
 
     /// Indexes `version` under `slot`.
     pub fn insert(&mut self, version: &Version, slot: u64) {
-        let key = self.key_of(version);
-        match interpolable(&key[0]) {
+        self.extract_key(version);
+        match interpolable(&self.key[0]) {
             Some(x) => {
                 self.lo = self.lo.min(x);
                 self.hi = self.hi.max(x);
             }
-            None => *self.first_col.entry(key[0].clone()).or_insert(0) += 1,
+            None => *self.first_col.entry(self.key[0].clone()).or_insert(0) += 1,
         }
-        self.tree.insert(key, slot);
+        self.tree.insert(&self.key, slot);
     }
 
     /// Removes `version`'s entry for `slot` (returns whether it existed).
     pub fn remove(&mut self, version: &Version, slot: u64) -> bool {
-        let key = self.key_of(version);
-        let existed = self.tree.remove(&key, &slot);
+        self.extract_key(version);
+        let existed = self.tree.remove(&self.key, &slot);
         if existed {
-            if let Some(count) = self.first_col.get_mut(&key[0]) {
+            if let Some(count) = self.first_col.get_mut(&self.key[0]) {
                 *count -= 1;
                 if *count == 0 {
-                    self.first_col.remove(&key[0]);
+                    self.first_col.remove(&self.key[0]);
                 }
             }
         }
@@ -147,18 +150,18 @@ impl OrderedIndex {
     /// order. This is how sequenced DML on Systems A and B finds a key's
     /// open versions in the primary-key index; it is bookkeeping, not a
     /// query access path, so it records no span and counts no visits.
-    pub fn slots_of(&self, key: Vec<Value>) -> Vec<u64> {
-        self.tree.get(&key)
+    pub fn slots_of(&self, key: &[Value]) -> Vec<u64> {
+        self.tree.get(key)
     }
 
-    /// Bytes the index holds, by capacity: tree nodes, the heap behind
-    /// every key (leaf keys and separator copies) and the distinct-count
-    /// map, whose B-Tree nodes hold 6–11 of 11 slots and are priced at 1.5×
-    /// their entries. String payloads are shared with the rows and not
-    /// counted.
+    /// Bytes the index holds, by capacity: tree nodes (keys are stored
+    /// flat in them and own no heap) and the distinct-count map, whose
+    /// B-Tree nodes hold 6–11 of 11 slots and are priced at 1.5× their
+    /// entries. String payloads are shared with the rows and not counted.
     pub fn memory_bytes(&self) -> usize {
         let value = std::mem::size_of::<Value>();
-        self.tree.memory_bytes(|key| key.capacity() * value)
+        self.tree.memory_bytes()
+            + self.key.capacity() * value
             + self.first_col.len() * (value + std::mem::size_of::<u64>()) * 3 / 2
     }
 
@@ -188,27 +191,17 @@ impl OrderedIndex {
         visits: &mut u64,
     ) -> Vec<u64> {
         let mut span = obs::span_dyn("index", || format!("probe_range {}", self.def.name));
-        // Translate single-column bounds to composite-key bounds. For the
-        // upper bound we must admit any suffix, so an Included(v) bound
-        // becomes "keys < [v, +inf...]" which for our comparator is
-        // approximated by scanning until first column exceeds v.
-        let lo_key: Bound<Vec<Value>> = match lo {
-            Bound::Included(v) => Bound::Included(vec![v.clone()]),
-            Bound::Excluded(v) => {
-                // Excluded on first column: skip all keys whose first col
-                // equals v. Vec compare makes [v] <= [v, ...], so use an
-                // included bound and filter below.
-                Bound::Included(vec![v.clone()])
-            }
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let lo_ref = match &lo_key {
-            Bound::Included(k) => Bound::Included(k),
-            Bound::Excluded(k) => Bound::Excluded(k),
+        // A one-cell key is a prefix lower bound of the composite keys.
+        // Excluded on the first column means skipping every key whose
+        // first cell equals v, and [v] <= [v, ...], so seek as if included
+        // and filter below. The upper bound must admit any suffix: walk
+        // until the first cell exceeds it.
+        let lo_key = match lo {
+            Bound::Included(v) | Bound::Excluded(v) => Bound::Included(std::slice::from_ref(v)),
             Bound::Unbounded => Bound::Unbounded,
         };
         let mut out = Vec::new();
-        for (key, slot) in self.tree.range((lo_ref, Bound::Unbounded)) {
+        for (key, slot) in self.tree.range((lo_key, Bound::Unbounded)) {
             *visits += 1;
             let first = &key[0];
             // Stop once past the upper bound.
@@ -241,11 +234,10 @@ impl OrderedIndex {
     /// entries into `visits`.
     pub fn probe_prefix_counted(&self, key: &[Value], visits: &mut u64) -> Vec<u64> {
         let mut span = obs::span_dyn("index", || format!("probe_prefix {}", self.def.name));
-        let lo: Vec<Value> = key.to_vec();
         let mut out = Vec::new();
-        for (k, slot) in self.tree.range((Bound::Included(&lo), Bound::Unbounded)) {
+        for (k, slot) in self.tree.range((Bound::Included(key), Bound::Unbounded)) {
             *visits += 1;
-            if k.len() < key.len() || k[..key.len()] != *key {
+            if !k.starts_with(key) {
                 break;
             }
             out.push(*slot);

@@ -81,7 +81,7 @@ pub(crate) fn open_slots_in(
 ) -> Vec<u64> {
     let key = key.to_values();
     match pk {
-        Some(pk) => pk.slots_of(key),
+        Some(pk) => pk.slots_of(&key),
         None if key.is_empty() => all_open(),
         None => Vec::new(),
     }

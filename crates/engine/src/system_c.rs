@@ -446,7 +446,7 @@ impl TableLayout for TableC {
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
         KeyStructuresFootprint {
             key_bytes: self.key_map.memory_bytes(),
-            heap_bytes: 0,
+            heap_bytes: self.current.memory_bytes() + self.history.memory_bytes(),
             open_versions: self.key_map.open_versions(),
         }
     }

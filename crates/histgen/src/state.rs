@@ -136,7 +136,12 @@ impl GenDb {
         } else {
             at
         };
-        let chain = t.current.entry(key).or_default();
+        // Nearly every key has one current version: start its chain at
+        // that, not at `Vec`'s first growth step of four.
+        let chain = t
+            .current
+            .entry(key)
+            .or_insert_with(|| Vec::with_capacity(1));
         let pos = chain.partition_point(|v| v.app.start <= app.start);
         chain.insert(
             pos,
@@ -365,6 +370,16 @@ mod tests {
         assert_eq!(db.current_len(orders), 1_500);
         assert_eq!(db.invalidated_len(orders), 0);
         assert_eq!(db.now(), SysTime(1));
+    }
+
+    #[test]
+    fn single_version_chains_hold_one_slot() {
+        let db = tiny_db();
+        let orders = &db.tables[db.table_index("orders").unwrap()];
+        assert!(orders
+            .current
+            .values()
+            .all(|chain| chain.len() == 1 && chain.capacity() == 1));
     }
 
     #[test]

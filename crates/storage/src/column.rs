@@ -44,26 +44,46 @@ impl ColumnData {
         }
     }
 
-    fn append_from(&mut self, other: &ColumnData) {
-        match (self, other) {
-            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
-            (ColumnData::Double(a), ColumnData::Double(b)) => a.extend_from_slice(b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
-            (ColumnData::Date(a), ColumnData::Date(b)) => a.extend_from_slice(b),
-            (ColumnData::SysTime(a), ColumnData::SysTime(b)) => a.extend_from_slice(b),
+    /// Seals `delta` onto the end of this main payload (see [`seal`]).
+    fn seal_from(&mut self, delta: ColumnData) {
+        match (self, delta) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => seal(a, b),
+            (ColumnData::Double(a), ColumnData::Double(b)) => seal(a, b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => seal(a, b),
+            (ColumnData::Date(a), ColumnData::Date(b)) => seal(a, b),
+            (ColumnData::SysTime(a), ColumnData::SysTime(b)) => seal(a, b),
             _ => unreachable!("merge between differently-typed columns"),
         }
     }
 
-    fn clear(&mut self) {
+    /// Bytes the payload vector holds, by capacity.
+    fn memory_bytes(&self) -> usize {
         match self {
-            ColumnData::Int(v) => v.clear(),
-            ColumnData::Double(v) => v.clear(),
-            ColumnData::Str(v) => v.clear(),
-            ColumnData::Date(v) => v.clear(),
-            ColumnData::SysTime(v) => v.clear(),
+            ColumnData::Int(v) => vec_bytes(v),
+            ColumnData::Double(v) => vec_bytes(v),
+            ColumnData::Str(v) => vec_bytes(v),
+            ColumnData::Date(v) => vec_bytes(v),
+            ColumnData::SysTime(v) => vec_bytes(v),
         }
     }
+}
+
+/// Seals a delta buffer onto the end of a main buffer, leaving main with no
+/// spare capacity and releasing the delta's: an empty main *becomes* the
+/// delta (moved, not copied), a non-empty one grows by exactly the delta's
+/// length.
+fn seal<T: Copy>(main: &mut Vec<T>, mut delta: Vec<T>) {
+    if main.is_empty() {
+        delta.shrink_to_fit();
+        *main = delta;
+    } else {
+        main.reserve_exact(delta.len());
+        main.extend_from_slice(&delta);
+    }
+}
+
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// NULL sentinel for dictionary codes.
@@ -89,6 +109,15 @@ impl Dictionary {
 
     fn decode(&self, code: u32) -> &Arc<str> {
         &self.strings[code as usize]
+    }
+
+    /// Bytes the dictionary holds, by capacity: the code → string vector
+    /// and the string → code hash table (one entry plus one control byte
+    /// per bucket, `capacity()` being 7/8 of the buckets). String payloads
+    /// are shared with the rows that were appended and not counted.
+    fn memory_bytes(&self) -> usize {
+        let buckets = self.codes.capacity() * 8 / 7;
+        vec_bytes(&self.strings) + buckets * (std::mem::size_of::<(Arc<str>, u32)>() + 1)
     }
 }
 
@@ -274,41 +303,42 @@ impl ColumnTable {
             .collect()
     }
 
-    /// Merges the delta fragment into main. Row ids are unchanged.
+    /// Merges the delta fragment into main and seals it: main ends up
+    /// holding exactly its rows, and the delta's buffers and null masks are
+    /// released, not kept for the next delta. Row ids are unchanged.
     pub fn merge(&mut self) {
         let delta_rows = self.delta_len();
         for col in 0..self.schema.arity() {
-            // Reconcile null masks before concatenating payloads.
-            match (&mut self.main_nulls[col], &self.delta_nulls[col]) {
-                (Some(m), Some(d)) => {
-                    m.resize(self.main_len, false);
-                    let mut d2 = d.clone();
-                    d2.resize(delta_rows, false);
-                    m.extend_from_slice(&d2);
-                }
-                (Some(m), None) => {
-                    m.resize(self.main_len + delta_rows, false);
-                }
-                (None, Some(d)) => {
-                    let mut m = vec![false; self.main_len];
-                    let mut d2 = d.clone();
-                    d2.resize(delta_rows, false);
-                    m.extend_from_slice(&d2);
-                    self.main_nulls[col] = Some(m);
-                }
-                (None, None) => {}
+            // A mask on either side means main needs one over all its rows.
+            let delta_mask = self.delta_nulls[col].take();
+            if delta_mask.is_some() || self.main_nulls[col].is_some() {
+                let mut delta_mask = delta_mask.unwrap_or_default();
+                delta_mask.resize(delta_rows, false);
+                let main_mask = self.main_nulls[col].get_or_insert_with(Vec::new);
+                main_mask.resize(self.main_len, false);
+                seal(main_mask, delta_mask);
             }
-            self.delta_nulls[col] = None;
             let delta = std::mem::replace(
                 &mut self.delta[col],
                 ColumnData::new(self.schema.column(col).dtype),
             );
-            self.main[col].append_from(&delta);
-            let mut recycled = delta;
-            recycled.clear();
-            self.delta[col] = recycled;
+            self.main[col].seal_from(delta);
         }
         self.main_len += delta_rows;
+    }
+
+    /// Bytes the table holds, by capacity: both fragments' payload vectors
+    /// and null masks, and the dictionaries.
+    pub fn memory_bytes(&self) -> usize {
+        let payload = self.main.iter().chain(&self.delta);
+        let masks = self.main_nulls.iter().chain(&self.delta_nulls);
+        payload.map(ColumnData::memory_bytes).sum::<usize>()
+            + masks.flatten().map(vec_bytes).sum::<usize>()
+            + self
+                .dicts
+                .iter()
+                .map(Dictionary::memory_bytes)
+                .sum::<usize>()
     }
 
     /// Typed scan over an Int column (both fragments), for tight loops.
@@ -407,6 +437,39 @@ mod tests {
     }
 
     #[test]
+    fn merge_seals_main_and_releases_the_delta() {
+        let (n, m) = (10_000i64, 3_000i64);
+        let name = |i: i64| format!("name-{}", i % 50);
+        let mut t = ColumnTable::new(schema());
+        for i in 0..n {
+            let id = t.append_row(&row(i, &name(i), 0.5)).unwrap();
+            assert_eq!(id, i as usize);
+        }
+        t.merge();
+        for i in n..n + m {
+            let id = t.append_row(&row(i, &name(i), 0.5)).unwrap();
+            assert_eq!(id, i as usize);
+        }
+        t.merge();
+        for i in [0, 1, n - 1, n, n + m - 1] {
+            assert_eq!(t.get_row(i as usize), row(i, &name(i), 0.5));
+        }
+        assert_eq!(t.delta_len(), 0);
+        let delta_bytes: usize = t.delta.iter().map(ColumnData::memory_bytes).sum();
+        assert_eq!(delta_bytes, 0, "the delta holds no capacity after a merge");
+        assert!(t.delta_nulls.iter().all(Option::is_none));
+        // Four 8-byte columns and one 4-byte dictionary code per row.
+        let payload = (n + m) as usize * (4 * 8 + 4);
+        let dictionary: usize = t.dicts.iter().map(Dictionary::memory_bytes).sum();
+        assert!(dictionary > 0);
+        let held = t.memory_bytes();
+        assert!(
+            held as f64 <= 1.05 * (payload + dictionary) as f64,
+            "{held} B held for {payload} B payload + {dictionary} B dictionary"
+        );
+    }
+
+    #[test]
     fn nulls_round_trip_across_merge() {
         let mut t = ColumnTable::new(schema());
         t.append_row(&row(1, "a", 1.0)).unwrap();
@@ -426,6 +489,23 @@ mod tests {
         assert!(t.get_value(1, 1).is_null());
         assert!(t.get_value(2, 1).is_null());
         assert_eq!(t.get_value(1, 2), Value::str("c"));
+        // A NULL in a later delta extends the main mask; a column that
+        // first sees one then gets a mask over the rows already sealed.
+        t.append_row(&Row::new(vec![
+            Value::Null,
+            Value::Null,
+            Value::Double(4.0),
+            Value::Date(AppDate(6)),
+            Value::SysTime(SysTime(1)),
+        ]))
+        .unwrap();
+        t.append_row(&row(5, "e", 5.0)).unwrap();
+        t.merge();
+        assert!(t.get_value(0, 3).is_null() && t.get_value(1, 3).is_null());
+        assert_eq!(t.get_row(4), row(5, "e", 5.0));
+        assert_eq!(t.get_value(0, 0), Value::Int(1));
+        assert!(t.get_value(1, 1).is_null());
+        assert_eq!(t.main_nulls[0].as_ref().map(Vec::len), Some(5));
     }
 
     #[test]

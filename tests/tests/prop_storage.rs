@@ -1,6 +1,6 @@
-//! Property-based tests for the storage substrate: the B+Tree against the
-//! standard-library ordered map, the R-Tree against a linear scan, and the
-//! columnar store against a row-store model.
+//! Property-based tests for the storage substrate: the flat-key B+Tree against
+//! a sorted multimap at every arity the engines use, the R-Tree against a
+//! linear scan, and the columnar store against a row-store model.
 
 use bitempo_core::{AppDate, Row, SysTime, Value};
 use bitempo_core::{Column, DataType, Schema};
@@ -9,78 +9,119 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+/// Trailing mixed-radix digits of a model key at each arity: the cells of
+/// `k` are its digits, leading digit unbounded, so cell order is `k` order.
+const RADIX: [&[i64]; 3] = [&[], &[10], &[4, 5]];
+
+/// The `arity` cells of model key `k`.
+fn cells(k: i64, arity: usize) -> Vec<i64> {
+    let mut out = vec![0; arity];
+    let mut rest = k;
+    for (i, radix) in RADIX[arity - 1].iter().enumerate().rev() {
+        out[i + 1] = rest % radix;
+        rest /= radix;
+    }
+    out[0] = rest;
+    out
+}
+
+/// The smallest model key sharing its first `prefix` cells with `k`.
+fn prefix_floor(k: i64, arity: usize, prefix: usize) -> i64 {
+    let span: i64 = RADIX[arity - 1][prefix - 1..].iter().product();
+    k - k % span
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Insert/remove/range behaviour matches a `BTreeMap<(key, seq), val>`
-    /// model, `seq` being the insertion counter: range order is key order,
-    /// duplicates of a key come back in insertion order, and `remove` takes
-    /// exactly the first `(key, val)` entry. Long enough op lists split
-    /// leaves in the middle, at the right edge (ascending runs) and split
-    /// the root.
+    /// At arity 1, 2 and 3, insert/remove/range behaviour matches a sorted
+    /// multimap `BTreeMap<(key, seq), val>`, `seq` being the insertion
+    /// counter: range order is key order, duplicates of a key come back in
+    /// insertion order, `remove` takes exactly the first `(key, val)` entry
+    /// (wherever in the key's run of duplicates, which leaf boundaries cut,
+    /// it sits), and a bound shorter than the arity sorts before every key
+    /// it is a prefix of. Long enough op lists split leaves in the middle,
+    /// at the right edge (ascending runs) and split the root.
     #[test]
-    fn bplustree_matches_btreemap_model(
+    fn bplustree_matches_sorted_multimap_model(
         ops in proptest::collection::vec((0i64..120, 0u32..4, 0u8..4), 1..2500),
         ascending_from in 0i64..120,
         range in (0i64..120, 0i64..120),
     ) {
-        let mut tree: BPlusTree<i64, u32> = BPlusTree::new();
-        let mut model: BTreeMap<(i64, usize), u32> = BTreeMap::new();
-        let mut rising = ascending_from;
-        for (seq, (key, val, kind)) in ops.into_iter().enumerate() {
-            // kind 0 removes, 1 appends past the largest key so far, the
-            // rest insert anywhere.
-            if kind == 0 {
-                let removed = tree.remove(&key, &val);
-                let hit = model
-                    .range((key, 0)..=(key, usize::MAX))
-                    .find(|(_, v)| **v == val)
-                    .map(|(k, _)| *k);
-                prop_assert_eq!(removed, hit.is_some());
-                if let Some(k) = hit {
-                    model.remove(&k);
-                }
-            } else {
-                let key = if kind == 1 {
-                    rising += 1;
-                    rising
+        for arity in 1..=3 {
+            let mut tree: BPlusTree<i64, u32> = BPlusTree::new(arity);
+            let mut model: BTreeMap<(i64, usize), u32> = BTreeMap::new();
+            let mut rising = ascending_from;
+            for (seq, &(key, val, kind)) in ops.iter().enumerate() {
+                // kind 0 removes, 1 appends past the largest key so far, the
+                // rest insert anywhere.
+                if kind == 0 {
+                    let removed = tree.remove(&cells(key, arity), &val);
+                    let hit = model
+                        .range((key, 0)..=(key, usize::MAX))
+                        .find(|(_, v)| **v == val)
+                        .map(|(k, _)| *k);
+                    prop_assert_eq!(removed, hit.is_some());
+                    if let Some(k) = hit {
+                        model.remove(&k);
+                    }
                 } else {
-                    key
-                };
-                tree.insert(key, val);
-                model.insert((key, seq), val);
+                    let key = if kind == 1 {
+                        rising += 1;
+                        rising
+                    } else {
+                        key
+                    };
+                    tree.insert(&cells(key, arity), val);
+                    model.insert((key, seq), val);
+                }
+            }
+            prop_assert_eq!(tree.len(), model.len());
+            let entries = |lo: Bound<&[i64]>, hi: Bound<&[i64]>| -> Vec<(Vec<i64>, u32)> {
+                tree.range((lo, hi)).map(|(k, v)| (k.to_vec(), *v)).collect()
+            };
+            let modelled = |keys: &mut dyn Iterator<Item = (&(i64, usize), &u32)>| {
+                keys.map(|((k, _), v)| (cells(*k, arity), *v)).collect::<Vec<_>>()
+            };
+            prop_assert_eq!(
+                entries(Bound::Unbounded, Bound::Unbounded),
+                modelled(&mut model.iter())
+            );
+            for key in [0, 7, 60, 119, rising] {
+                let want: Vec<u32> = model
+                    .range((key, 0)..=(key, usize::MAX))
+                    .map(|(_, v)| *v)
+                    .collect();
+                prop_assert_eq!(tree.get(&cells(key, arity)), want);
+            }
+            let (lo, hi) = (range.0.min(range.1), range.0.max(range.1));
+            let (lo_key, hi_key) = (cells(lo, arity), cells(hi, arity));
+            prop_assert_eq!(
+                entries(Bound::Included(&lo_key), Bound::Excluded(&hi_key)),
+                modelled(&mut model.range((lo, 0)..(hi, 0)))
+            );
+            prop_assert_eq!(
+                entries(Bound::Excluded(&lo_key), Bound::Included(&hi_key)),
+                modelled(&mut model.range((lo, usize::MAX)..=(hi, usize::MAX)))
+            );
+            // A proper prefix is no stored key: as a lower bound of either
+            // kind it admits every key from its first extension on, as an
+            // upper bound of either kind none of them.
+            for prefix in 1..arity {
+                let (lo_floor, hi_floor) =
+                    (prefix_floor(lo, arity, prefix), prefix_floor(hi, arity, prefix));
+                let want = modelled(&mut model.range((lo_floor, 0)..(hi_floor, 0)));
+                let (lo_prefix, hi_prefix) = (&lo_key[..prefix], &hi_key[..prefix]);
+                prop_assert_eq!(
+                    entries(Bound::Included(lo_prefix), Bound::Excluded(hi_prefix)),
+                    want.clone()
+                );
+                prop_assert_eq!(
+                    entries(Bound::Excluded(lo_prefix), Bound::Included(hi_prefix)),
+                    want
+                );
             }
         }
-        prop_assert_eq!(tree.len(), model.len());
-        let all: Vec<(i64, u32)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
-        let want_all: Vec<(i64, u32)> = model.iter().map(|((k, _), v)| (*k, *v)).collect();
-        prop_assert_eq!(all, want_all);
-        for key in [0, 7, 60, 119, rising] {
-            let want: Vec<u32> = model
-                .range((key, 0)..=(key, usize::MAX))
-                .map(|(_, v)| *v)
-                .collect();
-            prop_assert_eq!(tree.get(&key), want);
-        }
-        let (lo, hi) = (range.0.min(range.1), range.0.max(range.1));
-        let got: Vec<(i64, u32)> = tree
-            .range((Bound::Included(&lo), Bound::Excluded(&hi)))
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        let want: Vec<(i64, u32)> = model
-            .range((lo, 0)..(hi, 0))
-            .map(|((k, _), v)| (*k, *v))
-            .collect();
-        prop_assert_eq!(got, want);
-        let got: Vec<(i64, u32)> = tree
-            .range((Bound::Excluded(&lo), Bound::Included(&hi)))
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        let want: Vec<(i64, u32)> = model
-            .range((lo, usize::MAX)..=(hi, usize::MAX))
-            .map(|((k, _), v)| (*k, *v))
-            .collect();
-        prop_assert_eq!(got, want);
     }
 
     /// R-Tree intersection queries agree with a brute-force scan.
