@@ -8,7 +8,7 @@ use bitempo_dbgen::{ScaleConfig, TpchData};
 use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
 use bitempo_histgen::loader::{self, LoadReport};
-use bitempo_histgen::{History, HistoryConfig};
+use bitempo_histgen::{GenDb, History, HistoryConfig};
 pub use bitempo_storage::wal::DurabilityMode;
 use bitempo_workloads::QueryParams;
 use std::time::Instant;
@@ -133,8 +133,11 @@ pub struct Instance {
     pub engines: Vec<(SystemKind, Box<dyn BitemporalEngine>)>,
     /// Version-0 data.
     pub data: TpchData,
-    /// The generated history (archive + oracle state + Table-2 stats).
+    /// The generated history (archive + Table-2 stats).
     pub history: History,
+    /// The generator's final state: the oracle, and what the non-temporal
+    /// baselines and System D's bulk load read.
+    pub db: GenDb,
     /// Replay timing per engine.
     pub load_reports: Vec<(SystemKind, LoadReport)>,
     /// Wall nanoseconds spent loading version 0, per engine.
@@ -153,7 +156,8 @@ impl Instance {
         let tuning = tuning.clone().with_workers(config.workers);
         let tuning = &tuning;
         let data = bitempo_dbgen::generate(&ScaleConfig::with_h(config.h));
-        let history = bitempo_histgen::generate_history(&data, &HistoryConfig::with_m(config.m));
+        let (history, db) =
+            bitempo_histgen::generate_history_with_state(&data, &HistoryConfig::with_m(config.m));
         let mut engines = Vec::new();
         let mut load_reports = Vec::new();
         let mut initial_load_nanos = Vec::new();
@@ -174,6 +178,7 @@ impl Instance {
             engines,
             data,
             history,
+            db,
             load_reports,
             initial_load_nanos,
             params,
@@ -208,7 +213,7 @@ pub fn build_nontemporal_baseline(
     sys: &SysSpec,
     app: &AppSpec,
 ) -> Result<Vec<(SystemKind, Box<dyn BitemporalEngine>)>> {
-    let db = &instance.history.db;
+    let db = &instance.db;
     let mut out = Vec::new();
     for kind in SystemKind::ALL {
         let mut engine = build_engine(kind);
@@ -413,9 +418,8 @@ mod tests {
         let inst = Instance::build(&tiny(), &TuningConfig::none()).unwrap();
         let baselines =
             build_nontemporal_baseline(&inst, &SysSpec::Current, &AppSpec::All).unwrap();
-        let orders_idx = inst.history.db.table_index("orders").unwrap();
+        let orders_idx = inst.db.table_index("orders").unwrap();
         let expected = inst
-            .history
             .db
             .scan(orders_idx, &SysSpec::Current, &AppSpec::All)
             .len();

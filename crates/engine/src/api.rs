@@ -320,6 +320,10 @@ pub struct KeyStructuresFootprint {
     /// on System C (payload vectors, null masks and dictionaries — its
     /// rows live nowhere else; shared string payloads excluded).
     pub heap_bytes: usize,
+    /// Bytes of the tuning indexes (`OrderedIndex`es beside the system PK,
+    /// System D's GiST): zero on an untuned engine, and on System C, which
+    /// ignores them.
+    pub tuning_index_bytes: usize,
     /// Open versions the key structures address.
     pub open_versions: usize,
 }
@@ -337,6 +341,7 @@ impl std::iter::Sum for KeyStructuresFootprint {
         tables.fold(Self::default(), |a, b| KeyStructuresFootprint {
             key_bytes: a.key_bytes + b.key_bytes,
             heap_bytes: a.heap_bytes + b.heap_bytes,
+            tuning_index_bytes: a.tuning_index_bytes + b.tuning_index_bytes,
             open_versions: a.open_versions + b.open_versions,
         })
     }

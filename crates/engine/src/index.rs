@@ -8,12 +8,22 @@
 //! they only work on very selective workloads"* (§5.9), and plans flip from
 //! index lookups to table scans on small changes in predicate selectivity
 //! (§5.4.1).
+//!
+//! An ordered index stores integers as integers. Period endpoints are
+//! `Date`/`SysTime` by construction and the TPC-H key columns are `Int`, so
+//! nearly every index holds nothing but 8-byte integers: its tree is then a
+//! `BPlusTree<i64, u64>` over order-preserving *cells* ([`cell_of`]), and
+//! only an index that really meets a string or a double moves to 24-byte
+//! [`Value`] cells. The index decides from the values it is given — there
+//! is no knob — and callers deal in `Value`s either way.
 
 use crate::api::IndexKind;
 use crate::version::Version;
-use bitempo_core::{obs, SysTime, Value};
+use bitempo_core::{obs, AppDate, Key, SysTime, Value};
 use bitempo_storage::{BPlusTree, RTree, Rect};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::mem::size_of;
 use std::ops::Bound;
 
 /// What a single index column is built over.
@@ -69,16 +79,274 @@ fn interpolable(v: &Value) -> Option<f64> {
     numeric(v).filter(|x| x.is_finite())
 }
 
+/// The integer-like type the non-NULL values of one cell column share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CellKind {
+    Int,
+    Date,
+    SysTime,
+}
+
+/// The cell of NULL: below every other cell, as [`Value`]'s ordering ranks
+/// NULL below every value.
+const NULL_CELL: i64 = i64::MIN;
+/// The cell of `SysTime::MAX` ("until changed"): above every finite time.
+const OPEN_CELL: i64 = i64::MAX;
+/// One past the last cell, as a position among cells.
+const PAST_CELLS: i128 = i64::MAX as i128 + 1;
+
+/// The order-preserving cell of `v`, and the kind of column it is at home
+/// in (`None` for NULL, at home in any). `None` if no cell holds `v`: a
+/// string, a double, or one of the three integers the reserved cells
+/// displace.
+fn cell_of(v: &Value) -> Option<(Option<CellKind>, i64)> {
+    match v {
+        Value::Null => Some((None, NULL_CELL)),
+        Value::Int(i) if *i != NULL_CELL => Some((Some(CellKind::Int), *i)),
+        Value::Date(d) if d.0 != NULL_CELL => Some((Some(CellKind::Date), d.0)),
+        Value::SysTime(t) if *t == SysTime::MAX => Some((Some(CellKind::SysTime), OPEN_CELL)),
+        Value::SysTime(t) => i64::try_from(t.0)
+            .ok()
+            .filter(|&cell| cell != OPEN_CELL)
+            .map(|cell| (Some(CellKind::SysTime), cell)),
+        _ => None,
+    }
+}
+
+/// The cell of `v` in a column of `kind`, if it has one there: NULL does in
+/// any column, and a column of unknown kind — nothing but NULLs so far —
+/// takes whatever has a cell at all.
+fn cell_in(kind: Option<CellKind>, v: &Value) -> Option<i64> {
+    let (of, cell) = cell_of(v)?;
+    (of.is_none() || kind.is_none() || of == kind).then_some(cell)
+}
+
+/// The value a cell of a `kind` column stands for — [`cell_of`] inverted.
+/// A column of unknown kind has held nothing but NULLs.
+fn value_of(kind: Option<CellKind>, cell: i64) -> Value {
+    match (kind, cell) {
+        (_, NULL_CELL) | (None, _) => Value::Null,
+        (Some(CellKind::Int), _) => Value::Int(cell),
+        (Some(CellKind::Date), _) => Value::Date(AppDate(cell)),
+        (Some(CellKind::SysTime), OPEN_CELL) => Value::SysTime(SysTime::MAX),
+        (Some(CellKind::SysTime), _) => Value::SysTime(SysTime(cell as u64)),
+    }
+}
+
+/// A probe value placed among the cells of one column of a tree over `C`.
+trait Probe<C> {
+    /// The lowest cell that is not below the value, if there is one.
+    fn floor(&self) -> Option<C>;
+    /// How `cell` compares with the value.
+    fn cmp_cell(&self, cell: &C) -> Ordering;
+}
+
+/// Among [`Value`] cells a value is its own place.
+impl Probe<Value> for Value {
+    fn floor(&self) -> Option<Value> {
+        Some(self.clone())
+    }
+
+    fn cmp_cell(&self, cell: &Value) -> Ordering {
+        cell.cmp(self)
+    }
+}
+
+/// Where a value falls among integer cells: the cells in `ge..gt` equal it,
+/// those below `ge` are less, those from `gt` up greater. A value of the
+/// column's own type equals exactly one cell; a `Double` among `Int`s may
+/// equal none, or — past 2^53 — several.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    ge: i128,
+    gt: i128,
+}
+
+impl Cut {
+    fn at(cell: i64) -> Cut {
+        Cut {
+            ge: cell.into(),
+            gt: i128::from(cell) + 1,
+        }
+    }
+
+    /// Places `v` among the cells of a `kind` column. A value of another
+    /// type (or one no cell holds) goes where [`Value`]'s own ordering puts
+    /// it, found by bisecting the column's cells.
+    fn place(kind: Option<CellKind>, v: &Value) -> Cut {
+        if let Some(cell) = cell_in(kind, v) {
+            return Cut::at(cell);
+        }
+        // The column has held only NULLs: every value is above them.
+        let Some(kind) = kind else {
+            return Cut {
+                ge: PAST_CELLS,
+                gt: PAST_CELLS,
+            };
+        };
+        let first_not = |below: &dyn Fn(&Value) -> bool| {
+            let lowest = match kind {
+                CellKind::SysTime => 0,
+                CellKind::Int | CellKind::Date => NULL_CELL + 1,
+            };
+            let (mut lo, mut hi) = (i128::from(lowest), PAST_CELLS);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if below(&value_of(Some(kind), mid as i64)) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        Cut {
+            ge: first_not(&|cell| cell < v),
+            gt: first_not(&|cell| cell <= v),
+        }
+    }
+}
+
+impl Probe<i64> for Cut {
+    fn floor(&self) -> Option<i64> {
+        i64::try_from(self.ge).ok()
+    }
+
+    fn cmp_cell(&self, cell: &i64) -> Ordering {
+        let cell = i128::from(*cell);
+        if cell < self.ge {
+            Ordering::Less
+        } else if cell < self.gt {
+            Ordering::Equal
+        } else {
+            Ordering::Greater
+        }
+    }
+}
+
+/// Slots whose first cell lies in `(lo, hi)`, counting every leaf entry
+/// examined (including the one that ends the walk) into `visits`.
+fn walk_range<C: Ord + Clone, P: Probe<C>>(
+    tree: &BPlusTree<C, u64>,
+    lo: Bound<&P>,
+    hi: Bound<&P>,
+    visits: &mut u64,
+) -> Vec<u64> {
+    // A one-cell key is a prefix lower bound of the composite keys.
+    // Excluded on the first column means skipping every key whose first
+    // cell equals the bound, and [v] <= [v, ...], so seek as if included and
+    // filter below. The upper bound must admit any suffix: walk until the
+    // first cell exceeds it.
+    let floor;
+    let lo_key = match lo {
+        Bound::Included(p) | Bound::Excluded(p) => match p.floor() {
+            Some(cell) => {
+                floor = [cell];
+                Bound::Included(&floor[..])
+            }
+            None => return Vec::new(),
+        },
+        Bound::Unbounded => Bound::Unbounded,
+    };
+    let mut out = Vec::new();
+    for (key, slot) in tree.range((lo_key, Bound::Unbounded)) {
+        *visits += 1;
+        let first = &key[0];
+        // Stop once past the upper bound.
+        let past = match hi {
+            Bound::Included(p) => p.cmp_cell(first) == Ordering::Greater,
+            Bound::Excluded(p) => p.cmp_cell(first) != Ordering::Less,
+            Bound::Unbounded => false,
+        };
+        if past {
+            break;
+        }
+        // Honour an excluded lower bound on the first column.
+        if let Bound::Excluded(p) = lo {
+            if p.cmp_cell(first) == Ordering::Equal {
+                continue;
+            }
+        }
+        out.push(*slot);
+    }
+    out
+}
+
+/// Slots whose leading cells equal `key` cell for cell, counting examined
+/// leaf entries into `visits`.
+fn walk_prefix<C: Ord + Clone, P: Probe<C>>(
+    tree: &BPlusTree<C, u64>,
+    key: &[P],
+    visits: &mut u64,
+) -> Vec<u64> {
+    // Seek at or before the first entry that is not below `key`: with the
+    // floors, up to the first column where no cell equals the probe value —
+    // what follows it orders nothing. Without even a first floor every
+    // entry is below `key`.
+    let mut seek = Vec::with_capacity(key.len());
+    for p in key {
+        let Some(cell) = p.floor() else { break };
+        let equals = p.cmp_cell(&cell).is_eq();
+        seek.push(cell);
+        if !equals {
+            break;
+        }
+    }
+    if seek.is_empty() && !key.is_empty() {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (cells, slot) in tree.range((Bound::Included(&seek[..]), Bound::Unbounded)) {
+        let entry_vs_key = key
+            .iter()
+            .zip(cells)
+            .map(|(p, cell)| p.cmp_cell(cell))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal);
+        match entry_vs_key {
+            // Still before `key`: only when a probe value equals several
+            // cells, so that the seek could not land exactly.
+            Ordering::Less => {}
+            Ordering::Equal => {
+                *visits += 1;
+                out.push(*slot);
+            }
+            Ordering::Greater => {
+                *visits += 1;
+                break;
+            }
+        }
+    }
+    out
+}
+
+/// What an index's tree is made of.
+#[derive(Debug, Clone)]
+enum Cells {
+    /// Every column has held values of one integer-like type (or NULL) so
+    /// far: 8-byte cells, integer compares. `kinds[i]` is the type column
+    /// `i` holds — fixed for period endpoints, learnt from the first
+    /// non-NULL value for a table column.
+    Int {
+        tree: BPlusTree<i64, u64>,
+        kinds: Vec<Option<CellKind>>,
+    },
+    /// The index has met a value no integer cell holds.
+    Wide(BPlusTree<Value, u64>),
+}
+
 /// A B-Tree index over versions stored in some slot-addressed container.
 #[derive(Debug, Clone)]
 pub struct OrderedIndex {
     /// Definition.
     pub def: IndexDef,
     /// One cell per index column, stored flat in the tree's nodes.
-    tree: BPlusTree<Value, u64>,
+    cells: Cells,
     /// The key of the version being inserted or removed, extracted into
-    /// one reused buffer so that neither allocates.
+    /// one reused buffer so that neither allocates — and, beside it, the
+    /// same key as integer cells.
     key: Vec<Value>,
+    cell_key: Vec<i64>,
     lo: f64,
     hi: f64,
     /// Entry count per distinct leading-column value that is not
@@ -93,9 +361,18 @@ pub struct OrderedIndex {
 impl OrderedIndex {
     /// Creates an empty index.
     pub fn new(def: IndexDef) -> OrderedIndex {
+        let kinds = def.cols.iter().map(|col| match col {
+            IndexedCol::Value(_) => None,
+            IndexedCol::AppStart => Some(CellKind::Date),
+            IndexedCol::SysStart | IndexedCol::SysEnd => Some(CellKind::SysTime),
+        });
         OrderedIndex {
-            tree: BPlusTree::new(def.cols.len()),
+            cells: Cells::Int {
+                tree: BPlusTree::new(def.cols.len()),
+                kinds: kinds.collect(),
+            },
             key: Vec::with_capacity(def.cols.len()),
+            cell_key: Vec::with_capacity(def.cols.len()),
             def,
             lo: f64::INFINITY,
             hi: f64::NEG_INFINITY,
@@ -103,16 +380,48 @@ impl OrderedIndex {
         }
     }
 
-    /// Extracts the key of `version` into the reused buffer.
-    fn extract_key(&mut self, version: &Version) {
+    /// Extracts the key of `version` into the reused buffers. Returns
+    /// whether the tree as it is can hold that key: always on [`Value`]
+    /// cells; on integer cells when every value has a cell of its column's
+    /// kind (a column of unknown kind takes any).
+    fn extract_key(&mut self, version: &Version) -> bool {
         self.key.clear();
         let cols = self.def.cols.iter();
         self.key.extend(cols.map(|&c| extract_col(version, c)));
+        let Cells::Int { kinds, .. } = &self.cells else {
+            return true;
+        };
+        self.cell_key.clear();
+        let cells = self
+            .key
+            .iter()
+            .zip(kinds)
+            .map_while(|(v, &kind)| cell_in(kind, v));
+        self.cell_key.extend(cells);
+        self.cell_key.len() == self.key.len()
+    }
+
+    /// Moves the entries onto [`Value`] cells, in key order (so every leaf
+    /// but the last ends up full). One way: the index never narrows again.
+    fn widen(&mut self) {
+        let Cells::Int { tree, kinds } = &self.cells else {
+            return;
+        };
+        let mut wide = BPlusTree::new(kinds.len());
+        let mut key = Vec::with_capacity(kinds.len());
+        for (cells, slot) in tree.iter() {
+            key.clear();
+            key.extend(cells.iter().zip(kinds).map(|(&c, &k)| value_of(k, c)));
+            wide.insert(&key, *slot);
+        }
+        self.cells = Cells::Wide(wide);
     }
 
     /// Indexes `version` under `slot`.
     pub fn insert(&mut self, version: &Version, slot: u64) {
-        self.extract_key(version);
+        if !self.extract_key(version) {
+            self.widen();
+        }
         match interpolable(&self.key[0]) {
             Some(x) => {
                 self.lo = self.lo.min(x);
@@ -120,13 +429,27 @@ impl OrderedIndex {
             }
             None => *self.first_col.entry(self.key[0].clone()).or_insert(0) += 1,
         }
-        self.tree.insert(&self.key, slot);
+        match &mut self.cells {
+            Cells::Int { tree, kinds } => {
+                for (kind, v) in kinds.iter_mut().zip(&self.key) {
+                    if kind.is_none() {
+                        *kind = cell_of(v).and_then(|(of, _)| of);
+                    }
+                }
+                tree.insert(&self.cell_key, slot);
+            }
+            Cells::Wide(tree) => tree.insert(&self.key, slot),
+        }
     }
 
     /// Removes `version`'s entry for `slot` (returns whether it existed).
     pub fn remove(&mut self, version: &Version, slot: u64) -> bool {
-        self.extract_key(version);
-        let existed = self.tree.remove(&self.key, &slot);
+        // A key the integer cells cannot hold was never inserted into them.
+        let existed = self.extract_key(version)
+            && match &mut self.cells {
+                Cells::Int { tree, .. } => tree.remove(&self.cell_key, &slot),
+                Cells::Wide(tree) => tree.remove(&self.key, &slot),
+            };
         if existed {
             if let Some(count) = self.first_col.get_mut(&self.key[0]) {
                 *count -= 1;
@@ -147,11 +470,36 @@ impl OrderedIndex {
     }
 
     /// Slots indexed under exactly `key` (every index column), in insertion
-    /// order. This is how sequenced DML on Systems A and B finds a key's
-    /// open versions in the primary-key index; it is bookkeeping, not a
-    /// query access path, so it records no span and counts no visits.
+    /// order. It is bookkeeping, not a query access path, so it records no
+    /// span and counts no visits.
     pub fn slots_of(&self, key: &[Value]) -> Vec<u64> {
-        self.tree.get(key)
+        if key.len() != self.def.cols.len() {
+            return Vec::new();
+        }
+        self.prefix_slots(key, &mut 0)
+    }
+
+    /// [`OrderedIndex::slots_of`] a primary key. This is how sequenced DML
+    /// on Systems A and B finds a key's open versions in the primary-key
+    /// index, once per statement: integer keys over integer cells — every
+    /// TPC-BiH key — go in as they are.
+    pub fn slots_of_key(&self, key: &Key) -> Vec<u64> {
+        let (ints, arity) = match key {
+            Key::Int(a) => ([*a, 0], 1),
+            Key::Int2(a, b) => ([*a, *b], 2),
+            Key::General(values) => return self.slots_of(values),
+        };
+        let ints = &ints[..arity];
+        match &self.cells {
+            Cells::Int { tree, kinds }
+                if kinds.len() == arity
+                    && (ints.iter().zip(kinds))
+                        .all(|(&i, &kind)| cell_in(kind, &Value::Int(i)) == Some(i)) =>
+            {
+                tree.get(ints)
+            }
+            _ => self.slots_of(&key.to_values()),
+        }
     }
 
     /// Bytes the index holds, by capacity: tree nodes (keys are stored
@@ -159,20 +507,29 @@ impl OrderedIndex {
     /// B-Tree nodes hold 6–11 of 11 slots and are priced at 1.5× their
     /// entries. String payloads are shared with the rows and not counted.
     pub fn memory_bytes(&self) -> usize {
-        let value = std::mem::size_of::<Value>();
-        self.tree.memory_bytes()
-            + self.key.capacity() * value
-            + self.first_col.len() * (value + std::mem::size_of::<u64>()) * 3 / 2
+        let value = size_of::<Value>();
+        let tree = match &self.cells {
+            Cells::Int { tree, kinds } => {
+                tree.memory_bytes() + kinds.capacity() * size_of::<Option<CellKind>>()
+            }
+            Cells::Wide(tree) => tree.memory_bytes(),
+        };
+        tree + self.key.capacity() * value
+            + self.cell_key.capacity() * size_of::<i64>()
+            + self.first_col.len() * (value + size_of::<u64>()) * 3 / 2
     }
 
     /// Number of indexed entries.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        match &self.cells {
+            Cells::Int { tree, .. } => tree.len(),
+            Cells::Wide(tree) => tree.len(),
+        }
     }
 
     /// True if nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.len() == 0
     }
 
     /// Slots whose *first* index column lies in `(lo, hi)`. Composite
@@ -191,36 +548,15 @@ impl OrderedIndex {
         visits: &mut u64,
     ) -> Vec<u64> {
         let mut span = obs::span_dyn("index", || format!("probe_range {}", self.def.name));
-        // A one-cell key is a prefix lower bound of the composite keys.
-        // Excluded on the first column means skipping every key whose
-        // first cell equals v, and [v] <= [v, ...], so seek as if included
-        // and filter below. The upper bound must admit any suffix: walk
-        // until the first cell exceeds it.
-        let lo_key = match lo {
-            Bound::Included(v) | Bound::Excluded(v) => Bound::Included(std::slice::from_ref(v)),
-            Bound::Unbounded => Bound::Unbounded,
+        let out = match &self.cells {
+            // Each bound is placed among the cells once, not per entry.
+            Cells::Int { tree, kinds } => {
+                let lo = lo.map(|v| Cut::place(kinds[0], v));
+                let hi = hi.map(|v| Cut::place(kinds[0], v));
+                walk_range(tree, lo.as_ref(), hi.as_ref(), visits)
+            }
+            Cells::Wide(tree) => walk_range(tree, lo, hi, visits),
         };
-        let mut out = Vec::new();
-        for (key, slot) in self.tree.range((lo_key, Bound::Unbounded)) {
-            *visits += 1;
-            let first = &key[0];
-            // Stop once past the upper bound.
-            let past = match hi {
-                Bound::Included(v) => first > v,
-                Bound::Excluded(v) => first >= v,
-                Bound::Unbounded => false,
-            };
-            if past {
-                break;
-            }
-            // Honour an excluded lower bound on the first column.
-            if let Bound::Excluded(v) = lo {
-                if first == v {
-                    continue;
-                }
-            }
-            out.push(*slot);
-        }
         span.arg_with("hits", || out.len().to_string());
         out
     }
@@ -234,16 +570,26 @@ impl OrderedIndex {
     /// entries into `visits`.
     pub fn probe_prefix_counted(&self, key: &[Value], visits: &mut u64) -> Vec<u64> {
         let mut span = obs::span_dyn("index", || format!("probe_prefix {}", self.def.name));
-        let mut out = Vec::new();
-        for (k, slot) in self.tree.range((Bound::Included(key), Bound::Unbounded)) {
-            *visits += 1;
-            if !k.starts_with(key) {
-                break;
-            }
-            out.push(*slot);
-        }
+        let out = self.prefix_slots(key, visits);
         span.arg_with("hits", || out.len().to_string());
         out
+    }
+
+    fn prefix_slots(&self, key: &[Value], visits: &mut u64) -> Vec<u64> {
+        if key.len() > self.def.cols.len() {
+            return Vec::new();
+        }
+        match &self.cells {
+            Cells::Int { tree, kinds } => {
+                let cuts: Vec<Cut> = key
+                    .iter()
+                    .zip(kinds)
+                    .map(|(v, &kind)| Cut::place(kind, v))
+                    .collect();
+                walk_prefix(tree, &cuts, visits)
+            }
+            Cells::Wide(tree) => walk_prefix(tree, key, visits),
+        }
     }
 
     /// Estimated fraction of entries whose first column lies in the range,
@@ -257,7 +603,7 @@ impl OrderedIndex {
     /// inverted bounds, `(v, v]`, `[v, v)`, or wholly outside the domain —
     /// returns `Some(0.0)` rather than a clamped residue.
     pub fn estimate_selectivity(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Option<f64> {
-        if self.tree.is_empty() || self.lo > self.hi {
+        if self.is_empty() || self.lo > self.hi {
             return None;
         }
         // Unit step of the bound's domain: discrete values move in whole
@@ -370,12 +716,20 @@ impl GistIndex {
     pub fn is_empty(&self) -> bool {
         self.tree.is_empty()
     }
+
+    /// Bytes the index holds, by capacity.
+    pub fn memory_bytes(&self) -> usize {
+        self.tree.memory_bytes() + self.name.capacity()
+    }
 }
+
+#[cfg(test)]
+mod props;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitempo_core::{AppDate, AppPeriod, Row, SysPeriod};
+    use bitempo_core::{AppPeriod, Row, SysPeriod};
 
     fn version(id: i64, app: (i64, i64), sys: (u64, Option<u64>)) -> Version {
         Version {

@@ -79,10 +79,9 @@ pub(crate) fn open_slots_in(
     key: &Key,
     all_open: impl FnOnce() -> Vec<u64>,
 ) -> Vec<u64> {
-    let key = key.to_values();
     match pk {
-        Some(pk) => pk.slots_of(&key),
-        None if key.is_empty() => all_open(),
+        Some(pk) => pk.slots_of_key(key),
+        None if matches!(key, Key::General(values) if values.is_empty()) => all_open(),
         None => Vec::new(),
     }
 }
@@ -102,6 +101,11 @@ pub(crate) fn ordered_indexes_over<'a, I: Iterator<Item = (u64, &'a Version)>>(
             ix
         })
         .collect()
+}
+
+/// Resident bytes of a partition's tuning indexes.
+pub(crate) fn ordered_indexes_bytes(indexes: &[OrderedIndex]) -> usize {
+    indexes.iter().map(OrderedIndex::memory_bytes).sum()
 }
 
 /// `(slot, version)` pairs of a heap partition, in slot order.
@@ -248,12 +252,17 @@ impl TableLayout for TableA {
         KeyStructuresFootprint {
             key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
             heap_bytes: self.current.memory_bytes() + self.history.memory_bytes(),
+            tuning_index_bytes: ordered_indexes_bytes(&self.cur_indexes)
+                + ordered_indexes_bytes(&self.hist_indexes),
             open_versions: self.current.len(),
         }
     }
 
     fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
-        let mut out: Vec<Version> = self.current.iter().map(|(_, v)| v.clone()).collect();
+        // Sized once: a snapshot is as large as the table, and growing it
+        // by doubling holds every outgrown block until the last copy.
+        let mut out = Vec::with_capacity(self.current.len() + self.history.len());
+        out.extend(self.current.iter().map(|(_, v)| v.clone()));
         out.extend(self.history.iter().map(|(_, v)| v.clone()));
         out
     }

@@ -26,8 +26,8 @@ use crate::index::OrderedIndex;
 use crate::rowscan::{PartitionView, Reconstructed};
 use crate::shell::{Engine, TableLayout};
 use crate::system_a::{
-    build_heap_tindex, heap_entries, open_slots_in, ordered_indexes_over, system_pk_index,
-    TuningDefs,
+    build_heap_tindex, heap_entries, open_slots_in, ordered_indexes_bytes, ordered_indexes_over,
+    system_pk_index, TuningDefs,
 };
 use crate::version::Version;
 use bitempo_core::{
@@ -393,17 +393,16 @@ impl TableLayout for TableB {
         KeyStructuresFootprint {
             key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
             heap_bytes: self.cur_values.memory_bytes() + self.history.memory_bytes(),
+            tuning_index_bytes: ordered_indexes_bytes(&self.cur_indexes)
+                + ordered_indexes_bytes(&self.hist_indexes),
             open_versions: self.cur_values.len(),
         }
     }
 
     fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
-        let mut out: Vec<Version> = self
-            .reconstruct_current()
-            .0
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect();
+        let current = self.reconstruct_current().0;
+        let mut out = Vec::with_capacity(current.len() + self.history.len() + self.undo.len());
+        out.extend(current.into_iter().map(|(_, v)| v));
         out.extend(self.history.iter().map(|(_, v)| v.clone()));
         // Staged undo entries are part of logical history even before the
         // background writer drains them (snapshots taken after checkpoint

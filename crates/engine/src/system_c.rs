@@ -447,6 +447,7 @@ impl TableLayout for TableC {
         KeyStructuresFootprint {
             key_bytes: self.key_map.memory_bytes(),
             heap_bytes: self.current.memory_bytes() + self.history.memory_bytes(),
+            tuning_index_bytes: 0,
             open_versions: self.key_map.open_versions(),
         }
     }

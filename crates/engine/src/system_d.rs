@@ -15,7 +15,9 @@ use crate::index::{GistIndex, IndexDef, IndexedCol, OrderedIndex};
 use crate::keymap::KeyMap;
 use crate::rowscan::PartitionView;
 use crate::shell::{Engine, TableLayout};
-use crate::system_a::{build_heap_tindex, heap_entries, ordered_indexes_over};
+use crate::system_a::{
+    build_heap_tindex, heap_entries, ordered_indexes_bytes, ordered_indexes_over,
+};
 use crate::version::Version;
 use bitempo_core::{Error, Key, Result, SysPeriod, SysTime, TableDef, TemporalClass};
 use bitempo_storage::{Heap, SlotId};
@@ -215,6 +217,8 @@ impl TableLayout for TableD {
         KeyStructuresFootprint {
             key_bytes: self.key_map.memory_bytes(),
             heap_bytes: self.all.memory_bytes(),
+            tuning_index_bytes: ordered_indexes_bytes(&self.indexes)
+                + self.gist.as_ref().map_or(0, GistIndex::memory_bytes),
             open_versions: self.key_map.open_versions(),
         }
     }
@@ -222,7 +226,9 @@ impl TableLayout for TableD {
     fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
         // One flat table; removed (never-visible / non-temporal-deleted)
         // slots are tombstones the iterator already skips.
-        self.all.iter().map(|(_, v)| v.clone()).collect()
+        let mut out = Vec::with_capacity(self.all.len());
+        out.extend(self.all.iter().map(|(_, v)| v.clone()));
+        out
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableD> {

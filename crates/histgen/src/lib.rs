@@ -10,7 +10,9 @@
 //!   transactions (Fig 13);
 //! * the generator's own **in-memory bitemporal state** ([`state::GenDb`]),
 //!   which doubles as a correctness oracle for the engines and as the
-//!   source of pre-stamped versions for System D's bulk load (§5.8);
+//!   source of pre-stamped versions for System D's bulk load (§5.8) — handed
+//!   out by [`generate_history_with_state`] only, so a load that just
+//!   replays the archive does not carry a fifth database;
 //! * per-table **operation statistics** reproducing Table 2.
 //!
 //! Scenario probabilities follow Table 1. Where the OCR of the paper is
@@ -79,14 +81,20 @@ impl HistoryConfig {
 pub struct History {
     /// The replayable transaction archive.
     pub archive: Archive,
-    /// The generator's final bitemporal state (current + invalidated).
-    pub db: GenDb,
     /// Operation statistics (Table 2).
     pub stats: HistoryStats,
 }
 
-/// Runs the update scenarios against the version-0 data.
+/// Runs the update scenarios against the version-0 data. The generator's
+/// own database is dropped with the run.
 pub fn generate_history(data: &TpchData, config: &HistoryConfig) -> History {
+    generate_history_with_state(data, config).0
+}
+
+/// [`generate_history`], also handing over the generator's final bitemporal
+/// state (current + invalidated versions): the oracle the engines are
+/// compared with, and what System D's bulk load reads.
+pub fn generate_history_with_state(data: &TpchData, config: &HistoryConfig) -> (History, GenDb) {
     scenario::run(data, config)
 }
 
@@ -100,5 +108,22 @@ mod tests {
         assert_eq!(HistoryConfig::with_m(0.001).scenarios(), 1_000);
         assert_eq!(HistoryConfig::tiny().scenarios(), 500);
         assert_eq!(HistoryConfig::with_m(0.0).scenarios(), 1, "never zero");
+    }
+
+    #[test]
+    fn a_history_owns_the_archive_and_the_stats_and_no_database() {
+        let data = bitempo_dbgen::generate(&bitempo_dbgen::ScaleConfig::tiny());
+        let config = HistoryConfig::tiny();
+        // Exhaustive on purpose: a third field stops this compiling.
+        let History { archive, stats } = generate_history(&data, &config);
+        assert_eq!(
+            std::mem::size_of::<History>(),
+            std::mem::size_of::<Archive>() + std::mem::size_of::<HistoryStats>()
+        );
+        // The state is the same run's, handed out beside the history.
+        let (with_state, db) = generate_history_with_state(&data, &config);
+        assert_eq!(archive, with_state.archive);
+        assert_eq!(stats.scenario_counts, with_state.stats.scenario_counts);
+        assert_eq!(db.now().0, 1 + archive.transactions.len() as u64);
     }
 }

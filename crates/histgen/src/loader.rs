@@ -355,15 +355,15 @@ mod tests {
     use bitempo_engine::api::{AppSpec, SysSpec};
     use bitempo_engine::{build_engine, SystemKind};
 
-    fn tiny_inputs() -> (TpchData, crate::History) {
+    fn tiny_inputs() -> (TpchData, crate::History, GenDb) {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let history = crate::generate_history(&data, &HistoryConfig::tiny());
-        (data, history)
+        let (history, db) = crate::generate_history_with_state(&data, &HistoryConfig::tiny());
+        (data, history, db)
     }
 
     #[test]
     fn initial_load_is_one_version() {
-        let (data, _) = tiny_inputs();
+        let (data, ..) = tiny_inputs();
         let mut engine = build_engine(SystemKind::A);
         let ids = load_initial(engine.as_mut(), &data).unwrap();
         assert_eq!(engine.now(), SysTime(1));
@@ -381,14 +381,14 @@ mod tests {
 
     #[test]
     fn replay_matches_generator_state_on_all_engines() {
-        let (data, history) = tiny_inputs();
+        let (data, history, db) = tiny_inputs();
         for kind in SystemKind::ALL {
             let mut engine = build_engine(kind);
             let ids = load_initial(engine.as_mut(), &data).unwrap();
             let report = replay(engine.as_mut(), &ids, &history.archive, 1).unwrap();
             assert_eq!(
                 report.version,
-                history.db.now(),
+                db.now(),
                 "{kind}: commit counts must line up"
             );
             engine.checkpoint();
@@ -397,29 +397,29 @@ mod tests {
                     .scan(id, &SysSpec::All, &AppSpec::All, &[])
                     .unwrap()
                     .rows;
-                let mut want = history.db.scan(idx, &SysSpec::All, &AppSpec::All);
+                let mut want = db.scan(idx, &SysSpec::All, &AppSpec::All);
                 got.sort();
                 want.sort();
                 assert_eq!(
                     got.len(),
                     want.len(),
                     "{kind}, table {}: version counts",
-                    history.db.def(idx).name
+                    db.def(idx).name
                 );
-                assert_eq!(got, want, "{kind}, table {}", history.db.def(idx).name);
+                assert_eq!(got, want, "{kind}, table {}", db.def(idx).name);
             }
         }
     }
 
     #[test]
     fn bulk_load_equals_replay_on_system_d() {
-        let (data, history) = tiny_inputs();
+        let (data, history, db) = tiny_inputs();
         let mut replayed = build_engine(SystemKind::D);
         let ids = load_initial(replayed.as_mut(), &data).unwrap();
         replay(replayed.as_mut(), &ids, &history.archive, 1).unwrap();
 
         let mut bulk = build_engine(SystemKind::D);
-        let bulk_ids = bulk_load(bulk.as_mut(), &history.db).unwrap();
+        let bulk_ids = bulk_load(bulk.as_mut(), &db).unwrap();
 
         for (&a, &b) in ids.iter().zip(&bulk_ids) {
             let mut ra = replayed
@@ -438,14 +438,14 @@ mod tests {
 
     #[test]
     fn bulk_load_fails_without_manual_time() {
-        let (_, history) = tiny_inputs();
+        let (.., db) = tiny_inputs();
         let mut engine = build_engine(SystemKind::A);
-        assert!(bulk_load(engine.as_mut(), &history.db).is_err());
+        assert!(bulk_load(engine.as_mut(), &db).is_err());
     }
 
     #[test]
     fn batched_replay_reaches_same_final_state() {
-        let (data, history) = tiny_inputs();
+        let (data, history, _) = tiny_inputs();
         let mut one = build_engine(SystemKind::A);
         let ids1 = load_initial(one.as_mut(), &data).unwrap();
         replay(one.as_mut(), &ids1, &history.archive, 1).unwrap();
@@ -500,7 +500,7 @@ mod tests {
 
     #[test]
     fn resilient_replay_skips_failed_batches() {
-        let (data, history) = tiny_inputs();
+        let (data, history, _) = tiny_inputs();
         // Poison a middle transaction with an update to a nonexistent key.
         let mut archive = history.archive.clone();
         let mid = archive.transactions.len() / 2;
@@ -688,7 +688,7 @@ mod tests {
     /// state, with the op counted as retried, not duplicated or skipped.
     #[test]
     fn retry_after_partial_apply_does_not_double_apply() {
-        let (data, history) = tiny_inputs();
+        let (data, history, _) = tiny_inputs();
         let mut clean = build_engine(SystemKind::A);
         let clean_ids = load_initial(clean.as_mut(), &data).unwrap();
         replay(clean.as_mut(), &clean_ids, &history.archive, 1).unwrap();
@@ -793,7 +793,7 @@ mod tests {
 
     #[test]
     fn retry_recovers_from_transient_errors_only() {
-        let (_, history) = tiny_inputs();
+        let (_, history, _) = tiny_inputs();
         let mut buf = Vec::new();
         history.archive.write_to(&mut buf).unwrap();
 

@@ -180,7 +180,7 @@ impl Runner {
 }
 
 /// Runs the configured number of scenarios.
-pub fn run(data: &TpchData, config: &HistoryConfig) -> History {
+pub fn run(data: &TpchData, config: &HistoryConfig) -> (History, GenDb) {
     let mut db = GenDb::from_initial(data);
     let mut runner = Runner::from_data(data, config.seed);
     let mut stats = HistoryStats::new(
@@ -208,15 +208,15 @@ pub fn run(data: &TpchData, config: &HistoryConfig) -> History {
         });
     }
 
-    History {
+    let history = History {
         archive: crate::Archive {
             dbgen_seed: 0,
             hist_seed: config.seed,
             transactions,
         },
-        db,
         stats,
-    }
+    };
+    (history, db)
 }
 
 fn build_ops(kind: ScenarioKind, r: &mut Runner, db: &GenDb, today: AppDate) -> Vec<Op> {
@@ -545,7 +545,7 @@ mod tests {
 
     fn history() -> History {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        run(&data, &HistoryConfig::tiny())
+        run(&data, &HistoryConfig::tiny()).0
     }
 
     #[test]
@@ -558,15 +558,15 @@ mod tests {
     #[test]
     fn deterministic() {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let a = run(&data, &HistoryConfig::tiny());
-        let b = run(&data, &HistoryConfig::tiny());
+        let (a, _) = run(&data, &HistoryConfig::tiny());
+        let (b, _) = run(&data, &HistoryConfig::tiny());
         assert_eq!(a.archive.transactions, b.archive.transactions);
     }
 
     #[test]
     fn scenario_frequencies_match_table1() {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let h = run(&data, &HistoryConfig::with_m(0.005)); // 5 000 scenarios
+        let (h, _) = run(&data, &HistoryConfig::with_m(0.005)); // 5 000 scenarios
         let total: u64 = h.stats.scenario_counts.iter().sum();
         assert_eq!(total, 5_000);
         for (kind, p) in ScenarioKind::WEIGHTED {
@@ -584,7 +584,7 @@ mod tests {
     #[test]
     fn table2_qualitative_shape() {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let h = run(&data, &HistoryConfig::with_m(0.005));
+        let (h, _) = run(&data, &HistoryConfig::with_m(0.005));
         let s = &h.stats;
         let idx = |n: &str| s.tables.iter().position(|t| t == n).unwrap();
 
@@ -639,8 +639,8 @@ mod tests {
 
     #[test]
     fn generator_state_consistent_after_run() {
-        let h = history();
-        let db = &h.db;
+        let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
+        let (h, db) = run(&data, &HistoryConfig::tiny());
         let orders = db.table_index("orders").unwrap();
         let lineitem = db.table_index("lineitem").unwrap();
         // Orders inserted minus cancelled equals current count.

@@ -611,6 +611,18 @@ mod tests {
             let per_entry = t.memory_bytes() as f64 / entries as f64;
             let ceiling = [37.0, 63.0, 88.0][arity - 1];
             assert!(per_entry <= ceiling, "arity {arity}: {per_entry} B");
+            // The same load as 8-byte integer cells — what the engines'
+            // indexes hold unless a column has strings or doubles.
+            let mut ints = BPlusTree::new(arity);
+            for k in 0..50_000i64 {
+                ints.insert(&[k, 0, 0][..arity], k as u64);
+            }
+            let per_entry = ints.memory_bytes() as f64 / entries as f64;
+            let ceiling = [20.0, 29.0, 37.0][arity - 1];
+            assert!(
+                per_entry <= ceiling,
+                "arity {arity}: {per_entry} B on integers"
+            );
         }
     }
 

@@ -9,6 +9,17 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SlotId(pub u32);
 
+/// Bytes of the slot array's first block. `Vec` would start at 4 slots, a
+/// block small enough to come out of the allocator's per-thread cache of
+/// recently freed blocks — which may hand the thread a block of *another*
+/// thread's arena (one it freed on that thread's behalf). The array then
+/// stays in that arena through every `realloc`, and what its doublings
+/// leave behind there is out of reach of everything else the owning thread
+/// allocates: recovery of a served engine held ~1 MiB more when that
+/// happened, and whether it happened varied from run to run. A block this
+/// size is carved from the allocating thread's own arena.
+const FIRST_BLOCK_BYTES: usize = 2048;
+
 /// An append-only arena of records with tombstone deletion.
 #[derive(Debug, Clone)]
 pub struct Heap<T> {
@@ -42,6 +53,10 @@ impl<T> Heap<T> {
     /// Appends a record and returns its slot.
     pub fn insert(&mut self, record: T) -> SlotId {
         let id = SlotId(self.slots.len() as u32);
+        if self.slots.capacity() == 0 {
+            let first = FIRST_BLOCK_BYTES / std::mem::size_of::<Option<T>>().max(1);
+            self.slots.reserve_exact(first.max(4));
+        }
         self.slots.push(Some(record));
         self.live += 1;
         id
@@ -130,6 +145,19 @@ mod tests {
         assert_eq!(h.get(a), Some(&"alpha"));
         assert_eq!(h.get(b), Some(&"beta"));
         assert_eq!(h.len(), 2);
+    }
+
+    #[test]
+    fn first_insert_takes_the_first_block() {
+        let mut h = Heap::new();
+        assert_eq!(h.memory_bytes(), 0);
+        h.insert(7u64);
+        assert_eq!(h.memory_bytes(), FIRST_BLOCK_BYTES);
+        // From there the array doubles as any `Vec` does.
+        for i in 0..1000u64 {
+            h.insert(i);
+        }
+        assert!(h.memory_bytes() < 2 * 1001 * std::mem::size_of::<Option<u64>>());
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! these workloads (§5.3.2) — reproducing that requires a faithful R-Tree,
 //! not a strawman, so this is a standard quadratic-split Guttman R-Tree.
 
+use std::mem::size_of;
+
 /// An axis-aligned rectangle with inclusive integer coordinates.
 ///
 /// Periods map their half-open `[start, end)` to `[start, end - 1]`.
@@ -117,6 +119,13 @@ struct RNode<T> {
     is_leaf: bool,
 }
 
+/// An empty node vector sized for a whole node: [`MAX_ENTRIES`] and the one
+/// entry that overflows it into a split. Allocated once — `Vec`'s own
+/// doubling would go 4, 8, 16 and take the 17th entry to 32.
+fn node_entries<T>() -> Vec<Entry<T>> {
+    Vec::with_capacity(MAX_ENTRIES + 1)
+}
+
 /// A Guttman R-Tree with quadratic split.
 #[derive(Debug, Clone)]
 pub struct RTree<T> {
@@ -136,7 +145,7 @@ impl<T: Clone> RTree<T> {
     pub fn new() -> Self {
         RTree {
             nodes: vec![RNode {
-                entries: Vec::new(),
+                entries: node_entries(),
                 is_leaf: true,
             }],
             root: 0,
@@ -154,23 +163,25 @@ impl<T: Clone> RTree<T> {
         self.len == 0
     }
 
+    /// Bytes the tree holds, by capacity: the node arena plus every node's
+    /// entry vector.
+    pub fn memory_bytes(&self) -> usize {
+        let entries: usize = self.nodes.iter().map(|n| n.entries.capacity()).sum();
+        self.nodes.capacity() * size_of::<RNode<T>>() + entries * size_of::<Entry<T>>()
+    }
+
     /// Inserts `value` under `rect`.
     pub fn insert(&mut self, rect: Rect, value: T) {
         if let Some((r1, n1, r2, n2)) = self.insert_into(self.root, rect, value) {
-            let new_root = RNode {
-                entries: vec![
-                    Entry {
-                        rect: r1,
-                        payload: Payload::Child(n1),
-                    },
-                    Entry {
-                        rect: r2,
-                        payload: Payload::Child(n2),
-                    },
-                ],
+            let mut entries = node_entries();
+            entries.extend([(r1, n1), (r2, n2)].map(|(rect, child)| Entry {
+                rect,
+                payload: Payload::Child(child),
+            }));
+            self.nodes.push(RNode {
+                entries,
                 is_leaf: false,
-            };
-            self.nodes.push(new_root);
+            });
             self.root = self.nodes.len() - 1;
         }
         self.len += 1;
@@ -246,8 +257,8 @@ impl<T: Clone> RTree<T> {
             }
         }
 
-        let mut group_a: Vec<Entry<T>> = Vec::new();
-        let mut group_b: Vec<Entry<T>> = Vec::new();
+        let mut group_a = node_entries();
+        let mut group_b = node_entries();
         let mut rect_a = entries[seed_a].rect;
         let mut rect_b = entries[seed_b].rect;
         for (i, e) in entries.into_iter().enumerate() {
@@ -447,6 +458,29 @@ mod tests {
             expected.sort_unstable();
             assert_eq!(got, expected);
         }
+    }
+
+    #[test]
+    fn no_node_vector_outgrows_a_node() {
+        let mut t = RTree::new();
+        let mut rng = bitempo_core::Pcg32::new(5, 9);
+        for i in 0..20_000u64 {
+            let (x, y) = (rng.int_range(0, 100_000), rng.int_range(0, 20_000));
+            t.insert(Rect::new(x, x + rng.int_range(0, 300), y, y + 1), i);
+        }
+        let mut leaf_entries = 0;
+        for node in &t.nodes {
+            assert!(node.entries.len() <= MAX_ENTRIES);
+            assert_eq!(node.entries.capacity(), MAX_ENTRIES + 1);
+            leaf_entries += if node.is_leaf { node.entries.len() } else { 0 };
+        }
+        assert_eq!(leaf_entries, 20_000);
+        // Capacity-true: the arena and 17 slots of 48 B per node, which at
+        // the quadratic split's ~60 % fill is some 90 B per 48 B entry.
+        let want = t.nodes.capacity() * size_of::<RNode<u64>>() + t.nodes.len() * 17 * 48;
+        assert_eq!(t.memory_bytes(), want);
+        let per_entry = t.memory_bytes() / t.len();
+        assert!(per_entry <= 110, "{per_entry} B per entry");
     }
 
     #[test]

@@ -18,8 +18,31 @@
 
 use bitempo_core::{AppDate, AppPeriod};
 
-/// One indexed entry: an application period and its partition-local slot.
-type Entry = (AppPeriod, u64);
+/// One indexed entry, in 12 bytes: the period's endpoints as 32-bit days
+/// (see [`day_from`] / [`day_until`]) and its partition-local slot.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    start: i32,
+    end: i32,
+    slot: u32,
+}
+
+/// The 32-bit day of a period start or a probed instant. Every date within
+/// ±5.8 million years keeps its value; beyond, the narrowing saturates —
+/// monotone, so whatever held between two dates still holds between their
+/// days, and a period can only *widen*: probes keep returning a superset of
+/// the matching entries, as their contract allows.
+fn day_from(d: AppDate) -> i32 {
+    d.0.clamp(i64::from(i32::MIN), i64::from(i32::MAX) - 1) as i32
+}
+
+/// The 32-bit day of a period end (exclusive): [`day_from`] of the last day
+/// inside the period, plus one. So `d < e` implies
+/// `day_from(d) < day_until(e)` even where both saturate, and
+/// `AppDate::MAX` stays above every probed instant.
+fn day_until(e: AppDate) -> i32 {
+    e.0.clamp(i64::from(i32::MIN) + 1, i64::from(i32::MAX)) as i32
+}
 
 /// The application-time stabbing index. See the module docs.
 #[derive(Debug, Default, Clone)]
@@ -40,17 +63,25 @@ impl IntervalIndex {
 
     /// Appends an entry. O(1); the entry lands in the unsorted tail until
     /// the next [`IntervalIndex::prepare`].
+    ///
+    /// # Panics
+    /// If `slot` does not fit 32 bits: slots are partition-local.
     pub fn insert(&mut self, slot: u64, app: AppPeriod) {
-        self.by_lo.push((app, slot));
-        self.by_hi.push((app, slot));
+        let entry = Entry {
+            start: day_from(app.start),
+            end: day_until(app.end),
+            slot: u32::try_from(slot).expect("partition-local slots fit 32 bits"),
+        };
+        self.by_lo.push(entry);
+        self.by_hi.push(entry);
     }
 
     /// Sorts both endpoint lists. Engines call this at quiescent points
     /// (index build, checkpoint); probes between calls scan the tail
     /// linearly.
     pub fn prepare(&mut self) {
-        self.by_lo.sort_unstable_by_key(|e| (e.0.start, e.1));
-        self.by_hi.sort_unstable_by_key(|e| (e.0.end, e.1));
+        self.by_lo.sort_unstable_by_key(|e| (e.start, e.slot));
+        self.by_hi.sort_unstable_by_key(|e| (e.end, e.slot));
         self.sorted_len = self.by_lo.len();
     }
 
@@ -84,74 +115,66 @@ impl IntervalIndex {
 
     /// Slots whose period contains `d`, sorted ascending.
     pub fn stab(&self, d: AppDate, cost: &mut crate::ProbeCost) -> Vec<u64> {
-        self.probe(
-            |p| p.contains_point(d),
-            // Entries whose period starts after `d` cannot contain it.
-            |list| list.partition_point(|e| e.0.start <= d),
-            // Entries whose period ends at or before `d` cannot contain it
-            // (half-open: the end itself is excluded).
-            |list| list.partition_point(|e| e.0.end <= d),
-            cost,
-        )
+        let d = day_from(d);
+        self.probe(|e| e.start <= d && d < e.end, d, d, cost)
     }
 
     /// Slots whose period overlaps `range`, sorted ascending.
     pub fn overlapping(&self, range: &AppPeriod, cost: &mut crate::ProbeCost) -> Vec<u64> {
-        self.probe(
-            |p| p.overlaps(range),
-            |list| list.partition_point(|e| e.0.start < range.end),
-            |list| list.partition_point(|e| e.0.end <= range.start),
-            cost,
-        )
+        let (from, until) = (day_from(range.start), day_until(range.end));
+        self.probe(|e| e.start < until && from < e.end, until - 1, from, cost)
     }
 
     /// Upper bound on [`IntervalIndex::stab`] output size.
     pub fn estimate_stab(&self, d: AppDate) -> usize {
-        let s = self.sorted_len;
-        let lo = self.by_lo[..s].partition_point(|e| e.0.start <= d);
-        let hi = s - self.by_hi[..s].partition_point(|e| e.0.end <= d);
-        lo.min(hi) + (self.by_lo.len() - s)
+        let d = day_from(d);
+        self.estimate(d, d)
     }
 
     /// Upper bound on [`IntervalIndex::overlapping`] output size.
     pub fn estimate_overlapping(&self, range: &AppPeriod) -> usize {
-        let s = self.sorted_len;
-        let lo = self.by_lo[..s].partition_point(|e| e.0.start < range.end);
-        let hi = s - self.by_hi[..s].partition_point(|e| e.0.end <= range.start);
-        lo.min(hi) + (self.by_lo.len() - s)
+        self.estimate(day_until(range.end) - 1, day_from(range.start))
     }
 
-    /// Shared probe skeleton: pick the cheaper endpoint-list side for the
-    /// sorted prefix, filter candidates by the authoritative `matches`
-    /// test, then walk the unsorted tail.
+    /// How many sorted entries start at or before `last`, and how many end
+    /// at or before `first`: an entry beyond the one or within the other
+    /// cannot reach into `[first, last]`.
+    fn sorted_sides(&self, last: i32, first: i32) -> (usize, usize) {
+        let s = self.sorted_len;
+        (
+            self.by_lo[..s].partition_point(|e| e.start <= last),
+            self.by_hi[..s].partition_point(|e| e.end <= first),
+        )
+    }
+
+    fn estimate(&self, last: i32, first: i32) -> usize {
+        let s = self.sorted_len;
+        let (p, q) = self.sorted_sides(last, first);
+        p.min(s - q) + (self.by_lo.len() - s)
+    }
+
+    /// Shared probe skeleton for the days `[first, last]`: pick the cheaper
+    /// endpoint-list side for the sorted prefix, filter candidates by the
+    /// authoritative `matches` test, then walk the unsorted tail.
     fn probe(
         &self,
-        matches: impl Fn(&AppPeriod) -> bool,
-        lo_prefix: impl Fn(&[Entry]) -> usize,
-        hi_prefix: impl Fn(&[Entry]) -> usize,
+        matches: impl Fn(&Entry) -> bool,
+        last: i32,
+        first: i32,
         cost: &mut crate::ProbeCost,
     ) -> Vec<u64> {
         let s = self.sorted_len;
-        let sorted_lo = &self.by_lo[..s];
-        let sorted_hi = &self.by_hi[..s];
-        let p = lo_prefix(sorted_lo);
-        let q = hi_prefix(sorted_hi);
-        let candidates: &[Entry] = if p <= s - q {
-            &sorted_lo[..p]
+        let (p, q) = self.sorted_sides(last, first);
+        let candidates = if p <= s - q {
+            &self.by_lo[..p]
         } else {
-            &sorted_hi[q..]
+            &self.by_hi[q..s]
         };
         let mut out = Vec::new();
-        for (period, slot) in candidates {
+        for e in candidates.iter().chain(&self.by_lo[s..]) {
             cost.node_visits += 1;
-            if matches(period) {
-                out.push(*slot);
-            }
-        }
-        for (period, slot) in &self.by_lo[s..] {
-            cost.node_visits += 1;
-            if matches(period) {
-                out.push(*slot);
+            if matches(e) {
+                out.push(u64::from(e.slot));
             }
         }
         out.sort_unstable();
@@ -164,6 +187,7 @@ impl IntervalIndex {
 mod tests {
     use super::*;
     use bitempo_core::Period;
+    use proptest::prelude::*;
 
     fn p(a: i64, b: i64) -> AppPeriod {
         Period::new(AppDate(a), AppDate(b))
@@ -256,6 +280,75 @@ mod tests {
             "visits {} should track the small side",
             cost.node_visits
         );
+    }
+
+    /// Endpoints around everything the 32-bit days treat specially: the
+    /// `AppDate` sentinels, the edges of `i32`, and far beyond them — over a
+    /// small everyday domain, so degenerate `[s, s)` periods are common.
+    fn endpoint() -> impl Strategy<Value = i64> {
+        let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        prop_oneof![
+            -3i64..12,
+            -3i64..12,
+            -3i64..12,
+            prop_oneof![
+                Just(i64::MIN),
+                Just(i64::MAX),
+                Just(-(1 << 40)),
+                Just(1 << 40)
+            ],
+            (lo - 2)..(lo + 3),
+            (hi - 2)..(hi + 3),
+        ]
+    }
+
+    proptest! {
+        /// The packed index against a per-entry oracle on the unpacked
+        /// periods. Always a superset; and exact wherever the narrowing is:
+        /// a false positive needs a period start past `i32::MAX - 1`, a
+        /// period end below `i32::MIN + 1`, or a probe beyond those.
+        #[test]
+        fn packed_entries_answer_like_the_per_entry_oracle(
+            ends in proptest::collection::vec((endpoint(), endpoint()), 1..40),
+            probes in proptest::collection::vec((endpoint(), endpoint()), 1..12),
+            sorted in 0usize..40,
+        ) {
+            let (lo, hi) = (i64::from(i32::MIN), i64::from(i32::MAX));
+            let entries: Vec<(u64, AppPeriod)> = ends
+                .iter()
+                .enumerate()
+                .map(|(slot, &(a, b))| (slot as u64, p(a.min(b), a.max(b))))
+                .collect();
+            let mut ix = IntervalIndex::new();
+            for (i, &(slot, period)) in entries.iter().enumerate() {
+                if i == sorted {
+                    ix.prepare();
+                }
+                ix.insert(slot, period);
+            }
+            let narrowed = |per: &AppPeriod| per.start.0 > hi - 1 || per.end.0 < lo + 1;
+            let check = |got: Vec<u64>, exact_probe: bool, want: &dyn Fn(&AppPeriod) -> bool| {
+                for &(slot, per) in &entries {
+                    let (got, want) = (got.contains(&slot), want(&per));
+                    if got != want && (want || (exact_probe && !narrowed(&per))) {
+                        return Err(TestCaseError::fail(format!("slot {slot} {per}: got {got}")));
+                    }
+                }
+                Ok(())
+            };
+            for &(a, b) in &probes {
+                let mut cost = crate::ProbeCost::default();
+                let d = AppDate(a);
+                prop_assert!(ix.estimate_stab(d) >= ix.stab(d, &mut cost).len());
+                check(ix.stab(d, &mut cost), (lo..hi).contains(&a), &|per| per.contains_point(d))?;
+                let range = p(a.min(b), a.max(b));
+                let exact = (lo..hi).contains(&range.start.0) && (lo + 1..=hi).contains(&range.end.0);
+                prop_assert!(
+                    ix.estimate_overlapping(&range) >= ix.overlapping(&range, &mut cost).len()
+                );
+                check(ix.overlapping(&range, &mut cost), exact, &|per| per.overlaps(&range))?;
+            }
+        }
     }
 
     #[test]

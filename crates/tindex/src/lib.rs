@@ -339,9 +339,9 @@ mod tests {
         assert_eq!(fp.events, 20, "activate + invalidate per version");
         assert_eq!(fp.marks, 10, "one mark per two events");
         assert!(fp.sets >= 1 && fp.sets <= fp.marks);
-        // Capacity-true: at least the 24 B events and the two 24 B endpoint
+        // Capacity-true: at least the 16 B events and the two 12 B endpoint
         // entries every version costs.
-        assert!(fp.bytes >= 20 * 24 + 10 * 48, "{fp:?}");
+        assert!(fp.bytes >= 20 * 16 + 10 * 24, "{fp:?}");
         let doubled = fp.merged(fp);
         assert_eq!(doubled.events, 40);
         assert_eq!(doubled.marks, 20);
@@ -374,9 +374,10 @@ mod tests {
         );
         let fp = built.footprint();
         assert!(fp.bytes <= inserted.footprint().bytes);
-        // 600 events, 300 entries per endpoint list, 37 marks and segment
-        // bounds at 16 B each; the rest is version-sets and live mirror.
-        let exact = 600 * 24 + 2 * 300 * 24;
+        // 600 events at 16 B, 300 entries of 12 B per endpoint list, 37
+        // marks and segment bounds at 16 B each; the rest is version-sets
+        // and the live bitmap.
+        let exact = 600 * 16 + 2 * 300 * 12;
         assert!(fp.bytes >= exact && fp.bytes <= exact + exact / 4, "{fp:?}");
     }
 

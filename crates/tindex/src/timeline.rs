@@ -30,11 +30,10 @@
 //! *close* time (activation times lag close order) rely on this.
 
 use bitempo_core::{SysPeriod, SysTime};
-use std::collections::BTreeSet;
 
 /// Default checkpoint interval: small enough to bound replays tightly,
 /// large enough that marks, segment bounds and version-sets together stay
-/// a fraction of the event log (two words of mark per 256 three-word
+/// a fraction of the event log (two words of mark per 256 two-word
 /// events; version-set slots are bounded by [`SET_SPACING`] times the
 /// event count whatever the interval).
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
@@ -51,11 +50,6 @@ pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
 ///   `checkpoint_every + live / SET_SPACING` events past its set.
 const SET_SPACING: usize = 2;
 
-/// Resident bytes charged per slot of the `live` mirror: `BTreeSet<u64>`
-/// leaves hold up to 11 keys in ~100 B and sit half full under the
-/// ascending inserts activations produce (measured 15–20 B per slot).
-const LIVE_BYTES_PER_SLOT: usize = 20;
-
 /// What happened to a slot's visibility.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -66,15 +60,95 @@ pub enum EventKind {
     Invalidate,
 }
 
-/// One visibility change in the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One visibility change in the log, in two words: the kind rides in the
+/// top bit of the slot word.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Event {
+    at: SysTime,
+    word: u64,
+}
+
+/// Set in [`Event::word`] for an invalidation.
+const INVALIDATE: u64 = 1 << 63;
+
+impl Event {
+    /// An event of `kind` on `slot`, taking effect at commit time `at`.
+    ///
+    /// # Panics
+    /// If `slot` needs the top bit: slots are partition-local and dense.
+    pub fn new(at: SysTime, slot: u64, kind: EventKind) -> Event {
+        assert!(slot < INVALIDATE, "slot {slot} is not partition-local");
+        let word = match kind {
+            EventKind::Activate => slot,
+            EventKind::Invalidate => slot | INVALIDATE,
+        };
+        Event { at, word }
+    }
+
     /// Commit time the change took effect.
-    pub at: SysTime,
+    pub fn at(&self) -> SysTime {
+        self.at
+    }
+
     /// Partition-local slot of the affected version.
-    pub slot: u64,
+    pub fn slot(&self) -> u64 {
+        self.word & !INVALIDATE
+    }
+
     /// Activation or invalidation.
-    pub kind: EventKind,
+    pub fn kind(&self) -> EventKind {
+        if self.word & INVALIDATE == 0 {
+            EventKind::Activate
+        } else {
+            EventKind::Invalidate
+        }
+    }
+}
+
+impl std::fmt::Debug for Event {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}({}) at {}", self.kind(), self.slot(), self.at)
+    }
+}
+
+/// The visible set as a bitmap over the partition's slots, which the heaps
+/// and column tables hand out densely from zero: a bit per slot ever seen
+/// instead of a search-tree entry per visible one.
+#[derive(Debug, Clone, Default)]
+struct LiveSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl LiveSet {
+    fn insert(&mut self, slot: u64) {
+        let (word, bit) = ((slot / 64) as usize, 1 << (slot % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.len += usize::from(self.words[word] & bit == 0);
+        self.words[word] |= bit;
+    }
+
+    fn remove(&mut self, slot: u64) {
+        let bit = 1 << (slot % 64);
+        if let Some(word) = self.words.get_mut((slot / 64) as usize) {
+            self.len -= usize::from(*word & bit != 0);
+            *word &= !bit;
+        }
+    }
+
+    /// The visible slots, ascending.
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some(i as u64 * 64 + u64::from(bit))
+            })
+        })
+    }
 }
 
 /// What the planner needs to know about one `every`-aligned log prefix:
@@ -117,7 +191,7 @@ pub struct Timeline {
     /// non-monotone replays.
     seg_bounds: Vec<(SysTime, SysTime)>,
     /// Running mirror of the visible set, snapshot at version-set cuts.
-    live: BTreeSet<u64>,
+    live: LiveSet,
     /// Running maximum event time.
     max_at: SysTime,
     /// True while events have arrived in non-decreasing time order, which
@@ -146,7 +220,7 @@ impl Timeline {
             sets: Vec::new(),
             every: checkpoint_every.max(1),
             seg_bounds: Vec::new(),
-            live: BTreeSet::new(),
+            live: LiveSet::default(),
             max_at: SysTime::ZERO,
             monotone: true,
             #[cfg(debug_assertions)]
@@ -174,11 +248,7 @@ impl Timeline {
             );
         }
         self.live.insert(slot);
-        self.push(Event {
-            at,
-            slot,
-            kind: EventKind::Activate,
-        });
+        self.push(Event::new(at, slot, EventKind::Activate));
     }
 
     /// Records that `slot` stopped being visible at `at`.
@@ -188,39 +258,35 @@ impl Timeline {
             let last = self.closed_at.entry(slot).or_insert(at);
             *last = (*last).max(at);
         }
-        self.live.remove(&slot);
-        self.push(Event {
-            at,
-            slot,
-            kind: EventKind::Invalidate,
-        });
+        self.live.remove(slot);
+        self.push(Event::new(at, slot, EventKind::Invalidate));
     }
 
     fn push(&mut self, e: Event) {
-        if e.at < self.max_at {
+        if e.at() < self.max_at {
             self.monotone = false;
         }
-        self.max_at = self.max_at.max(e.at);
+        self.max_at = self.max_at.max(e.at());
         self.events.push(e);
         let seg = (self.events.len() - 1) / self.every;
         match self.seg_bounds.get_mut(seg) {
             Some((lo, hi)) => {
-                *lo = (*lo).min(e.at);
-                *hi = (*hi).max(e.at);
+                *lo = (*lo).min(e.at());
+                *hi = (*hi).max(e.at());
             }
-            None => self.seg_bounds.push((e.at, e.at)),
+            None => self.seg_bounds.push((e.at(), e.at())),
         }
         if self.events.len().is_multiple_of(self.every) {
             self.marks.push(Mark {
                 max_at: self.max_at,
-                live_len: self.live.len(),
+                live_len: self.live.len,
             });
             let since = self.events.len() - self.sets.last().map_or(0, |s| s.upto);
-            if since * SET_SPACING >= self.live.len() {
+            if since * SET_SPACING >= self.live.len {
                 self.sets.push(VersionSet {
                     upto: self.events.len(),
                     max_at: self.max_at,
-                    visible: self.live.iter().copied().collect(),
+                    visible: self.live.iter().collect(),
                 });
             }
         }
@@ -237,6 +303,7 @@ impl Timeline {
         self.marks.shrink_to_fit();
         self.sets.shrink_to_fit();
         self.seg_bounds.shrink_to_fit();
+        self.live.words.shrink_to_fit();
     }
 
     /// Number of events recorded.
@@ -269,7 +336,7 @@ impl Timeline {
             + self.sets.capacity() * size_of::<VersionSet>()
             + self.set_slots() * size_of::<u64>()
             + self.seg_bounds.capacity() * size_of::<(SysTime, SysTime)>()
-            + self.live.len() * LIVE_BYTES_PER_SLOT) as u64
+            + self.live.words.capacity() * size_of::<u64>()) as u64
     }
 
     /// Walks `events[upto..]` segment by segment, invoking `f` on every
@@ -348,10 +415,10 @@ impl Timeline {
         cost.node_visits += set.len() as u64;
         let mut delta = Delta::new();
         if self.monotone {
-            let hi = self.events.partition_point(|e| e.at <= at);
+            let hi = self.events.partition_point(|e| e.at() <= at);
             let applied = self.events.get(upto..hi).unwrap_or(&[]);
             cost.node_visits += applied.len() as u64;
-            delta.extend(applied.iter().map(|e| (e.slot, e.kind)));
+            delta.extend(applied.iter().map(|e| (e.slot(), e.kind())));
         } else {
             // Segments whose earliest event is already past `at` cannot
             // change visibility at `at`.
@@ -360,8 +427,8 @@ impl Timeline {
                 |lo, _| lo <= at,
                 cost,
                 |e| {
-                    if e.at <= at {
-                        delta.push((e.slot, e.kind));
+                    if e.at() <= at {
+                        delta.push((e.slot(), e.kind()));
                     }
                 },
             );
@@ -387,15 +454,15 @@ impl Timeline {
         // In-range activations go last, so they win over whatever the
         // replay said about the same slot.
         if self.monotone {
-            let lo = self.events.partition_point(|e| e.at < range.start);
-            let hi = self.events.partition_point(|e| e.at < range.end);
+            let lo = self.events.partition_point(|e| e.at() < range.start);
+            let hi = self.events.partition_point(|e| e.at() < range.end);
             let inside = self.events.get(lo..hi).unwrap_or(&[]);
             cost.node_visits += inside.len() as u64;
             delta.extend(
                 inside
                     .iter()
-                    .filter(|e| e.kind == EventKind::Activate)
-                    .map(|e| (e.slot, e.kind)),
+                    .filter(|e| e.kind() == EventKind::Activate)
+                    .map(|e| (e.slot(), e.kind())),
             );
         } else {
             self.replay_segments(
@@ -403,8 +470,8 @@ impl Timeline {
                 |lo, hi| lo < range.end && hi >= range.start,
                 cost,
                 |e| {
-                    if e.kind == EventKind::Activate && range.contains_point(e.at) {
-                        delta.push((e.slot, e.kind));
+                    if e.kind() == EventKind::Activate && range.contains_point(e.at()) {
+                        delta.push((e.slot(), e.kind()));
                     }
                 },
             );
@@ -423,7 +490,7 @@ impl Timeline {
             // Every recorded event applies, so the live mirror *is* the
             // visible set — exact, and O(1) for the common current-snapshot
             // probe.
-            return self.live.len();
+            return self.live.len;
         }
         let mi = self.marks.partition_point(|m| m.max_at <= at);
         let base = mi
@@ -433,7 +500,7 @@ impl Timeline {
         let replay = self.count_events(
             mi * self.every,
             |lo, _| lo <= at,
-            |e| e.kind == EventKind::Activate && e.at <= at,
+            |e| e.kind() == EventKind::Activate && e.at() <= at,
         );
         base + replay
     }
@@ -445,7 +512,7 @@ impl Timeline {
         let activations = self.count_events(
             0,
             |lo, hi| lo < range.end && hi >= range.start,
-            |e| e.kind == EventKind::Activate && range.contains_point(e.at),
+            |e| e.kind() == EventKind::Activate && range.contains_point(e.at()),
         );
         self.estimate_at(range.start) + activations
     }

@@ -4,11 +4,13 @@
 //! version opened now and closed later (current partitions, monotone), a
 //! version recorded whole at its close time (history partitions: the
 //! activation lags the log, so the log is non-monotone), and degenerate
-//! `[s, s)` versions — over fresh and causally reused slots.
+//! `[s, s)` versions — over fresh (sparse, sometimes high) and causally
+//! reused slots.
 
 use super::*;
 use bitempo_core::Period;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// One generated step; `pick` selects the operation and its operands.
 #[derive(Debug, Clone, Copy)]
@@ -41,7 +43,9 @@ struct History {
 fn run(steps: &[Step], close_time_order: bool) -> History {
     let mut h = History::default();
     let mut now = 1u64;
-    let mut next_slot = 0u64;
+    // Fresh slots leave gaps and, in half the programs, start high: the
+    // live bitmap must not care how densely slots are handed out.
+    let mut next_slot = steps.first().map_or(0, |s| s.pick % 2) << 20;
     // Open versions as (slot, index into `versions`).
     let mut open: Vec<(u64, usize)> = Vec::new();
     // Invalidated slots and when, for causal reuse.
@@ -51,8 +55,9 @@ fn run(steps: &[Step], close_time_order: bool) -> History {
         match reusable {
             Some(i) if pick.is_multiple_of(2) => closed.swap_remove(i).0,
             _ => {
-                next_slot += 1;
-                next_slot - 1
+                let slot = next_slot;
+                next_slot += 1 + pick / 2 % 3 * 997;
+                slot
             }
         }
     };
@@ -63,37 +68,25 @@ fn run(steps: &[Step], close_time_order: bool) -> History {
         if op == 1 && !open.is_empty() {
             let (slot, v) = open.swap_remove(operand as usize % open.len());
             h.versions[v].1.end = SysTime(now);
-            h.log.push(Event {
-                at: SysTime(now),
-                slot,
-                kind: EventKind::Invalidate,
-            });
+            h.log
+                .push(Event::new(SysTime(now), slot, EventKind::Invalidate));
             closed.push((slot, now));
         } else if op == 2 {
             let start = now.saturating_sub(s.len).max(1);
             let slot = take_slot(start, operand, &mut closed);
             h.versions
                 .push((slot, Period::new(SysTime(start), SysTime(now))));
-            h.log.push(Event {
-                at: SysTime(start),
-                slot,
-                kind: EventKind::Activate,
-            });
-            h.log.push(Event {
-                at: SysTime(now),
-                slot,
-                kind: EventKind::Invalidate,
-            });
+            h.log
+                .push(Event::new(SysTime(start), slot, EventKind::Activate));
+            h.log
+                .push(Event::new(SysTime(now), slot, EventKind::Invalidate));
             closed.push((slot, now));
         } else {
             let slot = take_slot(now, operand, &mut closed);
             open.push((slot, h.versions.len()));
             h.versions.push((slot, SysPeriod::since(SysTime(now))));
-            h.log.push(Event {
-                at: SysTime(now),
-                slot,
-                kind: EventKind::Activate,
-            });
+            h.log
+                .push(Event::new(SysTime(now), slot, EventKind::Activate));
         }
     }
     h.end = now;
@@ -103,9 +96,9 @@ fn run(steps: &[Step], close_time_order: bool) -> History {
 fn build(log: &[Event], every: usize) -> Timeline {
     let mut tl = Timeline::new(every);
     for e in log {
-        match e.kind {
-            EventKind::Activate => tl.activate(e.slot, e.at),
-            EventKind::Invalidate => tl.invalidate(e.slot, e.at),
+        match e.kind() {
+            EventKind::Activate => tl.activate(e.slot(), e.at()),
+            EventKind::Invalidate => tl.invalidate(e.slot(), e.at()),
         }
     }
     tl
@@ -128,9 +121,9 @@ fn visible(sys: &SysPeriod, at: SysTime) -> bool {
 fn live_after(log: &[Event]) -> BTreeSet<u64> {
     let mut live = BTreeSet::new();
     for e in log {
-        match e.kind {
-            EventKind::Activate => live.insert(e.slot),
-            EventKind::Invalidate => live.remove(&e.slot),
+        match e.kind() {
+            EventKind::Activate => live.insert(e.slot()),
+            EventKind::Invalidate => live.remove(&e.slot()),
         };
     }
     live
@@ -140,19 +133,19 @@ fn live_after(log: &[Event]) -> BTreeSet<u64> {
 /// version-set at *every* `every`-aligned prefix, the latest one whose
 /// events all apply, plus one per later activation at or before `at`.
 fn dense_estimate_at(log: &[Event], every: usize, at: SysTime) -> usize {
-    let max_at = log.iter().map(|e| e.at).max().unwrap_or(SysTime::ZERO);
+    let max_at = log.iter().map(|e| e.at()).max().unwrap_or(SysTime::ZERO);
     if at >= max_at {
         return live_after(log).len();
     }
     let upto = (1..=log.len() / every)
         .map(|k| k * every)
-        .take_while(|&n| log[..n].iter().all(|e| e.at <= at))
+        .take_while(|&n| log[..n].iter().all(|e| e.at() <= at))
         .last()
         .unwrap_or(0);
     live_after(&log[..upto]).len()
         + log[upto..]
             .iter()
-            .filter(|e| e.kind == EventKind::Activate && e.at <= at)
+            .filter(|e| e.kind() == EventKind::Activate && e.at() <= at)
             .count()
 }
 
@@ -160,7 +153,7 @@ fn dense_estimate_during(log: &[Event], every: usize, range: &SysPeriod) -> usiz
     dense_estimate_at(log, every, range.start)
         + log
             .iter()
-            .filter(|e| e.kind == EventKind::Activate && range.contains_point(e.at))
+            .filter(|e| e.kind() == EventKind::Activate && range.contains_point(e.at()))
             .count()
 }
 
@@ -169,6 +162,22 @@ fn dense_estimate_during(log: &[Event], every: usize, range: &SysPeriod) -> usiz
 /// instant, then the space and replay bounds [`SET_SPACING`] promises.
 fn check(h: &History, every: usize) -> Result<(), TestCaseError> {
     let tl = build(&h.log, every);
+    // The bitmap mirror against a search-tree one: at every version-set
+    // cut, and at the end of the log.
+    for set in &tl.sets {
+        let want = live_after(&h.log[..set.upto]);
+        prop_assert!(
+            set.visible.iter().eq(&want),
+            "set at {} every={every}",
+            set.upto
+        );
+    }
+    let want = live_after(&h.log);
+    prop_assert!(
+        tl.live.iter().eq(want.iter().copied()),
+        "live mirror every={every}"
+    );
+    prop_assert_eq!(tl.live.len, want.len());
     let instants = (0..=h.end + 1).map(SysTime).chain([SysTime::MAX]);
     for at in instants.clone() {
         let mut cost = crate::ProbeCost::default();

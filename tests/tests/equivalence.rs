@@ -12,13 +12,14 @@ use bitempo_workloads::{rows_approx_diff, sort_canonical, Ctx, QueryParams};
 
 struct Setup {
     engines: Vec<(SystemKind, Box<dyn BitemporalEngine>)>,
-    history: bitempo_histgen::History,
+    db: bitempo_histgen::GenDb,
     params: QueryParams,
 }
 
 fn build() -> Setup {
     let data = bitempo_dbgen::generate(&ScaleConfig::with_h(0.002));
-    let history = bitempo_histgen::generate_history(&data, &HistoryConfig::with_m(0.001));
+    let (history, db) =
+        bitempo_histgen::generate_history_with_state(&data, &HistoryConfig::with_m(0.001));
     let mut engines = Vec::new();
     for kind in SystemKind::ALL {
         let mut engine = build_engine(kind);
@@ -30,7 +31,7 @@ fn build() -> Setup {
     let params = QueryParams::derive(engines[0].1.as_ref()).unwrap();
     Setup {
         engines,
-        history,
+        db,
         params,
     }
 }
@@ -55,10 +56,10 @@ fn scan_grid_matches_oracle_on_all_engines() {
         AppSpec::Range(Period::new(p.app_mid, p.app_late)),
     ];
     for table in bitempo_dbgen::TPCH_TABLES {
-        let idx = setup.history.db.table_index(table).unwrap();
+        let idx = setup.db.table_index(table).unwrap();
         for sys in &sys_specs {
             for app in &app_specs {
-                let mut want = setup.history.db.scan(idx, sys, app);
+                let mut want = setup.db.scan(idx, sys, app);
                 sort_canonical(&mut want);
                 for (kind, engine) in &setup.engines {
                     let id = engine.resolve(table).unwrap();
@@ -268,12 +269,12 @@ fn parallel_scan_output_identical_to_sequential() {
 fn bulk_loaded_system_d_matches_replayed_engines() {
     let setup = build();
     let mut bulk = build_engine(SystemKind::D);
-    loader::bulk_load(bulk.as_mut(), &setup.history.db).unwrap();
+    loader::bulk_load(bulk.as_mut(), &setup.db).unwrap();
     let p = &setup.params;
     for table in bitempo_dbgen::TPCH_TABLES {
-        let idx = setup.history.db.table_index(table).unwrap();
+        let idx = setup.db.table_index(table).unwrap();
         for sys in [SysSpec::Current, SysSpec::AsOf(p.sys_mid), SysSpec::All] {
-            let mut want = setup.history.db.scan(idx, &sys, &AppSpec::All);
+            let mut want = setup.db.scan(idx, &sys, &AppSpec::All);
             sort_canonical(&mut want);
             let id = bulk.resolve(table).unwrap();
             let mut got = bulk.scan(id, &sys, &AppSpec::All, &[]).unwrap().rows;

@@ -202,14 +202,15 @@ fn system_d_gist_engages_when_tuned() {
 #[test]
 fn bulk_load_skips_transactional_replay() {
     let data = bitempo_dbgen::generate(&ScaleConfig::with_h(0.001));
-    let history = bitempo_histgen::generate_history(&data, &HistoryConfig::with_m(0.0005));
+    let (history, db) =
+        bitempo_histgen::generate_history_with_state(&data, &HistoryConfig::with_m(0.0005));
     let mut replayed = build_engine(SystemKind::D);
     let ids = loader::load_initial(replayed.as_mut(), &data).unwrap();
     let report = loader::replay(replayed.as_mut(), &ids, &history.archive, 1).unwrap();
     assert_eq!(report.timings.len(), history.archive.transactions.len());
 
     let mut bulk = build_engine(SystemKind::D);
-    loader::bulk_load(bulk.as_mut(), &history.db).unwrap();
+    loader::bulk_load(bulk.as_mut(), &db).unwrap();
     // Same final clock, no per-transaction work.
     assert_eq!(bulk.now(), replayed.now());
 }
