@@ -802,22 +802,15 @@ pub fn table2(cfg: &BenchConfig) -> Result<FigureReport> {
     Ok(report)
 }
 
-/// Ceiling on the resident bytes an engine's key → open-version structures
-/// hold per open version (`BitemporalEngine::key_structures_footprint`),
+/// Ceiling on the resident bytes an engine's key → open-version structure
+/// holds per open version (`BitemporalEngine::key_structures_footprint`),
 /// the gate of the `arch` experiment, set 10 % over the largest value
-/// measured across `--h` 0.0005 … 0.012. Systems A and B answer from the
+/// measured across `--h` 0.0005 … 0.012. Every layout answers from the same
 /// system PK index, a packed B+Tree whose leaves store the key as integer
 /// cells flat beside the slots (8 B per key column + 8 B, plus nodes and
-/// separators; no per-key allocation): 28.6–30.5 B at every scale. C and D
-/// answer from the inline-one `KeyMap`: a hash table sits between 7/16 and
-/// 7/8 full, so its bytes per key swing with the table sizes — 57–92 B
-/// measured, 61 at the default scale.
-fn key_structure_bytes_ceiling(kind: SystemKind) -> f64 {
-    match kind {
-        SystemKind::A | SystemKind::B => 34.0,
-        SystemKind::C | SystemKind::D => 101.0,
-    }
-}
+/// separators; no per-key allocation), so one ceiling holds for all four:
+/// 28.4–30.9 B at every scale (C's merge rebuild included).
+const KEY_STRUCTURE_BYTES_CEILING: f64 = 34.0;
 
 /// Ceiling on the resident bytes an engine's Key+Time tuning indexes hold
 /// (`KeyStructuresFootprint::tuning_index_bytes`) per index entry on A and B
@@ -843,7 +836,7 @@ fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
 /// §5.2: the architecture analysis — what each layout stores per version,
 /// under the Key+Time tuning so that its indexes are priced too (nothing
 /// else reported here depends on the tuning). Fails when an engine's key
-/// structures outgrow [`key_structure_bytes_ceiling`] or its tuning indexes
+/// structures outgrow [`KEY_STRUCTURE_BYTES_CEILING`] or its tuning indexes
 /// [`tuning_index_bytes_ceiling`].
 pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
     let inst = Instance::build(cfg, &TuningConfig::key_time())?;
@@ -895,11 +888,10 @@ pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
             kind.name(),
             fp.tuning_index_bytes as f64 / 1024.0,
         ));
-        let ceiling = key_structure_bytes_ceiling(kind);
-        if per_open > ceiling {
+        if per_open > KEY_STRUCTURE_BYTES_CEILING {
             return Err(Error::Invalid(format!(
                 "{kind}: key structures hold {per_open:.0} resident bytes per open version, \
-                 over the {ceiling} B ceiling: {fp:?}"
+                 over the {KEY_STRUCTURE_BYTES_CEILING} B ceiling: {fp:?}"
             )));
         }
         let ceiling = tuning_index_bytes_ceiling(kind);
@@ -2225,7 +2217,7 @@ fn sharding_cell(
     // prepare undecided; recovery must finish it from shard 1's decision
     // and still match the served state on every shard.
     if shards > 1 {
-        let scan = bitempo_storage::wal::scan(&images[0]);
+        let scan = bitempo_wal::scan(&images[0]);
         let last = scan
             .records
             .last()
@@ -2239,9 +2231,7 @@ fn sharding_cell(
                 mode.label()
             )));
         }
-        let frame = bitempo_storage::wal::FRAME_OVERHEAD
-            + bitempo_storage::wal::BODY_OVERHEAD
-            + last.payload.len();
+        let frame = bitempo_wal::FRAME_OVERHEAD + bitempo_wal::BODY_OVERHEAD + last.payload.len();
         let mut inputs = inputs;
         inputs[0].wal.truncate(images[0].len() - frame);
         let rec = recover_cluster(kind, &inputs, &TuningConfig::none())?;

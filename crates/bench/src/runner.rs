@@ -9,7 +9,7 @@ use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
 use bitempo_histgen::loader::{self, LoadReport};
 use bitempo_histgen::{Archive, GenDb, History, HistoryConfig};
-pub use bitempo_storage::wal::DurabilityMode;
+pub use bitempo_wal::DurabilityMode;
 use bitempo_workloads::QueryParams;
 use std::time::Instant;
 

@@ -29,7 +29,6 @@
 pub mod api;
 pub mod catalog;
 pub mod index;
-mod keymap;
 pub mod morsel;
 pub mod rowscan;
 pub mod sequenced;

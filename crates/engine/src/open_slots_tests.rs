@@ -1,8 +1,8 @@
 //! Differential test of "which open versions does key *k* have" on all four
-//! layouts: the PK-index probe of Systems A and B and the `KeyMap` of C and
-//! D against the bookkeeping every engine used to carry — a
-//! `HashMap<Key, Vec<slot>>` pushed at insert and `retain`ed at close — kept
-//! here as the reference, wrapped around each layout as a layout of its own.
+//! layouts: the system PK-index probe every layout answers with against the
+//! bookkeeping every engine used to carry — a `HashMap<Key, Vec<slot>>`
+//! pushed at insert and `retain`ed at close — kept here as the reference,
+//! wrapped around each layout as a layout of its own.
 
 use crate::api::{BitemporalEngine, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::rowscan::PartitionView;
@@ -237,23 +237,35 @@ fn system_b_pk_probe_matches_the_old_key_map() {
 }
 
 #[test]
-fn system_c_key_map_matches_the_old_key_map() {
+fn system_c_pk_probe_matches_the_old_key_map() {
     run_all_keys::<TableC>();
 }
 
 #[test]
-fn system_d_key_map_matches_the_old_key_map() {
+fn system_d_pk_probe_matches_the_old_key_map() {
     run_all_keys::<TableD>();
 }
 
-/// A table without key columns has one key, the empty one, and it covers
-/// every open version — on the engines whose PK index such a table lacks as
-/// on the ones with a map. Any other key matches nothing.
+/// A table without key columns has one key, the empty one, and on every
+/// layout it covers every open row in slot order — after inserts, a `FOR
+/// PORTION OF` split, the close of one row and a checkpoint (on C, a delta
+/// merge that renumbers the rows). Any other key matches nothing.
 #[test]
 fn keyless_table_addresses_every_open_row_by_the_empty_key() {
     fn check<T: TableLayout>() {
         let mut e = Engine::<T>::new();
         let t = e.create_table(table(&[])).unwrap();
+        let def = e.table_def(t).clone();
+        let empty = Key::General(Vec::new());
+        let expect = |e: &Engine<T>, open: usize, what: &str| {
+            let table = &e.tables[0];
+            let rows: Vec<u64> = (0..64)
+                .filter(|&slot| table.peek(&def, slot).is_some_and(|v| v.sys.is_current()))
+                .collect();
+            assert_eq!(rows.len(), open, "{} {what}", e.name());
+            assert_eq!(table.open_slots(&empty), rows, "{} {what}", e.name());
+            assert_eq!(e.stats(t).current_rows, open, "{} {what}", e.name());
+        };
         for a in 0..3 {
             let row = Row::new(vec![
                 Value::Int(a),
@@ -261,26 +273,38 @@ fn keyless_table_addresses_every_open_row_by_the_empty_key() {
                 Value::str("x"),
                 Value::Int(0),
             ]);
-            e.insert(t, row, None).unwrap();
+            e.insert(t, row, Some(Period::new(AppDate(0), AppDate(100))))
+                .unwrap();
             e.commit();
         }
-        let empty = Key::General(Vec::new());
         assert_eq!(
             e.tables[0].open_slots(&empty),
             vec![0, 1, 2],
             "{}",
             e.name()
         );
+        expect(&e, 3, "after inserts");
         assert!(
             e.tables[0].open_slots(&Key::int(0)).is_empty(),
             "{}",
             e.name()
         );
         assert_eq!(e.delete(t, &Key::int(0), None).unwrap(), 0);
-        assert_eq!(e.delete(t, &empty, None).unwrap(), 3, "{}", e.name());
+        let portion = Period::new(AppDate(20), AppDate(40));
+        let split = e.update(t, &empty, &[(3, Value::Int(7))], Some(portion));
+        assert_eq!(split.unwrap(), 3, "{}", e.name());
         e.commit();
-        assert!(e.tables[0].open_slots(&empty).is_empty());
-        assert_eq!(e.stats(t).current_rows, 0);
+        expect(&e, 9, "after a split");
+        let slot = e.tables[0].open_slots(&empty)[4];
+        let end = e.now().next();
+        e.tables[0].close(&def, slot, end).unwrap();
+        e.commit();
+        expect(&e, 8, "after a close");
+        e.checkpoint();
+        expect(&e, 8, "after a checkpoint");
+        assert_eq!(e.delete(t, &empty, None).unwrap(), 8, "{}", e.name());
+        e.commit();
+        expect(&e, 0, "after deleting the empty key");
     }
     check::<TableA>();
     check::<TableB>();

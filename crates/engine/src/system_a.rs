@@ -57,8 +57,9 @@ pub(crate) fn build_heap_tindex(index_name: String, heap: &Heap<Version>) -> Tem
     )
 }
 
-/// The system-defined primary-key index Systems A and B keep on the current
-/// partition; a table without key columns has none.
+/// The system-defined primary-key index every layout keeps over its open
+/// versions; a table without key columns has none. Only A and B hand it to
+/// the scan planner; on C and D it is sequenced-DML bookkeeping.
 pub(crate) fn system_pk_index(def: &TableDef) -> Option<OrderedIndex> {
     (!def.key.is_empty()).then(|| {
         OrderedIndex::new(IndexDef {
@@ -69,11 +70,10 @@ pub(crate) fn system_pk_index(def: &TableDef) -> Option<OrderedIndex> {
     })
 }
 
-/// The open versions of `key` on an engine whose current partition carries
-/// the system-defined PK index (Systems A and B): an exact-key probe, in the
-/// order the versions were inserted. A table without key columns has no PK
-/// index; its one, empty key covers every open version (`all_open`, in slot
-/// order) and no other key matches anything.
+/// The open versions of `key` through the system-defined PK index: an
+/// exact-key probe, in the order the versions were inserted. A table without
+/// key columns has no PK index; its one, empty key covers every open version
+/// (`all_open`, in slot order) and no other key matches anything.
 pub(crate) fn open_slots_in(
     pk: Option<&OrderedIndex>,
     key: &Key,

@@ -13,11 +13,17 @@
 //! changes as the RDBMSs" (§5.4.1): accordingly, tuning requests are
 //! accepted (the paper's team built B-Trees on System C too, Fig 3) but the
 //! scan path never uses them — which is exactly what the paper measured.
+//!
+//! Sequenced DML finds a key's open rows through the same system PK index
+//! Systems A and B keep (`system_a::system_pk_index`), maintained on append
+//! and close and rebuilt by the delta merge, which renumbers row ids. It is
+//! DML bookkeeping only: no partition view ever offers it to the planner.
 
 use crate::api::{AppSpec, ColRange, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
-use crate::keymap::KeyMap;
+use crate::index::OrderedIndex;
 use crate::rowscan::{PartitionView, VersionSource};
 use crate::shell::{Engine, TableLayout};
+use crate::system_a::{open_slots_in, system_pk_index};
 use crate::version::Version;
 use bitempo_core::{
     AppDate, AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime,
@@ -40,9 +46,9 @@ pub struct TableC {
     history: ColumnTable,
     /// Where the hidden temporal columns sit in both partitions' schema.
     hidden: HiddenCols,
-    /// Open versions per key (row ids in `current`). A column store keeps
-    /// no PK index, so this map is the only key structure it has.
-    key_map: KeyMap,
+    /// Open versions per key (row ids in `current`), for sequenced DML
+    /// only; absent on a table without key columns. See module docs.
+    pk: Option<OrderedIndex>,
     /// Rows in `current` that must never be surfaced (non-temporal deletes
     /// and versions that died inside their creating transaction).
     dead: HashSet<usize>,
@@ -262,6 +268,14 @@ impl VersionSource for ColumnFragment<'_> {
     }
 }
 
+impl TableC {
+    /// Open versions: every row of `current` but the closed and the dead
+    /// ones (a close does exactly one of the two; the merge clears both).
+    fn open_versions(&self) -> usize {
+        self.current.len() - self.closed_in_current - self.dead.len()
+    }
+}
+
 impl TableLayout for TableC {
     const NAME: &'static str = "System C";
     const ARCHITECTURE: &'static str =
@@ -275,7 +289,7 @@ impl TableLayout for TableC {
             current: ColumnTable::new(phys.clone()),
             history: ColumnTable::new(phys),
             hidden,
-            key_map: KeyMap::default(),
+            pk: system_pk_index(def),
             dead: HashSet::new(),
             closed_in_current: 0,
             ignored_indexes: Vec::new(),
@@ -285,7 +299,16 @@ impl TableLayout for TableC {
     }
 
     fn open_slots(&self, key: &Key) -> Vec<u64> {
-        self.key_map.get(key).to_vec()
+        open_slots_in(self.pk.as_ref(), key, || {
+            (0..self.current.len())
+                .filter(|rowid| !self.dead.contains(rowid))
+                .filter(|&rowid| {
+                    let sys = self.hidden.sys_of(&self.current, rowid);
+                    sys.is_none_or(|p| p.is_current())
+                })
+                .map(|rowid| rowid as u64)
+                .collect()
+        })
     }
 
     fn peek(&self, def: &TableDef, slot: u64) -> Option<Version> {
@@ -307,8 +330,9 @@ impl TableLayout for TableC {
                 "closing row {rowid} with no live version"
             )));
         };
-        self.key_map
-            .remove(&Key::from_row(&before.row, &def.key), slot);
+        if let Some(pk) = &mut self.pk {
+            pk.remove(&before, slot);
+        }
         let never_visible = before.sys.start >= end;
         // `sys_start` is `Some` exactly when the table is system-versioned.
         match self.hidden.sys_start {
@@ -330,8 +354,9 @@ impl TableLayout for TableC {
 
     fn insert_version(&mut self, def: &TableDef, version: Version) -> u64 {
         let rowid = append_physical(&mut self.current, &version.output_row(def));
-        self.key_map
-            .insert(Key::from_row(&version.row, &def.key), rowid);
+        if let Some(pk) = &mut self.pk {
+            pk.insert(&version, rowid);
+        }
         if let Some(tix) = &mut self.cur_tindex {
             tix.insert(rowid, version.app, version.sys);
         }
@@ -399,15 +424,17 @@ impl TableLayout for TableC {
         let hidden = self.hidden;
         let fresh = ColumnTable::new(self.current.schema().clone());
         let old = std::mem::replace(&mut self.current, fresh);
-        self.key_map.clear();
+        self.pk = system_pk_index(def);
         for rowid in (0..old.len()).filter(|rowid| !self.dead.contains(rowid)) {
             let row = old.get_row(rowid);
             let (app, sys) = hidden.periods_of(&old, rowid);
             if sys.is_current() {
                 let new_id = append_physical(&mut self.current, &row);
-                // The physical row leads with the logical columns, so the
-                // key columns sit at their logical positions.
-                self.key_map.insert(Key::from_row(&row, &def.key), new_id);
+                if let Some(pk) = &mut self.pk {
+                    // The physical row leads with the logical columns, so
+                    // the key columns sit at their logical positions.
+                    pk.insert(&Version { row, app, sys }, new_id);
+                }
             } else {
                 let hist_id = append_physical(&mut self.history, &row);
                 if let Some(tix) = &mut self.tindex {
@@ -434,7 +461,7 @@ impl TableLayout for TableC {
 
     fn stats(&self) -> TableStats {
         TableStats {
-            current_rows: self.key_map.open_versions(),
+            current_rows: self.open_versions(),
             history_rows: self.history.len() + self.closed_in_current,
         }
     }
@@ -445,10 +472,10 @@ impl TableLayout for TableC {
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
         KeyStructuresFootprint {
-            key_bytes: self.key_map.memory_bytes(),
+            key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
             heap_bytes: self.current.memory_bytes() + self.history.memory_bytes(),
             tuning_index_bytes: 0,
-            open_versions: self.key_map.open_versions(),
+            open_versions: self.open_versions(),
         }
     }
 
@@ -488,6 +515,7 @@ mod tests {
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
     use bitempo_core::Period;
     use std::cell::Cell;
+    use std::collections::HashMap;
 
     thread_local! {
         /// Rows this thread's [`ColumnFragment`]s have materialised.
@@ -553,6 +581,58 @@ mod tests {
         e.commit();
         let cur = e.scan(t, &SysSpec::Current, &AppSpec::All, &[]).unwrap();
         assert_eq!(cur.rows[0].get(1), &Value::Int(99));
+    }
+
+    #[test]
+    fn merge_renumbers_each_keys_open_slots_in_order() {
+        let mut e = SystemC::new();
+        let t = e.create_table(bitemp_table("t")).unwrap();
+        let def = e.table_def(t).clone();
+        for k in 1..=6 {
+            e.insert(
+                t,
+                simple_row(k, k),
+                Some(Period::new(AppDate(0), AppDate(100))),
+            )
+            .unwrap();
+        }
+        e.commit();
+        // Splits leave keys 2 and 4 several open rows; key 3 is deleted,
+        // key 5 superseded twice and key 7 superseded inside its creating
+        // transaction (a dead row), so the merge drops rows between the
+        // survivors.
+        for (k, lo) in [(2, 10), (4, 50)] {
+            let portion = Period::new(AppDate(lo), AppDate(lo + 10));
+            e.update(t, &Key::int(k), &[(1, Value::Int(k * 10))], Some(portion))
+                .unwrap();
+        }
+        e.delete(t, &Key::int(3), None).unwrap();
+        e.commit();
+        for v in [50, 51] {
+            e.update(t, &Key::int(5), &[(1, Value::Int(v))], None)
+                .unwrap();
+            e.commit();
+        }
+        e.insert(t, simple_row(7, 7), None).unwrap();
+        e.update(t, &Key::int(7), &[(1, Value::Int(70))], None)
+            .unwrap();
+        e.commit();
+
+        let table = &e.tables[0];
+        assert!(table.closed_in_current > 0 && !table.dead.is_empty());
+        let survivors = (0..table.current.len() as u64)
+            .filter(|&rowid| table.peek(&def, rowid).is_some_and(|v| v.sys.is_current()));
+        let renumbered: HashMap<u64, u64> = survivors.zip(0..).collect();
+        let keys: Vec<Key> = (1..=7).map(Key::int).collect();
+        let before: Vec<Vec<u64>> = keys.iter().map(|k| table.open_slots(k)).collect();
+        assert!(before.iter().any(|slots| slots.len() > 1));
+        e.checkpoint();
+        let table = &e.tables[0];
+        assert_eq!(table.current.len(), renumbered.len(), "merged");
+        for (k, slots) in keys.iter().zip(before) {
+            let want: Vec<u64> = slots.iter().map(|slot| renumbered[slot]).collect();
+            assert_eq!(table.open_slots(k), want, "{k}");
+        }
     }
 
     #[test]

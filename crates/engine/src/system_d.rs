@@ -9,14 +9,21 @@
 //! ("the missing current/history split of System D makes application time
 //! history at current system time more expensive", §5.5.1). B-Tree *and*
 //! GiST (R-Tree) indexes are available through tuning.
+//!
+//! Sequenced DML finds a key's open versions through the same system PK
+//! index Systems A and B keep (`system_a::system_pk_index`), over open
+//! versions only — the bookkeeping any *application* simulating temporal
+//! tables must carry (paper §2.4: DML semantics fall to the application when
+//! support is not native). It is not a query access path: the planner's key
+//! index stays the Key+Time tuning index `ix_key_<t>`.
 
 use crate::api::{IndexKind, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::{GistIndex, IndexDef, IndexedCol, OrderedIndex};
-use crate::keymap::KeyMap;
 use crate::rowscan::PartitionView;
 use crate::shell::{Engine, TableLayout};
 use crate::system_a::{
-    build_heap_tindex, heap_entries, ordered_indexes_bytes, ordered_indexes_over,
+    build_heap_tindex, heap_entries, open_slots_in, ordered_indexes_bytes, ordered_indexes_over,
+    system_pk_index,
 };
 use crate::version::Version;
 use bitempo_core::{Error, Key, Result, SysPeriod, SysTime, TableDef, TemporalClass};
@@ -37,10 +44,11 @@ pub struct TableD {
     key_index: Option<usize>,
     /// GiST index over the period rectangles.
     gist: Option<GistIndex>,
-    /// Open versions per key — the bookkeeping any *application* simulating
-    /// temporal tables must carry (the paper's §2.4 note that DML semantics
-    /// fall to the application when support is not native).
-    key_map: KeyMap,
+    /// Open versions per key, for sequenced DML only; absent on a table
+    /// without key columns. See module docs.
+    pk: Option<OrderedIndex>,
+    /// Open versions in `all`.
+    open: usize,
     /// Optional temporal index over the single flat table, maintained at
     /// DML time: System D is the showcase for inline maintenance because
     /// versions activate in commit order, keeping the event log monotone
@@ -56,12 +64,20 @@ impl TableLayout for TableD {
          manual timestamps and bulk load; B-Tree and GiST indexes via tuning";
     const MANUAL_SYSTEM_TIME: bool = true;
 
-    fn new(_: &TableDef) -> TableD {
-        TableD::default()
+    fn new(def: &TableDef) -> TableD {
+        TableD {
+            pk: system_pk_index(def),
+            ..TableD::default()
+        }
     }
 
     fn open_slots(&self, key: &Key) -> Vec<u64> {
-        self.key_map.get(key).to_vec()
+        open_slots_in(self.pk.as_ref(), key, || {
+            heap_entries(&self.all)
+                .filter(|(_, v)| v.sys.is_current())
+                .map(|(slot, _)| slot)
+                .collect()
+        })
     }
 
     fn peek(&self, _: &TableDef, slot: u64) -> Option<Version> {
@@ -76,8 +92,10 @@ impl TableLayout for TableD {
                 "closing slot {slot64} with no live version"
             )));
         };
-        self.key_map
-            .remove(&Key::from_row(&before.row, &def.key), slot64);
+        if let Some(pk) = &mut self.pk {
+            pk.remove(&before, slot64);
+        }
+        self.open -= 1;
         let never_visible = before.sys.start >= end;
         if def.temporal == TemporalClass::NonTemporal || never_visible {
             // Non-versioned tables (and never-visible versions) vanish.
@@ -102,8 +120,8 @@ impl TableLayout for TableD {
     }
 
     /// Takes open and closed versions alike (bulk loads and restores carry
-    /// both); only open ones enter the key map.
-    fn insert_version(&mut self, def: &TableDef, version: Version) -> u64 {
+    /// both); only open ones enter the PK index.
+    fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
         let slot64 = u64::from(self.all.insert(version.clone()).0);
         for ix in &mut self.indexes {
             ix.insert(&version, slot64);
@@ -115,8 +133,10 @@ impl TableLayout for TableD {
             tix.insert(slot64, version.app, version.sys);
         }
         if version.sys.is_current() {
-            self.key_map
-                .insert(Key::from_row(&version.row, &def.key), slot64);
+            self.open += 1;
+            if let Some(pk) = &mut self.pk {
+                pk.insert(&version, slot64);
+            }
         }
         slot64
     }
@@ -202,10 +222,9 @@ impl TableLayout for TableD {
     }
 
     fn stats(&self) -> TableStats {
-        let current = self.key_map.open_versions();
         TableStats {
-            current_rows: current,
-            history_rows: self.all.len() - current,
+            current_rows: self.open,
+            history_rows: self.all.len() - self.open,
         }
     }
 
@@ -215,11 +234,11 @@ impl TableLayout for TableD {
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
         KeyStructuresFootprint {
-            key_bytes: self.key_map.memory_bytes(),
+            key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
             heap_bytes: self.all.memory_bytes(),
             tuning_index_bytes: ordered_indexes_bytes(&self.indexes)
                 + self.gist.as_ref().map_or(0, GistIndex::memory_bytes),
-            open_versions: self.key_map.open_versions(),
+            open_versions: self.open,
         }
     }
 
@@ -232,7 +251,7 @@ impl TableLayout for TableD {
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableD> {
-        let mut t = TableD::default();
+        let mut t = TableD::new(def);
         for v in versions {
             t.insert_version(def, v);
         }

@@ -847,9 +847,7 @@ mod tests {
     use crate::{recover_cluster, ShardInput};
     use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
     use bitempo_engine::testutil::{bitemp_table, simple_row};
-    use bitempo_storage::wal::{BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
-    use bitempo_storage::DurabilityMode;
-    use bitempo_wal::SharedBuf;
+    use bitempo_wal::{DurabilityMode, SharedBuf, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
 
     /// A base checkpoint with keys 0..n committed at SysTime(1).
     fn base_checkpoint(n: i64) -> Checkpoint {

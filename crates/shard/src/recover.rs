@@ -191,14 +191,13 @@ mod tests {
     use bitempo_core::{Key, Value};
     use bitempo_engine::build_engine;
     use bitempo_engine::testutil::{bitemp_table, simple_row};
-    use bitempo_storage::DurabilityMode;
-    use bitempo_wal::{canonical_state, Checkpoint, SharedBuf};
+    use bitempo_wal::{canonical_state, Checkpoint, DurabilityMode, SharedBuf};
     use bitempo_workloads::sharding::shard_of;
 
     /// Byte offset just past the first `n_records` records — a clean
     /// truncation point for crash simulation.
     fn offset_after(bytes: &[u8], n_records: usize) -> usize {
-        use bitempo_storage::wal::{scan, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
+        use bitempo_wal::{scan, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
         let scan = scan(bytes);
         assert!(
             scan.records.len() >= n_records,
@@ -303,7 +302,7 @@ mod tests {
         // Truncate shard 1's log right after its *prepare* record (drop its
         // decision): the cross-shard commit is undecided locally, but shard
         // 0's durable decision must finish it.
-        let n = bitempo_storage::wal::scan(&wals[1]).records.len();
+        let n = bitempo_wal::scan(&wals[1]).records.len();
         assert!(n >= 2, "prepare + decision expected");
         let cut = offset_after(&wals[1], n - 1);
         let truncated = wals[1][..cut].to_vec();
@@ -409,7 +408,7 @@ mod tests {
         // back to the single-shard commit's state.
         let mut inputs = Vec::new();
         for (wal, c) in wals.iter().zip(&ckpts) {
-            let n = bitempo_storage::wal::scan(wal).records.len();
+            let n = bitempo_wal::scan(wal).records.len();
             assert!(n >= 1, "records expected");
             let cut = offset_after(wal, n - 1);
             inputs.push(ShardInput {

@@ -38,7 +38,11 @@ pub mod record;
 pub mod recover;
 pub mod sink;
 
-pub use bitempo_storage::DurabilityMode;
+// The byte format's vocabulary, re-exported so that nothing above this crate
+// imports `bitempo_storage::wal` directly.
+pub use bitempo_storage::wal::{
+    scan, DurabilityMode, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN,
+};
 pub use checkpoint::Checkpoint;
 pub use log::{DurabilityWaiter, TxnWal};
 pub use record::{

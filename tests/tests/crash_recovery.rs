@@ -19,9 +19,9 @@ use bitempo_dbgen::{ScaleConfig, TpchData};
 use bitempo_engine::api::TuningConfig;
 use bitempo_engine::{build_engine, SystemKind};
 use bitempo_histgen::{generate_history, Archive, HistoryConfig};
-use bitempo_storage::wal::{self, DurabilityMode, WAL_HEADER_LEN};
 use bitempo_wal::{
-    canonical_state, durable_replay, oracle_replay, recover, DurableOptions, SharedBuf, TxnWal,
+    canonical_state, durable_replay, oracle_replay, recover, DurabilityMode, DurableOptions,
+    SharedBuf, TxnWal, WAL_HEADER_LEN,
 };
 use bitempo_workloads::{five_class_answers, five_class_diff, Ctx, QueryParams};
 use std::sync::OnceLock;
@@ -149,16 +149,16 @@ fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
 #[test]
 fn truncating_anywhere_in_the_final_record_keeps_the_exact_prefix() {
     let (bytes, checkpoints, commits) = clean_log();
-    let full = wal::scan(bytes);
+    let full = bitempo_wal::scan(bytes);
     assert!(full.is_clean());
     assert_eq!(full.records.len() as u64, *commits);
     // Chopping one byte off invalidates exactly the final record, so the
     // valid prefix of that scan ends where the final record starts.
-    let last_start = wal::scan(&bytes[..bytes.len() - 1]).valid_len as usize;
+    let last_start = bitempo_wal::scan(&bytes[..bytes.len() - 1]).valid_len as usize;
     assert!(last_start > WAL_HEADER_LEN && last_start < bytes.len());
 
     for cut in last_start..bytes.len() {
-        let scan = wal::scan(&bytes[..cut]);
+        let scan = bitempo_wal::scan(&bytes[..cut]);
         assert_eq!(
             scan.records.len() as u64,
             *commits - 1,
@@ -203,7 +203,7 @@ fn truncating_anywhere_in_the_final_record_keeps_the_exact_prefix() {
 #[test]
 fn seeded_bit_flips_never_panic_and_salvage_a_true_prefix() {
     let (bytes, checkpoints, commits) = clean_log();
-    let clean = wal::scan(bytes);
+    let clean = bitempo_wal::scan(bytes);
     let tuning = TuningConfig::none().with_workers(1);
     let mut rng = Pcg32::new(0xB17_F11D, 3);
     for trial in 0..100 {
@@ -213,7 +213,7 @@ fn seeded_bit_flips_never_panic_and_salvage_a_true_prefix() {
         corrupt[offset] ^= mask;
         let label = format!("trial {trial}: flip {mask:#04x} at {offset}");
 
-        let scan = wal::scan(&corrupt);
+        let scan = bitempo_wal::scan(&corrupt);
         assert!(
             scan.records.len() as u64 <= *commits,
             "{label}: fabricated records"

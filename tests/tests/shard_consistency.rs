@@ -21,8 +21,7 @@ use bitempo_engine::api::{AppSpec, BitemporalEngine, SysSpec};
 use bitempo_engine::testutil::{bitemp_table, simple_row};
 use bitempo_engine::{build_engine, SystemKind};
 use bitempo_shard::{partition_checkpoint, recover_cluster, Cluster, ShardInput};
-use bitempo_storage::DurabilityMode;
-use bitempo_wal::{Checkpoint, SharedBuf, TxnWal};
+use bitempo_wal::{Checkpoint, DurabilityMode, SharedBuf, TxnWal};
 
 /// Keys seeded before the scripted history starts.
 const SEED_KEYS: i64 = 12;
@@ -246,7 +245,7 @@ fn sharded_execution_is_byte_identical_to_the_serial_oracle() {
 
 /// Truncates `wal` to drop its last `n` records.
 fn drop_last(wal: &[u8], n: usize) -> Vec<u8> {
-    use bitempo_storage::wal::{scan, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
+    use bitempo_wal::{scan, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
     let scan = scan(wal);
     assert!(scan.records.len() >= n, "cannot drop {n} records");
     let keep = scan.records.len() - n;
@@ -274,7 +273,7 @@ fn crash_after_decision_converges_to_the_full_serial_state() {
             partitioned_canonical(&Checkpoint::capture(oracle.as_mut(), &[ot], 0).unwrap(), 2);
 
         let ends_in_decision = |wal: &[u8]| {
-            let scan = bitempo_storage::wal::scan(wal);
+            let scan = bitempo_wal::scan(wal);
             scan.records.last().is_some_and(|r| {
                 matches!(
                     bitempo_wal::decode_payload(&r.payload),
@@ -349,7 +348,7 @@ fn crash_at_prepare_aborts_the_tail_transaction_on_every_shard() {
             Err(_) => None,
         };
         let last_txn_records = |wal: &[u8]| {
-            bitempo_storage::wal::scan(wal)
+            bitempo_wal::scan(wal)
                 .records
                 .iter()
                 .rev()
