@@ -8,11 +8,12 @@ use crate::runner::{
 };
 use bitempo_core::fault::{FaultKind, FaultPlan, FaultyReader};
 use bitempo_core::obs::{self, TraceLog};
-use bitempo_core::{Error, Key, Pcg32, Period, Result, SysTime, Value};
+use bitempo_core::{Error, Key, Pcg32, Period, Result, SysTime, TableId, Value};
 use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
-use bitempo_engine::SystemKind;
+use bitempo_engine::{BitemporalEngine, SystemKind};
 use bitempo_histgen::{read_archive_with_retry, Archive, ScenarioKind};
 use bitempo_workloads::{bitemporal, key, plans, range, tpch, tt, Ctx};
+use std::path::Path;
 use std::time::Instant;
 
 fn gist_tuning() -> TuningConfig {
@@ -631,7 +632,7 @@ pub fn fig15(cfg: &BenchConfig) -> Result<FigureReport> {
 }
 
 /// Fig 16 + §5.8: loading and update costs. Fails unless System B keeps
-/// both halves of §5.8 (see [`fig16_gate`]).
+/// both halves of §5.8 (see `fig16_gate`).
 pub fn fig16(cfg: &BenchConfig) -> Result<FigureReport> {
     let inst = Instance::build(cfg, &TuningConfig::none())?;
     let mut report = FigureReport::new("fig16", "Loading Time per Scenario", "µs");
@@ -836,8 +837,8 @@ fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
 /// §5.2: the architecture analysis — what each layout stores per version,
 /// under the Key+Time tuning so that its indexes are priced too (nothing
 /// else reported here depends on the tuning). Fails when an engine's key
-/// structures outgrow [`KEY_STRUCTURE_BYTES_CEILING`] or its tuning indexes
-/// [`tuning_index_bytes_ceiling`].
+/// structures outgrow `KEY_STRUCTURE_BYTES_CEILING` or its tuning indexes
+/// `tuning_index_bytes_ceiling`.
 pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
     let inst = Instance::build(cfg, &TuningConfig::key_time())?;
     let mut report = FigureReport::new("arch", "Architecture Analysis (§5.2)", "rows");
@@ -1160,7 +1161,7 @@ const TINDEX_BYTES_PER_VERSION_CEILING: f64 = 65.0;
 /// touches an ever-smaller fraction of it. Index build time and resident
 /// footprint are reported next to the wins, so the report never shows a
 /// probe-time benefit without its maintenance cost, and the run fails when
-/// the footprint passes [`TINDEX_BYTES_PER_VERSION_CEILING`] or when no
+/// the footprint passes `TINDEX_BYTES_PER_VERSION_CEILING` or when no
 /// engine's planner took the index for the sweep's early probe.
 pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
     let mut inst = Instance::build(cfg, &TuningConfig::none())?;
@@ -1366,18 +1367,12 @@ pub fn lint_plans(cfg: &BenchConfig) -> Result<FigureReport> {
 /// so sweeping `t` across the probe's break-even point must flip the
 /// chosen path from index to scan on every engine — the experiment fails
 /// if any cell lands on the wrong side. No threshold knob exists any more;
-/// the switch falls out of estimated work. Part three demonstrates adaptive
-/// re-planning:
-/// a query that stabs a gap between application periods (everything before
-/// day 5 or after day 10, probed at day 7) makes the interval estimator see
-/// half the partition where nothing qualifies; with `adaptive` tuning the
-/// observed miss feeds back and the second plan switches to the temporal
-/// probe on every engine. The experiment fails if any engine does not flip.
+/// the switch falls out of estimated work.
 pub fn optimizer_experiment(cfg: &BenchConfig) -> Result<FigureReport> {
     let inst = Instance::build(cfg, &TuningConfig::temporal())?;
     let mut report = FigureReport::new(
         "optimizer",
-        "Cost-based access paths: selectivity crossover and adaptive re-planning",
+        "Cost-based access paths: selectivity crossover",
         "µs",
     );
     let mut faults = FaultSummary::default();
@@ -1469,75 +1464,10 @@ pub fn optimizer_experiment(cfg: &BenchConfig) -> Result<FigureReport> {
         report.add(s);
     }
 
-    // Part three: the adaptive flip, on a purpose-built table per engine so
-    // the estimator's failure mode is exact and reproducible.
-    let def = bitempo_core::TableDef::new(
-        "flip",
-        bitempo_core::Schema::new(vec![
-            bitempo_core::Column::new("id", bitempo_core::DataType::Int),
-            bitempo_core::Column::new("val", bitempo_core::DataType::Int),
-        ]),
-        vec![0],
-        bitempo_core::TemporalClass::Bitemporal,
-        Some("vt"),
-    )?;
-    for kind in SystemKind::ALL {
-        bitempo_query::optimizer::reset_feedback();
-        let mut engine = bitempo_engine::build_engine(kind);
-        let t = engine.create_table(def.clone())?;
-        for i in 0..300i64 {
-            let app = if i % 2 == 0 {
-                Period::new(bitempo_core::AppDate(0), bitempo_core::AppDate(5))
-            } else {
-                Period::new(bitempo_core::AppDate(10), bitempo_core::AppDate(20))
-            };
-            // tblint: allow(TB007) pre-serving seed of a throwaway optimizer fixture
-            engine.insert(
-                t,
-                bitempo_core::Row::new(vec![
-                    bitempo_core::Value::Int(i),
-                    bitempo_core::Value::Int(i),
-                ]),
-                Some(app),
-            )?;
-        }
-        engine.commit();
-        engine.apply_tuning(&TuningConfig::temporal().with_adaptive(true).with_workers(1))?;
-        let probe = bitempo_engine::api::AppSpec::AsOf(bitempo_core::AppDate(7));
-        let first = engine.scan(t, &SysSpec::All, &probe, &[])?;
-        let second = engine.scan(t, &SysSpec::All, &probe, &[])?;
-        let mut s = Series::new(format!("{kind} - adaptive replan (est rows)"));
-        s.push("plan 1", first.metrics.planned_rows as f64);
-        s.push("plan 2", second.metrics.planned_rows as f64);
-        report.add(s);
-        report.note(format!(
-            "{kind}: AS OF day 7 stabs a gap — plan 1 {} (estimated {} rows, emitted {}), \
-             plan 2 {} (estimated {} rows, emitted {})",
-            first.access,
-            first.metrics.planned_rows,
-            first.rows.len(),
-            second.access,
-            second.metrics.planned_rows,
-            second.rows.len(),
-        ));
-        if !matches!(
-            second.access,
-            bitempo_engine::api::AccessPath::TemporalProbe(_)
-        ) {
-            bitempo_query::optimizer::reset_feedback();
-            return Err(Error::Invalid(format!(
-                "{kind}: adaptive re-plan did not switch to the temporal probe \
-                 (plan 1 {}, plan 2 {})",
-                first.access, second.access
-            )));
-        }
-    }
-    bitempo_query::optimizer::reset_feedback();
     report.note(
         "Expected shape: the crossover sweep probes while few rows qualify and falls back \
          to the scan once the estimated work passes break-even — the §5.9 regime, now \
-         priced per site instead of thresholded. The replan series drops from ~half the \
-         partition to ~nothing after one observed miss.",
+         priced per site instead of thresholded.",
     );
     report.faults = faults;
     Ok(report)
@@ -1603,6 +1533,45 @@ pub fn durability(cfg: &BenchConfig) -> Result<FigureReport> {
 /// checkpoint) — [`bitempo_wal::DurableOptions`]'s default.
 const CHECKPOINT_EVERY: u64 = 64;
 
+/// Runs `cell` against a real temp-file WAL path named after `tag`, and
+/// removes the file afterwards — even when the cell errors.
+fn with_temp_wal<T>(tag: &str, cell: impl FnOnce(&Path) -> Result<T>) -> Result<T> {
+    let path = std::env::temp_dir().join(format!("bitempo-{tag}-{}.wal", std::process::id()));
+    let out = cell(&path);
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+/// The serving cells' self-verification, run after the log is closed: the
+/// close acknowledged all `commits`, recovering the WAL at `path` (through
+/// `recover`, which the caller may time) replays every one of them, and the
+/// recovered state is byte-identical to the `live` engine's. A cell that
+/// fails any check is an error, not a number.
+fn verify_recovery(
+    path: &Path,
+    (kind, mode): (SystemKind, DurabilityMode),
+    (commits, durable): (u64, u64),
+    (live, ids): (&dyn BitemporalEngine, &[TableId]),
+    recover: impl FnOnce(&[u8]) -> Result<bitempo_wal::Recovered>,
+) -> Result<()> {
+    use bitempo_wal::canonical_state;
+    let fail = |what: String| Err(Error::Invalid(format!("{kind} {}: {what}", mode.label())));
+    if durable != commits {
+        return fail(format!("close acknowledged {durable} of {commits} commits"));
+    }
+    let rec = recover(&std::fs::read(path)?)?;
+    if rec.report.commits != commits {
+        return fail(format!(
+            "recovered {} of {commits} commits",
+            rec.report.commits
+        ));
+    }
+    if canonical_state(rec.engine.as_ref(), &rec.ids)? != canonical_state(live, ids)? {
+        return fail("recovered state diverges from the live engine".into());
+    }
+    Ok(())
+}
+
 /// One `durability` cell: log the archive replay through a real temp file
 /// under `mode`, recover from the written bytes, verify equivalence, and
 /// return `(commit throughput in txn/s, recovery wall time in ms)`.
@@ -1613,25 +1582,20 @@ fn durability_cell(
     archive: &Archive,
     tuning: &TuningConfig,
 ) -> Result<(f64, f64)> {
-    let path = std::env::temp_dir().join(format!(
-        "bitempo-durability-{}-{kind}-{}.wal",
-        std::process::id(),
-        mode.label()
-    ));
-    let out = durability_cell_at(&path, kind, mode, data, archive, tuning);
-    let _ = std::fs::remove_file(&path);
-    out
+    with_temp_wal(&format!("durability-{kind}-{}", mode.label()), |path| {
+        durability_cell_at(path, kind, mode, data, archive, tuning)
+    })
 }
 
 fn durability_cell_at(
-    path: &std::path::Path,
+    path: &Path,
     kind: SystemKind,
     mode: DurabilityMode,
     data: &bitempo_dbgen::TpchData,
     archive: &Archive,
     tuning: &TuningConfig,
 ) -> Result<(f64, f64)> {
-    use bitempo_wal::{canonical_state, Checkpoint, TxnWal};
+    use bitempo_wal::{Checkpoint, TxnWal};
     let file = std::fs::File::create(path)?;
     let mut log = TxnWal::create(Box::new(file), mode)?;
     let mut engine = bitempo_engine::build_engine(kind);
@@ -1658,29 +1622,19 @@ fn durability_cell_at(
     }
     let commit_secs = t0.elapsed().as_secs_f64();
     let durable = log.close()?;
-    if durable != commits {
-        return Err(Error::Invalid(format!(
-            "{kind} {}: close acknowledged {durable} of {commits} commits",
-            mode.label()
-        )));
-    }
-    let bytes = std::fs::read(path)?;
-    let t1 = Instant::now();
-    let rec = bitempo_wal::recover(kind, &bytes, &checkpoints, tuning)?;
-    let recovery_ms = t1.elapsed().as_secs_f64() * 1e3;
-    if rec.report.commits != commits {
-        return Err(Error::Invalid(format!(
-            "{kind} {}: recovered {} of {commits} commits",
-            mode.label(),
-            rec.report.commits
-        )));
-    }
-    if canonical_state(rec.engine.as_ref(), &rec.ids)? != canonical_state(engine.as_ref(), &ids)? {
-        return Err(Error::Invalid(format!(
-            "{kind} {}: recovered state diverges from the live engine",
-            mode.label()
-        )));
-    }
+    let mut recovery_ms = 0.0;
+    verify_recovery(
+        path,
+        (kind, mode),
+        (commits, durable),
+        (engine.as_ref(), &ids),
+        |bytes| {
+            let t1 = Instant::now();
+            let rec = bitempo_wal::recover(kind, bytes, &checkpoints, tuning);
+            recovery_ms = t1.elapsed().as_secs_f64() * 1e3;
+            rec
+        },
+    )?;
     Ok((commits as f64 / commit_secs.max(1e-9), recovery_ms))
 }
 
@@ -1779,29 +1733,22 @@ fn percentile(sample: &mut [f64], p: f64) -> f64 {
     sample[idx]
 }
 
-/// One `mvcc` cell against a real temp-file WAL; the file is removed even
-/// when the cell errors.
+/// One `mvcc` cell against a real temp-file WAL.
 fn mvcc_cell(kind: SystemKind, mode: DurabilityMode, threads: usize) -> Result<MvccCell> {
-    let path = std::env::temp_dir().join(format!(
-        "bitempo-mvcc-{}-{kind}-{}-{threads}.wal",
-        std::process::id(),
-        mode.label()
-    ));
-    let out = mvcc_cell_at(&path, kind, mode, threads);
-    let _ = std::fs::remove_file(&path);
-    out
+    with_temp_wal(&format!("mvcc-{kind}-{}-{threads}", mode.label()), |path| {
+        mvcc_cell_at(path, kind, mode, threads)
+    })
 }
 
 fn mvcc_cell_at(
-    path: &std::path::Path,
+    path: &Path,
     kind: SystemKind,
     mode: DurabilityMode,
     threads: usize,
 ) -> Result<MvccCell> {
     use bitempo_engine::testutil::{bitemp_table, simple_row};
-    use bitempo_engine::BitemporalEngine;
     use bitempo_txn::TxnManager;
-    use bitempo_wal::{canonical_state, Checkpoint, TxnWal};
+    use bitempo_wal::{Checkpoint, TxnWal};
     let file = std::fs::File::create(path)?;
     let log = TxnWal::create(Box::new(file), mode)?;
     let mut engine = bitempo_engine::build_engine(kind);
@@ -1901,27 +1848,13 @@ fn mvcc_cell_at(
     // Self-verification: the WAL plus the pre-storm checkpoint must rebuild
     // exactly the served state, or the cell is an error, not a number.
     let (live, ids, durable) = mgr.close()?;
-    if durable != commits {
-        return Err(Error::Invalid(format!(
-            "{kind} {}: close acknowledged {durable} of {commits} commits",
-            mode.label()
-        )));
-    }
-    let bytes = std::fs::read(path)?;
-    let rec = bitempo_wal::recover(kind, &bytes, &[base], &TuningConfig::none())?;
-    if rec.report.commits != commits {
-        return Err(Error::Invalid(format!(
-            "{kind} {}: recovered {} of {commits} interactive commits",
-            mode.label(),
-            rec.report.commits
-        )));
-    }
-    if canonical_state(rec.engine.as_ref(), &rec.ids)? != canonical_state(live.as_ref(), &ids)? {
-        return Err(Error::Invalid(format!(
-            "{kind} {}: recovered state diverges from the served engine",
-            mode.label()
-        )));
-    }
+    verify_recovery(
+        path,
+        (kind, mode),
+        (commits, durable),
+        (live.as_ref(), &ids),
+        |bytes| bitempo_wal::recover(kind, bytes, &[base], &TuningConfig::none()),
+    )?;
 
     let total = read_lat.len() as u64 + commits;
     let attempts = commits + conflicts;
@@ -2421,31 +2354,27 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_experiment_shows_crossover_and_adaptive_flip() {
+    fn optimizer_experiment_shows_crossover() {
         let r = optimizer_experiment(&micro_cfg()).unwrap();
-        // Four workload-sweep, four crossover, four replan series. The
-        // crossover assertions live inside the experiment: it returns Err
-        // if any engine picks the wrong side of the break-even point.
-        assert_eq!(r.series.len(), 12, "{:?}", r.series.len());
+        // Four workload-sweep and four crossover series. The crossover
+        // assertions live inside the experiment: it returns Err if any
+        // engine picks the wrong side of the break-even point.
+        assert_eq!(r.series.len(), 8, "{:?}", r.series.len());
         for kind in SystemKind::ALL {
-            let label = format!("{kind} - adaptive replan (est rows)");
+            let label = format!("{kind} - crossover (rows visited)");
             let s = r
                 .series
                 .iter()
                 .find(|s| s.label == label)
                 .unwrap_or_else(|| panic!("missing series {label}"));
-            assert_eq!(s.points.len(), 2, "{label}");
-            // The observed miss must shrink the second plan's estimate.
-            assert!(s.points[1].1 < s.points[0].1, "{label}: {:?}", s.points);
+            assert_eq!(s.points.len(), 4, "{label}");
         }
-        // The flip is spelled out per engine; the experiment itself errors
-        // if any second plan is not a temporal probe.
-        let flips = r
+        let probes = r
             .notes
             .iter()
-            .filter(|n| n.contains("stabs a gap") && n.contains("plan 2 tindex"))
+            .filter(|n| n.contains("crossover at 5%: tindex("))
             .count();
-        assert_eq!(flips, 4, "{:?}", r.notes);
+        assert_eq!(probes, 4, "{:?}", r.notes);
     }
 
     #[test]

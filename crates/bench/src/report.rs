@@ -30,9 +30,8 @@ pub struct AccessRow {
     /// Internal index entries examined while probing (B-Tree leaf entries,
     /// R-Tree rectangles, timeline events, endpoint-list entries).
     pub index_node_visits: u64,
-    /// Rows the optimizer's chosen path was estimated to visit (after any
-    /// feedback correction) — read against `rows_visited` to judge the
-    /// estimate.
+    /// Rows the optimizer's chosen path was estimated to visit — read
+    /// against `rows_visited` to judge the estimate.
     pub planned_rows: u64,
 }
 

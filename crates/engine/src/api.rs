@@ -171,14 +171,6 @@ pub struct TuningConfig {
     /// index) to history-bearing partitions and let the planner select it
     /// as an access path — the index the benchmarked 2014 systems lacked.
     pub temporal_index: bool,
-    /// Adaptive re-planning: feed observed actual-vs-estimated row counts
-    /// back into the optimizer's per-(site, predicate-class) correction
-    /// store, so a repeated misestimated query switches access paths on
-    /// re-plan. Off by default — plan stability across repeated identical
-    /// scans is part of the engine contract the equivalence suites assert,
-    /// so adaptivity is an explicit tuning decision, like building an
-    /// index.
-    pub adaptive: bool,
     /// Worker threads for morsel-parallel sequential scans (see
     /// [`crate::morsel`]). `1` scans single-threaded, exactly as before the
     /// morsel layer existed; any value produces identical results.
@@ -188,11 +180,6 @@ pub struct TuningConfig {
     /// containment ([`bitempo_core::Error::WorkerPanicked`]). Never set in
     /// real benchmark configurations.
     pub panic_morsel: Option<u64>,
-    /// When a committed transaction's WAL bytes are forced to stable
-    /// storage (`dur_strict` / `dur_batched_Nms` / `dur_async`). Only takes
-    /// effect where a WAL is attached (the `bitempo-wal` replay driver);
-    /// the engines themselves are durability-agnostic.
-    pub durability: bitempo_storage::DurabilityMode,
 }
 
 impl Default for TuningConfig {
@@ -204,10 +191,8 @@ impl Default for TuningConfig {
             value_index: Vec::new(),
             gist: false,
             temporal_index: false,
-            adaptive: false,
             workers: default_workers(),
             panic_morsel: None,
-            durability: bitempo_storage::DurabilityMode::Async,
         }
     }
 }
@@ -249,13 +234,6 @@ impl TuningConfig {
         }
     }
 
-    /// This configuration with adaptive re-planning toggled.
-    #[must_use]
-    pub fn with_adaptive(mut self, on: bool) -> TuningConfig {
-        self.adaptive = on;
-        self
-    }
-
     /// This configuration with the temporal index toggled.
     pub fn with_temporal_index(mut self, on: bool) -> TuningConfig {
         self.temporal_index = on;
@@ -272,13 +250,6 @@ impl TuningConfig {
     /// (fault-injection testing only).
     pub fn with_panic_morsel(mut self, morsel: u64) -> TuningConfig {
         self.panic_morsel = Some(morsel);
-        self
-    }
-
-    /// This configuration with the given durability mode.
-    #[must_use]
-    pub fn with_durability(mut self, mode: bitempo_storage::DurabilityMode) -> TuningConfig {
-        self.durability = mode;
         self
     }
 

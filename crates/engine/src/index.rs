@@ -12,7 +12,7 @@
 //! An ordered index stores integers as integers. Period endpoints are
 //! `Date`/`SysTime` by construction and the TPC-H key columns are `Int`, so
 //! nearly every index holds nothing but 8-byte integers: its tree is then a
-//! `BPlusTree<i64, u64>` over order-preserving *cells* ([`cell_of`]), and
+//! `BPlusTree<i64, u64>` over order-preserving *cells* (`cell_of`), and
 //! only an index that really meets a string or a double moves to 24-byte
 //! [`Value`] cells. The index decides from the values it is given — there
 //! is no knob — and callers deal in `Value`s either way.

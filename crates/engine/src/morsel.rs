@@ -83,8 +83,8 @@ pub struct ScanMetrics {
     /// replayed events, endpoint-list entries, B-Tree leaf entries).
     pub index_node_visits: u64,
     /// Rows the chosen access path was *estimated* to visit when the
-    /// optimizer committed to it (after feedback correction). Comparing
-    /// against `rows_visited` exposes estimate error per scan.
+    /// optimizer committed to it. Comparing against `rows_visited` exposes
+    /// estimate error per scan; the error is reported, never fed back.
     pub planned_rows: u64,
 }
 

@@ -8,9 +8,9 @@
 //! wins. The cost weights keep the regime the paper measured — indexes pay
 //! off only for selective predicates, and optimizers flip to table scans
 //! otherwise (§5.3.2, §5.4.1, §5.9) — but the flip point now falls out of
-//! relative work, not a hard-coded threshold. With `adaptive` tuning on,
-//! observed actual-vs-estimated row counts feed the optimizer's feedback
-//! store so a repeated misestimated query re-plans onto the cheaper path.
+//! relative work, not a hard-coded threshold. The plan depends only on the
+//! partition's contents and the query: the estimate is reported as
+//! `planned_rows` beside the rows actually visited, and never fed back.
 
 use crate::api::{AccessPath, AppSpec, ColRange, SysSpec};
 use crate::index::{GistIndex, IndexedCol, OrderedIndex};
@@ -66,15 +66,6 @@ impl ScanSite<'_> {
             start_nanos,
             dur_nanos,
         });
-    }
-
-    /// This site as the optimizer's borrowed feedback key.
-    fn feedback(&self) -> optimizer::FeedbackSite<'_> {
-        optimizer::FeedbackSite {
-            engine: self.engine,
-            table: self.table,
-            partition: self.partition,
-        }
     }
 }
 
@@ -263,8 +254,8 @@ pub fn app_probe_for(app: &AppSpec) -> Option<AppProbe> {
 }
 
 /// The optimizer predicate class of a scan: which temporal dimensions are
-/// constrained and what shape the pushed value predicates take. This is the
-/// key granularity of the adaptive feedback store.
+/// constrained and what shape the pushed value predicates take, as the plan
+/// validator sees it.
 pub fn pred_class(sys: &SysSpec, app: &AppSpec, preds: &[ColRange]) -> optimizer::PredClass {
     let values = if preds.is_empty() {
         ValuePreds::None
@@ -397,10 +388,10 @@ enum Choice<'a> {
 /// worker panicked (the panic is contained; partial output is discarded).
 ///
 /// The path is chosen by the cost-based memo in
-/// [`bitempo_query::optimizer`]; with `adaptive` set, actual row counts are
-/// fed back so repeated scans of the same predicate class re-plan on the
-/// observed estimate error. Costs price total work, not wall clock, so the
-/// chosen path — and the output — is identical across worker counts.
+/// [`bitempo_query::optimizer`] from the partition and the query alone, so a
+/// repeated scan re-plans identically. Costs price total work, not wall
+/// clock, so the chosen path — and the output — is identical across worker
+/// counts.
 ///
 /// When tracing is enabled ([`obs::is_enabled`]) one [`obs::ScanTrace`] is
 /// recorded for `site`; the disabled path is a single flag check.
@@ -413,21 +404,16 @@ pub fn scan_partition(
     app: &AppSpec,
     preds: &[ColRange],
     now: SysTime,
-    adaptive: bool,
     exec: MorselExec,
     out: &mut Vec<Row>,
     metrics: &mut ScanMetrics,
 ) -> Result<AccessPath> {
     let Some(start) = obs::trace_clock() else {
-        return scan_partition_inner(
-            site, part, def, sys, app, preds, now, adaptive, exec, out, metrics,
-        );
+        return scan_partition_inner(part, def, sys, app, preds, now, exec, out, metrics);
     };
     let rows_before = out.len();
     let before = *metrics;
-    let result = scan_partition_inner(
-        site, part, def, sys, app, preds, now, adaptive, exec, out, metrics,
-    );
+    let result = scan_partition_inner(part, def, sys, app, preds, now, exec, out, metrics);
     let end = obs::trace_clock().unwrap_or(start);
     if let Ok(path) = &result {
         let delta = ScanMetrics {
@@ -453,14 +439,12 @@ pub fn scan_partition(
 
 #[allow(clippy::too_many_arguments)]
 fn scan_partition_inner(
-    site: ScanSite<'_>,
     part: &PartitionView<'_>,
     def: &TableDef,
     sys: &SysSpec,
     app: &AppSpec,
     preds: &[ColRange],
     now: SysTime,
-    adaptive: bool,
     exec: MorselExec,
     out: &mut Vec<Row>,
     metrics: &mut ScanMetrics,
@@ -518,11 +502,7 @@ fn scan_partition_inner(
     // candidate set is exact, so the estimate is one row's share.
     if let Some(pk) = part.pk {
         if let Some(key_vals) = full_key_equality(def, preds) {
-            memo.add(Alternative::new(
-                PathKind::KeyLookup,
-                pk.def.name.clone(),
-                Some(1.0 / n as f64),
-            ));
+            memo.add(Alternative::new(PathKind::KeyLookup, Some(1.0 / n as f64)));
             choices.push(Choice::Key(pk, key_vals));
         }
     }
@@ -548,11 +528,7 @@ fn scan_partition_inner(
                 _ => continue,
             },
         };
-        memo.add(Alternative::new(
-            PathKind::BTreeRange,
-            index.def.name.clone(),
-            Some(sel),
-        ));
+        memo.add(Alternative::new(PathKind::BTreeRange, Some(sel)));
         choices.push(Choice::BTree(index, range));
     }
 
@@ -560,11 +536,7 @@ fn scan_partition_inner(
     // window — costed like every other path, not preferred by fiat.
     if let (Some(gist), Some(rect)) = (part.gist, gist_query_rect(sys, app, now)) {
         let frac = gist.estimate_fraction(&rect);
-        memo.add(Alternative::new(
-            PathKind::GistProbe,
-            gist.name.clone(),
-            Some(frac),
-        ));
+        memo.add(Alternative::new(PathKind::GistProbe, Some(frac)));
         choices.push(Choice::Gist(gist, rect));
     }
 
@@ -576,26 +548,12 @@ fn scan_partition_inner(
         let app_probe = app_probe_for(app);
         if sys_probe.is_some() || app_probe.is_some() {
             let frac = tix.estimate_fraction(sys_probe.as_ref(), app_probe.as_ref(), n);
-            memo.add(Alternative::new(
-                PathKind::TemporalProbe,
-                tix.name().to_string(),
-                Some(frac),
-            ));
+            memo.add(Alternative::new(PathKind::TemporalProbe, Some(frac)));
             choices.push(Choice::Tix(tix, sys_probe, app_probe));
         }
     }
 
-    let class = pred_class(sys, app, preds);
-    let fsite = site.feedback();
-    let with_feedback = |kind: PathKind, frac: f64| {
-        (frac * optimizer::correction(&fsite, &class, kind)).clamp(0.0, 1.0)
-    };
-    let identity = |_: PathKind, frac: f64| frac;
-    let decision = if adaptive {
-        memo.best(&with_feedback)
-    } else {
-        memo.best(&identity)
-    };
+    let decision = memo.best();
     // The sequential alternative is always registered, so a decision always
     // exists; the `None` arm below routes to the sequential fallback anyway.
     let winner_index = decision.as_ref().map_or(usize::MAX, |d| d.winner_index);
@@ -603,7 +561,7 @@ fn scan_partition_inner(
 
     #[cfg(debug_assertions)]
     if let Some(d) = &decision {
-        let plan = optimizer::choice_plan(site.table, &class, d.winner.kind);
+        let plan = optimizer::choice_plan(&def.name, &pred_class(sys, app, preds), d.winner.kind);
         debug_assert!(
             bitempo_query::plan::validate(&plan).is_ok(),
             "optimizer chose a plan shape the validator rejects: {}",
@@ -611,9 +569,7 @@ fn scan_partition_inner(
         );
     }
 
-    let rows_before = out.len();
-    let visited_before = metrics.rows_visited;
-    let path = match choices.into_iter().nth(winner_index) {
+    Ok(match choices.into_iter().nth(winner_index) {
         Some(Choice::Key(pk, key_vals)) => {
             for slot in pk.probe_prefix_counted(&key_vals, &mut metrics.index_node_visits) {
                 probe(slot, out, metrics);
@@ -650,31 +606,7 @@ fn scan_partition_inner(
             }
         }
         Some(Choice::Seq) | None => run_seq(out, metrics)?,
-    };
-
-    // Close the loop: record actual-vs-estimated rows so the next plan of
-    // this predicate class sees the estimator's observed error.
-    if adaptive {
-        if let Some(d) = &decision {
-            let emitted = (out.len() - rows_before) as u64;
-            let visited = metrics.rows_visited - visited_before;
-            match d.winner.kind {
-                // The scan won. Every index alternative's candidate set is a
-                // superset of the emitted rows, so the emitted count is the
-                // observed lower bound that pulls an overestimate back down.
-                PathKind::SeqScan => {
-                    for alt in &d.alternatives {
-                        if alt.kind != PathKind::SeqScan {
-                            optimizer::observe(&fsite, &class, alt.kind, alt.raw_rows, emitted);
-                        }
-                    }
-                }
-                kind => optimizer::observe(&fsite, &class, kind, d.winner.raw_rows, visited),
-            }
-        }
-    }
-
-    Ok(path)
+    })
 }
 
 fn bound_ref(b: &Bound<Value>) -> Bound<&Value> {
@@ -768,14 +700,6 @@ mod tests {
         }
     }
 
-    fn mk_app_version(id: i64, app_start: i64, app_end: i64) -> Version {
-        Version {
-            row: Row::new(vec![Value::Int(id), Value::Int(id)]),
-            app: AppPeriod::new(AppDate(app_start), AppDate(app_end)),
-            sys: SysPeriod::new(SysTime(0), SysTime::MAX),
-        }
-    }
-
     fn heap_with(n: i64) -> Heap<Version> {
         let mut h = Heap::new();
         for i in 0..n {
@@ -804,7 +728,6 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(100),
-            false,
             MorselExec::workers(1),
             &mut out,
             &mut m,
@@ -846,7 +769,6 @@ mod tests {
             &AppSpec::All,
             &[ColRange::eq(0, Value::Int(7))],
             SysTime(100),
-            false,
             MorselExec::workers(1),
             &mut out,
             &mut m,
@@ -889,7 +811,6 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(2000),
-            false,
             MorselExec::workers(1),
             &mut out,
             &mut m,
@@ -910,7 +831,6 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(2000),
-            false,
             MorselExec::workers(1),
             &mut out,
             &mut m,
@@ -959,7 +879,6 @@ mod tests {
                 &AppSpec::All,
                 &[],
                 SysTime(1000),
-                false,
                 MorselExec::workers(1),
                 &mut out,
                 &mut m,
@@ -1008,7 +927,6 @@ mod tests {
                 &AppSpec::All,
                 &[],
                 SysTime(9000),
-                false,
                 MorselExec::workers(workers),
                 &mut out,
                 &mut m,
@@ -1105,7 +1023,6 @@ mod tests {
                 &AppSpec::All,
                 &[],
                 SysTime(2000),
-                false,
                 MorselExec::workers(1),
                 &mut out,
                 &mut m,
@@ -1148,7 +1065,6 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(2000),
-            false,
             MorselExec::workers(1),
             &mut out,
             &mut m,
@@ -1183,7 +1099,6 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(100),
-            false,
             MorselExec::workers(4),
             &mut out,
             &mut m,
@@ -1193,69 +1108,6 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(m.index_probes, 0, "no probe against an empty partition");
         assert_eq!(m.planned_rows, 0);
-    }
-
-    #[test]
-    fn adaptive_replan_switches_path_on_repeat() {
-        optimizer::reset_feedback();
-        // App periods alternate [0,5) and [10,20): a stab at day 7 matches
-        // nothing, but the interval estimate sees half the partition on each
-        // side, so the first plan declines the probe.
-        let mut heap = Heap::new();
-        for i in 0..400i64 {
-            if i % 2 == 0 {
-                heap.insert(mk_app_version(i, 0, 5));
-            } else {
-                heap.insert(mk_app_version(i, 10, 20));
-            }
-        }
-        let tix = tindex_over(&heap);
-        let part = PartitionView {
-            source: &heap,
-            pk: None,
-            indexes: &[],
-            gist: None,
-            tindex: Some(&tix),
-        };
-        let run = || {
-            let mut out = Vec::new();
-            let mut m = ScanMetrics::default();
-            let path = scan_partition(
-                site(),
-                &part,
-                &def(),
-                &SysSpec::All,
-                &AppSpec::AsOf(AppDate(7)),
-                &[],
-                SysTime(100),
-                true,
-                MorselExec::workers(1),
-                &mut out,
-                &mut m,
-            )
-            .unwrap();
-            (path, out, m)
-        };
-        let (first, out1, m1) = run();
-        assert_eq!(first, AccessPath::FullScan { partitions: 1 });
-        assert!(out1.is_empty(), "nothing is valid on day 7");
-        assert!(
-            m1.planned_rows > 100,
-            "the raw estimate saw a large candidate set: {}",
-            m1.planned_rows
-        );
-        let (second, out2, m2) = run();
-        assert_eq!(
-            second,
-            AccessPath::TemporalProbe("tix_t".into()),
-            "the corrected estimate re-plans onto the probe"
-        );
-        assert!(out2.is_empty());
-        assert!(
-            m2.planned_rows < m1.planned_rows,
-            "feedback shrank the estimate"
-        );
-        optimizer::reset_feedback();
     }
 
     #[test]
@@ -1312,7 +1164,6 @@ mod tests {
             &AppSpec::Range(empty),
             &[],
             SysTime(200),
-            false,
             MorselExec::workers(1),
             &mut out,
             &mut m,

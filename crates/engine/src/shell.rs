@@ -265,7 +265,6 @@ impl<T: TableLayout> BitemporalEngine for Engine<T> {
                 app,
                 preds,
                 self.now,
-                self.tuning.adaptive,
                 exec,
                 &mut rows,
                 &mut metrics,

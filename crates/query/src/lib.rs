@@ -21,8 +21,7 @@
 //! * [`optimizer`] — cost-based access-path selection over the plan IR: a
 //!   one-group Cascades-style memo costs every physical alternative a
 //!   partition scan has (sequential, key lookup, B-Tree, GiST, temporal
-//!   index), plus an adaptive feedback store that corrects repeated
-//!   misestimates from observed actual-vs-estimated row counts.
+//!   index) and picks the cheapest, from the partition and the query alone.
 //!
 //! Operators are materialized (`Vec<Row>` in, `Vec<Row>` out): with all
 //! data memory-resident — the paper's setup too ("all read requests ...

@@ -1,4 +1,4 @@
-//! Cost-based access-path selection with adaptive feedback.
+//! Cost-based access-path selection.
 //!
 //! The engines' per-partition scan used to pick its access path with a
 //! priority-ordered if-chain gated on a single hard-coded selectivity
@@ -20,12 +20,11 @@
 //!   `workers` setting. The repo's sequential-equivalence invariant (byte
 //!   identical rows *and* equal scan metrics across worker counts) depends
 //!   on this.
-//! * **Estimates close the loop.** Every estimator here is an upper bound
-//!   that can be wildly loose (a stab into a gap of the interval index
-//!   estimates half the partition and hits nothing). When adaptive
-//!   re-planning is enabled, the observed actual-vs-estimated row counts
-//!   feed a per-(site, predicate-class, path-family) [`correction`] factor,
-//!   so a repeated misestimated query re-plans onto the cheaper path.
+//! * **Plans depend only on the partition and the query.** Every estimator
+//!   here is an upper bound that can be wildly loose (a stab into a gap of
+//!   the interval index estimates half the partition and hits nothing). The
+//!   estimate is reported next to the rows actually visited, never fed back:
+//!   repeating a scan re-plans it identically.
 //!
 //! The plan-IR validator from [`crate::plan`] acts as the optimizer's
 //! output gate: [`choice_plan`] renders a winning choice as a [`PlanNode`]
@@ -33,14 +32,12 @@
 //! temporal-index probe with no temporal dimension pushed).
 
 use crate::plan::{AppClass, Classification, PlanNode, ScanNode, SysClass};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// The physical path families a partition scan can take. Ordered so ties in
-/// cost resolve toward the more specific path (the legacy planner's
-/// priority order, preserved as a tie-break only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The physical path families a partition scan can take, listed from least
+/// to most specific: ties in cost resolve toward the more specific path (the
+/// legacy planner's priority order, preserved as a tie-break only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
     /// Morsel-parallel sequential scan over the whole partition.
     SeqScan,
@@ -82,48 +79,31 @@ impl fmt::Display for PathKind {
     }
 }
 
-/// Per-row and startup weights of the cost model. The absolute numbers are
-/// unitless ("work per version record touched"); only the ratios matter.
-/// Defaults put the index-vs-scan crossover near the regime the paper
-/// measured: a probe touches candidate rows through pointer-chasing probe
-/// machinery (~6x a sequential visit), a GiST probe pays more (~8x,
-/// rectangle comparisons on an overlap-heavy tree), and index paths pay a
-/// logarithmic descent as startup.
-#[derive(Debug, Clone, Copy)]
-pub struct CostParams {
-    /// Work to visit one row sequentially.
-    pub seq_row: f64,
-    /// Work per candidate row of a B-Tree or temporal-index probe.
-    pub probe_row: f64,
-    /// Work per candidate row of a GiST probe.
-    pub gist_row: f64,
-    /// Work per candidate row of an exact key lookup. Cheap on purpose: the
-    /// candidate set is exact (every key column pinned), so a lookup never
-    /// visits more rows than the scan it replaces.
-    pub key_row: f64,
-    /// Startup work per level of index descent (multiplied by `log2(n+1)`).
-    pub node_visit: f64,
-}
+// Per-row and startup weights of the cost model. The absolute numbers are
+// unitless ("work per version record touched"); only the ratios matter. They
+// put the index-vs-scan crossover near the regime the paper measured: a probe
+// touches candidate rows through pointer-chasing probe machinery (~6x a
+// sequential visit), a GiST probe pays more (~8x, rectangle comparisons on an
+// overlap-heavy tree), and index paths pay a logarithmic descent as startup.
 
-impl Default for CostParams {
-    fn default() -> CostParams {
-        CostParams {
-            seq_row: 1.0,
-            probe_row: 6.0,
-            gist_row: 8.0,
-            key_row: 1.0,
-            node_visit: 4.0,
-        }
-    }
-}
+/// Work to visit one row sequentially.
+const SEQ_ROW: f64 = 1.0;
+/// Work per candidate row of a B-Tree or temporal-index probe.
+const PROBE_ROW: f64 = 6.0;
+/// Work per candidate row of a GiST probe.
+const GIST_ROW: f64 = 8.0;
+/// Work per candidate row of an exact key lookup. Cheap on purpose: the
+/// candidate set is exact (every key column pinned), so a lookup never visits
+/// more rows than the scan it replaces.
+const KEY_ROW: f64 = 1.0;
+/// Startup work per level of index descent (multiplied by `log2(n+1)`).
+const NODE_VISIT: f64 = 4.0;
 
 /// One physical alternative for answering a partition scan.
 #[derive(Debug, Clone)]
 pub struct Alternative {
     /// Path family.
     pub kind: PathKind,
-    /// Display name (index name, or `"seq"`).
-    pub name: String,
     /// Estimated fraction of the partition's rows the path would visit.
     /// `None` means the path visits every row (sequential scan).
     pub fraction: Option<f64>,
@@ -134,52 +114,37 @@ impl Alternative {
     pub fn seq() -> Alternative {
         Alternative {
             kind: PathKind::SeqScan,
-            name: "seq".into(),
             fraction: None,
         }
     }
 
     /// An index-backed alternative with an estimated candidate fraction.
-    pub fn new(kind: PathKind, name: impl Into<String>, fraction: Option<f64>) -> Alternative {
-        Alternative {
-            kind,
-            name: name.into(),
-            fraction,
-        }
+    pub fn new(kind: PathKind, fraction: Option<f64>) -> Alternative {
+        Alternative { kind, fraction }
     }
 }
 
-/// An [`Alternative`] after costing: corrected fraction, estimated rows,
-/// and total work.
+/// An [`Alternative`] after costing: clamped fraction, estimated rows, and
+/// total work.
 #[derive(Debug, Clone)]
 pub struct CostedAlt {
     /// Path family.
     pub kind: PathKind,
-    /// Display name.
-    pub name: String,
-    /// Raw estimator fraction, before feedback correction (`None` = all).
-    pub raw_fraction: Option<f64>,
-    /// Fraction after feedback correction, clamped to `[0, 1]`.
+    /// Estimated fraction, clamped to `[0, 1]` (`1` for a sequential scan).
     pub fraction: f64,
-    /// Rows the raw estimate predicts the path visits.
-    pub raw_rows: u64,
-    /// Rows the corrected estimate predicts the path visits.
+    /// Rows the estimate predicts the path visits.
     pub est_rows: u64,
     /// Total estimated work.
     pub cost: f64,
 }
 
-/// The memo's verdict: the cheapest alternative plus every costed
-/// alternative for diagnostics and feedback.
+/// The memo's verdict: the cheapest alternative and where it was registered.
 #[derive(Debug, Clone)]
 pub struct Decision {
     /// The winning alternative.
     pub winner: CostedAlt,
-    /// Index of the winner in [`Decision::alternatives`] (and in the order
-    /// alternatives were [`Memo::add`]ed).
+    /// Index of the winner in the order alternatives were [`Memo::add`]ed.
     pub winner_index: usize,
-    /// All alternatives, in insertion order.
-    pub alternatives: Vec<CostedAlt>,
 }
 
 /// A one-group Cascades-style memo: physical alternatives for a single
@@ -187,21 +152,14 @@ pub struct Decision {
 #[derive(Debug, Clone)]
 pub struct Memo {
     rows: usize,
-    params: CostParams,
     alts: Vec<Alternative>,
 }
 
 impl Memo {
     /// A memo for a partition holding `rows` live versions.
     pub fn new(rows: usize) -> Memo {
-        Memo::with_params(rows, CostParams::default())
-    }
-
-    /// A memo with explicit cost weights.
-    pub fn with_params(rows: usize, params: CostParams) -> Memo {
         Memo {
             rows,
-            params,
             alts: Vec::new(),
         }
     }
@@ -212,73 +170,41 @@ impl Memo {
         self.alts.push(alt);
     }
 
-    /// Number of registered alternatives.
-    pub fn len(&self) -> usize {
-        self.alts.len()
-    }
-
-    /// True when no alternative has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.alts.is_empty()
-    }
-
-    /// Costs every alternative — `correct` maps a (family, raw fraction)
-    /// pair to the corrected fraction, identity when feedback is off — and
-    /// returns the cheapest (ties resolve by [`PathKind`] rank). `None`
-    /// only when no alternative was registered.
-    pub fn best(&self, correct: &dyn Fn(PathKind, f64) -> f64) -> Option<Decision> {
+    /// Costs every alternative and returns the cheapest (ties resolve by
+    /// [`PathKind`] rank). `None` only when no alternative was registered.
+    pub fn best(&self) -> Option<Decision> {
         let n = self.rows as f64;
-        let startup = self.params.node_visit * (n + 1.0).log2();
-        let alternatives: Vec<CostedAlt> = self
-            .alts
-            .iter()
-            .map(|alt| {
-                let raw = alt.fraction.unwrap_or(1.0).clamp(0.0, 1.0);
-                let corrected = match alt.fraction {
-                    Some(f) => correct(alt.kind, f).clamp(0.0, 1.0),
-                    None => 1.0,
-                };
-                let rows_of = |f: f64| (f * n).ceil().max(0.0);
-                let est = rows_of(corrected);
-                let cost = match alt.kind {
-                    PathKind::SeqScan => self.params.seq_row * n,
-                    PathKind::KeyLookup => self.params.key_row * est,
-                    PathKind::BTreeRange | PathKind::TemporalProbe => {
-                        startup + self.params.probe_row * est
-                    }
-                    PathKind::GistProbe => startup + self.params.gist_row * est,
-                };
-                CostedAlt {
-                    kind: alt.kind,
-                    name: alt.name.clone(),
-                    raw_fraction: alt.fraction,
-                    fraction: corrected,
-                    raw_rows: rows_of(raw) as u64,
-                    est_rows: est as u64,
-                    cost,
-                }
-            })
-            .collect();
-        let winner_index = alternatives
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.cost
-                    .total_cmp(&b.cost)
-                    .then_with(|| b.kind.rank().cmp(&a.kind.rank()))
-            })
-            .map(|(i, _)| i)?;
-        let winner = alternatives.get(winner_index)?.clone();
+        let startup = NODE_VISIT * (n + 1.0).log2();
+        let costed = self.alts.iter().map(|alt| {
+            let fraction = alt.fraction.map_or(1.0, |f| f.clamp(0.0, 1.0));
+            let est = (fraction * n).ceil().max(0.0);
+            let cost = match alt.kind {
+                PathKind::SeqScan => SEQ_ROW * n,
+                PathKind::KeyLookup => KEY_ROW * est,
+                PathKind::BTreeRange | PathKind::TemporalProbe => startup + PROBE_ROW * est,
+                PathKind::GistProbe => startup + GIST_ROW * est,
+            };
+            CostedAlt {
+                kind: alt.kind,
+                fraction,
+                est_rows: est as u64,
+                cost,
+            }
+        });
+        let (winner_index, winner) = costed.enumerate().min_by(|(_, a), (_, b)| {
+            a.cost
+                .total_cmp(&b.cost)
+                .then_with(|| b.kind.rank().cmp(&a.kind.rank()))
+        })?;
         Some(Decision {
             winner,
             winner_index,
-            alternatives,
         })
     }
 }
 
-/// Shape of the pushed value predicates, for feedback keying.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// Shape of the pushed value predicates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValuePreds {
     /// No column predicates.
     None,
@@ -288,11 +214,10 @@ pub enum ValuePreds {
     Range,
 }
 
-/// The predicate class of a scan: the granularity at which the feedback
-/// store remembers estimate error. Two scans of the same class against the
-/// same site are assumed to misestimate the same way — the paper's query
-/// classes (T1–T5, K1–K7) each map to a single class per table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// The predicate class of a scan: which temporal dimensions are constrained
+/// and what shape the pushed value predicates take — what [`choice_plan`]
+/// needs to render a winning choice as a plan-IR scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredClass {
     /// System-time constraint class.
     pub sys: SysClass,
@@ -300,151 +225,6 @@ pub struct PredClass {
     pub app: AppClass,
     /// Value-predicate shape.
     pub values: ValuePreds,
-}
-
-impl fmt::Display for PredClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "sys:{:?}/app:{:?}/preds:{:?}",
-            self.sys, self.app, self.values
-        )
-    }
-}
-
-/// Where a scan ran, for feedback keying. Borrowed labels, mirroring the
-/// engine crate's `ScanSite` without depending on it.
-#[derive(Debug, Clone, Copy)]
-pub struct FeedbackSite<'a> {
-    /// Engine display name.
-    pub engine: &'a str,
-    /// Table name.
-    pub table: &'a str,
-    /// Physical partition label.
-    pub partition: &'a str,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct FeedbackKey {
-    engine: String,
-    table: String,
-    partition: String,
-    class: PredClass,
-    family: PathKind,
-}
-
-impl FeedbackKey {
-    fn new(site: &FeedbackSite<'_>, class: &PredClass, family: PathKind) -> FeedbackKey {
-        FeedbackKey {
-            engine: site.engine.to_string(),
-            table: site.table.to_string(),
-            partition: site.partition.to_string(),
-            class: *class,
-            family,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Correction {
-    ratio: f64,
-    samples: u64,
-}
-
-/// One row of [`feedback_snapshot`]: the learned correction for a
-/// (site, predicate-class, path-family) key.
-#[derive(Debug, Clone)]
-pub struct FeedbackEntry {
-    /// Engine display name.
-    pub engine: String,
-    /// Table name.
-    pub table: String,
-    /// Physical partition label.
-    pub partition: String,
-    /// Predicate class.
-    pub class: PredClass,
-    /// Path family the correction applies to.
-    pub family: PathKind,
-    /// Multiplicative correction applied to raw fractions.
-    pub correction: f64,
-    /// Observations folded into the correction.
-    pub samples: u64,
-}
-
-/// Corrections outside this band are clamped: one catastrophic observation
-/// may shrink an estimate 64-fold, never to zero (estimates stay falsifiable
-/// — a corrected plan still observes and can correct back).
-const CORRECTION_CLAMP: (f64, f64) = (1.0 / 64.0, 64.0);
-
-/// EWMA weight of the newest observation.
-const ALPHA: f64 = 0.5;
-
-thread_local! {
-    static FEEDBACK: RefCell<BTreeMap<FeedbackKey, Correction>> =
-        const { RefCell::new(BTreeMap::new()) };
-}
-
-/// Records one actual-vs-estimated observation for a scan site, predicate
-/// class, and path family. `est_rows` must be the *raw* (uncorrected)
-/// estimate so the stored ratio converges on the estimator's true error.
-/// The store is thread-local (like the `core::obs` trace recorder), so
-/// observation never needs synchronization with concurrent scans.
-pub fn observe(
-    site: &FeedbackSite<'_>,
-    class: &PredClass,
-    family: PathKind,
-    est_rows: u64,
-    actual_rows: u64,
-) {
-    let fresh = (actual_rows as f64 + 1.0) / (est_rows as f64 + 1.0);
-    FEEDBACK.with(|f| {
-        let mut map = f.borrow_mut();
-        let entry = map
-            .entry(FeedbackKey::new(site, class, family))
-            .or_insert(Correction {
-                ratio: fresh,
-                samples: 0,
-            });
-        if entry.samples > 0 {
-            entry.ratio = ALPHA * fresh + (1.0 - ALPHA) * entry.ratio;
-        }
-        entry.ratio = entry.ratio.clamp(CORRECTION_CLAMP.0, CORRECTION_CLAMP.1);
-        entry.samples += 1;
-    });
-}
-
-/// The learned multiplicative correction for a key, `1.0` when nothing has
-/// been observed.
-pub fn correction(site: &FeedbackSite<'_>, class: &PredClass, family: PathKind) -> f64 {
-    FEEDBACK.with(|f| {
-        f.borrow()
-            .get(&FeedbackKey::new(site, class, family))
-            .map_or(1.0, |c| c.ratio)
-    })
-}
-
-/// Clears every learned correction on this thread (test and benchmark
-/// isolation).
-pub fn reset_feedback() {
-    FEEDBACK.with(|f| f.borrow_mut().clear());
-}
-
-/// Every learned correction, in deterministic (sorted-key) order.
-pub fn feedback_snapshot() -> Vec<FeedbackEntry> {
-    FEEDBACK.with(|f| {
-        f.borrow()
-            .iter()
-            .map(|(k, c)| FeedbackEntry {
-                engine: k.engine.clone(),
-                table: k.table.clone(),
-                partition: k.partition.clone(),
-                class: k.class,
-                family: k.family,
-                correction: c.ratio,
-                samples: c.samples,
-            })
-            .collect()
-    })
 }
 
 /// Renders a winning choice as the plan-IR scan it implies, for validation
@@ -474,18 +254,6 @@ mod tests {
     use super::*;
     use crate::plan::validate;
 
-    fn identity(_: PathKind, f: f64) -> f64 {
-        f
-    }
-
-    fn site() -> FeedbackSite<'static> {
-        FeedbackSite {
-            engine: "test",
-            table: "t",
-            partition: "p",
-        }
-    }
-
     fn class() -> PredClass {
         PredClass {
             sys: SysClass::AsOf,
@@ -498,15 +266,15 @@ mod tests {
     fn selective_probe_beats_seq_and_crossover_flips() {
         let mut memo = Memo::new(1000);
         memo.add(Alternative::seq());
-        memo.add(Alternative::new(PathKind::TemporalProbe, "tix", Some(0.01)));
-        let d = memo.best(&identity).unwrap();
+        memo.add(Alternative::new(PathKind::TemporalProbe, Some(0.01)));
+        let d = memo.best().unwrap();
         assert_eq!(d.winner.kind, PathKind::TemporalProbe);
         assert_eq!(d.winner.est_rows, 10);
 
         let mut memo = Memo::new(1000);
         memo.add(Alternative::seq());
-        memo.add(Alternative::new(PathKind::TemporalProbe, "tix", Some(0.9)));
-        let d = memo.best(&identity).unwrap();
+        memo.add(Alternative::new(PathKind::TemporalProbe, Some(0.9)));
+        let d = memo.best().unwrap();
         assert_eq!(d.winner.kind, PathKind::SeqScan);
     }
 
@@ -516,16 +284,16 @@ mod tests {
         // preserved through the rank order.
         let mut memo = Memo::new(1000);
         memo.add(Alternative::seq());
-        memo.add(Alternative::new(PathKind::BTreeRange, "ix", Some(0.01)));
-        memo.add(Alternative::new(PathKind::TemporalProbe, "tix", Some(0.01)));
-        let d = memo.best(&identity).unwrap();
+        memo.add(Alternative::new(PathKind::BTreeRange, Some(0.01)));
+        memo.add(Alternative::new(PathKind::TemporalProbe, Some(0.01)));
+        let d = memo.best().unwrap();
         assert_eq!(d.winner.kind, PathKind::TemporalProbe);
         // A strictly cheaper B-Tree wins on cost, not rank.
         let mut memo = Memo::new(1000);
         memo.add(Alternative::seq());
-        memo.add(Alternative::new(PathKind::BTreeRange, "ix", Some(0.005)));
-        memo.add(Alternative::new(PathKind::TemporalProbe, "tix", Some(0.01)));
-        let d = memo.best(&identity).unwrap();
+        memo.add(Alternative::new(PathKind::BTreeRange, Some(0.005)));
+        memo.add(Alternative::new(PathKind::TemporalProbe, Some(0.01)));
+        let d = memo.best().unwrap();
         assert_eq!(d.winner.kind, PathKind::BTreeRange);
     }
 
@@ -535,79 +303,23 @@ mod tests {
         // key_row == seq_row, with rank breaking the tie).
         let mut memo = Memo::new(3);
         memo.add(Alternative::seq());
-        memo.add(Alternative::new(PathKind::KeyLookup, "pk", Some(1.0)));
-        let d = memo.best(&identity).unwrap();
+        memo.add(Alternative::new(PathKind::KeyLookup, Some(1.0)));
+        let d = memo.best().unwrap();
         assert_eq!(d.winner.kind, PathKind::KeyLookup);
     }
 
     #[test]
     fn gist_costs_more_per_row_than_btree() {
         let mut memo = Memo::new(1000);
-        memo.add(Alternative::new(PathKind::BTreeRange, "ix", Some(0.05)));
-        memo.add(Alternative::new(PathKind::GistProbe, "gist", Some(0.05)));
-        let d = memo.best(&identity).unwrap();
+        memo.add(Alternative::new(PathKind::BTreeRange, Some(0.05)));
+        memo.add(Alternative::new(PathKind::GistProbe, Some(0.05)));
+        let d = memo.best().unwrap();
         assert_eq!(d.winner.kind, PathKind::BTreeRange);
     }
 
     #[test]
     fn empty_memo_has_no_decision() {
-        assert!(Memo::new(10).best(&identity).is_none());
-    }
-
-    #[test]
-    fn feedback_correction_flips_a_misestimated_plan() {
-        reset_feedback();
-        let apply = |k: PathKind, f: f64| (f * correction(&site(), &class(), k)).clamp(0.0, 1.0);
-        let build = || {
-            let mut memo = Memo::new(1000);
-            memo.add(Alternative::seq());
-            memo.add(Alternative::new(PathKind::TemporalProbe, "tix", Some(0.5)));
-            memo
-        };
-        // First plan: the raw 50 % estimate keeps the probe out.
-        let d = build().best(&apply).unwrap();
-        assert_eq!(d.winner.kind, PathKind::SeqScan);
-        // The scan actually emitted nothing: observe and re-plan.
-        observe(&site(), &class(), PathKind::TemporalProbe, 500, 0);
-        assert!(correction(&site(), &class(), PathKind::TemporalProbe) < 0.1);
-        let d = build().best(&apply).unwrap();
-        assert_eq!(d.winner.kind, PathKind::TemporalProbe);
-        // A different class is untouched.
-        let other = PredClass {
-            sys: SysClass::Range,
-            ..class()
-        };
-        assert_eq!(correction(&site(), &other, PathKind::TemporalProbe), 1.0);
-        reset_feedback();
-    }
-
-    #[test]
-    fn corrections_are_clamped_and_ewma_smoothed() {
-        reset_feedback();
-        observe(&site(), &class(), PathKind::BTreeRange, 1_000_000, 0);
-        let c = correction(&site(), &class(), PathKind::BTreeRange);
-        assert_eq!(c, CORRECTION_CLAMP.0, "floor clamp");
-        // A perfectly accurate follow-up pulls the ratio back up.
-        observe(&site(), &class(), PathKind::BTreeRange, 100, 100);
-        assert!(correction(&site(), &class(), PathKind::BTreeRange) > c);
-        reset_feedback();
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_complete() {
-        reset_feedback();
-        observe(&site(), &class(), PathKind::TemporalProbe, 10, 5);
-        let other = FeedbackSite {
-            engine: "alpha",
-            ..site()
-        };
-        observe(&other, &class(), PathKind::BTreeRange, 10, 5);
-        let snap = feedback_snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].engine, "alpha");
-        assert_eq!(snap[1].family, PathKind::TemporalProbe);
-        assert_eq!(snap[0].samples, 1);
-        reset_feedback();
+        assert!(Memo::new(10).best().is_none());
     }
 
     #[test]

@@ -20,9 +20,7 @@ use std::fmt;
 
 /// System-time constraint class of a scan, mirroring
 /// `bitempo_engine::SysSpec` without depending on the engine crate.
-/// Ordered and hashable so [`crate::optimizer`] can key its feedback store
-/// on predicate classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SysClass {
     /// Implicit current version only.
     Current,
@@ -35,7 +33,7 @@ pub enum SysClass {
 }
 
 /// Application-time constraint class of a scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppClass {
     /// `AS OF APPLICATION TIME d`.
     AsOf,

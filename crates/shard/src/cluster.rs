@@ -18,7 +18,7 @@
 //! a shard, hence a gate), validates first-committer-wins against the
 //! cluster commit log, draws the global timestamp, and then:
 //!
-//! * **one participant** — plain [`Transaction::commit_at`]: apply, log a
+//! * **one participant** — plain [`bitempo_txn::Transaction::commit_at`]: apply, log a
 //!   stamped commit record, publish. No coordination needed; a
 //!   single-shard cluster degenerates to PR 8 plus one atomic increment.
 //! * **several participants** — two-phase commit over the existing WALs.

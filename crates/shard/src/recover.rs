@@ -1,7 +1,7 @@
 //! Cluster crash recovery: per-shard WAL replay plus cross-shard
 //! resolution of undecided prepares.
 //!
-//! Each shard recovers independently with [`bitempo_wal::recover`], which
+//! Each shard recovers independently with [`bitempo_wal::recover`](fn@bitempo_wal::recover), which
 //! applies every stamped commit and decided prepare in its valid WAL
 //! prefix and hands back the *undecided* prepares (presumed aborted
 //! locally). The cluster step then unions the commit decisions found in

@@ -15,7 +15,7 @@
 //!
 //! Nodes are packed: a node is split *before* the insert that would
 //! overflow it, so no node vector ever holds — or, growing by doubling from
-//! 4 keys, has capacity for — more than [`MAX_KEYS`] keys, and an insert
+//! 4 keys, has capacity for — more than `MAX_KEYS` keys, and an insert
 //! past the right edge of the tree starts a fresh leaf instead of halving
 //! the full one. Ascending loads (the initial load in key order, every index
 //! led by a system-time start) therefore leave every leaf but the last

@@ -321,7 +321,7 @@ impl<T: Clone> RTree<T> {
     /// Estimated fraction of indexed rectangles intersecting `query`, from
     /// a bounded sampled descent: at each level, the fraction of entries
     /// whose MBR intersects the query multiplies into the running estimate;
-    /// at most [`ESTIMATE_NODE_CAP`] intersecting children are descended
+    /// at most `ESTIMATE_NODE_CAP` intersecting children are descended
     /// into per level, with unsampled intersecting subtrees assumed to
     /// match at the sampled mean. Cost is `O(cap * fanout * depth)` — far
     /// below a probe — and the result is deterministic (the sample is the

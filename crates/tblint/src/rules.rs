@@ -38,7 +38,7 @@ pub const TB003: &str = "TB003";
 /// engine scan files.
 pub const TB004: &str = "TB004";
 /// Explicit durability: every `TxnWal::create` / `TxnWal::open` call must
-/// pass a visible [`DurabilityMode`] — a mode-typed expression or a binding
+/// pass a visible `DurabilityMode` — a mode-typed expression or a binding
 /// named `mode` / `durability` — and never `DurabilityMode::default()`.
 /// Whether a commit survives a crash must be a reviewed decision at the
 /// append site, not an inherited default.
@@ -102,7 +102,6 @@ fn tb003_scope(path: &str) -> bool {
         || path == "crates/core/src/obs.rs"
         || path == "crates/histgen/src/archive.rs"
         || path == "crates/histgen/src/stats.rs"
-        || path == "crates/query/src/optimizer.rs"
 }
 
 /// Engine scan hot-path files (TB004).

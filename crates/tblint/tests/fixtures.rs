@@ -85,27 +85,6 @@ fn tb003_clean_fixture_passes() {
 }
 
 #[test]
-fn tb003_optimizer_fixture_fires_in_the_feedback_store() {
-    // The optimizer's feedback snapshot feeds bench notes and plan
-    // tie-breaks, so the module is in TB003 scope like the report writers.
-    let src = fixture("tb003_optimizer_fires.rs");
-    let diags = check_source("crates/query/src/optimizer.rs", &src);
-    assert!(!diags.is_empty());
-    assert!(
-        codes(&diags).iter().all(|c| *c == rules::TB003),
-        "{diags:?}"
-    );
-    // The same source is out of scope elsewhere in the query crate.
-    assert!(check_source("crates/query/src/plan.rs", &src).is_empty());
-}
-
-#[test]
-fn tb003_optimizer_clean_fixture_passes() {
-    let src = fixture("tb003_optimizer_clean.rs");
-    assert!(check_source("crates/query/src/optimizer.rs", &src).is_empty());
-}
-
-#[test]
 fn tb004_fixture_fires_in_hot_paths_only() {
     let src = fixture("tb004_fires.rs");
     let diags = check_source("crates/engine/src/rowscan.rs", &src);

@@ -220,18 +220,6 @@ impl TemporalIndex {
         (sys_bound.min(app_bound) as f64 / total as f64).clamp(0.0, 1.0)
     }
 
-    /// Estimated number of candidate slots a probe would return — the
-    /// row-denominated companion to [`TemporalIndex::estimate_fraction`]
-    /// that cost models and feedback stores consume directly.
-    pub fn estimate_candidates(
-        &self,
-        sys: Option<&SysProbe>,
-        app: Option<&AppProbe>,
-        total: usize,
-    ) -> usize {
-        (self.estimate_fraction(sys, app, total) * total as f64).ceil() as usize
-    }
-
     /// Candidate slots for the given probes, sorted ascending. Returns
     /// `None` when neither dimension is constrained (the index cannot
     /// help). With both dimensions constrained the candidate sets are
@@ -382,22 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_candidates_is_rows_and_consistent_with_fraction() {
-        let mut ix = TemporalIndex::new("t", 8);
-        for slot in 0..100u64 {
-            ix.insert(slot, AppPeriod::ALL, sysp(slot, slot + 1));
-        }
-        ix.prepare();
-        let probe = SysProbe::At(SysTime(10));
-        let frac = ix.estimate_fraction(Some(&probe), None, 100);
-        let rows = ix.estimate_candidates(Some(&probe), None, 100);
-        assert_eq!(rows, (frac * 100.0).ceil() as usize);
-        assert!(rows >= 1, "a matching stab estimates at least one row");
-        // An empty partition estimates zero rows, never a phantom minimum.
-        assert_eq!(ix.estimate_candidates(Some(&probe), None, 0), 0);
-    }
-
-    #[test]
     fn estimate_is_an_upper_bound_on_candidates() {
         let mut ix = TemporalIndex::new("t", 8);
         for slot in 0..100u64 {
@@ -417,6 +389,9 @@ mod tests {
                 got.len()
             );
         }
+        // An empty partition estimates zero, never a phantom minimum.
+        let probe = SysProbe::At(SysTime(10));
+        assert_eq!(ix.estimate_fraction(Some(&probe), None, 0), 0.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   two words per segment. Marks are all the planner's estimates read.
 //! * a **version-set** (the sorted visible slots themselves) at a mark only
 //!   once enough events have accumulated to pay for the copy — see
-//!   [`SET_SPACING`]. That amortisation keeps the whole index linear in
+//!   `SET_SPACING`. That amortisation keeps the whole index linear in
 //!   the number of events.
 //!
 //! A probe "visible at system version S" takes the nearest version-set
@@ -34,7 +34,7 @@ use bitempo_core::{SysPeriod, SysTime};
 /// Default checkpoint interval: small enough to bound replays tightly,
 /// large enough that marks, segment bounds and version-sets together stay
 /// a fraction of the event log (two words of mark per 256 two-word
-/// events; version-set slots are bounded by [`SET_SPACING`] times the
+/// events; version-set slots are bounded by `SET_SPACING` times the
 /// event count whatever the interval).
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
 

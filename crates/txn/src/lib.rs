@@ -30,7 +30,7 @@
 //! failure surfaces before commit even starts. At commit the ops are *applied first and
 //! logged after*, still inside the exclusive section: a WAL record
 //! therefore always describes a transaction that fully applied, which is
-//! what lets [`bitempo_wal::recover`] replay every logged record. In both
+//! what lets [`bitempo_wal::recover`](fn@bitempo_wal::recover) replay every logged record. In both
 //! failure directions the durable log and the reported outcome agree — a
 //! failed apply logs nothing, and an append failure after apply poisons
 //! the manager without a record, so recovery never resurrects a

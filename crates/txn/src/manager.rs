@@ -97,7 +97,7 @@ impl TxnManager {
     /// load order (at most 256, the [`bitempo_histgen::Op`] addressing
     /// limit); `wal`, when present, receives one record per committed
     /// writing transaction, encoded exactly as the durability driver's —
-    /// [`bitempo_wal::recover`] replays interactive history and replayed
+    /// [`bitempo_wal::recover`](fn@bitempo_wal::recover) replays interactive history and replayed
     /// history identically.
     ///
     /// A non-empty `wal` is adopted, not reset: sequence numbering

@@ -17,7 +17,7 @@
 //!   (`dur_batched_Nms`), or never until close (`dur_async`);
 //! * [`checkpoint`] serializes a quiesced engine's full version set so
 //!   recovery never replays the whole history;
-//! * [`recover`] ties it together: the [`recover::durable_replay`] driver
+//! * [`recover`](mod@recover) ties it together: the [`recover::durable_replay`] driver
 //!   appends each committed transaction to the WAL and checkpoints on a
 //!   fixed cadence, and [`recover::recover`] rebuilds an engine from the
 //!   newest valid checkpoint plus the WAL tail, truncating at the first

@@ -15,9 +15,9 @@
 //!    make the B-Tree win, few make the scan win.
 //! 4. **Empty partitions** — scans of empty tables short-circuit before any
 //!    estimation (the old `len().max(1)` fabricated a phantom row).
-//! 5. **Adaptive re-planning** — with `adaptive` tuning, a repeated
-//!    misestimated query switches paths on re-plan without changing its
-//!    answer.
+//! 5. **One plan per query** — a repeated misestimated query plans the
+//!    same path with the same estimate every time: estimate error is
+//!    reported (`planned_rows` beside `rows_visited`), never learned.
 
 use bitempo_core::{
     AppDate, Column, DataType, Key, Period, Row, Schema, SysTime, TableDef, TemporalClass, Value,
@@ -321,8 +321,7 @@ fn empty_tables_scan_trivially_under_every_tuning() {
 }
 
 #[test]
-fn adaptive_replanning_flips_the_path_and_preserves_the_answer() {
-    bitempo_query::optimizer::reset_feedback();
+fn a_misestimated_scan_replans_identically_on_repeat() {
     for kind in SystemKind::ALL {
         // App periods leave a gap at day 7: the interval estimator sees
         // every row on one side or the other and prices the probe at ~half
@@ -339,32 +338,25 @@ fn adaptive_replanning_flips_the_path_and_preserves_the_answer() {
                 .unwrap();
         }
         e.commit();
-        e.apply_tuning(&TuningConfig::temporal().with_adaptive(true).with_workers(1))
+        e.apply_tuning(&TuningConfig::temporal().with_workers(1))
             .unwrap();
         let probe = AppSpec::AsOf(AppDate(7));
         let first = e.scan(t, &SysSpec::All, &probe, &[]).unwrap();
+        // A scan of another predicate class in between must not matter.
+        e.scan(t, &SysSpec::AsOf(SysTime(1)), &AppSpec::All, &[])
+            .unwrap();
         let second = e.scan(t, &SysSpec::All, &probe, &[]).unwrap();
+        assert!(first.rows.is_empty(), "{kind}: nothing is valid on day 7");
         assert!(
-            matches!(first.access, AccessPath::FullScan { .. }),
-            "{kind}: the misestimated first plan should scan, got {}",
-            first.access
+            first.metrics.planned_rows > 0,
+            "{kind}: the estimate must be reported, not hidden"
         );
-        assert!(
-            matches!(second.access, AccessPath::TemporalProbe(_)),
-            "{kind}: the observed miss should flip the re-plan to the \
-             temporal probe, got {}",
-            second.access
-        );
-        assert!(
-            second.metrics.planned_rows < first.metrics.planned_rows,
-            "{kind}: feedback must shrink the estimate ({} -> {})",
-            first.metrics.planned_rows,
-            second.metrics.planned_rows
-        );
+        assert_eq!(first.access, second.access, "{kind}: the plan changed");
         assert_eq!(
-            first.rows, second.rows,
-            "{kind}: re-planning changed the answer"
+            (first.metrics.planned_rows, first.metrics.rows_visited),
+            (second.metrics.planned_rows, second.metrics.rows_visited),
+            "{kind}: the estimate or the work changed on repeat"
         );
-        bitempo_query::optimizer::reset_feedback();
+        assert_eq!(first.rows, second.rows, "{kind}: the answer changed");
     }
 }
