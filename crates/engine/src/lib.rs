@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`SystemA`] | native bitemporal row store | current + history heap, instant history writes, auto PK index on current |
 //! | [`SystemB`] | row store with vertically partitioned temporal metadata | current value/temporal split (merge-joined at scan), undo-log staging, rich history metadata |
-//! | [`SystemC`] | in-memory column store, system time only | delta/main columnar partitions, snapshot recompute, indexes ignored by planning |
+//! | [`SystemC`] | in-memory column store, system time only | delta/main columnar partitions, snapshot recompute, B-Tree tuning accepted but never built |
 //! | [`SystemD`] | non-temporal RDBMS, simulated periods | single heap, manual timestamps + bulk load, B-Tree and GiST (R-Tree) indexes |
 //!
 //! The observation the paper leads with — *"all systems store their data in
@@ -30,6 +30,7 @@ pub mod api;
 pub mod catalog;
 pub mod index;
 pub mod morsel;
+mod partindex;
 pub mod rowscan;
 pub mod sequenced;
 pub mod shell;

@@ -384,7 +384,7 @@ impl<T: TableLayout> BitemporalEngine for Engine<T> {
 
 #[cfg(test)]
 mod tests {
-    use crate::api::{AppSpec, SysSpec};
+    use crate::api::{AppSpec, SysSpec, TuningConfig};
     use crate::testutil::{bitemp_table, degenerate_table, plain_table, simple_row};
     use crate::{build_engine, SystemKind};
     use bitempo_core::{
@@ -477,5 +477,23 @@ mod tests {
             format!("{errors:?}")
         });
         assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{outcomes:#?}");
+    }
+
+    #[test]
+    fn an_unknown_value_index_column_is_the_same_error_on_every_layout() {
+        let tuning = TuningConfig {
+            value_index: vec![("t".into(), "nope".into())],
+            ..TuningConfig::default()
+        };
+        let errors = SystemKind::ALL.map(|kind| {
+            let mut e = build_engine(kind);
+            e.create_table(bitemp_table("t")).unwrap();
+            e.apply_tuning(&tuning).unwrap_err()
+        });
+        let kind = |e: &Error| std::mem::discriminant(e);
+        assert!(
+            errors.iter().all(|e| kind(e) == kind(&errors[0])),
+            "{errors:#?}"
+        );
     }
 }

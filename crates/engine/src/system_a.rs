@@ -7,8 +7,9 @@
 //! primary-key index exists on the current table only; the history table has
 //! no indexes unless the tuning study adds them.
 
-use crate::api::{IndexKind, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
-use crate::index::{IndexDef, IndexedCol, OrderedIndex};
+use crate::api::{KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
+use crate::index::OrderedIndex;
+use crate::partindex::{heap_entries, open_slots_in, system_pk_index, Part, PartIndexes};
 use crate::rowscan::PartitionView;
 use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
@@ -28,89 +29,13 @@ pub struct TableA {
     /// table without key columns). It is also what sequenced DML resolves a
     /// key's open versions with: every entry is an open version.
     pk: Option<OrderedIndex>,
-    /// Tuning indexes over the current partition.
-    cur_indexes: Vec<OrderedIndex>,
-    /// Tuning indexes over the history partition. The first one whose
-    /// leading columns are the key doubles as the history "PK" access path.
-    hist_indexes: Vec<OrderedIndex>,
-    hist_key_index: Option<usize>,
-    /// Temporal index over the history partition, maintained at close time
-    /// (only with [`TuningConfig::temporal_index`]).
-    tindex: Option<TemporalIndex>,
-    /// Temporal index over the current partition, maintained at insert and
-    /// close time. Without it, every time-travel scan pays a full pass over
-    /// the open versions even when the probe instant predates almost all of
-    /// them.
-    cur_tindex: Option<TemporalIndex>,
-}
-
-/// Rebuilds a temporal index over one heap partition at tuning time —
-/// shared by Systems A, B and D, whose partitions are heaps of versions.
-/// System A's current heap reuses slots, so correctness there leans on the
-/// candidate-superset contract: replay is causal, and the scan re-checks
-/// every candidate against its authoritative period.
-pub(crate) fn build_heap_tindex(index_name: String, heap: &Heap<Version>) -> TemporalIndex {
-    TemporalIndex::build(
-        index_name,
-        bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-        heap_entries(heap).map(|(slot, v)| (slot, v.app, v.sys)),
-    )
-}
-
-/// The system-defined primary-key index every layout keeps over its open
-/// versions; a table without key columns has none. Only A and B hand it to
-/// the scan planner; on C and D it is sequenced-DML bookkeeping.
-pub(crate) fn system_pk_index(def: &TableDef) -> Option<OrderedIndex> {
-    (!def.key.is_empty()).then(|| {
-        OrderedIndex::new(IndexDef {
-            name: format!("pk_{}", def.name),
-            cols: def.key.iter().map(|&c| IndexedCol::Value(c)).collect(),
-            kind: IndexKind::BTree,
-        })
-    })
-}
-
-/// The open versions of `key` through the system-defined PK index: an
-/// exact-key probe, in the order the versions were inserted. A table without
-/// key columns has no PK index; its one, empty key covers every open version
-/// (`all_open`, in slot order) and no other key matches anything.
-pub(crate) fn open_slots_in(
-    pk: Option<&OrderedIndex>,
-    key: &Key,
-    all_open: impl FnOnce() -> Vec<u64>,
-) -> Vec<u64> {
-    match pk {
-        Some(pk) => pk.slots_of_key(key),
-        None if matches!(key, Key::General(values) if values.is_empty()) => all_open(),
-        None => Vec::new(),
-    }
-}
-
-/// Builds the defined tuning indexes over a partition's `(slot, version)`
-/// pairs, walking `entries()` once per index.
-pub(crate) fn ordered_indexes_over<'a, I: Iterator<Item = (u64, &'a Version)>>(
-    defs: Vec<IndexDef>,
-    entries: impl Fn() -> I,
-) -> Vec<OrderedIndex> {
-    defs.into_iter()
-        .map(|def| {
-            let mut ix = OrderedIndex::new(def);
-            for (slot, v) in entries() {
-                ix.insert(v, slot);
-            }
-            ix
-        })
-        .collect()
-}
-
-/// Resident bytes of a partition's tuning indexes.
-pub(crate) fn ordered_indexes_bytes(indexes: &[OrderedIndex]) -> usize {
-    indexes.iter().map(OrderedIndex::memory_bytes).sum()
-}
-
-/// `(slot, version)` pairs of a heap partition, in slot order.
-pub(crate) fn heap_entries(heap: &Heap<Version>) -> impl Iterator<Item = (u64, &Version)> {
-    heap.iter().map(|(slot, v)| (u64::from(slot.0), v))
+    /// Tuning and temporal indexes over the current partition. Without a
+    /// temporal index, every time-travel scan pays a full pass over the open
+    /// versions even when the probe instant predates almost all of them.
+    pub(crate) cur: PartIndexes,
+    /// Tuning and temporal indexes over the history partition, maintained
+    /// at close time. The Key+Time index doubles as its "PK" access path.
+    pub(crate) hist: PartIndexes,
 }
 
 impl TableLayout for TableA {
@@ -143,29 +68,17 @@ impl TableLayout for TableA {
                 "closing slot {slot64} with no live version"
             )));
         };
-        if let Some(tix) = &mut self.cur_tindex {
-            // The slot leaves the current partition whatever its fate
-            // (archived, discarded, or re-inserted in place): invalidating
-            // here keeps later probes from resurrecting it, and probes
-            // before `end` re-check whatever occupies the slot by then.
-            tix.close(slot64, end);
-        }
+        // The slot leaves the current partition whatever its fate (archived,
+        // discarded, or re-inserted in place).
+        self.cur.close(&v, slot64, end);
         if let Some(pk) = &mut self.pk {
             pk.remove(&v, slot64);
-        }
-        for ix in &mut self.cur_indexes {
-            ix.remove(&v, slot64);
         }
         let closed = v.clone();
         v.sys = SysPeriod::new(v.sys.start, end);
         if def.temporal != TemporalClass::NonTemporal && !v.sys.is_empty() {
             let h64 = u64::from(self.history.insert(v.clone()).0);
-            for ix in &mut self.hist_indexes {
-                ix.insert(&v, h64);
-            }
-            if let Some(tix) = &mut self.tindex {
-                tix.insert(h64, v.app, v.sys);
-            }
+            self.hist.insert(&v, h64);
         }
         Ok(closed)
     }
@@ -175,12 +88,7 @@ impl TableLayout for TableA {
         if let Some(pk) = &mut self.pk {
             pk.insert(&version, slot64);
         }
-        for ix in &mut self.cur_indexes {
-            ix.insert(&version, slot64);
-        }
-        if let Some(tix) = &mut self.cur_tindex {
-            tix.insert(slot64, version.app, version.sys);
-        }
+        self.cur.insert(&version, slot64);
         slot64
     }
 
@@ -190,41 +98,16 @@ impl TableLayout for TableA {
         sys: &SysSpec,
         scan: &mut dyn FnMut(&'static str, &PartitionView<'_>) -> Result<()>,
     ) -> Result<()> {
-        scan(
-            "current",
-            &PartitionView {
-                source: &self.current,
-                pk: self.pk.as_ref(),
-                indexes: &self.cur_indexes,
-                gist: None,
-                tindex: self.cur_tindex.as_ref(),
-            },
-        )?;
+        scan("current", &self.cur.view(&self.current, self.pk.as_ref()))?;
         if sys.current_only() || !def.has_system_time() {
             return Ok(());
         }
-        scan(
-            "history",
-            &PartitionView {
-                source: &self.history,
-                pk: self.hist_key_index.and_then(|i| self.hist_indexes.get(i)),
-                indexes: &self.hist_indexes,
-                gist: None,
-                tindex: self.tindex.as_ref(),
-            },
-        )
+        scan("history", &self.hist.view(&self.history, None))
     }
 
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
-        let defs = TuningDefs::build(def, tuning)?;
-        self.cur_indexes = ordered_indexes_over(defs.cur, || heap_entries(&self.current));
-        self.hist_indexes = ordered_indexes_over(defs.hist, || heap_entries(&self.history));
-        self.hist_key_index = defs.hist_key_index;
-        let temporal = tuning.temporal_index && def.has_system_time();
-        self.tindex =
-            temporal.then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &self.history));
-        self.cur_tindex =
-            temporal.then(|| build_heap_tindex(format!("tx_cur_{}", def.name), &self.current));
+        self.cur = PartIndexes::build(def, tuning, Part::Current, || heap_entries(&self.current))?;
+        self.hist = PartIndexes::build(def, tuning, Part::History, || heap_entries(&self.history))?;
         Ok(())
     }
 
@@ -232,9 +115,8 @@ impl TableLayout for TableA {
         // History writes are synchronous (§5.2): nothing staged to flush.
         // The temporal index still uses the quiescent point to sort its
         // interval endpoint lists.
-        for tix in self.tindex.iter_mut().chain(&mut self.cur_tindex) {
-            tix.prepare();
-        }
+        self.hist.prepare();
+        self.cur.prepare();
     }
 
     fn stats(&self) -> TableStats {
@@ -245,15 +127,14 @@ impl TableLayout for TableA {
     }
 
     fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
-        [self.tindex.as_ref(), self.cur_tindex.as_ref()]
+        [self.hist.tindex(), self.cur.tindex()]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
         KeyStructuresFootprint {
             key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
             heap_bytes: self.current.memory_bytes() + self.history.memory_bytes(),
-            tuning_index_bytes: ordered_indexes_bytes(&self.cur_indexes)
-                + ordered_indexes_bytes(&self.hist_indexes),
+            tuning_index_bytes: self.cur.tuning_bytes() + self.hist.tuning_bytes(),
             open_versions: self.current.len(),
         }
     }
@@ -279,73 +160,6 @@ impl TableLayout for TableA {
             }
         }
         Ok(t)
-    }
-}
-
-/// The tuning index definitions for one table — shared by Systems A and B,
-/// which expose the same logical index surface (paper §5.1).
-pub(crate) struct TuningDefs {
-    /// Indexes over the current partition.
-    pub(crate) cur: Vec<IndexDef>,
-    /// Indexes over the history partition.
-    pub(crate) hist: Vec<IndexDef>,
-    /// Position in `hist` of the index that serves history key lookups.
-    pub(crate) hist_key_index: Option<usize>,
-}
-
-impl TuningDefs {
-    pub(crate) fn build(def: &TableDef, tuning: &TuningConfig) -> Result<TuningDefs> {
-        let (mut cur, mut hist, mut hist_key_index) = (Vec::new(), Vec::new(), None);
-        if tuning.time_index {
-            if def.has_app_time() {
-                cur.push(IndexDef {
-                    name: format!("ix_cur_app_{}", def.name),
-                    cols: vec![IndexedCol::AppStart],
-                    kind: IndexKind::BTree,
-                });
-                hist.push(IndexDef {
-                    name: format!("ix_hist_app_{}", def.name),
-                    cols: vec![IndexedCol::AppStart],
-                    kind: IndexKind::BTree,
-                });
-            }
-            if def.has_system_time() {
-                hist.push(IndexDef {
-                    name: format!("ix_hist_sys_{}", def.name),
-                    cols: vec![IndexedCol::SysStart],
-                    kind: IndexKind::BTree,
-                });
-            }
-        }
-        if tuning.key_time_index && def.has_system_time() && !def.key.is_empty() {
-            let mut cols: Vec<IndexedCol> = def.key.iter().map(|&c| IndexedCol::Value(c)).collect();
-            cols.push(IndexedCol::SysStart);
-            hist_key_index = Some(hist.len());
-            hist.push(IndexDef {
-                name: format!("ix_hist_key_{}", def.name),
-                cols,
-                kind: IndexKind::BTree,
-            });
-        }
-        for (tname, cname) in &tuning.value_index {
-            if *tname == def.name {
-                let col = def.schema.col(cname)?;
-                let d = IndexDef {
-                    name: format!("ix_val_{}_{}", def.name, cname),
-                    cols: vec![IndexedCol::Value(col)],
-                    kind: IndexKind::BTree,
-                };
-                cur.push(d.clone());
-                if def.has_system_time() {
-                    hist.push(d);
-                }
-            }
-        }
-        Ok(TuningDefs {
-            cur,
-            hist,
-            hist_key_index,
-        })
     }
 }
 

@@ -24,12 +24,9 @@
 
 use crate::api::{KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::OrderedIndex;
+use crate::partindex::{heap_entries, open_slots_in, system_pk_index, Part, PartIndexes};
 use crate::rowscan::{PartitionView, Reconstructed};
 use crate::shell::{Engine, TableLayout};
-use crate::system_a::{
-    build_heap_tindex, heap_entries, open_slots_in, ordered_indexes_bytes, ordered_indexes_over,
-    system_pk_index, TuningDefs,
-};
 use crate::version::Version;
 use bitempo_core::{
     AppPeriod, Error, Key, Result, Row, SysPeriod, SysTime, TableDef, TemporalClass, Value,
@@ -71,11 +68,17 @@ pub struct TableB {
     hist_meta: Vec<HistoryMeta>,
     undo: Vec<(Version, HistoryMeta)>,
     /// System-defined PK index over the current partition; also resolves a
-    /// key's open versions for sequenced DML (see `system_a::open_slots_in`).
+    /// key's open versions for sequenced DML (see `partindex::open_slots_in`).
     pk: Option<OrderedIndex>,
-    cur_indexes: Vec<OrderedIndex>,
-    hist_indexes: Vec<OrderedIndex>,
-    hist_key_index: Option<usize>,
+    /// Tuning and temporal indexes over the current partition, keyed by the
+    /// uids the vertically partitioned sides share, so probe candidates
+    /// resolve through the reconstructed merge-join view.
+    pub(crate) cur: PartIndexes,
+    /// Tuning and temporal indexes over the *drained* history partition.
+    /// Staged undo entries are invisible to them by design — the staging
+    /// partition stays sequential-only, mirroring how System B's background
+    /// writer is the only process that touches the optimized history format.
+    pub(crate) hist: PartIndexes,
     /// The history table's physical layout: slots ordered by closing time
     /// within each `HISTORY_SEGMENT`-sized segment of drain order. System B
     /// stores history "in an optimized and compressed format using a
@@ -88,15 +91,6 @@ pub struct TableB {
     segment_digests: Vec<u64>,
     /// Versions the history writer has re-encoded, in total.
     rewritten: u64,
-    /// Optional temporal index over the *drained* history partition. Staged
-    /// undo entries are invisible to it by design — the staging partition
-    /// stays sequential-only, mirroring how System B's background writer is
-    /// the only process that touches the optimized history format.
-    tindex: Option<TemporalIndex>,
-    /// Temporal index over the current partition, keyed by the same uids
-    /// the vertically partitioned sides share, so probe candidates resolve
-    /// through the reconstructed merge-join view.
-    cur_tindex: Option<TemporalIndex>,
 }
 
 impl TableB {
@@ -148,19 +142,12 @@ impl TableB {
         for (v, meta) in self.undo.drain(..) {
             // History slots are dense (nothing is ever removed from it).
             let slot64 = self.hist_meta.len() as u64;
-            for ix in &mut self.hist_indexes {
-                ix.insert(&v, slot64);
-            }
-            if let Some(tix) = &mut self.tindex {
-                tix.insert(slot64, v.app, v.sys);
-            }
+            self.hist.insert(&v, slot64);
             let slot = self.history.insert(v);
             debug_assert_eq!(u64::from(slot.0), slot64);
             self.hist_meta.push(meta);
         }
-        if let Some(tix) = &mut self.tindex {
-            tix.prepare();
-        }
+        self.hist.prepare();
         self.write_tail();
     }
 
@@ -265,14 +252,9 @@ impl TableLayout for TableB {
         };
         self.cur_values.remove(SlotId(uid as u32));
         self.cur_temporal.remove(&uid);
-        if let Some(tix) = &mut self.cur_tindex {
-            tix.close(uid, end);
-        }
+        self.cur.close(&before, uid, end);
         if let Some(pk) = &mut self.pk {
             pk.remove(&before, uid);
-        }
-        for ix in &mut self.cur_indexes {
-            ix.remove(&before, uid);
         }
         let mut closed = before.clone();
         closed.sys = SysPeriod::new(closed.sys.start, end);
@@ -292,12 +274,7 @@ impl TableLayout for TableB {
         if let Some(pk) = &mut self.pk {
             pk.insert(&version, uid);
         }
-        for ix in &mut self.cur_indexes {
-            ix.insert(&version, uid);
-        }
-        if let Some(tix) = &mut self.cur_tindex {
-            tix.insert(uid, version.app, version.sys);
-        }
+        self.cur.insert(&version, uid);
         uid
     }
 
@@ -330,29 +307,11 @@ impl TableLayout for TableB {
         } else {
             self.reconstruct_current()
         };
-        scan(
-            "current",
-            &PartitionView {
-                source: &recon,
-                pk: self.pk.as_ref(),
-                indexes: &self.cur_indexes,
-                gist: None,
-                tindex: self.cur_tindex.as_ref(),
-            },
-        )?;
+        scan("current", &self.cur.view(&recon, self.pk.as_ref()))?;
         if sys.current_only() || !def.has_system_time() {
             return Ok(());
         }
-        scan(
-            "history",
-            &PartitionView {
-                source: &self.history,
-                pk: self.hist_key_index.and_then(|i| self.hist_indexes.get(i)),
-                indexes: &self.hist_indexes,
-                gist: None,
-                tindex: self.tindex.as_ref(),
-            },
-        )?;
+        scan("history", &self.hist.view(&self.history, None))?;
         // Staged, not-yet-drained undo entries form a third partition that
         // only sequential access can see.
         if self.undo.is_empty() {
@@ -365,44 +324,23 @@ impl TableLayout for TableB {
                 .map(|(i, (v, _))| (i as u64, v.clone()))
                 .collect(),
         );
-        scan(
-            "staging",
-            &PartitionView {
-                source: &staged,
-                pk: None,
-                indexes: &[],
-                gist: None,
-                tindex: None,
-            },
-        )
+        scan("staging", &PartIndexes::default().view(&staged, None))
     }
 
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
         self.drain_undo();
-        let defs = TuningDefs::build(def, tuning)?;
         let recon = self.reconstruct_current();
-        self.cur_indexes =
-            ordered_indexes_over(defs.cur, || recon.0.iter().map(|(uid, v)| (*uid, v)));
-        self.hist_indexes = ordered_indexes_over(defs.hist, || heap_entries(&self.history));
-        self.hist_key_index = defs.hist_key_index;
-        let temporal = tuning.temporal_index && def.has_system_time();
-        self.tindex =
-            temporal.then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &self.history));
-        self.cur_tindex = temporal.then(|| {
-            TemporalIndex::build(
-                format!("tx_cur_{}", def.name),
-                bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-                recon.0.iter().map(|(uid, v)| (*uid, v.app, v.sys)),
-            )
-        });
+        self.cur = PartIndexes::build(def, tuning, Part::Current, || {
+            recon.0.iter().map(|(uid, v)| (*uid, v))
+        })?;
+        self.hist = PartIndexes::build(def, tuning, Part::History, || heap_entries(&self.history))?;
         Ok(())
     }
 
     fn checkpoint(&mut self, _: &TableDef) {
         self.drain_undo();
-        for tix in self.tindex.iter_mut().chain(&mut self.cur_tindex) {
-            tix.prepare();
-        }
+        self.hist.prepare();
+        self.cur.prepare();
     }
 
     fn stats(&self) -> TableStats {
@@ -413,15 +351,14 @@ impl TableLayout for TableB {
     }
 
     fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
-        [self.tindex.as_ref(), self.cur_tindex.as_ref()]
+        [self.hist.tindex(), self.cur.tindex()]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
         KeyStructuresFootprint {
             key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
             heap_bytes: self.cur_values.memory_bytes() + self.history.memory_bytes(),
-            tuning_index_bytes: ordered_indexes_bytes(&self.cur_indexes)
-                + ordered_indexes_bytes(&self.hist_indexes),
+            tuning_index_bytes: self.cur.tuning_bytes() + self.hist.tuning_bytes(),
             open_versions: self.cur_values.len(),
         }
     }

@@ -11,19 +11,21 @@
 //!
 //! System C "relies much more on scans, and is thus not as sensitive to plan
 //! changes as the RDBMSs" (§5.4.1): accordingly, tuning requests are
-//! accepted (the paper's team built B-Trees on System C too, Fig 3) but the
-//! scan path never uses them — which is exactly what the paper measured.
+//! accepted (the paper's team built B-Trees on System C too, Fig 3) but no
+//! B-Tree is kept or offered to the scan path — which is exactly what the
+//! paper measured. Each partition's `PartIndexes` holds at most a temporal
+//! index, the one structure System C consults.
 //!
 //! Sequenced DML finds a key's open rows through the same system PK index
-//! Systems A and B keep (`system_a::system_pk_index`), maintained on append
+//! Systems A and B keep (`partindex::system_pk_index`), maintained on append
 //! and close and rebuilt by the delta merge, which renumbers row ids. It is
 //! DML bookkeeping only: no partition view ever offers it to the planner.
 
 use crate::api::{AppSpec, ColRange, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::OrderedIndex;
+use crate::partindex::{open_slots_in, system_pk_index, tindex_name, Part, PartIndexes};
 use crate::rowscan::{PartitionView, VersionSource};
 use crate::shell::{Engine, TableLayout};
-use crate::system_a::{open_slots_in, system_pk_index};
 use crate::version::Version;
 use bitempo_core::{
     AppDate, AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime,
@@ -54,17 +56,15 @@ pub struct TableC {
     dead: HashSet<usize>,
     /// Closed-but-unmerged row count (merge trigger bookkeeping).
     closed_in_current: usize,
-    /// Indexes built on request and never consulted (see module docs).
-    ignored_indexes: Vec<String>,
-    /// Optional temporal index over the history partition, maintained as
-    /// the merge appends superseded records. Unlike the B-Trees above it
-    /// *is* consulted: the paper's System C had no such structure, and the
-    /// `temporal-index` experiment measures what one would have bought it.
-    tindex: Option<TemporalIndex>,
-    /// Temporal index over the current partition. Rebuilt at every delta
-    /// merge (the merge renumbers rowids), maintained in place between
+    /// The current partition's temporal index, if tuned. Rebuilt at every
+    /// delta merge (the merge renumbers rowids), maintained in place between
     /// merges as rows are appended and their `$validto` terminated.
-    cur_tindex: Option<TemporalIndex>,
+    pub(crate) cur: PartIndexes,
+    /// The history partition's temporal index, if tuned, maintained as the
+    /// merge appends superseded records. The paper's System C had no such
+    /// structure; the `temporal-index` experiment measures what one would
+    /// have bought it.
+    pub(crate) hist: PartIndexes,
 }
 
 /// Positions of the hidden temporal columns within the physical schema.
@@ -189,19 +189,6 @@ pub struct ColumnFragment<'a> {
 }
 
 impl ColumnFragment<'_> {
-    /// This fragment as the planner sees it. No ordered index is ever
-    /// offered — the B-Trees are labels (Fig 3); the temporal index is the
-    /// one index System C consults.
-    fn view<'a>(&'a self, tindex: Option<&'a TemporalIndex>) -> PartitionView<'a> {
-        PartitionView {
-            source: self,
-            pk: None,
-            indexes: &[],
-            gist: None,
-            tindex,
-        }
-    }
-
     /// The authoritative per-row check, shared by the sequential path and
     /// by temporal-index candidates so index precision can never change
     /// scan results.
@@ -292,9 +279,8 @@ impl TableLayout for TableC {
             pk: system_pk_index(def),
             dead: HashSet::new(),
             closed_in_current: 0,
-            ignored_indexes: Vec::new(),
-            tindex: None,
-            cur_tindex: None,
+            cur: PartIndexes::default(),
+            hist: PartIndexes::default(),
         }
     }
 
@@ -346,9 +332,7 @@ impl TableLayout for TableC {
                 self.dead.insert(rowid);
             }
         }
-        if let Some(tix) = &mut self.cur_tindex {
-            tix.close(slot, end);
-        }
+        self.cur.end(slot, end);
         Ok(before)
     }
 
@@ -357,9 +341,7 @@ impl TableLayout for TableC {
         if let Some(pk) = &mut self.pk {
             pk.insert(&version, rowid);
         }
-        if let Some(tix) = &mut self.cur_tindex {
-            tix.insert(rowid, version.app, version.sys);
-        }
+        self.cur.insert(&version, rowid);
         rowid
     }
 
@@ -374,7 +356,8 @@ impl TableLayout for TableC {
             dead: Some(&self.dead),
             hidden: self.hidden,
         };
-        scan("current", &current.view(self.cur_tindex.as_ref()))?;
+        // No B-Tree is ever offered (Fig 3), not even the system PK index.
+        scan("current", &self.cur.view(&current, None))?;
         if sys.current_only() || !def.has_system_time() {
             return Ok(());
         }
@@ -383,33 +366,25 @@ impl TableLayout for TableC {
             dead: None,
             hidden: self.hidden,
         };
-        scan("history", &history.view(self.tindex.as_ref()))
+        scan("history", &self.hist.view(&history, None))
     }
 
-    /// Builds (labels) the requested indexes so the tuning study can report
-    /// them, but never consults them: the scan path is the plan (Fig 3).
+    /// Accepts the requested B-Trees (an unknown value-index column is
+    /// still an error) but builds none: the scan path is the plan (Fig 3).
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
-        let temporal = tuning.temporal_index && def.has_system_time();
-        self.tindex = temporal.then(|| {
-            build_column_tindex(format!("tx_hist_{}", def.name), self.hidden, &self.history)
-        });
-        self.cur_tindex = temporal.then(|| {
-            build_column_tindex(format!("tx_cur_{}", def.name), self.hidden, &self.current)
-        });
-        self.ignored_indexes.clear();
-        if tuning.time_index && def.has_system_time() {
-            self.ignored_indexes.push(format!("ix_sys_{}", def.name));
-        }
-        if tuning.key_time_index && !def.key.is_empty() {
-            self.ignored_indexes.push(format!("ix_key_{}", def.name));
-        }
         for (tname, cname) in &tuning.value_index {
             if *tname == def.name {
                 def.schema.col(cname)?;
-                self.ignored_indexes
-                    .push(format!("ix_val_{}_{}", def.name, cname));
             }
         }
+        let hidden = self.hidden;
+        let build = |part, frag: &ColumnTable| {
+            PartIndexes::temporal(
+                tindex_name(def, tuning, part).map(|name| build_column_tindex(name, hidden, frag)),
+            )
+        };
+        self.hist = build(Part::History, &self.history);
+        self.cur = build(Part::Current, &self.current);
         Ok(())
     }
 
@@ -437,25 +412,21 @@ impl TableLayout for TableC {
                 }
             } else {
                 let hist_id = append_physical(&mut self.history, &row);
-                if let Some(tix) = &mut self.tindex {
-                    tix.insert(hist_id, app, sys);
-                }
+                self.hist.insert(&Version { row, app, sys }, hist_id);
             }
         }
         self.dead.clear();
         self.closed_in_current = 0;
         self.current.merge();
         self.history.merge();
-        if let Some(tix) = &mut self.tindex {
-            tix.prepare();
-        }
-        if self.cur_tindex.is_some() {
+        self.hist.prepare();
+        if self.cur.tindex().is_some() {
             // The rebuild above renumbered every current rowid.
-            self.cur_tindex = Some(build_column_tindex(
+            self.cur = PartIndexes::temporal(Some(build_column_tindex(
                 format!("tx_cur_{}", def.name),
                 hidden,
                 &self.current,
-            ));
+            )));
         }
     }
 
@@ -467,7 +438,7 @@ impl TableLayout for TableC {
     }
 
     fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
-        [self.tindex.as_ref(), self.cur_tindex.as_ref()]
+        [self.hist.tindex(), self.cur.tindex()]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
@@ -653,7 +624,6 @@ mod tests {
         let t = e.create_table(bitemp_table("t")).unwrap();
         insert_rows(&mut e, t, &[(1, 1)]);
         e.apply_tuning(&TuningConfig::key_time()).unwrap();
-        assert!(!e.tables[0].ignored_indexes.is_empty());
         let out = e
             .lookup_key(t, &Key::int(1), &SysSpec::Current, &AppSpec::All)
             .unwrap();

@@ -11,20 +11,18 @@
 //! GiST (R-Tree) indexes are available through tuning.
 //!
 //! Sequenced DML finds a key's open versions through the same system PK
-//! index Systems A and B keep (`system_a::system_pk_index`), over open
+//! index Systems A and B keep (`partindex::system_pk_index`), over open
 //! versions only — the bookkeeping any *application* simulating temporal
 //! tables must carry (paper §2.4: DML semantics fall to the application when
 //! support is not native). It is not a query access path: the planner's key
-//! index stays the Key+Time tuning index `ix_key_<t>`.
+//! index stays the Key+Time tuning index `ix_key_<t>`, one of the single
+//! table's `PartIndexes` beside the GiST and the temporal index.
 
-use crate::api::{IndexKind, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
-use crate::index::{GistIndex, IndexDef, IndexedCol, OrderedIndex};
+use crate::api::{KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
+use crate::index::OrderedIndex;
+use crate::partindex::{heap_entries, open_slots_in, system_pk_index, Part, PartIndexes};
 use crate::rowscan::PartitionView;
 use crate::shell::{Engine, TableLayout};
-use crate::system_a::{
-    build_heap_tindex, heap_entries, open_slots_in, ordered_indexes_bytes, ordered_indexes_over,
-    system_pk_index,
-};
 use crate::version::Version;
 use bitempo_core::{Error, Key, Result, SysPeriod, SysTime, TableDef, TemporalClass};
 use bitempo_storage::{Heap, SlotId};
@@ -38,23 +36,18 @@ pub type SystemD = Engine<TableD>;
 pub struct TableD {
     /// The single physical table holding every version.
     all: Heap<Version>,
-    /// Tuning indexes.
-    indexes: Vec<OrderedIndex>,
-    /// Index usable for key lookups (built by the Key+Time setting).
-    key_index: Option<usize>,
-    /// GiST index over the period rectangles.
-    gist: Option<GistIndex>,
+    /// Tuning B-Trees (the Key+Time one serves key lookups), GiST and
+    /// temporal index over `all`, maintained at DML time: System D is the
+    /// showcase for inline temporal-index maintenance because versions
+    /// activate in commit order, keeping the event log monotone (except
+    /// after manual-timestamp bulk loads, which the timeline's
+    /// segment-skipping replay absorbs).
+    pub(crate) indexes: PartIndexes,
     /// Open versions per key, for sequenced DML only; absent on a table
     /// without key columns. See module docs.
     pk: Option<OrderedIndex>,
     /// Open versions in `all`.
     open: usize,
-    /// Optional temporal index over the single flat table, maintained at
-    /// DML time: System D is the showcase for inline maintenance because
-    /// versions activate in commit order, keeping the event log monotone
-    /// (except after manual-timestamp bulk loads, which the timeline's
-    /// segment-skipping replay absorbs).
-    tindex: Option<TemporalIndex>,
 }
 
 impl TableLayout for TableD {
@@ -99,23 +92,19 @@ impl TableLayout for TableD {
         let never_visible = before.sys.start >= end;
         if def.temporal == TemporalClass::NonTemporal || never_visible {
             // Non-versioned tables (and never-visible versions) vanish.
-            self.all.remove(slot);
-            for ix in &mut self.indexes {
-                ix.remove(&before, slot64);
-            }
             // GiST entries are left stale: the tombstoned slot resolves to
             // nothing at probe time, which is sound (conservative rects).
+            self.all.remove(slot);
+            self.indexes.remove(&before, slot64);
         } else if let Some(v) = self.all.get_mut(slot) {
             // In-place close: the version stays put with an ended period.
             // Period *starts* are the only indexed boundaries, so B-Tree
             // entries remain valid; the GiST rect becomes conservative.
             v.sys = SysPeriod::new(v.sys.start, end);
         }
-        if let Some(tix) = &mut self.tindex {
-            // Invalidating removed slots too keeps candidate sets tight;
-            // a stale candidate resolves to nothing at probe time anyway.
-            tix.close(slot64, end);
-        }
+        // Invalidating removed slots too keeps candidate sets tight; a stale
+        // candidate resolves to nothing at probe time anyway.
+        self.indexes.end(slot64, end);
         Ok(before)
     }
 
@@ -123,15 +112,7 @@ impl TableLayout for TableD {
     /// both); only open ones enter the PK index.
     fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
         let slot64 = u64::from(self.all.insert(version.clone()).0);
-        for ix in &mut self.indexes {
-            ix.insert(&version, slot64);
-        }
-        if let Some(g) = &mut self.gist {
-            g.insert(&version, slot64);
-        }
-        if let Some(tix) = &mut self.tindex {
-            tix.insert(slot64, version.app, version.sys);
-        }
+        self.indexes.insert(&version, slot64);
         if version.sys.is_current() {
             self.open += 1;
             if let Some(pk) = &mut self.pk {
@@ -147,68 +128,11 @@ impl TableLayout for TableD {
         _: &SysSpec,
         scan: &mut dyn FnMut(&'static str, &PartitionView<'_>) -> Result<()>,
     ) -> Result<()> {
-        scan(
-            "all",
-            &PartitionView {
-                source: &self.all,
-                pk: self.key_index.and_then(|i| self.indexes.get(i)),
-                indexes: &self.indexes,
-                gist: self.gist.as_ref(),
-                tindex: self.tindex.as_ref(),
-            },
-        )
+        scan("all", &self.indexes.view(&self.all, None))
     }
 
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
-        let mut index_defs: Vec<IndexDef> = Vec::new();
-        let mut key_index = None;
-        if tuning.time_index {
-            if def.has_app_time() {
-                index_defs.push(IndexDef {
-                    name: format!("ix_app_{}", def.name),
-                    cols: vec![IndexedCol::AppStart],
-                    kind: IndexKind::BTree,
-                });
-            }
-            if def.has_system_time() {
-                index_defs.push(IndexDef {
-                    name: format!("ix_sys_{}", def.name),
-                    cols: vec![IndexedCol::SysStart],
-                    kind: IndexKind::BTree,
-                });
-            }
-        }
-        if tuning.key_time_index && !def.key.is_empty() {
-            let mut cols: Vec<IndexedCol> = def.key.iter().map(|&c| IndexedCol::Value(c)).collect();
-            cols.push(IndexedCol::SysStart);
-            key_index = Some(index_defs.len());
-            index_defs.push(IndexDef {
-                name: format!("ix_key_{}", def.name),
-                cols,
-                kind: IndexKind::BTree,
-            });
-        }
-        for (tname, cname) in &tuning.value_index {
-            if *tname == def.name {
-                let col = def.schema.col(cname)?;
-                index_defs.push(IndexDef {
-                    name: format!("ix_val_{}_{}", def.name, cname),
-                    cols: vec![IndexedCol::Value(col)],
-                    kind: IndexKind::BTree,
-                });
-            }
-        }
-        self.indexes = ordered_indexes_over(index_defs, || heap_entries(&self.all));
-        self.key_index = key_index;
-        self.gist = (tuning.gist && def.has_system_time()).then(|| {
-            let mut g = GistIndex::new(format!("gist_{}", def.name));
-            for (slot, v) in heap_entries(&self.all) {
-                g.insert(v, slot);
-            }
-            g
-        });
-        self.tindex = (tuning.temporal_index && def.has_system_time())
-            .then(|| build_heap_tindex(format!("tx_hist_{}", def.name), &self.all));
+        self.indexes = PartIndexes::build(def, tuning, Part::Single, || heap_entries(&self.all))?;
         Ok(())
     }
 
@@ -216,9 +140,7 @@ impl TableLayout for TableD {
         // One flat table, no staged reorganization to flush — but a tuned
         // temporal index re-sorts its endpoint lists at quiescent points
         // (and after a bulk load, whose manual timestamps arrive unordered).
-        if let Some(tix) = &mut self.tindex {
-            tix.prepare();
-        }
+        self.indexes.prepare();
     }
 
     fn stats(&self) -> TableStats {
@@ -229,15 +151,14 @@ impl TableLayout for TableD {
     }
 
     fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2] {
-        [self.tindex.as_ref(), None]
+        [self.indexes.tindex(), None]
     }
 
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
         KeyStructuresFootprint {
             key_bytes: self.pk.as_ref().map_or(0, OrderedIndex::memory_bytes),
             heap_bytes: self.all.memory_bytes(),
-            tuning_index_bytes: ordered_indexes_bytes(&self.indexes)
-                + self.gist.as_ref().map_or(0, GistIndex::memory_bytes),
+            tuning_index_bytes: self.indexes.tuning_bytes(),
             open_versions: self.open,
         }
     }

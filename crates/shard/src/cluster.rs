@@ -457,58 +457,49 @@ impl<'a> ClusterTxn<'a> {
             cluster.oracle.begin_commit()
         };
 
-        match run_on_shards(cluster, &participants, bufs, gts) {
-            Ok(waits) => {
-                cluster.publish_commit(gts, writes);
+        let (outcome, waits) = match run_on_shards(cluster, &participants, bufs, gts) {
+            Ok(waits) => (Ok(SysTime(gts)), waits),
+            // At least one shard logged a commit decision: the transaction
+            // *is* committed globally (recovery finishes the stragglers), so
+            // the record and the watermark must reflect it even though we
+            // report the shard failure to the caller.
+            Err((e, Some(waits))) => (Err(e), waits),
+            Err((e, None)) => {
+                cluster.oracle.abort(gts);
                 self.release_pin();
-                cluster.counters.committed.fetch_add(1, Ordering::Relaxed);
-                if participants.len() == 1 {
-                    cluster
-                        .counters
-                        .single_shard
-                        .fetch_add(1, Ordering::Relaxed);
-                } else {
-                    cluster.counters.cross_shard.fetch_add(1, Ordering::Relaxed);
-                }
-                // Durability belongs outside every lock: one shard's fsync
-                // must never serialize another shard's committers.
                 drop(gates);
-                for w in waits {
-                    w.wait()?;
-                }
-                Ok(SysTime(gts))
+                return Err(e);
             }
-            Err((e, decided_waits)) => match decided_waits {
-                Some(waits) => {
-                    // At least one shard logged a commit decision: the
-                    // transaction *is* committed globally (recovery
-                    // finishes the stragglers), so the record and the
-                    // watermark must reflect it even though we report the
-                    // shard failure to the caller.
-                    cluster.publish_commit(gts, writes);
-                    self.release_pin();
-                    drop(gates);
-                    // Honor the committed shards' durability waits exactly
-                    // as the success path does: "decided" must mean
-                    // *durably* decided before this returns, or a crash
-                    // right after could lose every decision record while
-                    // readers had already observed the commit. A wait
-                    // failure poisons its shard fail-stop on its own; the
-                    // error below already tells the caller recovery is
-                    // needed.
-                    for w in waits {
-                        let _ = w.wait();
-                    }
-                    Err(e)
-                }
-                None => {
-                    cluster.oracle.abort(gts);
-                    self.release_pin();
-                    drop(gates);
-                    Err(e)
-                }
-            },
+        };
+        cluster.publish_commit(gts, writes);
+        self.release_pin();
+        if outcome.is_ok() {
+            cluster.counters.committed.fetch_add(1, Ordering::Relaxed);
+            if participants.len() == 1 {
+                cluster
+                    .counters
+                    .single_shard
+                    .fetch_add(1, Ordering::Relaxed);
+            } else {
+                cluster.counters.cross_shard.fetch_add(1, Ordering::Relaxed);
+            }
         }
+        // Durability belongs outside every lock: one shard's fsync must
+        // never serialize another shard's committers. A decided failure
+        // honors the committed shards' waits too: "decided" must mean
+        // *durably* decided before this returns, or a crash right after
+        // could lose every decision record while readers had already
+        // observed the commit. There a wait failure poisons its shard
+        // fail-stop on its own; the error returned already tells the caller
+        // recovery is needed.
+        drop(gates);
+        for w in waits {
+            let waited = w.wait();
+            if outcome.is_ok() {
+                waited?;
+            }
+        }
+        outcome
     }
 }
 

@@ -226,7 +226,7 @@ fn string_equality_selectivity_comes_from_distinct_key_count() {
     };
     for kind in SystemKind::ALL {
         // System C models the paper's engine that ignores conventional
-        // index tuning entirely (`ignored_indexes`) — there is no value
+        // index tuning entirely (it builds no B-Tree) — there is no value
         // index for the optimizer to price there.
         let has_value_index = kind != SystemKind::C;
         // 300 distinct names: equality is priced at one row — B-Tree wins.
