@@ -12,7 +12,7 @@ use bitempo_core::{Error, Key, Pcg32, Period, Result, SysTime, TableId, Value};
 use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::{BitemporalEngine, SystemKind};
 use bitempo_histgen::{read_archive_with_retry, Archive, ScenarioKind};
-use bitempo_workloads::{bitemporal, key, plans, range, tpch, tt, Ctx};
+use bitempo_workloads::{bitemporal, key, range, tpch, tt, Ctx};
 use std::path::Path;
 use std::time::Instant;
 
@@ -1304,60 +1304,6 @@ pub fn temporal_index(cfg: &BenchConfig) -> Result<FigureReport> {
     Ok(report)
 }
 
-/// `lint-plans`: the plan validator run as a gate — builds one
-/// representative plan per workload class (T, H, K, R, B) on every engine,
-/// *executing* the underlying accesses (so debug builds also exercise the
-/// engines' scan-postcondition checks), then feeds each plan through the
-/// static validator in `bitempo_query::plan`. Every scan must classify its
-/// predicates into pushed vs residual (or declare itself full-history) and
-/// every temporal join/aggregate must declare whether its output is
-/// coalesced. Any violation fails the experiment: plans are linted here,
-/// not benchmarked.
-pub fn lint_plans(cfg: &BenchConfig) -> Result<FigureReport> {
-    let inst = Instance::build(cfg, &TuningConfig::key_time())?;
-    let mut report = FigureReport::new(
-        "lint-plans",
-        "Plan lint: classified scans and declared coalescing per workload class",
-        "violations",
-    );
-    let p = inst.params.clone();
-    let mut all_violations: Vec<String> = Vec::new();
-    for kind in SystemKind::ALL {
-        let ctx = Ctx::new(inst.engine(kind))?;
-        let class_plans = plans::representative_plans(&ctx, &p)?;
-        let mut s = Series::new(kind.to_string());
-        for cp in &class_plans {
-            let x = format!("{}: {}", cp.class, cp.query);
-            match bitempo_query::validate(&cp.plan) {
-                Ok(()) => s.push(x, 0.0),
-                Err(violations) => {
-                    s.push(x, violations.len() as f64);
-                    for v in violations {
-                        all_violations.push(format!("{kind} class {}: {v}", cp.class));
-                    }
-                }
-            }
-        }
-        report.add(s);
-    }
-    if all_violations.is_empty() {
-        report.note(
-            "All representative plans classify their predicates and declare temporal \
-             coalescing on every engine; 0 violations.",
-        );
-        Ok(report)
-    } else {
-        for v in &all_violations {
-            report.note(v.clone());
-        }
-        Err(Error::Invalid(format!(
-            "plan lint failed with {} violation(s): {}",
-            all_violations.len(),
-            all_violations.join("; ")
-        )))
-    }
-}
-
 /// `optimizer`: the cost-based planner inspected end to end. Part one
 /// sweeps `AS OF` system times over CUSTOMER with the temporal index tuned;
 /// every traced cell's breakdown carries planned-vs-visited rows, so the
@@ -2203,7 +2149,7 @@ fn sharding_cell(
 }
 
 /// All experiment ids in run order.
-pub const ALL_EXPERIMENTS: [&str; 26] = [
+pub const ALL_EXPERIMENTS: [&str; 25] = [
     "table1",
     "table2",
     "arch",
@@ -2225,7 +2171,6 @@ pub const ALL_EXPERIMENTS: [&str; 26] = [
     "faults",
     "explain",
     "temporal-index",
-    "lint-plans",
     "optimizer",
     "durability",
     "mvcc",
@@ -2259,7 +2204,6 @@ pub fn run_experiment(id: &str, cfg: &BenchConfig) -> Result<FigureReport> {
         "faults" => faults(cfg),
         "explain" => explain(cfg),
         "temporal-index" => temporal_index(cfg),
-        "lint-plans" => lint_plans(cfg),
         "optimizer" => optimizer_experiment(cfg),
         "durability" => durability(cfg),
         "mvcc" => mvcc(cfg),
@@ -2375,28 +2319,6 @@ mod tests {
             .filter(|n| n.contains("crossover at 5%: tindex("))
             .count();
         assert_eq!(probes, 4, "{:?}", r.notes);
-    }
-
-    #[test]
-    fn lint_plans_accepts_every_engines_representative_plans() {
-        let r = lint_plans(&micro_cfg()).unwrap();
-        assert_eq!(r.series.len(), 4, "one series per system");
-        for s in &r.series {
-            assert_eq!(
-                s.points.len(),
-                5,
-                "one plan per workload class: {}",
-                s.label
-            );
-            for (x, violations) in &s.points {
-                assert_eq!(*violations, 0.0, "{}: {x} has violations", s.label);
-            }
-        }
-        assert!(
-            r.notes.iter().any(|n| n.contains("0 violations")),
-            "{:?}",
-            r.notes
-        );
     }
 
     #[test]

@@ -17,8 +17,7 @@ use crate::index::{GistIndex, IndexedCol, OrderedIndex};
 use crate::morsel::{run_morsels, MorselExec, ScanMetrics};
 use crate::version::Version;
 use bitempo_core::{obs, Result, Row, SysTime, TableDef, Value};
-use bitempo_query::optimizer::{self, Alternative, PathKind, ValuePreds};
-use bitempo_query::plan::{AppClass, SysClass};
+use bitempo_query::optimizer::{self, Alternative, PathKind};
 use bitempo_storage::{Heap, Rect};
 use bitempo_tindex::{AppProbe, ProbeCost, SysProbe, TemporalIndex};
 use std::ops::{Bound, Range};
@@ -250,36 +249,6 @@ pub fn app_probe_for(app: &AppSpec) -> Option<AppProbe> {
         AppSpec::AsOf(d) => Some(AppProbe::At(*d)),
         AppSpec::Range(p) => Some(AppProbe::During(*p)),
         AppSpec::All => None,
-    }
-}
-
-/// The optimizer predicate class of a scan: which temporal dimensions are
-/// constrained and what shape the pushed value predicates take, as the plan
-/// validator sees it.
-pub fn pred_class(sys: &SysSpec, app: &AppSpec, preds: &[ColRange]) -> optimizer::PredClass {
-    let values = if preds.is_empty() {
-        ValuePreds::None
-    } else if preds
-        .iter()
-        .all(|p| matches!((&p.lo, &p.hi), (Bound::Included(a), Bound::Included(b)) if a == b))
-    {
-        ValuePreds::Point
-    } else {
-        ValuePreds::Range
-    };
-    optimizer::PredClass {
-        sys: match sys {
-            SysSpec::Current => SysClass::Current,
-            SysSpec::AsOf(_) => SysClass::AsOf,
-            SysSpec::Range(_) => SysClass::Range,
-            SysSpec::All => SysClass::All,
-        },
-        app: match app {
-            AppSpec::AsOf(_) => AppClass::AsOf,
-            AppSpec::Range(_) => AppClass::Range,
-            AppSpec::All => AppClass::All,
-        },
-        values,
     }
 }
 
@@ -558,16 +527,6 @@ fn scan_partition_inner(
     // exists; the `None` arm below routes to the sequential fallback anyway.
     let winner_index = decision.as_ref().map_or(usize::MAX, |d| d.winner_index);
     metrics.planned_rows += decision.as_ref().map_or(n as u64, |d| d.winner.est_rows);
-
-    #[cfg(debug_assertions)]
-    if let Some(d) = &decision {
-        let plan = optimizer::choice_plan(&def.name, &pred_class(sys, app, preds), d.winner.kind);
-        debug_assert!(
-            bitempo_query::plan::validate(&plan).is_ok(),
-            "optimizer chose a plan shape the validator rejects: {}",
-            d.winner.kind
-        );
-    }
 
     Ok(match choices.into_iter().nth(winner_index) {
         Some(Choice::Key(pk, key_vals)) => {

@@ -20,7 +20,6 @@ use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableId, Tempora
 use bitempo_dbgen::TpchData;
 use bitempo_engine::api::{AppSpec, SysSpec};
 use bitempo_engine::BitemporalEngine;
-use std::path::Path;
 use std::time::Instant;
 
 /// Per-transaction load timing.
@@ -32,52 +31,21 @@ pub struct LoadReport {
     pub total_nanos: u64,
     /// System time after the replay.
     pub version: SysTime,
-    /// `(batch index, error)` for every batch that failed and was skipped
-    /// under a resilient [`ReplayPolicy`]. Empty under strict replay.
-    pub failed: Vec<(usize, Error)>,
-    /// Op-level accounting: exactly how many ops were applied, skipped, or
-    /// saved by a retry. Durability recovery asserts `skipped == 0` on this
-    /// — a count the batch-level `failed` list used to swallow.
+    /// Op-level accounting: how many ops were applied, and how many of
+    /// those were saved by a retry.
     pub ops: ReplayReport,
 }
 
-/// Op-level accounting for one replay. `applied + skipped` always equals
-/// the archive's total op count, so nothing can go missing silently.
+/// Op-level accounting for one replay. A returned report always covers
+/// every op in the archive: the first op that fails for good aborts the
+/// replay with its error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayReport {
     /// Ops applied successfully (including those that needed a retry).
     pub applied: u64,
-    /// Ops *not* applied: the failing op of each failed batch plus the
-    /// remainder of that batch, which the batch abort skipped.
-    pub skipped: u64,
     /// Ops that failed with a retryable error and succeeded on the retry
     /// (a subset of `applied`).
     pub retried: u64,
-}
-
-/// How [`replay_resilient`] reacts to op failures mid-replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayPolicy {
-    /// Abort the whole replay once more than this many batches have failed.
-    /// `0` aborts on the first failure (strict, the [`replay`] behaviour).
-    pub max_failed_batches: usize,
-}
-
-impl ReplayPolicy {
-    /// Abort on the first failure — the classic all-or-nothing replay.
-    pub fn strict() -> ReplayPolicy {
-        ReplayPolicy {
-            max_failed_batches: 0,
-        }
-    }
-
-    /// Record up to `n` failed batches (skipping the remainder of each) and
-    /// keep replaying; the failures are reported in [`LoadReport::failed`].
-    pub fn resilient(n: usize) -> ReplayPolicy {
-        ReplayPolicy {
-            max_failed_batches: n,
-        }
-    }
 }
 
 impl LoadReport {
@@ -211,51 +179,33 @@ fn insert_effect_present(
 }
 
 /// Replays the archive, committing every `batch_size` scenarios. Strict:
-/// the first op failure aborts the whole replay.
+/// the first op that fails for good aborts the whole replay. Ops already
+/// applied in the failing batch stay in the open transaction and are
+/// committed first — the engines have no rollback.
 pub fn replay(
     engine: &mut dyn BitemporalEngine,
     ids: &[TableId],
     archive: &Archive,
     batch_size: usize,
 ) -> Result<LoadReport> {
-    replay_resilient(engine, ids, archive, batch_size, ReplayPolicy::strict())
-}
-
-/// Replays the archive under a failure policy. A failing op aborts the
-/// *remainder of its batch* (already-applied ops of the batch stay in the
-/// open transaction and are committed — the engines have no rollback, so
-/// this is the honest recovery unit); subsequent batches continue as long
-/// as the policy's failure budget holds. Every skipped batch is recorded in
-/// [`LoadReport::failed`].
-pub fn replay_resilient(
-    engine: &mut dyn BitemporalEngine,
-    ids: &[TableId],
-    archive: &Archive,
-    batch_size: usize,
-    policy: ReplayPolicy,
-) -> Result<LoadReport> {
     // tblint: allow(TB001) load-latency percentiles are the experiment's measurement (Fig 16)
     let started = Instant::now();
     let mut timings = Vec::with_capacity(archive.transactions.len());
-    let mut failed: Vec<(usize, Error)> = Vec::new();
     let mut ops = ReplayReport::default();
-    for (batch_idx, batch) in archive.transactions.chunks(batch_size.max(1)).enumerate() {
+    for batch in archive.transactions.chunks(batch_size.max(1)) {
         let kind = batch[0]
             .scenarios
             .first()
             .copied()
             .unwrap_or(ScenarioKind::NewOrderExistingCustomer);
-        let batch_ops: u64 = batch.iter().map(|t| t.ops.len() as u64).sum();
         // tblint: allow(TB001) per-batch wall-clock is the measured quantity here
         let t0 = Instant::now();
-        let mut batch_err: Option<Error> = None;
-        let mut applied_in_batch = 0u64;
-        'ops: for txn in batch {
+        for txn in batch {
             for op in &txn.ops {
                 let outcome = match apply_op(engine, ids, op) {
                     // One retry for transient failures: an op that succeeds
                     // on the second attempt was never lost, and the report
-                    // says so instead of folding it into a skipped batch.
+                    // counts it as retried instead of failing the replay.
                     // The retry must be idempotent: a transient error can
                     // surface *after* the op mutated the engine (e.g. a
                     // contained worker panic mid-bookkeeping), and blindly
@@ -281,40 +231,22 @@ pub fn replay_resilient(
                     }
                     other => other,
                 };
-                match outcome {
-                    Ok(()) => applied_in_batch += 1,
-                    Err(e) => {
-                        batch_err = Some(e);
-                        break 'ops;
-                    }
+                if let Err(e) = outcome {
+                    engine.commit();
+                    return Err(e);
                 }
+                ops.applied += 1;
             }
         }
         engine.commit();
         timings.push((kind, t0.elapsed().as_nanos() as u64));
-        ops.applied += applied_in_batch;
-        if let Some(e) = batch_err {
-            ops.skipped += batch_ops - applied_in_batch;
-            if failed.len() >= policy.max_failed_batches {
-                return Err(e);
-            }
-            failed.push((batch_idx, e));
-        }
     }
     Ok(LoadReport {
         timings,
         total_nanos: started.elapsed().as_nanos() as u64,
         version: engine.now(),
-        failed,
         ops,
     })
-}
-
-/// Loads an archive from `path`, retrying up to `attempts` times on
-/// retryable ([`Error::is_retryable`]) failures — transient I/O hiccups a
-/// benchmark campaign should survive. Corruption is never retried.
-pub fn load_archive_with_retry(path: impl AsRef<Path>, attempts: usize) -> Result<Archive> {
-    read_archive_with_retry(|| Archive::load(path.as_ref()), attempts)
 }
 
 /// Generic retry driver over any archive source (used by the fault tests
@@ -490,7 +422,6 @@ mod tests {
                 .collect(),
             total_nanos: 0,
             version: SysTime(0),
-            failed: Vec::new(),
             ops: ReplayReport::default(),
         };
         assert_eq!(report.median_nanos(None), Some(5_100));
@@ -499,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_replay_skips_failed_batches() {
+    fn replay_aborts_on_a_poisoned_batch() {
         let (data, history, _) = tiny_inputs();
         // Poison a middle transaction with an update to a nonexistent key.
         let mut archive = history.archive.clone();
@@ -516,44 +447,10 @@ mod tests {
             },
         );
 
-        // Strict replay aborts on the poisoned batch.
         let mut engine = build_engine(SystemKind::A);
         let ids = load_initial(engine.as_mut(), &data).unwrap();
-        assert!(replay(engine.as_mut(), &ids, &archive, 1).is_err());
-
-        // A resilient policy records the failure and finishes the replay.
-        let mut engine = build_engine(SystemKind::A);
-        let ids = load_initial(engine.as_mut(), &data).unwrap();
-        let report = replay_resilient(
-            engine.as_mut(),
-            &ids,
-            &archive,
-            1,
-            ReplayPolicy::resilient(4),
-        )
-        .unwrap();
-        assert_eq!(report.failed.len(), 1);
-        assert_eq!(report.failed[0].0, mid);
-        assert!(matches!(report.failed[0].1, Error::KeyNotFound(_)));
-        assert_eq!(report.timings.len(), archive.transactions.len());
-        // Op-level accounting: nothing goes missing silently. The poisoned
-        // op plus the rest of its batch are the skipped count, and
-        // applied + skipped covers every op in the archive.
-        let total_ops: u64 = archive
-            .transactions
-            .iter()
-            .map(|t| t.ops.len() as u64)
-            .sum();
-        assert!(report.ops.skipped > 0);
-        assert_eq!(report.ops.applied + report.ops.skipped, total_ops);
-        assert_eq!(report.ops.retried, 0, "KeyNotFound is not retryable");
-
-        // A zero-budget policy behaves exactly like strict replay.
-        let mut engine = build_engine(SystemKind::A);
-        let ids = load_initial(engine.as_mut(), &data).unwrap();
-        assert!(
-            replay_resilient(engine.as_mut(), &ids, &archive, 1, ReplayPolicy::strict()).is_err()
-        );
+        let err = replay(engine.as_mut(), &ids, &archive, 1).unwrap_err();
+        assert!(matches!(err, Error::KeyNotFound(_)), "{err:?}");
     }
 
     /// When the transient fault fires relative to the insert's effect.
@@ -685,7 +582,7 @@ mod tests {
     /// The satellite regression: a transient fault that surfaces *after*
     /// the insert already applied must not be re-driven into the engine —
     /// the retried replay has to converge on the clean replay's exact
-    /// state, with the op counted as retried, not duplicated or skipped.
+    /// state, with the op counted as retried, not duplicated or dropped.
     #[test]
     fn retry_after_partial_apply_does_not_double_apply() {
         let (data, history, _) = tiny_inputs();
@@ -704,17 +601,8 @@ mod tests {
                 fuse: 1,
                 calls: 0,
             };
-            let report = replay_resilient(
-                &mut flaky,
-                &ids,
-                &history.archive,
-                1,
-                ReplayPolicy::resilient(0),
-            )
-            .unwrap();
+            let report = replay(&mut flaky, &ids, &history.archive, 1).unwrap();
             assert_eq!(report.ops.retried, 1, "the fault was absorbed");
-            assert_eq!(report.ops.skipped, 0);
-            assert!(report.failed.is_empty());
 
             for (&a, &b) in clean_ids.iter().zip(&ids) {
                 let mut want = clean
@@ -772,11 +660,8 @@ mod tests {
                 fuse: 2, // the second transaction's insert
                 calls: 0,
             };
-            let report =
-                replay_resilient(&mut flaky, &ids, &archive, 1, ReplayPolicy::resilient(0))
-                    .unwrap();
+            let report = replay(&mut flaky, &ids, &archive, 1).unwrap();
             assert_eq!(report.ops.retried, 1);
-            assert_eq!(report.ops.skipped, 0);
             let rows = flaky
                 .inner
                 .scan(t, &SysSpec::All, &AppSpec::All, &[])

@@ -15,13 +15,13 @@
 //! * [`temporal`] — temporal aggregation (both the efficient event sweep
 //!   and the *naive* boundary-points formulation the paper measured),
 //!   overlap joins, and version-delta extraction (R7, K4/K5);
-//! * [`plan`] — a statically checkable plan description and validator:
-//!   scans must classify predicates into pushed vs residual (or admit to a
-//!   full-history read), temporal operators must declare coalescing;
-//! * [`optimizer`] — cost-based access-path selection over the plan IR: a
-//!   one-group Cascades-style memo costs every physical alternative a
-//!   partition scan has (sequential, key lookup, B-Tree, GiST, temporal
-//!   index) and picks the cheapest, from the partition and the query alone.
+//! * [`optimizer`] — cost-based access-path selection: a one-group
+//!   Cascades-style memo costs every physical alternative a partition scan
+//!   has (sequential, key lookup, B-Tree, GiST, temporal index) and picks
+//!   the cheapest, from the partition and the query alone.
+//!
+//! There is no separate plan description: a query's plan is the workload
+//! function that calls these operators (`bitempo-workloads`).
 //!
 //! Operators are materialized (`Vec<Row>` in, `Vec<Row>` out): with all
 //! data memory-resident — the paper's setup too ("all read requests ...
@@ -31,15 +31,11 @@
 pub mod expr;
 pub mod ops;
 pub mod optimizer;
-pub mod plan;
 pub mod temporal;
 
 pub use expr::Expr;
 pub use ops::{
     aggregate, distinct, filter, hash_join, project, sort_by, top_n, union, AggExpr, AggFunc,
     JoinKind, SortKey,
-};
-pub use plan::{
-    validate, AppClass, Classification, PlanNode, PlanViolation, ScanKind, ScanNode, SysClass,
 };
 pub use temporal::{temporal_aggregate, temporal_aggregate_naive, temporal_join, version_delta};

@@ -25,13 +25,7 @@
 //!   the interval index estimates half the partition and hits nothing). The
 //!   estimate is reported next to the rows actually visited, never fed back:
 //!   repeating a scan re-plans it identically.
-//!
-//! The plan-IR validator from [`crate::plan`] acts as the optimizer's
-//! output gate: [`choice_plan`] renders a winning choice as a [`PlanNode`]
-//! scan for `plan::validate`, which rejects inconsistent shapes (e.g. a
-//! temporal-index probe with no temporal dimension pushed).
 
-use crate::plan::{AppClass, Classification, PlanNode, ScanNode, SysClass};
 use std::fmt;
 
 /// The physical path families a partition scan can take, listed from least
@@ -203,64 +197,9 @@ impl Memo {
     }
 }
 
-/// Shape of the pushed value predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValuePreds {
-    /// No column predicates.
-    None,
-    /// Every column predicate is an equality.
-    Point,
-    /// At least one column predicate is a range.
-    Range,
-}
-
-/// The predicate class of a scan: which temporal dimensions are constrained
-/// and what shape the pushed value predicates take — what [`choice_plan`]
-/// needs to render a winning choice as a plan-IR scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredClass {
-    /// System-time constraint class.
-    pub sys: SysClass,
-    /// Application-time constraint class.
-    pub app: AppClass,
-    /// Value-predicate shape.
-    pub values: ValuePreds,
-}
-
-/// Renders a winning choice as the plan-IR scan it implies, for validation
-/// by [`crate::plan::validate`] — the optimizer's output gate. A
-/// temporal-probe winner becomes a probing scan (which the validator only
-/// accepts when a temporal dimension is pushed); everything else stays a
-/// `Seq`-kind scan, whose full-history flag is derived from the class.
-pub fn choice_plan(table: &str, class: &PredClass, kind: PathKind) -> PlanNode {
-    let classification = Classification {
-        sys_pushed: class.sys != SysClass::All,
-        app_pushed: class.app != AppClass::All,
-        pushed_cols: match class.values {
-            ValuePreds::None => Vec::new(),
-            ValuePreds::Point | ValuePreds::Range => vec!["pushed-preds".into()],
-        },
-        residual_cols: Vec::new(),
-    };
-    let scan = ScanNode::classified(table, class.sys, class.app, classification);
-    PlanNode::Scan(match kind {
-        PathKind::TemporalProbe => scan.probing(),
-        _ => scan,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::validate;
-
-    fn class() -> PredClass {
-        PredClass {
-            sys: SysClass::AsOf,
-            app: AppClass::All,
-            values: ValuePreds::None,
-        }
-    }
 
     #[test]
     fn selective_probe_beats_seq_and_crossover_flips() {
@@ -320,23 +259,5 @@ mod tests {
     #[test]
     fn empty_memo_has_no_decision() {
         assert!(Memo::new(10).best().is_none());
-    }
-
-    #[test]
-    fn choice_plans_validate_as_output_gate() {
-        // A probing winner with a pushed temporal dimension passes.
-        let plan = choice_plan("orders", &class(), PathKind::TemporalProbe);
-        assert!(validate(&plan).is_ok());
-        // A sequential winner over an unconstrained scan is full-history.
-        let all = PredClass {
-            sys: SysClass::All,
-            app: AppClass::All,
-            values: ValuePreds::None,
-        };
-        assert!(validate(&choice_plan("orders", &all, PathKind::SeqScan)).is_ok());
-        // The gate rejects an impossible shape: a temporal probe with no
-        // temporal dimension constrained.
-        let errs = validate(&choice_plan("orders", &all, PathKind::TemporalProbe)).unwrap_err();
-        assert!(!errs.is_empty());
     }
 }

@@ -390,6 +390,49 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// §5.6.2: the SQL:2011 workaround's output is not coalesced. Two
+    /// meeting periods with equal sums stay two rows in both formulations.
+    #[test]
+    fn sweep_keeps_adjacent_equal_intervals_apart() {
+        let r = |id: i64, s: i64, e: i64| {
+            Row::new(vec![
+                Value::Int(id),
+                Value::Double(10.0),
+                Value::Date(AppDate(s)),
+                Value::Date(AppDate(e)),
+            ])
+        };
+        let rows = vec![r(1, 0, 5), r(2, 5, 10)];
+        let sweep = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap();
+        let naive = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap();
+        for out in [sweep, naive] {
+            assert_eq!(out.len(), 2, "[0,5) and [5,10) are not merged: {out:?}");
+            for row in &out {
+                assert_eq!(row.get(2), &Value::Double(10.0));
+            }
+        }
+    }
+
+    /// §5.6.2: a temporal join returns one row per overlapping pair, so a
+    /// left period split across two right versions yields two intersections.
+    #[test]
+    fn join_returns_one_row_per_overlapping_pair() {
+        let l = |k: i64, s: i64, e: i64| {
+            Row::new(vec![
+                Value::Int(k),
+                Value::Date(AppDate(s)),
+                Value::Date(AppDate(e)),
+            ])
+        };
+        let left = vec![l(1, 0, 10)];
+        let right = vec![l(1, 0, 5), l(1, 5, 10)];
+        let out = temporal_join(&left, &right, &[0], &[0], (1, 2), (1, 2));
+        let mut periods: Vec<(&Value, &Value)> = out.iter().map(|r| (r.get(6), r.get(7))).collect();
+        periods.sort();
+        let d = |x| Value::Date(AppDate(x));
+        assert_eq!(periods, [(&d(0), &d(5)), (&d(5), &d(10))], "not one [0,10)");
+    }
+
     #[test]
     fn version_deltas() {
         // (key, price, sys_start)

@@ -28,9 +28,9 @@
 //! logged the decision; the transaction then recovers on the deciding
 //! shards but not the lossy one, and the cluster converges only to that
 //! shard's shorter durable prefix. The `sharding` experiment therefore
-//! verifies recovery per shard against an uncrashed oracle at each
-//! shard's own durable watermark, exactly like the single-engine
-//! `recovery` experiment does.
+//! sweeps only `Strict` and `Batched`, compares each recovered shard with
+//! its served state, and leaves `Async` out of its matrix: no verifier
+//! for an `Async` shard's durable prefix exists yet.
 
 use crate::cluster::Cluster;
 use bitempo_core::{Error, Result, SysTime};

@@ -14,8 +14,6 @@
 //! * [`params`] — benchmark parameter selection (time points, hot keys);
 //! * [`sharding`] — the stable key-space partitioning function the sharded
 //!   serving layer routes DML with;
-//! * [`plans`] — one statically-validated representative plan per workload
-//!   class, feeding the `lint-plans` experiment;
 //! * [`suite`] — one representative query per class, bundled as the
 //!   five-class equivalence probe the crash-recovery tests compare on.
 //!
@@ -27,7 +25,6 @@
 pub mod bitemporal;
 pub mod key;
 pub mod params;
-pub mod plans;
 pub mod range;
 pub mod sharding;
 pub mod suite;
