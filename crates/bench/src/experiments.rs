@@ -810,27 +810,27 @@ pub fn table2(cfg: &BenchConfig) -> Result<FigureReport> {
 /// system PK index, a packed B+Tree whose leaves store the key as integer
 /// cells flat beside the slots (8 B per key column + 8 B, plus nodes and
 /// separators; no per-key allocation), so one ceiling holds for all four:
-/// 28.4–30.9 B at every scale (C's merge rebuild included).
+/// 28.4–30.7 B on A, B and D, whose loads insert into it, at every scale,
+/// and 24.4–25.0 B on C, whose delta merge rebuilds it in full nodes.
 const KEY_STRUCTURE_BYTES_CEILING: f64 = 34.0;
 
 /// Ceiling on the resident bytes an engine's Key+Time tuning indexes hold
 /// (`KeyStructuresFootprint::tuning_index_bytes`) per index entry on A and B
 /// and per stored version on D, the `arch` experiment's second gate, set
 /// like the first (same sweep, at `--m` = `--h`, plus the repo benchmark's
-/// `--h 0.008 --m 0.016`). An entry is 8 B per index column + 8 B in a leaf
-/// that is full where the load ascends and two-thirds full where it does
-/// not. D indexes every version three times in its one table (application
-/// start, system start, key + system start): 87.4–88.7 B per version. A and
+/// `--h 0.008 --m 0.016`). `apply_tuning` builds each index in bulk, so an
+/// entry is 8 B per index column + 8 B in a full leaf. D indexes every version three times in its one table (application
+/// start, system start, key + system start): 68.7–70.1 B per version. A and
 /// B index open versions once and history versions three times, so per
 /// version their figure grows with the history's share of the table, i.e.
-/// with `--m` / `--h` (32.9–46.6 B for `--m` / `--h` from 0.5 to 4); per
-/// entry (open + 3 × closed versions) it does not: 29.4–30.7 B over the
-/// sweep, 31.2 B at `--h 0.003 --m 0.012`. C ignores the tuning.
+/// with `--m` / `--h` (21.5–30.5 B for `--m` / `--h` from 0.5 to 4); per
+/// entry (open + 3 × closed versions) it barely does: 19.2–19.8 B over the
+/// sweep, 20.2–20.3 B at `--m` / `--h` = 4. C ignores the tuning.
 fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
     match kind {
-        SystemKind::A | SystemKind::B => 34.0,
+        SystemKind::A | SystemKind::B => 22.0,
         SystemKind::C => 0.0,
-        SystemKind::D => 98.0,
+        SystemKind::D => 77.0,
     }
 }
 

@@ -284,7 +284,7 @@ impl TableStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KeyStructuresFootprint {
     /// Bytes of the structures that map a key to its open versions: the
-    /// system-defined PK indexes on Systems A and B, the key maps on C and D.
+    /// system-defined PK index every layout keeps.
     pub key_bytes: usize,
     /// Bytes of what those slots address: the heap slot arrays on A, B and
     /// D (row payloads behind their `Arc` excluded), the column fragments

@@ -19,7 +19,7 @@
 
 use crate::api::IndexKind;
 use crate::version::Version;
-use bitempo_core::{obs, AppDate, Key, SysTime, Value};
+use bitempo_core::{obs, AppDate, AppPeriod, Key, SysPeriod, SysTime, Value};
 use bitempo_storage::{BPlusTree, RTree, Rect};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -50,13 +50,48 @@ pub struct IndexDef {
     pub kind: IndexKind,
 }
 
-/// Extracts the index cell of `version` for the given column spec.
-fn extract_col(version: &Version, col: IndexedCol) -> Value {
+/// What an index reads a key from: a [`Version`], or a row that System C
+/// keeps in its column fragments and never materialises as one.
+pub trait IndexSource {
+    /// Value column `col` (by schema position).
+    fn value(&self, col: usize) -> Value;
+    /// The application period.
+    fn app(&self) -> AppPeriod;
+    /// The system period.
+    fn sys(&self) -> SysPeriod;
+}
+
+impl IndexSource for Version {
+    fn value(&self, col: usize) -> Value {
+        self.row.get(col).clone()
+    }
+    fn app(&self) -> AppPeriod {
+        self.app
+    }
+    fn sys(&self) -> SysPeriod {
+        self.sys
+    }
+}
+
+impl<S: IndexSource + ?Sized> IndexSource for &S {
+    fn value(&self, col: usize) -> Value {
+        (**self).value(col)
+    }
+    fn app(&self) -> AppPeriod {
+        (**self).app()
+    }
+    fn sys(&self) -> SysPeriod {
+        (**self).sys()
+    }
+}
+
+/// Extracts the index cell of `source` for the given column spec.
+fn extract_col(source: &impl IndexSource, col: IndexedCol) -> Value {
     match col {
-        IndexedCol::Value(i) => version.row.get(i).clone(),
-        IndexedCol::AppStart => Value::Date(version.app.start),
-        IndexedCol::SysStart => Value::SysTime(version.sys.start),
-        IndexedCol::SysEnd => Value::SysTime(version.sys.end),
+        IndexedCol::Value(i) => source.value(i),
+        IndexedCol::AppStart => Value::Date(source.app().start),
+        IndexedCol::SysStart => Value::SysTime(source.sys().start),
+        IndexedCol::SysEnd => Value::SysTime(source.sys().end),
     }
 }
 
@@ -131,6 +166,33 @@ fn value_of(kind: Option<CellKind>, cell: i64) -> Value {
         (Some(CellKind::SysTime), OPEN_CELL) => Value::SysTime(SysTime::MAX),
         (Some(CellKind::SysTime), _) => Value::SysTime(SysTime(cell as u64)),
     }
+}
+
+/// The values that flat keys of integer cells stand for, cell for cell, in
+/// an index whose columns are of `kinds`.
+fn values_of<'a>(
+    cells: &'a [i64],
+    kinds: &'a [Option<CellKind>],
+) -> impl Iterator<Item = Value> + 'a {
+    let kinds = kinds.iter().cycle();
+    cells
+        .iter()
+        .zip(kinds)
+        .map(|(&cell, &kind)| value_of(kind, cell))
+}
+
+/// The tree over flat keys (`arity` cells each) and their slots, given in
+/// arrival order: one stable sort of the entries' positions — equal keys
+/// keep arrival order, as inserts would leave them — then a bottom-up
+/// build.
+fn sorted_tree<C: Ord + Clone>(arity: usize, cells: &[C], slots: Vec<u64>) -> BPlusTree<C, u64> {
+    let n = u32::try_from(slots.len()).expect("fewer than 2^32 index entries");
+    let key = |i: &u32| &cells[*i as usize * arity..][..arity];
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_by(|a, b| key(a).cmp(key(b)));
+    let sorted = order.iter().flat_map(|i| key(i).iter().cloned());
+    let slots = order.iter().map(|&i| slots[i as usize]);
+    BPlusTree::from_sorted(arity, sorted, slots)
 }
 
 /// A probe value placed among the cells of one column of a tree over `C`.
@@ -380,14 +442,56 @@ impl OrderedIndex {
         }
     }
 
-    /// Extracts the key of `version` into the reused buffers. Returns
+    /// Builds the index over `entries` at once: exactly what inserting them
+    /// one by one, in the given order, would hold — the same integer or
+    /// [`Value`] cells, column kinds, domain and distinct counts, with equal
+    /// keys in the given order — laid out in full B+Tree nodes. The keys
+    /// are extracted as [`OrderedIndex::insert`] extracts them, collected
+    /// flat, and stable-sorted once; if any has no integer cell, all of
+    /// them go on `Value` cells, as [`OrderedIndex::insert`] would have
+    /// widened the tree.
+    pub fn build<S: IndexSource>(
+        def: IndexDef,
+        entries: impl IntoIterator<Item = (u64, S)>,
+    ) -> OrderedIndex {
+        let mut ix = OrderedIndex::new(def);
+        let (mut ints, mut wide, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+        for (slot, source) in entries {
+            if !ix.extract_key(&source) {
+                // The first key integer cells cannot hold (only they can
+                // refuse one): the keys so far move onto `Value` cells.
+                if let Cells::Int { kinds, .. } = &ix.cells {
+                    wide = values_of(&ints, kinds).collect();
+                    ints = Vec::new();
+                }
+                ix.cells = Cells::Wide(BPlusTree::new(ix.def.cols.len()));
+            }
+            ix.note_key();
+            match &ix.cells {
+                Cells::Int { .. } => ints.extend_from_slice(&ix.cell_key),
+                Cells::Wide(_) => wide.extend_from_slice(&ix.key),
+            }
+            slots.push(slot);
+        }
+        let arity = ix.def.cols.len();
+        ix.cells = match ix.cells {
+            Cells::Int { kinds, .. } => Cells::Int {
+                tree: sorted_tree(arity, &ints, slots),
+                kinds,
+            },
+            Cells::Wide(_) => Cells::Wide(sorted_tree(arity, &wide, slots)),
+        };
+        ix
+    }
+
+    /// Extracts the key of `source` into the reused buffers. Returns
     /// whether the tree as it is can hold that key: always on [`Value`]
     /// cells; on integer cells when every value has a cell of its column's
     /// kind (a column of unknown kind takes any).
-    fn extract_key(&mut self, version: &Version) -> bool {
+    fn extract_key(&mut self, source: &impl IndexSource) -> bool {
         self.key.clear();
         let cols = self.def.cols.iter();
-        self.key.extend(cols.map(|&c| extract_col(version, c)));
+        self.key.extend(cols.map(|&c| extract_col(source, c)));
         let Cells::Int { kinds, .. } = &self.cells else {
             return true;
         };
@@ -401,27 +505,11 @@ impl OrderedIndex {
         self.cell_key.len() == self.key.len()
     }
 
-    /// Moves the entries onto [`Value`] cells, in key order (so every leaf
-    /// but the last ends up full). One way: the index never narrows again.
-    fn widen(&mut self) {
-        let Cells::Int { tree, kinds } = &self.cells else {
-            return;
-        };
-        let mut wide = BPlusTree::new(kinds.len());
-        let mut key = Vec::with_capacity(kinds.len());
-        for (cells, slot) in tree.iter() {
-            key.clear();
-            key.extend(cells.iter().zip(kinds).map(|(&c, &k)| value_of(k, c)));
-            wide.insert(&key, *slot);
-        }
-        self.cells = Cells::Wide(wide);
-    }
-
-    /// Indexes `version` under `slot`.
-    pub fn insert(&mut self, version: &Version, slot: u64) {
-        if !self.extract_key(version) {
-            self.widen();
-        }
+    /// Accounts for the key just extracted, which the tree is about to
+    /// hold: widens the interpolation domain or counts the leading value,
+    /// and fixes the kind of every integer-cell column that had held only
+    /// NULLs.
+    fn note_key(&mut self) {
         match interpolable(&self.key[0]) {
             Some(x) => {
                 self.lo = self.lo.min(x);
@@ -429,15 +517,38 @@ impl OrderedIndex {
             }
             None => *self.first_col.entry(self.key[0].clone()).or_insert(0) += 1,
         }
-        match &mut self.cells {
-            Cells::Int { tree, kinds } => {
-                for (kind, v) in kinds.iter_mut().zip(&self.key) {
-                    if kind.is_none() {
-                        *kind = cell_of(v).and_then(|(of, _)| of);
-                    }
+        if let Cells::Int { kinds, .. } = &mut self.cells {
+            for (kind, v) in kinds.iter_mut().zip(&self.key) {
+                if kind.is_none() {
+                    *kind = cell_of(v).and_then(|(of, _)| of);
                 }
-                tree.insert(&self.cell_key, slot);
             }
+        }
+    }
+
+    /// Moves the entries onto [`Value`] cells, already in key order, into
+    /// full nodes. One way: the index never narrows again.
+    fn widen(&mut self) {
+        let Cells::Int { tree, kinds } = &self.cells else {
+            return;
+        };
+        let cells = tree.iter().flat_map(|(key, _)| values_of(key, kinds));
+        let slots: Vec<u64> = tree.iter().map(|(_, &slot)| slot).collect();
+        self.cells = Cells::Wide(BPlusTree::from_sorted(
+            kinds.len(),
+            cells,
+            slots.into_iter(),
+        ));
+    }
+
+    /// Indexes `version` under `slot`.
+    pub fn insert(&mut self, version: &impl IndexSource, slot: u64) {
+        if !self.extract_key(version) {
+            self.widen();
+        }
+        self.note_key();
+        match &mut self.cells {
+            Cells::Int { tree, .. } => tree.insert(&self.cell_key, slot),
             Cells::Wide(tree) => tree.insert(&self.key, slot),
         }
     }
@@ -655,18 +766,19 @@ fn sys_coord(t: SysTime) -> i64 {
 /// The rectangle of a version: x = application days, y = system time.
 /// Half-open periods become inclusive coordinates by subtracting one from
 /// the ends (saturating at the sentinels).
-pub fn version_rect(version: &Version) -> Rect {
-    let x_min = version.app.start.0.max(i64::MIN + 1);
-    let x_max = if version.app.end.0 == i64::MAX {
+pub fn version_rect(version: &impl IndexSource) -> Rect {
+    let (app, sys) = (version.app(), version.sys());
+    let x_min = app.start.0.max(i64::MIN + 1);
+    let x_max = if app.end.0 == i64::MAX {
         i64::MAX - 1
     } else {
-        version.app.end.0 - 1
+        app.end.0 - 1
     };
-    let y_min = sys_coord(version.sys.start);
-    let y_max = if version.sys.end == SysTime::MAX {
+    let y_min = sys_coord(sys.start);
+    let y_max = if sys.end == SysTime::MAX {
         i64::MAX - 1
     } else {
-        sys_coord(version.sys.end) - 1
+        sys_coord(sys.end) - 1
     };
     Rect::new(x_min, x_max.max(x_min), y_min, y_max.max(y_min))
 }
@@ -680,8 +792,22 @@ impl GistIndex {
         }
     }
 
+    /// A GiST index over `(slot, version)` entries, inserted one by one in
+    /// the given order: the R-Tree keeps an incremental load's shape, and
+    /// every probe its visit count.
+    pub fn build<'a>(
+        name: impl Into<String>,
+        entries: impl IntoIterator<Item = (u64, &'a Version)>,
+    ) -> GistIndex {
+        let mut g = GistIndex::new(name);
+        for (slot, version) in entries {
+            g.insert(version, slot);
+        }
+        g
+    }
+
     /// Indexes `version` under `slot`.
-    pub fn insert(&mut self, version: &Version, slot: u64) {
+    pub fn insert(&mut self, version: &impl IndexSource, slot: u64) {
         self.tree.insert(version_rect(version), slot);
     }
 

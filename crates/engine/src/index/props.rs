@@ -1,6 +1,7 @@
-//! Property test: an [`OrderedIndex`] on integer cells answers every probe —
+//! Property tests: an [`OrderedIndex`] on integer cells answers every probe —
 //! slots, their order and the visit count — like the same index forced onto
-//! [`Value`] cells from the start.
+//! [`Value`] cells from the start, and one built in bulk answers like one
+//! built by inserts.
 //!
 //! A program inserts versions whose indexed values come from a small domain
 //! (so duplicate runs form and removes land inside them) salted with NULL,
@@ -220,8 +221,69 @@ fn check(cols: &[IndexedCol], steps: &[u64], odd_from: usize) -> Result<(), Test
     Ok(())
 }
 
+/// `OrderedIndex::build` over a program's versions, under slots in no
+/// particular order, against inserting them one by one: the same cells,
+/// kinds, entries and answers, in no more bytes.
+fn check_build(cols: &[IndexedCol], picks: &[u64], odd_from: usize) -> Result<(), TestCaseError> {
+    let def = IndexDef {
+        name: "ix".into(),
+        cols: cols.to_vec(),
+        kind: IndexKind::BTree,
+    };
+    let entries: Vec<(u64, Version)> = picks
+        .iter()
+        .enumerate()
+        .map(|(i, &pick)| (pick >> 58, version(pick, i >= odd_from)))
+        .collect();
+    let mut inserted = OrderedIndex::new(def.clone());
+    for (slot, v) in &entries {
+        inserted.insert(v, *slot);
+    }
+    let built = OrderedIndex::build(def, entries.iter().map(|(slot, v)| (*slot, v)));
+    match (&built.cells, &inserted.cells) {
+        (Cells::Int { kinds, .. }, Cells::Int { kinds: want, .. }) => prop_assert_eq!(kinds, want),
+        (Cells::Wide(_), Cells::Wide(_)) => {}
+        _ => prop_assert!(false, "one index widened, the other did not"),
+    }
+    prop_assert_eq!(built.len(), inserted.len());
+    prop_assert_eq!(built.distinct_first(), inserted.distinct_first());
+    prop_assert!(built.memory_bytes() <= inserted.memory_bytes());
+    let palette = palette();
+    for (i, lo) in palette.iter().enumerate() {
+        for (j, hi) in palette.iter().enumerate() {
+            let kinds = (i + j + picks.len()) as u64 % 9;
+            let bounds = (bound(kinds, lo), bound(kinds / 3, hi));
+            let key = [lo.clone(), hi.clone()];
+            agree(&built, &inserted, bounds, &key[..cols.len().min(2)])?;
+        }
+    }
+    for (slot, v) in &entries {
+        let bounds = (Bound::Unbounded, Bound::Unbounded);
+        let key: Vec<Value> = cols.iter().map(|&c| extract_col(v, c)).collect();
+        agree(&built, &inserted, bounds, &key)?;
+        let key = Key::from_row(&v.row, &[0, 1]);
+        prop_assert_eq!(
+            built.slots_of_key(&key),
+            inserted.slots_of_key(&key),
+            "{}",
+            slot
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn a_bulk_build_answers_like_inserts(
+        picks in proptest::collection::vec(any::<u64>(), 0..300),
+        odd_from in 0usize..600,
+    ) {
+        for cols in shapes() {
+            check_build(&cols, &picks, odd_from)?;
+        }
+    }
 
     #[test]
     fn integer_cells_answer_like_value_cells(

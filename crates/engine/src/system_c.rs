@@ -18,11 +18,12 @@
 //!
 //! Sequenced DML finds a key's open rows through the same system PK index
 //! Systems A and B keep (`partindex::system_pk_index`), maintained on append
-//! and close and rebuilt by the delta merge, which renumbers row ids. It is
-//! DML bookkeeping only: no partition view ever offers it to the planner.
+//! and close and rebuilt in bulk by the delta merge, which renumbers row
+//! ids. It is DML bookkeeping only: no partition view ever offers it to the
+//! planner.
 
 use crate::api::{AppSpec, ColRange, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
-use crate::index::OrderedIndex;
+use crate::index::{IndexSource, OrderedIndex};
 use crate::partindex::{open_slots_in, system_pk_index, tindex_name, Part, PartIndexes};
 use crate::rowscan::{PartitionView, VersionSource};
 use crate::shell::{Engine, TableLayout};
@@ -31,7 +32,7 @@ use bitempo_core::{
     AppDate, AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime,
     TableDef, Value,
 };
-use bitempo_storage::ColumnTable;
+use bitempo_storage::{ColumnTable, RowFate};
 use bitempo_tindex::TemporalIndex;
 use std::collections::HashSet;
 use std::ops::Range;
@@ -154,8 +155,48 @@ impl HiddenCols {
 
 /// Appends a physical row to a fragment of the same table.
 fn append_physical(part: &mut ColumnTable, row: &Row) -> u64 {
-    // tblint: allow(TB004) the row was built against, or read from, this table's own physical schema
+    // tblint: allow(TB004) the row was built against this table's own physical schema
     part.append_row(row).expect("physical schema preserved") as u64
+}
+
+/// One physical row of a fragment as the indexes read it: cell by cell, in
+/// place, with no [`Row`] or [`Version`] materialised.
+struct FragmentRow<'a> {
+    part: &'a ColumnTable,
+    hidden: HiddenCols,
+    rowid: usize,
+}
+
+impl IndexSource for FragmentRow<'_> {
+    fn value(&self, col: usize) -> Value {
+        self.part.get_value(col, self.rowid)
+    }
+    fn app(&self) -> AppPeriod {
+        let app = self.hidden.app_of(self.part, self.rowid);
+        app.unwrap_or(AppPeriod::ALL)
+    }
+    fn sys(&self) -> SysPeriod {
+        let sys = self.hidden.sys_of(self.part, self.rowid);
+        sys.unwrap_or(SysPeriod::ALL)
+    }
+}
+
+/// The rows `rowids` of `part`, addressed by their row ids.
+fn fragment_rows(
+    part: &ColumnTable,
+    hidden: HiddenCols,
+    rowids: Range<usize>,
+) -> impl Iterator<Item = (u64, FragmentRow<'_>)> {
+    rowids.map(move |rowid| {
+        (
+            rowid as u64,
+            FragmentRow {
+                part,
+                hidden,
+                rowid,
+            },
+        )
+    })
 }
 
 /// Rebuilds a temporal index over one column-store fragment from scratch
@@ -261,6 +302,23 @@ impl TableC {
     fn open_versions(&self) -> usize {
         self.current.len() - self.closed_in_current - self.dead.len()
     }
+
+    /// What the delta merge does with row `rowid` of `current`: keeps it
+    /// while its system period is open, moves it to history once closed,
+    /// drops it if dead.
+    fn fate(&self, rowid: usize) -> RowFate {
+        if self.dead.contains(&rowid) {
+            RowFate::Drop
+        } else if self
+            .hidden
+            .sys_of(&self.current, rowid)
+            .is_none_or(|p| p.is_current())
+        {
+            RowFate::Keep
+        } else {
+            RowFate::Move
+        }
+    }
 }
 
 impl TableLayout for TableC {
@@ -287,11 +345,7 @@ impl TableLayout for TableC {
     fn open_slots(&self, key: &Key) -> Vec<u64> {
         open_slots_in(self.pk.as_ref(), key, || {
             (0..self.current.len())
-                .filter(|rowid| !self.dead.contains(rowid))
-                .filter(|&rowid| {
-                    let sys = self.hidden.sys_of(&self.current, rowid);
-                    sys.is_none_or(|p| p.is_current())
-                })
+                .filter(|&rowid| self.fate(rowid) == RowFate::Keep)
                 .map(|rowid| rowid as u64)
                 .collect()
         })
@@ -389,7 +443,8 @@ impl TableLayout for TableC {
     }
 
     /// The HANA-style delta merge: seals the column deltas *and* moves
-    /// superseded records from the current to the history partition.
+    /// superseded records from the current to the history partition, column
+    /// by column ([`ColumnTable::split_off`]), dropping the dead ones.
     fn checkpoint(&mut self, def: &TableDef) {
         if self.closed_in_current == 0 && self.dead.is_empty() {
             self.current.merge();
@@ -397,28 +452,22 @@ impl TableLayout for TableC {
             return;
         }
         let hidden = self.hidden;
-        let fresh = ColumnTable::new(self.current.schema().clone());
-        let old = std::mem::replace(&mut self.current, fresh);
-        self.pk = system_pk_index(def);
-        for rowid in (0..old.len()).filter(|rowid| !self.dead.contains(rowid)) {
-            let row = old.get_row(rowid);
-            let (app, sys) = hidden.periods_of(&old, rowid);
-            if sys.is_current() {
-                let new_id = append_physical(&mut self.current, &row);
-                if let Some(pk) = &mut self.pk {
-                    // The physical row leads with the logical columns, so
-                    // the key columns sit at their logical positions.
-                    pk.insert(&Version { row, app, sys }, new_id);
-                }
-            } else {
-                let hist_id = append_physical(&mut self.history, &row);
-                self.hist.insert(&Version { row, app, sys }, hist_id);
-            }
-        }
+        let fate: Vec<RowFate> = (0..self.current.len()).map(|r| self.fate(r)).collect();
+        // The split renumbers every row the PK index addresses: it goes now
+        // and is rebuilt over the kept rows below.
+        let pk = self.pk.take().map(|pk| pk.def);
+        let moved_from = self.history.len();
+        self.current.split_off(&fate, &mut self.history);
         self.dead.clear();
         self.closed_in_current = 0;
         self.current.merge();
         self.history.merge();
+        // The physical row leads with the logical columns, so the key
+        // columns sit at their logical positions.
+        let kept = fragment_rows(&self.current, hidden, 0..self.current.len());
+        self.pk = pk.map(|def| OrderedIndex::build(def, kept));
+        let moved = fragment_rows(&self.history, hidden, moved_from..self.history.len());
+        self.hist.extend(moved);
         self.hist.prepare();
         if self.cur.tindex().is_some() {
             // The rebuild above renumbered every current rowid.

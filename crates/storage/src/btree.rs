@@ -21,6 +21,13 @@
 //! led by a system-time start) therefore leave every leaf but the last
 //! full; random loads settle around the usual 2/3 fill.
 //!
+//! A tree rebuilt from entries that are all present (a tuning index over a
+//! loaded partition, an index moved onto wider cells, System C's primary
+//! key after a merge) is not inserted into at all: the caller sorts once
+//! and [`BPlusTree::from_sorted`] lays the entries out bottom-up, every
+//! leaf and internal node full but the last of its level. Only trees kept
+//! up by inserts in key-random order sit near 2/3.
+//!
 //! Deletion tolerates underfull leaves (no rebalancing): the engines delete
 //! only when versions move from the current to the history partition, and a
 //! slightly sparse leaf chain changes constants, not complexity. Separator
@@ -148,6 +155,69 @@ impl<C: Ord + Clone, V: Clone> BPlusTree<C, V> {
             root: 0,
             len: 0,
         }
+    }
+
+    /// Builds a tree over entries given in key order, bottom-up: `cells`
+    /// holds their keys flat (`arity` cells each) and `vals` their values;
+    /// equal keys keep the given order. Every leaf but the last holds
+    /// `MAX_KEYS` entries, every internal node but the last of its level
+    /// has `MAX_KEYS` children, and no vector has spare capacity. The tree
+    /// then takes [`BPlusTree::insert`] and [`BPlusTree::remove`] like one
+    /// built by inserts.
+    pub fn from_sorted(
+        arity: usize,
+        cells: impl IntoIterator<Item = C>,
+        mut vals: impl ExactSizeIterator<Item = V>,
+    ) -> Self {
+        let mut tree = BPlusTree::new(arity);
+        let len = vals.len();
+        if len == 0 {
+            return tree;
+        }
+        let leaves = len.div_ceil(MAX_KEYS);
+        let (mut nodes, mut level) = (leaves, leaves);
+        while level > 1 {
+            level = level.div_ceil(MAX_KEYS);
+            nodes += level;
+        }
+        tree.nodes = Vec::with_capacity(nodes);
+        tree.len = len;
+        // The first key of every node on the level being built, flat: the
+        // separators of the level above.
+        let mut firsts = Vec::with_capacity(leaves * arity);
+        let mut cells = cells.into_iter();
+        for leaf in 0..leaves {
+            let n = MAX_KEYS.min(len - leaf * MAX_KEYS);
+            let mut leaf_cells = Vec::with_capacity(n * arity);
+            leaf_cells.extend(cells.by_ref().take(n * arity));
+            assert_eq!(leaf_cells.len(), n * arity, "`arity` cells per value");
+            let mut leaf_vals = Vec::with_capacity(n);
+            leaf_vals.extend(vals.by_ref().take(n));
+            firsts.extend_from_slice(&leaf_cells[..arity]);
+            tree.nodes.push(Node::Leaf {
+                cells: leaf_cells,
+                vals: leaf_vals,
+                next: (leaf + 1 < leaves).then_some(leaf + 1),
+            });
+        }
+        let mut level = 0..leaves;
+        while level.len() > 1 {
+            let start = tree.nodes.len();
+            let mut upper = Vec::with_capacity(level.len().div_ceil(MAX_KEYS) * arity);
+            for lo in (0..level.len()).step_by(MAX_KEYS) {
+                let hi = (lo + MAX_KEYS).min(level.len());
+                upper.extend_from_slice(&firsts[lo * arity..(lo + 1) * arity]);
+                tree.nodes.push(Node::Internal {
+                    keys: firsts[(lo + 1) * arity..hi * arity].to_vec(),
+                    children: (level.start + lo..level.start + hi).collect(),
+                });
+            }
+            firsts = upper;
+            level = start..tree.nodes.len();
+        }
+        tree.root = level.start;
+        debug_assert!(tree.iter().map(|(key, _)| key).is_sorted(), "keys in order");
+        tree
     }
 
     /// Number of entries.
@@ -626,6 +696,21 @@ mod tests {
         }
     }
 
+    /// No node vector has room for more than a node holds, and every
+    /// internal node has one separator fewer than children.
+    fn assert_nodes_fit<C, V>(t: &BPlusTree<C, V>) {
+        for node in &t.nodes {
+            match node {
+                Node::Leaf { vals, .. } => assert!(vals.capacity() <= MAX_KEYS),
+                Node::Internal { keys, children } => {
+                    assert!(keys.capacity() < MAX_KEYS * t.arity);
+                    assert!(children.capacity() <= MAX_KEYS);
+                    assert_eq!(keys.len(), (children.len() - 1) * t.arity);
+                }
+            }
+        }
+    }
+
     #[test]
     fn no_node_vector_outgrows_a_node() {
         for arity in 1..=3 {
@@ -634,16 +719,7 @@ mod tests {
             for i in 0..40_000u64 {
                 t.insert(&wide(rng.int_range(0, 1_000_000), arity), i);
             }
-            for node in &t.nodes {
-                match node {
-                    Node::Leaf { vals, .. } => assert!(vals.capacity() <= MAX_KEYS),
-                    Node::Internal { keys, children } => {
-                        assert!(keys.capacity() < MAX_KEYS * arity);
-                        assert!(children.capacity() <= MAX_KEYS);
-                        assert_eq!(keys.len(), (children.len() - 1) * arity);
-                    }
-                }
-            }
+            assert_nodes_fit(&t);
             let (entries, slots, _) = leaf_stats(&t);
             assert_eq!(entries, 40_000);
             assert!(
@@ -653,6 +729,50 @@ mod tests {
             let per_entry = t.memory_bytes() as f64 / entries as f64;
             let payload = (24 * arity + 8) as f64;
             assert!(per_entry <= 1.6 * payload, "{per_entry} B per entry");
+        }
+    }
+
+    #[test]
+    fn from_sorted_fills_every_node_and_keeps_taking_dml() {
+        let empty = BPlusTree::<i64, u64>::from_sorted(1, [], std::iter::empty());
+        assert!(empty.is_empty());
+        assert_eq!(empty.iter().count(), 0);
+        assert_eq!(empty.get(&[1]), Vec::<u64>::new());
+        for arity in 1..=3 {
+            // 40 000 entries, 80 per key: every key's run spans leaves.
+            let n = 40_000;
+            let key = |i: usize| wide((i / 80) as i64, arity);
+            let vals = (0..n).map(|i| i as u64);
+            let mut t = BPlusTree::from_sorted(arity, (0..n).flat_map(key), vals);
+            assert_eq!(t.len(), n);
+            assert_nodes_fit(&t);
+            assert_eq!(leaf_stats(&t), (n, n, n.div_ceil(MAX_KEYS)), "full leaves");
+            let mut leaf = t.leftmost();
+            while let Node::Leaf { vals, next, .. } = &t.nodes[leaf] {
+                let Some(next) = next else { break };
+                assert_eq!(vals.len(), MAX_KEYS, "only the last leaf is short");
+                leaf = *next;
+            }
+            let partial = t.nodes.iter().filter(
+                |node| matches!(node, Node::Internal { children, .. } if children.len() < MAX_KEYS),
+            );
+            // 1 250 leaves under 40, 2 and 1 internal nodes.
+            assert!(partial.count() <= 3, "only the last of each internal level");
+            let run: Vec<u64> = (250 * 80..251 * 80).map(|i| i as u64).collect();
+            assert_eq!(t.get(&key(250 * 80)), run);
+            let (lo, hi) = (key(100 * 80), key(102 * 80));
+            let span = t.range((Bound::Included(&lo[..]), Bound::Excluded(&hi[..])));
+            assert!(span.map(|(_, v)| *v).eq(8_000..8_160));
+            // An insert joins the end of its key's run, a remove takes the
+            // entry out, wherever the bulk build put it.
+            t.insert(&key(250 * 80), n as u64);
+            assert_eq!(t.get(&key(250 * 80)).last(), Some(&(n as u64)));
+            assert!(t.remove(&key(250 * 80), &(250 * 80 + 40)));
+            assert_eq!(t.get(&key(250 * 80)).len(), 80);
+            t.insert(&key(n), 0);
+            assert_eq!(t.iter().last().map(|(k, _)| k.to_vec()), Some(key(n)));
+            assert_eq!(t.len(), n + 1);
+            assert_nodes_fit(&t);
         }
     }
 

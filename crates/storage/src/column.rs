@@ -6,6 +6,9 @@
 //! encoded. Row ids are stable across merges (main rows keep their position;
 //! delta rows are renumbered onto the end of main in append order, which
 //! preserves ids because the delta always sits logically after main).
+//! System C's delta merge also moves rows between tables: `split_off`
+//! keeps some rows, renumbered densely, and moves others to the end of a
+//! second table, column by column, without materialising a row.
 
 use bitempo_core::time::{AppDate, SysTime};
 use bitempo_core::{DataType, Error, Result, Row, Schema, Value};
@@ -14,7 +17,7 @@ use std::sync::Arc;
 
 /// One column's typed payload. `u32::MAX` is the dictionary code for NULL;
 /// numeric columns carry a separate null mask only when NULLs appear.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum ColumnData {
     Int(Vec<i64>),
     Double(Vec<f64>),
@@ -86,11 +89,39 @@ fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
 }
 
+/// Records whether delta row `pos` of a column is NULL in its lazily
+/// allocated null mask: the first NULL allocates the mask, and once there
+/// it covers every row.
+fn push_null_flag(mask: &mut Option<Vec<bool>>, pos: usize, is_null: bool) {
+    if is_null {
+        let mask = mask.get_or_insert_with(|| vec![false; pos]);
+        mask.resize(pos, false);
+        mask.push(true);
+    } else if let Some(mask) = mask.as_mut() {
+        mask.resize(pos, false);
+        mask.push(false);
+    }
+}
+
+/// Appends to `dest` the cells of `main ++ delta` whose row's fate is
+/// `want`, passed through `map`: the typed loop of one column of
+/// [`ColumnTable::split_off`].
+fn extend_picked<T: Copy>(
+    dest: &mut Vec<T>,
+    (main, delta): (&[T], &[T]),
+    (fate, want): (&[RowFate], RowFate),
+    mut map: impl FnMut(T) -> T,
+) {
+    dest.reserve_exact(fate.iter().filter(|&&f| f == want).count());
+    let cells = main.iter().chain(delta).zip(fate);
+    dest.extend(cells.filter(|(_, f)| **f == want).map(|(&x, _)| map(x)));
+}
+
 /// NULL sentinel for dictionary codes.
 const NULL_CODE: u32 = u32::MAX;
 
 /// A shared per-column string dictionary.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Dictionary {
     strings: Vec<Arc<str>>,
     codes: HashMap<Arc<str>, u32>,
@@ -119,6 +150,17 @@ impl Dictionary {
         let buckets = self.codes.capacity() * 8 / 7;
         vec_bytes(&self.strings) + buckets * (std::mem::size_of::<(Arc<str>, u32)>() + 1)
     }
+}
+
+/// What [`ColumnTable::split_off`] does with one row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowFate {
+    /// Stays, renumbered after the rows kept before it.
+    Keep,
+    /// Moves to the end of the other table.
+    Move,
+    /// Is dropped.
+    Drop,
 }
 
 /// A columnar table: main fragment + delta fragment + per-column dictionary.
@@ -201,15 +243,7 @@ impl ColumnTable {
     }
 
     fn push_value(&mut self, col: usize, value: &Value, delta_pos: usize) -> Result<()> {
-        let is_null = value.is_null();
-        if is_null {
-            let mask = self.delta_nulls[col].get_or_insert_with(|| vec![false; delta_pos]);
-            mask.resize(delta_pos, false);
-            mask.push(true);
-        } else if let Some(mask) = self.delta_nulls[col].as_mut() {
-            mask.resize(delta_pos, false);
-            mask.push(false);
-        }
+        push_null_flag(&mut self.delta_nulls[col], delta_pos, value.is_null());
         match (&mut self.delta[col], value) {
             (ColumnData::Int(v), Value::Int(x)) => v.push(*x),
             (ColumnData::Int(v), Value::Null) => v.push(0),
@@ -272,10 +306,14 @@ impl ColumnTable {
     /// store performs).
     pub fn set_value(&mut self, col: usize, row: usize, value: &Value) -> Result<()> {
         let main_len = self.main_len;
-        let (data, pos) = if row < main_len {
-            (&mut self.main[col], row)
+        let (data, nulls, pos) = if row < main_len {
+            (&mut self.main[col], &mut self.main_nulls[col], row)
         } else {
-            (&mut self.delta[col], row - main_len)
+            (
+                &mut self.delta[col],
+                &mut self.delta_nulls[col],
+                row - main_len,
+            )
         };
         match (data, value) {
             (ColumnData::Int(v), Value::Int(x)) => v[pos] = *x,
@@ -292,6 +330,10 @@ impl ColumnTable {
                     found: format!("{v:?}"),
                 })
             }
+        }
+        // The cell holds a value now, whatever it held before.
+        if let Some(bit) = nulls.as_mut().and_then(|mask| mask.get_mut(pos)) {
+            *bit = false;
         }
         Ok(())
     }
@@ -325,6 +367,67 @@ impl ColumnTable {
             self.main[col].seal_from(delta);
         }
         self.main_len += delta_rows;
+    }
+
+    /// Splits the table by `fate`, one per row: the kept rows become the
+    /// whole table, renumbered densely in their order; the moved rows are
+    /// appended to `to`'s delta in their order; the dropped rows are gone.
+    /// Works column by column on the typed payloads and re-encodes each
+    /// string on its first use, so every fragment, dictionary and null mask
+    /// ends up as appending the same rows one by one would leave it. Both
+    /// tables hold their new rows in the delta until their next merge.
+    pub fn split_off(&mut self, fate: &[RowFate], to: &mut ColumnTable) {
+        assert_eq!(fate.len(), self.len(), "one fate per row");
+        let mut kept = ColumnTable::new(self.schema.clone());
+        kept.append_from(self, fate, RowFate::Keep);
+        to.append_from(self, fate, RowFate::Move);
+        *self = kept;
+    }
+
+    /// Appends the rows of `src` whose fate is `want` to this table's delta.
+    fn append_from(&mut self, src: &ColumnTable, fate: &[RowFate], want: RowFate) {
+        assert_eq!(self.schema.arity(), src.schema.arity(), "same columns");
+        let base = self.delta_len();
+        for col in 0..self.schema.arity() {
+            let picked = (fate, want);
+            match (&mut self.delta[col], &src.main[col], &src.delta[col]) {
+                (ColumnData::Int(d), ColumnData::Int(m), ColumnData::Int(t)) => {
+                    extend_picked(d, (m, t), picked, |x| x)
+                }
+                (ColumnData::Double(d), ColumnData::Double(m), ColumnData::Double(t)) => {
+                    extend_picked(d, (m, t), picked, |x| x)
+                }
+                (ColumnData::Date(d), ColumnData::Date(m), ColumnData::Date(t)) => {
+                    extend_picked(d, (m, t), picked, |x| x)
+                }
+                (ColumnData::SysTime(d), ColumnData::SysTime(m), ColumnData::SysTime(t)) => {
+                    extend_picked(d, (m, t), picked, |x| x)
+                }
+                (ColumnData::Str(d), ColumnData::Str(m), ColumnData::Str(t)) => {
+                    let (from, into) = (&src.dicts[col], &mut self.dicts[col]);
+                    // Old code → new code, `NULL_CODE` until first used.
+                    let mut codes = vec![NULL_CODE; from.strings.len()];
+                    extend_picked(d, (m, t), picked, |code| match code {
+                        NULL_CODE => NULL_CODE,
+                        code => {
+                            let new = &mut codes[code as usize];
+                            if *new == NULL_CODE {
+                                *new = into.encode(from.decode(code));
+                            }
+                            *new
+                        }
+                    })
+                }
+                _ => unreachable!("split between differently-typed columns"),
+            }
+            let nulls = &mut self.delta_nulls[col];
+            if nulls.is_some() || src.main_nulls[col].is_some() || src.delta_nulls[col].is_some() {
+                let rows = (0..src.len()).filter(|&row| fate[row] == want);
+                for (i, row) in rows.enumerate() {
+                    push_null_flag(nulls, base + i, src.get_value(col, row).is_null());
+                }
+            }
+        }
     }
 
     /// Bytes the table holds, by capacity: both fragments' payload vectors
@@ -506,6 +609,131 @@ mod tests {
         assert_eq!(t.get_value(0, 0), Value::Int(1));
         assert!(t.get_value(1, 1).is_null());
         assert_eq!(t.main_nulls[0].as_ref().map(Vec::len), Some(5));
+    }
+
+    #[test]
+    fn set_value_over_a_null_reads_back_the_value() {
+        let mut t = ColumnTable::new(schema());
+        let nulls = |id: i64| {
+            Row::new(vec![
+                Value::Int(id),
+                Value::Null,
+                Value::Null,
+                Value::Date(AppDate(id)),
+                Value::SysTime(SysTime(0)),
+            ])
+        };
+        t.append_row(&nulls(0)).unwrap();
+        t.merge();
+        t.append_row(&nulls(1)).unwrap();
+        // Row 0 sits in main, row 1 in the delta.
+        for row in [0, 1] {
+            t.set_value(1, row, &Value::str("set")).unwrap();
+            t.set_value(2, row, &Value::Double(2.5)).unwrap();
+            assert_eq!(t.get_value(1, row), Value::str("set"));
+            assert_eq!(t.get_value(2, row), Value::Double(2.5));
+        }
+        t.merge();
+        for row in [0, 1] {
+            assert_eq!(t.get_value(1, row), Value::str("set"));
+            assert_eq!(t.get_value(2, row), Value::Double(2.5));
+        }
+    }
+
+    /// Every field of two tables, capacities included (by `memory_bytes`).
+    fn assert_same(got: &ColumnTable, want: &ColumnTable) {
+        assert_eq!(got.main_len, want.main_len);
+        assert_eq!(got.main, want.main);
+        assert_eq!(got.delta, want.delta);
+        assert_eq!(got.main_nulls, want.main_nulls);
+        assert_eq!(got.delta_nulls, want.delta_nulls);
+        assert_eq!(got.dicts, want.dicts);
+        let payload = |t: &ColumnTable| -> Vec<usize> {
+            let data = t.main.iter().chain(&t.delta);
+            data.map(ColumnData::memory_bytes).collect()
+        };
+        assert_eq!(payload(got), payload(want));
+        let dicts = |t: &ColumnTable| -> Vec<usize> {
+            t.dicts.iter().map(Dictionary::memory_bytes).collect()
+        };
+        assert_eq!(dicts(got), dicts(want));
+        assert_eq!(got.memory_bytes(), want.memory_bytes());
+    }
+
+    #[test]
+    fn split_off_equals_appending_the_rows_one_by_one() {
+        let names = ["ant", "bee", "cat", "dog", "eel"];
+        let src_row = |i: i64| {
+            Row::new(vec![
+                Value::Int(i),
+                // NULL names in both fragments; the first NULL price
+                // comes after the merge, in the delta.
+                if i % 6 == 4 {
+                    Value::Null
+                } else {
+                    Value::str(names[i as usize % 5])
+                },
+                if i == 15 {
+                    Value::Null
+                } else {
+                    Value::Double(i as f64 / 2.0)
+                },
+                Value::Date(AppDate(i)),
+                Value::SysTime(SysTime(i as u64)),
+            ])
+        };
+        let mut src = ColumnTable::new(schema());
+        for i in 0..12 {
+            src.append_row(&src_row(i)).unwrap();
+        }
+        src.merge();
+        for i in 12..20 {
+            src.append_row(&src_row(i)).unwrap();
+        }
+        // Close two rows in place, one in each fragment.
+        for row in [4, 13] {
+            src.set_value(4, row, &Value::SysTime(SysTime(99))).unwrap();
+        }
+        // A history with no NULL yet, and some of the names already coded.
+        let mut history = ColumnTable::new(schema());
+        for i in [100, 102] {
+            history
+                .append_row(&row(i, names[(i % 5) as usize], 1.0))
+                .unwrap();
+        }
+        history.merge();
+        let fate: Vec<RowFate> = (0..20)
+            .map(|i| match i % 4 {
+                0 => RowFate::Move,
+                1 => RowFate::Drop,
+                _ => RowFate::Keep,
+            })
+            .collect();
+        // NULL names go to history (4, 16) and stay (10), as does the
+        // NULL price (15).
+        assert_eq!([fate[4], fate[16]], [RowFate::Move; 2]);
+        assert_eq!([fate[10], fate[15]], [RowFate::Keep; 2]);
+
+        let mut kept_ref = ColumnTable::new(schema());
+        let mut history_ref = history.clone();
+        for (i, f) in fate.iter().enumerate() {
+            match f {
+                RowFate::Keep => kept_ref.append_row(&src.get_row(i)).unwrap(),
+                RowFate::Move => history_ref.append_row(&src.get_row(i)).unwrap(),
+                RowFate::Drop => continue,
+            };
+        }
+        src.split_off(&fate, &mut history);
+        assert_eq!(src.len(), 10);
+        assert_eq!(history.len(), 2 + 5);
+        for t in [&mut src, &mut history, &mut kept_ref, &mut history_ref] {
+            t.merge();
+        }
+        assert_same(&src, &kept_ref);
+        assert_same(&history, &history_ref);
+        assert!(src.main_nulls[2].is_some(), "the late NULL price was kept");
+        assert_eq!(history.get_value(1, 3), Value::Null, "row 4 moved");
+        assert_eq!(history.get_value(4, 3), Value::SysTime(SysTime(99)));
     }
 
     #[test]

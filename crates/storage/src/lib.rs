@@ -25,7 +25,7 @@ pub mod rtree;
 pub mod wal;
 
 pub use btree::BPlusTree;
-pub use column::ColumnTable;
+pub use column::{ColumnTable, RowFate};
 pub use heap::{Heap, SlotId};
 pub use rtree::{RTree, Rect};
 pub use wal::DurabilityMode;

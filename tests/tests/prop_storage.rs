@@ -41,20 +41,37 @@ proptest! {
     /// (wherever in the key's run of duplicates, which leaf boundaries cut,
     /// it sits), and a bound shorter than the arity sorts before every key
     /// it is a prefix of. Long enough op lists split leaves in the middle,
-    /// at the right edge (ascending runs) and split the root.
+    /// at the right edge (ascending runs) and split the root. The first
+    /// `bulk_quarters` quarters of the ops (none to all) are inserts whose
+    /// tree is bulk-built with `from_sorted`; the rest insert into and
+    /// remove from that tree.
     #[test]
     fn bplustree_matches_sorted_multimap_model(
         ops in proptest::collection::vec((0i64..120, 0u32..4, 0u8..4), 1..2500),
         ascending_from in 0i64..120,
         range in (0i64..120, 0i64..120),
+        bulk_quarters in 0usize..5,
     ) {
+        let bulk = ops.len() * bulk_quarters / 4;
         for arity in 1..=3 {
-            let mut tree: BPlusTree<i64, u32> = BPlusTree::new(arity);
             let mut model: BTreeMap<(i64, usize), u32> = BTreeMap::new();
             let mut rising = ascending_from;
-            for (seq, &(key, val, kind)) in ops.iter().enumerate() {
-                // kind 0 removes, 1 appends past the largest key so far, the
-                // rest insert anywhere.
+            // kind 1 appends past the largest key so far, the rest anywhere.
+            let mut key_of = |key, kind| {
+                if kind == 1 {
+                    rising += 1;
+                    rising
+                } else {
+                    key
+                }
+            };
+            for (seq, &(key, val, kind)) in ops[..bulk].iter().enumerate() {
+                model.insert((key_of(key, kind), seq), val);
+            }
+            let bulk_cells = model.keys().flat_map(|(k, _)| cells(*k, arity));
+            let mut tree = BPlusTree::from_sorted(arity, bulk_cells, model.values().copied());
+            for (seq, &(key, val, kind)) in ops.iter().enumerate().skip(bulk) {
+                // kind 0 removes.
                 if kind == 0 {
                     let removed = tree.remove(&cells(key, arity), &val);
                     let hit = model
@@ -66,12 +83,7 @@ proptest! {
                         model.remove(&k);
                     }
                 } else {
-                    let key = if kind == 1 {
-                        rising += 1;
-                        rising
-                    } else {
-                        key
-                    };
+                    let key = key_of(key, kind);
                     tree.insert(&cells(key, arity), val);
                     model.insert((key, seq), val);
                 }
