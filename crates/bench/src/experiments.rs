@@ -1512,8 +1512,11 @@ fn verify_recovery(
             rec.report.commits
         ));
     }
-    if canonical_state(rec.engine.as_ref(), &rec.ids)? != canonical_state(live, ids)? {
-        return fail("recovered state diverges from the live engine".into());
+    let recovered = canonical_state(rec.engine.as_ref(), &rec.ids)?;
+    if let Some(diff) = recovered.first_difference(&canonical_state(live, ids)?) {
+        return fail(format!(
+            "recovered state diverges from the live engine (recovered vs live): {diff}"
+        ));
     }
     Ok(())
 }
@@ -2083,9 +2086,10 @@ fn sharding_cell(
         .collect();
     let rec = recover_cluster(kind, &inputs, &TuningConfig::none())?;
     for (si, (r, want)) in rec.shards.iter().zip(&served).enumerate() {
-        if &canonical_state(r.engine.as_ref(), &r.ids)? != want {
+        if let Some(diff) = canonical_state(r.engine.as_ref(), &r.ids)?.first_difference(want) {
             return Err(Error::Invalid(format!(
-                "{kind} {} {shards}sh: shard {si} recovered state diverges from served",
+                "{kind} {} {shards}sh: shard {si} recovered state diverges from served \
+                 (recovered vs served): {diff}",
                 mode.label()
             )));
         }
@@ -2121,9 +2125,10 @@ fn sharding_cell(
             )));
         }
         for (si, (r, want)) in rec.shards.iter().zip(&served).enumerate() {
-            if &canonical_state(r.engine.as_ref(), &r.ids)? != want {
+            if let Some(diff) = canonical_state(r.engine.as_ref(), &r.ids)?.first_difference(want) {
                 return Err(Error::Invalid(format!(
-                    "{kind} {} {shards}sh: shard {si} diverges after the crash seed",
+                    "{kind} {} {shards}sh: shard {si} diverges after the crash seed \
+                     (recovered vs served): {diff}",
                     mode.label()
                 )));
             }

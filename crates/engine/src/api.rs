@@ -569,6 +569,21 @@ pub trait BitemporalEngine: Send + Sync {
     /// System C's delta) is folded in before the snapshot is taken.
     fn snapshot_versions(&self, table: TableId) -> Result<Vec<crate::version::Version>>;
 
+    /// Hands `f` every logical version of `table`, in
+    /// [`Self::snapshot_versions`] order, one at a time: what a consumer
+    /// that looks at each version once (a state digest, an equivalence
+    /// check) uses instead of holding a copy of the whole table. The
+    /// default goes through [`Self::snapshot_versions`], for wrappers that
+    /// forward only that; the engine shell streams from its layouts.
+    fn for_each_version(
+        &self,
+        table: TableId,
+        f: &mut dyn FnMut(&crate::version::Version),
+    ) -> Result<()> {
+        self.snapshot_versions(table)?.iter().for_each(f);
+        Ok(())
+    }
+
     /// Rebuilds `table` from a [`Self::snapshot_versions`] snapshot taken
     /// at system time `now`, replacing its current contents. Primary-key
     /// bookkeeping is rebuilt; tuning-dependent indexes are left empty —

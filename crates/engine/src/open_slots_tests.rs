@@ -97,8 +97,8 @@ impl<T: TableLayout> TableLayout for OldMap<T> {
     fn key_structures_footprint(&self) -> KeyStructuresFootprint {
         self.inner.key_structures_footprint()
     }
-    fn snapshot_versions(&self, def: &TableDef) -> Vec<Version> {
-        self.inner.snapshot_versions(def)
+    fn for_each_version(&self, def: &TableDef, f: &mut dyn FnMut(&Version)) {
+        self.inner.for_each_version(def, f)
     }
     fn restore_from(_: &TableDef, _: Vec<Version>) -> Result<Self> {
         unimplemented!("the reference model is never restored")

@@ -76,8 +76,10 @@ pub trait TableLayout: Send + Sync + Sized {
     fn temporal_indexes(&self) -> [Option<&TemporalIndex>; 2];
     /// See [`BitemporalEngine::key_structures_footprint`].
     fn key_structures_footprint(&self) -> KeyStructuresFootprint;
-    /// See [`BitemporalEngine::snapshot_versions`].
-    fn snapshot_versions(&self, def: &TableDef) -> Vec<Version>;
+    /// Hands `f` every stored version, in the order
+    /// [`BitemporalEngine::snapshot_versions`] reports them; see
+    /// [`BitemporalEngine::for_each_version`].
+    fn for_each_version(&self, def: &TableDef, f: &mut dyn FnMut(&Version));
     /// A table holding exactly `versions`, laid out as an uncrashed engine
     /// would have them after a checkpoint; tuning indexes are left empty.
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<Self>;
@@ -369,9 +371,18 @@ impl<T: TableLayout> BitemporalEngine for Engine<T> {
         }
     }
 
-    fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {
+    fn for_each_version(&self, table: TableId, f: &mut dyn FnMut(&Version)) -> Result<()> {
         let (def, t) = self.table(table);
-        Ok(t.snapshot_versions(def))
+        t.for_each_version(def, f);
+        Ok(())
+    }
+
+    fn snapshot_versions(&self, table: TableId) -> Result<Vec<Version>> {
+        // Sized once: a snapshot is as large as the table, and growing it
+        // by doubling holds every outgrown block until the last copy.
+        let mut out = Vec::with_capacity(self.stats(table).total());
+        self.for_each_version(table, &mut |v| out.push(v.clone()))?;
+        Ok(out)
     }
 
     fn restore(&mut self, table: TableId, versions: Vec<Version>, now: SysTime) -> Result<()> {

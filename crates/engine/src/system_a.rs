@@ -139,13 +139,11 @@ impl TableLayout for TableA {
         }
     }
 
-    fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
-        // Sized once: a snapshot is as large as the table, and growing it
-        // by doubling holds every outgrown block until the last copy.
-        let mut out = Vec::with_capacity(self.current.len() + self.history.len());
-        out.extend(self.current.iter().map(|(_, v)| v.clone()));
-        out.extend(self.history.iter().map(|(_, v)| v.clone()));
-        out
+    fn for_each_version(&self, _: &TableDef, f: &mut dyn FnMut(&Version)) {
+        self.current
+            .iter()
+            .chain(self.history.iter())
+            .for_each(|(_, v)| f(v));
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableA> {

@@ -363,16 +363,19 @@ impl TableLayout for TableB {
         }
     }
 
-    fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
-        let current = self.reconstruct_current().0;
-        let mut out = Vec::with_capacity(current.len() + self.history.len() + self.undo.len());
-        out.extend(current.into_iter().map(|(_, v)| v));
-        out.extend(self.history.iter().map(|(_, v)| v.clone()));
+    fn for_each_version(&self, _: &TableDef, f: &mut dyn FnMut(&Version)) {
+        // One open version joined at a time, in uid order — what the
+        // reconstruction would yield, without materialising all of it.
+        for (slot, _) in self.cur_values.iter() {
+            if let Some(v) = self.version_of(u64::from(slot.0)) {
+                f(&v);
+            }
+        }
+        self.history.iter().for_each(|(_, v)| f(v));
         // Staged undo entries are part of logical history even before the
         // background writer drains them (snapshots taken after checkpoint
         // find this empty).
-        out.extend(self.undo.iter().map(|(v, _)| v.clone()));
-        out
+        self.undo.iter().for_each(|(v, _)| f(v));
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableB> {
@@ -623,6 +626,13 @@ mod tests {
         }
     }
 
+    /// Every version `t` stores, in snapshot order.
+    fn versions(t: &TableB, def: &TableDef) -> Vec<Version> {
+        let mut out = Vec::new();
+        t.for_each_version(def, &mut |v| out.push(v.clone()));
+        out
+    }
+
     /// Segment `i` of `hist_layout` is a permutation of history slots
     /// `i * HISTORY_SEGMENT ..`, sorted by closing time; one digest each.
     fn assert_segmented_layout(t: &TableB) {
@@ -719,7 +729,7 @@ mod tests {
         assert_segmented_layout(&t);
         // Restored from versions out of closing order, the layout still sorts
         // each segment.
-        let mut versions = t.snapshot_versions(&def);
+        let mut versions = versions(&t, &def);
         versions[1..].reverse();
         let restored = TableB::restore_from(&def, versions).unwrap();
         assert_eq!(restored.history.len(), 2_500);
@@ -733,16 +743,13 @@ mod tests {
         let mut twin = one_key_table(&def);
         churn(&mut twin, &def, 1_500, |_, _| {});
         twin.checkpoint(&def);
-        let mut restored = TableB::restore_from(&def, twin.snapshot_versions(&def)).unwrap();
+        let mut restored = TableB::restore_from(&def, versions(&twin, &def)).unwrap();
         assert_eq!(restored.hist_layout, twin.hist_layout);
         assert_eq!(restored.segment_digests, twin.segment_digests);
         for t in [&mut twin, &mut restored] {
             churn(t, &def, 1_300, |_, _| {});
         }
-        assert_eq!(
-            restored.snapshot_versions(&def),
-            twin.snapshot_versions(&def)
-        );
+        assert_eq!(versions(&restored, &def), versions(&twin, &def));
         assert_eq!(restored.hist_layout, twin.hist_layout);
         assert_eq!(restored.segment_digests, twin.segment_digests);
     }

@@ -499,14 +499,14 @@ impl TableLayout for TableC {
         }
     }
 
-    fn snapshot_versions(&self, def: &TableDef) -> Vec<Version> {
+    fn for_each_version(&self, def: &TableDef, f: &mut dyn FnMut(&Version)) {
         let arity = def.schema.arity();
         let current = (0..self.current.len())
             .filter(|rowid| !self.dead.contains(rowid))
             .map(|rowid| self.hidden.version_at(&self.current, arity, rowid));
         let history = (0..self.history.len())
             .map(|rowid| self.hidden.version_at(&self.history, arity, rowid));
-        current.chain(history).collect()
+        current.chain(history).for_each(|v| f(&v));
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableC> {

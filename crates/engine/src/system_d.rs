@@ -163,12 +163,10 @@ impl TableLayout for TableD {
         }
     }
 
-    fn snapshot_versions(&self, _: &TableDef) -> Vec<Version> {
+    fn for_each_version(&self, _: &TableDef, f: &mut dyn FnMut(&Version)) {
         // One flat table; removed (never-visible / non-temporal-deleted)
         // slots are tombstones the iterator already skips.
-        let mut out = Vec::with_capacity(self.all.len());
-        out.extend(self.all.iter().map(|(_, v)| v.clone()));
-        out
+        self.all.iter().for_each(|(_, v)| f(v));
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableD> {

@@ -191,7 +191,7 @@ mod tests {
     use bitempo_core::{Key, Value};
     use bitempo_engine::build_engine;
     use bitempo_engine::testutil::{bitemp_table, simple_row};
-    use bitempo_wal::{canonical_state, Checkpoint, DurabilityMode, SharedBuf};
+    use bitempo_wal::{canonical_state, CanonicalState, Checkpoint, DurabilityMode, SharedBuf};
     use bitempo_workloads::sharding::shard_of;
 
     /// Byte offset just past the first `n_records` records — a clean
@@ -226,7 +226,7 @@ mod tests {
     /// commit, closes cleanly, and returns (wal images, per-shard base
     /// checkpoints, expected canonical states, split keys).
     #[allow(clippy::type_complexity)]
-    fn run_and_close() -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<Vec<String>>, (i64, i64)) {
+    fn run_and_close() -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<CanonicalState>, (i64, i64)) {
         let base = base_checkpoint(8);
         let parts = partition_checkpoint(&base, 2);
         let bufs: Vec<SharedBuf> = (0..2).map(|_| SharedBuf::new()).collect();
@@ -429,13 +429,19 @@ mod tests {
             got, expected[owner],
             "cross-shard commit must not survive an undecided crash"
         );
+        // Every value key `a` ever held on its owner.
+        let vals: Vec<Value> = got
+            .versions()
+            .filter(|(_, v)| v.row.get(0) == &Value::Int(a))
+            .map(|(_, v)| v.row.get(1).clone())
+            .collect();
         assert!(
-            got.iter().any(|line| line.contains("100")),
-            "the earlier single-shard commit survives: {got:?}"
+            vals.contains(&Value::Int(100)),
+            "the earlier single-shard commit survives: {vals:?}"
         );
         assert!(
-            !got.iter().any(|line| line.contains("200")),
-            "no trace of the aborted cross-shard write"
+            !vals.contains(&Value::Int(200)),
+            "no trace of the aborted cross-shard write: {vals:?}"
         );
     }
 }

@@ -11,13 +11,15 @@
 //!   to and including this one, so a record can neither be reordered nor
 //!   substituted without breaking the chain;
 //! * there is no footer: a WAL is torn by definition whenever the machine
-//!   stops, and [`scan`] recovers the longest valid prefix instead of
-//!   demanding completeness.
+//!   stops, and [`WalReader`] yields the longest valid prefix, one borrowed
+//!   record at a time, instead of demanding completeness; [`scan`] is that
+//!   reader collected.
 //!
-//! [`scan`] is deliberately infallible: corruption is an *expected* input
-//! (that is the whole point of a WAL), so it reports the clean truncation
-//! point and the reason the tail was rejected rather than erroring, and it
-//! never panics or over-allocates on hostile length prefixes.
+//! Reading is deliberately infallible: corruption is an *expected* input
+//! (that is the whole point of a WAL), so the reader reports the clean
+//! truncation point and the reason the tail was rejected rather than
+//! erroring, and it never panics or over-allocates on hostile length
+//! prefixes.
 //!
 //! Durability policy — *when* appended bytes are forced to stable storage —
 //! lives with the log writer (`bitempo-wal`), not here; this module only
@@ -200,91 +202,151 @@ impl WalScan {
     }
 }
 
-/// Scans a WAL stream, recovering the longest valid record prefix.
+/// Reads a WAL stream one validated record at a time, borrowing each
+/// payload from the input: `(seq, payload)` per record of the longest
+/// valid prefix, so a consumer holds one record, never the whole log.
 ///
-/// Infallible by design: any malformed byte — truncated frame, hostile
-/// length, checksum mismatch, broken sequence or stream-CRC chain — stops
-/// the scan at the last clean record boundary and is reported in
-/// [`WalScan::torn`]. The scan never panics and never allocates more than
-/// the input could hold.
-pub fn scan(bytes: &[u8]) -> WalScan {
-    let mut out = WalScan {
-        records: Vec::new(),
-        valid_len: 0,
-        torn: None,
-        stream: Crc32::new(),
-    };
-    if bytes.len() < WAL_HEADER_LEN {
-        out.torn = Some(format!("truncated header: {} bytes", bytes.len()));
-        return out;
+/// Infallible by design: any malformed byte — bad header, truncated frame,
+/// hostile length, checksum mismatch, broken sequence or stream-CRC chain —
+/// ends the iteration at the last clean record boundary. Once `next` has
+/// returned `None`, [`WalReader::valid_len`], [`WalReader::torn`] and
+/// [`WalReader::stream`] describe the whole input exactly as [`WalScan`]
+/// does. The reader never panics and never allocates for a record.
+#[derive(Debug)]
+pub struct WalReader<'a> {
+    bytes: &'a [u8],
+    valid_len: usize,
+    expect_seq: u64,
+    stream: Crc32,
+    torn: Option<String>,
+    done: bool,
+}
+
+impl<'a> WalReader<'a> {
+    /// A reader over `bytes`; a bad header ends it before the first record.
+    pub fn new(bytes: &'a [u8]) -> WalReader<'a> {
+        let mut reader = WalReader {
+            bytes,
+            valid_len: 0,
+            expect_seq: 1,
+            stream: Crc32::new(),
+            torn: None,
+            done: false,
+        };
+        match bytes.get(..WAL_HEADER_LEN) {
+            None => reader.stop(format!("truncated header: {} bytes", bytes.len())),
+            Some(h) if h[..4] != WAL_MAGIC => reader.stop("bad stream magic".to_string()),
+            Some(h) => match u32::from_le_bytes([h[4], h[5], h[6], h[7]]) {
+                WAL_VERSION => reader.valid_len = WAL_HEADER_LEN,
+                v => reader.stop(format!("unsupported wal version {v}")),
+            },
+        }
+        reader
     }
-    if bytes[..4] != WAL_MAGIC {
-        out.torn = Some("bad stream magic".to_string());
-        return out;
+
+    /// Byte offset of the first invalid byte read so far — the clean
+    /// truncation point once the reader is exhausted.
+    pub fn valid_len(&self) -> u64 {
+        self.valid_len as u64
     }
-    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-    if version != WAL_VERSION {
-        out.torn = Some(format!("unsupported wal version {version}"));
-        return out;
+
+    /// Why the stream stopped before its end, if it did; `None` while
+    /// records remain or when every byte was a valid record.
+    pub fn torn(&self) -> Option<&str> {
+        self.torn.as_deref()
     }
-    let mut pos = WAL_HEADER_LEN;
-    out.valid_len = pos as u64;
-    let mut expect_seq = 1u64;
-    loop {
-        let rest = &bytes[pos..];
+
+    /// Chained stream CRC state after the records read so far, for
+    /// [`WalAppender::resume`].
+    pub fn stream(&self) -> Crc32 {
+        self.stream
+    }
+
+    fn stop(&mut self, why: String) {
+        self.torn = Some(why);
+        self.done = true;
+    }
+}
+
+impl<'a> Iterator for WalReader<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u64, &'a [u8])> {
+        if self.done {
+            return None;
+        }
+        let pos = self.valid_len;
+        let rest = &self.bytes[pos..];
         if rest.is_empty() {
-            return out; // clean end on a record boundary
+            self.done = true; // clean end on a record boundary
+            return None;
         }
         if rest.len() < FRAME_OVERHEAD {
-            out.torn = Some(format!("torn frame header at offset {pos}"));
-            return out;
+            self.stop(format!("torn frame header at offset {pos}"));
+            return None;
         }
         let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
         let expect_crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
         if len > MAX_RECORD_BYTES {
-            out.torn = Some(format!(
+            self.stop(format!(
                 "record at offset {pos} claims {len} bytes (bound {MAX_RECORD_BYTES})"
             ));
-            return out;
+            return None;
         }
         let body_len = len as usize;
         if body_len < BODY_OVERHEAD {
-            out.torn = Some(format!("record at offset {pos} shorter than its envelope"));
-            return out;
+            self.stop(format!("record at offset {pos} shorter than its envelope"));
+            return None;
         }
         let Some(body) = rest.get(FRAME_OVERHEAD..FRAME_OVERHEAD + body_len) else {
-            out.torn = Some(format!("torn record at offset {pos}"));
-            return out;
+            self.stop(format!("torn record at offset {pos}"));
+            return None;
         };
         if crc32(body) != expect_crc {
-            out.torn = Some(format!("checksum mismatch at offset {pos}"));
-            return out;
+            self.stop(format!("checksum mismatch at offset {pos}"));
+            return None;
         }
         let seq = u64::from_le_bytes([
             body[0], body[1], body[2], body[3], body[4], body[5], body[6], body[7],
         ]);
-        if seq != expect_seq {
-            out.torn = Some(format!(
-                "sequence break at offset {pos}: record {seq}, expected {expect_seq}"
+        if seq != self.expect_seq {
+            let expect = self.expect_seq;
+            self.stop(format!(
+                "sequence break at offset {pos}: record {seq}, expected {expect}"
             ));
-            return out;
+            return None;
         }
         let chain = u32::from_le_bytes([body[8], body[9], body[10], body[11]]);
         let payload = &body[BODY_OVERHEAD..];
-        let mut next_stream = out.stream;
+        let mut next_stream = self.stream;
         next_stream.update(payload);
         if next_stream.finish() != chain {
-            out.torn = Some(format!("stream checksum break at offset {pos}"));
-            return out;
+            self.stop(format!("stream checksum break at offset {pos}"));
+            return None;
         }
-        out.stream = next_stream;
-        out.records.push(WalRecord {
+        self.stream = next_stream;
+        self.valid_len = pos + FRAME_OVERHEAD + body_len;
+        self.expect_seq += 1;
+        Some((seq, payload))
+    }
+}
+
+/// Scans a WAL stream, recovering the longest valid record prefix: a
+/// [`WalReader`] read to the end, with every payload copied out.
+pub fn scan(bytes: &[u8]) -> WalScan {
+    let mut reader = WalReader::new(bytes);
+    let records = reader
+        .by_ref()
+        .map(|(seq, payload)| WalRecord {
             seq,
             payload: payload.to_vec(),
-        });
-        pos += FRAME_OVERHEAD + body_len;
-        out.valid_len = pos as u64;
-        expect_seq += 1;
+        })
+        .collect();
+    WalScan {
+        records,
+        valid_len: reader.valid_len(),
+        torn: reader.torn,
+        stream: reader.stream,
     }
 }
 

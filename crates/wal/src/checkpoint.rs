@@ -90,14 +90,7 @@ impl Checkpoint {
             }
             put_u64(&mut body, versions.len() as u64);
             for v in versions {
-                put_u16(&mut body, v.row.arity() as u16);
-                for val in v.row.values() {
-                    put_value(&mut body, val);
-                }
-                put_u64(&mut body, v.app.start.0 as u64);
-                put_u64(&mut body, v.app.end.0 as u64);
-                put_u64(&mut body, v.sys.start.0);
-                put_u64(&mut body, v.sys.end.0);
+                put_version(&mut body, v);
             }
         }
         let mut out = Vec::with_capacity(12 + body.len());
@@ -166,33 +159,16 @@ impl Checkpoint {
                 app_time_name.as_deref(),
             )?;
             let n_versions = cur.u64("version count")?;
-            // A version occupies at least 18 bytes; pre-check the claim so
-            // a hostile count cannot drive a huge reservation.
-            if n_versions > (cur.remaining() as u64) / 18 {
+            // Pre-check the claim so a hostile count cannot drive a huge
+            // reservation.
+            if n_versions > (cur.remaining() as u64) / MIN_VERSION_BYTES {
                 return Err(Error::Archive(format!(
                     "version count {n_versions} exceeds checkpoint size"
                 )));
             }
             let mut versions = Vec::with_capacity(n_versions as usize);
             for _ in 0..n_versions {
-                let arity = cur.u16("row arity")?;
-                let mut vals = Vec::with_capacity(usize::from(arity));
-                for _ in 0..arity {
-                    vals.push(cur.value()?);
-                }
-                let app = Period {
-                    start: AppDate(cur.u64("app start")? as i64),
-                    end: AppDate(cur.u64("app end")? as i64),
-                };
-                let sys = Period {
-                    start: SysTime(cur.u64("sys start")?),
-                    end: SysTime(cur.u64("sys end")?),
-                };
-                versions.push(Version {
-                    row: Row::new(vals),
-                    app,
-                    sys,
-                });
+                versions.push(cur.version()?);
             }
             tables.push((def, versions));
         }
@@ -216,6 +192,37 @@ impl Checkpoint {
             engine.restore(id, versions.clone(), self.now)?;
         }
         Ok(ids)
+    }
+}
+
+/// The smallest [`put_version`] image: a zero-column row's `u16` arity and
+/// four `u64` period bounds.
+const MIN_VERSION_BYTES: u64 = 2 + 4 * 8;
+
+/// Appends one version's image: row arity, tagged values, then the
+/// application and system period bounds. The encoding is prefix-free —
+/// values are tagged, strings length-prefixed, doubles written as their
+/// bits — so distinct versions never share an image.
+pub(crate) fn put_version(out: &mut Vec<u8>, v: &Version) {
+    put_u16(out, v.row.arity() as u16);
+    for val in v.row.values() {
+        put_value(out, val);
+    }
+    put_u64(out, v.app.start.0 as u64);
+    put_u64(out, v.app.end.0 as u64);
+    put_u64(out, v.sys.start.0);
+    put_u64(out, v.sys.end.0);
+}
+
+/// Decodes a [`put_version`] image that fills `bytes` exactly.
+pub(crate) fn get_version(bytes: &[u8]) -> Result<Version> {
+    let mut cur = Cur { b: bytes, pos: 0 };
+    let v = cur.version()?;
+    match cur.remaining() {
+        0 => Ok(v),
+        n => Err(Error::Archive(format!(
+            "{n} trailing bytes after a version"
+        ))),
     }
 }
 
@@ -346,6 +353,27 @@ impl<'a> Cur<'a> {
             t => return Err(Error::Archive(format!("unknown value tag {t}"))),
         })
     }
+
+    fn version(&mut self) -> Result<Version> {
+        let arity = self.u16("row arity")?;
+        let mut vals = Vec::with_capacity(usize::from(arity));
+        for _ in 0..arity {
+            vals.push(self.value()?);
+        }
+        let app = Period {
+            start: AppDate(self.u64("app start")? as i64),
+            end: AppDate(self.u64("app end")? as i64),
+        };
+        let sys = Period {
+            start: SysTime(self.u64("sys start")?),
+            end: SysTime(self.u64("sys end")?),
+        };
+        Ok(Version {
+            row: Row::new(vals),
+            app,
+            sys,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -417,6 +445,29 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(Checkpoint::decode(&padded).is_err());
+    }
+
+    /// A version image is at least 34 bytes, so a count the rest of the body
+    /// cannot hold at that size is refused by the pre-check, before any
+    /// reservation — including counts an 18-byte bound let through.
+    #[test]
+    fn lying_version_count_is_rejected_before_reserving() {
+        let full = sample();
+        let mut empty = full.clone();
+        empty.tables[0].1.clear();
+        // The version count is the last field before the versions.
+        let count_end = empty.encode().len();
+        let mut bytes = full.encode();
+        let remaining = (bytes.len() - count_end) as u64;
+        let lying = remaining / 18;
+        assert!(lying > remaining / 34, "between the bounds");
+        bytes[count_end - 8..count_end].copy_from_slice(&lying.to_le_bytes());
+        let crc = crc32(&bytes[12..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+        match Checkpoint::decode(&bytes) {
+            Err(Error::Archive(why)) => assert!(why.contains("exceeds checkpoint size"), "{why}"),
+            other => panic!("a lying count got past the pre-check: {other:?}"),
+        }
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //! * [`recover`](mod@recover) ties it together: the [`recover::durable_replay`] driver
 //!   appends each committed transaction to the WAL and checkpoints on a
 //!   fixed cadence, and [`recover::recover`] rebuilds an engine from the
-//!   newest valid checkpoint plus the WAL tail, truncating at the first
-//!   torn or corrupt record.
+//!   newest valid checkpoint plus the WAL tail, one record at a time,
+//!   truncating at the first torn or corrupt record;
+//! * [`canonical`] renders an engine's logical state as a compact,
+//!   order-independent [`CanonicalState`], which is how "recovered ==
+//!   served" is checked.
 //!
 //! Fault injection reuses [`bitempo_core::fault`]: wrapping the sink in a
 //! `FaultyWriter` simulates a crash at an arbitrary byte of the log, and
@@ -32,6 +35,7 @@
 // TB010 for lock results, `clippy::unwrap_used` in Cargo.toml for the rest).
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod canonical;
 pub mod checkpoint;
 pub mod log;
 pub mod record;
@@ -41,15 +45,16 @@ pub mod sink;
 // The byte format's vocabulary, re-exported so that nothing above this crate
 // imports `bitempo_storage::wal` directly.
 pub use bitempo_storage::wal::{
-    scan, DurabilityMode, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN,
+    scan, DurabilityMode, WalReader, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN,
 };
+pub use canonical::{canonical_state, CanonicalState};
 pub use checkpoint::Checkpoint;
 pub use log::{DurabilityWaiter, TxnWal};
 pub use record::{
     decode_payload, encode_committed_at, encode_decision, encode_prepare, WalPayload,
 };
 pub use recover::{
-    canonical_state, durable_replay, oracle_replay, recover, DurableOptions, DurableRun,
-    PendingPrepare, Recovered, RecoveryReport,
+    durable_replay, oracle_replay, recover, DurableOptions, DurableRun, PendingPrepare, Recovered,
+    RecoveryReport,
 };
 pub use sink::{NullSink, SharedBuf, WalSink};

@@ -7,14 +7,18 @@
 //! failure mid-run is a simulated crash: the driver stops and reports it,
 //! leaving the torn log bytes as the only survivor.
 //!
-//! [`recover`] rebuilds from those survivors: it scans the WAL (keeping the
-//! longest valid prefix, truncating at the first torn or corrupt record),
-//! picks the newest checkpoint that still decodes (falling back past
-//! corrupt ones), restores the engine from it, and replays the WAL records
-//! after the checkpoint through [`bitempo_histgen::apply_op`] — the exact
-//! dispatch of the original load. Tuning is re-applied afterwards, like a
-//! cold load. The crash tests assert the result is query-equivalent to
-//! [`oracle_replay`] of the same prefix on all five query classes.
+//! [`recover`] rebuilds from those survivors: it picks the newest
+//! checkpoint that still decodes (falling back past corrupt ones), restores
+//! the engine from it, then reads the WAL's valid prefix one record at a
+//! time ([`WalReader`], truncating at the first torn or corrupt record) and
+//! decodes, applies and drops each record after the checkpoint through
+//! [`bitempo_histgen::apply_op`] — the exact dispatch of the original load.
+//! Its working set beyond the checkpoint and the engine is one record: no
+//! payload is copied out of the log and no decoded backlog is kept. Tuning
+//! is re-applied afterwards, like a cold load. The crash tests assert the
+//! result is query-equivalent to [`oracle_replay`] of the same prefix on
+//! all five query classes, and state-equivalent through
+//! [`canonical_state`](crate::canonical_state).
 
 use crate::checkpoint::Checkpoint;
 use crate::log::TxnWal;
@@ -23,7 +27,7 @@ use bitempo_core::{Error, Result, SysTime, TableId};
 use bitempo_dbgen::TpchData;
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind, TuningConfig};
 use bitempo_histgen::{apply_op, encode_txn, load_initial, Archive};
-use bitempo_storage::wal;
+use bitempo_storage::wal::WalReader;
 use bitempo_storage::DurabilityMode;
 
 /// Replay-with-logging options.
@@ -141,7 +145,7 @@ pub struct RecoveryReport {
     pub wal_records: u64,
     /// Records actually replayed on top of the checkpoint.
     pub replayed: u64,
-    /// Why the WAL tail was truncated, if it was ([`wal::WalScan::torn`]).
+    /// Why the WAL tail was truncated, if it was ([`WalReader::torn`]).
     pub torn: Option<String>,
     /// Byte length of the valid WAL prefix — the clean truncation point.
     pub wal_valid_len: u64,
@@ -206,7 +210,6 @@ pub fn recover(
     checkpoints: &[Vec<u8>],
     tuning: &TuningConfig,
 ) -> Result<Recovered> {
-    let scan = wal::scan(wal_bytes);
     let mut rejected = 0;
     let mut chosen = None;
     for encoded in checkpoints.iter().rev() {
@@ -224,51 +227,66 @@ pub fn recover(
             checkpoints.len()
         ))
     })?;
-    // Decode every record past the checkpoint before touching the engine:
-    // a record that fails to decode truncates replay at its boundary
-    // (reported, not propagated — the same philosophy as the torn-tail
-    // scan), and decode failures caught here can never leave partial
-    // pending state behind.
-    let mut items: Vec<(u64, WalPayload)> = Vec::new();
+    let mut engine = build_engine(kind);
+    let ids = ckpt.restore_into(engine.as_mut())?;
+    let mut replay = Replay::default();
+    let mut decided_commits = Vec::new();
     let mut unreplayable = None;
-    for rec in &scan.records {
-        if rec.seq <= ckpt.seq {
+    // Seq of the record that failed to apply: nothing from it on applies,
+    // but later records still decode, for `decided_commits`.
+    let mut failed_at = None;
+    let mut decoding = true;
+    let mut wal_records = 0u64;
+    let mut reader = WalReader::new(wal_bytes);
+    for (seq, payload) in reader.by_ref() {
+        wal_records += 1;
+        if seq <= ckpt.seq || !decoding {
             continue;
         }
-        match decode_payload(&rec.payload) {
-            Ok(p) => items.push((rec.seq, p)),
+        // A record that fails to decode truncates replay at its boundary
+        // (reported, not propagated — the same philosophy as the torn-tail
+        // read); an earlier apply failure stays the reported reason.
+        let item = match decode_payload(payload) {
+            Ok(item) => item,
             Err(e) => {
-                unreplayable = Some(format!("record {} failed to decode: {e}", rec.seq));
-                break;
+                unreplayable.get_or_insert_with(|| format!("record {seq} failed to decode: {e}"));
+                decoding = false;
+                continue;
+            }
+        };
+        // Commit decisions anywhere in the decodable prefix: cluster
+        // recovery unions these across shards to resolve sibling prepares.
+        if let WalPayload::Decision {
+            gid, commit: true, ..
+        } = item
+        {
+            decided_commits.push(gid);
+        }
+        if failed_at.is_none() {
+            if let Err(e) = replay.apply(engine.as_mut(), &ids, item) {
+                unreplayable = Some(format!("record {seq} failed to apply: {e}"));
+                failed_at = Some(seq);
             }
         }
     }
-    // Commit decisions anywhere in the valid prefix: cluster recovery
-    // unions these across shards to resolve sibling prepares.
-    let decided_commits: Vec<u64> = items
-        .iter()
-        .filter_map(|(_, p)| match p {
-            WalPayload::Decision {
-                gid, commit: true, ..
-            } => Some(*gid),
-            _ => None,
-        })
-        .collect();
-    let mut engine = build_engine(kind);
-    let ids = ckpt.restore_into(engine.as_mut())?;
-    let (replayed, pending) = match replay_items(engine.as_mut(), &ids, &items) {
-        Ok(done) => done,
-        Err((idx, e)) => {
-            // The failing record left partial pending state; rebuild from
-            // the checkpoint and replay only the known-good prefix (those
-            // records are deterministic and already applied once).
-            unreplayable = Some(format!("record {} failed to apply: {e}", items[idx].0));
-            engine = build_engine(kind);
-            let restored = ckpt.restore_into(engine.as_mut())?;
-            debug_assert_eq!(restored, ids, "checkpoint restore must be deterministic");
-            replay_items(engine.as_mut(), &ids, &items[..idx]).map_err(|(_, e)| e)?
+    if let Some(failed_at) = failed_at {
+        // The failing record left partial pending state; rebuild from the
+        // checkpoint and re-read only the known-good prefix (those records
+        // are deterministic and already applied once).
+        engine = build_engine(kind);
+        let restored = ckpt.restore_into(engine.as_mut())?;
+        debug_assert_eq!(restored, ids, "checkpoint restore must be deterministic");
+        replay = Replay::default();
+        for (seq, payload) in WalReader::new(wal_bytes).take_while(|&(seq, _)| seq < failed_at) {
+            if seq > ckpt.seq {
+                replay.apply(engine.as_mut(), &ids, decode_payload(payload)?)?;
+            }
         }
-    };
+    }
+    let Replay {
+        replayed,
+        stash: pending,
+    } = replay;
     engine.apply_tuning(tuning)?;
     engine.checkpoint();
     // Record seqs are dense and 1-based, so for a pure commit-record log
@@ -283,10 +301,10 @@ pub fn recover(
         report: RecoveryReport {
             checkpoint_seq: ckpt.seq,
             checkpoints_rejected: rejected,
-            wal_records: scan.records.len() as u64,
+            wal_records,
             replayed,
-            torn: scan.torn,
-            wal_valid_len: scan.valid_len,
+            torn: reader.torn().map(str::to_string),
+            wal_valid_len: reader.valid_len(),
             commits,
             unreplayable,
             presumed_aborted: pending.len() as u64,
@@ -296,72 +314,64 @@ pub fn recover(
     })
 }
 
-/// Replays decoded records in order: commits apply and land (at their
-/// carried `gts` when stamped), prepares stash, decisions resolve their
-/// stash entry. Returns the number of commits applied plus the prepares
-/// still undecided at the end (presumed aborted). On an apply failure the
-/// engine holds partial state; the caller rebuilds and replays the prefix
-/// before the failing index.
-fn replay_items(
-    engine: &mut dyn BitemporalEngine,
-    ids: &[TableId],
-    items: &[(u64, WalPayload)],
-) -> std::result::Result<(u64, Vec<PendingPrepare>), (usize, Error)> {
-    let mut replayed = 0u64;
-    let mut stash: Vec<PendingPrepare> = Vec::new();
-    for (idx, (_, item)) in items.iter().enumerate() {
-        match item {
-            WalPayload::Commit { gts, txn } => {
-                if let Some(g) = gts {
-                    engine.advance_clock(SysTime(g.saturating_sub(1)));
-                }
-                for op in &txn.ops {
-                    apply_op(engine, ids, op).map_err(|e| (idx, e))?;
-                }
-                engine.commit();
-                replayed += 1;
-            }
+/// Replay state: commits applied so far and the prepares still undecided
+/// (presumed aborted if the log ends before their decision).
+#[derive(Default)]
+struct Replay {
+    replayed: u64,
+    stash: Vec<PendingPrepare>,
+}
+
+impl Replay {
+    /// Applies the next decoded record: a commit applies and lands (at its
+    /// carried `gts` when stamped), a prepare stashes, a decision resolves
+    /// its stash entry. On an error the engine holds partial state; the
+    /// caller rebuilds and replays the records before this one.
+    fn apply(
+        &mut self,
+        engine: &mut dyn BitemporalEngine,
+        ids: &[TableId],
+        item: WalPayload,
+    ) -> Result<()> {
+        let (gts, txn) = match item {
+            WalPayload::Commit { gts, txn } => (gts, txn),
             WalPayload::Prepare { gid, gts, txn } => {
-                stash.push(PendingPrepare {
-                    gid: *gid,
-                    gts: *gts,
-                    txn: txn.clone(),
-                });
+                self.stash.push(PendingPrepare { gid, gts, txn });
+                return Ok(());
             }
             WalPayload::Decision { gid, gts, commit } => {
-                let pos = stash.iter().position(|p| p.gid == *gid);
+                let pos = self.stash.iter().position(|p| p.gid == gid);
                 match (pos, commit) {
-                    (Some(pos), true) => {
-                        let p = stash.remove(pos);
-                        engine.advance_clock(SysTime(gts.saturating_sub(1)));
-                        for op in &p.txn.ops {
-                            apply_op(engine, ids, op).map_err(|e| (idx, e))?;
-                        }
-                        engine.commit();
-                        replayed += 1;
-                    }
+                    (Some(pos), true) => (Some(gts), self.stash.remove(pos).txn),
                     (Some(pos), false) => {
-                        stash.remove(pos);
+                        self.stash.remove(pos);
+                        return Ok(());
                     }
+                    // A decision always lands right after its prepare on the
+                    // same shard (the gate excludes anything in between), so
+                    // an orphaned commit decision means the log lies —
+                    // truncate here, like any other unreplayable record.
                     (None, true) => {
-                        // A decision always lands right after its prepare
-                        // on the same shard (the gate excludes anything in
-                        // between), so an orphaned commit decision means
-                        // the log lies — truncate here, like any other
-                        // unreplayable record.
-                        return Err((
-                            idx,
-                            Error::Archive(format!("commit decision for unknown prepare {gid}")),
-                        ));
+                        return Err(Error::Archive(format!(
+                            "commit decision for unknown prepare {gid}"
+                        )))
                     }
                     // An abort for a prepare the checkpoint already covers
                     // (label advanced past the prepare) decides nothing.
-                    (None, false) => {}
+                    (None, false) => return Ok(()),
                 }
             }
+        };
+        if let Some(g) = gts {
+            engine.advance_clock(SysTime(g.saturating_sub(1)));
         }
+        for op in &txn.ops {
+            apply_op(engine, ids, op)?;
+        }
+        engine.commit();
+        self.replayed += 1;
+        Ok(())
     }
-    Ok((replayed, stash))
 }
 
 /// The uncrashed oracle: replays the first `commits` transactions of
@@ -397,32 +407,15 @@ pub fn oracle_replay(
     Ok((engine, ids))
 }
 
-/// A canonical, order-independent rendering of an engine's entire logical
-/// state: every table's versions, sorted. Two engines of the same kind
-/// are state-equivalent iff these match — the strongest equivalence the
-/// crash tests assert, on top of the per-query-class checks.
-pub fn canonical_state(engine: &dyn BitemporalEngine, ids: &[TableId]) -> Result<Vec<String>> {
-    let mut out = Vec::new();
-    for &id in ids {
-        let name = engine.table_def(id).name.clone();
-        let mut lines: Vec<String> = engine
-            .snapshot_versions(id)?
-            .iter()
-            .map(|v| format!("{name}|{v:?}"))
-            .collect();
-        lines.sort();
-        out.extend(lines);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::canonical::canonical_state;
     use crate::sink::SharedBuf;
     use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
     use bitempo_dbgen::ScaleConfig;
     use bitempo_histgen::{generate_history, HistoryConfig};
+    use bitempo_storage::wal;
 
     fn tiny_world() -> (TpchData, Archive) {
         let data = bitempo_dbgen::generate(&ScaleConfig {
@@ -714,6 +707,132 @@ mod tests {
             .collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 2]);
+    }
+
+    /// One row `(1, 10)` committed in table `t`, checkpointed at seq 0.
+    fn one_row_base() -> (Box<dyn BitemporalEngine>, Vec<TableId>, Vec<u8>) {
+        use bitempo_engine::testutil::{bitemp_table, simple_row};
+        let mut engine = build_engine(SystemKind::A);
+        let t = engine.create_table(bitemp_table("t")).unwrap();
+        engine.insert(t, simple_row(1, 10), None).unwrap();
+        engine.commit();
+        let ids = vec![t];
+        let base = Checkpoint::capture(engine.as_mut(), &ids, 0)
+            .unwrap()
+            .encode();
+        (engine, ids, base)
+    }
+
+    fn insert_txn(id: i64) -> bitempo_histgen::Transaction {
+        bitempo_histgen::Transaction {
+            scenarios: Vec::new(),
+            ops: vec![bitempo_histgen::Op::Insert {
+                table: 0,
+                row: bitempo_engine::testutil::simple_row(id, id * 10),
+                app: None,
+            }],
+        }
+    }
+
+    /// A strict log holding `payloads`, one record each.
+    fn log_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let buf = SharedBuf::new();
+        let mut log = TxnWal::create(Box::new(buf.clone()), DurabilityMode::Strict).unwrap();
+        for p in payloads {
+            log.append(p).unwrap();
+        }
+        log.close().unwrap();
+        buf.snapshot()
+    }
+
+    /// A framed record whose payload is no record kind at all.
+    const UNDECODABLE: &[u8] = b"B2PC\x09";
+
+    /// A record that fails to decode mid-log stops replay at its boundary:
+    /// the records before it recover, the ones after it do not, and every
+    /// valid frame still counts toward `wal_records`.
+    #[test]
+    fn decode_failure_mid_log_truncates_replay() {
+        let (_, _, base) = one_row_base();
+        let wal = log_of(&[
+            encode_txn(&insert_txn(2)).unwrap(),
+            UNDECODABLE.to_vec(),
+            encode_txn(&insert_txn(3)).unwrap(),
+        ]);
+        let rec = recover(SystemKind::A, &wal, &[base], &TuningConfig::none()).unwrap();
+        assert_eq!(rec.report.wal_records, 3);
+        assert_eq!(rec.report.replayed, 1);
+        assert_eq!(rec.report.commits, 1);
+        assert_eq!(rec.report.wal_valid_len, wal.len() as u64);
+        assert!(rec.report.torn.is_none());
+        let reason = rec.report.unreplayable.as_deref().unwrap();
+        assert!(
+            reason.contains("record 2 failed to decode"),
+            "got: {reason}"
+        );
+        assert!(rec.decided_commits.is_empty());
+        assert!(rec.pending.is_empty());
+        let (mut want, want_ids, _) = one_row_base();
+        want.insert(
+            want_ids[0],
+            bitempo_engine::testutil::simple_row(2, 20),
+            None,
+        )
+        .unwrap();
+        want.commit();
+        assert_eq!(
+            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
+            canonical_state(want.as_ref(), &want_ids).unwrap()
+        );
+    }
+
+    /// An apply failure, then a commit decision, then a record that fails
+    /// to decode: the recovered engine is exactly the prefix before the
+    /// apply failure, `unreplayable` names the apply failure, and
+    /// `decided_commits` still carries the decision read past it (cluster
+    /// recovery unions that evidence across shards).
+    #[test]
+    fn apply_failure_then_decision_then_corrupt_record() {
+        use bitempo_core::{AppDate, Key, Period};
+        use bitempo_histgen::{Op, Transaction};
+        let (_, _, base) = one_row_base();
+        let poison = Transaction {
+            scenarios: Vec::new(),
+            ops: vec![Op::OverwriteApp {
+                table: 0,
+                key: Key::int(i64::MAX),
+                period: Period::new(AppDate(0), AppDate::MAX),
+            }],
+        };
+        let wal = log_of(&[
+            encode_txn(&insert_txn(2)).unwrap(),
+            encode_txn(&poison).unwrap(),
+            crate::record::encode_prepare(7, 40, &insert_txn(5)).unwrap(),
+            crate::record::encode_decision(7, 40, true),
+            UNDECODABLE.to_vec(),
+            encode_txn(&insert_txn(4)).unwrap(),
+        ]);
+        let rec = recover(SystemKind::A, &wal, &[base], &TuningConfig::none()).unwrap();
+        let reason = rec.report.unreplayable.as_deref().unwrap();
+        assert!(reason.contains("record 2 failed to apply"), "got: {reason}");
+        assert_eq!(rec.decided_commits, vec![7]);
+        assert_eq!(rec.report.replayed, 1);
+        assert_eq!(rec.report.commits, 1);
+        assert_eq!(rec.report.wal_records, 6);
+        assert_eq!(rec.report.presumed_aborted, 0);
+        assert!(rec.pending.is_empty());
+        let (mut want, want_ids, _) = one_row_base();
+        want.insert(
+            want_ids[0],
+            bitempo_engine::testutil::simple_row(2, 20),
+            None,
+        )
+        .unwrap();
+        want.commit();
+        assert_eq!(
+            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
+            canonical_state(want.as_ref(), &want_ids).unwrap()
+        );
     }
 
     #[test]

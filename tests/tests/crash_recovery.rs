@@ -21,7 +21,7 @@ use bitempo_engine::{build_engine, SystemKind};
 use bitempo_histgen::{generate_history, Archive, HistoryConfig};
 use bitempo_wal::{
     canonical_state, durable_replay, oracle_replay, recover, DurabilityMode, DurableOptions,
-    SharedBuf, TxnWal, WAL_HEADER_LEN,
+    SharedBuf, TxnWal, WalReader, WAL_HEADER_LEN,
 };
 use bitempo_workloads::{five_class_answers, five_class_diff, Ctx, QueryParams};
 use std::sync::OnceLock;
@@ -142,6 +142,25 @@ fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
     }
 }
 
+/// A [`WalReader`] read to the end must report exactly what `scan` does for
+/// the same bytes: records, truncation point, tear reason, stream state.
+/// Recovery reads through the former, the fuzz assertions speak of the
+/// latter.
+fn assert_reader_matches_scan(bytes: &[u8], label: &str) {
+    let scan = bitempo_wal::scan(bytes);
+    let mut reader = WalReader::new(bytes);
+    let read: Vec<(u64, &[u8])> = reader.by_ref().collect();
+    let scanned: Vec<(u64, &[u8])> = scan
+        .records
+        .iter()
+        .map(|r| (r.seq, r.payload.as_slice()))
+        .collect();
+    assert_eq!(read, scanned, "{label}: records");
+    assert_eq!(reader.valid_len(), scan.valid_len, "{label}: valid_len");
+    assert_eq!(reader.torn(), scan.torn.as_deref(), "{label}: torn");
+    assert_eq!(reader.stream(), scan.stream, "{label}: stream");
+}
+
 /// Satellite 3a: truncate the WAL at every byte offset of the final record.
 /// The scan layer must always salvage exactly the first `commits - 1`
 /// records — the exact prefix — and report a clean cut only at the record
@@ -158,6 +177,7 @@ fn truncating_anywhere_in_the_final_record_keeps_the_exact_prefix() {
     assert!(last_start > WAL_HEADER_LEN && last_start < bytes.len());
 
     for cut in last_start..bytes.len() {
+        assert_reader_matches_scan(&bytes[..cut], &format!("cut at {cut}"));
         let scan = bitempo_wal::scan(&bytes[..cut]);
         assert_eq!(
             scan.records.len() as u64,
@@ -213,6 +233,7 @@ fn seeded_bit_flips_never_panic_and_salvage_a_true_prefix() {
         corrupt[offset] ^= mask;
         let label = format!("trial {trial}: flip {mask:#04x} at {offset}");
 
+        assert_reader_matches_scan(&corrupt, &label);
         let scan = bitempo_wal::scan(&corrupt);
         assert!(
             scan.records.len() as u64 <= *commits,

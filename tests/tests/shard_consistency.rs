@@ -21,7 +21,7 @@ use bitempo_engine::api::{AppSpec, BitemporalEngine, SysSpec};
 use bitempo_engine::testutil::{bitemp_table, simple_row};
 use bitempo_engine::{build_engine, SystemKind};
 use bitempo_shard::{partition_checkpoint, recover_cluster, Cluster, ShardInput};
-use bitempo_wal::{Checkpoint, DurabilityMode, SharedBuf, TxnWal};
+use bitempo_wal::{CanonicalState, Checkpoint, DurabilityMode, SharedBuf, TxnWal};
 
 /// Keys seeded before the scripted history starts.
 const SEED_KEYS: i64 = 12;
@@ -170,23 +170,13 @@ fn assert_equivalent(
     }
 }
 
-/// Canonical per-shard lines of a full-state checkpoint partition, in the
-/// exact format `bitempo_wal::canonical_state` produces for an engine.
-fn partitioned_canonical(full: &Checkpoint, shards: usize) -> Vec<Vec<String>> {
+/// Per-shard canonical states of a full-state checkpoint partition — what
+/// `bitempo_wal::canonical_state` reports for an engine restored from each
+/// part.
+fn partitioned_canonical(full: &Checkpoint, shards: usize) -> Vec<CanonicalState> {
     partition_checkpoint(full, shards)
         .iter()
-        .map(|part| {
-            let mut lines = Vec::new();
-            for (def, versions) in &part.tables {
-                let mut t: Vec<String> = versions
-                    .iter()
-                    .map(|v| format!("{}|{v:?}", def.name))
-                    .collect();
-                t.sort();
-                lines.extend(t);
-            }
-            lines
-        })
+        .map(|part| CanonicalState::of_checkpoint(part).unwrap())
         .collect()
 }
 
