@@ -1,78 +1,68 @@
 //! The experiment driver: regenerates the paper's tables and figures.
 //!
 //! ```text
-//! experiments <id>                 run one experiment (fig2 .. fig16, table1, table2, arch)
-//! experiments run-all              run everything, write results/measured.md
+//! experiments <id>                 run one experiment (ids: `experiments list`)
+//! experiments run-all              run every experiment in registry order
 //! experiments list                 list experiment ids
 //! options:
 //!   --h <f>        TPC-H scale factor (default 0.002)
 //!   --m <f>        history scale (default 0.002)
 //!   --out <path>   write markdown to a file instead of stdout
 //! ```
+//!
+//! A missing or malformed option value, an unknown option or a second
+//! command prints the usage and exits 2; an unknown id or a failed
+//! experiment exits 1.
 
-use bitempo_bench::experiments::{run_experiment, ALL_EXPERIMENTS};
+use bitempo_bench::experiments::{run_experiment, EXPERIMENTS};
 use bitempo_bench::BenchConfig;
-use std::io::Write;
+
+/// The command, the configuration and the output path `args` ask for, or
+/// `None` when they are not well formed.
+fn parse(args: &[String]) -> Option<(String, BenchConfig, Option<String>)> {
+    // A scale factor: a finite number above zero.
+    let scale = |v: Option<&String>| v?.parse().ok().filter(|f: &f64| f.is_finite() && *f > 0.0);
+    let mut cfg = BenchConfig::default_scale();
+    let (mut command, mut out_path) = (None, None);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--h" => cfg.h = scale(args.next())?,
+            "--m" => cfg.m = scale(args.next())?,
+            "--out" => out_path = Some(args.next()?.clone()),
+            flag if flag.starts_with("--") => return None,
+            id if command.is_none() => command = Some(id.to_string()),
+            _ => return None,
+        }
+    }
+    Some((command?, cfg, out_path))
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: experiments <id|run-all|list> [--h <f>] [--m <f>] [--out <path>]");
+    let Some((command, cfg, out_path)) = parse(&args) else {
+        eprintln!(
+            "usage: experiments <id|run-all|list> [--h <f>] [--m <f>] [--out <path>]\nids: {}",
+            EXPERIMENTS.map(|(id, _)| id).join(" ")
+        );
         std::process::exit(2);
-    }
-    let mut cfg = BenchConfig::default_scale();
-    let mut out_path: Option<String> = None;
-    let mut command = String::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--h" => {
-                cfg.h = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(cfg.h);
-                i += 2;
-            }
-            "--m" => {
-                cfg.m = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(cfg.m);
-                i += 2;
-            }
-            "--out" => {
-                out_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            other => {
-                command = other.to_string();
-                i += 1;
-            }
-        }
-    }
-
-    if command == "list" {
-        for id in ALL_EXPERIMENTS {
-            println!("{id}");
-        }
-        println!("fig15\nfig16");
-        return;
-    }
-
-    let ids: Vec<&str> = if command == "run-all" {
-        let mut ids: Vec<&str> = ALL_EXPERIMENTS.to_vec();
-        ids.push("fig15");
-        ids.push("fig16");
-        ids
-    } else {
-        vec![command.as_str()]
     };
 
-    let mut output = String::new();
-    output.push_str(&format!(
+    let ids: Vec<&str> = match command.as_str() {
+        "list" => {
+            for (id, _) in EXPERIMENTS {
+                println!("{id}");
+            }
+            return;
+        }
+        "run-all" => EXPERIMENTS.map(|(id, _)| id).to_vec(),
+        id => vec![id],
+    };
+
+    let mut output = format!(
         "# TPC-BiH measured results (h = {}, m = {})\n\n",
         cfg.h, cfg.m
-    ));
+    );
     for id in ids {
         eprintln!("running {id} ...");
         match run_experiment(id, &cfg) {
@@ -89,8 +79,7 @@ fn main() {
             if let Some(parent) = std::path::Path::new(&path).parent() {
                 std::fs::create_dir_all(parent).expect("create output directory");
             }
-            let mut f = std::fs::File::create(&path).expect("create output file");
-            f.write_all(output.as_bytes()).expect("write output");
+            std::fs::write(&path, output).expect("write output file");
             eprintln!("wrote {path}");
         }
         None => print!("{output}"),

@@ -1,7 +1,7 @@
 //! # bitempo-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper's evaluation (§5). See DESIGN.md §4 for the experiment index.
+//! paper's evaluation (§5). DESIGN.md §4 maps experiment ids to the paper.
 //!
 //! * [`runner`] — builds benchmark instances (generate → load → tune) for
 //!   all four engines plus the non-temporal baselines, and measures query
@@ -9,14 +9,15 @@
 //!   warm-up runs, report the median).
 //! * [`report`] — figure/table data structures and markdown rendering.
 //! * [`experiments`] — one function per paper artifact (fig2…fig16,
-//!   table1/2/3, the §5.2 architecture analysis).
+//!   table1/2, the §5.2 architecture analysis) and per extension, a timing
+//!   figure declared as its list of cells, and the `EXPERIMENTS` registry.
 //!
-//! The `experiments` binary drives everything:
-//! `cargo run --release -p bitempo-bench --bin experiments -- <id|run-all>`.
+//! The `experiments` binary runs the registry:
+//! `cargo run --release -p bitempo-bench --bin experiments -- <id|run-all|list>`.
 
 pub mod experiments;
 pub mod report;
 pub mod runner;
 
 pub use report::{FaultSummary, FigureReport, Series};
-pub use runner::{BenchConfig, DurabilityMode, Instance, Measurement};
+pub use runner::{BenchConfig, Instance, Measurement};

@@ -1,7 +1,6 @@
 //! Figure/table data structures and markdown rendering.
 
 use bitempo_core::obs::ScanTrace;
-use std::fmt;
 
 /// One aggregated access-path line for a measured cell: what one
 /// `(table, partition, access path)` combination did during the query —
@@ -141,13 +140,6 @@ impl FaultSummary {
     pub fn is_empty(&self) -> bool {
         *self == FaultSummary::default()
     }
-
-    /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &FaultSummary) {
-        self.injected += other.injected;
-        self.detected += other.detected;
-        self.recovered += other.recovered;
-    }
 }
 
 /// A reproduced figure or table.
@@ -286,12 +278,6 @@ impl FigureReport {
         }
         out.push('\n');
         out
-    }
-}
-
-impl fmt::Display for FigureReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_markdown())
     }
 }
 

@@ -9,7 +9,6 @@ use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
 use bitempo_histgen::loader::{self, LoadReport};
 use bitempo_histgen::{Archive, GenDb, History, HistoryConfig};
-pub use bitempo_wal::DurabilityMode;
 use bitempo_workloads::QueryParams;
 use std::time::Instant;
 
@@ -42,11 +41,6 @@ pub struct BenchConfig {
     /// and off outside the traced repetitions; disabling it makes
     /// [`measure_traced`] behave exactly like [`measure`].
     pub trace: bool,
-    /// Commit durability for the `durability` experiment: how the
-    /// write-ahead log acknowledges commits (fsync per commit, group
-    /// commit, or buffered). Query experiments ignore it — replayed
-    /// instances are rebuilt from the archive, not from a WAL.
-    pub durability: DurabilityMode,
 }
 
 impl BenchConfig {
@@ -63,7 +57,6 @@ impl BenchConfig {
             workers: bitempo_engine::api::default_workers(),
             query_timeout_millis: DEFAULT_QUERY_TIMEOUT_MILLIS,
             trace: true,
-            durability: DurabilityMode::Async,
         }
     }
 
@@ -76,11 +69,7 @@ impl BenchConfig {
             m: 0.001,
             repetitions: 5,
             discard: 1,
-            batch_size: 1,
-            workers: bitempo_engine::api::default_workers(),
-            query_timeout_millis: DEFAULT_QUERY_TIMEOUT_MILLIS,
-            trace: true,
-            durability: DurabilityMode::Async,
+            ..BenchConfig::default_scale()
         }
     }
 
@@ -111,13 +100,6 @@ impl BenchConfig {
     #[must_use]
     pub fn with_trace(mut self, trace: bool) -> BenchConfig {
         self.trace = trace;
-        self
-    }
-
-    /// This configuration with the given commit durability mode.
-    #[must_use]
-    pub fn with_durability(mut self, durability: DurabilityMode) -> BenchConfig {
-        self.durability = durability;
         self
     }
 }
@@ -161,17 +143,20 @@ pub struct Instance {
     pub initial_load_nanos: Vec<(SystemKind, u64)>,
     /// Derived query parameters.
     pub params: QueryParams,
+    /// Scan parallelism every [`Instance::retune`] applies, whatever the
+    /// tuning says: the config's `workers` unless an experiment varies it.
+    pub workers: usize,
 }
 
 impl Instance {
     /// Generates data and history at the configured scales and loads every
     /// engine by archive replay, applying `tuning` afterwards (the paper
     /// builds indexes after the load, like its DBAs did). The config's
-    /// `workers` knob overrides the tuning's, so one `BenchConfig` pins the
-    /// scan parallelism of the whole run.
+    /// `workers` knob overrides the tuning's, here and in every later
+    /// [`Instance::retune`], so one `BenchConfig` pins the scan parallelism
+    /// of the whole run.
     pub fn build(config: &BenchConfig, tuning: &TuningConfig) -> Result<Instance> {
-        let tuning = tuning.clone().with_workers(config.workers);
-        let tuning = &tuning;
+        let tuning = &tuning.clone().with_workers(config.workers);
         let data = bitempo_dbgen::generate(&ScaleConfig::with_h(config.h));
         let (history, db) =
             bitempo_histgen::generate_history_with_state(&data, &HistoryConfig::with_m(config.m));
@@ -196,6 +181,7 @@ impl Instance {
             load_reports,
             initial_load_nanos,
             params,
+            workers: config.workers,
         })
     }
 
@@ -208,8 +194,10 @@ impl Instance {
             .expect("all four engines present")
     }
 
-    /// Re-applies a tuning configuration to every engine.
+    /// Re-applies a tuning configuration to every engine, at the instance's
+    /// scan parallelism.
     pub fn retune(&mut self, tuning: &TuningConfig) -> Result<()> {
+        let tuning = &tuning.clone().with_workers(self.workers);
         for (_, engine) in &mut self.engines {
             engine.apply_tuning(tuning)?;
         }
@@ -395,7 +383,6 @@ mod tests {
             workers: 2,
             query_timeout_millis: DEFAULT_QUERY_TIMEOUT_MILLIS,
             trace: true,
-            durability: DurabilityMode::Async,
         }
     }
 
@@ -411,6 +398,27 @@ mod tests {
             counts.push(rows.len());
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
+    }
+
+    #[test]
+    fn retune_keeps_the_configured_workers() {
+        // One more worker than the tuning presets' default, so a retune
+        // that took the preset's count would show up in the trace.
+        let workers = bitempo_engine::api::default_workers() + 1;
+        let mut inst =
+            Instance::build(&tiny().with_workers(workers), &TuningConfig::none()).unwrap();
+        inst.retune(&TuningConfig::time()).unwrap();
+        for (kind, engine) in &inst.engines {
+            let orders = engine.resolve("orders").unwrap();
+            obs::enable();
+            let scanned = engine.scan(orders, &SysSpec::All, &AppSpec::All, &[]);
+            let log = obs::disable();
+            scanned.unwrap();
+            assert!(!log.scans.is_empty(), "{kind}: no scan trace");
+            for t in &log.scans {
+                assert_eq!(t.workers, workers as u64, "{kind} {}", t.partition);
+            }
+        }
     }
 
     #[test]

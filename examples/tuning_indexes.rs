@@ -22,7 +22,6 @@ fn main() -> bitempo_core::Result<()> {
         workers: bitempo_engine::api::default_workers(),
         query_timeout_millis: bitempo_bench::runner::DEFAULT_QUERY_TIMEOUT_MILLIS,
         trace: false,
-        durability: bitempo_bench::runner::DurabilityMode::Async,
     };
     let mut inst = Instance::build(&cfg, &TuningConfig::none())?;
     let p = inst.params.clone();

@@ -159,7 +159,6 @@ fn degraded_experiment_yields_complete_report() {
         workers: 2,
         query_timeout_millis: 0,
         trace: false,
-        durability: bitempo_bench::DurabilityMode::Async,
     };
     let report = bitempo_bench::experiments::fig2(&cfg).unwrap();
     assert_eq!(report.series.len(), 4, "one series per engine");
