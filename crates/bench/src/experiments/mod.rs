@@ -200,8 +200,8 @@ fn sweep(
 
 #[cfg(test)]
 mod tests {
-    //! What the reports *say*; their shapes (series, x labels, access rows,
-    //! fault tallies, notes) are pinned by `tests/report_shapes.rs`.
+    //! What the reports *say*; their full shapes (series, x labels, access
+    //! rows, fault tallies, notes) are pinned by `tests/report_shapes.rs`.
 
     use super::*;
 
@@ -306,6 +306,26 @@ mod tests {
                 assert!(b > 0.0 && b <= point("Key+Time tuning indexes B / version").unwrap());
             }
         }
+    }
+
+    #[test]
+    fn fig2_and_fig6_shapes() {
+        let r = fig2(&micro_cfg()).unwrap();
+        assert_eq!(r.series.len(), 4, "one series per system");
+        assert_eq!(r.series[0].points.len(), 5);
+        let r = fig6(&micro_cfg()).unwrap();
+        assert_eq!(r.series.len(), 3, "A, B, C only");
+    }
+
+    #[test]
+    fn scaling_report_shape() {
+        let r = scaling(&micro_cfg()).unwrap();
+        assert_eq!(r.series.len(), 4, "one series per system");
+        assert!(
+            r.series.iter().all(|s| s.points.len() == 6),
+            "ORDERS + LINEITEM at 1/2/4 workers"
+        );
+        assert!(r.notes.iter().any(|n| n.contains("morsels")));
     }
 
     #[test]
