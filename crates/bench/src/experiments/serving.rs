@@ -160,9 +160,7 @@ fn durability_cell(
     for txn in &archive.transactions {
         let payload = bitempo_histgen::encode_txn(txn)?;
         log.append(&payload)?;
-        for op in &txn.ops {
-            bitempo_histgen::apply_op(engine.as_mut(), &ids, op)?;
-        }
+        bitempo_histgen::apply_txn(engine.as_mut(), &ids, &txn.ops, None)?;
         engine.commit();
         commits += 1;
         if commits.is_multiple_of(CHECKPOINT_EVERY) {

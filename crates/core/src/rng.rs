@@ -89,11 +89,6 @@ impl Pcg32 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit_f64() * (hi - lo)
-    }
-
     /// Bernoulli draw with probability `p`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p

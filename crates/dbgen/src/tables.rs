@@ -53,11 +53,6 @@ impl TpchData {
             .find(|t| t.def.name == name)
             .unwrap_or_else(|| panic!("unknown table {name}"))
     }
-
-    /// Total generated tuples across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables.iter().map(|t| t.rows.len()).sum()
-    }
 }
 
 /// TPC-H retail price formula (4.2.3).

@@ -30,7 +30,7 @@ pub mod stats;
 
 pub use archive::{decode_txn, encode_txn, Archive};
 pub use loader::{
-    apply_op, load_initial, read_archive_with_retry, replay, LoadReport, ReplayReport,
+    apply_op, apply_txn, load_initial, read_archive_with_retry, replay, LoadReport, ReplayReport,
 };
 pub use ops::{Op, ScenarioKind, Transaction};
 pub use state::GenDb;

@@ -94,9 +94,9 @@ pub fn load_initial(engine: &mut dyn BitemporalEngine, data: &TpchData) -> Resul
     Ok(ids)
 }
 
-/// Applies one archive op to an open engine transaction. Public because
-/// the durability WAL replays through exactly this dispatch — recovery and
-/// the original load must interpret an op identically.
+/// Applies one archive op to an open engine transaction. The durability
+/// WAL replays through exactly this dispatch (via [`apply_txn`]) —
+/// recovery and the original load must interpret an op identically.
 pub fn apply_op(engine: &mut dyn BitemporalEngine, ids: &[TableId], op: &Op) -> Result<()> {
     match op {
         Op::Insert { table, row, app } => engine.insert(ids[*table as usize], row.clone(), *app),
@@ -125,6 +125,26 @@ pub fn apply_op(engine: &mut dyn BitemporalEngine, ids: &[TableId], op: &Op) -> 
             .overwrite_app_period(ids[*table as usize], key, *period)
             .map(|_| ()),
     }
+}
+
+/// Applies one transaction's ops to an open engine transaction — the one
+/// landing rule of every path that lands a whole transaction (the serving
+/// pipeline, WAL replay, cluster recovery, the durability drivers). A
+/// stamped transaction (`gts`, a cluster's oracle timestamp) first
+/// advances the clock to `gts − 1`, so its versions and the commit that
+/// follows carry exactly `gts`; an unstamped one lands at the engine's
+/// next commit time. The caller commits, and owns the failure policy: the
+/// engine holds partial state after an error.
+pub fn apply_txn(
+    engine: &mut dyn BitemporalEngine,
+    ids: &[TableId],
+    ops: &[Op],
+    gts: Option<u64>,
+) -> Result<()> {
+    if let Some(g) = gts {
+        engine.advance_clock(SysTime(g.saturating_sub(1)));
+    }
+    ops.iter().try_for_each(|op| apply_op(engine, ids, op))
 }
 
 /// True if a *pending* version — one created by the currently open

@@ -2,14 +2,16 @@
 //! layers behind one router and one commit-timestamp oracle.
 //!
 //! Each shard is a full PR 8 stack — its own engine, [`TxnManager`], and
-//! WAL with its own durability mode. What makes the set a *cluster* rather
-//! than N databases is the time axis: every commit lands at a timestamp
-//! drawn from the shared [`CommitOracle`], and the engines' `advance_clock`
-//! seam forces the shard's commit to stamp its versions with exactly that
-//! timestamp. Shard-local system time and global time are therefore the
-//! same axis, and a cross-shard snapshot is simply every shard read
-//! `AS OF` one oracle watermark — byte-identical to the state a single
-//! engine would hold after the same serial history.
+//! WAL with its own durability mode — that the cluster drives as a commit
+//! *participant*, never through a shard-level transaction: snapshot pins
+//! and first-committer-wins live once, in the cluster. What makes the set
+//! a *cluster* rather than N databases is the time axis: every commit
+//! lands at a timestamp drawn from the shared [`CommitOracle`], and the
+//! engines' `advance_clock` seam forces the shard's commit to stamp its
+//! versions with exactly that timestamp. Shard-local system time and
+//! global time are therefore the same axis, and a cross-shard snapshot is
+//! simply every shard read `AS OF` one oracle watermark — byte-identical
+//! to the state a single engine would hold after the same serial history.
 //!
 //! **Write protocol.** A [`ClusterTxn`] buffers DML locally, routing each
 //! statement by the stable key hash ([`bitempo_workloads::sharding`]). At
@@ -18,10 +20,11 @@
 //! a shard, hence a gate), validates first-committer-wins against the
 //! cluster commit log, draws the global timestamp, and then:
 //!
-//! * **one participant** — plain [`bitempo_txn::Transaction::commit_at`]: apply, log a
+//! * **one participant** — [`TxnManager::commit_at`]: apply, log a
 //!   stamped commit record, publish. No coordination needed; a
 //!   single-shard cluster degenerates to PR 8 plus one atomic increment.
-//! * **several participants** — two-phase commit over the existing WALs.
+//! * **several participants** — two-phase commit over the existing WALs
+//!   ([`TxnManager::prepare`], then [`PreparedTxn::commit`]).
 //!   Phase one logs a *prepare* record per shard (full op payload, nothing
 //!   applied) and waits until every prepare is durable; phase two applies
 //!   and logs the *decision* on each shard. An undecided prepare is
@@ -32,9 +35,12 @@
 //!
 //! **Lock hierarchy** (outermost first): shard gates (ascending index) →
 //! cluster `commit_log` → oracle. The per-shard `TxnManager` locks nest
-//! strictly inside a gate. Durability waits run outside everything except
-//! the gates held across the prepare barrier, which is the point of 2PC —
-//! and the one deliberate blocking-under-lock site in the workspace.
+//! strictly inside a gate, and a shard's own `commit_log` is never taken:
+//! [`Cluster::from_managers`] takes the managers by value, so no
+//! shard-level `Transaction` can exist beside the cluster's. Durability
+//! waits run outside everything except the gates held across the prepare
+//! barrier, which is the point of 2PC — and the one deliberate
+//! blocking-under-lock site in the workspace.
 
 use crate::oracle::CommitOracle;
 use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, Value};
@@ -43,8 +49,7 @@ use bitempo_engine::api::{
 };
 use bitempo_engine::{build_engine, ScanMetrics, SystemKind};
 use bitempo_txn::{
-    CheckedOp, CommitLog, CommitWait, OpBuffer, PreparedTxn, Snapshot, TxnCounters, TxnManager,
-    WriteEntry,
+    CheckedOp, CommitLog, CommitWait, OpBuffer, PreparedTxn, Snapshot, TxnManager, WriteEntry,
 };
 use bitempo_wal::{Checkpoint, TxnWal};
 use bitempo_workloads::sharding::shard_of;
@@ -63,8 +68,6 @@ struct Shard {
 /// Monotonic counters for the `sharding` experiment's series.
 #[derive(Debug, Default)]
 pub struct ClusterCounters {
-    /// Cluster transactions begun.
-    pub begun: AtomicU64,
     /// Cluster transactions committed (including read-only).
     pub committed: AtomicU64,
     /// Commits that routed to exactly one shard (the fast path).
@@ -149,11 +152,6 @@ impl Cluster {
         Cluster::from_managers(mgrs)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Table ids in load order (valid on every shard).
     pub fn table_ids(&self) -> &[TableId] {
         self.shards[0].mgr.table_ids()
@@ -164,37 +162,24 @@ impl Cluster {
         &self.counters
     }
 
-    /// Shard `i`'s serving-layer counters (commits, conflicts, pins).
-    pub fn shard_counters(&self, i: usize) -> &TxnCounters {
-        self.shards[i].mgr.counters()
-    }
-
     /// Shard `i`'s commit clock — at most the oracle watermark, exactly
     /// the last global timestamp that landed on this shard.
     pub fn shard_now(&self, i: usize) -> SysTime {
         self.shards[i].mgr.now()
     }
 
-    /// Snapshot pins currently registered across all shard managers plus
-    /// the cluster's own read pins. Zero once every transaction has
-    /// resolved — the balance the isolation suite asserts.
+    /// Read pins currently registered on the cluster (shards hold none).
+    /// Zero once every transaction has resolved — the balance the
+    /// consistency suite asserts.
     pub fn active_pins(&self) -> usize {
-        let shard_pins: usize = self.shards.iter().map(|s| s.mgr.active_pins()).sum();
         let log = self.commit_log.lock().expect("commit log poisoned");
-        shard_pins + log.active_pins()
+        log.active_pins()
     }
 
     /// The oracle's read watermark: the newest globally consistent
     /// timestamp.
     pub fn read_ts(&self) -> SysTime {
         self.oracle.read_ts()
-    }
-
-    /// Captures a durability checkpoint of shard `i` (labelled with the
-    /// shard WAL's covered sequence number, exactly as a standalone
-    /// manager's would be).
-    pub fn checkpoint_shard(&self, i: usize) -> Result<Checkpoint> {
-        self.shards[i].mgr.checkpoint()
     }
 
     /// Shuts the cluster down shard by shard: closes each WAL and returns
@@ -215,7 +200,6 @@ impl Cluster {
             log.pin(g);
             g
         };
-        self.counters.begun.fetch_add(1, Ordering::Relaxed);
         Ok(ClusterTxn {
             cluster: self,
             read_g,
@@ -317,7 +301,7 @@ pub struct ClusterTxn<'a> {
     /// The read watermark this transaction's snapshot and validation pin.
     read_g: SysTime,
     /// Checked writes, routed; index = shard. Each participant's buffer
-    /// becomes its shard transaction at commit.
+    /// goes to its shard manager whole at commit.
     per_shard: Vec<OpBuffer>,
     unpinned: bool,
 }
@@ -426,8 +410,8 @@ impl<'a> ClusterTxn<'a> {
             self.release_pin();
             return Ok(self.read_g);
         }
-        // The cluster-level write set: the shard transactions consume
-        // their buffers, the cluster log keeps its own copy.
+        // The cluster-level write set: the participants consume their
+        // buffers, the cluster log keeps its own copy.
         let writes: Vec<WriteEntry> = participants
             .iter()
             .flat_map(|&i| bufs[i].writes().iter().cloned())
@@ -511,34 +495,25 @@ impl Drop for ClusterTxn<'_> {
 
 /// Hands each participating shard its routed buffer and lands the commit
 /// at `gts`: directly for one participant, via two-phase commit for
-/// several. On error the second slot says whether a commit decision was
-/// already logged somewhere: `Some(waits)` means the transaction stands
-/// globally and carries the committed shards' durability waits, which the
-/// caller must still honor; `None` means nothing decided — globally an
-/// abort.
+/// several. The participants neither pin nor validate first-committer-wins:
+/// the caller did, once, under the gates it holds. On error the second
+/// slot says whether a commit decision was already logged somewhere:
+/// `Some(waits)` means the transaction stands globally and carries the
+/// committed shards' durability waits, which the caller must still honor;
+/// `None` means nothing decided — globally an abort.
 fn run_on_shards<'a>(
     cluster: &'a Cluster,
     participants: &[usize],
     mut bufs: Vec<OpBuffer>,
     gts: u64,
 ) -> std::result::Result<Vec<CommitWait<'a>>, (Error, Option<Vec<CommitWait<'a>>>)> {
-    // A failure here — a poisoned shard — leaves nothing applied and
-    // nothing logged.
-    let mut txns = Vec::with_capacity(participants.len());
-    for &i in participants {
-        match cluster.shards[i]
-            .mgr
-            .begin_with(std::mem::take(&mut bufs[i]))
-        {
-            Ok(txn) => txns.push(txn),
-            Err(e) => return Err((e, None)),
-        }
-    }
+    let mut take = |i: usize| (&cluster.shards[i].mgr, std::mem::take(&mut bufs[i]));
 
     // Fast path: one participant needs no coordination — a stamped commit
     // record already recovers to exactly this state.
-    if txns.len() == 1 {
-        return match txns.remove(0).commit_at(gts) {
+    if let [only] = participants {
+        let (mgr, buf) = take(*only);
+        return match mgr.commit_at(buf, gts) {
             // `commit_at` publishes before handing back the wait, so an
             // `Ok` here is a decided commit; an `Err` never published nor
             // logged (apply/submit failures poison the shard *without* a
@@ -548,11 +523,13 @@ fn run_on_shards<'a>(
         };
     }
 
-    // Phase one: prepare everywhere. Any failure aborts every prepare
-    // already logged — explicitly, though recovery would presume it.
-    let mut prepared: Vec<PreparedTxn<'a>> = Vec::with_capacity(txns.len());
-    for txn in txns {
-        match txn.prepare(gts) {
+    // Phase one: prepare everywhere. Any failure — a poisoned shard, a
+    // vanished key — aborts every prepare already logged, explicitly,
+    // though recovery would presume it.
+    let mut prepared: Vec<PreparedTxn<'a>> = Vec::with_capacity(participants.len());
+    for &i in participants {
+        let (mgr, buf) = take(i);
+        match mgr.prepare(buf, gts) {
             Ok(p) => prepared.push(p),
             Err(e) => {
                 abort_all(prepared);
@@ -989,35 +966,74 @@ mod tests {
         assert_eq!(cluster.active_pins(), 0, "all pins released");
     }
 
+    /// Shards are commit participants: no cluster commit pins a shard
+    /// manager — first-committer-wins ran once, against the cluster log.
     #[test]
-    fn failed_cross_shard_commit_applies_nowhere() {
+    fn cluster_commits_take_no_shard_pins() {
         let (cluster, _bufs) = cluster_with_bufs(2, 8);
         let t = cluster.table_ids()[0];
         let (a, b) = split_keys(2, 8);
-
-        let mut txn = cluster.begin().expect("begin");
-        txn.update(t, &Key::int(a), &[(1, Value::Int(-5))], None)
+        let mut single = cluster.begin().expect("begin");
+        single
+            .update(t, &Key::int(a), &[(1, Value::Int(1))], None)
             .expect("update");
-        // A vanished key on the other shard: preflight fails its prepare.
-        let ghost = (b..1000)
-            .find(|k| *k >= 8 && shard_of(&Key::int(*k), 2) != shard_of(&Key::int(a), 2))
-            .expect("ghost key");
-        txn.update(t, &Key::int(ghost), &[(1, Value::Int(0))], None)
-            .expect("update");
-        match txn.commit() {
-            Err(Error::KeyNotFound(_)) => {}
-            other => panic!("expected KeyNotFound, got {other:?}"),
+        single.commit().expect("single-shard commit");
+        let mut cross = cluster.begin().expect("begin");
+        for k in [a, b] {
+            cross
+                .update(t, &Key::int(k), &[(1, Value::Int(2))], None)
+                .expect("update");
         }
-        // Nothing applied on either shard, watermark unchanged by the
-        // aborted timestamp, and a fresh write still commits.
-        let snap = cluster.snapshot();
-        let guards = snap.read().expect("read");
-        assert!(current_vals(&guards.view(), t).contains(&(a, 10 * a)));
-        drop(guards);
-        let mut txn = cluster.begin().expect("begin");
-        txn.update(t, &Key::int(a), &[(1, Value::Int(7))], None)
-            .expect("update");
-        txn.commit().expect("commit after abort");
+        cross.commit().expect("cross-shard commit");
+        assert_eq!(cluster.counters().single_shard.load(Ordering::Relaxed), 1);
+        assert_eq!(cluster.counters().cross_shard.load(Ordering::Relaxed), 1);
+        for (i, s) in cluster.shards.iter().enumerate() {
+            let pinned = s.mgr.counters().snapshots.load(Ordering::Relaxed);
+            assert_eq!(pinned, 0, "shard {i} was pinned");
+            assert_eq!(s.mgr.active_pins(), 0, "shard {i} holds a pin");
+        }
+    }
+
+    /// A preflight failure — a key absent from its shard — aborts the whole
+    /// commit, whether it fails a cross-shard prepare or the single
+    /// participant's commit: nothing applies anywhere, the ghost's shard
+    /// logs nothing, and the next commit still lands.
+    #[test]
+    fn failed_cross_shard_commit_applies_nowhere() {
+        let a = 0;
+        let ghost = (8..1000)
+            .find(|k| shard_of(&Key::int(*k), 2) != shard_of(&Key::int(a), 2))
+            .expect("ghost key");
+        let owner = shard_of(&Key::int(ghost), 2);
+        for cross_shard in [true, false] {
+            let (cluster, bufs) = cluster_with_bufs(2, 8);
+            let t = cluster.table_ids()[0];
+            let (before, logged) = (cluster.read_ts(), bufs[owner].snapshot().len());
+            let mut txn = cluster.begin().expect("begin");
+            if cross_shard {
+                txn.update(t, &Key::int(a), &[(1, Value::Int(-5))], None)
+                    .expect("update");
+            }
+            txn.update(t, &Key::int(ghost), &[(1, Value::Int(0))], None)
+                .expect("update");
+            match txn.commit() {
+                Err(Error::KeyNotFound(_)) => {}
+                other => panic!("expected KeyNotFound, got {other:?}"),
+            }
+            assert_eq!(bufs[owner].snapshot().len(), logged, "the ghost was logged");
+            for i in 0..2 {
+                assert_eq!(cluster.shard_now(i), before, "shard {i} applied");
+            }
+            let snap = cluster.snapshot();
+            let guards = snap.read().expect("read");
+            assert!(current_vals(&guards.view(), t).contains(&(a, 10 * a)));
+            drop(guards);
+            let mut txn = cluster.begin().expect("begin");
+            txn.update(t, &Key::int(a), &[(1, Value::Int(7))], None)
+                .expect("update");
+            txn.commit().expect("commit after abort");
+            assert_eq!(cluster.active_pins(), 0, "all pins released");
+        }
     }
 
     #[test]
@@ -1258,7 +1274,7 @@ mod tests {
 
     /// Malformed DML fails when it is buffered, with the error a
     /// `Transaction` gives — not at commit, after gates are taken and
-    /// shard transactions begun — and the rejection costs nothing: the
+    /// participants called — and the rejection costs nothing: the
     /// same `ClusterTxn` still commits, and every pin is released.
     #[test]
     fn malformed_dml_is_rejected_at_buffer_time() {

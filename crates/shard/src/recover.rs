@@ -36,7 +36,7 @@ use crate::cluster::Cluster;
 use bitempo_core::{Error, Result, SysTime};
 use bitempo_engine::api::TuningConfig;
 use bitempo_engine::SystemKind;
-use bitempo_histgen::apply_op;
+use bitempo_histgen::apply_txn;
 use bitempo_txn::TxnManager;
 use bitempo_wal::{recover, Recovered, TxnWal};
 use std::collections::BTreeSet;
@@ -147,17 +147,8 @@ pub fn recover_cluster(
                 ));
                 continue;
             }
-            // Land it exactly where the live commit would have: clock
-            // to gts − 1 so the apply stamps at gts.
-            rec.engine.advance_clock(SysTime(p.gts.saturating_sub(1)));
-            let mut failed = None;
-            for op in &p.txn.ops {
-                if let Err(e) = apply_op(rec.engine.as_mut(), &rec.ids, op) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-            if let Some(e) = failed {
+            // Land it exactly where the live commit would have: at gts.
+            if let Err(e) = apply_txn(rec.engine.as_mut(), &rec.ids, &p.txn.ops, Some(p.gts)) {
                 // A decided prepare that cannot apply leaves this shard
                 // with partial pending state and no rollback path. Mark
                 // the shard degraded and keep going — one shard's

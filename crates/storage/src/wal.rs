@@ -133,20 +133,6 @@ impl WalAppender {
         }
     }
 
-    /// An appender resuming after `records` already-encoded records whose
-    /// chained stream state is `stream` (as returned by [`WalScan`]).
-    pub fn resume(records: u64, stream: Crc32) -> WalAppender {
-        WalAppender {
-            stream,
-            next_seq: records + 1,
-        }
-    }
-
-    /// The sequence number the next [`WalAppender::encode`] will assign.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Frames `payload` as the next record, returning `(seq, frame bytes)`.
     pub fn encode(&mut self, payload: &[u8]) -> (u64, Vec<u8>) {
         let seq = self.next_seq;
@@ -180,13 +166,11 @@ pub struct WalScan {
     /// Every record of the valid prefix, in sequence order.
     pub records: Vec<WalRecord>,
     /// Byte offset of the first invalid byte — the clean truncation point.
-    /// Recovery may truncate the stream here and resume appending.
     pub valid_len: u64,
     /// `Some(reason)` if the stream ended in a torn or corrupt tail;
     /// `None` if every byte of the input was a valid record.
     pub torn: Option<String>,
-    /// Chained stream CRC state after the valid prefix, for
-    /// [`WalAppender::resume`].
+    /// Chained stream CRC state after the valid prefix.
     pub stream: Crc32,
 }
 
@@ -256,8 +240,7 @@ impl<'a> WalReader<'a> {
         self.torn.as_deref()
     }
 
-    /// Chained stream CRC state after the records read so far, for
-    /// [`WalAppender::resume`].
+    /// Chained stream CRC state after the records read so far.
     pub fn stream(&self) -> Crc32 {
         self.stream
     }
@@ -451,21 +434,6 @@ mod tests {
         let s = scan(&forged);
         assert_eq!(s.records.len(), 1);
         assert!(s.torn.unwrap().contains("stream checksum"));
-    }
-
-    #[test]
-    fn resume_continues_the_chain() {
-        let bytes = stream_of(&[b"one", b"two"]);
-        let s = scan(&bytes);
-        let mut resumed = WalAppender::resume(s.last_seq(), s.stream);
-        assert_eq!(resumed.next_seq(), 3);
-        let (seq, frame) = resumed.encode(b"three");
-        assert_eq!(seq, 3);
-        let mut full = bytes;
-        full.extend_from_slice(&frame);
-        let s = scan(&full);
-        assert!(s.is_clean());
-        assert_eq!(s.last_seq(), 3);
     }
 
     #[test]

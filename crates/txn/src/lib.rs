@@ -45,12 +45,15 @@
 //! The caller re-runs the transaction against a fresh snapshot.
 //!
 //! **One pipeline.** Every path that publishes — [`Transaction::commit`],
-//! the cluster's stamped [`Transaction::commit_at`], and the two-phase
+//! the cluster's stamped [`TxnManager::commit_at`], and the two-phase
 //! [`PreparedTxn::commit`] — runs the same private pipeline in `manager`,
-//! differing only in the WAL record it submits; the conflict rule lives
-//! once in [`CommitLog`], which a sharded cluster reuses for its own
-//! cross-shard log; and every write enters through [`CheckedOp`] into an
-//! [`OpBuffer`], whichever facade buffered it.
+//! differing only in the WAL record it submits. The conflict rule lives
+//! once in [`CommitLog`] and runs once per commit, in the facade that owns
+//! the pins: a [`Transaction`] validates against its manager's log, a
+//! sharded cluster against its own cross-shard log, and a cluster shard is
+//! a pinless *participant* whose log is never touched. Every write enters
+//! through [`CheckedOp`] into an [`OpBuffer`], whichever facade buffered
+//! it.
 //!
 //! **Snapshot contract.** A pinned snapshot guarantees the *row set*: every
 //! read returns exactly the rows of the commit-prefix state at `T`. The

@@ -3,10 +3,10 @@
 
 use crate::commit_log::CommitLog;
 use crate::transaction::{preflight, OpBuffer, Transaction};
-use crate::Snapshot;
+use crate::{PreparedTxn, Snapshot};
 use bitempo_core::{Error, Result, SysTime, TableDef, TableId};
 use bitempo_engine::api::BitemporalEngine;
-use bitempo_histgen::apply_op;
+use bitempo_histgen::apply_txn;
 use bitempo_wal::{Checkpoint, DurabilityWaiter, TxnWal};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
@@ -58,17 +58,21 @@ pub struct TxnCounters {
     pub released: AtomicU64,
 }
 
-/// What the commit pipeline submits to the WAL once the ops have applied.
+/// What the commit pipeline submits to the WAL once the ops have applied,
+/// and who validated first-committer-wins: only a standalone commit holds
+/// a pin on this manager's [`CommitLog`]; a cluster participant's commit
+/// was validated by the cluster, under this shard's gate.
 #[derive(Clone, Copy)]
 pub(crate) enum Record {
-    /// A standalone commit: the raw archive framing PR 7 recovery replays,
-    /// landing at the engine's next commit time.
-    Plain,
+    /// A standalone commit of a transaction pinned at `pin`: the raw
+    /// archive framing PR 7 recovery replays, landing at the engine's next
+    /// commit time.
+    Plain { pin: SysTime },
     /// A single-shard cluster commit: the same payload wrapped so recovery
     /// re-stamps it at the oracle timestamp.
     CommittedAt(u64),
     /// The commit decision of a prepared transaction, whose ops are
-    /// already durable (and validated) in its prepare record.
+    /// already durable (and preflighted) in its prepare record.
     Decision(u64),
 }
 
@@ -80,7 +84,8 @@ pub struct TxnManager {
     /// The commit log sink; `None` runs without durability (tests).
     pub(crate) wal: Mutex<Option<TxnWal>>,
     /// First-committer-wins records and the snapshot pins that floor their
-    /// pruning. Innermost lock: held for one statement at a time.
+    /// pruning — a standalone manager's only: cluster shards never take
+    /// it. Innermost lock: held for one statement at a time.
     pub(crate) commit_log: Mutex<CommitLog>,
     /// Immutable table metadata, cached so write buffering never takes the
     /// state lock (a transaction may buffer while holding a [`Snapshot`],
@@ -153,14 +158,6 @@ impl TxnManager {
     /// [`Transaction::snapshot`] see exactly that commit-prefix state;
     /// writes buffer locally until [`Transaction::commit`].
     pub fn begin(&self) -> Result<Transaction<'_>> {
-        self.begin_with(OpBuffer::default())
-    }
-
-    /// [`Self::begin`] adopting writes already buffered elsewhere — the
-    /// cluster router's per-shard buffer. Every op in `buf` must have been
-    /// checked against this manager's table layout ([`Self::def_for`] of a
-    /// manager over the same tables).
-    pub fn begin_with(&self, buf: OpBuffer) -> Result<Transaction<'_>> {
         let pin = {
             let st = self.state.read().expect("txn state poisoned");
             st.live()?;
@@ -178,8 +175,62 @@ impl TxnManager {
         Ok(Transaction {
             mgr: self,
             pin,
-            buf,
+            buf: OpBuffer::default(),
             unpinned: false,
+        })
+    }
+
+    /// Lands `buf` — this shard's part of a single-shard cluster commit —
+    /// at exactly the oracle timestamp `gts`, with a WAL record that
+    /// recovery re-stamps identically. Returns the publish time plus the
+    /// durability wait still owed: the cluster publishes, drops its shard
+    /// gate, and *then* waits, so one shard's fsync never serializes the
+    /// others.
+    ///
+    /// A participant path, not a transaction: it checks that the manager
+    /// is live and preflights the keys, but takes no pin and neither
+    /// consults nor updates this manager's [`CommitLog`]. The caller owns
+    /// first-committer-wins and must hold the shard's commit gate from
+    /// before its own validation until this returns. Every op in `buf`
+    /// must have been checked against this manager's table layout
+    /// ([`Self::def_for`] of a manager over the same tables).
+    pub fn commit_at(&self, buf: OpBuffer, gts: u64) -> Result<(SysTime, Option<CommitWait<'_>>)> {
+        self.commit_pipeline(buf, Record::CommittedAt(gts))
+    }
+
+    /// First half of a cross-shard two-phase commit on this shard: checks
+    /// and preflights `buf` exactly as [`Self::commit_at`] would, then logs
+    /// a *prepare* record — the full op payload tagged with the global
+    /// transaction id and its oracle commit timestamp — without applying
+    /// anything. The same participant contract as [`Self::commit_at`]
+    /// holds, and the gate stays held until the decision: the caller waits
+    /// on [`PreparedTxn::wait_prepared`] for every participant and only
+    /// then decides. An undecided prepare is *presumed aborted* by
+    /// recovery, so crashing here loses nothing and resurrects nothing.
+    ///
+    /// `gts` doubles as the global transaction id: oracle timestamps are
+    /// unique, and carrying the same value in the prepare and decision
+    /// records is what lets recovery match them up.
+    pub fn prepare(&self, buf: OpBuffer, gts: u64) -> Result<PreparedTxn<'_>> {
+        {
+            let st = self.state.read().expect("txn state poisoned");
+            self.validate(&st, None, &buf)?;
+        }
+        // Unlike a commit record the prepare describes a transaction that
+        // has *not* applied — that is the point: it makes the ops durable
+        // before any shard applies, so a crash between shards can always
+        // finish (or presume-abort) the transaction.
+        let logged = if self.logs() {
+            let payload = bitempo_wal::encode_prepare(gts, gts, buf.txn())?;
+            Some(self.submit_unapplied(&payload, "prepare")?)
+        } else {
+            None
+        };
+        Ok(PreparedTxn {
+            mgr: self,
+            gts,
+            buf,
+            logged,
         })
     }
 
@@ -260,23 +311,26 @@ impl TxnManager {
     }
 
     /// The checks that let a buffered write set proceed, under either
-    /// state guard: the manager is live, no commit newer than `pin` wrote
-    /// an overlapping entry (first-committer-wins), and every sequenced
-    /// op's key exists — the overwhelmingly common apply failure, caught
+    /// state guard: the manager is live, no commit newer than `pin` (a
+    /// standalone transaction's; participants have none) wrote an
+    /// overlapping entry (first-committer-wins), and every sequenced op's
+    /// key exists — the overwhelmingly common apply failure, caught
     /// *before* the engine is touched because the engines have no
     /// rollback.
-    pub(crate) fn validate(&self, st: &EngineState, pin: SysTime, buf: &OpBuffer) -> Result<()> {
+    fn validate(&self, st: &EngineState, pin: Option<SysTime>, buf: &OpBuffer) -> Result<()> {
         st.live()?;
-        let log = self.commit_log.lock().expect("commit log poisoned");
-        if let Some((ts, theirs)) = log.first_conflict(pin, buf.writes()) {
-            self.counters.conflicts.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::Conflict(format!(
-                "table {} key {} app {:?}: written by the transaction \
-                 committed at {ts} after this snapshot's pin {pin}",
-                theirs.table, theirs.key, theirs.app
-            )));
+        if let Some(pin) = pin {
+            let log = self.commit_log.lock().expect("commit log poisoned");
+            if let Some((ts, theirs)) = log.first_conflict(pin, buf.writes()) {
+                self.counters.conflicts.fetch_add(1, Ordering::Relaxed);
+                return Err(Error::Conflict(format!(
+                    "table {} key {} app {:?}: written by the transaction \
+                     committed at {ts} after this snapshot's pin {pin}",
+                    theirs.table, theirs.key, theirs.app
+                )));
+            }
+            drop(log);
         }
-        drop(log);
         preflight(st, &buf.txn().ops)
     }
 
@@ -307,11 +361,14 @@ impl TxnManager {
     }
 
     /// The commit pipeline — *validate → apply → WAL submit → engine
-    /// commit → log insert → prune → unpin* — run by every path
-    /// that publishes: [`Transaction::commit`], [`Transaction::commit_at`]
-    /// and [`crate::PreparedTxn::commit`] differ only in `record`. Returns
-    /// the commit time and the durability wait still owed, having released
-    /// the pin; on error the pin is the caller's to release.
+    /// commit → log insert → prune → unpin* — run by every path that
+    /// publishes: [`Transaction::commit`], [`Self::commit_at`] and
+    /// [`PreparedTxn::commit`] differ only in `record`. Only
+    /// [`Record::Plain`] carries a pin, so only a standalone commit runs
+    /// first-committer-wins here, publishes into the [`CommitLog`] and
+    /// releases its pin; cluster participants were validated by the
+    /// cluster. Returns the commit time and the durability wait still
+    /// owed; on error a pin is the caller's to release.
     ///
     /// On [`Error::Conflict`] (or a preflight error) nothing was logged or
     /// applied. A later failure poisons the manager *with no WAL record*,
@@ -319,17 +376,16 @@ impl TxnManager {
     /// failure.
     pub(crate) fn commit_pipeline(
         &self,
-        pin: SysTime,
         buf: OpBuffer,
         record: Record,
     ) -> Result<(SysTime, Option<CommitWait<'_>>)> {
         let mut st = self.state.write().expect("txn state poisoned");
-        let gts = match record {
-            Record::Plain => None,
-            Record::CommittedAt(g) | Record::Decision(g) => Some(g),
+        let (pin, gts) = match record {
+            Record::Plain { pin } => (Some(pin), None),
+            Record::CommittedAt(g) | Record::Decision(g) => (None, Some(g)),
         };
         if matches!(record, Record::Decision(_)) {
-            // Validated at prepare, under the commit gate held since.
+            // Preflighted at prepare, under the commit gate held since.
             st.live()?;
         } else {
             self.validate(&st, pin, &buf)?;
@@ -340,7 +396,7 @@ impl TxnManager {
         // buffered ops, so a failure here aborts cleanly, pre-apply.
         let payload = match record {
             _ if !self.logs() => None,
-            Record::Plain => Some(bitempo_histgen::encode_txn(&txn)?),
+            Record::Plain { .. } => Some(bitempo_histgen::encode_txn(&txn)?),
             Record::CommittedAt(g) => Some(bitempo_wal::encode_committed_at(g, &txn)?),
             Record::Decision(g) => Some(bitempo_wal::encode_decision(g, g, true)),
         };
@@ -351,17 +407,14 @@ impl TxnManager {
             applied_seq,
             ..
         } = &mut *st;
-        // Cluster commits land at the oracle's global timestamp: advance
-        // the shard clock first so the ops' version stamps (`now.next()`)
-        // and the commit itself all carry `gts`, byte-identical to a
-        // single-engine serial history at the same timestamps.
-        if let Some(g) = gts {
-            debug_assert!(
-                g > engine.now().0,
-                "oracle timestamps are unique and ascending"
-            );
-            engine.advance_clock(SysTime(g.saturating_sub(1)));
-        }
+        // Cluster commits land at the oracle's global timestamp, so the
+        // ops' version stamps and the commit itself all carry `gts`,
+        // byte-identical to a single-engine serial history at the same
+        // timestamps.
+        debug_assert!(
+            gts.is_none_or(|g| g > engine.now().0),
+            "oracle timestamps are unique and ascending"
+        );
         // Apply before logging: a record only enters the WAL once its
         // transaction has fully applied, so recovery can replay every
         // logged record. An apply failure past preflight leaves
@@ -370,10 +423,8 @@ impl TxnManager {
         // with the reported failure. (For a decision the transaction
         // stands on the shards that did commit: this shard is the
         // casualty, and recovery converges it from their evidence.)
-        for op in &txn.ops {
-            if let Err(e) = apply_op(engine.as_mut(), ids, op) {
-                return Err(st.poison(format!("transaction half-applied: {e}")));
-            }
+        if let Err(e) = apply_txn(engine.as_mut(), ids, &txn.ops, gts) {
+            return Err(st.poison(format!("transaction half-applied: {e}")));
         }
 
         // Log after apply, still inside the exclusive section, so WAL
@@ -414,13 +465,16 @@ impl TxnManager {
             None => *applied_seq + 1,
         };
 
-        // Publish the write set, then prune what no active snapshot can
-        // still conflict with: nothing pins below this manager's own
-        // newest commit once no pin is registered.
-        let mut log = self.commit_log.lock().expect("commit log poisoned");
-        log.insert(ts, writes);
-        log.prune(ts);
-        drop(log);
+        // A standalone commit publishes its write set, then prunes what no
+        // active snapshot can still conflict with: nothing pins below this
+        // manager's own newest commit once no pin is registered. (Cluster
+        // shards never take this lock: their log is the cluster's.)
+        if pin.is_some() {
+            let mut log = self.commit_log.lock().expect("commit log poisoned");
+            log.insert(ts, writes);
+            log.prune(ts);
+            drop(log);
+        }
         drop(st);
 
         // Release the snapshot pin at publish, not at drop: the pin is a
@@ -428,7 +482,9 @@ impl TxnManager {
         // an fsync. Rollback and drop release the same way, so pin
         // accounting stays balanced on every path (the isolation suite
         // asserts released == snapshots after each storm).
-        self.unpin(pin);
+        if let Some(pin) = pin {
+            self.unpin(pin);
+        }
         self.counters.committed.fetch_add(1, Ordering::Relaxed);
         // The durability wait belongs outside every lock. Under `Batched`,
         // concurrent committers park in `wait()` together and one flusher

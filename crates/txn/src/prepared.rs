@@ -6,21 +6,18 @@ use crate::CommitWait;
 use bitempo_core::{Error, Result, SysTime};
 use bitempo_wal::DurabilityWaiter;
 
-/// A transaction prepared on this shard: ops validated and durably
-/// logged, nothing applied. Resolved by [`Self::commit`] or
-/// [`Self::abort`]; dropping it unresolved releases the pin but logs no
+/// A transaction prepared on this shard by [`TxnManager::prepare`]: ops
+/// preflighted and durably logged, nothing applied, no pin held. Resolved
+/// by [`Self::commit`] or [`Self::abort`]; dropping it unresolved logs no
 /// decision — recovery then presumes abort, which is also what
 /// [`Self::abort`] makes explicit.
 pub struct PreparedTxn<'a> {
     pub(crate) mgr: &'a TxnManager,
-    pub(crate) pin: SysTime,
     pub(crate) gts: u64,
     pub(crate) buf: OpBuffer,
     /// Prepare-record durability handle (`None` without a WAL).
     pub(crate) logged: Option<(DurabilityWaiter, u64)>,
-    pub(crate) unpinned: bool,
 }
-
 impl<'a> PreparedTxn<'a> {
     /// The global commit timestamp (and transaction id) this prepare
     /// carries.
@@ -46,18 +43,13 @@ impl<'a> PreparedTxn<'a> {
     /// commit, minus the validation prepare already did. A failure
     /// poisons this shard fail-stop; the decision stands on shards that
     /// already committed.
-    pub fn commit(mut self) -> Result<(SysTime, Option<CommitWait<'a>>)> {
-        let buf = std::mem::take(&mut self.buf);
-        let published = self
-            .mgr
-            .commit_pipeline(self.pin, buf, Record::Decision(self.gts))?;
-        self.unpinned = true; // released at publish
-        Ok(published)
+    pub fn commit(self) -> Result<(SysTime, Option<CommitWait<'a>>)> {
+        self.mgr
+            .commit_pipeline(self.buf, Record::Decision(self.gts))
     }
 
     /// Logs an explicit abort decision (recovery would presume it anyway;
-    /// the record just spares the scan) and releases the pin. Applies
-    /// nothing.
+    /// the record just spares the scan). Applies nothing.
     pub fn abort(self) -> Result<()> {
         if self.logged.is_some() {
             let payload = bitempo_wal::encode_decision(self.gts, self.gts, false);
@@ -66,14 +58,5 @@ impl<'a> PreparedTxn<'a> {
             st.applied_seq = seq;
         }
         Ok(())
-    }
-}
-
-impl Drop for PreparedTxn<'_> {
-    fn drop(&mut self) {
-        if !self.unpinned {
-            self.unpinned = true;
-            self.mgr.unpin(self.pin);
-        }
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::commit_log::WriteEntry;
 use crate::manager::{EngineState, Record, TxnManager};
-use crate::{CommitWait, PreparedTxn, Snapshot};
+use crate::Snapshot;
 use bitempo_core::{
     AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, TemporalClass, Value,
 };
@@ -158,7 +158,8 @@ fn check_portion(def: &TableDef, portion: Option<&AppPeriod>) -> Result<()> {
 
 /// Checked writes in execution order, with the write set they will be
 /// validated under. A [`Transaction`] owns one; a cluster transaction owns
-/// one per shard and hands each to [`TxnManager::begin_with`] at commit.
+/// one per shard and hands each participant's to [`TxnManager::commit_at`]
+/// or [`TxnManager::prepare`] at commit.
 #[derive(Default)]
 pub struct OpBuffer {
     /// The ops, already in the shape the WAL encoders take.
@@ -321,83 +322,21 @@ impl<'a> Transaction<'a> {
     /// reported failure); or, rarest, the record was published and written
     /// but the durability wait itself failed — the manager poisons
     /// fail-stop, because whether that tail survives a crash is unknown.
-    pub fn commit(self) -> Result<SysTime> {
-        let (ts, wait) = self.commit_submit(Record::Plain)?;
+    pub fn commit(mut self) -> Result<SysTime> {
+        if self.buf.is_empty() {
+            self.mgr.counters.committed.fetch_add(1, Ordering::Relaxed);
+            self.release_pin();
+            return Ok(self.pin);
+        }
+        let buf = std::mem::take(&mut self.buf);
+        let (ts, wait) = self
+            .mgr
+            .commit_pipeline(buf, Record::Plain { pin: self.pin })?;
+        self.unpinned = true; // released at publish
         if let Some(wait) = wait {
             wait.wait()?;
         }
         Ok(ts)
-    }
-
-    /// [`Self::commit`] stamped with a cluster-issued global commit
-    /// timestamp: the engine clock is advanced so the commit lands at
-    /// exactly `gts`, and the WAL record carries `gts` so recovery
-    /// re-stamps it identically. Returns the publish time plus the
-    /// durability wait still owed — the sharded cluster publishes, drops
-    /// its shard gate, and *then* waits, so one shard's fsync never
-    /// serializes the others. Callers without their own locks to escape
-    /// can simply `wait()` immediately.
-    pub fn commit_at(self, gts: u64) -> Result<(SysTime, Option<CommitWait<'a>>)> {
-        self.commit_submit(Record::CommittedAt(gts))
-    }
-
-    fn commit_submit(mut self, record: Record) -> Result<(SysTime, Option<CommitWait<'a>>)> {
-        if self.buf.is_empty() {
-            self.mgr.counters.committed.fetch_add(1, Ordering::Relaxed);
-            self.release_pin();
-            return Ok((self.pin, None));
-        }
-        let buf = std::mem::take(&mut self.buf);
-        let published = self.mgr.commit_pipeline(self.pin, buf, record)?;
-        self.unpinned = true; // released at publish
-        Ok(published)
-    }
-
-    /// First half of a cross-shard two-phase commit on this shard:
-    /// validates and preflights the buffered ops exactly as commit would
-    /// (under a held gate first-committer-wins can't fire, but prepare
-    /// keeps the same defensive contract), then logs a *prepare* record —
-    /// the full op payload tagged with the global transaction id and its
-    /// oracle commit timestamp — without applying anything. The caller
-    /// must hold this shard's commit gate from before `prepare` until the
-    /// decision, wait on [`PreparedTxn::wait_prepared`] for every
-    /// participant, and only then decide. An undecided prepare is
-    /// *presumed aborted* by recovery, so crashing here loses nothing and
-    /// resurrects nothing.
-    ///
-    /// `gts` doubles as the global transaction id: oracle timestamps are
-    /// unique, and carrying the same value in the prepare and decision
-    /// records is what lets recovery match them up.
-    pub fn prepare(mut self, gts: u64) -> Result<PreparedTxn<'a>> {
-        if self.buf.is_empty() {
-            return Err(Error::Invalid(
-                "nothing to prepare: this shard is not a participant".into(),
-            ));
-        }
-        let buf = std::mem::take(&mut self.buf);
-        {
-            let st = self.mgr.state.read().expect("txn state poisoned");
-            self.mgr.validate(&st, self.pin, &buf)?;
-        }
-        // Unlike a commit record the prepare describes a transaction that
-        // has *not* applied — that is the point: it makes the ops durable
-        // before any shard applies, so a crash between shards can always
-        // finish (or presume-abort) the transaction.
-        let logged = if self.mgr.logs() {
-            let payload = bitempo_wal::encode_prepare(gts, gts, buf.txn())?;
-            Some(self.mgr.submit_unapplied(&payload, "prepare")?)
-        } else {
-            None
-        };
-        self.unpinned = true; // ownership of the pin moves to PreparedTxn
-        Ok(PreparedTxn {
-            mgr: self.mgr,
-            pin: self.pin,
-            gts,
-            buf,
-            logged,
-            unpinned: false,
-        })
     }
 }
 

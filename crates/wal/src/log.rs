@@ -95,26 +95,17 @@ impl TxnWal {
     /// `Batched` it is merely *submitted* (watch [`TxnWal::durable_seq`]
     /// or call [`TxnWal::sync`]); under `Async` it is written, unsynced.
     ///
-    /// Single-threaded drivers (replay, benchmarks) use this. Concurrent
-    /// committers holding other locks should prefer [`TxnWal::submit`] +
-    /// [`TxnWal::waiter`], which moves the strict fsync out of the caller's
-    /// critical section.
+    /// Single-threaded drivers (replay, benchmarks) use this: it is
+    /// [`TxnWal::submit`] followed, under `Strict` only, by the waiter's
+    /// sync. Concurrent committers holding other locks should call those
+    /// two themselves, so the strict fsync runs outside their critical
+    /// section.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64> {
-        match &mut self.backend {
-            Backend::Direct { shared, appender } => {
-                let (seq, frame) = appender.encode(payload);
-                let mut s = shared.sink.lock().expect("wal sink poisoned");
-                s.sink.write_all(&frame)?;
-                s.written = seq;
-                if self.mode == DurabilityMode::Strict {
-                    // tblint: allow(TB008) the sink mutex serializes the sink itself; strict append syncs under it by design
-                    s.sink.sync()?;
-                    s.durable = seq;
-                }
-                Ok(seq)
-            }
-            Backend::Batched(b) => b.enqueue(payload),
+        let seq = self.submit(payload)?;
+        if self.mode == DurabilityMode::Strict {
+            self.waiter().wait_for(seq)?;
         }
+        Ok(seq)
     }
 
     /// Appends one payload *without* a durability wait: the frame is
@@ -182,9 +173,8 @@ impl TxnWal {
             Backend::Direct { shared, .. } => match self.mode {
                 // Strict: a submitted record is not yet synced; the waiter
                 // performs the deferred fsync (amortized across every
-                // committer that submitted before it runs). Records that
-                // went through `append` are already durable, so the waiter
-                // short-circuits on the watermark.
+                // committer that submitted before it runs). Records already
+                // durable short-circuit on the watermark.
                 DurabilityMode::Strict => DurabilityWaiter(Waiter::StrictSync {
                     shared: Arc::clone(shared),
                 }),
@@ -227,8 +217,7 @@ pub struct DurabilityWaiter(Waiter);
 
 #[derive(Clone)]
 enum Waiter {
-    /// Async mode (no wait contract) — and strict `append`, whose records
-    /// are durable before the waiter ever runs: return immediately.
+    /// Async mode (no wait contract): return immediately.
     Immediate,
     /// Strict mode after [`TxnWal::submit`]: perform the deferred fsync if
     /// the target record is not durable yet. One waiter's sync covers every
@@ -247,8 +236,9 @@ enum Waiter {
 
 impl DurabilityWaiter {
     /// Blocks until record `seq` is durable under this log's mode. Under
-    /// strict and async modes this is a no-op (strict records are durable
-    /// on append-return; async promises nothing until an explicit sync).
+    /// strict mode it runs the deferred fsync unless `seq` is already
+    /// durable; under async it is a no-op (nothing is promised until an
+    /// explicit sync).
     pub fn wait_for(&self, seq: u64) -> Result<()> {
         match &self.0 {
             Waiter::Immediate => Ok(()),

@@ -12,7 +12,7 @@
 //! the engine from it, then reads the WAL's valid prefix one record at a
 //! time ([`WalReader`], truncating at the first torn or corrupt record) and
 //! decodes, applies and drops each record after the checkpoint through
-//! [`bitempo_histgen::apply_op`] — the exact dispatch of the original load.
+//! [`bitempo_histgen::apply_txn`] — the exact dispatch of the original load.
 //! Its working set beyond the checkpoint and the engine is one record: no
 //! payload is copied out of the log and no decoded backlog is kept. Tuning
 //! is re-applied afterwards, like a cold load. The crash tests assert the
@@ -23,10 +23,10 @@
 use crate::checkpoint::Checkpoint;
 use crate::log::TxnWal;
 use crate::record::{decode_payload, WalPayload};
-use bitempo_core::{Error, Result, SysTime, TableId};
+use bitempo_core::{Error, Result, TableId};
 use bitempo_dbgen::TpchData;
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind, TuningConfig};
-use bitempo_histgen::{apply_op, encode_txn, load_initial, Archive};
+use bitempo_histgen::{apply_txn, encode_txn, load_initial, Archive};
 use bitempo_storage::wal::WalReader;
 use bitempo_storage::DurabilityMode;
 
@@ -105,9 +105,7 @@ pub fn durable_replay(
                 break;
             }
         };
-        for op in &txn.ops {
-            apply_op(engine, &ids, op)?;
-        }
+        apply_txn(engine, &ids, &txn.ops, None)?;
         engine.commit();
         commits += 1;
         debug_assert_eq!(seq, commits, "WAL seq diverged from the commit count");
@@ -362,12 +360,7 @@ impl Replay {
                 }
             }
         };
-        if let Some(g) = gts {
-            engine.advance_clock(SysTime(g.saturating_sub(1)));
-        }
-        for op in &txn.ops {
-            apply_op(engine, ids, op)?;
-        }
+        apply_txn(engine, ids, &txn.ops, gts)?;
         engine.commit();
         self.replayed += 1;
         Ok(())
@@ -393,9 +386,7 @@ pub fn oracle_replay(
         if i as u64 >= commits {
             break;
         }
-        for op in &txn.ops {
-            apply_op(engine.as_mut(), &ids, op)?;
-        }
+        apply_txn(engine.as_mut(), &ids, &txn.ops, None)?;
         engine.commit();
         let done = i as u64 + 1;
         if opts.checkpoint_every > 0 && done.is_multiple_of(opts.checkpoint_every) {
