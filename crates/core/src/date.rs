@@ -36,42 +36,6 @@ pub const fn civil_from_days(days: i64) -> (i32, u32, u32) {
     (year, m, d)
 }
 
-/// True if `year` is a Gregorian leap year.
-pub const fn is_leap_year(year: i32) -> bool {
-    year % 4 == 0 && (year % 100 != 0 || year % 400 == 0)
-}
-
-/// Number of days in the given month of the given year.
-pub const fn days_in_month(year: i32, month: u32) -> u32 {
-    match month {
-        1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
-        4 | 6 | 9 | 11 => 30,
-        2 => {
-            if is_leap_year(year) {
-                29
-            } else {
-                28
-            }
-        }
-        _ => panic!("month out of range"),
-    }
-}
-
-/// Parses `YYYY-MM-DD` into a day count. Returns `None` on malformed input.
-pub fn parse_iso_date(s: &str) -> Option<i64> {
-    let bytes = s.as_bytes();
-    if bytes.len() != 10 || bytes[4] != b'-' || bytes[7] != b'-' {
-        return None;
-    }
-    let year: i32 = s.get(0..4)?.parse().ok()?;
-    let month: u32 = s.get(5..7)?.parse().ok()?;
-    let day: u32 = s.get(8..10)?.parse().ok()?;
-    if !(1..=12).contains(&month) || day == 0 || day > days_in_month(year, month) {
-        return None;
-    }
-    Some(days_from_civil(year, month, day))
-}
-
 /// Formats a day count as `YYYY-MM-DD`.
 pub fn format_iso_date(days: i64) -> String {
     let (y, m, d) = civil_from_days(days);
@@ -106,24 +70,8 @@ mod tests {
     }
 
     #[test]
-    fn leap_years() {
-        assert!(is_leap_year(2000));
-        assert!(!is_leap_year(1900));
-        assert!(is_leap_year(1996));
-        assert!(!is_leap_year(1997));
-        assert_eq!(days_in_month(2000, 2), 29);
-        assert_eq!(days_in_month(1900, 2), 28);
-        assert_eq!(days_in_month(1997, 12), 31);
-    }
-
-    #[test]
     fn iso_parse_and_format() {
-        assert_eq!(parse_iso_date("1992-01-01"), Some(8035));
         assert_eq!(format_iso_date(8035), "1992-01-01");
-        assert_eq!(parse_iso_date("1992-13-01"), None);
-        assert_eq!(parse_iso_date("1992-02-30"), None);
-        assert_eq!(parse_iso_date("garbage"), None);
-        assert_eq!(parse_iso_date("1992/01/01"), None);
     }
 
     #[test]

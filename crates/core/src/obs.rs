@@ -11,8 +11,8 @@
 //!   visited/emitted, versions pruned, index probes, morsels, worker count,
 //!   and the monotonic time spent.
 //! * **Operator spans** ([`Span`]) — named, categorized durations recorded
-//!   by the engine, query, and SQL layers (scan, temporal filter, temporal
-//!   join, temporal aggregation, sort/merge).
+//!   by the engine and query layers (scan, temporal filter, temporal join,
+//!   temporal aggregation, sort/merge).
 //! * **Chrome-trace export** ([`TraceLog::to_chrome_trace`]) — the JSON
 //!   event format `about:tracing` and Perfetto load directly.
 //!
@@ -51,7 +51,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct Span {
     /// Category (chrome-trace `cat`): `"engine"`, `"exec"`, `"index"`,
-    /// `"query"`, `"temporal"`, `"sql"`.
+    /// `"query"`, `"temporal"`.
     pub cat: &'static str,
     /// Span name, e.g. `"temporal_join"` or `"System A scan orders"`.
     pub name: String,

@@ -55,11 +55,6 @@ impl AppDate {
         AppDate(date::days_from_civil(year, month, day))
     }
 
-    /// The civil `(year, month, day)` of this date.
-    pub const fn to_ymd(self) -> (i32, u32, u32) {
-        date::civil_from_days(self.0)
-    }
-
     /// This date plus `days` (may be negative). Saturates at the sentinels.
     #[must_use]
     pub fn plus_days(self, days: i64) -> AppDate {
@@ -110,7 +105,7 @@ pub type AppPeriod = Period<AppDate>;
 
 impl<T: Copy + Ord> Period<T> {
     /// Creates a period. Callers must ensure `start <= end`; user-supplied
-    /// bounds are validated at the input edges (SQL layer, archive reader)
+    /// bounds are validated where they enter (the archive reader)
     /// before they reach this constructor, so an inverted period here is a
     /// bug in engine code, caught in debug builds.
     pub fn new(start: T, end: T) -> Period<T> {
@@ -287,7 +282,7 @@ mod tests {
     #[test]
     fn app_date_arithmetic_and_display() {
         let d = AppDate::from_ymd(1995, 6, 17);
-        assert_eq!(d.plus_days(1).to_ymd(), (1995, 6, 18));
+        assert_eq!(d.plus_days(1), AppDate::from_ymd(1995, 6, 18));
         assert_eq!(d.to_string(), "1995-06-17");
         assert_eq!(AppDate::MAX.to_string(), "forever");
         assert_eq!(AppDate::MAX.plus_days(5), AppDate::MAX);

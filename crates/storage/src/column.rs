@@ -443,32 +443,6 @@ impl ColumnTable {
                 .map(Dictionary::memory_bytes)
                 .sum::<usize>()
     }
-
-    /// Typed scan over an Int column (both fragments), for tight loops.
-    pub fn scan_int(&self, col: usize) -> impl Iterator<Item = i64> + '_ {
-        let main = match &self.main[col] {
-            ColumnData::Int(v) => v.as_slice(),
-            _ => &[],
-        };
-        let delta = match &self.delta[col] {
-            ColumnData::Int(v) => v.as_slice(),
-            _ => &[],
-        };
-        main.iter().chain(delta.iter()).copied()
-    }
-
-    /// Typed scan over a SysTime column (both fragments).
-    pub fn scan_sys_time(&self, col: usize) -> impl Iterator<Item = SysTime> + '_ {
-        let main = match &self.main[col] {
-            ColumnData::SysTime(v) => v.as_slice(),
-            _ => &[],
-        };
-        let delta = match &self.delta[col] {
-            ColumnData::SysTime(v) => v.as_slice(),
-            _ => &[],
-        };
-        main.iter().chain(delta.iter()).map(|&t| SysTime(t))
-    }
 }
 
 #[cfg(test)]
@@ -754,21 +728,5 @@ mod tests {
         let mut t = ColumnTable::new(schema());
         let bad = Row::new(vec![Value::Int(1)]);
         assert!(t.append_row(&bad).is_err());
-    }
-
-    #[test]
-    fn typed_scans() {
-        let mut t = ColumnTable::new(schema());
-        for i in 0..5 {
-            t.append_row(&row(i, "s", 0.0)).unwrap();
-        }
-        t.merge();
-        for i in 5..8 {
-            t.append_row(&row(i, "s", 0.0)).unwrap();
-        }
-        let ids: Vec<i64> = t.scan_int(0).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        let ts: Vec<u64> = t.scan_sys_time(4).map(|t| t.0).collect();
-        assert_eq!(ts, vec![0, 1, 2, 3, 4, 5, 6, 7]);
     }
 }

@@ -364,21 +364,6 @@ impl<T: Clone> RTree<T> {
             frontier = children;
         }
     }
-
-    /// Visits every value whose rectangle intersects `query`.
-    pub fn search_visit(&self, query: &Rect, mut visit: impl FnMut(&Rect, &T)) {
-        let mut stack = vec![self.root];
-        while let Some(node) = stack.pop() {
-            for e in &self.nodes[node].entries {
-                if e.rect.intersects(query) {
-                    match &e.payload {
-                        Payload::Child(c) => stack.push(*c),
-                        Payload::Leaf(v) => visit(&e.rect, v),
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -492,16 +477,5 @@ mod tests {
         }
         let hits = t.search(&Rect::point(1_000_000, 0));
         assert_eq!(hits.len(), 100, "all open periods cover any future point");
-    }
-
-    #[test]
-    fn visit_variant_sees_rects() {
-        let mut t = RTree::new();
-        t.insert(Rect::interval(1, 2), 10);
-        t.insert(Rect::interval(3, 4), 20);
-        let mut seen = Vec::new();
-        t.search_visit(&Rect::interval(0, 10), |r, v| seen.push((r.x_min, *v)));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(1, 10), (3, 20)]);
     }
 }

@@ -70,22 +70,6 @@ impl DurabilityMode {
             DurabilityMode::Async => "dur_async".to_string(),
         }
     }
-
-    /// Parses a canonical label back into a mode.
-    pub fn parse_label(label: &str) -> Option<DurabilityMode> {
-        match label {
-            "dur_strict" => Some(DurabilityMode::Strict),
-            "dur_async" => Some(DurabilityMode::Async),
-            other => {
-                let ms = other
-                    .strip_prefix("dur_batched_")?
-                    .strip_suffix("ms")?
-                    .parse()
-                    .ok()?;
-                Some(DurabilityMode::Batched(ms))
-            }
-        }
-    }
 }
 
 impl Default for DurabilityMode {
@@ -438,20 +422,12 @@ mod tests {
 
     #[test]
     fn mode_labels_roundtrip() {
-        for mode in [
-            DurabilityMode::Strict,
-            DurabilityMode::Batched(10),
-            DurabilityMode::Batched(250),
-            DurabilityMode::Async,
-        ] {
-            assert_eq!(DurabilityMode::parse_label(&mode.label()), Some(mode));
-        }
+        assert_eq!(DurabilityMode::Strict.label(), "dur_strict");
         assert_eq!(
             DurabilityMode::Batched(10).label(),
             "dur_batched_10ms".to_string()
         );
-        assert_eq!(DurabilityMode::parse_label("dur_batched_ms"), None);
-        assert_eq!(DurabilityMode::parse_label("fsync"), None);
+        assert_eq!(DurabilityMode::Async.label(), "dur_async");
         assert_eq!(DurabilityMode::default(), DurabilityMode::Async);
     }
 

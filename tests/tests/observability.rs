@@ -156,11 +156,14 @@ fn traces_are_identical_across_worker_counts() {
     }
 }
 
-/// Operator and SQL spans show up in the log with their categories, and the
-/// chrome-trace export is structurally sound JSON that Perfetto will load.
+/// Engine and query operator spans show up in the log with their
+/// categories, and the chrome-trace export is structurally sound JSON that
+/// Perfetto will load.
 #[test]
-fn spans_cover_engine_query_and_sql_layers() {
+fn spans_cover_engine_and_query_layers() {
     use bitempo_core::{Column, DataType, Row, Schema, TableDef, TemporalClass, Value};
+    use bitempo_query::expr::{col, lit};
+    use bitempo_query::SortKey;
     let mut engine = build_engine(SystemKind::A);
     let def = TableDef::new(
         "items",
@@ -186,34 +189,32 @@ fn spans_cover_engine_query_and_sql_layers() {
     engine.commit();
 
     obs::enable();
-    let out = bitempo_sql::run_sql(
-        engine.as_mut(),
-        "SELECT id, price FROM items WHERE price >= 15 ORDER BY id",
-    )
-    .unwrap();
+    let scanned = engine
+        .scan(t, &SysSpec::Current, &AppSpec::All, &[])
+        .unwrap()
+        .rows;
+    let mut rows = bitempo_query::filter(&scanned, &col(1).ge(lit(15.0))).unwrap();
+    bitempo_query::sort_by(&mut rows, &[SortKey::asc(0)]);
     let log = obs::disable();
-    assert_eq!(out.rows().len(), 2);
+    assert_eq!(rows.len(), 2);
 
     let cats: Vec<&str> = log.spans.iter().map(|s| s.cat).collect();
-    assert!(cats.contains(&"sql"), "no sql span in {cats:?}");
     assert!(cats.contains(&"engine"), "no engine span in {cats:?}");
     assert!(cats.contains(&"query"), "no query span in {cats:?}");
     assert!(
         log.spans
             .iter()
-            .any(|s| s.cat == "sql" && s.name == "select items"),
-        "missing select span: {:?}",
+            .any(|s| s.cat == "query" && s.name == "filter"),
+        "missing filter span: {:?}",
         log.spans
     );
-    assert!(
-        !log.scans.is_empty(),
-        "the SELECT must trace its table scan"
-    );
+    assert!(!log.scans.is_empty(), "the scan must trace its partition");
 
     let json = log.to_chrome_trace();
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.ends_with("}"));
-    assert!(json.contains("\"cat\":\"sql\""));
+    assert!(json.contains("\"cat\":\"engine\""));
+    assert!(json.contains("\"cat\":\"query\""));
     assert!(json.contains("\"cat\":\"scan\""));
     // Every event is a complete event with µs timestamps.
     assert!(json.contains("\"ph\":\"X\""));
