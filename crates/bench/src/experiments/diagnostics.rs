@@ -9,8 +9,9 @@ use bitempo_core::obs::{self, TraceLog};
 use bitempo_core::{Error, Result};
 use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::SystemKind;
-use bitempo_histgen::{read_archive_with_retry, Archive};
+use bitempo_histgen::Archive;
 use bitempo_workloads::{bitemporal, key, range, tpch, tt, Ctx};
+use std::io::Read;
 
 /// Morsel-parallel scan scaling: the full-history scan (T5 All Versions)
 /// per engine at 1, 2, and 4 scan workers over the *same* loaded instance.
@@ -73,48 +74,31 @@ pub fn scaling(cfg: &BenchConfig) -> Result<FigureReport> {
 
 /// Fault-injection scenario report (not a paper artifact): exercises the
 /// hardened pipeline end to end. Layer 1 corrupts a serialized generator
-/// archive and shows the checksummed v2 reader detecting it, then recovers
-/// a transiently-faulty read through the retry loop; layer 2 injects a
+/// archive and shows the checksummed v3 reader detecting it; layer 2 injects a
 /// worker panic into the morsel layer of every engine and shows containment
 /// plus clean recovery after retuning; layer 3 forces a query timeout and
 /// shows the failure landing as an error cell instead of aborting the run.
 pub fn faults(cfg: &BenchConfig) -> Result<FigureReport> {
     let mut report = FigureReport::new("faults", "Fault Injection and Graceful Degradation", "µs");
 
-    // Layer 1a: a single bit flip in the archive stream must be caught by
-    // the v2 per-transaction checksums, never parsed into bad data.
+    // Layer 1: a single bit flip in the archive stream must be caught by
+    // the v3 frame checksums, never parsed into bad data.
     let mut inst = Instance::build(cfg, &TuningConfig::none())?;
-    let mut bytes = Vec::new();
-    inst.history.archive.write_to(&mut bytes)?;
+    let bytes = inst.history.archive.encode()?;
     let flip = FaultPlan::none().with(FaultKind::BitFlip {
         offset: (bytes.len() / 2) as u64,
         mask: 0x10,
     });
     report.faults.injected += flip.len() as u64;
-    let mut reader = FaultyReader::new(&bytes[..], flip);
-    match Archive::read_from(&mut reader) {
+    let mut flipped = Vec::new();
+    FaultyReader::new(&bytes[..], flip).read_to_end(&mut flipped)?;
+    match Archive::decode(&flipped) {
         Err(Error::Archive(_)) => {
             report.faults.detected += 1;
-            report.note("archive bit flip: detected by the v2 checksums (Error::Archive)");
+            report.note("archive bit flip: detected by the v3 checksums (Error::Archive)");
         }
         Err(e) => return Err(e),
         Ok(_) => report.note("archive bit flip: NOT detected — checksum hole"),
-    }
-
-    // Layer 1b: a transient read fault is absorbed by the retry path and
-    // the payload survives intact.
-    report.faults.injected += 1;
-    let reread = read_archive_with_retry(
-        || {
-            let plan = FaultPlan::none().with(FaultKind::TransientAt(64));
-            let mut r = FaultyReader::new(&bytes[..], plan);
-            Archive::read_from(&mut r)
-        },
-        3,
-    )?;
-    if reread.transactions.len() == inst.history.archive.transactions.len() {
-        report.faults.recovered += 1;
-        report.note("archive transient fault: recovered by retry, payload intact");
     }
 
     // Layer 2: inject a worker panic into morsel 0 of every engine's

@@ -331,17 +331,17 @@ mod tests {
     #[test]
     fn fault_experiment_detects_and_recovers() {
         let r = faults(&micro_cfg()).unwrap();
-        // 1 bit flip + 1 transient + 4 worker panics + 1 forced timeout.
-        assert_eq!(r.faults.injected, 7, "{:?}", r.faults);
+        // 1 bit flip + 4 worker panics + 1 forced timeout.
+        assert_eq!(r.faults.injected, 6, "{:?}", r.faults);
         // Detected: the bit flip, the four panics, the timeout.
         assert_eq!(r.faults.detected, 6, "{:?}", r.faults);
-        // Recovered: the transient retry, four clean post-panic scans,
-        // the degraded-but-complete timeout cell.
-        assert_eq!(r.faults.recovered, 6, "{:?}", r.faults);
+        // Recovered: four clean post-panic scans, the degraded-but-complete
+        // timeout cell.
+        assert_eq!(r.faults.recovered, 5, "{:?}", r.faults);
         let md = r.to_markdown();
         assert!(md.contains("ERR"), "{md}");
         assert!(
-            md.contains("faults: 7 injected / 6 detected / 6 recovered"),
+            md.contains("faults: 6 injected / 6 detected / 5 recovered"),
             "{md}"
         );
     }

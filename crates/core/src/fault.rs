@@ -6,9 +6,9 @@
 //! module provides the injection side: seeded [`FaultPlan`]s (following the
 //! same PCG32 substream discipline as [`crate::rng`]) and [`FaultyReader`] /
 //! [`FaultyWriter`] wrappers that corrupt an I/O stream in flight —
-//! truncations, single-byte bit-flips, short reads/writes, and one-shot
-//! transient errors. The detection and recovery sides live in the archive
-//! (CRC-verified format v2), the morsel layer (panic containment), and the
+//! truncations, single-byte bit-flips and short reads/writes. The detection
+//! and recovery sides live in the CRC-checked frames of the archive and the
+//! WAL ([`crate::frame`]), the morsel layer (panic containment), and the
 //! bench runner (per-query timeout + `catch_unwind`).
 
 use std::io::{self, Read, Write};
@@ -33,9 +33,6 @@ pub enum FaultKind {
         /// Maximum bytes transferred per call (at least 1).
         max: usize,
     },
-    /// Fail exactly once with a retryable [`io::ErrorKind::Interrupted`]-like
-    /// error when the cursor reaches this offset, then succeed on retry.
-    TransientAt(u64),
 }
 
 /// A deterministic set of faults to inject into one stream.
@@ -59,7 +56,7 @@ impl FaultPlan {
     }
 
     /// A seeded random plan against a stream of `len` bytes: one bit-flip,
-    /// and with 50% probability each a truncation and a transient error.
+    /// and with 50% probability a truncation.
     /// Identical `(seed, len)` always yields the identical plan.
     pub fn seeded(seed: u64, len: u64) -> FaultPlan {
         let mut rng = Pcg32::new(seed, 0xFA_07).derive_stream(len);
@@ -70,10 +67,6 @@ impl FaultPlan {
         if rng.chance(0.5) {
             let cut = rng.int_range(0, len.max(1) as i64 - 1) as u64;
             plan = plan.with(FaultKind::TruncateAt(cut));
-        }
-        if rng.chance(0.5) {
-            let at = rng.int_range(0, len.max(1) as i64 - 1) as u64;
-            plan = plan.with(FaultKind::TransientAt(at));
         }
         plan
     }
@@ -106,7 +99,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 struct Injector {
     plan: FaultPlan,
     pos: u64,
-    /// Which `TransientAt` faults already fired (parallel to `plan.faults`).
+    /// Which faults already fired (parallel to `plan.faults`).
     fired: Vec<bool>,
     injected: usize,
 }
@@ -122,9 +115,9 @@ impl Injector {
         }
     }
 
-    /// Caps `want` according to truncation and short-I/O faults; returns
-    /// `Ok(0)` size for a reached truncation point, or a transient error.
-    fn admit(&mut self, want: usize) -> io::Result<usize> {
+    /// Caps `want` according to truncation and short-I/O faults; returns 0
+    /// at a reached truncation point.
+    fn admit(&mut self, want: usize) -> usize {
         let mut allow = want;
         for (i, fault) in self.plan.faults.iter().enumerate() {
             match *fault {
@@ -134,7 +127,7 @@ impl Injector {
                             self.fired[i] = true;
                             self.injected += 1;
                         }
-                        return Ok(0);
+                        return 0;
                     }
                     allow = allow.min((cut - self.pos) as usize);
                 }
@@ -145,20 +138,10 @@ impl Injector {
                     }
                     allow = allow.min(max.max(1));
                 }
-                FaultKind::TransientAt(at) => {
-                    if !self.fired[i] && self.pos >= at {
-                        self.fired[i] = true;
-                        self.injected += 1;
-                        return Err(io::Error::new(
-                            io::ErrorKind::Interrupted,
-                            format!("injected transient fault at byte {at}"),
-                        ));
-                    }
-                }
                 FaultKind::BitFlip { .. } => {}
             }
         }
-        Ok(allow)
+        allow
     }
 
     /// Applies bit-flips to a buffer that occupies stream offsets
@@ -208,7 +191,7 @@ impl<R: Read> FaultyReader<R> {
 
 impl<R: Read> Read for FaultyReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let allow = self.injector.admit(buf.len())?;
+        let allow = self.injector.admit(buf.len());
         if allow == 0 {
             return Ok(0);
         }
@@ -247,7 +230,7 @@ impl<W: Write> FaultyWriter<W> {
 
 impl<W: Write> Write for FaultyWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let allow = self.injector.admit(buf.len())?;
+        let allow = self.injector.admit(buf.len());
         if allow == 0 {
             // A truncated sink cannot accept more bytes; writing zero would
             // loop forever in write_all, so fail loudly instead.
@@ -271,24 +254,17 @@ impl<W: Write> Write for FaultyWriter<W> {
 mod tests {
     use super::*;
 
-    fn read_all_retrying(mut r: impl Read) -> io::Result<Vec<u8>> {
+    fn read_all(mut r: impl Read) -> Vec<u8> {
         let mut out = Vec::new();
-        let mut buf = [0u8; 4];
-        loop {
-            match r.read(&mut buf) {
-                Ok(0) => return Ok(out),
-                Ok(n) => out.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        r.read_to_end(&mut out).unwrap();
+        out
     }
 
     #[test]
     fn no_faults_is_transparent() {
         let data: Vec<u8> = (0..=255).collect();
         let r = FaultyReader::new(&data[..], FaultPlan::none());
-        assert_eq!(read_all_retrying(r).unwrap(), data);
+        assert_eq!(read_all(r), data);
     }
 
     #[test]
@@ -325,20 +301,7 @@ mod tests {
         let mut buf = [0u8; 16];
         let n = r.read(&mut buf).unwrap();
         assert_eq!(n, 3);
-        assert_eq!(read_all_retrying(r).unwrap().len(), 64 - 3);
-    }
-
-    #[test]
-    fn transient_fires_once_then_recovers() {
-        let data = [9u8; 20];
-        let plan = FaultPlan::none().with(FaultKind::TransientAt(8));
-        let mut r = FaultyReader::new(&data[..], plan);
-        let mut buf = [0u8; 8];
-        assert_eq!(r.read(&mut buf).unwrap(), 8);
-        let err = r.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Interrupted);
-        // Retry succeeds and the rest of the stream is intact.
-        assert_eq!(read_all_retrying(r).unwrap().len(), 12);
+        assert_eq!(read_all(r).len(), 64 - 3);
     }
 
     #[test]

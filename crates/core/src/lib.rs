@@ -3,8 +3,9 @@
 //! Foundation types for the TPC-BiH bitemporal benchmark suite: the bitemporal
 //! time model (system time and application time as half-open periods), typed
 //! values and rows, table schemas with temporal column annotations, a
-//! deterministic PCG random number generator used by the data generators, and
-//! the shared error type.
+//! deterministic PCG random number generator used by the data generators, the
+//! byte codec ([`codec`]) and record framing ([`frame`]) shared by the
+//! generator archive, the WAL and checkpoints, and the shared error type.
 //!
 //! ## The bitemporal data model
 //!
@@ -22,10 +23,12 @@
 //! [`SysTime::MAX`] denotes the *current* (still visible) version; an
 //! application period ending at [`AppDate::MAX`] is valid "until forever".
 
+pub mod codec;
 pub mod crc;
 pub mod date;
 pub mod error;
 pub mod fault;
+pub mod frame;
 pub mod key;
 pub mod obs;
 pub mod rng;

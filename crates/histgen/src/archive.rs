@@ -3,40 +3,34 @@
 //! generator archive... the same input can be applied for the population of
 //! all database systems").
 //!
-//! The format is a flat length-prefixed encoding (little-endian), hand
-//! rolled so the wire layout is explicit and auditable; see DESIGN.md §2.
+//! Format **v3** is a sealed stream of WAL frames (`bitempo_core::frame`),
+//! so the archive and the durability log share one framing and one reader:
 //!
-//! Format **v2** hardens the v1 layout against corruption:
-//!
-//! * every transaction is encoded as `len: u32 | crc32: u32 | body`, and the
-//!   CRC is verified *before* the body is parsed;
-//! * the stream ends with a footer `"BIHF" | count: u64 | stream_crc: u32`
-//!   (CRC over all transaction bodies), so truncation at a transaction
-//!   boundary — invisible to per-record checksums — is detected too;
-//! * every length prefix is validated against the remaining input size
-//!   before allocation, so a flipped length byte yields
+//! * the WAL stream header, then a header frame `"BIHA" | 3 | dbgen_seed |
+//!   hist_seed | count`, then one frame per transaction carrying its body
+//!   ([`encode_txn`], written with `bitempo_core::codec`);
+//! * every frame's CRC is verified before its payload is parsed, and the
+//!   chained stream CRC rejects reordered or substituted frames;
+//! * the count sits in the checksummed header frame, so truncation at a
+//!   frame boundary — invisible to per-frame checksums — is an error, and so
+//!   are trailing bytes and a count of 0;
+//! * every length prefix is bounded by the bytes that remain before
+//!   anything is allocated, so a flipped length byte yields
 //!   [`Error::Archive`] instead of an out-of-memory abort.
 //!
-//! The unchecksummed v1 layout is no longer read: a version-1 header is
-//! rejected as unsupported.
+//! Versions 1 and 2 are no longer read: they are rejected by name.
 
 use crate::ops::{Op, ScenarioKind, Transaction};
-use bitempo_core::crc::{crc32, Crc32};
-use bitempo_core::{AppDate, AppPeriod, Error, Key, Period, Result, Row, Value};
-use std::io::{Read, Write};
+use bitempo_core::codec::{put_i64, put_row, put_u16, put_u32, put_u64, put_value, Cursor};
+use bitempo_core::frame::{header_bytes, WalAppender, WalReader, BODY_OVERHEAD, MAX_RECORD_BYTES};
+use bitempo_core::{AppDate, AppPeriod, Error, Key, Period, Result, Value};
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"BIHA";
-const FOOTER_MAGIC: [u8; 4] = *b"BIHF";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
-/// Upper bound on one encoded transaction body. Far above anything the
-/// generator emits; a length prefix beyond it is corruption, not data.
-const MAX_TXN_BYTES: u32 = 64 << 20;
-
-/// Allocation cap for length-prefixed buffers when the total input size is
-/// unknown: allocate at most this much up front and grow by reading.
-const PREALLOC_CAP: usize = 1 << 20;
+/// Upper bound on one encoded transaction body: whatever fits in one frame.
+const MAX_TXN_BYTES: usize = MAX_RECORD_BYTES as usize - BODY_OVERHEAD;
 
 /// A serialized history: seeds plus the ordered transaction list.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,322 +59,135 @@ impl Archive {
             })
     }
 
-    /// Serializes into `w` using the current (v2, checksummed) format.
-    pub fn write_to(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(&MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&self.dbgen_seed.to_le_bytes())?;
-        w.write_all(&self.hist_seed.to_le_bytes())?;
-        w.write_all(&(self.transactions.len() as u64).to_le_bytes())?;
-        let mut stream = Crc32::new();
-        let mut body = Vec::new();
+    /// Serializes the archive as a v3 frame stream.
+    pub fn encode(&self) -> Result<Vec<u8>> {
+        let mut head = MAGIC.to_vec();
+        put_u32(&mut head, VERSION);
+        put_u64(&mut head, self.dbgen_seed);
+        put_u64(&mut head, self.hist_seed);
+        put_u64(&mut head, self.transactions.len() as u64);
+        let mut frames = WalAppender::new();
+        let mut out = header_bytes().to_vec();
+        out.extend_from_slice(&frames.encode(&head).1);
         for txn in &self.transactions {
-            body.clear();
-            write_txn_body(&mut body, txn)?;
-            let len = u32::try_from(body.len())
-                .ok()
-                .filter(|&l| l <= MAX_TXN_BYTES)
-                .ok_or_else(|| {
-                    Error::Archive(format!("transaction body too large: {} bytes", body.len()))
-                })?;
-            w.write_all(&len.to_le_bytes())?;
-            w.write_all(&crc32(&body).to_le_bytes())?;
-            w.write_all(&body)?;
-            stream.update(&body);
+            out.extend_from_slice(&frames.encode(&encode_txn(txn)?).1);
         }
-        w.write_all(&FOOTER_MAGIC)?;
-        w.write_all(&(self.transactions.len() as u64).to_le_bytes())?;
-        w.write_all(&stream.finish().to_le_bytes())?;
-        Ok(())
+        Ok(out)
     }
 
-    /// Deserializes from `r`, without knowing the input size.
-    /// Length prefixes are still bounded (allocation is capped and grows by
-    /// reading), but exact length-vs-remaining validation needs a sized
-    /// source — prefer [`Archive::load`] or [`Archive::read_from_slice`].
-    pub fn read_from(r: &mut impl Read) -> Result<Archive> {
-        Archive::read_limited(r, None)
-    }
-
-    /// Deserializes from an in-memory buffer, validating every length
-    /// prefix against the exact number of remaining bytes.
-    pub fn read_from_slice(bytes: &[u8]) -> Result<Archive> {
-        Archive::read_limited(&mut &bytes[..], Some(bytes.len() as u64))
-    }
-
-    fn read_limited(r: &mut impl Read, limit: Option<u64>) -> Result<Archive> {
-        let mut src = Src {
-            r,
-            remaining: limit,
+    /// Deserializes and validates a v3 frame stream. Any malformation — a
+    /// torn or corrupt frame, another version, a missing or extra
+    /// transaction, trailing bytes — is [`Error::Archive`].
+    pub fn decode(bytes: &[u8]) -> Result<Archive> {
+        let mut frames = WalReader::new(bytes);
+        let Some((_, head)) = frames.next() else {
+            let why = frames.torn().unwrap_or("no header frame");
+            return Err(Error::Archive(format!("archive header: {why}")));
         };
-        let mut magic = [0u8; 4];
-        src.read_exact(&mut magic, "header magic")?;
-        if magic != MAGIC {
+        let mut cur = Cursor::new(head);
+        if cur.take(4, "archive magic")? != MAGIC {
             return Err(Error::Archive("bad magic".into()));
         }
-        let version = src.read_u32("header version")?;
-        let dbgen_seed = src.read_u64("dbgen seed")?;
-        let hist_seed = src.read_u64("hist seed")?;
-        let n = src.read_u64("transaction count")?;
+        let version = cur.u32("archive version")?;
         if version != VERSION {
             return Err(Error::Archive(format!("unsupported version {version}")));
         }
-        let transactions = read_txns(&mut src, n)?;
-        if let Some(rem) = src.remaining {
-            if rem != 0 {
-                return Err(Error::Archive(format!(
-                    "{rem} trailing bytes after archive"
-                )));
-            }
+        let dbgen_seed = cur.u64("dbgen seed")?;
+        let hist_seed = cur.u64("hist seed")?;
+        let count = cur.u64("transaction count")?;
+        cur.finish("archive header")?;
+        // The generator never emits an empty history, and a count of 0
+        // would make every later check vacuous.
+        if count == 0 {
+            return Err(Error::Archive("empty transaction stream".into()));
         }
-        Ok(Archive {
-            dbgen_seed,
-            hist_seed,
-            transactions,
-        })
+        let mut transactions = Vec::new();
+        for (_, body) in frames
+            .by_ref()
+            .take(usize::try_from(count).unwrap_or(usize::MAX))
+        {
+            transactions.push(decode_txn(body)?);
+        }
+        let n = transactions.len();
+        if (n as u64) < count {
+            let why = frames.torn().unwrap_or("clean end of stream");
+            return Err(Error::Archive(format!(
+                "archive ends after {n} of {count} transactions: {why}"
+            )));
+        }
+        match bytes.len() as u64 - frames.valid_len() {
+            0 => Ok(Archive {
+                dbgen_seed,
+                hist_seed,
+                transactions,
+            }),
+            rest => Err(Error::Archive(format!(
+                "{rest} trailing bytes after archive"
+            ))),
+        }
     }
 
     /// Writes the archive to a file.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = std::fs::File::create(path)?;
-        let mut w = std::io::BufWriter::new(file);
-        self.write_to(&mut w)?;
-        use std::io::Write as _;
-        w.flush()?;
-        Ok(())
+        Ok(std::fs::write(path, self.encode()?)?)
     }
 
-    /// Reads an archive from a file, bounding every length prefix by the
-    /// file size.
+    /// Reads an archive from a file.
     pub fn load(path: impl AsRef<Path>) -> Result<Archive> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        let mut r = std::io::BufReader::new(file);
-        Archive::read_limited(&mut r, Some(len))
+        Archive::decode(&std::fs::read(path)?)
     }
 }
 
-/// Encodes one transaction as a standalone archive-v2 record body — the
-/// payload format the durability WAL appends per commit, so a WAL tail and
-/// an archive speak the same wire language.
+/// Encodes one transaction body: the payload of an archive frame, and of
+/// the durability WAL's commit records, so a WAL tail and an archive speak
+/// the same wire language.
 pub fn encode_txn(txn: &Transaction) -> Result<Vec<u8>> {
-    let mut body = Vec::new();
-    write_txn_body(&mut body, txn)?;
-    if body.len() as u64 > u64::from(MAX_TXN_BYTES) {
+    let mut out = Vec::new();
+    put_u16(&mut out, txn.scenarios.len() as u16);
+    out.extend(txn.scenarios.iter().map(|s| s.tag()));
+    put_u32(&mut out, txn.ops.len() as u32);
+    for op in &txn.ops {
+        put_op(&mut out, op);
+    }
+    if out.len() > MAX_TXN_BYTES {
         return Err(Error::Archive(format!(
             "transaction body too large: {} bytes",
-            body.len()
+            out.len()
         )));
     }
-    Ok(body)
+    Ok(out)
 }
 
-/// Decodes one standalone transaction body produced by [`encode_txn`],
-/// rejecting trailing bytes. Checksums are the *framing* layer's job (the
-/// archive record or WAL frame around the body).
+/// Decodes one transaction body produced by [`encode_txn`], rejecting
+/// trailing bytes. Checksums are the *framing* layer's job (the archive or
+/// WAL frame around the body).
 pub fn decode_txn(bytes: &[u8]) -> Result<Transaction> {
-    let mut slice = bytes;
-    let mut src = Src {
-        r: &mut slice,
-        remaining: Some(bytes.len() as u64),
-    };
-    let txn = read_txn_body(&mut src)?;
-    if src.remaining != Some(0) {
-        return Err(Error::Archive(
-            "trailing bytes after transaction body".into(),
-        ));
-    }
-    Ok(txn)
-}
-
-/// Encodes one transaction body (the payload of a checksummed record).
-fn write_txn_body(w: &mut impl Write, txn: &Transaction) -> Result<()> {
-    w.write_all(&(txn.scenarios.len() as u16).to_le_bytes())?;
-    for s in &txn.scenarios {
-        w.write_all(&[s.tag()])?;
-    }
-    w.write_all(&(txn.ops.len() as u32).to_le_bytes())?;
-    for op in &txn.ops {
-        write_op(w, op)?;
-    }
-    Ok(())
-}
-
-fn read_txns<R: Read>(src: &mut Src<'_, R>, n: u64) -> Result<Vec<Transaction>> {
-    // Each record needs at least 8 bytes (length + checksum).
-    src.claim(n.saturating_mul(8), "transaction count")?;
-    let mut transactions = Vec::with_capacity(cap_count(n, src.remaining, 8));
-    let mut stream = Crc32::new();
-    for i in 0..n {
-        let len = src.read_u32("transaction length")?;
-        if len > MAX_TXN_BYTES {
-            return Err(Error::Archive(format!(
-                "transaction {i} length {len} exceeds {MAX_TXN_BYTES}-byte bound"
-            )));
-        }
-        let expect = src.read_u32("transaction checksum")?;
-        let body = src.read_vec(len as usize, "transaction body")?;
-        if crc32(&body) != expect {
-            return Err(Error::Archive(format!(
-                "checksum mismatch in transaction {i}"
-            )));
-        }
-        stream.update(&body);
-        let mut slice = &body[..];
-        let mut bsrc = Src {
-            r: &mut slice,
-            remaining: Some(u64::from(len)),
-        };
-        let txn = read_txn_body(&mut bsrc)?;
-        if bsrc.remaining != Some(0) {
-            return Err(Error::Archive(format!("trailing bytes in transaction {i}")));
-        }
-        transactions.push(txn);
-    }
-    let mut footer = [0u8; 4];
-    src.read_exact(&mut footer, "footer magic")?;
-    if footer != FOOTER_MAGIC {
-        return Err(Error::Archive("missing or corrupt footer".into()));
-    }
-    let count = src.read_u64("footer count")?;
-    if count != n {
-        return Err(Error::Archive(format!(
-            "footer count {count} disagrees with header count {n}"
-        )));
-    }
-    let crc = src.read_u32("footer checksum")?;
-    if crc != stream.finish() {
-        return Err(Error::Archive("stream checksum mismatch in footer".into()));
-    }
-    // A zero-transaction stream passes every check above vacuously (the CRC
-    // of nothing is a constant), so "count 0 + well-formed footer" is
-    // indistinguishable from an archive whose records were all lost before
-    // the header count was overwritten. The generator never emits an empty
-    // history; treat the combination as corruption, not as completeness.
-    if n == 0 {
-        return Err(Error::Archive(
-            "empty transaction stream with a well-formed footer".into(),
-        ));
-    }
-    Ok(transactions)
-}
-
-fn read_txn_body<R: Read>(src: &mut Src<'_, R>) -> Result<Transaction> {
-    let n_scen = u64::from(src.read_u16("scenario count")?);
-    src.claim(n_scen, "scenario count")?;
-    let mut scenarios = Vec::with_capacity(n_scen as usize);
+    let mut cur = Cursor::new(bytes);
+    let n_scen = cur.u16("scenario count")?;
+    let mut scenarios = Vec::with_capacity(cur.count(n_scen.into(), 1, "scenario count")?);
     for _ in 0..n_scen {
-        let tag = src.read_u8("scenario tag")?;
+        let tag = cur.u8("scenario tag")?;
         scenarios.push(
             ScenarioKind::from_tag(tag)
                 .ok_or_else(|| Error::Archive(format!("bad scenario tag {tag}")))?,
         );
     }
-    let n_ops = u64::from(src.read_u32("op count")?);
+    let n_ops = cur.u32("op count")?;
     // Each op needs at least 2 bytes (tag + table).
-    src.claim(n_ops.saturating_mul(2), "op count")?;
-    let mut ops = Vec::with_capacity(cap_count(n_ops, src.remaining, 2));
+    let mut ops = Vec::with_capacity(cur.count(n_ops.into(), 2, "op count")?);
     for _ in 0..n_ops {
-        ops.push(read_op(src)?);
+        ops.push(read_op(&mut cur)?);
     }
+    cur.finish("transaction body")?;
     Ok(Transaction { scenarios, ops })
 }
 
-/// A safe pre-allocation size for `n` elements of at least `min_bytes`
-/// each: bounded by what the remaining input could possibly hold, and by a
-/// fixed cap when the input size is unknown.
-fn cap_count(n: u64, remaining: Option<u64>, min_bytes: u64) -> usize {
-    let bound = match remaining {
-        Some(rem) => rem / min_bytes.max(1),
-        None => PREALLOC_CAP as u64,
-    };
-    n.min(bound).min(PREALLOC_CAP as u64) as usize
-}
-
-/// A bounded source: tracks the remaining input size (when known) so every
-/// length prefix can be validated *before* allocation, and a lying prefix
-/// surfaces as [`Error::Archive`] instead of an OOM abort.
-struct Src<'a, R: Read> {
-    r: &'a mut R,
-    remaining: Option<u64>,
-}
-
-impl<R: Read> Src<'_, R> {
-    /// Fails unless at least `n` more bytes could remain in the input.
-    fn claim(&self, n: u64, what: &str) -> Result<()> {
-        if let Some(rem) = self.remaining {
-            if n > rem {
-                return Err(Error::Archive(format!(
-                    "{what}: {n} bytes claimed but only {rem} remain"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    fn read_exact(&mut self, buf: &mut [u8], what: &str) -> Result<()> {
-        self.claim(buf.len() as u64, what)?;
-        self.r.read_exact(buf)?;
-        if let Some(rem) = &mut self.remaining {
-            *rem -= buf.len() as u64;
-        }
-        Ok(())
-    }
-
-    /// Reads exactly `len` bytes, pre-allocating at most [`PREALLOC_CAP`]
-    /// so an unvalidated length cannot trigger a huge allocation.
-    fn read_vec(&mut self, len: usize, what: &str) -> Result<Vec<u8>> {
-        self.claim(len as u64, what)?;
-        let mut out = Vec::with_capacity(len.min(PREALLOC_CAP));
-        let mut chunk = [0u8; 8192];
-        let mut left = len;
-        while left > 0 {
-            let n = left.min(chunk.len());
-            self.r.read_exact(&mut chunk[..n])?;
-            if let Some(rem) = &mut self.remaining {
-                *rem -= n as u64;
-            }
-            out.extend_from_slice(&chunk[..n]);
-            left -= n;
-        }
-        Ok(out)
-    }
-
-    fn read_u8(&mut self, what: &str) -> Result<u8> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b, what)?;
-        Ok(b[0])
-    }
-
-    fn read_u16(&mut self, what: &str) -> Result<u16> {
-        let mut b = [0u8; 2];
-        self.read_exact(&mut b, what)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn read_u32(&mut self, what: &str) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b, what)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn read_u64(&mut self, what: &str) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b, what)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn read_i64(&mut self, what: &str) -> Result<i64> {
-        Ok(self.read_u64(what)? as i64)
-    }
-}
-
-fn write_op(w: &mut impl Write, op: &Op) -> Result<()> {
+fn put_op(out: &mut Vec<u8>, op: &Op) {
     match op {
         Op::Insert { table, row, app } => {
-            w.write_all(&[0, *table])?;
-            write_row(w, row)?;
-            write_opt_period(w, app)?;
+            out.extend_from_slice(&[0, *table]);
+            put_row(out, row.values());
+            put_opt_period(out, app);
         }
         Op::Update {
             table,
@@ -388,155 +195,73 @@ fn write_op(w: &mut impl Write, op: &Op) -> Result<()> {
             updates,
             portion,
         } => {
-            w.write_all(&[1, *table])?;
-            write_key(w, key)?;
-            w.write_all(&(updates.len() as u16).to_le_bytes())?;
+            out.extend_from_slice(&[1, *table]);
+            put_row(out, &key.to_values());
+            put_u16(out, updates.len() as u16);
             for (c, v) in updates {
-                w.write_all(&c.to_le_bytes())?;
-                write_value(w, v)?;
+                put_u16(out, *c);
+                put_value(out, v);
             }
-            write_opt_period(w, portion)?;
+            put_opt_period(out, portion);
         }
         Op::Delete {
             table,
             key,
             portion,
         } => {
-            w.write_all(&[2, *table])?;
-            write_key(w, key)?;
-            write_opt_period(w, portion)?;
+            out.extend_from_slice(&[2, *table]);
+            put_row(out, &key.to_values());
+            put_opt_period(out, portion);
         }
         Op::OverwriteApp { table, key, period } => {
-            w.write_all(&[3, *table])?;
-            write_key(w, key)?;
-            write_period(w, period)?;
+            out.extend_from_slice(&[3, *table]);
+            put_row(out, &key.to_values());
+            put_period(out, period);
         }
     }
-    Ok(())
 }
 
-fn read_op<R: Read>(src: &mut Src<'_, R>) -> Result<Op> {
-    let tag = src.read_u8("op tag")?;
-    let table = src.read_u8("op table")?;
+fn read_op(cur: &mut Cursor<'_>) -> Result<Op> {
+    let tag = cur.u8("op tag")?;
+    let table = cur.u8("op table")?;
     match tag {
         0 => Ok(Op::Insert {
             table,
-            row: read_row(src)?,
-            app: read_opt_period(src)?,
+            row: cur.row()?,
+            app: read_opt_period(cur)?,
         }),
         1 => {
-            let key = read_key(src)?;
-            let n = u64::from(src.read_u16("update count")?);
+            let key = read_key(cur)?;
+            let n = cur.u16("update count")?;
             // Each update needs at least 3 bytes (column + value tag).
-            src.claim(n.saturating_mul(3), "update count")?;
-            let mut updates = Vec::with_capacity(n as usize);
+            let mut updates = Vec::with_capacity(cur.count(n.into(), 3, "update count")?);
             for _ in 0..n {
-                let c = src.read_u16("update column")?;
-                updates.push((c, read_value(src)?));
+                let c = cur.u16("update column")?;
+                updates.push((c, cur.value()?));
             }
             Ok(Op::Update {
                 table,
                 key,
                 updates,
-                portion: read_opt_period(src)?,
+                portion: read_opt_period(cur)?,
             })
         }
         2 => Ok(Op::Delete {
             table,
-            key: read_key(src)?,
-            portion: read_opt_period(src)?,
+            key: read_key(cur)?,
+            portion: read_opt_period(cur)?,
         }),
         3 => Ok(Op::OverwriteApp {
             table,
-            key: read_key(src)?,
-            period: read_period(src)?,
+            key: read_key(cur)?,
+            period: read_period(cur)?,
         }),
         other => Err(Error::Archive(format!("bad op tag {other}"))),
     }
 }
 
-fn write_value(w: &mut impl Write, v: &Value) -> Result<()> {
-    match v {
-        Value::Null => w.write_all(&[0])?,
-        Value::Int(i) => {
-            w.write_all(&[1])?;
-            w.write_all(&i.to_le_bytes())?;
-        }
-        Value::Double(d) => {
-            w.write_all(&[2])?;
-            w.write_all(&d.to_bits().to_le_bytes())?;
-        }
-        Value::Str(s) => {
-            w.write_all(&[3])?;
-            w.write_all(&(s.len() as u32).to_le_bytes())?;
-            w.write_all(s.as_bytes())?;
-        }
-        Value::Date(d) => {
-            w.write_all(&[4])?;
-            w.write_all(&d.0.to_le_bytes())?;
-        }
-        Value::SysTime(t) => {
-            w.write_all(&[5])?;
-            w.write_all(&t.0.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-fn read_value<R: Read>(src: &mut Src<'_, R>) -> Result<Value> {
-    Ok(match src.read_u8("value tag")? {
-        0 => Value::Null,
-        1 => Value::Int(src.read_i64("int value")?),
-        2 => Value::Double(f64::from_bits(src.read_u64("double value")?)),
-        3 => {
-            let len = src.read_u32("string length")? as usize;
-            let buf = src.read_vec(len, "string value")?;
-            Value::Str(
-                String::from_utf8(buf)
-                    .map_err(|e| Error::Archive(format!("bad utf8: {e}")))?
-                    .into(),
-            )
-        }
-        4 => Value::Date(AppDate(src.read_i64("date value")?)),
-        5 => Value::SysTime(bitempo_core::SysTime(src.read_u64("systime value")?)),
-        other => return Err(Error::Archive(format!("bad value tag {other}"))),
-    })
-}
-
-fn write_row(w: &mut impl Write, row: &Row) -> Result<()> {
-    w.write_all(&(row.arity() as u16).to_le_bytes())?;
-    for v in row.values() {
-        write_value(w, v)?;
-    }
-    Ok(())
-}
-
-fn read_row<R: Read>(src: &mut Src<'_, R>) -> Result<Row> {
-    let n = u64::from(src.read_u16("row arity")?);
-    src.claim(n, "row arity")?;
-    let mut values = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        values.push(read_value(src)?);
-    }
-    Ok(Row::new(values))
-}
-
-fn write_key(w: &mut impl Write, key: &Key) -> Result<()> {
-    let values = key.to_values();
-    w.write_all(&(values.len() as u16).to_le_bytes())?;
-    for v in &values {
-        write_value(w, v)?;
-    }
-    Ok(())
-}
-
-fn read_key<R: Read>(src: &mut Src<'_, R>) -> Result<Key> {
-    let n = u64::from(src.read_u16("key arity")?);
-    src.claim(n, "key arity")?;
-    let mut values = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        values.push(read_value(src)?);
-    }
+fn read_key(cur: &mut Cursor<'_>) -> Result<Key> {
+    let values = cur.values("key arity")?;
     Ok(match values.as_slice() {
         [Value::Int(a)] => Key::Int(*a),
         [Value::Int(a), Value::Int(b)] => Key::Int2(*a, *b),
@@ -544,15 +269,14 @@ fn read_key<R: Read>(src: &mut Src<'_, R>) -> Result<Key> {
     })
 }
 
-fn write_period(w: &mut impl Write, p: &AppPeriod) -> Result<()> {
-    w.write_all(&p.start.0.to_le_bytes())?;
-    w.write_all(&p.end.0.to_le_bytes())?;
-    Ok(())
+fn put_period(out: &mut Vec<u8>, p: &AppPeriod) {
+    put_i64(out, p.start.0);
+    put_i64(out, p.end.0);
 }
 
-fn read_period<R: Read>(src: &mut Src<'_, R>) -> Result<AppPeriod> {
-    let start = AppDate(src.read_i64("period start")?);
-    let end = AppDate(src.read_i64("period end")?);
+fn read_period(cur: &mut Cursor<'_>) -> Result<AppPeriod> {
+    let start = AppDate(cur.i64("period start")?);
+    let end = AppDate(cur.i64("period end")?);
     if start > end {
         return Err(Error::Archive(format!(
             "inverted period in stream: start {} > end {}",
@@ -562,21 +286,20 @@ fn read_period<R: Read>(src: &mut Src<'_, R>) -> Result<AppPeriod> {
     Ok(Period::new(start, end))
 }
 
-fn write_opt_period(w: &mut impl Write, p: &Option<AppPeriod>) -> Result<()> {
+fn put_opt_period(out: &mut Vec<u8>, p: &Option<AppPeriod>) {
     match p {
-        None => w.write_all(&[0])?,
+        None => out.push(0),
         Some(p) => {
-            w.write_all(&[1])?;
-            write_period(w, p)?;
+            out.push(1);
+            put_period(out, p);
         }
     }
-    Ok(())
 }
 
-fn read_opt_period<R: Read>(src: &mut Src<'_, R>) -> Result<Option<AppPeriod>> {
-    Ok(match src.read_u8("option tag")? {
+fn read_opt_period(cur: &mut Cursor<'_>) -> Result<Option<AppPeriod>> {
+    Ok(match cur.u8("option tag")? {
         0 => None,
-        1 => Some(read_period(src)?),
+        1 => Some(read_period(cur)?),
         other => return Err(Error::Archive(format!("bad option tag {other}"))),
     })
 }
@@ -584,6 +307,7 @@ fn read_opt_period<R: Read>(src: &mut Src<'_, R>) -> Result<Option<AppPeriod>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitempo_core::Row;
 
     fn sample_archive() -> Archive {
         Archive {
@@ -631,15 +355,42 @@ mod tests {
         }
     }
 
+    /// A v3 stream of the given header fields and transaction bodies,
+    /// framed by hand so tests can write what `encode` never would.
+    fn framed(version: u32, count: u64, bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut head = MAGIC.to_vec();
+        put_u32(&mut head, version);
+        put_u64(&mut head, 11);
+        put_u64(&mut head, 22);
+        put_u64(&mut head, count);
+        let mut frames = WalAppender::new();
+        let mut out = header_bytes().to_vec();
+        out.extend_from_slice(&frames.encode(&head).1);
+        for body in bodies {
+            out.extend_from_slice(&frames.encode(body).1);
+        }
+        out
+    }
+
+    /// Bytes before the first transaction frame: the stream header and the
+    /// header frame around its 32-byte payload.
+    const FIRST_TXN_FRAME: usize = 8 + 8 + 12 + 32;
+
     #[test]
     fn round_trip_in_memory() {
         let a = sample_archive();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
-        let b = Archive::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(a, b);
-        let c = Archive::read_from_slice(&buf).unwrap();
-        assert_eq!(a, c);
+        let buf = a.encode().unwrap();
+        assert_eq!(Archive::decode(&buf).unwrap(), a);
+        let bodies: Vec<_> = a
+            .transactions
+            .iter()
+            .map(|t| encode_txn(t).unwrap())
+            .collect();
+        assert_eq!(
+            buf,
+            framed(VERSION, 2, &bodies),
+            "the layout is as documented"
+        );
     }
 
     #[test]
@@ -658,27 +409,20 @@ mod tests {
     fn rejects_garbage() {
         let mut bad = b"NOPE".to_vec();
         bad.extend_from_slice(&[0u8; 32]);
-        assert!(matches!(
-            Archive::read_from(&mut bad.as_slice()),
-            Err(Error::Archive(_))
-        ));
+        assert!(matches!(Archive::decode(&bad), Err(Error::Archive(_))));
         // Truncated stream.
-        let a = sample_archive();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
+        let mut buf = sample_archive().encode().unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(Archive::read_from(&mut buf.as_slice()).is_err());
+        assert!(matches!(Archive::decode(&buf), Err(Error::Archive(_))));
     }
 
     #[test]
     fn detects_flipped_payload_byte() {
-        let a = sample_archive();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
-        // Flip a byte inside the first transaction body (past the 32-byte
-        // header and the 8-byte record prefix).
-        buf[32 + 8 + 3] ^= 0x10;
-        let err = Archive::read_from_slice(&buf).unwrap_err();
+        let mut buf = sample_archive().encode().unwrap();
+        // Flip a byte inside the first transaction body (past its frame's
+        // length, checksum, sequence number and stream checksum).
+        buf[FIRST_TXN_FRAME + 20 + 3] ^= 0x10;
+        let err = Archive::decode(&buf).unwrap_err();
         assert!(
             matches!(err, Error::Archive(ref m) if m.contains("checksum")),
             "{err}"
@@ -688,29 +432,30 @@ mod tests {
     #[test]
     fn detects_truncation_at_transaction_boundary() {
         let a = sample_archive();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
-        // Drop the footer entirely: every remaining record is intact, so
-        // only the footer check can notice.
-        buf.truncate(buf.len() - 16);
-        let err = Archive::read_from_slice(&buf).unwrap_err();
-        assert!(matches!(err, Error::Archive(_)), "{err}");
+        let mut buf = a.encode().unwrap();
+        // Drop the last frame entirely: every remaining frame is intact, so
+        // only the header's count can notice.
+        buf.truncate(buf.len() - 20 - encode_txn(&a.transactions[1]).unwrap().len());
+        let err = Archive::decode(&buf).unwrap_err();
+        assert!(
+            matches!(err, Error::Archive(ref m) if m.contains("after 1 of 2")),
+            "{err}"
+        );
     }
 
     #[test]
     fn lying_length_prefix_is_rejected_not_allocated() {
-        let a = sample_archive();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
-        // Overwrite the first transaction's length with a huge value; the
-        // claimed size exceeds the remaining input and must be rejected
+        let mut buf = sample_archive().encode().unwrap();
+        // Overwrite the first transaction frame's length with a huge value;
+        // the claimed size exceeds the remaining input and must be rejected
         // before any allocation happens.
-        buf[32..36].copy_from_slice(&(MAX_TXN_BYTES - 1).to_le_bytes());
-        let err = Archive::read_from_slice(&buf).unwrap_err();
+        let len = FIRST_TXN_FRAME..FIRST_TXN_FRAME + 4;
+        buf[len.clone()].copy_from_slice(&(MAX_RECORD_BYTES - 1).to_le_bytes());
+        let err = Archive::decode(&buf).unwrap_err();
         assert!(matches!(err, Error::Archive(_)), "{err}");
-        // Beyond the hard bound, even a sized source rejects it by bound.
-        buf[32..36].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = Archive::read_from_slice(&buf).unwrap_err();
+        // Beyond the hard bound, it is rejected by bound.
+        buf[len].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = Archive::decode(&buf).unwrap_err();
         assert!(
             matches!(err, Error::Archive(ref m) if m.contains("bound")),
             "{err}"
@@ -720,10 +465,16 @@ mod tests {
     #[test]
     fn rejects_trailing_bytes() {
         let a = sample_archive();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
+        let mut buf = a.encode().unwrap();
         buf.extend_from_slice(&[0u8; 7]);
-        let err = Archive::read_from_slice(&buf).unwrap_err();
+        let err = Archive::decode(&buf).unwrap_err();
+        assert!(
+            matches!(err, Error::Archive(ref m) if m.contains("trailing")),
+            "{err}"
+        );
+        // A well-formed frame past the header's count is trailing too.
+        let body = encode_txn(&a.transactions[0]).unwrap();
+        let err = Archive::decode(&framed(VERSION, 1, &[body.clone(), body])).unwrap_err();
         assert!(
             matches!(err, Error::Archive(ref m) if m.contains("trailing")),
             "{err}"
@@ -732,28 +483,35 @@ mod tests {
 
     #[test]
     fn empty_stream_with_valid_footer_is_corrupt() {
-        // Regression: count 0 + a well-formed footer used to read back as a
-        // complete (empty) archive — indistinguishable from a stream whose
-        // records were lost. The v2 reader must reject it...
+        // Regression: a count of 0 in a well-formed stream used to read back
+        // as a complete (empty) archive — indistinguishable from a stream
+        // whose records were lost. The reader must reject it...
         let empty = Archive {
             dbgen_seed: 1,
             hist_seed: 2,
             transactions: Vec::new(),
         };
-        let mut buf = Vec::new();
-        empty.write_to(&mut buf).unwrap();
-        let err = Archive::read_from_slice(&buf).unwrap_err();
+        let err = Archive::decode(&empty.encode().unwrap()).unwrap_err();
         assert!(
             matches!(err, Error::Archive(ref m) if m.contains("empty")),
             "{err}"
         );
-        let err = Archive::read_from(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, Error::Archive(_)), "{err}");
         // ...while non-empty archives are unaffected.
         let a = sample_archive();
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
-        assert_eq!(Archive::read_from_slice(&buf).unwrap(), a);
+        assert_eq!(Archive::decode(&a.encode().unwrap()).unwrap(), a);
+    }
+
+    #[test]
+    fn other_versions_are_rejected_by_name() {
+        let body = encode_txn(&sample_archive().transactions[0]).unwrap();
+        for version in [1, 2] {
+            let bytes = framed(version, 1, std::slice::from_ref(&body));
+            assert_eq!(
+                Archive::decode(&bytes),
+                Err(Error::Archive(format!("unsupported version {version}")))
+            );
+        }
+        assert!(Archive::decode(&framed(VERSION, 1, &[body])).is_ok());
     }
 
     #[test]
@@ -762,7 +520,7 @@ mod tests {
         for txn in &a.transactions {
             let body = encode_txn(txn).unwrap();
             assert_eq!(&decode_txn(&body).unwrap(), txn);
-            // Trailing bytes are rejected, like the archive record reader.
+            // Trailing bytes are rejected, like the archive reader.
             let mut padded = body.clone();
             padded.push(0);
             assert!(decode_txn(&padded).is_err());
@@ -788,9 +546,7 @@ mod tests {
     fn generated_history_round_trips() {
         let data = bitempo_dbgen::generate(&bitempo_dbgen::ScaleConfig::tiny());
         let h = crate::generate_history(&data, &crate::HistoryConfig::tiny());
-        let mut buf = Vec::new();
-        h.archive.write_to(&mut buf).unwrap();
-        let b = Archive::read_from(&mut buf.as_slice()).unwrap();
+        let b = Archive::decode(&h.archive.encode().unwrap()).unwrap();
         assert_eq!(h.archive, b);
     }
 }

@@ -16,7 +16,7 @@
 use crate::archive::Archive;
 use crate::ops::{Op, ScenarioKind};
 use crate::state::GenDb;
-use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableId, TemporalClass, Value};
+use bitempo_core::{AppPeriod, Key, Result, Row, SysTime, TableId, TemporalClass, Value};
 use bitempo_dbgen::TpchData;
 use bitempo_engine::api::{AppSpec, SysSpec};
 use bitempo_engine::BitemporalEngine;
@@ -269,23 +269,6 @@ pub fn replay(
     })
 }
 
-/// Generic retry driver over any archive source (used by the fault tests
-/// to wire a [`bitempo_core::FaultyReader`] behind the closure).
-pub fn read_archive_with_retry(
-    mut source: impl FnMut() -> Result<Archive>,
-    attempts: usize,
-) -> Result<Archive> {
-    let mut last: Option<Error> = None;
-    for _ in 0..attempts.max(1) {
-        match source() {
-            Ok(a) => return Ok(a),
-            Err(e) if e.is_retryable() => last = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.expect("at least one attempt"))
-}
-
 /// Bulk-loads a fully-evolved history into an engine with manual system
 /// time. The engine must support it (System D); tables are created here.
 pub fn bulk_load(engine: &mut dyn BitemporalEngine, db: &GenDb) -> Result<Vec<TableId>> {
@@ -303,6 +286,7 @@ pub fn bulk_load(engine: &mut dyn BitemporalEngine, db: &GenDb) -> Result<Vec<Ta
 mod tests {
     use super::*;
     use crate::HistoryConfig;
+    use bitempo_core::Error;
     use bitempo_dbgen::ScaleConfig;
     use bitempo_engine::api::{AppSpec, SysSpec};
     use bitempo_engine::{build_engine, SystemKind};
@@ -694,54 +678,5 @@ mod tests {
                  identical committed version is not the second's effect"
             );
         }
-    }
-
-    #[test]
-    fn retry_recovers_from_transient_errors_only() {
-        let (_, history, _) = tiny_inputs();
-        let mut buf = Vec::new();
-        history.archive.write_to(&mut buf).unwrap();
-
-        let mut attempts = 0;
-        let archive = read_archive_with_retry(
-            || {
-                attempts += 1;
-                if attempts == 1 {
-                    Err(Error::Transient("flaky mount".into()))
-                } else {
-                    Archive::read_from_slice(&buf)
-                }
-            },
-            3,
-        )
-        .unwrap();
-        assert_eq!(archive, history.archive);
-        assert_eq!(attempts, 2);
-
-        // Corruption is never retried.
-        let mut calls = 0;
-        let err = read_archive_with_retry(
-            || {
-                calls += 1;
-                Err(Error::Archive("corrupt".into()))
-            },
-            5,
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::Archive(_)));
-        assert_eq!(calls, 1);
-
-        // A stream that stays transient exhausts its attempts.
-        let mut calls = 0;
-        let err = read_archive_with_retry(
-            || {
-                calls += 1;
-                Err(Error::Transient("still flaky".into()))
-            },
-            3,
-        )
-        .unwrap_err();
-        assert!(err.is_retryable());
-        assert_eq!(calls, 3);
     }
 }

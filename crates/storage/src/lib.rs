@@ -11,8 +11,8 @@
 //!   used for every B-Tree index setting in the benchmark (paper §5.1).
 //! * [`rtree`] — an R-Tree over period rectangles, the stand-in for
 //!   PostgreSQL's GiST index (paper §2.5, §5.3.2).
-//! * [`wal`] — write-ahead-log record framing (CRC-chained frames with
-//!   torn-tail detection) and the labeled durability modes.
+//! * [`wal`] — the labeled durability modes of the write-ahead log (its
+//!   framing lives in `core::frame`).
 //!
 //! None of the commercial systems in the paper uses temporal-specific storage
 //! — and neither does this crate, deliberately: engines compose exactly these

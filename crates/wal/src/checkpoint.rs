@@ -8,16 +8,17 @@
 //! [`BitemporalEngine::restore`] rebuilds each engine's physical layout
 //! from it.
 //!
-//! The byte format follows the archive-v2 discipline: magic + version,
-//! a whole-body CRC-32 checked *before* parsing, and a bounded cursor so
-//! a lying length prefix surfaces as [`Error::Archive`], never as an
-//! over-allocation. Corrupt checkpoints are an expected input — recovery
-//! falls back to the next-older one.
+//! The byte format is magic + version, a whole-body CRC-32 checked *before*
+//! parsing, and a body written with `bitempo_core::codec` and read through
+//! its bounded [`Cursor`], so a lying length prefix surfaces as
+//! [`Error::Archive`], never as an over-allocation. Corrupt checkpoints are
+//! an expected input — recovery falls back to the next-older one.
 
+use bitempo_core::codec::{put_i64, put_row, put_str, put_u16, put_u32, put_u64, Cursor};
 use bitempo_core::crc::crc32;
 use bitempo_core::{
-    AppDate, Column, DataType, Error, Period, Result, Row, Schema, SysTime, TableDef, TableId,
-    TemporalClass, Value,
+    AppDate, Column, DataType, Error, Period, Result, Schema, SysTime, TableDef, TableId,
+    TemporalClass,
 };
 use bitempo_engine::{BitemporalEngine, Version};
 
@@ -105,24 +106,20 @@ impl Checkpoint {
     /// bad magic, checksum mismatch, lying length, trailing bytes — is
     /// [`Error::Archive`]; recovery treats that as "try the older one".
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
-        if bytes.len() < 12 {
-            return Err(Error::Archive("checkpoint shorter than its header".into()));
-        }
-        if bytes[..4] != CHECKPOINT_MAGIC {
+        let mut cur = Cursor::new(bytes);
+        if cur.take(4, "checkpoint magic")? != CHECKPOINT_MAGIC {
             return Err(Error::Archive("bad checkpoint magic".into()));
         }
-        let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+        let version = cur.u32("checkpoint version")?;
         if version != CHECKPOINT_VERSION {
             return Err(Error::Archive(format!(
                 "unsupported checkpoint version {version}"
             )));
         }
-        let expect = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-        let body = &bytes[12..];
-        if crc32(body) != expect {
+        let expect = cur.u32("checkpoint checksum")?;
+        if crc32(&bytes[12..]) != expect {
             return Err(Error::Archive("checkpoint checksum mismatch".into()));
         }
-        let mut cur = Cur { b: body, pos: 0 };
         let seq = cur.u64("seq")?;
         let now = SysTime(cur.u64("now")?);
         let n_tables = cur.u32("table count")?;
@@ -168,16 +165,11 @@ impl Checkpoint {
             }
             let mut versions = Vec::with_capacity(n_versions as usize);
             for _ in 0..n_versions {
-                versions.push(cur.version()?);
+                versions.push(read_version(&mut cur)?);
             }
             tables.push((def, versions));
         }
-        if cur.remaining() != 0 {
-            return Err(Error::Archive(format!(
-                "{} trailing bytes after checkpoint",
-                cur.remaining()
-            )));
-        }
+        cur.finish("checkpoint")?;
         Ok(Checkpoint { seq, now, tables })
     }
 
@@ -199,31 +191,38 @@ impl Checkpoint {
 /// four `u64` period bounds.
 const MIN_VERSION_BYTES: u64 = 2 + 4 * 8;
 
-/// Appends one version's image: row arity, tagged values, then the
-/// application and system period bounds. The encoding is prefix-free —
-/// values are tagged, strings length-prefixed, doubles written as their
-/// bits — so distinct versions never share an image.
+/// Appends one version's image: the row, then the application and system
+/// period bounds. The encoding is prefix-free — values are tagged, strings
+/// length-prefixed, doubles written as their bits — so distinct versions
+/// never share an image.
 pub(crate) fn put_version(out: &mut Vec<u8>, v: &Version) {
-    put_u16(out, v.row.arity() as u16);
-    for val in v.row.values() {
-        put_value(out, val);
-    }
-    put_u64(out, v.app.start.0 as u64);
-    put_u64(out, v.app.end.0 as u64);
+    put_row(out, v.row.values());
+    put_i64(out, v.app.start.0);
+    put_i64(out, v.app.end.0);
     put_u64(out, v.sys.start.0);
     put_u64(out, v.sys.end.0);
 }
 
+fn read_version(cur: &mut Cursor<'_>) -> Result<Version> {
+    Ok(Version {
+        row: cur.row()?,
+        app: Period {
+            start: AppDate(cur.i64("app start")?),
+            end: AppDate(cur.i64("app end")?),
+        },
+        sys: Period {
+            start: SysTime(cur.u64("sys start")?),
+            end: SysTime(cur.u64("sys end")?),
+        },
+    })
+}
+
 /// Decodes a [`put_version`] image that fills `bytes` exactly.
 pub(crate) fn get_version(bytes: &[u8]) -> Result<Version> {
-    let mut cur = Cur { b: bytes, pos: 0 };
-    let v = cur.version()?;
-    match cur.remaining() {
-        0 => Ok(v),
-        n => Err(Error::Archive(format!(
-            "{n} trailing bytes after a version"
-        ))),
-    }
+    let mut cur = Cursor::new(bytes);
+    let v = read_version(&mut cur)?;
+    cur.finish("a version")?;
+    Ok(v)
 }
 
 fn dtype_tag(d: DataType) -> u8 {
@@ -247,139 +246,10 @@ fn dtype_from(tag: u8) -> Result<DataType> {
     })
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Int(i) => {
-            out.push(1);
-            put_u64(out, *i as u64);
-        }
-        Value::Double(d) => {
-            out.push(2);
-            put_u64(out, d.to_bits());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-        Value::Date(d) => {
-            out.push(4);
-            put_u64(out, d.0 as u64);
-        }
-        Value::SysTime(t) => {
-            out.push(5);
-            put_u64(out, t.0);
-        }
-    }
-}
-
-/// A bounded cursor over the checkpoint body: every read names what it is
-/// reading, and a read past the end is an [`Error::Archive`], never a
-/// panic or an allocation.
-struct Cur<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn remaining(&self) -> usize {
-        self.b.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| Error::Archive(format!("checkpoint truncated reading {what}")))?;
-        let s = &self.b[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        let s = self.take(2, what)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        let s = self.take(4, what)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64> {
-        let s = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String> {
-        let len = self.u32(what)? as usize;
-        let s = self.take(len, what)?;
-        String::from_utf8(s.to_vec())
-            .map_err(|_| Error::Archive(format!("invalid utf-8 in {what}")))
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8("value tag")? {
-            0 => Value::Null,
-            1 => Value::Int(self.u64("int value")? as i64),
-            2 => Value::Double(f64::from_bits(self.u64("double value")?)),
-            3 => Value::str(self.string("string value")?),
-            4 => Value::Date(AppDate(self.u64("date value")? as i64)),
-            5 => Value::SysTime(SysTime(self.u64("systime value")?)),
-            t => return Err(Error::Archive(format!("unknown value tag {t}"))),
-        })
-    }
-
-    fn version(&mut self) -> Result<Version> {
-        let arity = self.u16("row arity")?;
-        let mut vals = Vec::with_capacity(usize::from(arity));
-        for _ in 0..arity {
-            vals.push(self.value()?);
-        }
-        let app = Period {
-            start: AppDate(self.u64("app start")? as i64),
-            end: AppDate(self.u64("app end")? as i64),
-        };
-        let sys = Period {
-            start: SysTime(self.u64("sys start")?),
-            end: SysTime(self.u64("sys end")?),
-        };
-        Ok(Version {
-            row: Row::new(vals),
-            app,
-            sys,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitempo_core::{AppPeriod, Key, SysPeriod};
+    use bitempo_core::{AppPeriod, Key, Row, SysPeriod, Value};
     use bitempo_engine::{build_engine, SystemKind};
 
     fn sample() -> Checkpoint {

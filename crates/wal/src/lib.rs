@@ -8,8 +8,9 @@
 //! commit; to reproduce that trade-off honestly the benchmark needs its own
 //! log. The split of responsibilities:
 //!
-//! * **`bitempo-storage::wal`** owns the byte format (record framing,
-//!   checksums, torn-tail scan) — shared vocabulary, no I/O;
+//! * **`bitempo_core::frame`** owns the byte format (record framing,
+//!   checksums, torn-tail scan) and `bitempo_core::codec` the payload
+//!   vocabulary — shared with the generator archive, no I/O;
 //! * [`sink`] abstracts *where* bytes go ([`sink::WalSink`]: a file, a
 //!   shared in-memory buffer for tests, a fault-injecting writer);
 //! * [`log`] owns *when* bytes become durable ([`log::TxnWal`]): `fsync`
@@ -42,11 +43,10 @@ pub mod record;
 pub mod recover;
 pub mod sink;
 
-// The byte format's vocabulary, re-exported so that nothing above this crate
-// imports `bitempo_storage::wal` directly.
-pub use bitempo_storage::wal::{
-    scan, DurabilityMode, WalReader, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN,
-};
+// The framing vocabulary, re-exported so that nothing above this crate
+// imports `bitempo_core::frame` directly.
+pub use bitempo_core::frame::{scan, WalReader, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
+pub use bitempo_storage::DurabilityMode;
 pub use canonical::{canonical_state, CanonicalState};
 pub use checkpoint::Checkpoint;
 pub use log::{DurabilityWaiter, TxnWal};

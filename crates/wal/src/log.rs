@@ -1,6 +1,6 @@
 //! The transaction log writer: when appended bytes become durable.
 //!
-//! [`TxnWal`] frames payloads with `bitempo_storage::wal` and pushes them
+//! [`TxnWal`] frames payloads with `bitempo_core::frame` and pushes them
 //! into a [`WalSink`] under one of the three durability modes:
 //!
 //! * [`DurabilityMode::Strict`] — every append writes *and syncs* before
@@ -18,8 +18,9 @@
 //! reads — benchmark timing stays confined to the bench crate (TB001).
 
 use crate::sink::WalSink;
+use bitempo_core::frame::{header_bytes, WalAppender};
 use bitempo_core::{Error, Result};
-use bitempo_storage::wal::{header_bytes, DurabilityMode, WalAppender};
+use bitempo_storage::DurabilityMode;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -463,7 +464,7 @@ mod tests {
     use super::*;
     use crate::sink::SharedBuf;
     use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
-    use bitempo_storage::wal;
+    use bitempo_core::frame;
 
     /// A sink that counts `sync` calls, for asserting *when* fsyncs happen.
     struct CountingSink {
@@ -519,7 +520,7 @@ mod tests {
             "already-durable records do not re-sync"
         );
         assert_eq!(w.close().unwrap(), 2);
-        let s = wal::scan(&buf.snapshot());
+        let s = frame::scan(&buf.snapshot());
         assert!(s.is_clean());
         assert_eq!(s.last_seq(), 2);
     }
@@ -552,7 +553,7 @@ mod tests {
         assert_eq!(w.append(b"t2").unwrap(), 2);
         assert_eq!(w.durable_seq(), 2);
         assert_eq!(w.close().unwrap(), 2);
-        let s = wal::scan(&buf.snapshot());
+        let s = frame::scan(&buf.snapshot());
         assert!(s.is_clean());
         assert_eq!(s.last_seq(), 2);
     }
@@ -582,7 +583,7 @@ mod tests {
         w.sync().unwrap();
         assert!(w.durable_seq() >= 20);
         assert_eq!(w.close().unwrap(), 20);
-        let s = wal::scan(&buf.snapshot());
+        let s = frame::scan(&buf.snapshot());
         assert!(s.is_clean(), "{:?}", s.torn);
         assert_eq!(s.records.len(), 20);
     }
@@ -602,7 +603,7 @@ mod tests {
         }
         let crashed_at = crashed_at.expect("the 40-byte cut must fire");
         // Everything acknowledged before the crash is recoverable.
-        let s = wal::scan(&buf.snapshot());
+        let s = frame::scan(&buf.snapshot());
         assert_eq!(s.last_seq(), crashed_at, "acknowledged appends survive");
         assert!(!s.is_clean(), "the torn tail is detected");
     }
@@ -618,7 +619,7 @@ mod tests {
             let _ = w.append(format!("txn-{i}").as_bytes());
         }
         assert!(w.close().is_err(), "the sink failure surfaces on close");
-        let s = wal::scan(&buf.snapshot());
+        let s = frame::scan(&buf.snapshot());
         assert!(s.last_seq() < 50, "the cut lost a suffix");
     }
 }

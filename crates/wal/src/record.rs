@@ -1,6 +1,6 @@
 //! Record-kind envelope for two-phase-commit WAL payloads.
 //!
-//! PR 7's WAL records are raw archive-v2 transaction bodies: one record =
+//! PR 7's WAL records are raw archive transaction bodies: one record =
 //! one committed, fully applied transaction. The sharded serving layer
 //! needs two more kinds — a *prepare* (the full op payload made durable
 //! before anything applies) and a *decision* (commit or abort of a
@@ -9,7 +9,7 @@
 //! exactly the timestamps the live run used.
 //!
 //! The envelope is backward compatible by construction: new kinds start
-//! with [`RECORD_MAGIC`], whose leading bytes decode as an archive-v2
+//! with [`RECORD_MAGIC`], whose leading bytes decode as an archive
 //! scenario count of `0x3242` (12 866) — orders of magnitude beyond what
 //! any generated history carries, and the serving layer always encodes
 //! zero scenarios (leading bytes `00 00`). A payload without the magic is
@@ -20,7 +20,7 @@
 //!
 //! | kind | byte | body |
 //! |------|------|------|
-//! | commit-at | `1` | `gts: u64 LE`, then the archive-v2 txn body |
+//! | commit-at | `1` | `gts: u64 LE`, then the archive txn body |
 //! | prepare | `2` | `gid: u64`, `gts: u64`, then the txn body |
 //! | decision | `3` | `gid: u64`, `gts: u64`, `commit: u8` (1/0) |
 //!
@@ -28,6 +28,7 @@
 //! timestamp itself (unique, monotonic), carried in both the prepare and
 //! its decision so recovery can match them up across a crash.
 
+use bitempo_core::codec::Cursor;
 use bitempo_core::{Error, Result};
 use bitempo_histgen::{decode_txn, encode_txn, Transaction as TxnOps};
 
@@ -107,51 +108,32 @@ pub fn encode_decision(gid: u64, gts: u64, commit: bool) -> Vec<u8> {
     out
 }
 
-fn read_u64(bytes: &[u8], at: usize, what: &str) -> Result<u64> {
-    let end = at + 8;
-    let slice = bytes
-        .get(at..end)
-        .ok_or_else(|| Error::Archive(format!("record truncated reading {what}")))?;
-    let mut buf = [0u8; 8];
-    buf.copy_from_slice(slice);
-    Ok(u64::from_le_bytes(buf))
-}
-
 /// Decodes a WAL record payload: enveloped kinds by magic, anything else
 /// as a legacy committed body.
 pub fn decode_payload(bytes: &[u8]) -> Result<WalPayload> {
-    if bytes.len() < RECORD_MAGIC.len() + 1 || bytes[..RECORD_MAGIC.len()] != RECORD_MAGIC {
+    if bytes.len() <= RECORD_MAGIC.len() || !bytes.starts_with(&RECORD_MAGIC) {
         return Ok(WalPayload::Commit {
             gts: None,
             txn: decode_txn(bytes)?,
         });
     }
-    let kind = bytes[RECORD_MAGIC.len()];
-    let at = RECORD_MAGIC.len() + 1;
-    match kind {
-        KIND_COMMIT_AT => {
-            let gts = read_u64(bytes, at, "commit gts")?;
-            Ok(WalPayload::Commit {
-                gts: Some(gts),
-                txn: decode_txn(&bytes[at + 8..])?,
-            })
-        }
-        KIND_PREPARE => {
-            let gid = read_u64(bytes, at, "prepare gid")?;
-            let gts = read_u64(bytes, at + 8, "prepare gts")?;
-            Ok(WalPayload::Prepare {
-                gid,
-                gts,
-                txn: decode_txn(&bytes[at + 16..])?,
-            })
-        }
+    let mut cur = Cursor::new(&bytes[RECORD_MAGIC.len()..]);
+    match cur.u8("record kind")? {
+        KIND_COMMIT_AT => Ok(WalPayload::Commit {
+            gts: Some(cur.u64("commit gts")?),
+            txn: decode_txn(cur.rest())?,
+        }),
+        KIND_PREPARE => Ok(WalPayload::Prepare {
+            gid: cur.u64("prepare gid")?,
+            gts: cur.u64("prepare gts")?,
+            txn: decode_txn(cur.rest())?,
+        }),
         KIND_DECISION => {
-            let gid = read_u64(bytes, at, "decision gid")?;
-            let gts = read_u64(bytes, at + 8, "decision gts")?;
-            let flag = *bytes
-                .get(at + 16)
-                .ok_or_else(|| Error::Archive("decision record truncated".into()))?;
-            if bytes.len() != at + 17 || flag > 1 {
+            let gid = cur.u64("decision gid")?;
+            let gts = cur.u64("decision gts")?;
+            let flag = cur.u8("decision flag")?;
+            cur.finish("decision record")?;
+            if flag > 1 {
                 return Err(Error::Archive("malformed decision record".into()));
             }
             Ok(WalPayload::Decision {

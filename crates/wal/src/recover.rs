@@ -2,7 +2,7 @@
 //!
 //! [`durable_replay`] is the logging twin of the histgen loader: it replays
 //! the generator archive one transaction per commit, appending each
-//! transaction's archive-v2 body to a [`TxnWal`] *before* applying it, and
+//! transaction's archive body to a [`TxnWal`] *before* applying it, and
 //! snapshots a [`Checkpoint`] every `checkpoint_every` commits. A sink
 //! failure mid-run is a simulated crash: the driver stops and reports it,
 //! leaving the torn log bytes as the only survivor.
@@ -23,11 +23,11 @@
 use crate::checkpoint::Checkpoint;
 use crate::log::TxnWal;
 use crate::record::{decode_payload, WalPayload};
+use bitempo_core::frame::WalReader;
 use bitempo_core::{Error, Result, TableId};
 use bitempo_dbgen::TpchData;
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind, TuningConfig};
 use bitempo_histgen::{apply_txn, encode_txn, load_initial, Archive};
-use bitempo_storage::wal::WalReader;
 use bitempo_storage::DurabilityMode;
 
 /// Replay-with-logging options.
@@ -404,9 +404,9 @@ mod tests {
     use crate::canonical::canonical_state;
     use crate::sink::SharedBuf;
     use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
+    use bitempo_core::frame;
     use bitempo_dbgen::ScaleConfig;
     use bitempo_histgen::{generate_history, HistoryConfig};
-    use bitempo_storage::wal;
 
     fn tiny_world() -> (TpchData, Archive) {
         let data = bitempo_dbgen::generate(&ScaleConfig {
@@ -528,10 +528,10 @@ mod tests {
     /// run's WAL bytes. Frames are deterministic given the payload
     /// sequence, so re-encoding the scanned payloads reproduces the sizes.
     fn boundary_after(clean_wal: &[u8], k: usize) -> u64 {
-        let scan = wal::scan(clean_wal);
+        let scan = frame::scan(clean_wal);
         assert!(scan.is_clean() && scan.records.len() > k);
-        let mut appender = wal::WalAppender::new();
-        let mut off = wal::header_bytes().len() as u64;
+        let mut appender = frame::WalAppender::new();
+        let mut off = frame::header_bytes().len() as u64;
         for rec in &scan.records[..k] {
             let (_, frame) = appender.encode(&rec.payload);
             off += frame.len() as u64;
@@ -830,7 +830,7 @@ mod tests {
     fn no_valid_checkpoint_is_a_hard_error() {
         let res = recover(
             SystemKind::A,
-            &wal::header_bytes(),
+            &frame::header_bytes(),
             &[vec![1, 2, 3]],
             &TuningConfig::none(),
         );

@@ -72,11 +72,7 @@ fn archive_size_scales_with_history() {
     let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
     let small = bitempo_histgen::generate_history(&data, &HistoryConfig::with_m(0.0002));
     let large = bitempo_histgen::generate_history(&data, &HistoryConfig::with_m(0.0008));
-    let bytes = |a: &Archive| {
-        let mut buf = Vec::new();
-        a.write_to(&mut buf).unwrap();
-        buf.len()
-    };
+    let bytes = |a: &Archive| a.encode().unwrap().len();
     let (s, l) = (bytes(&small.archive), bytes(&large.archive));
     assert!(l > 2 * s, "archive must grow with m: {s} vs {l}");
 }

@@ -1,16 +1,19 @@
-//! Fault-injection suite: seeded corruption fuzzing of the archive format,
-//! format-version compatibility, worker-panic containment in the morsel
-//! layer, and graceful degradation of the experiment harness. The tentpole
+//! Fault-injection suite: seeded corruption fuzzing of the archive format
+//! and of every decoder behind the shared byte codec, frame-boundary
+//! truncation, worker-panic containment in the morsel layer, and graceful
+//! degradation of the experiment harness. The tentpole
 //! guarantee under test: **no injected fault may escalate beyond a typed
 //! error** — no panic, no abort, no silently-wrong data.
 
-use bitempo_core::fault::{FaultKind, FaultPlan, FaultyReader};
-use bitempo_core::Error;
+use bitempo_core::fault::{FaultPlan, FaultyReader};
+use bitempo_core::{Error, Result};
 use bitempo_dbgen::ScaleConfig;
 use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::{build_engine, SystemKind};
-use bitempo_histgen::{loader, Archive, HistoryConfig};
+use bitempo_histgen::{decode_txn, encode_txn, loader, Archive, HistoryConfig};
+use bitempo_wal::{decode_payload, encode_prepare, Checkpoint, WalReader};
 use proptest::prelude::*;
+use std::io::Read;
 use std::sync::OnceLock;
 
 /// One serialized tiny archive, shared across all fuzz cases.
@@ -19,10 +22,48 @@ fn archive_bytes() -> &'static (Archive, Vec<u8>) {
     BYTES.get_or_init(|| {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
         let history = bitempo_histgen::generate_history(&data, &HistoryConfig::tiny());
-        let mut bytes = Vec::new();
-        history.archive.write_to(&mut bytes).unwrap();
+        let bytes = history.archive.encode().unwrap();
         (history.archive, bytes)
     })
+}
+
+/// One valid encoding per decoder behind the shared codec: an archive, a
+/// transaction body, an enveloped WAL payload and a checkpoint.
+fn valid_encodings() -> &'static [Vec<u8>; 4] {
+    static ENCODINGS: OnceLock<[Vec<u8>; 4]> = OnceLock::new();
+    ENCODINGS.get_or_init(|| {
+        let (archive, bytes) = archive_bytes();
+        let txn = &archive.transactions[0];
+        let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
+        let mut engine = build_engine(SystemKind::A);
+        let ids = loader::load_initial(engine.as_mut(), &data).unwrap();
+        let checkpoint = Checkpoint::capture(engine.as_mut(), &ids[..1], 0).unwrap();
+        [
+            bytes.clone(),
+            encode_txn(txn).unwrap(),
+            encode_prepare(7, 42, txn).unwrap(),
+            checkpoint.encode(),
+        ]
+    })
+}
+
+/// Feeds `bytes` to every decoder behind the shared codec: each must answer
+/// `Ok` or `Error::Archive`, never panic and never another error class.
+fn every_decoder_contains(bytes: &[u8]) -> std::result::Result<(), String> {
+    let verdicts: [(&str, Result<()>); 4] = [
+        ("decode_txn", decode_txn(bytes).map(drop)),
+        ("decode_payload", decode_payload(bytes).map(drop)),
+        ("Checkpoint::decode", Checkpoint::decode(bytes).map(drop)),
+        ("Archive::decode", Archive::decode(bytes).map(drop)),
+    ];
+    for (decoder, verdict) in verdicts {
+        if let Err(e) = verdict {
+            if !matches!(e, Error::Archive(_)) {
+                return Err(format!("{decoder} escalated to {e:?}"));
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -43,7 +84,7 @@ proptest! {
         let mask = mask_seed.wrapping_add(1); // never 0: always a real flip
         let mut corrupted = bytes.clone();
         corrupted[offset] ^= mask;
-        match Archive::read_from_slice(&corrupted) {
+        match Archive::decode(&corrupted) {
             Ok(_) => {}
             Err(Error::Archive(_)) => {}
             Err(other) => prop_assert!(
@@ -54,17 +95,39 @@ proptest! {
     }
 
     /// Same property through the fault-injection reader: seeded fault plans
-    /// (bit flip + optional truncation + optional transient) against the
-    /// streaming reader must be contained the same way.
+    /// (bit flip + optional truncation) applied while the archive is read
+    /// must be contained the same way.
     #[test]
     fn seeded_fault_plans_are_contained(seed in any::<u64>()) {
         let (_, bytes) = archive_bytes();
         let plan = FaultPlan::seeded(seed, bytes.len() as u64);
-        let mut reader = FaultyReader::new(&bytes[..], plan);
-        match Archive::read_from(&mut reader) {
+        let mut read = Vec::new();
+        FaultyReader::new(&bytes[..], plan).read_to_end(&mut read).unwrap();
+        match Archive::decode(&read) {
             Ok(_) => {}
             Err(Error::Archive(_)) => {}
             Err(other) => prop_assert!(false, "seed {seed} escalated to {other:?}"),
+        }
+    }
+
+    /// The shared reader under fuzz: arbitrary bytes, and a single-byte
+    /// mutation of each valid encoding, fed to every decoder behind it.
+    #[test]
+    fn every_decoder_contains_arbitrary_and_mutated_bytes(
+        garbage in proptest::collection::vec((0u16..256).prop_map(|b| b as u8), 0..96),
+        offset_seed in any::<u64>(),
+        mask_seed in 0u8..255,
+    ) {
+        if let Err(why) = every_decoder_contains(&garbage) {
+            prop_assert!(false, "{garbage:?}: {why}");
+        }
+        for valid in valid_encodings() {
+            let offset = (offset_seed % valid.len() as u64) as usize;
+            let mut mutated = valid.clone();
+            mutated[offset] ^= mask_seed.wrapping_add(1);
+            if let Err(why) = every_decoder_contains(&mutated) {
+                prop_assert!(false, "byte {offset} of a {}-byte encoding: {why}", valid.len());
+            }
         }
     }
 }
@@ -76,7 +139,7 @@ proptest! {
 fn every_header_truncation_is_detected() {
     let (_, bytes) = archive_bytes();
     for cut in 0..bytes.len().min(128) {
-        match Archive::read_from_slice(&bytes[..cut]) {
+        match Archive::decode(&bytes[..cut]) {
             Err(Error::Archive(_)) => {}
             Ok(_) => panic!("truncation to {cut} bytes parsed as a full archive"),
             Err(other) => panic!("truncation to {cut} escalated to {other:?}"),
@@ -84,26 +147,42 @@ fn every_header_truncation_is_detected() {
     }
 }
 
-/// The unchecksummed v1 layout is gone: a version-1 header is rejected by
-/// name, and a payload bit flip in a v2 archive — which v1 parsed without
-/// complaint — is caught by the per-transaction checksum.
+/// A payload bit flip is caught by the frame checksum.
 #[test]
-fn v1_is_rejected_and_v2_detects_payload_flips() {
-    let (_, v2) = archive_bytes();
-    let mut v1_header = v2.clone();
-    v1_header[4..8].copy_from_slice(&1u32.to_le_bytes());
-    match Archive::read_from_slice(&v1_header) {
-        Err(Error::Archive(msg)) => assert_eq!(msg, "unsupported version 1"),
-        other => panic!("expected the version to be rejected, got {other:?}"),
-    }
+fn payload_flips_are_detected() {
+    let (_, bytes) = archive_bytes();
     // Flip one payload bit well past the headers.
-    let mut v2_bad = v2.clone();
-    let off2 = v2.len() / 2;
-    v2_bad[off2] ^= 0x40;
+    let mut bad = bytes.clone();
+    let off = bytes.len() / 2;
+    bad[off] ^= 0x40;
     assert!(
-        matches!(Archive::read_from_slice(&v2_bad), Err(Error::Archive(_))),
-        "v2 checksum missed a payload flip at {off2}"
+        matches!(Archive::decode(&bad), Err(Error::Archive(_))),
+        "the frame checksum missed a payload flip at {off}"
     );
+}
+
+/// Truncation exactly at a frame boundary leaves every remaining frame
+/// intact; only the header frame's count can tell. Every such cut — after
+/// the stream header, after the header frame, after each transaction but
+/// the last — must be rejected.
+#[test]
+fn every_frame_boundary_truncation_is_rejected() {
+    let (archive, bytes) = archive_bytes();
+    let mut frames = WalReader::new(bytes);
+    let mut boundaries = vec![frames.valid_len()];
+    while frames.next().is_some() {
+        boundaries.push(frames.valid_len());
+    }
+    assert_eq!(frames.torn(), None);
+    assert_eq!(boundaries.pop(), Some(bytes.len() as u64));
+    assert_eq!(boundaries.len(), archive.transactions.len() + 1);
+    for cut in boundaries {
+        match Archive::decode(&bytes[..cut as usize]) {
+            Err(Error::Archive(_)) => {}
+            Ok(_) => panic!("a cut at the frame boundary {cut} parsed as a full archive"),
+            Err(other) => panic!("a cut at the frame boundary {cut} escalated to {other:?}"),
+        }
+    }
 }
 
 /// Worker-panic containment, per engine: a panic injected into morsel 0 of
@@ -172,21 +251,4 @@ fn degraded_experiment_yields_complete_report() {
         md.contains("wall-clock") || md.contains("timed out") || md.contains("timeout"),
         "error footnotes should name the timeout: {md}"
     );
-}
-
-/// The transient-fault path recovers through the retry loop and delivers a
-/// payload identical to the clean read.
-#[test]
-fn transient_faults_recover_with_retry() {
-    let (archive, bytes) = archive_bytes();
-    let reread = bitempo_histgen::read_archive_with_retry(
-        || {
-            let plan = FaultPlan::none().with(FaultKind::TransientAt(48));
-            let mut r = FaultyReader::new(&bytes[..], plan);
-            Archive::read_from(&mut r)
-        },
-        3,
-    )
-    .unwrap();
-    assert_eq!(archive, &reread);
 }
