@@ -39,7 +39,7 @@ pub mod value;
 
 pub use crc::{crc32, Crc32};
 pub use error::{Error, Result};
-pub use fault::{FaultKind, FaultPlan, FaultyReader, FaultyWriter};
+pub use fault::FaultyWriter;
 pub use key::Key;
 pub use rng::Pcg32;
 pub use row::Row;

@@ -29,7 +29,7 @@ pub mod state;
 pub mod stats;
 
 pub use archive::{decode_txn, encode_txn, Archive};
-pub use loader::{apply_op, apply_txn, load_initial, replay, LoadReport, ReplayReport};
+pub use loader::{apply_op, apply_txn, load_initial, replay, LoadReport};
 pub use ops::{Op, ScenarioKind, Transaction};
 pub use state::GenDb;
 pub use stats::{HistoryStats, TableOps};

@@ -16,9 +16,8 @@
 use crate::archive::Archive;
 use crate::ops::{Op, ScenarioKind};
 use crate::state::GenDb;
-use bitempo_core::{AppPeriod, Key, Result, Row, SysTime, TableId, TemporalClass, Value};
+use bitempo_core::{Result, SysTime, TableId, Value};
 use bitempo_dbgen::TpchData;
-use bitempo_engine::api::{AppSpec, SysSpec};
 use bitempo_engine::BitemporalEngine;
 use std::time::Instant;
 
@@ -29,23 +28,6 @@ pub struct LoadReport {
     pub timings: Vec<(ScenarioKind, u64)>,
     /// Total wall time of the replay, nanoseconds.
     pub total_nanos: u64,
-    /// System time after the replay.
-    pub version: SysTime,
-    /// Op-level accounting: how many ops were applied, and how many of
-    /// those were saved by a retry.
-    pub ops: ReplayReport,
-}
-
-/// Op-level accounting for one replay. A returned report always covers
-/// every op in the archive: the first op that fails for good aborts the
-/// replay with its error.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Ops applied successfully (including those that needed a retry).
-    pub applied: u64,
-    /// Ops that failed with a retryable error and succeeded on the retry
-    /// (a subset of `applied`).
-    pub retried: u64,
 }
 
 impl LoadReport {
@@ -147,59 +129,8 @@ pub fn apply_txn(
     ops.iter().try_for_each(|op| apply_op(engine, ids, op))
 }
 
-/// True if a *pending* version — one created by the currently open
-/// transaction — already carries exactly `row`'s values and application
-/// period, i.e. a failed insert's first attempt actually landed in the
-/// engine before the error surfaced.
-///
-/// Sequenced ops are idempotent when re-applied inside the same open
-/// transaction (re-closing an open version leaves an empty `[p, p)` system
-/// period the engines discard, and the rewritten portions are absolute),
-/// but a bare insert is not: re-driving one after a partial apply would
-/// duplicate the version. The retry path consults this probe first.
-///
-/// The probe attributes a match to the open transaction by its system
-/// start: only a version whose system period opens at the engine's pending
-/// timestamp was created inside it. An identical version committed by an
-/// *earlier* transaction opens strictly before that and must not satisfy
-/// the probe — engines insert duplicates unconditionally, so such a false
-/// positive would skip the retry and silently drop the insert. Tables
-/// without system time offer no such attribution; there the probe stays
-/// conservative and reports "not applied" (the generated scenarios never
-/// insert into non-temporal tables, and a visible duplicate is the lesser
-/// risk than a silent drop).
-fn insert_effect_present(
-    engine: &dyn BitemporalEngine,
-    id: TableId,
-    row: &Row,
-    app: Option<AppPeriod>,
-) -> bool {
-    let def = engine.table_def(id);
-    if !def.has_system_time() {
-        return false;
-    }
-    let key = Key::from_row(row, &def.key);
-    let value_arity = def.schema.arity();
-    let want = app.unwrap_or(AppPeriod::ALL);
-    let bitemporal = def.temporal == TemporalClass::Bitemporal;
-    let sys_col = value_arity + if bitemporal { 2 } else { 0 };
-    let pending = Value::SysTime(engine.now().next());
-    // Pending (uncommitted) versions have open system periods, so a plain
-    // current-snapshot lookup sees the eventual effect of this transaction.
-    let Ok(out) = engine.lookup_key(id, &key, &SysSpec::Current, &AppSpec::All) else {
-        return false;
-    };
-    out.rows.iter().any(|r| {
-        let values_match = (0..value_arity).all(|c| r.get(c) == row.get(c));
-        let app_match = !bitemporal
-            || (r.get(value_arity) == &Value::Date(want.start)
-                && r.get(value_arity + 1) == &Value::Date(want.end));
-        values_match && app_match && r.get(sys_col) == &pending
-    })
-}
-
 /// Replays the archive, committing every `batch_size` scenarios. Strict:
-/// the first op that fails for good aborts the whole replay. Ops already
+/// the first op that fails aborts the whole replay. Ops already
 /// applied in the failing batch stay in the open transaction and are
 /// committed first — the engines have no rollback.
 pub fn replay(
@@ -211,7 +142,6 @@ pub fn replay(
     // tblint: allow(TB001) load-latency percentiles are the experiment's measurement (Fig 16)
     let started = Instant::now();
     let mut timings = Vec::with_capacity(archive.transactions.len());
-    let mut ops = ReplayReport::default();
     for batch in archive.transactions.chunks(batch_size.max(1)) {
         let kind = batch[0]
             .scenarios
@@ -222,40 +152,10 @@ pub fn replay(
         let t0 = Instant::now();
         for txn in batch {
             for op in &txn.ops {
-                let outcome = match apply_op(engine, ids, op) {
-                    // One retry for transient failures: an op that succeeds
-                    // on the second attempt was never lost, and the report
-                    // counts it as retried instead of failing the replay.
-                    // The retry must be idempotent: a transient error can
-                    // surface *after* the op mutated the engine (e.g. a
-                    // contained worker panic mid-bookkeeping), and blindly
-                    // re-driving an insert would then duplicate a version.
-                    Err(e) if e.is_retryable() => {
-                        let already_applied = match op {
-                            Op::Insert { table, row, app } => {
-                                insert_effect_present(engine, ids[*table as usize], row, *app)
-                            }
-                            // Sequenced ops re-apply idempotently (see
-                            // `insert_effect_present` for the argument).
-                            _ => false,
-                        };
-                        let second = if already_applied {
-                            Ok(())
-                        } else {
-                            apply_op(engine, ids, op)
-                        };
-                        if second.is_ok() {
-                            ops.retried += 1;
-                        }
-                        second
-                    }
-                    other => other,
-                };
-                if let Err(e) = outcome {
+                if let Err(e) = apply_op(engine, ids, op) {
                     engine.commit();
                     return Err(e);
                 }
-                ops.applied += 1;
             }
         }
         engine.commit();
@@ -264,8 +164,6 @@ pub fn replay(
     Ok(LoadReport {
         timings,
         total_nanos: started.elapsed().as_nanos() as u64,
-        version: engine.now(),
-        ops,
     })
 }
 
@@ -321,12 +219,8 @@ mod tests {
         for kind in SystemKind::ALL {
             let mut engine = build_engine(kind);
             let ids = load_initial(engine.as_mut(), &data).unwrap();
-            let report = replay(engine.as_mut(), &ids, &history.archive, 1).unwrap();
-            assert_eq!(
-                report.version,
-                db.now(),
-                "{kind}: commit counts must line up"
-            );
+            replay(engine.as_mut(), &ids, &history.archive, 1).unwrap();
+            assert_eq!(engine.now(), db.now(), "{kind}: commit counts must line up");
             engine.checkpoint();
             for (idx, &id) in ids.iter().enumerate() {
                 let mut got = engine
@@ -388,8 +282,8 @@ mod tests {
 
         let mut batched = build_engine(SystemKind::A);
         let ids2 = load_initial(batched.as_mut(), &data).unwrap();
-        let report = replay(batched.as_mut(), &ids2, &history.archive, 16).unwrap();
-        assert!(report.version < one.now(), "fewer commits when batching");
+        replay(batched.as_mut(), &ids2, &history.archive, 16).unwrap();
+        assert!(batched.now() < one.now(), "fewer commits when batching");
 
         // Current state is identical even though version timestamps differ.
         for (&a, &b) in ids1.iter().zip(&ids2) {
@@ -425,258 +319,52 @@ mod tests {
                 .map(|i| (ScenarioKind::DeliverOrder, i * 100))
                 .collect(),
             total_nanos: 0,
-            version: SysTime(0),
-            ops: ReplayReport::default(),
         };
         assert_eq!(report.median_nanos(None), Some(5_100));
         assert_eq!(report.p97_nanos(None), Some(9_700));
         assert_eq!(report.median_nanos(Some(ScenarioKind::CancelOrder)), None);
     }
 
+    /// The strict policy: the first failing op aborts the replay, and what
+    /// the failing batch applied before it is committed, not lost.
     #[test]
-    fn replay_aborts_on_a_poisoned_batch() {
+    fn replay_aborts_on_a_poisoned_batch_and_commits_what_it_applied() {
         let (data, history, _) = tiny_inputs();
-        // Poison a middle transaction with an update to a nonexistent key.
+        // Poison the end of a middle transaction with an overwrite of a
+        // nonexistent key: every op before it applies.
         let mut archive = history.archive.clone();
         let mid = archive.transactions.len() / 2;
-        archive.transactions[mid].ops.insert(
-            0,
-            Op::OverwriteApp {
-                table: 6,
-                key: bitempo_core::Key::int(i64::MAX),
-                period: bitempo_core::Period::new(
-                    bitempo_core::AppDate(0),
-                    bitempo_core::AppDate::MAX,
-                ),
-            },
-        );
+        archive.transactions[mid].ops.push(Op::OverwriteApp {
+            table: 6,
+            key: bitempo_core::Key::int(i64::MAX),
+            period: bitempo_core::Period::new(bitempo_core::AppDate(0), bitempo_core::AppDate::MAX),
+        });
 
         let mut engine = build_engine(SystemKind::A);
         let ids = load_initial(engine.as_mut(), &data).unwrap();
         let err = replay(engine.as_mut(), &ids, &archive, 1).unwrap_err();
         assert!(matches!(err, Error::KeyNotFound(_)), "{err:?}");
-    }
 
-    /// When the transient fault fires relative to the insert's effect.
-    #[derive(Clone, Copy, PartialEq)]
-    enum FaultPhase {
-        /// The insert fully applies, then the error surfaces (e.g. a
-        /// contained panic in post-apply bookkeeping). The regression
-        /// target: a blind retry here double-applies.
-        AfterApply,
-        /// The error surfaces before anything is mutated; a retry is the
-        /// correct and only recovery.
-        BeforeApply,
-    }
-
-    /// Delegating wrapper that injects one transient failure on the n-th
-    /// insert, either before or after the inner engine applied it.
-    struct FlakyEngine {
-        inner: Box<dyn BitemporalEngine>,
-        phase: FaultPhase,
-        /// Fire on this (1-based) insert call; 0 = spent.
-        fuse: usize,
-        calls: usize,
-    }
-
-    impl BitemporalEngine for FlakyEngine {
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn architecture(&self) -> &'static str {
-            self.inner.architecture()
-        }
-        fn create_table(&mut self, def: bitempo_core::TableDef) -> Result<TableId> {
-            self.inner.create_table(def)
-        }
-        fn resolve(&self, name: &str) -> Result<TableId> {
-            self.inner.resolve(name)
-        }
-        fn table_names(&self) -> Vec<String> {
-            self.inner.table_names()
-        }
-        fn table_def(&self, table: TableId) -> &bitempo_core::TableDef {
-            self.inner.table_def(table)
-        }
-        fn apply_tuning(&mut self, tuning: &bitempo_engine::TuningConfig) -> Result<()> {
-            self.inner.apply_tuning(tuning)
-        }
-        fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-            self.calls += 1;
-            if self.calls == self.fuse {
-                self.fuse = 0;
-                if self.phase == FaultPhase::AfterApply {
-                    self.inner.insert(table, row, app)?;
-                }
-                return Err(Error::Transient("fault after partial apply".into()));
-            }
-            self.inner.insert(table, row, app)
-        }
-        fn update(
-            &mut self,
-            table: TableId,
-            key: &Key,
-            updates: &[(usize, Value)],
-            portion: Option<AppPeriod>,
-        ) -> Result<usize> {
-            self.inner.update(table, key, updates, portion)
-        }
-        fn delete(
-            &mut self,
-            table: TableId,
-            key: &Key,
-            portion: Option<AppPeriod>,
-        ) -> Result<usize> {
-            self.inner.delete(table, key, portion)
-        }
-        fn overwrite_app_period(
-            &mut self,
-            table: TableId,
-            key: &Key,
-            period: AppPeriod,
-        ) -> Result<usize> {
-            self.inner.overwrite_app_period(table, key, period)
-        }
-        fn commit(&mut self) -> SysTime {
-            self.inner.commit()
-        }
-        fn now(&self) -> SysTime {
-            self.inner.now()
-        }
-        fn scan(
-            &self,
-            table: TableId,
-            sys: &SysSpec,
-            app: &AppSpec,
-            preds: &[bitempo_engine::api::ColRange],
-        ) -> Result<bitempo_engine::api::ScanOutput> {
-            self.inner.scan(table, sys, app, preds)
-        }
-        fn lookup_key(
-            &self,
-            table: TableId,
-            key: &Key,
-            sys: &SysSpec,
-            app: &AppSpec,
-        ) -> Result<bitempo_engine::api::ScanOutput> {
-            self.inner.lookup_key(table, key, sys, app)
-        }
-        fn stats(&self, table: TableId) -> bitempo_engine::api::TableStats {
-            self.inner.stats(table)
-        }
-        fn checkpoint(&mut self) {
-            self.inner.checkpoint();
-        }
-        fn snapshot_versions(
-            &self,
-            table: TableId,
-        ) -> Result<Vec<bitempo_engine::version::Version>> {
-            self.inner.snapshot_versions(table)
-        }
-        fn restore(
-            &mut self,
-            table: TableId,
-            versions: Vec<bitempo_engine::version::Version>,
-            now: SysTime,
-        ) -> Result<()> {
-            self.inner.restore(table, versions, now)
-        }
-    }
-
-    /// The satellite regression: a transient fault that surfaces *after*
-    /// the insert already applied must not be re-driven into the engine —
-    /// the retried replay has to converge on the clean replay's exact
-    /// state, with the op counted as retried, not duplicated or dropped.
-    #[test]
-    fn retry_after_partial_apply_does_not_double_apply() {
-        let (data, history, _) = tiny_inputs();
+        // A clean replay of the first `mid + 1` transactions is the state
+        // the aborted one must have committed.
+        let mut prefix = history.archive.clone();
+        prefix.transactions.truncate(mid + 1);
         let mut clean = build_engine(SystemKind::A);
         let clean_ids = load_initial(clean.as_mut(), &data).unwrap();
-        replay(clean.as_mut(), &clean_ids, &history.archive, 1).unwrap();
-
-        for phase in [FaultPhase::AfterApply, FaultPhase::BeforeApply] {
-            let mut inner = build_engine(SystemKind::A);
-            let ids = load_initial(inner.as_mut(), &data).unwrap();
-            let mut flaky = FlakyEngine {
-                inner,
-                phase,
-                // First insert *during the replay* (the initial load ran
-                // against the unwrapped engine).
-                fuse: 1,
-                calls: 0,
-            };
-            let report = replay(&mut flaky, &ids, &history.archive, 1).unwrap();
-            assert_eq!(report.ops.retried, 1, "the fault was absorbed");
-
-            for (&a, &b) in clean_ids.iter().zip(&ids) {
-                let mut want = clean
-                    .scan(a, &SysSpec::All, &AppSpec::All, &[])
-                    .unwrap()
-                    .rows;
-                let mut got = flaky
-                    .inner
-                    .scan(b, &SysSpec::All, &AppSpec::All, &[])
-                    .unwrap()
-                    .rows;
-                want.sort();
-                got.sort();
-                assert_eq!(
-                    got, want,
-                    "replay with an injected fault must converge on the clean state"
-                );
-            }
-        }
-    }
-
-    /// The probe must attribute effects to the *open* transaction: an
-    /// identical version committed by an earlier transaction must not
-    /// satisfy it. Engines insert duplicates unconditionally, so a false
-    /// positive here would skip the retry and silently drop the insert
-    /// when the fault fired *before* anything applied.
-    #[test]
-    fn retry_probe_ignores_identical_committed_versions() {
-        use crate::ops::Transaction;
-        use bitempo_engine::testutil::{bitemp_table, simple_row};
-
-        // Two transactions insert byte-identical rows (same key, values,
-        // application period); the transient fault fires on the second.
-        let duplicate = || Transaction {
-            scenarios: Vec::new(),
-            ops: vec![Op::Insert {
-                table: 0,
-                row: simple_row(1, 10),
-                app: None,
-            }],
-        };
-        let archive = Archive {
-            dbgen_seed: 0,
-            hist_seed: 0,
-            transactions: vec![duplicate(), duplicate()],
-        };
-
-        for phase in [FaultPhase::BeforeApply, FaultPhase::AfterApply] {
-            let mut inner = build_engine(SystemKind::A);
-            let t = inner.create_table(bitemp_table("t")).unwrap();
-            let ids = vec![t];
-            let mut flaky = FlakyEngine {
-                inner,
-                phase,
-                fuse: 2, // the second transaction's insert
-                calls: 0,
-            };
-            let report = replay(&mut flaky, &ids, &archive, 1).unwrap();
-            assert_eq!(report.ops.retried, 1);
-            let rows = flaky
-                .inner
-                .scan(t, &SysSpec::All, &AppSpec::All, &[])
+        replay(clean.as_mut(), &clean_ids, &prefix, 1).unwrap();
+        assert_eq!(engine.now(), clean.now(), "the failing batch was committed");
+        for (&a, &b) in ids.iter().zip(&clean_ids) {
+            let mut got = engine
+                .scan(a, &SysSpec::All, &AppSpec::All, &[])
                 .unwrap()
                 .rows;
-            assert_eq!(
-                rows.len(),
-                2,
-                "both inserts must land exactly once: the first transaction's \
-                 identical committed version is not the second's effect"
-            );
+            let mut want = clean
+                .scan(b, &SysSpec::All, &AppSpec::All, &[])
+                .unwrap()
+                .rows;
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "table {}", engine.table_def(a).name);
         }
     }
 }

@@ -813,7 +813,7 @@ fn merge_metrics(a: ScanMetrics, b: ScanMetrics) -> ScanMetrics {
 mod tests {
     use super::*;
     use crate::{recover_cluster, ShardInput};
-    use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
+    use bitempo_core::fault::FaultyWriter;
     use bitempo_engine::testutil::{bitemp_table, simple_row};
     use bitempo_wal::{DurabilityMode, SharedBuf, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
 
@@ -1137,12 +1137,11 @@ mod tests {
         let buf1 = SharedBuf::new();
         // Shard 1's log accepts the stream header and nothing else: its
         // prepare submit fails, poisoning the shard before any decision.
-        let plan = FaultPlan::none().with(FaultKind::TruncateAt(WAL_HEADER_LEN as u64));
         let wals = vec![
             Some(TxnWal::create(Box::new(buf0.clone()), DurabilityMode::Strict).expect("wal")),
             Some(
                 TxnWal::create(
-                    Box::new(FaultyWriter::new(buf1.clone(), plan)),
+                    Box::new(FaultyWriter::new(buf1.clone(), WAL_HEADER_LEN as u64)),
                     DurabilityMode::Strict,
                 )
                 .expect("wal"),
@@ -1222,10 +1221,7 @@ mod tests {
             Some(TxnWal::create(Box::new(buf0.clone()), DurabilityMode::Strict).expect("wal")),
             Some(
                 TxnWal::create(
-                    Box::new(FaultyWriter::new(
-                        buf1.clone(),
-                        FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-                    )),
+                    Box::new(FaultyWriter::new(buf1.clone(), cut)),
                     DurabilityMode::Strict,
                 )
                 .expect("wal"),

@@ -2,7 +2,7 @@
 //! (the commit log behind its lock) or fault-injecting WAL sinks.
 
 use crate::*;
-use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
+use bitempo_core::fault::FaultyWriter;
 use bitempo_core::{AppDate, AppPeriod, Error, Key, Row, SysTime, TableId, Value};
 use bitempo_engine::api::{AppSpec, BitemporalEngine, SysSpec, TuningConfig};
 use bitempo_engine::testutil::{bitemp_table, plain_table, simple_row};
@@ -306,10 +306,7 @@ fn malformed_ops_are_rejected_at_buffer_time() {
 #[test]
 fn wal_append_failure_poisons_and_leaves_no_ghost_record() {
     let buf = SharedBuf::new();
-    let sink = FaultyWriter::new(
-        buf.clone(),
-        FaultPlan::none().with(FaultKind::TruncateAt(220)),
-    );
+    let sink = FaultyWriter::new(buf.clone(), 220);
     let wal = TxnWal::create(Box::new(sink), DurabilityMode::Strict).unwrap();
     let mgr = manager(SystemKind::A, Some(wal));
     let t = mgr.table_ids()[0];

@@ -463,7 +463,7 @@ impl Drop for Batched {
 mod tests {
     use super::*;
     use crate::sink::SharedBuf;
-    use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
+    use bitempo_core::fault::FaultyWriter;
     use bitempo_core::frame;
 
     /// A sink that counts `sync` calls, for asserting *when* fsyncs happen.
@@ -591,8 +591,7 @@ mod tests {
     #[test]
     fn strict_append_surfaces_the_crash() {
         let buf = SharedBuf::new();
-        let plan = FaultPlan::none().with(FaultKind::TruncateAt(40));
-        let sink = FaultyWriter::new(buf.clone(), plan);
+        let sink = FaultyWriter::new(buf.clone(), 40);
         let mut w = TxnWal::create(Box::new(sink), DurabilityMode::Strict).unwrap();
         let mut crashed_at = None;
         for i in 0..10u64 {
@@ -611,8 +610,7 @@ mod tests {
     #[test]
     fn batched_mode_reports_the_failure_at_the_barrier() {
         let buf = SharedBuf::new();
-        let plan = FaultPlan::none().with(FaultKind::TruncateAt(64));
-        let sink = FaultyWriter::new(buf.clone(), plan);
+        let sink = FaultyWriter::new(buf.clone(), 64);
         let mut w = TxnWal::create(Box::new(sink), DurabilityMode::Batched(1)).unwrap();
         for i in 0..50u64 {
             // Submission may start failing once the flusher has died.

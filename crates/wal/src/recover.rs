@@ -403,7 +403,7 @@ mod tests {
     use super::*;
     use crate::canonical::canonical_state;
     use crate::sink::SharedBuf;
-    use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
+    use bitempo_core::fault::FaultyWriter;
     use bitempo_core::frame;
     use bitempo_dbgen::ScaleConfig;
     use bitempo_histgen::{generate_history, HistoryConfig};
@@ -468,10 +468,7 @@ mod tests {
         let cut = (dry.len() as u64) * 2 / 3;
 
         let buf = SharedBuf::new();
-        let sink = FaultyWriter::new(
-            buf.clone(),
-            FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-        );
+        let sink = FaultyWriter::new(buf.clone(), cut);
         let mut engine = build_engine(SystemKind::A);
         let log = TxnWal::create(Box::new(sink), opts.mode).unwrap();
         let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();
@@ -563,10 +560,7 @@ mod tests {
         for extra in [0u64, 2] {
             let cut = boundary_after(&dry.snapshot(), 32) + extra;
             let buf = SharedBuf::new();
-            let sink = FaultyWriter::new(
-                buf.clone(),
-                FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-            );
+            let sink = FaultyWriter::new(buf.clone(), cut);
             let mut engine = build_engine(SystemKind::A);
             let log = TxnWal::create(Box::new(sink), opts.mode).unwrap();
             let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();
@@ -605,10 +599,7 @@ mod tests {
 
         let cut = boundary_after(&dry.snapshot(), 35);
         let buf = SharedBuf::new();
-        let sink = FaultyWriter::new(
-            buf.clone(),
-            FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-        );
+        let sink = FaultyWriter::new(buf.clone(), cut);
         let mut engine = build_engine(SystemKind::A);
         let log = TxnWal::create(Box::new(sink), opts.mode).unwrap();
         let run = durable_replay(engine.as_mut(), &data, &archive, log, &opts).unwrap();

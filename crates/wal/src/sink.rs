@@ -116,7 +116,6 @@ impl<W: Write + Send> WalSink for FaultyWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bitempo_core::fault::{FaultKind, FaultPlan};
 
     #[test]
     fn shared_buf_clones_share_bytes() {
@@ -139,8 +138,7 @@ mod tests {
     #[test]
     fn faulty_writer_is_a_sink_and_keeps_the_prefix() {
         let buf = SharedBuf::new();
-        let plan = FaultPlan::none().with(FaultKind::TruncateAt(4));
-        let mut w = FaultyWriter::new(buf.clone(), plan);
+        let mut w = FaultyWriter::new(buf.clone(), 4);
         let err = w.write_all(b"0123456789").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         assert_eq!(buf.snapshot(), b"0123", "bytes before the cut are kept");

@@ -13,7 +13,7 @@
 //! bit-flips anywhere in the stream, must never panic, and must yield either
 //! the exact clean prefix or a clean truncation report.
 
-use bitempo_core::fault::{FaultKind, FaultPlan, FaultyWriter};
+use bitempo_core::fault::FaultyWriter;
 use bitempo_core::Pcg32;
 use bitempo_dbgen::{ScaleConfig, TpchData};
 use bitempo_engine::api::TuningConfig;
@@ -92,10 +92,7 @@ fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
                 let label = format!("{kind}/{}/cut={cut}", mode.label());
 
                 let buf = SharedBuf::new();
-                let sink = FaultyWriter::new(
-                    buf.clone(),
-                    FaultPlan::none().with(FaultKind::TruncateAt(cut)),
-                );
+                let sink = FaultyWriter::new(buf.clone(), cut);
                 let mut engine = build_engine(kind);
                 let log = TxnWal::create(Box::new(sink), mode).unwrap();
                 let run = durable_replay(engine.as_mut(), data, archive, log, &opts)
