@@ -1,5 +1,5 @@
 //! Extension reports that are not paper artifacts: morsel-parallel scan
-//! `scaling`, `faults` injected layer by layer, and the traced `explain`.
+//! `scaling` and the traced `explain`.
 
 use super::{cell, grid, ALL};
 use crate::report::FigureReport;
@@ -8,7 +8,6 @@ use bitempo_core::obs::{self, TraceLog};
 use bitempo_core::{Error, Result};
 use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::SystemKind;
-use bitempo_histgen::Archive;
 use bitempo_workloads::{bitemporal, key, range, tpch, tt, Ctx};
 
 /// Morsel-parallel scan scaling: the full-history scan (T5 All Versions)
@@ -70,73 +69,6 @@ pub fn scaling(cfg: &BenchConfig) -> Result<FigureReport> {
     Ok(report)
 }
 
-/// Fault-injection scenario report (not a paper artifact): exercises the
-/// hardened pipeline end to end. Layer 1 corrupts a serialized generator
-/// archive and shows the checksummed v3 reader detecting it; layer 2 injects a
-/// worker panic into the morsel layer of every engine and shows containment
-/// plus clean recovery after retuning; layer 3 forces a query timeout and
-/// shows the failure landing as an error cell instead of aborting the run.
-pub fn faults(cfg: &BenchConfig) -> Result<FigureReport> {
-    let mut report = FigureReport::new("faults", "Fault Injection and Graceful Degradation", "µs");
-
-    // Layer 1: a single bit flip in the archive stream must be caught by
-    // the v3 frame checksums, never parsed into bad data.
-    let mut inst = Instance::build(cfg, &TuningConfig::none())?;
-    let mut bytes = inst.history.archive.encode()?;
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x10;
-    report.faults.injected += 1;
-    match Archive::decode(&bytes) {
-        Err(Error::Archive(_)) => {
-            report.faults.detected += 1;
-            report.note("archive bit flip: detected by the v3 checksums (Error::Archive)");
-        }
-        Err(e) => return Err(e),
-        Ok(_) => report.note("archive bit flip: NOT detected — checksum hole"),
-    }
-
-    // Layer 2: inject a worker panic into morsel 0 of every engine's
-    // sequential scan; containment must surface it as WorkerPanicked.
-    inst.workers = 2;
-    inst.retune(&TuningConfig::none().with_panic_morsel(0))?;
-    for kind in SystemKind::ALL {
-        report.faults.injected += 1;
-        let engine = inst.engine(kind);
-        let orders = engine.resolve("orders")?;
-        match engine.scan(orders, &SysSpec::All, &AppSpec::All, &[]) {
-            Err(Error::WorkerPanicked { morsel, .. }) => {
-                report.faults.detected += 1;
-                report.note(format!("{kind}: worker panic contained at morsel {morsel}"));
-            }
-            Err(e) => return Err(e),
-            Ok(_) => report.note(format!("{kind}: injected panic did not fire")),
-        }
-    }
-    // Recovery: clear the injection and the same scans run clean.
-    inst.retune(&TuningConfig::none())?;
-    let t5 = [cell("T5 after panic recovery", |c, _| tt::t5_all(c))];
-    grid(cfg, &inst, &mut report, ALL, "after recovery", &t5)?;
-    let clean = report.series.iter().filter(|s| s.errors.is_empty()).count();
-    report.faults.recovered += clean as u64;
-
-    // Layer 3: a zero wall-clock budget forces a timeout; the cell degrades
-    // to ERR and the run keeps going.
-    report.faults.injected += 1;
-    let t1 = [cell("T1 under zero budget", |c, p| {
-        tt::t1(c, SysSpec::Current, AppSpec::AsOf(p.app_mid))
-    })];
-    let (zero_budget, system_a) = (cfg.with_timeout(0), &[SystemKind::A]);
-    grid(
-        &zero_budget,
-        &inst,
-        &mut report,
-        system_a,
-        "forced timeout",
-        &t1,
-    )?;
-    Ok(report)
-}
-
 /// `explain`: one representative query per workload class (T, H, K, R, B),
 /// measured per engine with tracing forced on so every timing cell carries
 /// its access-path breakdown — which partition was read, whether an index
@@ -168,8 +100,8 @@ pub fn explain(cfg: &BenchConfig) -> Result<FigureReport> {
         }),
     ];
     grid(&cfg, &inst, &mut report, ALL, "", &cells)?;
-    // One extra traced pass per engine feeds the chrome-trace export;
-    // errors here were already footnoted by the measured cells above.
+    // One extra traced pass per engine feeds the chrome-trace export; every
+    // query already ran without error in the measured cells above.
     let mut combined = TraceLog::default();
     for kind in SystemKind::ALL {
         let ctx = Ctx::new(inst.engine(kind))?;

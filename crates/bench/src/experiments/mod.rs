@@ -6,9 +6,11 @@
 //! A timing figure is declared, not looped: a list of `Cell`s that
 //! `grid` measures on each system, under each tuning setting
 //! (`tuned_figure`) or at each step of a configuration sweep (`sweep`).
-//! One file per family: `paper` (figures and tables), `arch`,
-//! `diagnostics` (`scaling`, `faults`, `explain`), `tindex`, `optimizer`
-//! and `serving` (`durability`, `mvcc`, `sharding`).
+//! A failed cell fails its experiment, naming the system and the x label,
+//! so every report that renders is all numbers and the `experiments`
+//! binary exits 1 on a broken query. One file per family: `paper` (figures
+//! and tables), `arch`, `diagnostics` (`scaling`, `explain`), `tindex`,
+//! `optimizer` and `serving` (`durability`, `mvcc`, `sharding`).
 
 mod arch;
 mod diagnostics;
@@ -24,8 +26,8 @@ pub use paper::*;
 pub use serving::*;
 pub use tindex::*;
 
-use crate::report::{FigureReport, Series};
-use crate::runner::{measure_cell, BenchConfig, Instance};
+use crate::report::{AccessRow, FigureReport, Series};
+use crate::runner::{measure_traced, BenchConfig, Instance};
 use bitempo_core::{Error, Result, Row};
 use bitempo_engine::api::TuningConfig;
 use bitempo_engine::SystemKind;
@@ -37,7 +39,7 @@ pub type Experiment = fn(&BenchConfig) -> Result<FigureReport>;
 /// Every experiment by id, in `experiments run-all` order. Fig 14 and 15
 /// run at [`BenchConfig::small_scale`] whatever the configuration, as the
 /// paper measured them on a smaller data set (§5.6).
-pub const EXPERIMENTS: [(&str, Experiment); 27] = [
+pub const EXPERIMENTS: [(&str, Experiment); 26] = [
     ("table1", table1),
     ("table2", table2),
     ("arch", architecture),
@@ -56,7 +58,6 @@ pub const EXPERIMENTS: [(&str, Experiment); 27] = [
     ("fig13", fig13),
     ("fig14", |_| fig14(&BenchConfig::small_scale())),
     ("scaling", scaling),
-    ("faults", faults),
     ("explain", explain),
     ("temporal-index", temporal_index),
     ("optimizer", optimizer_experiment),
@@ -108,10 +109,12 @@ fn series_label(kind: SystemKind, suffix: &str) -> String {
 }
 
 /// Measures every cell on each of `systems` with the paper's repetition
-/// discipline ([`measure_cell`]) into the report's series labelled
+/// discipline ([`measure_traced`]) into the report's series labelled
 /// `series_label(kind, suffix)`, added when the report has none yet. A
-/// failed cell becomes an error cell counted in the report's faults; the
-/// rest of the figure still renders.
+/// traced cell's access-path breakdown, aggregated from its last kept
+/// repetition (access paths and work counters are deterministic across
+/// repetitions), is attached to the series. A failed cell fails the grid
+/// with `"{kind} {x}: {error}"`.
 fn grid(
     cfg: &BenchConfig,
     inst: &Instance,
@@ -129,10 +132,16 @@ fn grid(
             report.series.len() - 1
         });
         for (x, query) in cells {
+            let (m, logs) = measure_traced(cfg, || query(&ctx, &inst.params))
+                .map_err(|e| Error::Invalid(format!("{kind} {x}: {e}")))?;
             let s = &mut report.series[at];
-            measure_cell(cfg, s, &mut report.faults, x.as_str(), || {
-                query(&ctx, &inst.params)
-            });
+            s.push(x.as_str(), m.micros());
+            if let Some(log) = logs.last() {
+                let breakdown = AccessRow::aggregate(&log.scans);
+                if !breakdown.is_empty() {
+                    s.push_breakdown(x.as_str(), breakdown);
+                }
+            }
         }
     }
     Ok(())
@@ -201,7 +210,7 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     //! What the reports *say*; their full shapes (series, x labels, access
-    //! rows, fault tallies, notes) are pinned by `tests/report_shapes.rs`.
+    //! rows, notes) are pinned by `tests/report_shapes.rs`.
 
     use super::*;
 
@@ -213,7 +222,6 @@ mod tests {
             discard: 0,
             batch_size: 1,
             workers: 2,
-            query_timeout_millis: crate::runner::DEFAULT_QUERY_TIMEOUT_MILLIS,
             trace: false,
         }
     }
@@ -222,7 +230,6 @@ mod tests {
     fn explain_reports_access_paths_for_every_engine() {
         let r = explain(&micro_cfg()).unwrap();
         for s in &r.series {
-            assert!(s.errors.is_empty(), "{}: {:?}", s.label, s.errors);
             // Tracing is forced on, so every cell carries a breakdown.
             assert_eq!(s.breakdowns.len(), s.points.len(), "{}", s.label);
             for (x, rows) in &s.breakdowns {
@@ -237,9 +244,6 @@ mod tests {
     #[test]
     fn temporal_index_experiment_probes_and_reports_costs() {
         let r = temporal_index(&micro_cfg()).unwrap();
-        for s in &r.series {
-            assert!(s.errors.is_empty(), "{}: {:?}", s.label, s.errors);
-        }
         // Build cost and footprint are reported for every engine — no
         // probe-time win without its maintenance price.
         for kind in SystemKind::ALL {
@@ -329,34 +333,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_experiment_detects_and_recovers() {
-        let r = faults(&micro_cfg()).unwrap();
-        // 1 bit flip + 4 worker panics + 1 forced timeout.
-        assert_eq!(r.faults.injected, 6, "{:?}", r.faults);
-        // Detected: the bit flip, the four panics, the timeout.
-        assert_eq!(r.faults.detected, 6, "{:?}", r.faults);
-        // Recovered: four clean post-panic scans, the degraded-but-complete
-        // timeout cell.
-        assert_eq!(r.faults.recovered, 5, "{:?}", r.faults);
-        let md = r.to_markdown();
-        assert!(md.contains("ERR"), "{md}");
-        assert!(
-            md.contains("faults: 6 injected / 6 detected / 5 recovered"),
-            "{md}"
+    fn a_failing_cell_fails_its_experiment() {
+        let inst = Instance::build(&micro_cfg(), &TuningConfig::none()).unwrap();
+        let mut report = FigureReport::new("policy", "A failed cell", "µs");
+        let cells = [
+            cell("fine", |c, _| bitempo_workloads::tt::t5_all(c)),
+            cell("broken", |_, _| Err(Error::Invalid("boom".into()))),
+        ];
+        let err = grid(&micro_cfg(), &inst, &mut report, ALL, "", &cells).unwrap_err();
+        assert_eq!(
+            err,
+            Error::Invalid("System A broken: invalid argument: boom".into())
         );
-    }
-
-    #[test]
-    fn degraded_run_still_produces_complete_report() {
-        // Acceptance scenario: force every query in fig2 to time out; the
-        // experiment must still return a full-shape report whose cells are
-        // all errors rather than aborting.
-        let r = fig2(&micro_cfg().with_timeout(0)).unwrap();
-        assert_eq!(r.series.len(), 4);
-        assert!(r.series.iter().all(|s| s.points.len() == 5));
-        assert!(r.series.iter().all(|s| s.errors.len() == 5));
-        assert_eq!(r.faults.detected, 20, "{:?}", r.faults);
-        assert_eq!(r.faults.recovered, 20, "{:?}", r.faults);
     }
 
     #[test]
@@ -365,16 +353,14 @@ mod tests {
     }
 
     /// Every value of every series is finite and non-negative (positive
-    /// when `strict`), and no cell is an error.
+    /// when `strict`).
     fn assert_values(r: &FigureReport, strict: bool) {
         for s in &r.series {
-            assert!(s.errors.is_empty(), "{}: {:?}", s.label, s.errors);
             for (x, v) in &s.points {
                 let ok = if strict { *v > 0.0 } else { *v >= 0.0 };
                 assert!(v.is_finite() && ok, "{}/{x}: {v}", s.label);
             }
         }
-        assert_eq!(r.faults.detected, 0, "{:?}", r.faults);
     }
 
     #[test]

@@ -19,5 +19,5 @@ pub mod experiments;
 pub mod report;
 pub mod runner;
 
-pub use report::{FaultSummary, FigureReport, Series};
+pub use report::{FigureReport, Series};
 pub use runner::{BenchConfig, Instance, Measurement};

@@ -82,10 +82,6 @@ pub struct Series {
     /// `(x label, value)` points. Values are latencies in microseconds
     /// unless the report's `unit` says otherwise.
     pub points: Vec<(String, f64)>,
-    /// `(x label, error message)` for cells whose query failed. The point
-    /// list carries a NaN placeholder at the same x, so cardinalities and
-    /// label order stay consistent with clean runs.
-    pub errors: Vec<(String, String)>,
     /// `(x label, access-path breakdown)` for cells measured with tracing
     /// on; rendered as a sub-table under the timing table.
     pub breakdowns: Vec<(String, Vec<AccessRow>)>,
@@ -97,7 +93,6 @@ impl Series {
         Series {
             label: label.into(),
             points: Vec::new(),
-            errors: Vec::new(),
             breakdowns: Vec::new(),
         }
     }
@@ -107,38 +102,9 @@ impl Series {
         self.points.push((x.into(), value));
     }
 
-    /// Records a failed cell: the x label renders as `ERR` with the message
-    /// footnoted, and a NaN placeholder keeps the point count intact.
-    pub fn push_error(&mut self, x: impl Into<String>, message: impl Into<String>) {
-        let x = x.into();
-        self.points.push((x.clone(), f64::NAN));
-        self.errors.push((x, message.into()));
-    }
-
     /// Attaches the access-path breakdown of a measured cell.
     pub fn push_breakdown(&mut self, x: impl Into<String>, rows: Vec<AccessRow>) {
         self.breakdowns.push((x.into(), rows));
-    }
-}
-
-/// Fault-scenario bookkeeping for one experiment run: how many faults were
-/// injected, how many the pipeline detected (surfaced as typed errors
-/// instead of panics/corruption), and how many it recovered from (the run
-/// continued and produced a report).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultSummary {
-    /// Faults deliberately injected into the run.
-    pub injected: u64,
-    /// Faults surfaced as typed errors by checksums, bounds, containment.
-    pub detected: u64,
-    /// Faults the experiment survived (error cell recorded, run continued).
-    pub recovered: u64,
-}
-
-impl FaultSummary {
-    /// True when nothing was injected or detected.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultSummary::default()
     }
 }
 
@@ -155,8 +121,6 @@ pub struct FigureReport {
     pub series: Vec<Series>,
     /// Free-form observations appended under the table.
     pub notes: Vec<String>,
-    /// Fault-scenario summary (all zeros for fault-free runs).
-    pub faults: FaultSummary,
 }
 
 impl FigureReport {
@@ -168,7 +132,6 @@ impl FigureReport {
             unit: unit.into(),
             series: Vec::new(),
             notes: Vec::new(),
-            faults: FaultSummary::default(),
         }
     }
 
@@ -216,10 +179,6 @@ impl FigureReport {
         for x in &labels {
             out.push_str(&format!("| {x} |"));
             for s in &self.series {
-                if s.errors.iter().any(|(px, _)| px == x) {
-                    out.push_str(" ERR |");
-                    continue;
-                }
                 match s.points.iter().find(|(px, _)| px == x) {
                     Some((_, v)) if v.is_finite() => {
                         if v.abs() < 10.0 {
@@ -232,17 +191,6 @@ impl FigureReport {
                 }
             }
             out.push('\n');
-        }
-        for s in &self.series {
-            for (x, message) in &s.errors {
-                out.push_str(&format!("\n> ⚠ {} at {x}: {message}\n", s.label));
-            }
-        }
-        if !self.faults.is_empty() {
-            out.push_str(&format!(
-                "\n> faults: {} injected / {} detected / {} recovered\n",
-                self.faults.injected, self.faults.detected, self.faults.recovered
-            ));
         }
         for note in &self.notes {
             out.push_str(&format!("\n> {note}\n"));
@@ -304,30 +252,6 @@ mod tests {
             "missing point renders as dash:\n{md}"
         );
         assert!(md.contains("> B pays for reconstruction."));
-    }
-
-    #[test]
-    fn error_cells_render_with_footnotes() {
-        let mut r = FigureReport::new("faults", "Degradation", "µs");
-        let mut a = Series::new("System A");
-        a.push("Q1", 12.0);
-        a.push_error("Q2", "query exceeded 5 ms wall-clock budget");
-        r.add(a);
-        r.faults = FaultSummary {
-            injected: 1,
-            detected: 1,
-            recovered: 1,
-        };
-        let md = r.to_markdown();
-        assert!(md.contains("| Q1 | 12.0 |"), "{md}");
-        assert!(md.contains("| Q2 | ERR |"), "{md}");
-        assert!(md.contains("⚠ System A at Q2: query exceeded"), "{md}");
-        assert!(
-            md.contains("> faults: 1 injected / 1 detected / 1 recovered"),
-            "{md}"
-        );
-        // Error cells still count as points, keeping shapes uniform.
-        assert_eq!(r.series[0].points.len(), 2);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Instance building and latency measurement.
 
-use crate::report::{AccessRow, FaultSummary, Series};
-use bitempo_core::fault::panic_message;
 use bitempo_core::obs::{self, TraceLog};
-use bitempo_core::{Error, Result, Row, TableDef, TemporalClass};
+use bitempo_core::{Result, Row, TableDef, TemporalClass};
 use bitempo_dbgen::{ScaleConfig, TpchData};
 use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
@@ -29,12 +27,6 @@ pub struct BenchConfig {
     /// every engine's [`TuningConfig`] by [`Instance::build`]; `1` is the
     /// single-threaded execution the paper measured.
     pub workers: usize,
-    /// Per-query wall-clock budget in milliseconds, checked cooperatively
-    /// after each repetition (queries run inline on the measuring thread
-    /// and are never preempted mid-flight). A repetition that overruns aborts the cell
-    /// with [`Error::QueryTimeout`]. `0` is the deterministic fault hook:
-    /// every query exceeds a zero budget, so the first repetition times out.
-    pub query_timeout_millis: u64,
     /// Collect access-path traces and operator spans for the *kept*
     /// repetitions ([`measure_traced`]): the bench reports render a
     /// per-cell access-path breakdown from them. Tracing is thread-local
@@ -55,7 +47,6 @@ impl BenchConfig {
             discard: 2,
             batch_size: 1,
             workers: bitempo_engine::api::default_workers(),
-            query_timeout_millis: DEFAULT_QUERY_TIMEOUT_MILLIS,
             trace: true,
         }
     }
@@ -88,14 +79,6 @@ impl BenchConfig {
         self
     }
 
-    /// This configuration with the given per-query wall-clock budget
-    /// (`0` forces every query to time out — the fault-injection hook).
-    #[must_use]
-    pub fn with_timeout(mut self, millis: u64) -> BenchConfig {
-        self.query_timeout_millis = millis;
-        self
-    }
-
     /// This configuration with access-path tracing on or off.
     #[must_use]
     pub fn with_trace(mut self, trace: bool) -> BenchConfig {
@@ -103,10 +86,6 @@ impl BenchConfig {
         self
     }
 }
-
-/// Default per-query wall-clock budget: one minute, far above any
-/// laptop-scale cell, so fault-free runs never trip it.
-pub const DEFAULT_QUERY_TIMEOUT_MILLIS: u64 = 60_000;
 
 /// A fresh `kind` engine loaded the way [`Instance::build`] loads each one:
 /// `data` as version 0 in one transaction (timed, wall nanoseconds), then
@@ -261,12 +240,8 @@ impl Measurement {
 
 /// Measures a query per the paper's §5.1 discipline: run
 /// `discard + repetitions` times, drop the warm-ups, report the median.
-///
-/// Hardened against misbehaving queries: a panic inside `run` is caught and
-/// surfaced as [`Error::Panicked`], and each repetition is checked against
-/// the config's wall-clock budget ([`Error::QueryTimeout`] on overrun).
-/// Either way the caller gets a typed error for this one cell instead of a
-/// torn-down process.
+/// The first failing repetition's error is returned; a panic in `run`
+/// propagates.
 pub fn measure<F>(config: &BenchConfig, run: F) -> Result<Measurement>
 where
     F: FnMut() -> Result<Vec<Row>>,
@@ -278,14 +253,12 @@ where
 /// each *kept* repetition runs with [`obs`] tracing enabled and its
 /// [`TraceLog`] (access-path traces + operator spans) is returned alongside
 /// the measurement, in repetition order. Warm-up repetitions are never
-/// traced. Tracing is always disabled again before returning — including on
-/// the error paths — so a failed cell cannot leak an enabled recorder into
-/// the next one.
+/// traced. Tracing is disabled again after every traced repetition,
+/// including one that fails.
 pub fn measure_traced<F>(config: &BenchConfig, mut run: F) -> Result<(Measurement, Vec<TraceLog>)>
 where
     F: FnMut() -> Result<Vec<Row>>,
 {
-    let budget_nanos = config.query_timeout_millis.saturating_mul(1_000_000);
     let mut kept = Vec::with_capacity(config.repetitions);
     let mut logs = Vec::with_capacity(if config.trace { config.repetitions } else { 0 });
     let mut rows = 0;
@@ -295,19 +268,12 @@ where
             obs::enable();
         }
         let t0 = Instant::now();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut run))
-            .map_err(|payload| Error::Panicked(panic_message(payload.as_ref())));
+        let result = run();
         let nanos = t0.elapsed().as_nanos() as u64;
         if traced {
             logs.push(obs::disable());
         }
-        let out = result??;
-        if nanos > budget_nanos {
-            return Err(Error::QueryTimeout {
-                millis: config.query_timeout_millis,
-            });
-        }
-        rows = out.len();
+        rows = result?.len();
         if rep >= config.discard {
             kept.push(nanos);
         }
@@ -320,43 +286,6 @@ where
         },
         logs,
     ))
-}
-
-/// Measures one report cell with graceful degradation: a successful run
-/// pushes its median latency onto `series`; a failed one (panic, timeout,
-/// injected fault, engine error) records an error cell instead and bumps
-/// the experiment's fault tallies, so the rest of the figure still renders.
-///
-/// When the config's `trace` flag is set, the cell's access-path breakdown
-/// (aggregated from the last kept repetition — access-path choices and work
-/// counters are deterministic across repetitions) is attached to the series
-/// and rendered under the figure's timing table.
-pub fn measure_cell<F>(
-    config: &BenchConfig,
-    series: &mut Series,
-    faults: &mut FaultSummary,
-    x: impl Into<String>,
-    run: F,
-) where
-    F: FnMut() -> Result<Vec<Row>>,
-{
-    let x = x.into();
-    match measure_traced(config, run) {
-        Ok((m, logs)) => {
-            series.push(x.clone(), m.micros());
-            if let Some(log) = logs.last() {
-                let breakdown = AccessRow::aggregate(&log.scans);
-                if !breakdown.is_empty() {
-                    series.push_breakdown(x, breakdown);
-                }
-            }
-        }
-        Err(e) => {
-            faults.detected += 1;
-            faults.recovered += 1;
-            series.push_error(x, e.to_string());
-        }
-    }
 }
 
 /// Geometric mean of ratios (Fig 7's summary statistic).
@@ -381,7 +310,6 @@ mod tests {
             discard: 1,
             batch_size: 1,
             workers: 2,
-            query_timeout_millis: DEFAULT_QUERY_TIMEOUT_MILLIS,
             trace: true,
         }
     }
@@ -489,55 +417,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn panicking_query_is_contained() {
-        let cfg = tiny();
-        let err = measure(&cfg, || -> Result<Vec<Row>> { panic!("boom in Q9") }).unwrap_err();
-        match err {
-            Error::Panicked(msg) => assert!(msg.contains("boom in Q9"), "{msg}"),
-            other => panic!("expected Panicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn zero_budget_forces_timeout() {
-        let cfg = tiny().with_timeout(0);
-        let mut calls = 0;
-        let err = measure(&cfg, || {
-            calls += 1;
-            Ok(Vec::new())
-        })
-        .unwrap_err();
-        assert_eq!(calls, 1, "aborts after the first overrunning repetition");
-        assert!(matches!(err, Error::QueryTimeout { millis: 0 }));
-    }
-
-    #[test]
-    fn measure_cell_degrades_to_error_cell() {
-        let cfg = tiny();
-        let mut series = Series::new("System A");
-        let mut faults = FaultSummary::default();
-        measure_cell(&cfg, &mut series, &mut faults, "Q1", || {
-            Ok(vec![Row::new(vec![bitempo_core::Value::Int(1)])])
-        });
-        measure_cell(
-            &cfg,
-            &mut series,
-            &mut faults,
-            "Q2",
-            || -> Result<Vec<Row>> { panic!("injected") },
-        );
-        assert_eq!(series.points.len(), 2);
-        assert_eq!(series.errors.len(), 1);
-        assert!(
-            series.errors[0].1.contains("injected"),
-            "{:?}",
-            series.errors
-        );
-        assert_eq!(faults.detected, 1);
-        assert_eq!(faults.recovered, 1);
     }
 
     #[test]

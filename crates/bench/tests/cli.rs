@@ -23,7 +23,7 @@ fn list_prints_every_registry_id_once_in_run_all_order() {
         .collect();
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     assert_eq!(listed, ids);
-    assert_eq!(ids.len(), 27);
+    assert_eq!(ids.len(), 26);
 }
 
 #[test]

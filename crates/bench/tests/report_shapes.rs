@@ -1,17 +1,15 @@
 //! Every experiment's report shape pinned against a committed file: for each
 //! registry id, run through the registry at one fixed micro configuration,
-//! the id, title and unit, every series label with its x labels and error
-//! cells, every access-breakdown row with all its counters, the fault summary
-//! and the notes (digit runs masked to `#`, so timings never count) must
-//! equal `report_shapes.txt`. Measured values are not part of a shape; the
-//! labels, access paths and work counters a refactor of the harness must not
-//! move are.
+//! the id, title and unit, every series label with its x labels, every
+//! access-breakdown row with all its counters and the notes (digit runs
+//! masked to `#`, so timings never count) must equal `report_shapes.txt`.
+//! Measured values are not part of a shape; the labels, access paths and
+//! work counters a refactor of the harness must not move are.
 //!
 //! Regenerate (only when a shape is *meant* to change) with
 //! `BITEMPO_WRITE_GOLDEN=1 cargo test -p bitempo-bench --test report_shapes`.
 
 use bitempo_bench::experiments::EXPERIMENTS;
-use bitempo_bench::runner::DEFAULT_QUERY_TIMEOUT_MILLIS;
 use bitempo_bench::{BenchConfig, FigureReport};
 use std::fmt::Write as _;
 
@@ -25,7 +23,6 @@ fn micro_cfg() -> BenchConfig {
         discard: 0,
         batch_size: 1,
         workers: 2,
-        query_timeout_millis: DEFAULT_QUERY_TIMEOUT_MILLIS,
         trace: true,
     }
 }
@@ -48,10 +45,6 @@ fn render(r: &FigureReport, out: &mut String) {
     for s in &r.series {
         let xs: Vec<&str> = s.points.iter().map(|(x, _)| x.as_str()).collect();
         writeln!(out, "series {} : {}", s.label, xs.join(" ; ")).unwrap();
-        let errors: Vec<&str> = s.errors.iter().map(|(x, _)| x.as_str()).collect();
-        if !errors.is_empty() {
-            writeln!(out, "  errors : {}", errors.join(" ; ")).unwrap();
-        }
         for (x, rows) in &s.breakdowns {
             for a in rows {
                 writeln!(
@@ -73,13 +66,6 @@ fn render(r: &FigureReport, out: &mut String) {
             }
         }
     }
-    let f = &r.faults;
-    writeln!(
-        out,
-        "faults {} injected / {} detected / {} recovered",
-        f.injected, f.detected, f.recovered
-    )
-    .unwrap();
     for note in &r.notes {
         writeln!(out, "note {}", mask_digits(note)).unwrap();
     }

@@ -38,13 +38,6 @@ pub enum Error {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A benchmark query exceeded its wall-clock budget.
-    QueryTimeout {
-        /// The budget that was exceeded, in milliseconds.
-        millis: u64,
-    },
-    /// A query panicked and was caught by the bench runner.
-    Panicked(String),
     /// First-committer-wins validation failed: another transaction that
     /// committed after this one's snapshot was pinned wrote an overlapping
     /// key range. The transaction's buffered writes were discarded; the
@@ -76,10 +69,6 @@ impl fmt::Display for Error {
             Error::WorkerPanicked { morsel, message } => {
                 write!(f, "worker panicked on morsel {morsel}: {message}")
             }
-            Error::QueryTimeout { millis } => {
-                write!(f, "query exceeded {millis} ms wall-clock budget")
-            }
-            Error::Panicked(m) => write!(f, "query panicked: {m}"),
             Error::Conflict(m) => write!(f, "write-write conflict: {m}"),
             Error::Invalid(m) => write!(f, "invalid argument: {m}"),
             Error::Internal(m) => write!(f, "internal invariant violated: {m}"),

@@ -7,10 +7,9 @@
 //! crash mid-write, for the WAL and crash-recovery tests), and
 //! [`panic_message`], which names a contained panic. The detection and
 //! recovery sides live in the CRC-checked frames of the archive and the
-//! WAL ([`crate::frame`]), the morsel layer (panic containment), and the
-//! bench runner (per-query timeout + `catch_unwind`). Byte corruption needs
-//! no wrapper: archives and records decode from slices, so a test flips
-//! the byte directly.
+//! WAL ([`crate::frame`]) and the morsel layer (panic containment). Byte
+//! corruption needs no wrapper: archives and records decode from slices, so
+//! a test flips the byte directly.
 
 use std::io::{self, Write};
 

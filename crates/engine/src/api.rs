@@ -175,11 +175,6 @@ pub struct TuningConfig {
     /// [`crate::morsel`]). `1` scans single-threaded, exactly as before the
     /// morsel layer existed; any value produces identical results.
     pub workers: usize,
-    /// Fault-injection hook: if set, the sequential-scan worker that picks
-    /// up this morsel index panics, exercising the engine's panic
-    /// containment ([`bitempo_core::Error::WorkerPanicked`]). Never set in
-    /// real benchmark configurations.
-    pub panic_morsel: Option<u64>,
 }
 
 impl Default for TuningConfig {
@@ -192,7 +187,6 @@ impl Default for TuningConfig {
             gist: false,
             temporal_index: false,
             workers: default_workers(),
-            panic_morsel: None,
         }
     }
 }
@@ -244,21 +238,6 @@ impl TuningConfig {
     pub fn with_workers(mut self, workers: usize) -> TuningConfig {
         self.workers = workers.max(1);
         self
-    }
-
-    /// This configuration with a panic injected at the given morsel index
-    /// (fault-injection testing only).
-    pub fn with_panic_morsel(mut self, morsel: u64) -> TuningConfig {
-        self.panic_morsel = Some(morsel);
-        self
-    }
-
-    /// The morsel execution parameters implied by this configuration.
-    pub fn exec(&self) -> crate::morsel::MorselExec {
-        crate::morsel::MorselExec {
-            workers: self.workers,
-            panic_morsel: self.panic_morsel,
-        }
     }
 }
 

@@ -46,7 +46,7 @@ pub use api::{
     SysSpec, TableStats, TuningConfig,
 };
 pub use catalog::Catalog;
-pub use morsel::{MorselExec, ScanMetrics};
+pub use morsel::ScanMetrics;
 pub use shell::{Engine, TableLayout};
 pub use system_a::SystemA;
 pub use system_b::SystemB;

@@ -14,9 +14,8 @@
 //! Panics inside a morsel are contained: every morsel body runs under
 //! [`std::panic::catch_unwind`], a poisoned flag halts further dispatch, and
 //! the scan surfaces [`Error::WorkerPanicked`] with the index of the first
-//! panicking morsel instead of tearing down the thread scope. The
-//! [`MorselExec`] config carries an injected-panic hook so each engine's
-//! containment path can be exercised deterministically.
+//! panicking morsel instead of tearing down the thread scope. The tests here
+//! and in [`crate::rowscan`] drive that path with scan bodies that panic.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,40 +29,6 @@ use bitempo_core::{obs, Error, Result};
 /// enough that the per-morsel dispatch cost is negligible; partitions below
 /// this size never spawn threads.
 pub const MORSEL_ROWS: usize = 1024;
-
-/// Execution parameters for one morsel-driven scan: worker count plus the
-/// fault-injection hook used by the panic-containment tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MorselExec {
-    /// Worker threads (including the calling thread). `<= 1` runs inline.
-    pub workers: usize,
-    /// If set, the worker that picks up this morsel index panics before
-    /// scanning it — a deterministic fault for testing containment.
-    pub panic_morsel: Option<u64>,
-}
-
-impl Default for MorselExec {
-    fn default() -> MorselExec {
-        MorselExec::workers(1)
-    }
-}
-
-impl MorselExec {
-    /// Plain execution with `workers` threads and no injected faults.
-    pub fn workers(workers: usize) -> MorselExec {
-        MorselExec {
-            workers,
-            panic_morsel: None,
-        }
-    }
-
-    /// Builder-style: injects a panic at the given morsel index.
-    #[must_use]
-    pub fn with_panic_morsel(mut self, morsel: u64) -> MorselExec {
-        self.panic_morsel = Some(morsel);
-        self
-    }
-}
 
 /// Counters collected by one scan, identical across worker counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -111,19 +76,11 @@ pub fn morsel_ranges(units: usize) -> Vec<Range<usize>> {
 
 /// Runs one morsel under panic containment, returning its rows and metrics
 /// or a [`Error::WorkerPanicked`] naming the morsel.
-fn run_one<T, F>(
-    index: usize,
-    range: Range<usize>,
-    exec: MorselExec,
-    scan: &F,
-) -> Result<(Vec<T>, ScanMetrics)>
+fn run_one<T, F>(index: usize, range: Range<usize>, scan: &F) -> Result<(Vec<T>, ScanMetrics)>
 where
     F: Fn(Range<usize>, &mut Vec<T>, &mut ScanMetrics) + Sync,
 {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if exec.panic_morsel == Some(index as u64) {
-            panic!("injected fault: morsel {index}");
-        }
         let mut rows = Vec::new();
         let mut m = ScanMetrics::default();
         scan(range, &mut rows, &mut m);
@@ -135,20 +92,19 @@ where
     })
 }
 
-/// Runs `scan` over every morsel range covering `0..units`, per the
-/// [`MorselExec`] config, and returns the concatenated rows plus merged
-/// metrics.
+/// Runs `scan` over every morsel range covering `0..units` on `workers`
+/// threads (the calling thread included; `<= 1` runs inline), and returns
+/// the concatenated rows plus merged metrics.
 ///
 /// `scan` is invoked once per morsel with a fresh output buffer and metrics;
 /// results are concatenated in morsel order, so the returned row vector is
 /// identical for every worker count. With one worker (or a single morsel) no
 /// threads are spawned and the morsels run inline, in order.
 ///
-/// A panic inside any morsel (including one injected via
-/// [`MorselExec::panic_morsel`]) aborts the scan with
+/// A panic inside any morsel aborts the scan with
 /// [`Error::WorkerPanicked`]; remaining morsels are not dispatched, already
 /// running ones finish, and the thread scope unwinds cleanly.
-pub fn run_morsels<T, F>(units: usize, exec: MorselExec, scan: F) -> Result<(Vec<T>, ScanMetrics)>
+pub fn run_morsels<T, F>(units: usize, workers: usize, scan: F) -> Result<(Vec<T>, ScanMetrics)>
 where
     T: Send,
     F: Fn(Range<usize>, &mut Vec<T>, &mut ScanMetrics) + Sync,
@@ -158,7 +114,7 @@ where
         morsels: morsels.len() as u64,
         ..ScanMetrics::default()
     };
-    let workers = exec.workers.max(1).min(morsels.len().max(1));
+    let workers = workers.max(1).min(morsels.len().max(1));
     // Worker threads never record (their thread-local recorders stay
     // disabled); this span on the coordinating thread times the whole
     // dispatch, so traces are identical for every worker count.
@@ -169,7 +125,7 @@ where
     if workers == 1 {
         let mut rows = Vec::new();
         for (i, range) in morsels.into_iter().enumerate() {
-            let (mut chunk, m) = run_one(i, range, exec, &scan)?;
+            let (mut chunk, m) = run_one(i, range, &scan)?;
             rows.append(&mut chunk);
             metrics.merge(&m);
         }
@@ -187,7 +143,7 @@ where
         }
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(range) = morsels.get(i) else { break };
-        match run_one(i, range.clone(), exec, &scan) {
+        match run_one(i, range.clone(), &scan) {
             Ok((rows, m)) => produced.push((i, rows, m)),
             Err(e) => {
                 poisoned.store(true, Ordering::Relaxed);
@@ -270,6 +226,16 @@ mod tests {
         }
     }
 
+    /// [`evens`], except that the morsel at index `i` panics.
+    fn panics_at(i: usize) -> impl Fn(Range<usize>, &mut Vec<usize>, &mut ScanMetrics) + Sync {
+        move |range, out, m| {
+            if range.start == i * MORSEL_ROWS {
+                panic!("injected fault: morsel {i}");
+            }
+            evens(range, out, m);
+        }
+    }
+
     #[test]
     fn ranges_tile_the_unit_space() {
         assert!(morsel_ranges(0).is_empty());
@@ -283,10 +249,9 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_rows_and_metrics() {
         let units = MORSEL_ROWS * 7 + 123;
-        let (seq_rows, seq_m) = run_morsels(units, MorselExec::workers(1), evens).unwrap();
+        let (seq_rows, seq_m) = run_morsels(units, 1, evens).unwrap();
         for workers in [2, 4, 16] {
-            let (par_rows, par_m) =
-                run_morsels(units, MorselExec::workers(workers), evens).unwrap();
+            let (par_rows, par_m) = run_morsels(units, workers, evens).unwrap();
             assert_eq!(par_rows, seq_rows, "workers={workers}");
             assert_eq!(par_m, seq_m, "workers={workers}");
         }
@@ -297,10 +262,10 @@ mod tests {
 
     #[test]
     fn small_input_and_zero_workers_run_inline() {
-        let (rows, m) = run_morsels(10, MorselExec::workers(0), evens).unwrap();
+        let (rows, m) = run_morsels(10, 0, evens).unwrap();
         assert_eq!(rows, vec![0, 2, 4, 6, 8]);
         assert_eq!(m.morsels, 1);
-        let (rows, m) = run_morsels(0, MorselExec::workers(4), evens).unwrap();
+        let (rows, m) = run_morsels(0, 4, evens).unwrap();
         assert!(rows.is_empty());
         assert_eq!(m.morsels, 0);
     }
@@ -308,8 +273,7 @@ mod tests {
     #[test]
     fn injected_panic_is_contained_inline() {
         let units = MORSEL_ROWS * 3;
-        let exec = MorselExec::workers(1).with_panic_morsel(1);
-        let err = run_morsels(units, exec, evens).unwrap_err();
+        let err = run_morsels(units, 1, panics_at(1)).unwrap_err();
         assert_eq!(
             err,
             Error::WorkerPanicked {
@@ -323,8 +287,7 @@ mod tests {
     fn injected_panic_is_contained_parallel() {
         let units = MORSEL_ROWS * 8 + 17;
         for workers in [2, 4] {
-            let exec = MorselExec::workers(workers).with_panic_morsel(3);
-            let err = run_morsels(units, exec, evens).unwrap_err();
+            let err = run_morsels(units, workers, panics_at(3)).unwrap_err();
             match err {
                 Error::WorkerPanicked { morsel, message } => {
                     assert_eq!(morsel, 3, "workers={workers}");
@@ -343,7 +306,7 @@ mod tests {
             }
             out.extend(range);
         };
-        let err = run_morsels(MORSEL_ROWS * 4, MorselExec::workers(2), bomb).unwrap_err();
+        let err = run_morsels(MORSEL_ROWS * 4, 2, bomb).unwrap_err();
         match err {
             Error::WorkerPanicked { morsel, message } => {
                 assert!(morsel >= 2);
@@ -356,10 +319,9 @@ mod tests {
     #[test]
     fn scan_succeeds_after_failed_attempt() {
         let units = MORSEL_ROWS * 2;
-        let exec = MorselExec::workers(2).with_panic_morsel(0);
-        assert!(run_morsels(units, exec, evens).is_err());
-        // The same scan with the fault cleared recovers fully.
-        let (rows, _) = run_morsels(units, MorselExec::workers(2), evens).unwrap();
+        assert!(run_morsels(units, 2, panics_at(0)).is_err());
+        // The same scan without the fault recovers fully.
+        let (rows, _) = run_morsels(units, 2, evens).unwrap();
         assert_eq!(rows.len(), units / 2);
     }
 }

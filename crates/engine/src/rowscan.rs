@@ -14,7 +14,7 @@
 
 use crate::api::{AccessPath, AppSpec, ColRange, SysSpec};
 use crate::index::{GistIndex, IndexedCol, OrderedIndex};
-use crate::morsel::{run_morsels, MorselExec, ScanMetrics};
+use crate::morsel::{run_morsels, ScanMetrics};
 use crate::version::Version;
 use bitempo_core::{obs, Result, Row, SysTime, TableDef, Value};
 use bitempo_query::optimizer::{self, Alternative, PathKind};
@@ -351,7 +351,7 @@ enum Choice<'a> {
 /// Scans one partition: picks an access path, applies residual filters, and
 /// appends qualifying output rows (in `def.scan_schema()` layout) to `out`.
 /// Counters accumulate into `metrics`. Sequential scans are morsel-parallel
-/// per `exec` (`workers <= 1` runs inline); the index paths stay serial, as
+/// on `workers` threads (`<= 1` runs inline); the index paths stay serial, as
 /// their probe result sets are already small by construction. Returns the
 /// access path taken, or [`bitempo_core::Error::WorkerPanicked`] if a scan
 /// worker panicked (the panic is contained; partial output is discarded).
@@ -373,16 +373,16 @@ pub fn scan_partition(
     app: &AppSpec,
     preds: &[ColRange],
     now: SysTime,
-    exec: MorselExec,
+    workers: usize,
     out: &mut Vec<Row>,
     metrics: &mut ScanMetrics,
 ) -> Result<AccessPath> {
     let Some(start) = obs::trace_clock() else {
-        return scan_partition_inner(part, def, sys, app, preds, now, exec, out, metrics);
+        return scan_partition_inner(part, def, sys, app, preds, now, workers, out, metrics);
     };
     let rows_before = out.len();
     let before = *metrics;
-    let result = scan_partition_inner(part, def, sys, app, preds, now, exec, out, metrics);
+    let result = scan_partition_inner(part, def, sys, app, preds, now, workers, out, metrics);
     let end = obs::trace_clock().unwrap_or(start);
     if let Ok(path) = &result {
         let delta = ScanMetrics {
@@ -398,7 +398,7 @@ pub fn scan_partition(
             path,
             delta,
             (out.len() - rows_before) as u64,
-            exec.workers.max(1),
+            workers.max(1),
             start,
             end.saturating_sub(start),
         );
@@ -414,7 +414,7 @@ fn scan_partition_inner(
     app: &AppSpec,
     preds: &[ColRange],
     now: SysTime,
-    exec: MorselExec,
+    workers: usize,
     out: &mut Vec<Row>,
     metrics: &mut ScanMetrics,
 ) -> Result<AccessPath> {
@@ -448,12 +448,13 @@ fn scan_partition_inner(
     // keeps the output identical to a single-threaded scan for any worker
     // count.
     let run_seq = |out: &mut Vec<Row>, metrics: &mut ScanMetrics| -> Result<AccessPath> {
-        let (rows, scan_metrics) = run_morsels(part.source.scan_units(), exec, |range, buf, m| {
-            let before = buf.len();
-            let judged = part.source.scan_range(range, def, sys, app, preds, buf);
-            m.rows_visited += judged;
-            m.versions_pruned += judged - (buf.len() - before) as u64;
-        })?;
+        let (rows, scan_metrics) =
+            run_morsels(part.source.scan_units(), workers, |range, buf, m| {
+                let before = buf.len();
+                let judged = part.source.scan_range(range, def, sys, app, preds, buf);
+                m.rows_visited += judged;
+                m.versions_pruned += judged - (buf.len() - before) as u64;
+            })?;
         metrics.merge(&scan_metrics);
         out.extend(rows);
         Ok(AccessPath::FullScan { partitions: 1 })
@@ -687,7 +688,7 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(100),
-            MorselExec::workers(1),
+            1,
             &mut out,
             &mut m,
         )
@@ -728,7 +729,7 @@ mod tests {
             &AppSpec::All,
             &[ColRange::eq(0, Value::Int(7))],
             SysTime(100),
-            MorselExec::workers(1),
+            1,
             &mut out,
             &mut m,
         )
@@ -770,7 +771,7 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(2000),
-            MorselExec::workers(1),
+            1,
             &mut out,
             &mut m,
         )
@@ -790,7 +791,7 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(2000),
-            MorselExec::workers(1),
+            1,
             &mut out,
             &mut m,
         )
@@ -838,7 +839,7 @@ mod tests {
                 &AppSpec::All,
                 &[],
                 SysTime(1000),
-                MorselExec::workers(1),
+                1,
                 &mut out,
                 &mut m,
             )
@@ -886,7 +887,7 @@ mod tests {
                 &AppSpec::All,
                 &[],
                 SysTime(9000),
-                MorselExec::workers(workers),
+                workers,
                 &mut out,
                 &mut m,
             )
@@ -982,7 +983,7 @@ mod tests {
                 &AppSpec::All,
                 &[],
                 SysTime(2000),
-                MorselExec::workers(1),
+                1,
                 &mut out,
                 &mut m,
             )
@@ -1024,7 +1025,7 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(2000),
-            MorselExec::workers(1),
+            1,
             &mut out,
             &mut m,
         )
@@ -1058,7 +1059,7 @@ mod tests {
             &AppSpec::All,
             &[],
             SysTime(100),
-            MorselExec::workers(4),
+            4,
             &mut out,
             &mut m,
         )
@@ -1123,7 +1124,7 @@ mod tests {
             &AppSpec::Range(empty),
             &[],
             SysTime(200),
-            MorselExec::workers(1),
+            1,
             &mut out,
             &mut m,
         )
@@ -1131,5 +1132,83 @@ mod tests {
         assert_eq!(path, AccessPath::GistScan("gist_t".into()));
         assert!(out.is_empty());
         assert_eq!(m.index_probes, 0, "no false-positive probes");
+    }
+
+    /// A partition of four morsels whose layout code panics from morsel 2
+    /// on; the earlier morsels emit one row each.
+    struct PanickingSource;
+
+    impl VersionSource for PanickingSource {
+        fn scan_units(&self) -> usize {
+            4 * crate::morsel::MORSEL_ROWS
+        }
+        fn len(&self) -> usize {
+            self.scan_units()
+        }
+        fn probe(
+            &self,
+            _: u64,
+            _: &TableDef,
+            _: &SysSpec,
+            _: &AppSpec,
+            _: &[ColRange],
+            _: &mut Vec<Row>,
+        ) -> Option<bool> {
+            None
+        }
+        fn scan_range(
+            &self,
+            range: Range<usize>,
+            _: &TableDef,
+            _: &SysSpec,
+            _: &AppSpec,
+            _: &[ColRange],
+            out: &mut Vec<Row>,
+        ) -> u64 {
+            if range.start >= 2 * crate::morsel::MORSEL_ROWS {
+                panic!("layout bug");
+            }
+            out.push(Row::new(vec![
+                Value::Int(range.start as i64),
+                Value::Int(0),
+            ]));
+            range.len() as u64
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_is_contained() {
+        let part = PartitionView {
+            source: &PanickingSource,
+            pk: None,
+            indexes: &[],
+            gist: None,
+            tindex: None,
+        };
+        for workers in [1, 2] {
+            let mut out = Vec::new();
+            let mut m = ScanMetrics::default();
+            let err = scan_partition(
+                site(),
+                &part,
+                &def(),
+                &SysSpec::All,
+                &AppSpec::All,
+                &[],
+                SysTime(100),
+                workers,
+                &mut out,
+                &mut m,
+            )
+            .unwrap_err();
+            match err {
+                bitempo_core::Error::WorkerPanicked { morsel, message } => {
+                    assert!(morsel >= 2, "workers={workers}: morsel {morsel}");
+                    assert_eq!(message, "layout bug", "workers={workers}");
+                }
+                other => panic!("workers={workers}: expected WorkerPanicked, got {other:?}"),
+            }
+            assert!(out.is_empty(), "workers={workers}: partial output kept");
+        }
     }
 }

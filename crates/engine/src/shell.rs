@@ -248,7 +248,6 @@ impl<T: TableLayout> BitemporalEngine for Engine<T> {
         preds: &[ColRange],
     ) -> Result<ScanOutput> {
         let (def, t) = self.table(table);
-        let exec = self.tuning.exec();
         let _span = obs::span_dyn("engine", || format!("{} scan {}", T::NAME, def.name));
         let mut rows = Vec::new();
         let mut paths = Vec::new();
@@ -267,7 +266,7 @@ impl<T: TableLayout> BitemporalEngine for Engine<T> {
                 app,
                 preds,
                 self.now,
-                exec,
+                self.tuning.workers,
                 &mut rows,
                 &mut metrics,
             )?);

@@ -20,7 +20,6 @@ fn main() -> bitempo_core::Result<()> {
         discard: 1,
         batch_size: 1,
         workers: bitempo_engine::api::default_workers(),
-        query_timeout_millis: bitempo_bench::runner::DEFAULT_QUERY_TIMEOUT_MILLIS,
         trace: false,
     };
     let mut inst = Instance::build(&cfg, &TuningConfig::none())?;
