@@ -3,6 +3,7 @@
 use bitempo_core::{
     AppDate, AppPeriod, Key, Result, Row, SysPeriod, SysTime, TableDef, TableId, Value,
 };
+use bitempo_query::optimizer::PathKind;
 use std::ops::Bound;
 
 /// System-time dimension of a scan.
@@ -127,6 +128,19 @@ pub enum AccessPath {
     TemporalProbe(String),
     /// Primary-key point access through an index.
     KeyLookup(String),
+}
+
+impl AccessPath {
+    /// The path family this access belongs to.
+    pub fn kind(&self) -> PathKind {
+        match self {
+            AccessPath::FullScan { .. } => PathKind::SeqScan,
+            AccessPath::IndexScan(_) => PathKind::BTreeRange,
+            AccessPath::GistScan(_) => PathKind::GistProbe,
+            AccessPath::TemporalProbe(_) => PathKind::TemporalProbe,
+            AccessPath::KeyLookup(_) => PathKind::KeyLookup,
+        }
+    }
 }
 
 impl std::fmt::Display for AccessPath {

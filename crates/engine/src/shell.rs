@@ -273,7 +273,7 @@ impl<T: TableLayout> BitemporalEngine for Engine<T> {
             Ok(())
         })?;
         let out = ScanOutput {
-            access: merge_access(paths.clone()),
+            access: merge_access(&paths),
             partition_paths: paths,
             rows,
             metrics,

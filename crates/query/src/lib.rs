@@ -15,10 +15,10 @@
 //! * [`temporal`] — temporal aggregation (both the efficient event sweep
 //!   and the *naive* boundary-points formulation the paper measured),
 //!   overlap joins, and version-delta extraction (R7, K4/K5);
-//! * [`optimizer`] — cost-based access-path selection: a one-group
-//!   Cascades-style memo costs every physical alternative a partition scan
-//!   has (sequential, key lookup, B-Tree, GiST, temporal index) and picks
-//!   the cheapest, from the partition and the query alone.
+//! * [`optimizer`] — cost-based access-path selection: the cost of every
+//!   physical path a partition scan has (sequential, key lookup, B-Tree,
+//!   GiST, temporal index) and the rule that keeps the cheapest, from the
+//!   partition and the query alone.
 //!
 //! There is no separate plan description: a query's plan is the workload
 //! function that calls these operators (`bitempo-workloads`).
