@@ -644,20 +644,10 @@ impl OrderedIndex {
     }
 
     /// Slots whose *first* index column lies in `(lo, hi)`. Composite
-    /// suffix columns are not constrained (callers re-filter).
-    pub fn probe_range(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<u64> {
-        self.probe_range_counted(lo, hi, &mut 0)
-    }
-
-    /// Like [`OrderedIndex::probe_range`], but counts every leaf entry
-    /// examined (including the one that terminates the range walk) into
-    /// `visits` — the probe-work number scan metrics report.
-    pub fn probe_range_counted(
-        &self,
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
-        visits: &mut u64,
-    ) -> Vec<u64> {
+    /// suffix columns are not constrained (callers re-filter). Counts every
+    /// leaf entry examined (including the one that terminates the range
+    /// walk) into `visits` — the probe-work number scan metrics report.
+    pub fn probe_range(&self, lo: Bound<&Value>, hi: Bound<&Value>, visits: &mut u64) -> Vec<u64> {
         let mut span = obs::span_dyn("index", || format!("probe_range {}", self.def.name));
         let out = match &self.cells {
             // Each bound is placed among the cells once, not per entry.
@@ -672,14 +662,9 @@ impl OrderedIndex {
         out
     }
 
-    /// Slots matching an exact composite prefix `key`.
-    pub fn probe_prefix(&self, key: &[Value]) -> Vec<u64> {
-        self.probe_prefix_counted(key, &mut 0)
-    }
-
-    /// Like [`OrderedIndex::probe_prefix`], but counts examined leaf
+    /// Slots matching an exact composite prefix `key`. Counts examined leaf
     /// entries into `visits`.
-    pub fn probe_prefix_counted(&self, key: &[Value], visits: &mut u64) -> Vec<u64> {
+    pub fn probe_prefix(&self, key: &[Value], visits: &mut u64) -> Vec<u64> {
         let mut span = obs::span_dyn("index", || format!("probe_prefix {}", self.def.name));
         let out = self.prefix_slots(key, visits);
         span.arg_with("hits", || out.len().to_string());
@@ -811,16 +796,11 @@ impl GistIndex {
         self.tree.insert(version_rect(version), slot);
     }
 
-    /// Slots whose rectangle intersects the query window.
-    pub fn probe(&self, query: &Rect) -> Vec<u64> {
-        self.probe_counted(query, &mut 0)
-    }
-
-    /// Like [`GistIndex::probe`], but counts every R-Tree entry examined
-    /// (internal and leaf) into `visits`.
-    pub fn probe_counted(&self, query: &Rect, visits: &mut u64) -> Vec<u64> {
+    /// Slots whose rectangle intersects the query window. Counts every
+    /// R-Tree entry examined (internal and leaf) into `visits`.
+    pub fn probe(&self, query: &Rect, visits: &mut u64) -> Vec<u64> {
         let mut span = obs::span_dyn("index", || format!("gist_probe {}", self.name));
-        let out = self.tree.search_counted(query, visits);
+        let out = self.tree.search(query, visits);
         span.arg_with("hits", || out.len().to_string());
         out
     }
@@ -879,6 +859,7 @@ mod tests {
         let hits = idx.probe_range(
             Bound::Included(&Value::Int(10)),
             Bound::Excluded(&Value::Int(13)),
+            &mut 0,
         );
         assert_eq!(hits, vec![10, 11, 12]);
         assert!(idx.remove(&version(10, (0, 10), (0, None)), 10));
@@ -886,6 +867,7 @@ mod tests {
         let hits = idx.probe_range(
             Bound::Included(&Value::Int(10)),
             Bound::Included(&Value::Int(12)),
+            &mut 0,
         );
         assert_eq!(hits, vec![11, 12]);
     }
@@ -900,7 +882,7 @@ mod tests {
         for i in 0..5 {
             idx.insert(&version(i, (0, 10), (0, None)), i as u64);
         }
-        let hits = idx.probe_range(Bound::Excluded(&Value::Int(2)), Bound::Unbounded);
+        let hits = idx.probe_range(Bound::Excluded(&Value::Int(2)), Bound::Unbounded, &mut 0);
         assert_eq!(hits, vec![3, 4]);
     }
 
@@ -914,9 +896,9 @@ mod tests {
         idx.insert(&version(7, (0, 10), (1, Some(5))), 100);
         idx.insert(&version(7, (0, 10), (5, None)), 101);
         idx.insert(&version(8, (0, 10), (2, None)), 200);
-        let hits = idx.probe_prefix(&[Value::Int(7)]);
+        let hits = idx.probe_prefix(&[Value::Int(7)], &mut 0);
         assert_eq!(hits, vec![100, 101]);
-        let hits = idx.probe_prefix(&[Value::Int(9)]);
+        let hits = idx.probe_prefix(&[Value::Int(9)], &mut 0);
         assert!(hits.is_empty());
     }
 
@@ -934,6 +916,7 @@ mod tests {
         let hits = idx.probe_range(
             Bound::Unbounded,
             Bound::Included(&Value::SysTime(SysTime(3))),
+            &mut 0,
         );
         assert_eq!(hits, vec![0, 1, 2, 3]);
     }
@@ -1084,7 +1067,7 @@ mod tests {
             idx.insert(&version(i, (0, 10), (0, None)), i as u64);
         }
         let mut visits = 0;
-        let hits = idx.probe_range_counted(
+        let hits = idx.probe_range(
             Bound::Included(&Value::Int(10)),
             Bound::Excluded(&Value::Int(13)),
             &mut visits,
@@ -1093,7 +1076,7 @@ mod tests {
         // Three hits plus the entry that terminated the walk.
         assert_eq!(visits, 4);
         let mut visits = 0;
-        let hits = idx.probe_prefix_counted(&[Value::Int(7)], &mut visits);
+        let hits = idx.probe_prefix(&[Value::Int(7)], &mut visits);
         assert_eq!(hits, vec![7]);
         assert_eq!(visits, 2);
     }
@@ -1107,10 +1090,10 @@ mod tests {
         g.insert(&version(2, (15, i64::MAX), (4, None)), 2);
         // Query: app day 12 at sys time 3.
         let q = Rect::point(12, 3);
-        assert_eq!(g.probe(&q), vec![1]);
+        assert_eq!(g.probe(&q, &mut 0), vec![1]);
         // Query: app day 100 at sys time 100 — only the open version.
         let q = Rect::point(100, 100);
-        assert_eq!(g.probe(&q), vec![2]);
+        assert_eq!(g.probe(&q, &mut 0), vec![2]);
         assert_eq!(g.len(), 2);
     }
 
@@ -1122,17 +1105,17 @@ mod tests {
 
         // A version ending exactly at the query start must not match:
         // app query window starting at day 20 ([20, 20] after conversion).
-        assert!(g.probe(&Rect::new(20, 20, 3, 3)).is_empty());
+        assert!(g.probe(&Rect::new(20, 20, 3, 3), &mut 0).is_empty());
         // ... and the last contained day does.
-        assert_eq!(g.probe(&Rect::new(19, 19, 3, 3)), vec![1]);
+        assert_eq!(g.probe(&Rect::new(19, 19, 3, 3), &mut 0), vec![1]);
         // Same on the system axis: sys time 5 is outside [2, 5).
-        assert!(g.probe(&Rect::new(12, 12, 5, 5)).is_empty());
-        assert_eq!(g.probe(&Rect::new(12, 12, 4, 4)), vec![1]);
+        assert!(g.probe(&Rect::new(12, 12, 5, 5), &mut 0).is_empty());
+        assert_eq!(g.probe(&Rect::new(12, 12, 4, 4), &mut 0), vec![1]);
 
         // A query range ending exactly at the version start must not match
         // either: app range [5, 10) converts to [5, 9].
-        assert!(g.probe(&Rect::new(5, 9, 3, 3)).is_empty());
-        assert_eq!(g.probe(&Rect::new(5, 10, 3, 3)), vec![1]);
+        assert!(g.probe(&Rect::new(5, 9, 3, 3), &mut 0).is_empty());
+        assert_eq!(g.probe(&Rect::new(5, 10, 3, 3), &mut 0), vec![1]);
     }
 
     #[test]
@@ -1144,7 +1127,10 @@ mod tests {
         // straddling day 15.
         let q = Rect::new(15, 14, 0, i64::MAX - 1);
         assert!(q.is_empty());
-        assert!(g.probe(&q).is_empty(), "empty period: no versions qualify");
+        assert!(
+            g.probe(&q, &mut 0).is_empty(),
+            "empty period: no versions qualify"
+        );
     }
 
     #[test]

@@ -306,10 +306,12 @@ mod tests {
     type Contents = (Vec<(usize, Vec<u64>)>, usize);
 
     fn contents(p: &PartIndexes) -> Contents {
-        let trees = p
-            .ordered
-            .iter()
-            .map(|ix| (ix.len(), ix.probe_range(Bound::Unbounded, Bound::Unbounded)));
+        let trees = p.ordered.iter().map(|ix| {
+            (
+                ix.len(),
+                ix.probe_range(Bound::Unbounded, Bound::Unbounded, &mut 0),
+            )
+        });
         (trees.collect(), p.tuning_bytes())
     }
 

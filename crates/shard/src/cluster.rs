@@ -47,7 +47,7 @@ use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableI
 use bitempo_engine::api::{
     AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
 };
-use bitempo_engine::{build_engine, ScanMetrics, SystemKind};
+use bitempo_engine::{build_engine, SystemKind};
 use bitempo_txn::{
     CheckedOp, CommitLog, CommitWait, OpBuffer, PreparedTxn, Snapshot, TxnManager, WriteEntry,
 };
@@ -753,7 +753,7 @@ impl BitemporalEngine for ClusterView<'_> {
                 Some(acc) => {
                     acc.rows.extend(part.rows);
                     acc.partition_paths.extend(part.partition_paths);
-                    acc.metrics = merge_metrics(acc.metrics, part.metrics);
+                    acc.metrics.merge(&part.metrics);
                 }
             }
         }
@@ -794,18 +794,6 @@ impl BitemporalEngine for ClusterView<'_> {
         _now: SysTime,
     ) -> Result<()> {
         self.read_only_err("restore")
-    }
-}
-
-fn merge_metrics(a: ScanMetrics, b: ScanMetrics) -> ScanMetrics {
-    ScanMetrics {
-        morsels: a.morsels + b.morsels,
-        rows_visited: a.rows_visited + b.rows_visited,
-        versions_pruned: a.versions_pruned + b.versions_pruned,
-        index_probes: a.index_probes + b.index_probes,
-        index_hits: a.index_hits + b.index_hits,
-        index_node_visits: a.index_node_visits + b.index_node_visits,
-        planned_rows: a.planned_rows + b.planned_rows,
     }
 }
 

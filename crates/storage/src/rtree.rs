@@ -293,15 +293,10 @@ impl<T: Clone> RTree<T> {
         (rect_a, node, rect_b, new_idx)
     }
 
-    /// All values whose rectangle intersects `query`.
-    pub fn search(&self, query: &Rect) -> Vec<T> {
-        self.search_counted(query, &mut 0)
-    }
-
-    /// Like [`RTree::search`], but counts every tree entry examined
-    /// (internal and leaf) into `visits` — the probe-work number scan
-    /// metrics report.
-    pub fn search_counted(&self, query: &Rect, visits: &mut u64) -> Vec<T> {
+    /// All values whose rectangle intersects `query`. Counts every tree
+    /// entry examined (internal and leaf) into `visits` — the probe-work
+    /// number scan metrics report.
+    pub fn search(&self, query: &Rect, visits: &mut u64) -> Vec<T> {
         let mut out = Vec::new();
         let mut stack = vec![self.root];
         while let Some(node) = stack.pop() {
@@ -406,10 +401,10 @@ mod tests {
         t.insert(Rect::interval(0, 9), "a");
         t.insert(Rect::interval(10, 19), "b");
         t.insert(Rect::interval(5, 14), "c");
-        let mut hits = t.search(&Rect::interval(8, 11));
+        let mut hits = t.search(&Rect::interval(8, 11), &mut 0);
         hits.sort_unstable();
         assert_eq!(hits, vec!["a", "b", "c"]);
-        let hits = t.search(&Rect::interval(30, 40));
+        let hits = t.search(&Rect::interval(30, 40), &mut 0);
         assert!(hits.is_empty());
         assert_eq!(t.len(), 3);
     }
@@ -432,7 +427,7 @@ mod tests {
             let x = rng.int_range(0, 10_000);
             let y = rng.int_range(0, 1_000);
             let q = Rect::new(x, x + 300, y, y + 50);
-            let mut got = t.search(&q);
+            let mut got = t.search(&q, &mut 0);
             got.sort_unstable();
             let mut expected: Vec<u32> = rects
                 .iter()
@@ -475,7 +470,7 @@ mod tests {
         for i in 0..100i64 {
             t.insert(Rect::new(i, i64::MAX - 1, 0, 0), i);
         }
-        let hits = t.search(&Rect::point(1_000_000, 0));
+        let hits = t.search(&Rect::point(1_000_000, 0), &mut 0);
         assert_eq!(hits.len(), 100, "all open periods cover any future point");
     }
 }

@@ -22,25 +22,6 @@ use bitempo_query::{
     aggregate, distinct, filter, hash_join, project, sort_by, top_n, AggExpr, JoinKind, SortKey,
 };
 
-/// Scan-output arities of the eight tables (value columns + period columns);
-/// the running join offsets below depend on them and a test pins them to the
-/// schema definitions.
-pub const AR_REGION: usize = 2;
-/// NATION scan arity.
-pub const AR_NATION: usize = 3;
-/// SUPPLIER scan arity (7 + 2 system-time columns).
-pub const AR_SUPPLIER: usize = 9;
-/// CUSTOMER scan arity (7 + 4 period columns).
-pub const AR_CUSTOMER: usize = 11;
-/// PART scan arity.
-pub const AR_PART: usize = 12;
-/// PARTSUPP scan arity.
-pub const AR_PARTSUPP: usize = 8;
-/// ORDERS scan arity.
-pub const AR_ORDERS: usize = 15;
-/// LINEITEM scan arity.
-pub const AR_LINEITEM: usize = 19;
-
 /// The time-travel coordinates applied to every temporal scan.
 #[derive(Debug, Clone, Copy)]
 pub struct Tt {
@@ -87,10 +68,9 @@ impl Ctx<'_> {
     }
 }
 
-/// Scan arity of a table *on the engine at hand*. The `AR_*` constants
-/// above describe the bitemporal layout; the non-temporal baseline engines
-/// (Fig 7 denominators) emit no period columns, so join offsets must be
-/// derived from the live schema, not hard-coded.
+/// Scan arity of a table *on the engine at hand*. The non-temporal baseline
+/// engines (Fig 7 denominators) emit no period columns, so join offsets must
+/// be derived from the live schema, not hard-coded.
 fn ar(ctx: &Ctx<'_>, table: bitempo_core::TableId) -> usize {
     ctx.engine.table_def(table).scan_schema().arity()
 }
@@ -1157,28 +1137,6 @@ pub fn run_query(ctx: &Ctx<'_>, number: u8, tt: &Tt) -> Result<Vec<Row>> {
 mod tests {
     use super::*;
     use crate::fixtures::{assert_equivalent, fixture};
-
-    #[test]
-    fn arity_constants_match_schemas() {
-        let fx = fixture();
-        let engine = fx.engines[0].1.as_ref();
-        let check = |name: &str, expected: usize| {
-            let id = engine.resolve(name).unwrap();
-            assert_eq!(
-                engine.table_def(id).scan_schema().arity(),
-                expected,
-                "{name}"
-            );
-        };
-        check("region", AR_REGION);
-        check("nation", AR_NATION);
-        check("supplier", AR_SUPPLIER);
-        check("customer", AR_CUSTOMER);
-        check("part", AR_PART);
-        check("partsupp", AR_PARTSUPP);
-        check("orders", AR_ORDERS);
-        check("lineitem", AR_LINEITEM);
-    }
 
     #[test]
     fn all_22_queries_agree_across_engines_current() {

@@ -150,7 +150,10 @@ proptest! {
             stored.push(r);
         }
         let q = Rect::new(query.0, query.0 + query.1, query.2, query.2 + query.3);
-        let mut got = tree.search(&q);
+        let mut visits = 0;
+        let mut got = tree.search(&q, &mut visits);
+        // Every hit is a leaf entry the search examined.
+        prop_assert!(visits >= got.len() as u64);
         got.sort_unstable();
         let mut want: Vec<u32> = stored
             .iter()
