@@ -44,12 +44,11 @@
 
 use crate::oracle::CommitOracle;
 use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, Value};
-use bitempo_engine::api::{
-    AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
-};
+use bitempo_engine::api::BitemporalEngine;
 use bitempo_engine::{build_engine, SystemKind};
 use bitempo_txn::{
-    CheckedOp, CommitLog, CommitWait, OpBuffer, PreparedTxn, Snapshot, TxnManager, WriteEntry,
+    CheckedOp, CommitLog, CommitWait, OpBuffer, PreparedTxn, Snapshot, SnapshotView, TxnManager,
+    WriteEntry,
 };
 use bitempo_wal::{Checkpoint, TxnWal};
 use bitempo_workloads::sharding::shard_of;
@@ -634,166 +633,12 @@ impl ClusterRead<'_> {
 
     /// The read-only engine view over the whole cluster: scans fan out to
     /// every shard and concatenate, key lookups route to the owning shard,
-    /// and every system-time specification is capped at the pinned
-    /// timestamp by the per-shard snapshot translation. Implements the
-    /// full [`BitemporalEngine`] read surface, so the workload query
-    /// classes run on a cluster exactly as they run on one engine.
-    pub fn view(&self) -> ClusterView<'_> {
-        ClusterView {
-            views: self.snaps.iter().map(|s| s.view()).collect(),
-            at: self.at,
-        }
-    }
-}
-
-/// [`BitemporalEngine`] adapter over one consistent cluster-wide cut. DML
-/// and schema changes are rejected — writes go through [`ClusterTxn`].
-pub struct ClusterView<'a> {
-    views: Vec<bitempo_txn::SnapshotView<'a>>,
-    at: SysTime,
-}
-
-impl ClusterView<'_> {
-    fn read_only_err<T>(&self, what: &str) -> Result<T> {
-        Err(Error::Unsupported(format!(
-            "{what} on a cluster snapshot: buffer writes on the ClusterTxn instead"
-        )))
-    }
-}
-
-impl BitemporalEngine for ClusterView<'_> {
-    fn name(&self) -> &'static str {
-        self.views[0].name()
-    }
-
-    fn architecture(&self) -> &'static str {
-        self.views[0].architecture()
-    }
-
-    fn create_table(&mut self, _def: TableDef) -> Result<TableId> {
-        self.read_only_err("create_table")
-    }
-
-    fn resolve(&self, name: &str) -> Result<TableId> {
-        self.views[0].resolve(name)
-    }
-
-    fn table_names(&self) -> Vec<String> {
-        self.views[0].table_names()
-    }
-
-    fn table_def(&self, table: TableId) -> &TableDef {
-        self.views[0].table_def(table)
-    }
-
-    fn apply_tuning(&mut self, _tuning: &TuningConfig) -> Result<()> {
-        self.read_only_err("apply_tuning")
-    }
-
-    fn insert(&mut self, _table: TableId, _row: Row, _app: Option<AppPeriod>) -> Result<()> {
-        self.read_only_err("insert")
-    }
-
-    fn update(
-        &mut self,
-        _table: TableId,
-        _key: &Key,
-        _updates: &[(usize, Value)],
-        _portion: Option<AppPeriod>,
-    ) -> Result<usize> {
-        self.read_only_err("update")
-    }
-
-    fn delete(
-        &mut self,
-        _table: TableId,
-        _key: &Key,
-        _portion: Option<AppPeriod>,
-    ) -> Result<usize> {
-        self.read_only_err("delete")
-    }
-
-    fn overwrite_app_period(
-        &mut self,
-        _table: TableId,
-        _key: &Key,
-        _period: AppPeriod,
-    ) -> Result<usize> {
-        self.read_only_err("overwrite_app_period")
-    }
-
-    /// A cluster snapshot has nothing to commit; its "commit time" is the
-    /// pinned global timestamp.
-    fn commit(&mut self) -> SysTime {
-        self.at
-    }
-
-    /// The frozen global timestamp, so queries deriving parameters from
-    /// the commit watermark stay inside the cut.
-    fn now(&self) -> SysTime {
-        self.at
-    }
-
-    fn scan(
-        &self,
-        table: TableId,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-    ) -> Result<ScanOutput> {
-        // Fan out and concatenate. Partitioning is by key, so the union of
-        // the per-shard row sets *is* the single-engine row set; callers
-        // needing a canonical order sort, exactly as they do across
-        // engines with different physical scan orders.
-        let mut out: Option<ScanOutput> = None;
-        for v in &self.views {
-            let part = v.scan(table, sys, app, preds)?;
-            match &mut out {
-                None => out = Some(part),
-                Some(acc) => {
-                    acc.rows.extend(part.rows);
-                    acc.partition_paths.extend(part.partition_paths);
-                    acc.metrics.merge(&part.metrics);
-                }
-            }
-        }
-        out.ok_or_else(|| Error::Internal("cluster has no shards".into()))
-    }
-
-    fn lookup_key(
-        &self,
-        table: TableId,
-        key: &Key,
-        sys: &SysSpec,
-        app: &AppSpec,
-    ) -> Result<ScanOutput> {
-        self.views[shard_of(key, self.views.len())].lookup_key(table, key, sys, app)
-    }
-
-    fn stats(&self, table: TableId) -> TableStats {
-        let mut acc = TableStats {
-            current_rows: 0,
-            history_rows: 0,
-        };
-        for v in &self.views {
-            let s = v.stats(table);
-            acc.current_rows += s.current_rows;
-            acc.history_rows += s.history_rows;
-        }
-        acc
-    }
-
-    fn snapshot_versions(&self, _table: TableId) -> Result<Vec<bitempo_engine::Version>> {
-        self.read_only_err("snapshot_versions")
-    }
-
-    fn restore(
-        &mut self,
-        _table: TableId,
-        _versions: Vec<bitempo_engine::Version>,
-        _now: SysTime,
-    ) -> Result<()> {
-        self.read_only_err("restore")
+    /// and each shard caps every system-time specification at the pinned
+    /// timestamp. Implements the full [`BitemporalEngine`] read surface, so
+    /// the workload query classes run on a cluster exactly as they run on
+    /// one engine.
+    pub fn view(&self) -> SnapshotView<'_> {
+        SnapshotView::over(&self.snaps, shard_of)
     }
 }
 
@@ -802,6 +647,7 @@ mod tests {
     use super::*;
     use crate::{recover_cluster, ShardInput};
     use bitempo_core::fault::FaultyWriter;
+    use bitempo_engine::api::{AccessPath, AppSpec, SysSpec, TuningConfig};
     use bitempo_engine::testutil::{bitemp_table, simple_row};
     use bitempo_wal::{DurabilityMode, SharedBuf, BODY_OVERHEAD, FRAME_OVERHEAD, WAL_HEADER_LEN};
 
@@ -848,7 +694,7 @@ mod tests {
         panic!("no key split across {shards} shards in 0..{n}");
     }
 
-    fn current_vals(view: &ClusterView<'_>, t: TableId) -> Vec<(i64, i64)> {
+    fn current_vals(view: &SnapshotView<'_>, t: TableId) -> Vec<(i64, i64)> {
         let mut rows: Vec<(i64, i64)> = view
             .scan(t, &SysSpec::Current, &AppSpec::All, &[])
             .expect("scan")
@@ -925,6 +771,69 @@ mod tests {
         // Both shards landed the same commit time.
         assert_eq!(cluster.shard_now(0), ts);
         assert_eq!(cluster.shard_now(1), ts);
+    }
+
+    /// Each member of a cut decides its own current-partition gate: a cut
+    /// taken right after a shard-0 commit may read shard 0's current
+    /// partition, but shard 1, which commits past the cut, must answer
+    /// `Current` as of the pin.
+    #[test]
+    fn each_member_decides_its_own_current_gate() {
+        let (cluster, _bufs) = cluster_with_bufs(2, 8);
+        let t = cluster.table_ids()[0];
+        let on = |s| {
+            (0..8)
+                .find(|k| shard_of(&Key::int(*k), 2) == s)
+                .expect("a key on the shard")
+        };
+        let (a, b) = (on(0), on(1));
+        let commit = |k: i64, v: i64| {
+            let mut txn = cluster.begin().expect("begin");
+            txn.update(t, &Key::int(k), &[(1, Value::Int(v))], None)
+                .expect("update");
+            txn.commit().expect("commit")
+        };
+
+        let old = cluster.snapshot();
+        let ts_a = commit(a, -1);
+        let mid = cluster.snapshot();
+        commit(b, -2);
+        assert_eq!(cluster.counters().single_shard.load(Ordering::Relaxed), 2);
+        assert_eq!((mid.at(), cluster.shard_now(0)), (ts_a, ts_a));
+
+        let guards = old.read().expect("read");
+        let vals = current_vals(&guards.view(), t);
+        assert!(
+            vals.contains(&(a, 10 * a)) && vals.contains(&(b, 10 * b)),
+            "{vals:?}"
+        );
+        drop(guards);
+        let guards = mid.read().expect("read");
+        let vals = current_vals(&guards.view(), t);
+        assert!(
+            vals.contains(&(a, -1)) && vals.contains(&(b, 10 * b)),
+            "{vals:?}"
+        );
+    }
+
+    /// A cluster scan reports the most specific access path across every
+    /// shard's partitions, as one engine's scan does across its own.
+    #[test]
+    fn cluster_scan_reports_the_merged_access_path() {
+        let (cluster, _bufs) = cluster_with_bufs(4, 32);
+        let t = cluster.table_ids()[0];
+        let snap = cluster.snapshot();
+        let guards = snap.read().expect("read");
+        let out = guards
+            .view()
+            .scan(t, &SysSpec::Current, &AppSpec::All, &[])
+            .expect("scan");
+        assert_eq!(out.rows.len(), 32);
+        assert_eq!(
+            out.partition_paths,
+            vec![AccessPath::FullScan { partitions: 1 }; 4]
+        );
+        assert_eq!(out.access, AccessPath::FullScan { partitions: 4 });
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //!   resolution of undecided prepares against the union of durable commit
 //!   decisions.
 //!
+//! Reads need no cluster-specific adapter: a [`ClusterRead`] holds one
+//! shard snapshot per shard at one oracle timestamp, and its
+//! [`ClusterRead::view`] is the serving layer's own
+//! [`bitempo_txn::SnapshotView`] over them, routed by
+//! [`bitempo_workloads::sharding::shard_of`].
+//!
 //! Because every commit lands at exactly its oracle timestamp (via the
 //! engines' `advance_clock` seam), a sharded cluster's history is
 //! byte-identical — per key, per timestamp, for all five query classes —
@@ -36,7 +42,6 @@ pub mod recover;
 
 pub use cluster::{
     partition_checkpoint, Cluster, ClusterCounters, ClusterRead, ClusterSnapshot, ClusterTxn,
-    ClusterView,
 };
 pub use oracle::CommitOracle;
 pub use recover::{recover_cluster, ClusterRecovered, ShardInput};

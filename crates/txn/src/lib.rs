@@ -55,6 +55,13 @@
 //! through [`CheckedOp`] into an [`OpBuffer`], whichever facade buffered
 //! it.
 //!
+//! **One read view.** [`SnapshotView`] is the only pinned read surface: it
+//! borrows a non-empty slice of [`Snapshot`]s pinned at one time and a key
+//! router. [`Snapshot::view`] is the one-member case; a sharded cluster
+//! passes one snapshot per shard. Each member translates the system-time
+//! specification against its own watermark, scans concatenate the members'
+//! outputs, and key lookups go to the routed member.
+//!
 //! **Snapshot contract.** A pinned snapshot guarantees the *row set*: every
 //! read returns exactly the rows of the commit-prefix state at `T`. The
 //! rendered system-period end of a version closed after `T` reflects the

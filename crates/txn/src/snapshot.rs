@@ -1,11 +1,14 @@
-//! Pinned read views: the guard a transaction reads through, and the
-//! engine adapter that caps every system-time specification at the pin.
+//! Pinned read views: the guard a transaction reads through, and the one
+//! engine adapter that caps every system-time specification at the pin —
+//! over one manager's snapshot or over a cluster cut of several.
 
 use crate::manager::EngineState;
 use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, Value};
 use bitempo_engine::api::{
     AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
 };
+use bitempo_engine::rowscan::merge_access;
+use bitempo_engine::Version;
 use std::sync::RwLockReadGuard;
 
 /// A read guard over the pinned snapshot. Obtain per query burst and drop
@@ -43,39 +46,24 @@ impl<'a> Snapshot<'a> {
     /// [`BitemporalEngine`] read surface, so the workload query classes run
     /// on a snapshot exactly as they run on a raw engine.
     pub fn view(&self) -> SnapshotView<'_> {
-        SnapshotView {
-            engine: self.guard.engine.as_ref(),
-            pin: self.pin,
-            // The current-partition fast path is sound only when the pin
-            // is at (or past — a shard lagging the global oracle clock)
-            // the newest commit and no poisoned pending state lingers.
-            current_ok: self.pin >= self.now && !self.degraded,
-        }
+        SnapshotView::over(std::slice::from_ref(self), |_, _| 0)
     }
-}
 
-/// [`BitemporalEngine`] adapter that rewrites every system-time
-/// specification to the pinned snapshot. DML and schema changes are
-/// rejected — writes go through [`crate::Transaction`] buffering.
-pub struct SnapshotView<'a> {
-    engine: &'a dyn BitemporalEngine,
-    pin: SysTime,
-    current_ok: bool,
-}
+    fn engine(&self) -> &dyn BitemporalEngine {
+        self.guard.engine.as_ref()
+    }
 
-impl SnapshotView<'_> {
     /// Rewrites `sys` so only versions committed at or before the pin are
     /// visible. See the crate docs for the row-visibility argument.
     fn sys_at_pin(&self, sys: &SysSpec) -> SysSpec {
         let t = self.pin;
         match sys {
-            SysSpec::Current => {
-                if self.current_ok {
-                    SysSpec::Current
-                } else {
-                    SysSpec::AsOf(t)
-                }
-            }
+            // The current-partition fast path is sound only when the pin
+            // is at (or past — a shard lagging the global oracle clock)
+            // this engine's newest commit and no poisoned pending state
+            // lingers.
+            SysSpec::Current if self.pin >= self.now && !self.degraded => SysSpec::Current,
+            SysSpec::Current => SysSpec::AsOf(t),
             SysSpec::AsOf(x) => SysSpec::AsOf((*x).min(t)),
             // Half-open: end `t.next()` includes versions committed at
             // exactly `t` and excludes everything later.
@@ -86,21 +74,52 @@ impl SnapshotView<'_> {
             }
         }
     }
+}
+
+/// [`BitemporalEngine`] adapter over snapshots pinned at one time: one
+/// manager's, or every shard's of a cluster cut. Scans fan out to every
+/// member and concatenate, key lookups go to the member `route` names, and
+/// each member caps the system-time specification at the pin against its
+/// own watermark. DML and schema changes are rejected — writes are
+/// buffered on a transaction.
+pub struct SnapshotView<'a> {
+    snaps: &'a [Snapshot<'a>],
+    route: fn(&Key, usize) -> usize,
+    /// The members' common pin.
+    pin: SysTime,
+}
+
+impl<'a> SnapshotView<'a> {
+    /// The view over `snaps`, which must be non-empty and pinned at one
+    /// time; `route(key, snaps.len())` is the member that owns `key`.
+    pub fn over(snaps: &'a [Snapshot<'a>], route: fn(&Key, usize) -> usize) -> SnapshotView<'a> {
+        let pin = snaps
+            .first()
+            .expect("a view reads at least one snapshot")
+            .pin;
+        debug_assert!(snaps.iter().all(|s| s.pin == pin), "members pinned apart");
+        SnapshotView { snaps, route, pin }
+    }
+
+    /// The catalog member: every member holds the same tables.
+    fn first(&self) -> &dyn BitemporalEngine {
+        self.snaps[0].engine()
+    }
 
     fn read_only_err<T>(&self, what: &str) -> Result<T> {
         Err(Error::Unsupported(format!(
-            "{what} on a pinned snapshot: buffer writes on the Transaction instead"
+            "{what} on a pinned snapshot: buffer writes on a transaction instead"
         )))
     }
 }
 
 impl BitemporalEngine for SnapshotView<'_> {
     fn name(&self) -> &'static str {
-        self.engine.name()
+        self.first().name()
     }
 
     fn architecture(&self) -> &'static str {
-        self.engine.architecture()
+        self.first().architecture()
     }
 
     fn create_table(&mut self, _def: TableDef) -> Result<TableId> {
@@ -108,15 +127,15 @@ impl BitemporalEngine for SnapshotView<'_> {
     }
 
     fn resolve(&self, name: &str) -> Result<TableId> {
-        self.engine.resolve(name)
+        self.first().resolve(name)
     }
 
     fn table_names(&self) -> Vec<String> {
-        self.engine.table_names()
+        self.first().table_names()
     }
 
     fn table_def(&self, table: TableId) -> &TableDef {
-        self.engine.table_def(table)
+        self.first().table_def(table)
     }
 
     fn apply_tuning(&mut self, _tuning: &TuningConfig) -> Result<()> {
@@ -173,7 +192,22 @@ impl BitemporalEngine for SnapshotView<'_> {
         app: &AppSpec,
         preds: &[ColRange],
     ) -> Result<ScanOutput> {
-        self.engine.scan(table, &self.sys_at_pin(sys), app, preds)
+        let scan = |s: &Snapshot<'_>| s.engine().scan(table, &s.sys_at_pin(sys), app, preds);
+        let mut out = scan(&self.snaps[0])?;
+        if self.snaps.len() > 1 {
+            // Partitioning is by key, so the union of the per-member row
+            // sets *is* the single-engine row set; callers needing a
+            // canonical order sort, exactly as they do across engines with
+            // different physical scan orders.
+            for s in &self.snaps[1..] {
+                let part = scan(s)?;
+                out.rows.extend(part.rows);
+                out.partition_paths.extend(part.partition_paths);
+                out.metrics.merge(&part.metrics);
+            }
+            out.access = merge_access(&out.partition_paths);
+        }
+        Ok(out)
     }
 
     fn lookup_key(
@@ -183,24 +217,25 @@ impl BitemporalEngine for SnapshotView<'_> {
         sys: &SysSpec,
         app: &AppSpec,
     ) -> Result<ScanOutput> {
-        self.engine
-            .lookup_key(table, key, &self.sys_at_pin(sys), app)
+        let s = &self.snaps[(self.route)(key, self.snaps.len())];
+        s.engine().lookup_key(table, key, &s.sys_at_pin(sys), app)
     }
 
     fn stats(&self, table: TableId) -> TableStats {
-        self.engine.stats(table)
+        let mut acc = TableStats::default();
+        for s in self.snaps {
+            let part = s.engine().stats(table);
+            acc.current_rows += part.current_rows;
+            acc.history_rows += part.history_rows;
+        }
+        acc
     }
 
-    fn snapshot_versions(&self, _table: TableId) -> Result<Vec<bitempo_engine::version::Version>> {
+    fn snapshot_versions(&self, _table: TableId) -> Result<Vec<Version>> {
         self.read_only_err("snapshot_versions")
     }
 
-    fn restore(
-        &mut self,
-        _table: TableId,
-        _versions: Vec<bitempo_engine::version::Version>,
-        _now: SysTime,
-    ) -> Result<()> {
+    fn restore(&mut self, _table: TableId, _versions: Vec<Version>, _now: SysTime) -> Result<()> {
         self.read_only_err("restore")
     }
 }
