@@ -549,4 +549,39 @@ mod tests {
         let b = Archive::decode(&h.archive.encode().unwrap()).unwrap();
         assert_eq!(h.archive, b);
     }
+
+    /// The generator's output, byte for byte: the CRC-32 and length of the
+    /// encoded archive at two scales. A change to how the history is
+    /// generated (not only to what it contains) must leave these alone.
+    #[test]
+    fn encoded_archive_is_pinned() {
+        use bitempo_dbgen::ScaleConfig;
+        let cases = [
+            (
+                ScaleConfig::tiny(),
+                crate::HistoryConfig::tiny(),
+                0x55AE_93B1,
+                183_138,
+            ),
+            (
+                ScaleConfig::with_h(0.002),
+                crate::HistoryConfig::with_m(0.002),
+                0xF083_BF4E,
+                669_594,
+            ),
+        ];
+        for (scale, config, crc, len) in cases {
+            let data = bitempo_dbgen::generate(&scale);
+            let bytes = crate::generate_history(&data, &config)
+                .archive
+                .encode()
+                .unwrap();
+            assert_eq!(
+                (bitempo_core::crc32(&bytes), bytes.len()),
+                (crc, len),
+                "archive at m = {}",
+                config.m
+            );
+        }
+    }
 }
