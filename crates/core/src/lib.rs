@@ -5,7 +5,8 @@
 //! values and rows, table schemas with temporal column annotations, a
 //! deterministic PCG random number generator used by the data generators, the
 //! byte codec ([`codec`]) and record framing ([`frame`]) shared by the
-//! generator archive, the WAL and checkpoints, and the shared error type.
+//! generator archive, the WAL and checkpoints, a deterministic hasher for
+//! the maps on the load path ([`hash`]), and the shared error type.
 //!
 //! ## The bitemporal data model
 //!
@@ -29,6 +30,7 @@ pub mod date;
 pub mod error;
 pub mod fault;
 pub mod frame;
+pub mod hash;
 pub mod key;
 pub mod obs;
 pub mod rng;

@@ -11,8 +11,8 @@
 use crate::schema::table_defs;
 use crate::text;
 use crate::{ScaleConfig, LAST_ORDER_DATE, START_DATE, SUPPLIERS_PER_PART};
+use bitempo_core::hash::FxHashSet;
 use bitempo_core::{AppDate, AppPeriod, Pcg32, Period, Row, TableDef, Value};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// TPC-H CURRENTDATE (1995-06-17), used for order status derivation.
@@ -76,7 +76,7 @@ fn ints(v: i64) -> Value {
 /// instead of an allocation of its own, in the generated data and in every
 /// engine loaded from it.
 #[derive(Default)]
-struct Interner(HashSet<Arc<str>>);
+struct Interner(FxHashSet<Arc<str>>);
 
 impl Interner {
     fn value(&mut self, s: impl AsRef<str>) -> Value {
@@ -446,7 +446,7 @@ mod tests {
         }
         assert!(allocations.len() > 50, "flags, modes, types, clerks…");
         // High-cardinality text keeps its own payload per cell.
-        let comments: HashSet<*const u8> = d
+        let comments: std::collections::HashSet<*const u8> = d
             .table("orders")
             .rows
             .iter()

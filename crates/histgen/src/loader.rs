@@ -213,9 +213,14 @@ mod tests {
         }
     }
 
+    /// Every engine's replay lands on the generator's full state (the
+    /// archive replayed into a fresh `GenDb`): the same versions across
+    /// all of system time and as of a commit halfway through, and the same
+    /// current / superseded split per table.
     #[test]
     fn replay_matches_generator_state_on_all_engines() {
         let (data, history, db) = tiny_inputs();
+        let mid = SysTime(db.now().0 / 2);
         for kind in SystemKind::ALL {
             let mut engine = build_engine(kind);
             let ids = load_initial(engine.as_mut(), &data).unwrap();
@@ -223,22 +228,45 @@ mod tests {
             assert_eq!(engine.now(), db.now(), "{kind}: commit counts must line up");
             engine.checkpoint();
             for (idx, &id) in ids.iter().enumerate() {
-                let mut got = engine
-                    .scan(id, &SysSpec::All, &AppSpec::All, &[])
-                    .unwrap()
-                    .rows;
-                let mut want = db.scan(idx, &SysSpec::All, &AppSpec::All);
-                got.sort();
-                want.sort();
+                let name = &db.def(idx).name;
+                for sys in [SysSpec::All, SysSpec::AsOf(mid)] {
+                    let mut got = engine.scan(id, &sys, &AppSpec::All, &[]).unwrap().rows;
+                    let mut want = db.scan(idx, &sys, &AppSpec::All);
+                    got.sort();
+                    want.sort();
+                    assert_eq!(got.len(), want.len(), "{kind}, {name}, {sys:?}: counts");
+                    assert_eq!(got, want, "{kind}, {name}, {sys:?}");
+                }
+                let stats = engine.stats(id);
                 assert_eq!(
-                    got.len(),
-                    want.len(),
-                    "{kind}, table {}: version counts",
-                    db.def(idx).name
+                    (stats.current_rows, stats.history_rows),
+                    (db.current_len(idx), db.invalidated_len(idx)),
+                    "{kind}, {name}: current / superseded"
                 );
-                assert_eq!(got, want, "{kind}, table {}", db.def(idx).name);
             }
         }
+    }
+
+    /// The bulk-load feed has a defined order, so two loads of one history
+    /// from two generator states lay System D out identically.
+    #[test]
+    fn bulk_loads_from_two_states_lay_out_identically() {
+        let (data, history, db) = tiny_inputs();
+        let other = GenDb::replay(&data, &history.archive).unwrap();
+        let layout = |db: &GenDb| {
+            let mut engine = build_engine(SystemKind::D);
+            let ids = bulk_load(engine.as_mut(), db).unwrap();
+            let mut versions = Vec::new();
+            for id in ids {
+                engine
+                    .for_each_version(id, &mut |v| versions.push(v.clone()))
+                    .unwrap();
+            }
+            versions
+        };
+        let (a, b) = (layout(&db), layout(&other));
+        assert_eq!(a.len(), b.len());
+        assert!(a == b, "the two bulk loads differ in order");
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Scenario execution: turning the Table-1 mix into concrete transactions.
 //!
 //! Each scenario execution emits one transaction of DML operations, applies
-//! them to the generator's own state, and appends them to the archive. When
+//! them to the generator's own state, and appends them to the archive. That
+//! state keeps versions only for [`READ_TABLES`], the tables whose current
+//! versions a scenario reads; the full oracle is rebuilt from the archive
+//! when it is asked for ([`crate::generate_history_with_state`]). When
 //! a scenario's precondition fails (e.g. `Cancel Order` with no open
 //! orders), it degrades to `New Order (existing customer)` — keeping the
 //! transaction stream total without skewing long-run frequencies, since
@@ -11,10 +14,10 @@ use crate::ops::{Op, ScenarioKind, Transaction};
 use crate::state::GenDb;
 use crate::stats::HistoryStats;
 use crate::{History, HistoryConfig};
+use bitempo_core::hash::FxHashMap;
 use bitempo_core::{AppDate, Key, Pcg32, Period, Row, Value};
 use bitempo_dbgen::tables::retail_price;
 use bitempo_dbgen::{col, text, TpchData, LAST_ORDER_DATE};
-use std::collections::HashMap;
 
 /// Table indexes in load order (see [`bitempo_dbgen::TPCH_TABLES`]).
 mod t {
@@ -26,11 +29,18 @@ mod t {
     pub const LINEITEM: u8 = 7;
 }
 
+/// The tables whose current versions the scenarios read, and so the only
+/// ones the scenario loop keeps versions for: ORDERS (`receive_payment`'s
+/// customer, `manipulate_order`'s total and period) and PARTSUPP
+/// (`change_price`'s old cost). A scenario that reads another table must
+/// add it here; [`GenDb::current_of`] debug-asserts it.
+pub const READ_TABLES: [u8; 2] = [t::PARTSUPP, t::ORDERS];
+
 /// A pool of int keys with O(1) random pick and removal.
 #[derive(Debug, Default)]
 struct KeyPool {
     keys: Vec<i64>,
-    index: HashMap<i64, usize>,
+    index: FxHashMap<i64, usize>,
 }
 
 impl KeyPool {
@@ -88,7 +98,7 @@ struct Runner {
     open_orders: KeyPool,
     /// Delivered, not yet paid.
     receivable: KeyPool,
-    order_info: HashMap<i64, OrderInfo>,
+    order_info: FxHashMap<i64, OrderInfo>,
 }
 
 impl Runner {
@@ -113,7 +123,7 @@ impl Runner {
         let mut live_orders = KeyPool::default();
         let mut open_orders = KeyPool::default();
         let mut receivable = KeyPool::default();
-        let mut order_info = HashMap::new();
+        let mut order_info = FxHashMap::default();
         let mut max_order = 0;
         for (row, _) in &data.table("orders").rows {
             let ok = row.get(col::orders::ORDERKEY).as_int().expect("orderkey");
@@ -180,8 +190,8 @@ impl Runner {
 }
 
 /// Runs the configured number of scenarios.
-pub fn run(data: &TpchData, config: &HistoryConfig) -> (History, GenDb) {
-    let mut db = GenDb::from_initial(data);
+pub fn run(data: &TpchData, config: &HistoryConfig) -> History {
+    let mut db = GenDb::keeping(data, &READ_TABLES);
     let mut runner = Runner::from_data(data, config.seed);
     let mut stats = HistoryStats::new(
         data.tables.iter().map(|t| t.def.name.clone()).collect(),
@@ -208,15 +218,14 @@ pub fn run(data: &TpchData, config: &HistoryConfig) -> (History, GenDb) {
         });
     }
 
-    let history = History {
+    History {
         archive: crate::Archive {
             dbgen_seed: 0,
             hist_seed: config.seed,
             transactions,
         },
         stats,
-    };
-    (history, db)
+    }
 }
 
 fn build_ops(kind: ScenarioKind, r: &mut Runner, db: &GenDb, today: AppDate) -> Vec<Op> {
@@ -545,7 +554,7 @@ mod tests {
 
     fn history() -> History {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        run(&data, &HistoryConfig::tiny()).0
+        run(&data, &HistoryConfig::tiny())
     }
 
     #[test]
@@ -558,15 +567,15 @@ mod tests {
     #[test]
     fn deterministic() {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let (a, _) = run(&data, &HistoryConfig::tiny());
-        let (b, _) = run(&data, &HistoryConfig::tiny());
+        let a = run(&data, &HistoryConfig::tiny());
+        let b = run(&data, &HistoryConfig::tiny());
         assert_eq!(a.archive.transactions, b.archive.transactions);
     }
 
     #[test]
     fn scenario_frequencies_match_table1() {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let (h, _) = run(&data, &HistoryConfig::with_m(0.005)); // 5 000 scenarios
+        let h = run(&data, &HistoryConfig::with_m(0.005)); // 5 000 scenarios
         let total: u64 = h.stats.scenario_counts.iter().sum();
         assert_eq!(total, 5_000);
         for (kind, p) in ScenarioKind::WEIGHTED {
@@ -584,7 +593,7 @@ mod tests {
     #[test]
     fn table2_qualitative_shape() {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let (h, _) = run(&data, &HistoryConfig::with_m(0.005));
+        let h = run(&data, &HistoryConfig::with_m(0.005));
         let s = &h.stats;
         let idx = |n: &str| s.tables.iter().position(|t| t == n).unwrap();
 
@@ -640,7 +649,7 @@ mod tests {
     #[test]
     fn generator_state_consistent_after_run() {
         let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
-        let (h, db) = run(&data, &HistoryConfig::tiny());
+        let (h, db) = crate::generate_history_with_state(&data, &HistoryConfig::tiny());
         let orders = db.table_index("orders").unwrap();
         let lineitem = db.table_index("lineitem").unwrap();
         // Orders inserted minus cancelled equals current count.

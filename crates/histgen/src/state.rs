@@ -9,12 +9,19 @@
 //!
 //! `GenDb` serves three roles:
 //!
-//! 1. validity state for scenario generation (which orders are open, etc.);
+//! 1. state for scenario generation: the current versions the scenarios
+//!    read. The scenario loop keeps versions for those tables only (see
+//!    [`GenDb::keeping`]) and accepts the ops on every other table without
+//!    storing them;
 //! 2. a **correctness oracle**: [`GenDb::scan`] answers any bitemporal scan
 //!    independently of the engines, so the integration tests can compare
-//!    all five implementations;
+//!    all five implementations. The full oracle is the finished archive
+//!    applied to a fresh `GenDb` ([`GenDb::replay`]), op by op, through the
+//!    same [`GenDb::apply`] the scenario loop uses — which also checks that
+//!    every op of the archive applies;
 //! 3. the source of fully-stamped versions for System D's bulk load (§5.8).
 
+use bitempo_core::hash::FxHashMap;
 use bitempo_core::{
     AppPeriod, Error, Key, Result, Row, SysPeriod, SysTime, TableDef, TemporalClass, Value,
 };
@@ -22,8 +29,8 @@ use bitempo_dbgen::TpchData;
 use bitempo_engine::api::{AppSpec, SysSpec};
 use bitempo_engine::sequenced::split_for_portion;
 use bitempo_engine::Version;
-use std::collections::HashMap;
 
+use crate::archive::Archive;
 use crate::ops::Op;
 
 /// A version still visible at the generator's current system time.
@@ -51,7 +58,10 @@ pub struct StampedVersion {
 #[derive(Debug)]
 struct GenTable {
     def: TableDef,
-    current: HashMap<Key, Vec<CurrentVersion>>,
+    /// False on a table whose versions this state does not keep: its ops
+    /// are accepted unchecked and leave it empty.
+    kept: bool,
+    current: FxHashMap<Key, Vec<CurrentVersion>>,
     invalidated: Vec<StampedVersion>,
 }
 
@@ -66,13 +76,22 @@ impl GenDb {
     /// Builds the generator state from the version-0 data, committed as one
     /// initial-load transaction at `t1`.
     pub fn from_initial(data: &TpchData) -> GenDb {
+        let all: Vec<u8> = (0..data.tables.len() as u8).collect();
+        GenDb::keeping(data, &all)
+    }
+
+    /// [`GenDb::from_initial`] that keeps the versions of the tables in
+    /// `kept` only; the others stay empty whatever is applied to them.
+    pub fn keeping(data: &TpchData, kept: &[u8]) -> GenDb {
         let mut db = GenDb {
             tables: data
                 .tables
                 .iter()
-                .map(|t| GenTable {
+                .enumerate()
+                .map(|(idx, t)| GenTable {
                     def: t.def.clone(),
-                    current: HashMap::new(),
+                    kept: kept.contains(&(idx as u8)),
+                    current: FxHashMap::default(),
                     invalidated: Vec::new(),
                 })
                 .collect(),
@@ -80,12 +99,31 @@ impl GenDb {
         };
         let t1 = SysTime(1);
         for (idx, table) in data.tables.iter().enumerate() {
+            if !db.tables[idx].kept {
+                continue;
+            }
+            db.tables[idx].current.reserve(table.rows.len());
             for (row, app) in &table.rows {
                 db.insert_version(idx, row.clone(), *app, t1);
             }
         }
         db.now = t1;
         db
+    }
+
+    /// The full state after `archive`: the version-0 data, then every
+    /// transaction of the archive applied and committed in order. Fails on
+    /// the first op that does not apply.
+    pub fn replay(data: &TpchData, archive: &Archive) -> Result<GenDb> {
+        let mut db = GenDb::from_initial(data);
+        for txn in &archive.transactions {
+            let at = db.now.next();
+            for op in &txn.ops {
+                db.apply(op, at)?;
+            }
+            db.commit(at);
+        }
+        Ok(db)
     }
 
     /// The current system time (last committed transaction).
@@ -108,8 +146,14 @@ impl GenDb {
         self.tables.iter().position(|t| t.def.name == name)
     }
 
-    /// Currently visible versions of `key`.
+    /// Currently visible versions of `key`. The table must be one this
+    /// state keeps.
     pub fn current_of(&self, table: usize, key: &Key) -> &[CurrentVersion] {
+        debug_assert!(
+            self.tables[table].kept,
+            "{} keeps no versions here",
+            self.tables[table].def.name
+        );
         self.tables[table]
             .current
             .get(key)
@@ -157,6 +201,9 @@ impl GenDb {
     /// versions (created and superseded at the same `at`) are dropped, as
     /// in the engines.
     pub fn apply(&mut self, op: &Op, at: SysTime) -> Result<()> {
+        if !self.tables[op.table() as usize].kept {
+            return Ok(());
+        }
         match op {
             Op::Insert { table, row, app } => {
                 self.insert_version(*table as usize, row.clone(), *app, at);
@@ -336,7 +383,10 @@ impl GenDb {
     }
 
     /// All versions ever recorded for `table`, fully stamped — the bulk-load
-    /// feed for engines with manual system time.
+    /// feed for engines with manual system time. The order is defined, so
+    /// two loads of the same history lay out the same: the invalidated
+    /// versions in the order they died, then the current ones by key and,
+    /// within a key, by application start.
     pub fn all_versions(&self, table: usize) -> Vec<(Row, AppPeriod, SysPeriod)> {
         let t = &self.tables[table];
         let mut out: Vec<(Row, AppPeriod, SysPeriod)> = t
@@ -344,7 +394,9 @@ impl GenDb {
             .iter()
             .map(|v| (v.row.clone(), v.app, v.sys))
             .collect();
-        for chain in t.current.values() {
+        let mut chains: Vec<(&Key, &Vec<CurrentVersion>)> = t.current.iter().collect();
+        chains.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (_, chain) in chains {
             for v in chain {
                 out.push((v.row.clone(), v.app, SysPeriod::since(v.sys_start)));
             }
