@@ -554,7 +554,7 @@ impl OrderedIndex {
     }
 
     /// Removes `version`'s entry for `slot` (returns whether it existed).
-    pub fn remove(&mut self, version: &Version, slot: u64) -> bool {
+    pub fn remove(&mut self, version: &impl IndexSource, slot: u64) -> bool {
         // A key the integer cells cannot hold was never inserted into them.
         let existed = self.extract_key(version)
             && match &mut self.cells {

@@ -45,12 +45,14 @@ impl<T: TableLayout> TableLayout for OldMap<T> {
     fn peek(&self, def: &TableDef, slot: u64) -> Option<Version> {
         self.inner.peek(def, slot)
     }
-    fn close(&mut self, def: &TableDef, slot: u64, end: SysTime) -> Result<Version> {
-        let closed = self.inner.close(def, slot, end)?;
-        if let Some(slots) = self.map.get_mut(&Key::from_row(&closed.row, &def.key)) {
+    fn close(&mut self, def: &TableDef, slot: u64, end: SysTime) -> Result<()> {
+        let closed = self.inner.peek(def, slot);
+        self.inner.close(def, slot, end)?;
+        let key = closed.map(|v| Key::from_row(&v.row, &def.key));
+        if let Some(slots) = key.and_then(|k| self.map.get_mut(&k)) {
             slots.retain(|&s| s != slot);
         }
-        Ok(closed)
+        Ok(())
     }
     fn insert_version(&mut self, def: &TableDef, version: Version) -> u64 {
         let key = Key::from_row(&version.row, &def.key);

@@ -62,16 +62,17 @@ pub(crate) fn sequenced_dml<T: TableLayout>(
             continue;
         };
         affected += 1;
-        let old = t.close(def, slot, pending)?;
+        // The version peeked above is the one closed: it is read once.
+        t.close(def, slot, pending)?;
         if def.temporal == TemporalClass::NonTemporal {
             // Non-versioned tables update in place (no history, no residue).
             if let Some(updates) = new_values {
                 t.insert_version(
                     def,
                     Version {
-                        row: old.row.with_all(updates),
-                        app: old.app,
-                        sys: old.sys,
+                        row: v.row.with_all(updates),
+                        app: v.app,
+                        sys: v.sys,
                     },
                 );
             }
@@ -81,7 +82,7 @@ pub(crate) fn sequenced_dml<T: TableLayout>(
             t.insert_version(
                 def,
                 Version {
-                    row: old.row.clone(),
+                    row: v.row.clone(),
                     app: *residue,
                     sys: SysPeriod::since(pending),
                 },
@@ -91,7 +92,7 @@ pub(crate) fn sequenced_dml<T: TableLayout>(
             t.insert_version(
                 def,
                 Version {
-                    row: old.row.with_all(updates),
+                    row: v.row.with_all(updates),
                     app: split.affected,
                     sys: SysPeriod::since(pending),
                 },
@@ -128,12 +129,15 @@ pub(crate) fn overwrite_period<T: TableLayout>(
     let mut representative: Option<Version> = None;
     let n = slots.len();
     for slot in slots {
-        let closed = t.close(def, slot, pending)?;
-        let better = representative
-            .as_ref()
-            .is_none_or(|r| closed.app.start >= r.app.start);
-        if better {
-            representative = Some(closed);
+        // Peeked before the close, which fails if there is nothing to peek.
+        let peeked = t.peek(def, slot);
+        t.close(def, slot, pending)?;
+        let better = |v: &Version| {
+            let r = representative.as_ref();
+            r.is_none_or(|r| v.app.start >= r.app.start)
+        };
+        if let Some(v) = peeked.filter(better) {
+            representative = Some(v);
         }
     }
     let Some(rep) = representative else {

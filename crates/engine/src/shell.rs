@@ -47,11 +47,12 @@ pub trait TableLayout: Send + Sync + Sized {
     fn open_slots(&self, key: &Key) -> Vec<u64>;
     /// The open version at `slot`, if live.
     fn peek(&self, def: &TableDef, slot: u64) -> Option<Version>;
-    /// Closes the open version at `slot` and returns it (pre-close periods).
-    /// A version whose system period would be empty was never visible and
-    /// is discarded, not archived. Closing a slot with no live version is an
-    /// engine bug, reported as [`Error::Internal`] rather than a panic.
-    fn close(&mut self, def: &TableDef, slot: u64, end: SysTime) -> Result<Version>;
+    /// Closes the open version at `slot`. The caller has peeked it already
+    /// and keeps that copy, so nothing is handed back. A version whose
+    /// system period would be empty was never visible and is discarded, not
+    /// archived. Closing a slot with no live version is an engine bug,
+    /// reported as [`Error::Internal`] rather than a panic.
+    fn close(&mut self, def: &TableDef, slot: u64, end: SysTime) -> Result<()>;
     /// Stores `version` and returns its slot.
     fn insert_version(&mut self, def: &TableDef, version: Version) -> u64;
 

@@ -62,7 +62,7 @@ impl TableLayout for TableA {
     }
 
     /// Moves the closed version to the history table.
-    fn close(&mut self, def: &TableDef, slot64: u64, end: SysTime) -> Result<Version> {
+    fn close(&mut self, def: &TableDef, slot64: u64, end: SysTime) -> Result<()> {
         let Some(mut v) = self.current.remove(SlotId(slot64 as u32)) else {
             return Err(Error::Internal(format!(
                 "closing slot {slot64} with no live version"
@@ -74,13 +74,12 @@ impl TableLayout for TableA {
         if let Some(pk) = &mut self.pk {
             pk.remove(&v, slot64);
         }
-        let closed = v.clone();
         v.sys = SysPeriod::new(v.sys.start, end);
         if def.temporal != TemporalClass::NonTemporal && !v.sys.is_empty() {
             let h64 = u64::from(self.history.insert(v.clone()).0);
             self.hist.insert(&v, h64);
         }
-        Ok(closed)
+        Ok(())
     }
 
     fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {

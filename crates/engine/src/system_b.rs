@@ -244,7 +244,7 @@ impl TableLayout for TableB {
     }
 
     /// Stages the closed version in the undo log.
-    fn close(&mut self, def: &TableDef, uid: u64, end: SysTime) -> Result<Version> {
+    fn close(&mut self, def: &TableDef, uid: u64, end: SysTime) -> Result<()> {
         let Some(before) = self.version_of(uid) else {
             return Err(Error::Internal(format!(
                 "closing uid {uid} with no live version"
@@ -256,7 +256,7 @@ impl TableLayout for TableB {
         if let Some(pk) = &mut self.pk {
             pk.remove(&before, uid);
         }
-        let mut closed = before.clone();
+        let mut closed = before;
         closed.sys = SysPeriod::new(closed.sys.start, end);
         if def.temporal != TemporalClass::NonTemporal && !closed.sys.is_empty() {
             self.undo.push((closed, HistoryMeta { txn: end.0, op: 0 }));
@@ -264,7 +264,7 @@ impl TableLayout for TableB {
                 self.drain_undo();
             }
         }
-        Ok(before)
+        Ok(())
     }
 
     fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {

@@ -28,13 +28,13 @@ use crate::partindex::{open_slots_in, system_pk_index, tindex_name, Part, PartIn
 use crate::rowscan::{PartitionView, VersionSource};
 use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
+use bitempo_core::hash::FxHashSet;
 use bitempo_core::{
     AppDate, AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime,
     TableDef, Value,
 };
 use bitempo_storage::{ColumnTable, RowFate};
 use bitempo_tindex::TemporalIndex;
-use std::collections::HashSet;
 use std::ops::Range;
 
 /// The System C engine. See module docs.
@@ -54,7 +54,7 @@ pub struct TableC {
     pk: Option<OrderedIndex>,
     /// Rows in `current` that must never be surfaced (non-temporal deletes
     /// and versions that died inside their creating transaction).
-    dead: HashSet<usize>,
+    dead: FxHashSet<usize>,
     /// Closed-but-unmerged row count (merge trigger bookkeeping).
     closed_in_current: usize,
     /// The current partition's temporal index, if tuned. Rebuilt at every
@@ -77,7 +77,7 @@ struct HiddenCols {
 
 /// The physical schema: the value columns, then the hidden period columns
 /// in [`TableDef::scan_schema`]'s order — so a physical row *is* a scan
-/// output row, and [`Version::output_row`] builds a physical row.
+/// output row, laid out as [`Version::output_row`] lays one out.
 fn physical_schema(def: &TableDef) -> (Schema, HiddenCols) {
     let mut cols = def.schema.columns().to_vec();
     let mut hidden = HiddenCols {
@@ -153,10 +153,24 @@ impl HiddenCols {
     }
 }
 
-/// Appends a physical row to a fragment of the same table.
-fn append_physical(part: &mut ColumnTable, row: &Row) -> u64 {
-    // tblint: allow(TB004) the row was built against this table's own physical schema
-    part.append_row(row).expect("physical schema preserved") as u64
+/// Appends `version` to a fragment as its physical row: the value cells,
+/// then the hidden period cells, with no [`Row`] built.
+fn append_physical(part: &mut ColumnTable, hidden: HiddenCols, version: &Version) -> Result<u64> {
+    let periods = [
+        Value::Date(version.app.start),
+        Value::Date(version.app.end),
+        Value::SysTime(version.sys.start),
+        Value::SysTime(version.sys.end),
+    ];
+    let (app, sys) = periods.split_at(2);
+    let tail = match (hidden.app_start.is_some(), hidden.sys_start.is_some()) {
+        (true, true) => periods.as_slice(),
+        (false, true) => sys,
+        (true, false) => app,
+        (false, false) => &[],
+    };
+    let rowid = part.append_cells(version.row.values(), tail)?;
+    Ok(rowid as u64)
 }
 
 /// One physical row of a fragment as the indexes read it: cell by cell, in
@@ -225,7 +239,7 @@ fn build_column_tindex(
 pub struct ColumnFragment<'a> {
     part: &'a ColumnTable,
     /// Rows never to surface (the current fragment's; history has none).
-    dead: Option<&'a HashSet<usize>>,
+    dead: Option<&'a FxHashSet<usize>>,
     hidden: HiddenCols,
 }
 
@@ -335,7 +349,7 @@ impl TableLayout for TableC {
             history: ColumnTable::new(phys),
             hidden,
             pk: system_pk_index(def),
-            dead: HashSet::new(),
+            dead: FxHashSet::default(),
             closed_in_current: 0,
             cur: PartIndexes::default(),
             hist: PartIndexes::default(),
@@ -363,17 +377,23 @@ impl TableLayout for TableC {
     }
 
     /// Terminates the row's `$validto` in place; the merge archives it.
-    fn close(&mut self, def: &TableDef, slot: u64, end: SysTime) -> Result<Version> {
+    /// Reads only the key and period cells: no version is materialised.
+    fn close(&mut self, _: &TableDef, slot: u64, end: SysTime) -> Result<()> {
         let rowid = slot as usize;
-        let Some(before) = self.peek(def, slot) else {
+        if rowid >= self.current.len() || self.dead.contains(&rowid) {
             return Err(Error::Internal(format!(
                 "closing row {rowid} with no live version"
             )));
+        }
+        let row = FragmentRow {
+            part: &self.current,
+            hidden: self.hidden,
+            rowid,
         };
         if let Some(pk) = &mut self.pk {
-            pk.remove(&before, slot);
+            pk.remove(&row, slot);
         }
-        let never_visible = before.sys.start >= end;
+        let never_visible = row.sys().start >= end;
         // `sys_start` is `Some` exactly when the table is system-versioned.
         match self.hidden.sys_start {
             Some(c) if !never_visible => {
@@ -387,11 +407,13 @@ impl TableLayout for TableC {
             }
         }
         self.cur.end(slot, end);
-        Ok(before)
+        Ok(())
     }
 
-    fn insert_version(&mut self, def: &TableDef, version: Version) -> u64 {
-        let rowid = append_physical(&mut self.current, &version.output_row(def));
+    fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
+        let rowid = append_physical(&mut self.current, self.hidden, &version)
+            // tblint: allow(TB004) the version was built against this table's own schema
+            .expect("physical schema preserved");
         if let Some(pk) = &mut self.pk {
             pk.insert(&version, rowid);
         }
@@ -515,8 +537,7 @@ impl TableLayout for TableC {
             if v.sys.is_current() {
                 t.insert_version(def, v);
             } else {
-                t.history
-                    .append_row(&v.output_row(def))
+                append_physical(&mut t.history, t.hidden, &v)
                     .map_err(|e| Error::Internal(format!("restore history append: {e}")))?;
             }
         }
@@ -563,6 +584,29 @@ mod tests {
         vals.sort_unstable();
         assert_eq!(vals, vec![10, 20]);
         assert_eq!(past.access, AccessPath::FullScan { partitions: 2 });
+    }
+
+    /// `close` reads no version, but still refuses a row it cannot close.
+    #[test]
+    fn closing_a_dead_or_missing_row_is_an_internal_error() {
+        let def = bitemp_table("t");
+        let mut t = TableC::new(&def);
+        let version = Version {
+            row: simple_row(1, 10),
+            app: AppPeriod::ALL,
+            sys: SysPeriod::since(SysTime(2)),
+        };
+        let slot = t.insert_version(&def, version.clone());
+        assert_eq!(t.peek(&def, slot), Some(version));
+        // Closed by the transaction that made it: never visible, so dead.
+        t.close(&def, slot, SysTime(2)).unwrap();
+        assert!(t.dead.contains(&(slot as usize)));
+        assert_eq!(t.peek(&def, slot), None);
+        for (slot, why) in [(slot, "dead"), (slot + 1, "out of range")] {
+            let err = t.close(&def, slot, SysTime(3));
+            assert!(matches!(err, Err(Error::Internal(_))), "{why}: {err:?}");
+        }
+        assert_eq!(t.stats().current_rows, 0);
     }
 
     #[test]

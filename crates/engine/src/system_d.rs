@@ -78,15 +78,15 @@ impl TableLayout for TableD {
     }
 
     /// Ends the version's period in place.
-    fn close(&mut self, def: &TableDef, slot64: u64, end: SysTime) -> Result<Version> {
+    fn close(&mut self, def: &TableDef, slot64: u64, end: SysTime) -> Result<()> {
         let slot = SlotId(slot64 as u32);
-        let Some(before) = self.all.get(slot).cloned() else {
+        let Some(before) = self.all.get(slot) else {
             return Err(Error::Internal(format!(
                 "closing slot {slot64} with no live version"
             )));
         };
         if let Some(pk) = &mut self.pk {
-            pk.remove(&before, slot64);
+            pk.remove(before, slot64);
         }
         self.open -= 1;
         let never_visible = before.sys.start >= end;
@@ -94,8 +94,9 @@ impl TableLayout for TableD {
             // Non-versioned tables (and never-visible versions) vanish.
             // GiST entries are left stale: the tombstoned slot resolves to
             // nothing at probe time, which is sound (conservative rects).
-            self.all.remove(slot);
-            self.indexes.remove(&before, slot64);
+            if let Some(gone) = self.all.remove(slot) {
+                self.indexes.remove(&gone, slot64);
+            }
         } else if let Some(v) = self.all.get_mut(slot) {
             // In-place close: the version stays put with an ended period.
             // Period *starts* are the only indexed boundaries, so B-Tree
@@ -105,7 +106,7 @@ impl TableLayout for TableD {
         // Invalidating removed slots too keeps candidate sets tight; a stale
         // candidate resolves to nothing at probe time anyway.
         self.indexes.end(slot64, end);
-        Ok(before)
+        Ok(())
     }
 
     /// Takes open and closed versions alike (bulk loads and restores carry

@@ -30,17 +30,15 @@ impl Version {
     /// value columns, then `app_start`/`app_end` if bitemporal, then
     /// `sys_start`/`sys_end` if system-versioned.
     pub fn output_row(&self, def: &TableDef) -> Row {
-        let mut v = Vec::with_capacity(self.row.arity() + 4);
-        v.extend_from_slice(self.row.values());
-        if def.temporal == TemporalClass::Bitemporal {
-            v.push(Value::Date(self.app.start));
-            v.push(Value::Date(self.app.end));
+        // One exact-size allocation: each arm chains fixed-length pieces.
+        let row = self.row.values().iter().cloned();
+        let app = [Value::Date(self.app.start), Value::Date(self.app.end)];
+        let sys = [Value::SysTime(self.sys.start), Value::SysTime(self.sys.end)];
+        match def.temporal {
+            TemporalClass::Bitemporal => row.chain(app).chain(sys).collect(),
+            TemporalClass::Degenerate => row.chain(sys).collect(),
+            TemporalClass::NonTemporal => row.collect(),
         }
-        if def.temporal != TemporalClass::NonTemporal {
-            v.push(Value::SysTime(self.sys.start));
-            v.push(Value::SysTime(self.sys.end));
-        }
-        Row::new(v)
     }
 }
 

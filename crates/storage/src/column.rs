@@ -10,9 +10,9 @@
 //! keeps some rows, renumbered densely, and moves others to the end of a
 //! second table, column by column, without materialising a row.
 
+use bitempo_core::hash::hash_one;
 use bitempo_core::time::{AppDate, SysTime};
 use bitempo_core::{DataType, Error, Result, Row, Schema, Value};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One column's typed payload. `u32::MAX` is the dictionary code for NULL;
@@ -120,22 +120,68 @@ fn extend_picked<T: Copy>(
 /// NULL sentinel for dictionary codes.
 const NULL_CODE: u32 = u32::MAX;
 
-/// A shared per-column string dictionary.
+/// An empty slot of a [`Dictionary`]'s code table.
+const VACANT: u32 = u32::MAX;
+
+/// A per-column string dictionary: `strings` maps a code to its string, and
+/// an open-addressing table of codes (linear probing, a power of two of
+/// slots, at most half full) maps a string back to its code. The table
+/// holds codes, not strings, so each distinct string lives in one `Arc`,
+/// shared with the rows that were appended.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Dictionary {
     strings: Vec<Arc<str>>,
-    codes: HashMap<Arc<str>, u32>,
+    slots: Vec<u32>,
 }
 
 impl Dictionary {
     fn encode(&mut self, s: &Arc<str>) -> u32 {
-        if let Some(&c) = self.codes.get(s) {
-            return c;
-        }
-        let c = self.strings.len() as u32;
+        let hash = hash_one(&**s);
+        let slot = match self.find(s, hash) {
+            Ok(code) => return code,
+            Err(_) if 2 * (self.strings.len() + 1) > self.slots.len() => {
+                self.grow();
+                self.vacant(hash)
+            }
+            Err(slot) => slot,
+        };
+        let code = self.strings.len() as u32;
+        self.slots[slot] = code;
         self.strings.push(Arc::clone(s));
-        self.codes.insert(Arc::clone(s), c);
-        c
+        code
+    }
+
+    /// The code of `s`, or the vacant slot where it would go.
+    fn find(&self, s: &str, hash: u64) -> std::result::Result<u32, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut slot = hash as usize & mask;
+        while let Some(&code) = self.slots.get(slot) {
+            match code {
+                VACANT => return Err(slot),
+                code if *self.strings[code as usize] == *s => return Ok(code),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        Err(slot)
+    }
+
+    /// The first vacant slot on `hash`'s probe sequence.
+    fn vacant(&self, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.slots[slot] != VACANT {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Doubles the table (eight slots at first) and re-slots every code.
+    fn grow(&mut self) {
+        self.slots = vec![VACANT; (2 * self.slots.len()).max(8)];
+        for (code, s) in self.strings.iter().enumerate() {
+            let slot = self.vacant(hash_one(&**s));
+            self.slots[slot] = code as u32;
+        }
     }
 
     fn decode(&self, code: u32) -> &Arc<str> {
@@ -143,12 +189,10 @@ impl Dictionary {
     }
 
     /// Bytes the dictionary holds, by capacity: the code → string vector
-    /// and the string → code hash table (one entry plus one control byte
-    /// per bucket, `capacity()` being 7/8 of the buckets). String payloads
-    /// are shared with the rows that were appended and not counted.
+    /// and the table of codes. String payloads are shared with the rows
+    /// that were appended and not counted.
     fn memory_bytes(&self) -> usize {
-        let buckets = self.codes.capacity() * 8 / 7;
-        vec_bytes(&self.strings) + buckets * (std::mem::size_of::<(Arc<str>, u32)>() + 1)
+        vec_bytes(&self.strings) + vec_bytes(&self.slots)
     }
 }
 
@@ -228,15 +272,22 @@ impl ColumnTable {
     /// name `append` stays reserved for the WAL's blocking append — tblint
     /// TB008 resolves intra-workspace calls by name, one hop deep.)
     pub fn append_row(&mut self, row: &Row) -> Result<usize> {
-        if row.arity() != self.schema.arity() {
+        self.append_cells(row.values(), &[])
+    }
+
+    /// Appends the row whose cells are `head` followed by `tail`, with no
+    /// [`Row`] built (System C appends a version's value cells and its
+    /// hidden period cells this way); returns its stable row id.
+    pub fn append_cells(&mut self, head: &[Value], tail: &[Value]) -> Result<usize> {
+        let arity = head.len() + tail.len();
+        if arity != self.schema.arity() {
             return Err(Error::Invalid(format!(
-                "row arity {} vs schema arity {}",
-                row.arity(),
+                "row arity {arity} vs schema arity {}",
                 self.schema.arity()
             )));
         }
         let delta_pos = self.delta_len();
-        for (col, value) in row.values().iter().enumerate() {
+        for (col, value) in head.iter().chain(tail).enumerate() {
             self.push_value(col, value, delta_pos)?;
         }
         Ok(self.main_len + delta_pos)
@@ -449,6 +500,7 @@ impl ColumnTable {
 mod tests {
     use super::*;
     use bitempo_core::Column;
+    use std::collections::BTreeMap;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -490,6 +542,50 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(t.dicts[1].strings.len(), 2);
+    }
+
+    /// The code table against a `BTreeMap` model: codes are dense in first
+    /// use order and every string decodes back. It starts with five strings
+    /// that share the last slot of the first eight-slot table, so their
+    /// probes collide and wrap, and the fifth forces the first growth.
+    #[test]
+    fn dictionary_matches_a_map_model_through_collisions_and_growth() {
+        let colliding: Vec<String> = (0..)
+            .map(|i| format!("c{i}"))
+            .filter(|s| hash_one(s.as_str()) & 7 == 7)
+            .take(5)
+            .collect();
+        let mut dict = Dictionary::default();
+        let mut model: BTreeMap<String, u32> = BTreeMap::new();
+        let mut encode = |dict: &mut Dictionary, s: &str| {
+            let next = model.len() as u32;
+            let want = *model.entry(s.to_string()).or_insert(next);
+            assert_eq!(dict.encode(&Arc::from(s)), want, "{s}");
+            assert_eq!(&**dict.decode(want), s);
+        };
+        for s in &colliding[..4] {
+            encode(&mut dict, s);
+        }
+        assert_eq!(dict.slots.len(), 8, "four strings fit in eight slots");
+        let wrapped = dict.slots[..3].iter().filter(|&&c| c != VACANT).count();
+        assert_eq!(wrapped, 3, "the last three probed past slot 7 to 0, 1, 2");
+        for s in colliding.iter().chain(&colliding) {
+            encode(&mut dict, s);
+        }
+        assert_eq!(dict.slots.len(), 16, "the fifth string doubled the table");
+        for i in 0..3_000 {
+            encode(&mut dict, &format!("s{}", i % 1_000));
+        }
+        assert_eq!(dict.strings.len(), model.len());
+        assert!(dict.slots.len().is_power_of_two() && dict.slots.len() >= 2 * model.len());
+        assert_eq!(
+            dict.slots.iter().filter(|&&c| c != VACANT).count(),
+            model.len()
+        );
+        for (s, &code) in &model {
+            assert_eq!(dict.find(s, hash_one(s.as_str())), Ok(code));
+        }
+        assert!(dict.find("absent", hash_one("absent")).is_err());
     }
 
     #[test]
@@ -728,5 +824,22 @@ mod tests {
         let mut t = ColumnTable::new(schema());
         let bad = Row::new(vec![Value::Int(1)]);
         assert!(t.append_row(&bad).is_err());
+        let cells = row(1, "a", 1.0);
+        assert!(t.append_cells(cells.values(), cells.values()).is_err());
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn appending_cells_in_two_runs_equals_appending_the_row() {
+        let (mut by_row, mut by_cells) = (ColumnTable::new(schema()), ColumnTable::new(schema()));
+        for i in 0..10 {
+            let r = row(i, ["x", "y", "z"][i as usize % 3], 0.5);
+            let (head, tail) = r.values().split_at(i as usize % 6);
+            assert_eq!(
+                by_row.append_row(&r).unwrap(),
+                by_cells.append_cells(head, tail).unwrap()
+            );
+        }
+        assert_same(&by_cells, &by_row);
     }
 }
