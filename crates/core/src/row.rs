@@ -38,37 +38,40 @@ impl Row {
         &self.values
     }
 
-    /// A new row with column `idx` replaced by `value`.
+    /// A new row with column `idx` replaced by `value`. Panics if `idx` is
+    /// out of bounds, as [`Row::get`] does.
     #[must_use]
     pub fn with(&self, idx: usize, value: Value) -> Row {
-        let mut v: Vec<Value> = self.values.to_vec();
-        v[idx] = value;
-        Row::new(v)
+        self.with_all(&[(idx, value)])
     }
 
-    /// A new row with the given `(index, value)` replacements applied.
+    /// A new row with the given `(index, value)` replacements applied, later
+    /// ones winning. Panics if an index is out of bounds.
     #[must_use]
     pub fn with_all(&self, updates: &[(usize, Value)]) -> Row {
-        let mut v: Vec<Value> = self.values.to_vec();
+        // One allocation of exactly the arity, then the cells in place.
+        let mut values: Arc<[Value]> = self.values.iter().cloned().collect();
+        let cells = Arc::get_mut(&mut values).expect("a fresh copy is unshared");
         for (idx, value) in updates {
-            v[*idx] = value.clone();
+            cells[*idx] = value.clone();
         }
-        Row::new(v)
+        Row { values }
     }
 
     /// A new row containing only the columns listed in `projection`.
     #[must_use]
     pub fn project(&self, projection: &[usize]) -> Row {
-        Row::new(projection.iter().map(|&i| self.values[i].clone()).collect())
+        projection.iter().map(|&i| self.values[i].clone()).collect()
     }
 
     /// A new row that is `self` followed by `other` (join concatenation).
     #[must_use]
     pub fn concat(&self, other: &Row) -> Row {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Row::new(v)
+        self.values
+            .iter()
+            .chain(other.values.iter())
+            .cloned()
+            .collect()
     }
 }
 
@@ -85,9 +88,14 @@ impl fmt::Display for Row {
     }
 }
 
+/// Collects straight into the row's `Arc<[Value]>`: an iterator that knows
+/// its exact length (a slice's, a range's, a chain or map of those) fills
+/// one allocation of exactly that size, with no `Vec` in between.
 impl FromIterator<Value> for Row {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Row::new(iter.into_iter().collect())
+        Row {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 
@@ -126,6 +134,31 @@ mod tests {
         let c = r.concat(&p);
         assert_eq!(c.arity(), 5);
         assert_eq!(c.get(3), &Value::Double(2.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 3 but the index is 3")]
+    fn with_out_of_range_panics_like_get() {
+        let _ = sample().with(3, Value::Null);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 3 but the index is 3")]
+    fn with_all_out_of_range_panics_like_get() {
+        let _ = sample().with_all(&[(0, Value::Null), (3, Value::Null)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 3 but the index is 3")]
+    fn project_out_of_range_panics_like_get() {
+        let _ = sample().project(&[0, 3]);
+    }
+
+    #[test]
+    fn later_updates_win() {
+        let r = sample().with_all(&[(0, Value::Int(5)), (0, Value::Int(6))]);
+        assert_eq!(r.get(0), &Value::Int(6));
+        assert_eq!(r.values().len(), 3);
     }
 
     #[test]
