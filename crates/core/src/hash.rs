@@ -45,11 +45,6 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add(n);
     }

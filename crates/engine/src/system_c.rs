@@ -162,12 +162,11 @@ fn append_physical(part: &mut ColumnTable, hidden: HiddenCols, version: &Version
         Value::SysTime(version.sys.start),
         Value::SysTime(version.sys.end),
     ];
-    let (app, sys) = periods.split_at(2);
-    let tail = match (hidden.app_start.is_some(), hidden.sys_start.is_some()) {
-        (true, true) => periods.as_slice(),
-        (false, true) => sys,
-        (true, false) => app,
-        (false, false) => &[],
+    // Application time comes only with system time (bitemporal tables).
+    let tail = match (hidden.app_start, hidden.sys_start) {
+        (Some(_), _) => periods.as_slice(),
+        (None, Some(_)) => periods.split_at(2).1,
+        (None, None) => &[],
     };
     let rowid = part.append_cells(version.row.values(), tail)?;
     Ok(rowid as u64)

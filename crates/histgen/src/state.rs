@@ -10,8 +10,8 @@
 //! `GenDb` serves three roles:
 //!
 //! 1. state for scenario generation: the current versions the scenarios
-//!    read. The scenario loop keeps versions for those tables only (see
-//!    [`GenDb::keeping`]) and accepts the ops on every other table without
+//!    read. The scenario loop keeps versions for those tables only
+//!    (`GenDb::keeping`) and accepts the ops on every other table without
 //!    storing them;
 //! 2. a **correctness oracle**: [`GenDb::scan`] answers any bitemporal scan
 //!    independently of the engines, so the integration tests can compare
@@ -82,7 +82,7 @@ impl GenDb {
 
     /// [`GenDb::from_initial`] that keeps the versions of the tables in
     /// `kept` only; the others stay empty whatever is applied to them.
-    pub fn keeping(data: &TpchData, kept: &[u8]) -> GenDb {
+    pub(crate) fn keeping(data: &TpchData, kept: &[u8]) -> GenDb {
         let mut db = GenDb {
             tables: data
                 .tables
