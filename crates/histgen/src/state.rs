@@ -434,6 +434,27 @@ mod tests {
             .all(|chain| chain.len() == 1 && chain.capacity() == 1));
     }
 
+    /// A table the state does not keep takes its ops unchecked, stays
+    /// empty, and is not to be read.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lineitem keeps no versions here")]
+    fn a_table_not_kept_stays_empty_and_is_not_read() {
+        let data = bitempo_dbgen::generate(&ScaleConfig::tiny());
+        let mut db = GenDb::keeping(&data, &[6]);
+        let (orders, lineitem) = (6, db.table_index("lineitem").unwrap());
+        assert_eq!(db.current_len(orders), 1_500);
+        assert_eq!(db.current_len(lineitem), 0);
+        let missing = Key::int2(i64::MAX, 1);
+        let delete = Op::Delete {
+            table: lineitem as u8,
+            key: missing.clone(),
+            portion: None,
+        };
+        db.apply(&delete, SysTime(2)).unwrap();
+        db.current_of(lineitem, &missing);
+    }
+
     #[test]
     fn update_creates_invalidated_version() {
         let mut db = tiny_db();

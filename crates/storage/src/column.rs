@@ -137,18 +137,20 @@ struct Dictionary {
 impl Dictionary {
     fn encode(&mut self, s: &Arc<str>) -> u32 {
         let hash = hash_one(&**s);
-        let slot = match self.find(s, hash) {
-            Ok(code) => return code,
-            Err(_) if 2 * (self.strings.len() + 1) > self.slots.len() => {
-                self.grow();
-                self.vacant(hash)
+        let mut found = self.find(s, hash);
+        if found.is_err() && 2 * (self.strings.len() + 1) > self.slots.len() {
+            self.grow();
+            found = self.find(s, hash);
+        }
+        match found {
+            Ok(code) => code,
+            Err(slot) => {
+                let code = self.strings.len() as u32;
+                self.slots[slot] = code;
+                self.strings.push(Arc::clone(s));
+                code
             }
-            Err(slot) => slot,
-        };
-        let code = self.strings.len() as u32;
-        self.slots[slot] = code;
-        self.strings.push(Arc::clone(s));
-        code
+        }
     }
 
     /// The code of `s`, or the vacant slot where it would go.
@@ -165,21 +167,14 @@ impl Dictionary {
         Err(slot)
     }
 
-    /// The first vacant slot on `hash`'s probe sequence.
-    fn vacant(&self, hash: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        while self.slots[slot] != VACANT {
-            slot = (slot + 1) & mask;
-        }
-        slot
-    }
-
     /// Doubles the table (eight slots at first) and re-slots every code.
     fn grow(&mut self) {
         self.slots = vec![VACANT; (2 * self.slots.len()).max(8)];
-        for (code, s) in self.strings.iter().enumerate() {
-            let slot = self.vacant(hash_one(&**s));
+        for code in 0..self.strings.len() {
+            let s = &self.strings[code];
+            let Err(slot) = self.find(s, hash_one(&**s)) else {
+                unreachable!("dictionary strings are distinct");
+            };
             self.slots[slot] = code as u32;
         }
     }
@@ -801,6 +796,10 @@ mod tests {
         }
         assert_same(&src, &kept_ref);
         assert_same(&history, &history_ref);
+        // `assert_same` compares each dictionary's strings and code table;
+        // the kept rows use all five names, so re-encoding grew the table.
+        assert_eq!(src.dicts[1].strings.len(), 5);
+        assert_eq!(src.dicts[1].slots.len(), 16);
         assert!(src.main_nulls[2].is_some(), "the late NULL price was kept");
         assert_eq!(history.get_value(1, 3), Value::Null, "row 4 moved");
         assert_eq!(history.get_value(4, 3), Value::SysTime(SysTime(99)));
