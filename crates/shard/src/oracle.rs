@@ -71,8 +71,8 @@ impl CommitOracle {
     }
 
     /// Marks `ts` abandoned; its slot never blocks the watermark. The
-    /// timestamp is burned, not reused — uniqueness is what lets a prepare
-    /// record's `gts` double as the global transaction id.
+    /// timestamp is burned, not reused — uniqueness is what lets `gts`
+    /// identify a transaction in its prepare and decision records.
     pub fn abort(&self, ts: u64) {
         self.resolve(ts);
     }

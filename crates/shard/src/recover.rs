@@ -5,7 +5,7 @@
 //! applies every stamped commit and decided prepare in its valid WAL
 //! prefix and hands back the *undecided* prepares (presumed aborted
 //! locally). The cluster step then unions the commit decisions found in
-//! every shard's prefix: a prepare whose global id carries a durable
+//! every shard's prefix: a prepare whose `gts` carries a durable
 //! commit decision on **any** shard was globally committed — the
 //! coordinator only logs the first decision after every participant's
 //! prepare is durable — so recovery finishes it here at its original
@@ -132,11 +132,10 @@ pub fn recover_cluster(
     for (si, rec) in shards.iter_mut().enumerate() {
         let mut broken = false;
         for p in std::mem::take(&mut rec.pending) {
-            if !decided.contains(&p.gid) {
+            if !decided.contains(&p.gts) {
                 presumed_aborted.push((si, p.gts));
                 continue;
             }
-            rec.report.presumed_aborted -= 1;
             if broken {
                 // An earlier decided prepare half-applied on this shard:
                 // nothing later can safely land on the partial state.
@@ -322,7 +321,7 @@ mod tests {
     fn replay_failure_degrades_the_shard_without_blocking_siblings() {
         let base = base_checkpoint(8);
         let parts = partition_checkpoint(&base, 2);
-        let gid = 50u64;
+        let gts = 50u64;
         let k0 = (0..8)
             .find(|k| shard_of(&Key::int(*k), 2) == 0)
             .expect("a key on shard 0");
@@ -358,10 +357,10 @@ mod tests {
             }],
         };
         let wal0 = mk_wal(&[
-            bitempo_wal::encode_prepare(gid, gid, &good).expect("encode"),
-            bitempo_wal::encode_decision(gid, gid, true),
+            bitempo_wal::encode_prepare(gts, &good).expect("encode"),
+            bitempo_wal::encode_decision(gts, true),
         ]);
-        let wal1 = mk_wal(&[bitempo_wal::encode_prepare(gid, gid, &bad).expect("encode")]);
+        let wal1 = mk_wal(&[bitempo_wal::encode_prepare(gts, &bad).expect("encode")]);
         let inputs = vec![
             ShardInput {
                 wal: wal0,
@@ -376,12 +375,12 @@ mod tests {
             .expect("one shard's replay failure must not fail the whole cluster recovery");
         // Shard 0 recovered normally from its own prepare + decision...
         assert!(rec.shards[0].report.unreplayable.is_none());
-        assert_eq!(rec.shards[0].engine.now(), SysTime(gid));
+        assert_eq!(rec.shards[0].engine.now(), SysTime(gts));
         // ...while shard 1 is marked degraded, not silently dropped.
         assert_eq!(rec.committed_pending, Vec::new());
         assert!(rec.presumed_aborted.is_empty());
         assert_eq!(rec.degraded.len(), 1);
-        assert_eq!((rec.degraded[0].0, rec.degraded[0].1), (1, gid));
+        assert_eq!((rec.degraded[0].0, rec.degraded[0].1), (1, gts));
         assert!(rec.shards[1].report.unreplayable.is_some());
         // A degraded shard must never go back into service as-is.
         let err = rec

@@ -52,7 +52,7 @@ impl<'a> PreparedTxn<'a> {
     /// the record just spares the scan). Applies nothing.
     pub fn abort(self) -> Result<()> {
         if self.logged.is_some() {
-            let payload = bitempo_wal::encode_decision(self.gts, self.gts, false);
+            let payload = bitempo_wal::encode_decision(self.gts, false);
             let (_, seq) = self.mgr.submit_unapplied(&payload, "abort decision")?;
             let mut st = self.mgr.state.write().expect("txn state poisoned");
             st.applied_seq = seq;

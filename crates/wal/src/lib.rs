@@ -18,11 +18,12 @@
 //!   (`dur_batched_Nms`), or never until close (`dur_async`);
 //! * [`checkpoint`] serializes a quiesced engine's full version set so
 //!   recovery never replays the whole history;
-//! * [`recover`](mod@recover) ties it together: the [`recover::durable_replay`] driver
-//!   appends each committed transaction to the WAL and checkpoints on a
-//!   fixed cadence, and [`recover::recover`] rebuilds an engine from the
-//!   newest valid checkpoint plus the WAL tail, one record at a time,
-//!   truncating at the first torn or corrupt record;
+//! * [`recover`](mod@recover) ties it together: the [`recover::durable_replay`] loop
+//!   appends each archive transaction to the WAL before applying and
+//!   committing it, and checkpoints on a fixed cadence, and
+//!   [`recover::recover`] rebuilds an engine from the newest valid
+//!   checkpoint plus the WAL tail, one record at a time, truncating at the
+//!   first torn or corrupt record;
 //! * [`canonical`] renders an engine's logical state as a compact,
 //!   order-independent [`CanonicalState`], which is how "recovered ==
 //!   served" is checked.
@@ -30,7 +31,8 @@
 //! Fault injection reuses [`bitempo_core::fault`]: wrapping the sink in a
 //! `FaultyWriter` simulates a crash at an arbitrary byte of the log, and
 //! the recovery tests assert the recovered engine answers all five query
-//! classes identically to an uncrashed oracle replay of the same prefix.
+//! classes identically to the production loader's replay of the same
+//! prefix, with no WAL.
 
 // Tests may unwrap freely; production durability code must not (tblint
 // TB010 for lock results, `clippy::unwrap_used` in Cargo.toml for the rest).
@@ -53,8 +55,5 @@ pub use log::{DurabilityWaiter, TxnWal};
 pub use record::{
     decode_payload, encode_committed_at, encode_decision, encode_prepare, WalPayload,
 };
-pub use recover::{
-    durable_replay, oracle_replay, recover, DurableOptions, DurableRun, PendingPrepare, Recovered,
-    RecoveryReport,
-};
+pub use recover::{durable_replay, recover, DurableRun, PendingPrepare, Recovered, RecoveryReport};
 pub use sink::{NullSink, SharedBuf, WalSink};

@@ -28,9 +28,10 @@ use std::time::Duration;
 /// A write-ahead log of framed payloads under a durability mode.
 ///
 /// One `TxnWal` per log stream, for its lifetime. Sequence numbers are the
-/// dense 1-based record numbers assigned by the framing layer; the driver
-/// appends exactly one record per committed transaction, so record `seq`
-/// *is* the commit number.
+/// dense 1-based record numbers assigned by the framing layer. A
+/// commit-only log holds exactly one record per committed transaction, so
+/// there record `seq` *is* the commit number; a shard log also numbers its
+/// prepare and decision records.
 pub struct TxnWal {
     mode: DurabilityMode,
     backend: Backend,
@@ -84,11 +85,6 @@ impl TxnWal {
             DurabilityMode::Batched(ms) => Backend::Batched(Batched::spawn(sink, ms)),
         };
         Ok(TxnWal { mode, backend })
-    }
-
-    /// The configured durability mode.
-    pub fn mode(&self) -> DurabilityMode {
-        self.mode
     }
 
     /// Appends one payload as the next record, returning its sequence

@@ -21,12 +21,13 @@
 //! | kind | byte | body |
 //! |------|------|------|
 //! | commit-at | `1` | `gts: u64 LE`, then the archive txn body |
-//! | prepare | `2` | `gid: u64`, `gts: u64`, then the txn body |
-//! | decision | `3` | `gid: u64`, `gts: u64`, `commit: u8` (1/0) |
+//! | prepare | `2` | `gts: u64 LE`, then the txn body |
+//! | decision | `3` | `gts: u64 LE`, `commit: u8` (1/0) |
 //!
-//! `gid` is the global transaction id; the serving layer uses the oracle
-//! timestamp itself (unique, monotonic), carried in both the prepare and
-//! its decision so recovery can match them up across a crash.
+//! `gts` is the cluster oracle's commit timestamp. It is unique per
+//! transaction (an aborted one is burned, never reissued), so it is also
+//! the transaction's identity: a prepare and its decision carry the same
+//! `gts`, and recovery matches them by it across a crash.
 
 use bitempo_core::codec::Cursor;
 use bitempo_core::{Error, Result};
@@ -55,8 +56,6 @@ pub enum WalPayload {
     /// Phase one of a cross-shard commit: the full op payload, durable
     /// *before* anything applies. Undecided prepares are presumed aborted.
     Prepare {
-        /// Global transaction id.
-        gid: u64,
         /// Oracle commit timestamp the transaction will land at.
         gts: u64,
         /// The transaction body.
@@ -64,9 +63,7 @@ pub enum WalPayload {
     },
     /// Phase two: the coordinator's verdict on a prepared transaction.
     Decision {
-        /// Global transaction id this decides.
-        gid: u64,
-        /// Oracle commit timestamp of the decided transaction.
+        /// Oracle commit timestamp of the prepared transaction this decides.
         gts: u64,
         /// `true` commits the prepared ops; `false` discards them.
         commit: bool,
@@ -84,25 +81,22 @@ pub fn encode_committed_at(gts: u64, txn: &TxnOps) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Encodes a prepare record: `txn` tagged with its global id and oracle
-/// commit timestamp.
-pub fn encode_prepare(gid: u64, gts: u64, txn: &TxnOps) -> Result<Vec<u8>> {
+/// Encodes a prepare record: `txn` tagged with its oracle commit timestamp.
+pub fn encode_prepare(gts: u64, txn: &TxnOps) -> Result<Vec<u8>> {
     let body = encode_txn(txn)?;
-    let mut out = Vec::with_capacity(RECORD_MAGIC.len() + 17 + body.len());
+    let mut out = Vec::with_capacity(RECORD_MAGIC.len() + 9 + body.len());
     out.extend_from_slice(&RECORD_MAGIC);
     out.push(KIND_PREPARE);
-    out.extend_from_slice(&gid.to_le_bytes());
     out.extend_from_slice(&gts.to_le_bytes());
     out.extend_from_slice(&body);
     Ok(out)
 }
 
-/// Encodes a decision record for the prepared transaction `gid`.
-pub fn encode_decision(gid: u64, gts: u64, commit: bool) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_MAGIC.len() + 18);
+/// Encodes a decision record for the transaction prepared at `gts`.
+pub fn encode_decision(gts: u64, commit: bool) -> Vec<u8> {
+    let mut out = Vec::with_capacity(RECORD_MAGIC.len() + 10);
     out.extend_from_slice(&RECORD_MAGIC);
     out.push(KIND_DECISION);
-    out.extend_from_slice(&gid.to_le_bytes());
     out.extend_from_slice(&gts.to_le_bytes());
     out.push(u8::from(commit));
     out
@@ -124,12 +118,10 @@ pub fn decode_payload(bytes: &[u8]) -> Result<WalPayload> {
             txn: decode_txn(cur.rest())?,
         }),
         KIND_PREPARE => Ok(WalPayload::Prepare {
-            gid: cur.u64("prepare gid")?,
             gts: cur.u64("prepare gts")?,
             txn: decode_txn(cur.rest())?,
         }),
         KIND_DECISION => {
-            let gid = cur.u64("decision gid")?;
             let gts = cur.u64("decision gts")?;
             let flag = cur.u8("decision flag")?;
             cur.finish("decision record")?;
@@ -137,7 +129,6 @@ pub fn decode_payload(bytes: &[u8]) -> Result<WalPayload> {
                 return Err(Error::Archive("malformed decision record".into()));
             }
             Ok(WalPayload::Decision {
-                gid,
                 gts,
                 commit: flag == 1,
             })
@@ -175,24 +166,19 @@ mod tests {
                 txn: txn.clone()
             }
         );
-        let p = encode_prepare(7, 42, &txn).unwrap();
+        let p = encode_prepare(42, &txn).unwrap();
         assert_eq!(
             decode_payload(&p).unwrap(),
             WalPayload::Prepare {
-                gid: 7,
                 gts: 42,
                 txn: txn.clone()
             }
         );
         for commit in [true, false] {
-            let d = encode_decision(7, 42, commit);
+            let d = encode_decision(42, commit);
             assert_eq!(
                 decode_payload(&d).unwrap(),
-                WalPayload::Decision {
-                    gid: 7,
-                    gts: 42,
-                    commit
-                }
+                WalPayload::Decision { gts: 42, commit }
             );
         }
     }
@@ -215,9 +201,9 @@ mod tests {
     #[test]
     fn truncated_envelopes_are_rejected() {
         let txn = sample_txn();
-        let p = encode_prepare(7, 42, &txn).unwrap();
+        let p = encode_prepare(42, &txn).unwrap();
         assert!(decode_payload(&p[..12]).is_err());
-        let mut d = encode_decision(7, 42, true);
+        let mut d = encode_decision(42, true);
         d.push(0); // trailing byte
         assert!(decode_payload(&d).is_err());
         d.truncate(10);

@@ -3,7 +3,8 @@
 //! The contract under test (DESIGN.md §10): for any crash point in the WAL
 //! stream, recovery from the surviving bytes plus the captured checkpoints
 //! rebuilds an engine whose state is equivalent to an uncrashed oracle that
-//! replayed exactly the recovered prefix — on every engine, under both
+//! replayed exactly the recovered prefix through the production loader,
+//! with no WAL and no checkpoints — on every engine, under both
 //! durability modes that acknowledge before the end of the run. Equivalence
 //! is asserted twice per cell: full canonical state (every version of every
 //! table) and the five-class query probe from `bitempo_workloads::suite`.
@@ -17,11 +18,11 @@ use bitempo_core::fault::FaultyWriter;
 use bitempo_core::Pcg32;
 use bitempo_dbgen::{ScaleConfig, TpchData};
 use bitempo_engine::api::TuningConfig;
-use bitempo_engine::{build_engine, SystemKind};
-use bitempo_histgen::{generate_history, Archive, HistoryConfig};
+use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
+use bitempo_histgen::{generate_history, load_initial, replay, Archive, HistoryConfig};
 use bitempo_wal::{
-    canonical_state, durable_replay, oracle_replay, recover, DurabilityMode, DurableOptions,
-    SharedBuf, TxnWal, WalReader, WAL_HEADER_LEN,
+    canonical_state, durable_replay, recover, Checkpoint, DurabilityMode, DurableRun, SharedBuf,
+    TxnWal, WalReader, WalSink, WAL_HEADER_LEN,
 };
 use bitempo_workloads::{five_class_answers, five_class_diff, Ctx, QueryParams};
 use std::sync::OnceLock;
@@ -49,6 +50,53 @@ fn world() -> &'static (TpchData, Archive) {
     })
 }
 
+/// A logged load of the world on `kind`, the way every caller drives the
+/// loop: version 0 and its seq-0 checkpoint, the logged loop into `sink`
+/// under `mode`, then `close`. Returns the run with the seq-0 checkpoint
+/// put first, and whether the sink failed — at an append, or only at
+/// `close`, where a group-commit failure may first surface.
+fn logged_load(
+    kind: SystemKind,
+    sink: Box<dyn WalSink>,
+    mode: DurabilityMode,
+) -> (DurableRun, bool) {
+    let (data, archive) = world();
+    let mut engine = build_engine(kind);
+    let ids = load_initial(engine.as_mut(), data).unwrap();
+    let base = Checkpoint::capture(engine.as_mut(), &ids, 0)
+        .unwrap()
+        .encode();
+    let mut log = TxnWal::create(sink, mode).unwrap();
+    let txns = &archive.transactions;
+    let mut run = durable_replay(engine.as_mut(), &ids, txns, &mut log, CHECKPOINT_EVERY)
+        .unwrap_or_else(|e| panic!("{kind}: replay errored hard: {e}"));
+    run.checkpoints.insert(0, base);
+    let closed = log.close();
+    let crashed = run.crashed.is_some() || closed.is_err();
+    (run, crashed)
+}
+
+/// The uncrashed oracle is the production load path: version 0, then the
+/// first `commits` archive transactions one per commit (`replay`, batch
+/// 1), then a checkpoint. It runs no WAL and no checkpoint along the way,
+/// so it shares no code with the logged loop or with recovery.
+fn oracle(
+    kind: SystemKind,
+    commits: u64,
+) -> (Box<dyn BitemporalEngine>, Vec<bitempo_core::TableId>) {
+    let (data, archive) = world();
+    let mut engine = build_engine(kind);
+    let ids = load_initial(engine.as_mut(), data).unwrap();
+    let prefix = Archive {
+        dbgen_seed: archive.dbgen_seed,
+        hist_seed: archive.hist_seed,
+        transactions: archive.transactions[..commits as usize].to_vec(),
+    };
+    replay(engine.as_mut(), &ids, &prefix, 1).unwrap();
+    engine.checkpoint();
+    (engine, ids)
+}
+
 /// A clean (uncrashed, strict-mode) run on System A: the full log bytes,
 /// the captured checkpoints, and the commit count. The WAL bytes are
 /// engine-independent (they encode archive transactions, not engine
@@ -56,16 +104,10 @@ fn world() -> &'static (TpchData, Archive) {
 fn clean_log() -> &'static (Vec<u8>, Vec<Vec<u8>>, u64) {
     static CLEAN: OnceLock<(Vec<u8>, Vec<Vec<u8>>, u64)> = OnceLock::new();
     CLEAN.get_or_init(|| {
-        let (data, archive) = world();
-        let opts = DurableOptions {
-            mode: DurabilityMode::Strict,
-            checkpoint_every: CHECKPOINT_EVERY,
-        };
         let buf = SharedBuf::new();
-        let mut engine = build_engine(SystemKind::A);
-        let log = TxnWal::create(Box::new(buf.clone()), opts.mode).unwrap();
-        let run = durable_replay(engine.as_mut(), data, archive, log, &opts).unwrap();
-        assert!(run.crashed.is_none());
+        let (run, crashed) =
+            logged_load(SystemKind::A, Box::new(buf.clone()), DurabilityMode::Strict);
+        assert!(!crashed);
         (buf.snapshot(), run.checkpoints, run.commits)
     })
 }
@@ -76,28 +118,20 @@ fn clean_log() -> &'static (Vec<u8>, Vec<Vec<u8>>, u64) {
 /// zero skipped operations.
 #[test]
 fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
-    let (data, archive) = world();
     let tuning = TuningConfig::none().with_workers(1);
     let clean_len = clean_log().0.len() as u64;
     let mut rng = Pcg32::new(0xC4A5_4B17, 0xD0);
     for kind in SystemKind::ALL {
         for mode in [DurabilityMode::Strict, DurabilityMode::Batched(5)] {
-            let opts = DurableOptions {
-                mode,
-                checkpoint_every: CHECKPOINT_EVERY,
-            };
             for _ in 0..2 {
                 // Crash strictly inside the record stream, past the header.
                 let cut = rng.int_range(WAL_HEADER_LEN as i64 + 1, clean_len as i64 - 1) as u64;
                 let label = format!("{kind}/{}/cut={cut}", mode.label());
 
                 let buf = SharedBuf::new();
-                let sink = FaultyWriter::new(buf.clone(), cut);
-                let mut engine = build_engine(kind);
-                let log = TxnWal::create(Box::new(sink), mode).unwrap();
-                let run = durable_replay(engine.as_mut(), data, archive, log, &opts)
-                    .unwrap_or_else(|e| panic!("{label}: replay errored hard: {e}"));
-                assert!(run.crashed.is_some(), "{label}: the cut must fire");
+                let sink = Box::new(FaultyWriter::new(buf.clone(), cut));
+                let (run, crashed) = logged_load(kind, sink, mode);
+                assert!(crashed, "{label}: the cut must fire");
 
                 let rec = recover(kind, &buf.snapshot(), &run.checkpoints, &tuning)
                     .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
@@ -118,8 +152,7 @@ fn crash_recovery_matches_the_oracle_on_every_engine_and_mode() {
                     "{label}: replay skipped records"
                 );
 
-                let (oracle, oracle_ids) =
-                    oracle_replay(kind, data, archive, rec.report.commits, &opts, &tuning).unwrap();
+                let (oracle, oracle_ids) = oracle(kind, rec.report.commits);
                 assert_eq!(
                     canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
                     canonical_state(oracle.as_ref(), &oracle_ids).unwrap(),

@@ -38,7 +38,7 @@ fn valid_encodings() -> &'static [Vec<u8>; 4] {
         [
             bytes.clone(),
             encode_txn(txn).unwrap(),
-            encode_prepare(7, 42, txn).unwrap(),
+            encode_prepare(42, txn).unwrap(),
             checkpoint.encode(),
         ]
     })
