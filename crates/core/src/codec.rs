@@ -42,6 +42,20 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The length of [`put_value`]'s image of `v`.
+pub fn value_len(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Str(s) => 5 + s.len(),
+        Value::Int(_) | Value::Double(_) | Value::Date(_) | Value::SysTime(_) => 9,
+    }
+}
+
+/// The length of [`put_row`]'s image of `values`.
+pub fn row_len(values: &[Value]) -> usize {
+    2 + values.iter().map(value_len).sum::<usize>()
+}
+
 /// Appends one tagged value.
 pub fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
@@ -223,6 +237,7 @@ mod tests {
         ];
         let mut bytes = Vec::new();
         put_row(&mut bytes, &values);
+        assert_eq!(row_len(&values), bytes.len());
         let mut cur = Cursor::new(&bytes);
         assert_eq!(cur.row().unwrap(), Row::new(values));
         cur.finish("row").unwrap();

@@ -7,6 +7,9 @@
 //!   record number and `stream_crc` chains a CRC-32 over every payload up
 //!   to and including this one, so a record can neither be reordered nor
 //!   substituted without breaking the chain;
+//! * a record body is at most [`MAX_RECORD_BYTES`]: the reader takes a
+//!   longer length prefix for corruption, and [`WalAppender::encode`]
+//!   refuses a payload that would need one;
 //! * there is no footer: a WAL is torn by definition whenever the machine
 //!   stops, and [`WalReader`] yields the longest valid prefix, one borrowed
 //!   record at a time, instead of demanding completeness; [`scan`] is that
@@ -21,6 +24,7 @@
 //! [`crate::codec`].
 
 use crate::crc::{crc32, Crc32};
+use crate::{Error, Result};
 
 /// WAL stream magic.
 pub const WAL_MAGIC: [u8; 4] = *b"BIWL";
@@ -35,6 +39,9 @@ pub const BODY_OVERHEAD: usize = 12;
 /// Upper bound on one record body: a length prefix above this is
 /// corruption, not data.
 pub const MAX_RECORD_BYTES: u32 = 64 << 20;
+/// Upper bound on one payload: whatever fits in one record body. The
+/// writer refuses more, so it never writes what the reader rejects.
+pub const MAX_PAYLOAD_BYTES: usize = MAX_RECORD_BYTES as usize - BODY_OVERHEAD;
 
 /// The 8-byte WAL stream header.
 pub fn header_bytes() -> [u8; WAL_HEADER_LEN] {
@@ -67,20 +74,33 @@ impl WalAppender {
         }
     }
 
-    /// Frames `payload` as the next record, returning `(seq, frame bytes)`.
-    pub fn encode(&mut self, payload: &[u8]) -> (u64, Vec<u8>) {
+    /// Frames `payload` as the next record, returning `(seq, frame bytes)`:
+    /// one exact-size buffer, its frame CRC patched in last.
+    ///
+    /// A payload over [`MAX_PAYLOAD_BYTES`] is [`Error::Archive`], refused
+    /// before it takes a sequence number or enters the stream CRC, so the
+    /// writer never frames a record [`WalReader`] would reject as a torn
+    /// tail and the next record still chains.
+    pub fn encode(&mut self, payload: &[u8]) -> Result<(u64, Vec<u8>)> {
+        if payload.len() > MAX_PAYLOAD_BYTES {
+            return Err(Error::Archive(format!(
+                "record payload of {} bytes exceeds the bound of {MAX_PAYLOAD_BYTES}",
+                payload.len()
+            )));
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stream.update(payload);
-        let mut body = Vec::with_capacity(BODY_OVERHEAD + payload.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&self.stream.finish().to_le_bytes());
-        body.extend_from_slice(payload);
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        (seq, frame)
+        let len = BODY_OVERHEAD + payload.len();
+        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + len);
+        frame.extend_from_slice(&(len as u32).to_le_bytes());
+        frame.extend_from_slice(&[0; 4]);
+        frame.extend_from_slice(&seq.to_le_bytes());
+        frame.extend_from_slice(&self.stream.finish().to_le_bytes());
+        frame.extend_from_slice(payload);
+        let crc = crc32(&frame[FRAME_OVERHEAD..]);
+        frame[4..FRAME_OVERHEAD].copy_from_slice(&crc.to_le_bytes());
+        Ok((seq, frame))
     }
 }
 
@@ -275,7 +295,7 @@ mod tests {
         let mut bytes = header_bytes().to_vec();
         let mut app = WalAppender::new();
         for p in payloads {
-            let (_, frame) = app.encode(p);
+            let (_, frame) = app.encode(p).unwrap();
             bytes.extend_from_slice(&frame);
         }
         bytes
@@ -346,8 +366,8 @@ mod tests {
         // Swap two equally-framed records: frame CRCs still match, but the
         // seq chain breaks on the first swapped record.
         let mut a = WalAppender::new();
-        let (_, f1) = a.encode(b"payload-A");
-        let (_, f2) = a.encode(b"payload-B");
+        let (_, f1) = a.encode(b"payload-A").unwrap();
+        let (_, f2) = a.encode(b"payload-B").unwrap();
         let mut swapped = header_bytes().to_vec();
         swapped.extend_from_slice(&f2);
         swapped.extend_from_slice(&f1);
@@ -358,16 +378,43 @@ mod tests {
         // A forged record with the right seq but recomputed frame CRC still
         // breaks the chained stream CRC (which covers the true history).
         let mut b = WalAppender::new();
-        let (_, g1) = b.encode(b"payload-A");
+        let (_, g1) = b.encode(b"payload-A").unwrap();
         let mut c = WalAppender::new();
-        let (_, _) = c.encode(b"something-else");
-        let (_, g2_forged) = c.encode(b"payload-B");
+        let (_, _) = c.encode(b"something-else").unwrap();
+        let (_, g2_forged) = c.encode(b"payload-B").unwrap();
         let mut forged = header_bytes().to_vec();
         forged.extend_from_slice(&g1);
         forged.extend_from_slice(&g2_forged);
         let s = scan(&forged);
         assert_eq!(s.records.len(), 1);
         assert!(s.torn.unwrap().contains("stream checksum"));
+    }
+
+    /// One byte over the bound is refused without touching the appender:
+    /// the next record still gets seq 1 and the chain of an untouched
+    /// stream. Exactly at the bound frames a record of `MAX_RECORD_BYTES`.
+    #[test]
+    fn the_writer_refuses_what_the_reader_would_reject() {
+        let mut app = WalAppender::new();
+        let over = vec![0u8; MAX_PAYLOAD_BYTES + 1];
+        assert!(matches!(app.encode(&over), Err(Error::Archive(_))));
+        drop(over);
+        let (seq, small) = app.encode(b"after").unwrap();
+        assert_eq!(seq, 1);
+        assert_eq!(small, WalAppender::new().encode(b"after").unwrap().1);
+
+        let at = vec![7u8; MAX_PAYLOAD_BYTES];
+        let (seq, frame) = app.encode(&at).unwrap();
+        assert_eq!(seq, 2);
+        assert_eq!(frame[..4], MAX_RECORD_BYTES.to_le_bytes());
+        let mut bytes = header_bytes().to_vec();
+        bytes.extend_from_slice(&small);
+        bytes.extend_from_slice(&frame);
+        let mut reader = WalReader::new(&bytes);
+        assert_eq!(reader.next(), Some((1, &b"after"[..])));
+        assert_eq!(reader.next(), Some((2, &at[..])));
+        assert_eq!(reader.next(), None);
+        assert_eq!(reader.torn(), None);
     }
 
     #[test]

@@ -22,15 +22,12 @@
 
 use crate::ops::{Op, ScenarioKind, Transaction};
 use bitempo_core::codec::{put_i64, put_row, put_u16, put_u32, put_u64, put_value, Cursor};
-use bitempo_core::frame::{header_bytes, WalAppender, WalReader, BODY_OVERHEAD, MAX_RECORD_BYTES};
+use bitempo_core::frame::{header_bytes, WalAppender, WalReader, MAX_PAYLOAD_BYTES};
 use bitempo_core::{AppDate, AppPeriod, Error, Key, Period, Result, Value};
 use std::path::Path;
 
 const MAGIC: [u8; 4] = *b"BIHA";
 const VERSION: u32 = 3;
-
-/// Upper bound on one encoded transaction body: whatever fits in one frame.
-const MAX_TXN_BYTES: usize = MAX_RECORD_BYTES as usize - BODY_OVERHEAD;
 
 /// A serialized history: seeds plus the ordered transaction list.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,9 +65,9 @@ impl Archive {
         put_u64(&mut head, self.transactions.len() as u64);
         let mut frames = WalAppender::new();
         let mut out = header_bytes().to_vec();
-        out.extend_from_slice(&frames.encode(&head).1);
+        out.extend_from_slice(&frames.encode(&head)?.1);
         for txn in &self.transactions {
-            out.extend_from_slice(&frames.encode(&encode_txn(txn)?).1);
+            out.extend_from_slice(&frames.encode(&encode_txn(txn)?)?.1);
         }
         Ok(out)
     }
@@ -149,7 +146,7 @@ pub fn encode_txn(txn: &Transaction) -> Result<Vec<u8>> {
     for op in &txn.ops {
         put_op(&mut out, op);
     }
-    if out.len() > MAX_TXN_BYTES {
+    if out.len() > MAX_PAYLOAD_BYTES {
         return Err(Error::Archive(format!(
             "transaction body too large: {} bytes",
             out.len()
@@ -307,6 +304,7 @@ fn read_opt_period(cur: &mut Cursor<'_>) -> Result<Option<AppPeriod>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitempo_core::frame::MAX_RECORD_BYTES;
     use bitempo_core::Row;
 
     fn sample_archive() -> Archive {
@@ -365,9 +363,9 @@ mod tests {
         put_u64(&mut head, count);
         let mut frames = WalAppender::new();
         let mut out = header_bytes().to_vec();
-        out.extend_from_slice(&frames.encode(&head).1);
+        out.extend_from_slice(&frames.encode(&head).unwrap().1);
         for body in bodies {
-            out.extend_from_slice(&frames.encode(body).1);
+            out.extend_from_slice(&frames.encode(body).unwrap().1);
         }
         out
     }

@@ -115,7 +115,7 @@ impl TxnWal {
     pub fn submit(&mut self, payload: &[u8]) -> Result<u64> {
         match &mut self.backend {
             Backend::Direct { shared, appender } => {
-                let (seq, frame) = appender.encode(payload);
+                let (seq, frame) = appender.encode(payload)?;
                 let mut s = shared.sink.lock().expect("wal sink poisoned");
                 s.sink.write_all(&frame)?;
                 s.written = seq;
@@ -372,7 +372,7 @@ impl Batched {
     /// (Named `enqueue` so the workspace-unique name `submit` belongs to
     /// [`TxnWal::submit`] for tblint's one-hop call resolution.)
     fn enqueue(&mut self, payload: &[u8]) -> Result<u64> {
-        let (seq, frame) = self.appender.encode(payload);
+        let (seq, frame) = self.appender.encode(payload)?;
         let mut st = self.shared.state.lock().expect("wal state poisoned");
         if let Some(e) = &st.error {
             return Err(Error::Archive(format!("wal flusher failed: {e}")));
@@ -582,6 +582,38 @@ mod tests {
         let s = frame::scan(&buf.snapshot());
         assert!(s.is_clean(), "{:?}", s.torn);
         assert_eq!(s.records.len(), 20);
+    }
+
+    /// A payload the reader would reject is refused in every mode before
+    /// any byte reaches the sink or the sequence moves; the log goes on.
+    #[test]
+    fn an_oversized_record_is_refused_and_the_log_goes_on() {
+        let modes = [
+            DurabilityMode::Strict,
+            DurabilityMode::Async,
+            DurabilityMode::Batched(1),
+        ];
+        let over = vec![0u8; frame::MAX_PAYLOAD_BYTES + 1];
+        for mode in modes {
+            let buf = SharedBuf::new();
+            let mut w = TxnWal::create(Box::new(buf.clone()), mode).unwrap();
+            assert_eq!(w.submit(b"t1").unwrap(), 1);
+            w.sync().unwrap();
+            let before = buf.snapshot();
+            assert!(
+                matches!(w.submit(&over), Err(Error::Archive(_))),
+                "{mode:?}"
+            );
+            assert_eq!(w.submitted_seq(), 1, "{mode:?}");
+            w.sync().unwrap();
+            assert_eq!(buf.snapshot(), before, "{mode:?}");
+            assert_eq!(w.submit(b"t2").unwrap(), 2, "{mode:?}");
+            assert_eq!(w.close().unwrap(), 2, "{mode:?}");
+            let s = frame::scan(&buf.snapshot());
+            assert!(s.is_clean(), "{mode:?}: {:?}", s.torn);
+            let payloads: Vec<&[u8]> = s.records.iter().map(|r| &r.payload[..]).collect();
+            assert_eq!(payloads, [&b"t1"[..], &b"t2"[..]], "{mode:?}");
+        }
     }
 
     #[test]

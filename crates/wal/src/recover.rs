@@ -506,7 +506,7 @@ mod tests {
         let mut appender = frame::WalAppender::new();
         let mut off = frame::header_bytes().len() as u64;
         for rec in &scan.records[..k] {
-            let (_, frame) = appender.encode(&rec.payload);
+            let (_, frame) = appender.encode(&rec.payload).unwrap();
             off += frame.len() as u64;
         }
         off
