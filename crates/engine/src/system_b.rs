@@ -33,6 +33,7 @@ use bitempo_core::{
 };
 use bitempo_storage::{Heap, SlotId};
 use bitempo_tindex::TemporalIndex;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// The System B engine. See module docs.
@@ -329,8 +330,12 @@ impl TableLayout for TableB {
 
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
         self.drain_undo();
-        let recon = self.reconstruct_current();
+        // Reconstructed on the first structure that walks the current
+        // partition, and only then: a tuning that builds none of them
+        // costs no join.
+        let recon = OnceCell::new();
         self.cur = PartIndexes::build(def, tuning, Part::Current, || {
+            let recon = recon.get_or_init(|| self.reconstruct_current());
             recon.0.iter().map(|(uid, v)| (*uid, v))
         })?;
         self.hist = PartIndexes::build(def, tuning, Part::History, || heap_entries(&self.history))?;
@@ -479,6 +484,33 @@ mod tests {
         assert_eq!(v.app, Period::new(AppDate(5), AppDate(15)));
         assert!(v.sys.is_current());
         assert_eq!(v.row.get(1), &Value::Int(10));
+    }
+
+    /// A tuning that builds nothing over the current partition skips its
+    /// reconstruction, and the answers stay what they were; a tuning that
+    /// does build over it still serves the same rows.
+    #[test]
+    fn retune_reconstructs_only_for_current_structures() {
+        let mut e = SystemB::new();
+        let t = e.create_table(bitemp_table("t")).unwrap();
+        insert_rows(&mut e, t, &[(1, 1), (2, 2), (3, 3)]);
+        for i in 0..(UNDO_DRAIN_THRESHOLD as i64 + 3) {
+            e.update(t, &Key::int(1 + i % 3), &[(1, Value::Int(10 + i))], None)
+                .unwrap();
+            e.commit();
+        }
+        let specs = [SysSpec::Current, SysSpec::All, SysSpec::AsOf(SysTime(4))];
+        let rows = |e: &SystemB| -> Vec<Vec<Row>> {
+            specs
+                .iter()
+                .map(|sys| e.scan(t, sys, &AppSpec::All, &[]).unwrap().rows)
+                .collect()
+        };
+        let before = rows(&e);
+        for tuning in [TuningConfig::none(), TuningConfig::key_time()] {
+            e.apply_tuning(&tuning).unwrap();
+            assert_eq!(rows(&e), before);
+        }
     }
 
     #[test]
