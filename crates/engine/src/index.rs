@@ -12,15 +12,18 @@
 //! An ordered index stores integers as integers. Period endpoints are
 //! `Date`/`SysTime` by construction and the TPC-H key columns are `Int`, so
 //! nearly every index holds nothing but 8-byte integers: its tree is then a
-//! `BPlusTree<i64, u64>` over order-preserving *cells* (`cell_of`), and
+//! `BPlusTree<i64, u32>` over order-preserving *cells* (`cell_of`), and
 //! only an index that really meets a string or a double moves to 24-byte
 //! [`Value`] cells. The index decides from the values it is given — there
-//! is no knob — and callers deal in `Value`s either way.
+//! is no knob — and callers deal in `Value`s either way. Slots are
+//! partition-local and stored in 32 bits (`bitempo_tindex::narrow_slot`);
+//! callers pass and get them as `u64`s.
 
 use crate::api::IndexKind;
 use crate::version::Version;
 use bitempo_core::{obs, AppDate, AppPeriod, Key, SysPeriod, SysTime, Value};
 use bitempo_storage::{BPlusTree, RTree, Rect};
+use bitempo_tindex::narrow_slot;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::mem::size_of;
@@ -185,7 +188,7 @@ fn values_of<'a>(
 /// arrival order: one stable sort of the entries' positions — equal keys
 /// keep arrival order, as inserts would leave them — then a bottom-up
 /// build.
-fn sorted_tree<C: Ord + Clone>(arity: usize, cells: &[C], slots: Vec<u64>) -> BPlusTree<C, u64> {
+fn sorted_tree<C: Ord + Clone>(arity: usize, cells: &[C], slots: Vec<u32>) -> BPlusTree<C, u32> {
     let n = u32::try_from(slots.len()).expect("fewer than 2^32 index entries");
     let key = |i: &u32| &cells[*i as usize * arity..][..arity];
     let mut order: Vec<u32> = (0..n).collect();
@@ -289,7 +292,7 @@ impl Probe<i64> for Cut {
 /// Slots whose first cell lies in `(lo, hi)`, counting every leaf entry
 /// examined (including the one that ends the walk) into `visits`.
 fn walk_range<C: Ord + Clone, P: Probe<C>>(
-    tree: &BPlusTree<C, u64>,
+    tree: &BPlusTree<C, u32>,
     lo: Bound<&P>,
     hi: Bound<&P>,
     visits: &mut u64,
@@ -329,7 +332,7 @@ fn walk_range<C: Ord + Clone, P: Probe<C>>(
                 continue;
             }
         }
-        out.push(*slot);
+        out.push(u64::from(*slot));
     }
     out
 }
@@ -337,7 +340,7 @@ fn walk_range<C: Ord + Clone, P: Probe<C>>(
 /// Slots whose leading cells equal `key` cell for cell, counting examined
 /// leaf entries into `visits`.
 fn walk_prefix<C: Ord + Clone, P: Probe<C>>(
-    tree: &BPlusTree<C, u64>,
+    tree: &BPlusTree<C, u32>,
     key: &[P],
     visits: &mut u64,
 ) -> Vec<u64> {
@@ -371,7 +374,7 @@ fn walk_prefix<C: Ord + Clone, P: Probe<C>>(
             Ordering::Less => {}
             Ordering::Equal => {
                 *visits += 1;
-                out.push(*slot);
+                out.push(u64::from(*slot));
             }
             Ordering::Greater => {
                 *visits += 1;
@@ -390,11 +393,11 @@ enum Cells {
     /// `i` holds — fixed for period endpoints, learnt from the first
     /// non-NULL value for a table column.
     Int {
-        tree: BPlusTree<i64, u64>,
+        tree: BPlusTree<i64, u32>,
         kinds: Vec<Option<CellKind>>,
     },
     /// The index has met a value no integer cell holds.
-    Wide(BPlusTree<Value, u64>),
+    Wide(BPlusTree<Value, u32>),
 }
 
 /// A B-Tree index over versions stored in some slot-addressed container.
@@ -457,6 +460,7 @@ impl OrderedIndex {
         let mut ix = OrderedIndex::new(def);
         let (mut ints, mut wide, mut slots) = (Vec::new(), Vec::new(), Vec::new());
         for (slot, source) in entries {
+            let slot = narrow_slot(slot);
             if !ix.extract_key(&source) {
                 // The first key integer cells cannot hold (only they can
                 // refuse one): the keys so far move onto `Value` cells.
@@ -533,7 +537,7 @@ impl OrderedIndex {
             return;
         };
         let cells = tree.iter().flat_map(|(key, _)| values_of(key, kinds));
-        let slots: Vec<u64> = tree.iter().map(|(_, &slot)| slot).collect();
+        let slots: Vec<u32> = tree.iter().map(|(_, &slot)| slot).collect();
         self.cells = Cells::Wide(BPlusTree::from_sorted(
             kinds.len(),
             cells,
@@ -542,7 +546,11 @@ impl OrderedIndex {
     }
 
     /// Indexes `version` under `slot`.
+    ///
+    /// # Panics
+    /// If `slot` does not fit 32 bits, before the index changes.
     pub fn insert(&mut self, version: &impl IndexSource, slot: u64) {
+        let slot = narrow_slot(slot);
         if !self.extract_key(version) {
             self.widen();
         }
@@ -555,7 +563,11 @@ impl OrderedIndex {
 
     /// Removes `version`'s entry for `slot` (returns whether it existed).
     pub fn remove(&mut self, version: &impl IndexSource, slot: u64) -> bool {
-        // A key the integer cells cannot hold was never inserted into them.
+        // A slot past 32 bits, or a key the integer cells cannot hold, was
+        // never inserted.
+        let Ok(slot) = u32::try_from(slot) else {
+            return false;
+        };
         let existed = self.extract_key(version)
             && match &mut self.cells {
                 Cells::Int { tree, .. } => tree.remove(&self.cell_key, &slot),
@@ -593,7 +605,8 @@ impl OrderedIndex {
     /// [`OrderedIndex::slots_of`] a primary key. This is how sequenced DML
     /// on Systems A and B finds a key's open versions in the primary-key
     /// index, once per statement: integer keys over integer cells — every
-    /// TPC-BiH key — go in as they are.
+    /// TPC-BiH key — go in as they are, and the leaf walk widens the slots
+    /// straight into the answer.
     pub fn slots_of_key(&self, key: &Key) -> Vec<u64> {
         let (ints, arity) = match key {
             Key::Int(a) => ([*a, 0], 1),
@@ -607,7 +620,9 @@ impl OrderedIndex {
                     && (ints.iter().zip(kinds))
                         .all(|(&i, &kind)| cell_in(kind, &Value::Int(i)) == Some(i)) =>
             {
-                tree.get(ints)
+                let key = Bound::Included(ints);
+                let entries = tree.range((key, key));
+                entries.map(|(_, &slot)| u64::from(slot)).collect()
             }
             _ => self.slots_of(&key.to_values()),
         }
@@ -843,6 +858,43 @@ mod tests {
             app: AppPeriod::new(AppDate(app.0), AppDate(app.1)),
             sys: SysPeriod::new(SysTime(sys.0), sys.1.map_or(SysTime::MAX, SysTime)),
         }
+    }
+
+    /// The 32-bit slot guard at its exact bound: the largest slot indexes,
+    /// probes back and removes; one more is refused before the index
+    /// changes — not even the string key that would have widened its cells.
+    #[test]
+    fn slots_fit_32_bits() {
+        let mut idx = OrderedIndex::new(IndexDef {
+            name: "pk".into(),
+            cols: vec![IndexedCol::Value(0)],
+            kind: IndexKind::BTree,
+        });
+        let max = u64::from(u32::MAX);
+        let v = version(7, (0, 10), (3, None));
+        idx.insert(&v, max);
+        assert_eq!(idx.slots_of_key(&Key::int(7)), vec![max]);
+        assert_eq!(idx.probe_prefix(&[Value::Int(7)], &mut 0), vec![max]);
+        let wide = Version {
+            row: Row::new(vec![Value::str("k"), Value::Null]),
+            ..v.clone()
+        };
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            idx.insert(&wide, max + 1);
+        }));
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            message.contains("partition-local slots fit 32 bits"),
+            "{message}"
+        );
+        assert!(
+            matches!(idx.cells, Cells::Int { .. }),
+            "the tree did not widen"
+        );
+        assert_eq!(idx.len(), 1);
+        assert!(!idx.remove(&v, max + 1));
+        assert!(idx.remove(&v, max));
+        assert!(idx.is_empty());
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! Application periods, unlike system periods, are freely updatable and
 //! carry no append-order structure, so the Timeline's event-log trick does
 //! not apply. Instead the classic endpoint-list scheme is used: every
-//! `(period, slot)` entry is kept in two orders — by period start and by
-//! period end. A timeslice probe at date `d` needs entries with
+//! `(period, slot)` entry is kept in two orders — by period start, and by
+//! period end as 4-byte positions into the first list. A timeslice probe at date `d` needs entries with
 //! `start <= d` *and* `d` before the period's end; each sorted list gives
 //! one of the two conditions as a binary-searched prefix/suffix, and the
 //! probe scans whichever side is smaller, filtering by the full
 //! containment test. Overlap probes work the same way on the
 //! `starts-before-range-end` / `ends-after-range-start` pair.
 //!
-//! Appends are cheap (push to both lists); probes treat the unsorted tail
-//! beyond the last [`IntervalIndex::prepare`] call linearly, so
+//! Appends are cheap (a push to the first list); probes treat the unsorted
+//! tail beyond the last [`IntervalIndex::prepare`] call linearly, so
 //! correctness never depends on re-sorting — only probe cost does.
 
 use bitempo_core::{AppDate, AppPeriod};
@@ -26,6 +26,8 @@ struct Entry {
     end: i32,
     slot: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 12);
 
 /// The 32-bit day of a period start or a probed instant. Every date within
 /// ±5.8 million years keeps its value; beyond, the narrowing saturates —
@@ -49,9 +51,9 @@ fn day_until(e: AppDate) -> i32 {
 pub struct IntervalIndex {
     /// Entries; `[..sorted_len]` sorted by period start.
     by_lo: Vec<Entry>,
-    /// The same entries; `[..sorted_len]` sorted by period end.
-    by_hi: Vec<Entry>,
-    /// Length of the sorted prefix in both lists.
+    /// The positions of `by_lo[..sorted_len]`, sorted by period end.
+    by_hi: Vec<u32>,
+    /// Length of the sorted prefix of `by_lo`.
     sorted_len: usize,
 }
 
@@ -67,22 +69,29 @@ impl IntervalIndex {
     /// # Panics
     /// If `slot` does not fit 32 bits: slots are partition-local.
     pub fn insert(&mut self, slot: u64, app: AppPeriod) {
-        let entry = Entry {
+        self.by_lo.push(Entry {
             start: day_from(app.start),
             end: day_until(app.end),
-            slot: u32::try_from(slot).expect("partition-local slots fit 32 bits"),
-        };
-        self.by_lo.push(entry);
-        self.by_hi.push(entry);
+            slot: crate::narrow_slot(slot),
+        });
     }
 
-    /// Sorts both endpoint lists. Engines call this at quiescent points
-    /// (index build, checkpoint); probes between calls scan the tail
-    /// linearly.
+    /// Sorts the entries by period start and rebuilds the by-end positions
+    /// over all of them, sized exactly on a first call. Engines call this
+    /// at quiescent points (index build, checkpoint); probes between calls
+    /// scan the tail linearly.
     pub fn prepare(&mut self) {
+        let n = u32::try_from(self.by_lo.len()).expect("fewer than 2^32 interval entries");
         self.by_lo.sort_unstable_by_key(|e| (e.start, e.slot));
-        self.by_hi.sort_unstable_by_key(|e| (e.end, e.slot));
-        self.sorted_len = self.by_lo.len();
+        let by_lo = &self.by_lo;
+        self.by_hi.clear();
+        self.by_hi.reserve_exact(n as usize);
+        self.by_hi.extend(0..n);
+        self.by_hi.sort_unstable_by_key(|&i| {
+            let e = by_lo[i as usize];
+            (e.end, e.slot)
+        });
+        self.sorted_len = by_lo.len();
     }
 
     /// Number of indexed entries.
@@ -95,10 +104,9 @@ impl IntervalIndex {
         self.by_lo.is_empty()
     }
 
-    /// Pre-sizes both endpoint lists for `entries` more entries.
+    /// Pre-sizes the entry list for `entries` more entries.
     pub fn reserve(&mut self, entries: usize) {
         self.by_lo.reserve(entries);
-        self.by_hi.reserve(entries);
     }
 
     /// Releases spare capacity; worth calling once a bulk build is done.
@@ -110,7 +118,9 @@ impl IntervalIndex {
     /// Resident bytes of both endpoint lists, counting allocated capacity
     /// rather than length.
     pub fn memory_bytes(&self) -> u64 {
-        ((self.by_lo.capacity() + self.by_hi.capacity()) * std::mem::size_of::<Entry>()) as u64
+        use std::mem::size_of;
+        (self.by_lo.capacity() * size_of::<Entry>() + self.by_hi.capacity() * size_of::<u32>())
+            as u64
     }
 
     /// Slots whose period contains `d`, sorted ascending.
@@ -143,7 +153,8 @@ impl IntervalIndex {
         let s = self.sorted_len;
         (
             self.by_lo[..s].partition_point(|e| e.start <= last),
-            self.by_hi[..s].partition_point(|e| e.end <= first),
+            self.by_hi
+                .partition_point(|&i| self.by_lo[i as usize].end <= first),
         )
     }
 
@@ -165,18 +176,20 @@ impl IntervalIndex {
     ) -> Vec<u64> {
         let s = self.sorted_len;
         let (p, q) = self.sorted_sides(last, first);
-        let candidates = if p <= s - q {
-            &self.by_lo[..p]
-        } else {
-            &self.by_hi[q..s]
-        };
         let mut out = Vec::new();
-        for e in candidates.iter().chain(&self.by_lo[s..]) {
+        let mut visit = |e: &Entry| {
             cost.node_visits += 1;
             if matches(e) {
                 out.push(u64::from(e.slot));
             }
+        };
+        if p <= s - q {
+            self.by_lo[..p].iter().for_each(&mut visit);
+        } else {
+            let ends = self.by_hi[q..].iter();
+            ends.for_each(|&i| visit(&self.by_lo[i as usize]));
         }
+        self.by_lo[s..].iter().for_each(visit);
         out.sort_unstable();
         out.dedup();
         out
@@ -250,6 +263,30 @@ mod tests {
             want.sort_unstable();
             assert_eq!(got, want, "overlap([{a}, {b}))");
         }
+    }
+
+    /// The slot guard at its exact bound: the largest 32-bit slot indexes
+    /// and stabs back from both endpoint lists; one more is refused before
+    /// the index changes.
+    #[test]
+    fn slots_fit_32_bits() {
+        let max = u64::from(u32::MAX);
+        let mut ix = build(&[(max, p(0, 10))], true);
+        for d in [0, 9] {
+            assert_eq!(
+                ix.stab(AppDate(d), &mut crate::ProbeCost::default()),
+                vec![max]
+            );
+        }
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ix.insert(max + 1, p(0, 10));
+        }));
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            message.contains("partition-local slots fit 32 bits"),
+            "{message}"
+        );
+        assert_eq!(ix.len(), 1);
     }
 
     #[test]

@@ -37,6 +37,16 @@ pub use timeline::{Event, EventKind, Timeline};
 
 use bitempo_core::{AppDate, AppPeriod, SysPeriod, SysTime};
 
+/// A partition-local slot in the 32 bits every index entry stores it in.
+/// The heaps and column tables hand slots out densely from zero, as
+/// `u32`s; the public APIs take and return them as `u64`.
+///
+/// # Panics
+/// If `slot` does not fit 32 bits.
+pub fn narrow_slot(slot: u64) -> u32 {
+    u32::try_from(slot).unwrap_or_else(|_| panic!("slot {slot}: partition-local slots fit 32 bits"))
+}
+
 /// Work counters accumulated by index probes, reported through
 /// `ScanMetrics` so benchmark rows distinguish "index probed" from "index
 /// helped".
@@ -327,9 +337,9 @@ mod tests {
         assert_eq!(fp.events, 20, "activate + invalidate per version");
         assert_eq!(fp.marks, 10, "one mark per two events");
         assert!(fp.sets >= 1 && fp.sets <= fp.marks);
-        // Capacity-true: at least the 16 B events and the two 12 B endpoint
-        // entries every version costs.
-        assert!(fp.bytes >= 20 * 16 + 10 * 24, "{fp:?}");
+        // Capacity-true: at least the 12 B events and the 12 B entry every
+        // version costs (its 4 B by-end position comes with `prepare`).
+        assert!(fp.bytes >= 20 * 12 + 10 * 12, "{fp:?}");
         let doubled = fp.merged(fp);
         assert_eq!(doubled.events, 40);
         assert_eq!(doubled.marks, 20);
@@ -362,10 +372,11 @@ mod tests {
         );
         let fp = built.footprint();
         assert!(fp.bytes <= inserted.footprint().bytes);
-        // 600 events at 16 B, 300 entries of 12 B per endpoint list, 37
-        // marks and segment bounds at 16 B each; the rest is version-sets
-        // and the live bitmap.
-        let exact = 600 * 16 + 2 * 300 * 12;
+        // 600 events at 12 B, 300 entries of 12 B by period start and 300
+        // positions of 4 B by period end, all without spare capacity; the
+        // rest — 37 marks and 38 segment bounds at 16 B each, the
+        // version-sets and the live bitmap — stays under a quarter of that.
+        let exact = 600 * 12 + 300 * 12 + 300 * 4;
         assert!(fp.bytes >= exact && fp.bytes <= exact + exact / 4, "{fp:?}");
     }
 

@@ -33,9 +33,9 @@ use bitempo_core::{SysPeriod, SysTime};
 
 /// Default checkpoint interval: small enough to bound replays tightly,
 /// large enough that marks, segment bounds and version-sets together stay
-/// a fraction of the event log (two words of mark per 256 two-word
-/// events; version-set slots are bounded by `SET_SPACING` times the
-/// event count whatever the interval).
+/// a fraction of the event log (two words of mark per 256 12-byte
+/// events; version-set slots, 4 bytes each, are bounded by `SET_SPACING`
+/// times the event count whatever the interval).
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
 
 /// A version-set is cut at a mark only when the events appended since the
@@ -60,39 +60,55 @@ pub enum EventKind {
     Invalidate,
 }
 
-/// One visibility change in the log, in two words: the kind rides in the
-/// top bit of the slot word.
+/// One visibility change in the log, in 12 bytes: the commit time whole,
+/// as two 32-bit halves so that the event aligns to 4 bytes, and the slot
+/// in a 32-bit word whose top bit carries the kind.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    at: SysTime,
-    word: u64,
+    at_lo: u32,
+    at_hi: u32,
+    word: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<Event>() == 12);
+
 /// Set in [`Event::word`] for an invalidation.
-const INVALIDATE: u64 = 1 << 63;
+const INVALIDATE: u32 = 1 << 31;
+
+/// The largest slot an [`Event`] holds: 31 bits, beside the kind bit.
+const MAX_EVENT_SLOT: u64 = INVALIDATE as u64 - 1;
 
 impl Event {
     /// An event of `kind` on `slot`, taking effect at commit time `at`.
     ///
     /// # Panics
-    /// If `slot` needs the top bit: slots are partition-local and dense.
+    /// If `slot` needs more than 31 bits: slots are partition-local and
+    /// dense, and the top bit of the slot word is the kind.
     pub fn new(at: SysTime, slot: u64, kind: EventKind) -> Event {
-        assert!(slot < INVALIDATE, "slot {slot} is not partition-local");
+        assert!(
+            slot <= MAX_EVENT_SLOT,
+            "slot {slot}: partition-local slots fit 32 bits, and an event's 31 beside its kind bit"
+        );
+        let slot = slot as u32;
         let word = match kind {
             EventKind::Activate => slot,
             EventKind::Invalidate => slot | INVALIDATE,
         };
-        Event { at, word }
+        Event {
+            at_lo: at.0 as u32,
+            at_hi: (at.0 >> 32) as u32,
+            word,
+        }
     }
 
     /// Commit time the change took effect.
     pub fn at(&self) -> SysTime {
-        self.at
+        SysTime(u64::from(self.at_hi) << 32 | u64::from(self.at_lo))
     }
 
     /// Partition-local slot of the affected version.
     pub fn slot(&self) -> u64 {
-        self.word & !INVALIDATE
+        u64::from(self.word & !INVALIDATE)
     }
 
     /// Activation or invalidation.
@@ -107,7 +123,7 @@ impl Event {
 
 impl std::fmt::Debug for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:?}({}) at {}", self.kind(), self.slot(), self.at)
+        write!(f, "{:?}({}) at {}", self.kind(), self.slot(), self.at())
     }
 }
 
@@ -138,14 +154,15 @@ impl LiveSet {
         }
     }
 
-    /// The visible slots, ascending.
-    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    /// The visible slots, ascending. Every slot came in through an
+    /// [`Event`], so it fits 32 bits.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
             let mut rest = word;
             std::iter::from_fn(move || {
                 let bit = (rest != 0).then(|| rest.trailing_zeros())?;
                 rest &= rest - 1;
-                Some(i as u64 * 64 + u64::from(bit))
+                Some(i as u32 * 64 + bit)
             })
         })
     }
@@ -171,7 +188,7 @@ struct VersionSet {
     /// only when `max_at <= S`, so every reflected event applies.
     max_at: SysTime,
     /// Sorted visible slots.
-    visible: Box<[u64]>,
+    visible: Box<[u32]>,
 }
 
 /// Replayed events in causal order, reduced to `(slot, kind)`.
@@ -238,6 +255,7 @@ impl Timeline {
     /// heap never recycles slots today (tombstones only), so this is an
     /// invariant assertion, checked in debug builds.
     pub fn activate(&mut self, slot: u64, at: SysTime) {
+        let event = Event::new(at, slot, EventKind::Activate);
         #[cfg(debug_assertions)]
         if let Some(&closed) = self.closed_at.get(&slot) {
             debug_assert!(
@@ -248,18 +266,19 @@ impl Timeline {
             );
         }
         self.live.insert(slot);
-        self.push(Event::new(at, slot, EventKind::Activate));
+        self.push(event);
     }
 
     /// Records that `slot` stopped being visible at `at`.
     pub fn invalidate(&mut self, slot: u64, at: SysTime) {
+        let event = Event::new(at, slot, EventKind::Invalidate);
         #[cfg(debug_assertions)]
         {
             let last = self.closed_at.entry(slot).or_insert(at);
             *last = (*last).max(at);
         }
         self.live.remove(slot);
-        self.push(Event::new(at, slot, EventKind::Invalidate));
+        self.push(event);
     }
 
     fn push(&mut self, e: Event) {
@@ -334,7 +353,7 @@ impl Timeline {
         (self.events.capacity() * size_of::<Event>()
             + self.marks.capacity() * size_of::<Mark>()
             + self.sets.capacity() * size_of::<VersionSet>()
-            + self.set_slots() * size_of::<u64>()
+            + self.set_slots() * size_of::<u32>()
             + self.seg_bounds.capacity() * size_of::<(SysTime, SysTime)>()
             + self.live.words.capacity() * size_of::<u64>()) as u64
     }
@@ -406,9 +425,9 @@ impl Timeline {
     /// The visible set at `at`, unmerged: the latest version-set whose whole
     /// prefix applies (every reflected event is at or before `at`), and the
     /// later events that took effect at or before `at`, in causal order.
-    fn state_at(&self, at: SysTime, cost: &mut crate::ProbeCost) -> (&[u64], Delta) {
+    fn state_at(&self, at: SysTime, cost: &mut crate::ProbeCost) -> (&[u32], Delta) {
         let si = self.sets.partition_point(|s| s.max_at <= at);
-        let (upto, set): (usize, &[u64]) = match si.checked_sub(1).and_then(|i| self.sets.get(i)) {
+        let (upto, set): (usize, &[u32]) = match si.checked_sub(1).and_then(|i| self.sets.get(i)) {
             Some(s) => (s.upto, &s.visible),
             None => (0, &[]),
         };
@@ -521,7 +540,7 @@ impl Timeline {
 /// Applies replayed events to a restored version-set in one pass: each
 /// touched slot ends in the state its *last* event left it in, every other
 /// slot keeps its membership in `set`. Sorted ascending.
-fn apply_delta(set: &[u64], mut delta: Delta) -> Vec<u64> {
+fn apply_delta(set: &[u32], mut delta: Delta) -> Vec<u64> {
     // Stable, so a slot's events stay in causal order within its run.
     delta.sort_by_key(|&(slot, _)| slot);
     let mut out = Vec::with_capacity(set.len() + delta.len());
@@ -531,14 +550,18 @@ fn apply_delta(set: &[u64], mut delta: Delta) -> Vec<u64> {
             continue;
         };
         // A linear advance: everything skipped is copied anyway.
-        let (below, from) = rest.split_at(rest.iter().take_while(|&&s| s < slot).count());
-        out.extend_from_slice(below);
-        rest = from.strip_prefix(&[slot]).unwrap_or(from);
+        let below = rest.iter().take_while(|&&s| u64::from(s) < slot).count();
+        let (below, from) = rest.split_at(below);
+        out.extend(below.iter().map(|&s| u64::from(s)));
+        rest = match from.split_first() {
+            Some((&s, after)) if u64::from(s) == slot => after,
+            _ => from,
+        };
         if last == EventKind::Activate {
             out.push(slot);
         }
     }
-    out.extend_from_slice(rest);
+    out.extend(rest.iter().map(|&s| u64::from(s)));
     out
 }
 
@@ -577,6 +600,30 @@ mod tests {
             want.dedup();
             assert_eq!(got, want, "visible_at(t{p}) with checkpoint_every={every}");
         }
+    }
+
+    /// The event's slot guard at its exact bound: the largest slot beside
+    /// the kind bit reads back with its kind and its whole time, and one
+    /// more is refused before the timeline changes. (A timeline probe at
+    /// that slot would first grow a 256 MiB live bitmap.)
+    #[test]
+    fn event_slots_fit_31_bits_beside_the_kind() {
+        let at = SysTime(u64::MAX - 1);
+        for kind in [EventKind::Activate, EventKind::Invalidate] {
+            let e = Event::new(at, MAX_EVENT_SLOT, kind);
+            assert_eq!((e.at(), e.slot(), e.kind()), (at, MAX_EVENT_SLOT, kind));
+        }
+        let mut tl = Timeline::new(1);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tl.activate(MAX_EVENT_SLOT + 1, SysTime(1));
+        }));
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            message.contains("partition-local slots fit 32 bits"),
+            "{message}"
+        );
+        assert_eq!((tl.event_count(), tl.live.len), (0, 0));
+        assert!(tl.live.words.is_empty());
     }
 
     #[test]
@@ -834,7 +881,7 @@ mod tests {
             (7, Activate),
         ];
         assert_eq!(apply_delta(&set, delta), vec![1, 3, 4, 7]);
-        assert_eq!(apply_delta(&set, Delta::new()), set.to_vec());
+        assert_eq!(apply_delta(&set, Delta::new()), vec![1, 3, 5, 7]);
         assert_eq!(apply_delta(&[], vec![(2, Activate)]), vec![2]);
     }
 }

@@ -167,14 +167,17 @@ fn check(h: &History, every: usize) -> Result<(), TestCaseError> {
     for set in &tl.sets {
         let want = live_after(&h.log[..set.upto]);
         prop_assert!(
-            set.visible.iter().eq(&want),
+            set.visible
+                .iter()
+                .map(|&s| u64::from(s))
+                .eq(want.iter().copied()),
             "set at {} every={every}",
             set.upto
         );
     }
     let want = live_after(&h.log);
     prop_assert!(
-        tl.live.iter().eq(want.iter().copied()),
+        tl.live.iter().map(u64::from).eq(want.iter().copied()),
         "live mirror every={every}"
     );
     prop_assert_eq!(tl.live.len, want.len());
@@ -251,7 +254,7 @@ proptest! {
     #[test]
     fn monotone_lifecycles_match_the_oracles(program in steps(160)) {
         let h = run(&program, false);
-        prop_assert!(h.log.windows(2).all(|w| w[0].at <= w[1].at));
+        prop_assert!(h.log.windows(2).all(|w| w[0].at() <= w[1].at()));
         for every in [1, 3, 16, 256] {
             check(&h, every)?;
         }

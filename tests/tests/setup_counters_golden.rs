@@ -183,7 +183,12 @@ fn engine_lines(
     let mut engine = engine_at_one_worker(kind);
     let (ids, n) = counted(|| load_initial(engine.as_mut(), data).unwrap());
     let stored = |engine: &dyn BitemporalEngine| versions(engine, &ids);
-    lines.push(&label("load_initial"), n, stored(engine.as_ref()), "versions");
+    lines.push(
+        &label("load_initial"),
+        n,
+        stored(engine.as_ref()),
+        "versions",
+    );
     // Recovery starts from the seq-0 checkpoint of the initial load.
     let base = Checkpoint::capture(engine.as_mut(), &ids, 0)
         .unwrap()
@@ -191,7 +196,12 @@ fn engine_lines(
     let (_, n) = counted(|| replay(engine.as_mut(), &ids, archive, 1).unwrap());
     lines.push(&label("replay"), n, stored(engine.as_ref()), "versions");
     let (_, n) = counted(|| engine.checkpoint());
-    lines.push(&label("engine_checkpoint"), n, stored(engine.as_ref()), "versions");
+    lines.push(
+        &label("engine_checkpoint"),
+        n,
+        stored(engine.as_ref()),
+        "versions",
+    );
     for (tuning_name, tuning) in [
         ("none", TuningConfig::none()),
         ("key_time", TuningConfig::key_time()),
@@ -204,12 +214,22 @@ fn engine_lines(
     }
     let seq = archive.transactions.len() as u64;
     let (ck, n) = counted(|| Checkpoint::capture(engine.as_mut(), &ids, seq).unwrap());
-    lines.push(&label("checkpoint capture"), n, checkpoint_versions(&ck), "versions");
+    lines.push(
+        &label("checkpoint capture"),
+        n,
+        checkpoint_versions(&ck),
+        "versions",
+    );
     let (bytes, n) = counted(|| ck.encode());
     lines.push(&label("checkpoint encode"), n, bytes.len(), "bytes");
     drop(ck);
     let (ck, n) = counted(|| Checkpoint::decode(&bytes).unwrap());
-    lines.push(&label("checkpoint decode"), n, checkpoint_versions(&ck), "versions");
+    lines.push(
+        &label("checkpoint decode"),
+        n,
+        checkpoint_versions(&ck),
+        "versions",
+    );
     drop(bytes);
     let mut fresh = engine_at_one_worker(kind);
     let (restored, n) = counted(|| ck.restore_into(fresh.as_mut()).unwrap());
@@ -218,7 +238,12 @@ fn engine_lines(
     drop((ck, fresh));
     let tuning = TuningConfig::none().with_workers(1);
     let (rec, n) = counted(|| recover(kind, log, std::slice::from_ref(&base), &tuning).unwrap());
-    lines.push(&label("recover"), n, rec.report.replayed as usize, "records");
+    lines.push(
+        &label("recover"),
+        n,
+        rec.report.replayed as usize,
+        "records",
+    );
     drop(rec);
     let (state, n) = counted(|| canonical_state(engine.as_ref(), &ids).unwrap());
     lines.push(&label("canonical_state"), n, state.len(), "versions");
