@@ -12,29 +12,30 @@ use bitempo_engine::SystemKind;
 /// the gate of the `arch` experiment, set 10 % over the largest value
 /// measured across `--h` 0.0005 … 0.012. Every layout answers from the same
 /// system PK index, a packed B+Tree whose leaves store the key as integer
-/// cells flat beside the slots (8 B per key column + 8 B, plus nodes and
-/// separators; no per-key allocation), so one ceiling holds for all four:
-/// 28.4–30.7 B on A, B and D, whose loads insert into it, at every scale,
-/// and 24.4–25.0 B on C, whose delta merge rebuilds it in full nodes.
-const KEY_STRUCTURE_BYTES_CEILING: f64 = 34.0;
+/// cells flat beside the 32-bit slots (8 B per key column + 4 B, plus
+/// nodes and separators; no per-key allocation), so one ceiling holds for
+/// all four: 24.0–26.1 B on A, B and D, whose loads insert into it, at
+/// every scale, and 20.4–21.0 B on C, whose delta merge rebuilds it in
+/// full nodes.
+const KEY_STRUCTURE_BYTES_CEILING: f64 = 29.0;
 
 /// Ceiling on the resident bytes an engine's Key+Time tuning indexes hold
 /// (`KeyStructuresFootprint::tuning_index_bytes`) per index entry on A and B
 /// and per stored version on D, the `arch` experiment's second gate, set
-/// like the first (same sweep, at `--m` = `--h`, plus the repo benchmark's
-/// `--h 0.008 --m 0.016`). `apply_tuning` builds each index in bulk, so an
-/// entry is 8 B per index column + 8 B in a full leaf. D indexes every version three times in its one table (application
-/// start, system start, key + system start): 68.7–70.1 B per version. A and
-/// B index open versions once and history versions three times, so per
-/// version their figure grows with the history's share of the table, i.e.
-/// with `--m` / `--h` (21.5–30.5 B for `--m` / `--h` from 0.5 to 4); per
-/// entry (open + 3 × closed versions) it barely does: 19.2–19.8 B over the
-/// sweep, 20.2–20.3 B at `--m` / `--h` = 4. C ignores the tuning.
+/// like the first (the same sweep, at `--m` / `--h` from 0.25 to 4, and the
+/// repo benchmark's `--h 0.008 --m 0.016`). `apply_tuning` builds each index in bulk, so an
+/// entry is 8 B per index column + a 4 B slot in a full leaf. D indexes
+/// every version three times in its one table (application start, system
+/// start, key + system start): 56.7–58.3 B per version. A and B index open
+/// versions once and history versions three times, so per version their
+/// figure grows with the history's share of the table, i.e. with `--m` /
+/// `--h` (15.9–24.5 B for `--m` / `--h` from 0.25 to 4); per entry (open +
+/// 3 × closed versions) it barely does: 14.9–16.3 B. C ignores the tuning.
 fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
     match kind {
-        SystemKind::A | SystemKind::B => 22.0,
+        SystemKind::A | SystemKind::B => 18.0,
         SystemKind::C => 0.0,
-        SystemKind::D => 77.0,
+        SystemKind::D => 65.0,
     }
 }
 

@@ -10,14 +10,15 @@ use bitempo_workloads::{key, range, tt, Ctx};
 use std::time::Instant;
 
 /// Most resident temporal-index bytes per stored version `temporal-index`
-/// accepts from any engine. A version costs one 16 B event (two once it is
-/// closed) and two 12 B endpoint entries; version-sets may add up to 16 B
-/// per event, and marks, segment bounds and the live bitmap a fraction of a
-/// byte. Measured 50 B on A, B and C and 50–60 B on D (one table, so its
-/// sets run close to their bound) up to `--m` = 2 × `--h`, where about one
-/// version in six is closed; the ceiling sits 10 % over that, so an index
-/// that outgrows its log fails the run.
-const TINDEX_BYTES_PER_VERSION_CEILING: f64 = 65.0;
+/// accepts from any engine. A version costs one 12 B event (two once it is
+/// closed), a 12 B interval entry and its 4 B by-end position; version-sets
+/// may add up to 8 B per event, and marks, segment bounds and the live
+/// bitmap a fraction of a byte. Measured 33–35 B on A, B and C and 33–39 B
+/// on D (one table, so its sets run close to their bound) from `--h`
+/// 0.0005 to 0.012, up to `--m` = 2 × `--h`, where about one version in six
+/// is closed; the ceiling sits 10 % over that, so an index that outgrows
+/// its log fails the run.
+const TINDEX_BYTES_PER_VERSION_CEILING: f64 = 43.0;
 
 /// `temporal-index`: the index the 2014 systems lacked, measured with the
 /// paper's own discipline. Part one reruns the Fig 3/9/12 query shapes
