@@ -5,11 +5,11 @@
 //! carry no append-order structure, so the Timeline's event-log trick does
 //! not apply. Instead the classic endpoint-list scheme is used: every
 //! `(period, slot)` entry is kept in two orders — by period start, and by
-//! period end as 4-byte positions into the first list. A timeslice probe at date `d` needs entries with
-//! `start <= d` *and* `d` before the period's end; each sorted list gives
-//! one of the two conditions as a binary-searched prefix/suffix, and the
-//! probe scans whichever side is smaller, filtering by the full
-//! containment test. Overlap probes work the same way on the
+//! period end as 4-byte positions into the first list. A timeslice probe
+//! at date `d` needs entries with `start <= d` *and* `d` before the
+//! period's end; each sorted list gives one of the two conditions as a
+//! binary-searched prefix/suffix, and the probe scans whichever side is
+//! smaller, filtering by the full containment test. Overlap probes work the same way on the
 //! `starts-before-range-end` / `ends-after-range-start` pair.
 //!
 //! Appends are cheap (a push to the first list); probes treat the unsorted
@@ -77,9 +77,9 @@ impl IntervalIndex {
     }
 
     /// Sorts the entries by period start and rebuilds the by-end positions
-    /// over all of them, sized exactly on a first call. Engines call this
-    /// at quiescent points (index build, checkpoint); probes between calls
-    /// scan the tail linearly.
+    /// over all of them, growing their list to exactly its length. Engines
+    /// call this at quiescent points (index build, checkpoint); probes
+    /// between calls scan the tail linearly.
     pub fn prepare(&mut self) {
         let n = u32::try_from(self.by_lo.len()).expect("fewer than 2^32 interval entries");
         self.by_lo.sort_unstable_by_key(|e| (e.start, e.slot));

@@ -112,8 +112,9 @@ impl IndexFootprint {
 
 /// Both temporal dimensions indexed over one storage partition.
 ///
-/// Slots are partition-local row identifiers (the same `u64`s the engines'
-/// `OrderedIndex`/`GistIndex` store). Maintenance mirrors the version
+/// Slots are partition-local row identifiers (the slots the engines'
+/// `OrderedIndex`/`GistIndex` address), taken and returned as `u64`s and
+/// stored in 32 bits (see [`narrow_slot`]). Maintenance mirrors the version
 /// lifecycle: [`TemporalIndex::insert`] when a version is stored,
 /// [`TemporalIndex::close`] when its system period is terminated in place,
 /// and [`TemporalIndex::prepare`] at quiescent points (tuning, checkpoint)

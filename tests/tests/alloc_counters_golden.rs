@@ -16,8 +16,9 @@
 //! engine runs at one worker: morsel threads would allocate off the counted
 //! thread. Tracing stays off.
 
-// The counting allocator is the one `unsafe` item in the workspace: an
-// `unsafe impl GlobalAlloc` that forwards every call to `System` unchanged.
+// The counting allocator is the one `unsafe` item in this file (each
+// allocator test binary has its own): an `unsafe impl GlobalAlloc` that
+// forwards every call to `System` unchanged.
 #![allow(unsafe_code)]
 
 mod common;
