@@ -16,12 +16,8 @@
 //! engine runs at one worker: morsel threads would allocate off the counted
 //! thread. Tracing stays off.
 
-// The counting allocator is the one `unsafe` item in this file (each
-// allocator test binary has its own): an `unsafe impl GlobalAlloc` that
-// forwards every call to `System` unchanged.
-#![allow(unsafe_code)]
-
 mod common;
+mod counting;
 
 use bitempo_core::{AppDate, Key, Period, Row, Value};
 use bitempo_dbgen::ScaleConfig;
@@ -31,84 +27,16 @@ use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
 use bitempo_histgen::{generate_history, load_initial, replay, HistoryConfig};
 use bitempo_workloads::{bitemporal, key, range, tpch, tt, Ctx, QueryParams, FIVE_CLASSES};
 use common::{churn, grid, key_specs, load, KEYS};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/alloc_counters_golden.txt"
 );
 
-/// What the allocator counted on this thread while counting was on.
-#[derive(Clone, Copy, Default)]
-struct Counts {
-    on: bool,
-    allocs: u64,
-    bytes: u64,
-}
-
-thread_local! {
-    static COUNTS: Cell<Counts> = const {
-        Cell::new(Counts {
-            on: false,
-            allocs: 0,
-            bytes: 0,
-        })
-    };
-}
-
-/// Counts one `alloc` or `realloc` of `bytes` on the calling thread. A
-/// thread whose locals are already torn down is not counted.
-fn note(bytes: usize) {
-    let _ = COUNTS.try_with(|c| {
-        let mut n = c.get();
-        if n.on {
-            n.allocs += 1;
-            n.bytes += bytes as u64;
-            c.set(n);
-        }
-    });
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// implements `GlobalAlloc` soundly; `note` only touches a `Cell` of plain
-// integers and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: `ptr` was allocated by `System` with `layout`, and the
-        // caller upholds `GlobalAlloc::realloc`'s contract for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with counting on and renders what it allocated as
-/// `"{allocs} {bytes}"`. The result is dropped after counting stops.
+/// Runs `f` counted and renders what it allocated as `"{allocs} {bytes}"`.
+/// The result is dropped after counting stops.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, String) {
-    COUNTS.with(|c| {
-        c.set(Counts {
-            on: true,
-            ..Counts::default()
-        })
-    });
-    let out = f();
-    let n = COUNTS.with(|c| c.replace(Counts::default()));
+    let (out, n) = counting::counted(f);
     (out, format!("{} {}", n.allocs, n.bytes))
 }
 

@@ -18,9 +18,7 @@
 //! The counter is thread-local and counts only inside [`counted`], so every
 //! engine runs at one worker. Tracing stays off.
 
-// The counting allocator is the one `unsafe` item in this file: an
-// `unsafe impl GlobalAlloc` that forwards every call to `System` unchanged.
-#![allow(unsafe_code)]
+mod counting;
 
 use bitempo_core::TableId;
 use bitempo_dbgen::ScaleConfig;
@@ -30,101 +28,17 @@ use bitempo_histgen::{
     encode_txn, generate_history, load_initial, replay, Archive, GenDb, HistoryConfig,
 };
 use bitempo_wal::{canonical_state, recover, Checkpoint, DurabilityMode, SharedBuf, TxnWal};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/setup_counters_golden.txt"
 );
 
-/// What the allocator counted on this thread while counting was on. `live`
-/// is the net of what was allocated and freed since counting started (it
-/// goes negative when the phase frees what came before it), `high` its
-/// maximum.
-#[derive(Clone, Copy, Default)]
-struct Counts {
-    on: bool,
-    allocs: u64,
-    bytes: u64,
-    live: i64,
-    high: i64,
-}
-
-thread_local! {
-    static COUNTS: Cell<Counts> = const {
-        Cell::new(Counts {
-            on: false,
-            allocs: 0,
-            bytes: 0,
-            live: 0,
-            high: 0,
-        })
-    };
-}
-
-/// Counts one allocation of `bytes` (a `realloc` is one, of its new size)
-/// that moves the live total by `delta`, on the calling thread. A thread
-/// whose locals are already torn down is not counted.
-fn note(allocs: u64, bytes: usize, delta: i64) {
-    let _ = COUNTS.try_with(|c| {
-        let mut n = c.get();
-        if n.on {
-            n.allocs += allocs;
-            n.bytes += bytes as u64;
-            n.live += delta;
-            n.high = n.high.max(n.live);
-            c.set(n);
-        }
-    });
-}
-
-/// A size as a live-total change.
-fn signed(bytes: usize) -> i64 {
-    bytes as i64
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// implements `GlobalAlloc` soundly; `note` only touches a `Cell` of plain
-// integers and never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(1, layout.size(), signed(layout.size()));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(0, 0, -signed(layout.size()));
-        // SAFETY: `ptr` was allocated by `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(1, new_size, signed(new_size) - signed(layout.size()));
-        // SAFETY: `ptr` was allocated by `System` with `layout`, and the
-        // caller upholds `GlobalAlloc::realloc`'s contract for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Runs `f` with counting on and renders what it allocated as
+/// Runs `f` counted and renders what it allocated as
 /// `"{allocs} {bytes} {high-water}"`. The result is dropped after counting
 /// stops.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, String) {
-    COUNTS.with(|c| {
-        c.set(Counts {
-            on: true,
-            ..Counts::default()
-        })
-    });
-    let out = f();
-    let n = COUNTS.with(|c| c.replace(Counts::default()));
+    let (out, n) = counting::counted(f);
     (out, format!("{} {} {}", n.allocs, n.bytes, n.high))
 }
 
