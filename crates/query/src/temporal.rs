@@ -32,21 +32,13 @@ fn period_of(row: &Row, start_col: usize, end_col: usize) -> (Value, Value) {
 /// whose `[start_col, end_col)` period covers the interval. Intervals with
 /// no covering rows are omitted (the paper's definition: "a new result row
 /// for each timestamp where data changed").
+///
+/// Returns the rows with the operator's *work counter*: the number of
+/// elementary steps taken (event construction, sort comparisons, sweep
+/// iterations). The counter exists so tests can prove the sweep is
+/// O(n log n) — the regression the naive formulation fell into was
+/// invisible to output-equivalence tests alone.
 pub fn temporal_aggregate(
-    rows: &[Row],
-    start_col: usize,
-    end_col: usize,
-    value: &crate::Expr,
-) -> Result<Vec<Row>> {
-    temporal_aggregate_counted(rows, start_col, end_col, value).map(|(out, _)| out)
-}
-
-/// [`temporal_aggregate`] plus its *work counter*: the number of elementary
-/// steps taken (event construction, sort comparisons, sweep iterations).
-/// The counter exists so tests can prove the sweep is O(n log n) — the
-/// regression the naive formulation fell into was invisible to
-/// output-equivalence tests alone.
-pub fn temporal_aggregate_counted(
     rows: &[Row],
     start_col: usize,
     end_col: usize,
@@ -99,19 +91,11 @@ pub fn temporal_aggregate_counted(
 /// The naive SQL:2011 formulation: collect all distinct boundary points,
 /// then for each point rescan the whole input to aggregate the covering
 /// rows — the plan shape the paper's systems produced for R3.
+///
+/// Returns the rows with the work counter (rows rescanned per boundary
+/// window) — the quadratic witness the linearithmic-bound test compares
+/// against.
 pub fn temporal_aggregate_naive(
-    rows: &[Row],
-    start_col: usize,
-    end_col: usize,
-    value: &crate::Expr,
-) -> Result<Vec<Row>> {
-    temporal_aggregate_naive_counted(rows, start_col, end_col, value).map(|(out, _)| out)
-}
-
-/// [`temporal_aggregate_naive`] plus its work counter (rows rescanned per
-/// boundary window) — the quadratic witness the linearithmic-bound test
-/// compares against.
-pub fn temporal_aggregate_naive_counted(
     rows: &[Row],
     start_col: usize,
     end_col: usize,
@@ -249,7 +233,7 @@ mod tests {
     #[test]
     fn sweep_aggregation() {
         let rows = interval_rows();
-        let out = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap();
+        let out = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap().0;
         // Elementary intervals: [0,5) sum 10, [5,10) sum 30, [10,15) sum 60,
         // [15,20) sum 40.
         assert_eq!(out.len(), 4);
@@ -264,8 +248,8 @@ mod tests {
     #[test]
     fn naive_matches_sweep() {
         let rows = interval_rows();
-        let sweep = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap();
-        let naive = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap();
+        let sweep = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap().0;
+        let naive = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap().0;
         assert_eq!(sweep, naive);
     }
 
@@ -284,8 +268,8 @@ mod tests {
                 ])
             })
             .collect();
-        let sweep = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap();
-        let naive = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap();
+        let sweep = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap().0;
+        let naive = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap().0;
         assert_eq!(sweep, naive);
     }
 
@@ -309,8 +293,8 @@ mod tests {
                 ])
             })
             .collect();
-        let (sweep, sweep_work) = temporal_aggregate_counted(&rows, 2, 3, &col(1)).unwrap();
-        let (naive, naive_work) = temporal_aggregate_naive_counted(&rows, 2, 3, &col(1)).unwrap();
+        let (sweep, sweep_work) = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap();
+        let (naive, naive_work) = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap();
         assert_eq!(sweep, naive, "same answer from both formulations");
 
         // 2n events; sort comparisons + construction + sweep iterations
@@ -334,7 +318,7 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_periods() {
-        assert!(temporal_aggregate(&[], 2, 3, &col(1)).unwrap().is_empty());
+        assert!(temporal_aggregate(&[], 2, 3, &col(1)).unwrap().0.is_empty());
         let degenerate = vec![Row::new(vec![
             Value::Int(1),
             Value::Double(5.0),
@@ -344,6 +328,7 @@ mod tests {
         assert!(
             temporal_aggregate(&degenerate, 2, 3, &col(1))
                 .unwrap()
+                .0
                 .is_empty(),
             "empty periods contribute nothing"
         );
@@ -403,8 +388,8 @@ mod tests {
             ])
         };
         let rows = vec![r(1, 0, 5), r(2, 5, 10)];
-        let sweep = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap();
-        let naive = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap();
+        let sweep = temporal_aggregate(&rows, 2, 3, &col(1)).unwrap().0;
+        let naive = temporal_aggregate_naive(&rows, 2, 3, &col(1)).unwrap().0;
         for out in [sweep, naive] {
             assert_eq!(out.len(), 2, "[0,5) and [5,10) are not merged: {out:?}");
             for row in &out {

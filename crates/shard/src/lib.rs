@@ -1,21 +1,22 @@
-//! Hash-sharded bitemporal cluster: N independent serving layers behind
-//! one router and one commit-timestamp oracle.
+//! Hash-sharded bitemporal cluster: N engines behind one router and one
+//! commit-timestamp oracle.
 //!
 //! The paper benchmarks single-node bitemporal engines; this crate asks
 //! the follow-on scaling question: does the serving layer's throughput
 //! scale when the key space is hash-partitioned across shards, each with
-//! its own engine, transaction manager, and write-ahead log — *without*
-//! giving up globally consistent snapshots?
+//! its own engine and write-ahead log — *without* giving up globally
+//! consistent snapshots?
 //!
 //! The pieces:
 //!
-//! * [`oracle::CommitOracle`] — issues globally unique commit timestamps
-//!   and publishes the read watermark at which a cross-shard snapshot is a
+//! * [`cluster::Cluster`] — the serving layer's one coordinator
+//!   ([`bitempo_txn::TxnManager`]) over one participant per shard, with
+//!   timestamps from a [`CommitOracle`]: single-key DML commits on its
+//!   owning shard alone; multi-shard transactions run two-phase commit
+//!   over the shards' existing WALs with presumed-abort recovery
+//!   semantics. The oracle issues globally unique commit timestamps and
+//!   publishes the read watermark at which a cross-shard snapshot is a
 //!   consistent prefix of the global commit order.
-//! * [`cluster::Cluster`] — the router and coordinator: single-key DML
-//!   commits on its owning shard alone; multi-shard transactions run
-//!   two-phase commit over the shards' existing WALs with presumed-abort
-//!   recovery semantics.
 //! * [`recover_cluster`] — per-shard crash recovery plus cross-shard
 //!   resolution of undecided prepares against the union of durable commit
 //!   decisions.
@@ -37,11 +38,8 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod cluster;
-pub mod oracle;
 pub mod recover;
 
-pub use cluster::{
-    partition_checkpoint, Cluster, ClusterCounters, ClusterRead, ClusterSnapshot, ClusterTxn,
-};
-pub use oracle::CommitOracle;
+pub use bitempo_txn::CommitOracle;
+pub use cluster::{partition_checkpoint, Cluster, ClusterRead, ClusterSnapshot};
 pub use recover::{recover_cluster, ClusterRecovered, ShardInput};

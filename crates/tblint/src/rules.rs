@@ -131,11 +131,12 @@ fn tb007_exempt(path: &str) -> bool {
 }
 
 /// The shard crate's stricter TB007 scope: inside `crates/shard/`, only
-/// the cluster coordinator (`cluster.rs`) may open per-shard `TxnManager`
-/// transactions or drive `Transaction` DML. Anywhere else in the crate a
-/// direct shard write bypasses the router (key → owning shard), the
-/// cluster-level first-committer-wins log and the commit-timestamp
-/// oracle — the write lands but no cross-shard snapshot is safe again.
+/// `cluster.rs`, which hands each per-shard `TxnManager` to the cluster's
+/// coordinator as a `Participant`, may open transactions on a manager or
+/// drive `Transaction` DML. Anywhere else in the crate a direct shard
+/// write bypasses the router (key → owning shard), the coordinator's
+/// first-committer-wins log and the commit-timestamp oracle — the write
+/// lands but no cross-shard snapshot is safe again.
 fn tb007_shard_scope(path: &str) -> bool {
     path.starts_with("crates/shard/") && path != "crates/shard/src/cluster.rs"
 }
@@ -427,10 +428,11 @@ fn tb007_shard(toks: &[Tok], out: &mut Vec<Finding>) {
                 code: TB007,
                 message: format!(
                     "direct `{}.{}` on a per-shard serving layer from cluster code — \
-                     shard writes route through the cluster coordinator \
-                     (`ClusterTxn`), which owns the key→shard map, the cluster \
-                     first-committer-wins log and the commit-timestamp oracle. \
-                     Waive only for shard-local setup with a reason",
+                     shard writes go through the cluster's one coordinator \
+                     (`Cluster::begin`), which owns the key→shard map, the \
+                     first-committer-wins log and the commit-timestamp oracle; a \
+                     shard is a `Participant` with none of them. Waive only for \
+                     shard-local setup with a reason",
                     recv.text, method.text
                 ),
             });

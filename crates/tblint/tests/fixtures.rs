@@ -176,7 +176,7 @@ fn tb007_shard_fixture_fires_outside_the_coordinator_only() {
     );
     assert!(diags.iter().all(|d| d.waived.is_none()));
     assert!(
-        diags[0].message.contains("ClusterTxn"),
+        diags[0].message.contains("Cluster::begin"),
         "{}",
         diags[0].message
     );

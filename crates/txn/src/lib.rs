@@ -8,16 +8,17 @@
 //! the future" question is about serving concurrent mixed workloads. The
 //! engines already are version stores ordered by commit time, so snapshot
 //! isolation falls out of the bitemporal model itself: a transaction pins
-//! the system time `T` of the latest commit at [`TxnManager::begin`], and
+//! the system time `T` of the latest published commit at
+//! [`TxnManager::begin`], and
 //! every read translates its system-time specification so only versions
 //! committed at or before `T` are visible (`AS OF T` is the snapshot).
 //!
-//! **Concurrency model.** A [`std::sync::RwLock`] guards the engine:
+//! **Concurrency model.** A [`std::sync::RwLock`] guards each engine:
 //! snapshot reads share it, a committing writer takes it exclusively for
-//! the short *validate → apply → log → commit* critical section — the
-//! atomic publish point. Readers therefore never observe a partially
-//! applied transaction: between commits there is no pending state at all,
-//! and during one the writer holds the lock exclusively. Writes are
+//! the short *preflight → apply → log → commit* critical section. Readers
+//! therefore never observe a partially applied transaction: between
+//! commits there is no pending state at all, and during one the writer
+//! holds the lock exclusively. Writes are
 //! buffered in the [`Transaction`], so the writer's exclusive window is
 //! proportional to the write set, never to the user's think time; the
 //! expensive part of commit — waiting for group-commit durability — happens
@@ -33,7 +34,7 @@
 //! what lets [`bitempo_wal::recover`](fn@bitempo_wal::recover) replay every logged record. In both
 //! failure directions the durable log and the reported outcome agree — a
 //! failed apply logs nothing, and an append failure after apply poisons
-//! the manager without a record, so recovery never resurrects a
+//! the participant without a record, so recovery never resurrects a
 //! transaction whose commit returned an error.
 //!
 //! **First-committer-wins.** Each buffered write contributes a
@@ -44,21 +45,25 @@
 //! [`bitempo_core::Error::Conflict`] before anything is logged or applied.
 //! The caller re-runs the transaction against a fresh snapshot.
 //!
-//! **One pipeline.** Every path that publishes — [`Transaction::commit`],
-//! the cluster's stamped [`TxnManager::commit_at`], and the two-phase
-//! [`PreparedTxn::commit`] — runs the same private pipeline in `manager`,
-//! differing only in the WAL record it submits. The conflict rule lives
-//! once in [`CommitLog`] and runs once per commit, in the facade that owns
-//! the pins: a [`Transaction`] validates against its manager's log, a
-//! sharded cluster against its own cross-shard log, and a cluster shard is
-//! a pinless *participant* whose log is never touched. Every write enters
-//! through [`CheckedOp`] into an [`OpBuffer`], whichever facade buffered
-//! it.
+//! **One commit path.** A [`TxnManager`] is one coordinator over `n ≥ 1`
+//! [`Participant`]s plus a key router. The coordinator alone owns the
+//! snapshot pins, the [`CommitLog`] (first-committer-wins, run once per
+//! commit), the commit timestamps and one [`TxnCounters`]; a participant
+//! owns only its engine, its WAL and the private pipeline that lands a
+//! validated write set (*preflight → apply → WAL submit → engine
+//! commit*). There is one client [`Transaction`] type. A standalone
+//! manager ([`TxnManager::new`]) is the one-participant case: its commits
+//! land at the engine's own next commit time with the plain archive
+//! record. A sharded cluster ([`TxnManager::sharded`]) draws timestamps
+//! from a [`CommitOracle`]: a commit that touches one participant logs a
+//! stamped record there, and one that touches several runs two-phase
+//! commit. Every write enters through a buffer-time-checked op, whichever
+//! front-end buffered it.
 //!
 //! **One read view.** [`SnapshotView`] is the only pinned read surface: it
 //! borrows a non-empty slice of [`Snapshot`]s pinned at one time and a key
-//! router. [`Snapshot::view`] is the one-member case; a sharded cluster
-//! passes one snapshot per shard. Each member translates the system-time
+//! router. [`Snapshot::view`] is the one-member case; a [`Cut`] holds one
+//! snapshot per participant. Each member translates the system-time
 //! specification against its own watermark, scans concatenate the members'
 //! outputs, and key lookups go to the routed member.
 //!
@@ -74,6 +79,8 @@
 
 mod commit_log;
 mod manager;
+mod oracle;
+mod participant;
 mod prepared;
 mod snapshot;
 mod transaction;
@@ -82,7 +89,8 @@ mod transaction;
 mod tests;
 
 pub use commit_log::{CommitLog, WriteEntry};
-pub use manager::{CommitWait, TxnCounters, TxnManager};
-pub use prepared::PreparedTxn;
-pub use snapshot::{Snapshot, SnapshotView};
-pub use transaction::{CheckedOp, OpBuffer, Transaction};
+pub use manager::{TxnCounters, TxnManager};
+pub use oracle::CommitOracle;
+pub use participant::Participant;
+pub use snapshot::{Cut, Snapshot, SnapshotView};
+pub use transaction::Transaction;

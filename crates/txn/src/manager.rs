@@ -1,109 +1,88 @@
-//! The manager: engine state behind the reader/writer lock, the WAL, the
-//! commit log — and the one commit pipeline every publishing path runs.
+//! The coordinator: snapshot pins, the first-committer-wins log, commit
+//! timestamps and the counters, once, over `n ≥ 1` participants — and the
+//! commit protocol every transaction runs through them.
 
-use crate::commit_log::CommitLog;
-use crate::transaction::{preflight, OpBuffer, Transaction};
-use crate::{PreparedTxn, Snapshot};
-use bitempo_core::{Error, Result, SysTime, TableDef, TableId};
+use crate::commit_log::{CommitLog, WriteEntry};
+use crate::participant::{CommitWait, Participant, Record};
+use crate::prepared::PreparedTxn;
+use crate::transaction::OpBuffer;
+use crate::{CommitOracle, Cut, Transaction};
+use bitempo_core::{Error, Key, Result, SysTime, TableId};
 use bitempo_engine::api::BitemporalEngine;
-use bitempo_histgen::apply_txn;
-use bitempo_wal::{Checkpoint, DurabilityWaiter, TxnWal};
+use bitempo_histgen::Transaction as TxnOps;
+use bitempo_wal::{Checkpoint, TxnWal};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
-/// Engine-side state under the manager's reader/writer lock.
-pub(crate) struct EngineState {
-    pub(crate) engine: Box<dyn BitemporalEngine>,
-    pub(crate) ids: Vec<TableId>,
-    /// WAL records appended so far (0 when running without a WAL).
-    pub(crate) applied_seq: u64,
-    /// Set when an apply failed mid-transaction: the engine holds
-    /// uncommitted partial state that has no rollback path. New
-    /// transactions are refused and existing snapshots stop using the
-    /// current-partition fast path (pending versions are visible there).
-    pub(crate) poisoned: Option<String>,
-}
-
-impl EngineState {
-    /// Refuses service once poisoned, reporting the original cause.
-    pub(crate) fn live(&self) -> Result<()> {
-        match &self.poisoned {
-            Some(why) => Err(Error::Internal(format!("txn manager poisoned: {why}"))),
-            None => Ok(()),
-        }
-    }
-
-    /// Fail-stops the manager (the first cause is the one later calls
-    /// see) and returns the error the failing call reports.
-    fn poison(&mut self, why: String) -> Error {
-        let err = Error::Internal(format!("txn manager poisoned: {why}"));
-        self.poisoned.get_or_insert(why);
-        err
-    }
-}
-
-/// Monotonic counters: the conflict rate of the `mvcc` and `sharding`
-/// experiments and the pin-balance check of the isolation suite.
+/// Monotonic counters: the conflict rates of the `mvcc` and `sharding`
+/// experiments and the pin balance the isolation suites check.
 #[derive(Debug, Default)]
 pub struct TxnCounters {
     /// Transactions committed (including read-only commits).
     pub committed: AtomicU64,
+    /// Writing commits that landed on exactly one participant.
+    pub single_shard: AtomicU64,
+    /// Writing commits that ran two-phase commit across participants.
+    pub cross_shard: AtomicU64,
+    /// Read-only commits (no participant, no timestamp drawn).
+    pub read_only: AtomicU64,
     /// Transactions aborted by first-committer-wins validation.
     pub conflicts: AtomicU64,
     /// Snapshots pinned by [`TxnManager::begin`].
     pub snapshots: AtomicU64,
-    /// Snapshot pins released — by commit (at publish), rollback, or drop.
-    /// Balances [`Self::snapshots`] once every transaction has resolved;
-    /// the isolation suite asserts the two agree after each storm.
+    /// Snapshot pins released — by commit (at publish), conflict,
+    /// rollback, or drop. Balances [`Self::snapshots`] once every
+    /// transaction has resolved.
     pub released: AtomicU64,
 }
 
-/// What the commit pipeline submits to the WAL once the ops have applied,
-/// and who validated first-committer-wins: only a standalone commit holds
-/// a pin on this manager's [`CommitLog`]; a cluster participant's commit
-/// was validated by the cluster, under this shard's gate.
-#[derive(Clone, Copy)]
-pub(crate) enum Record {
-    /// A standalone commit of a transaction pinned at `pin`: the raw
-    /// archive framing PR 7 recovery replays, landing at the engine's next
-    /// commit time.
-    Plain { pin: SysTime },
-    /// A single-shard cluster commit: the same payload wrapped so recovery
-    /// re-stamps it at the oracle timestamp.
-    CommittedAt(u64),
-    /// The commit decision of a prepared transaction, whose ops are
-    /// already durable (and preflighted) in its prepare record.
-    Decision(u64),
+/// Where commit timestamps come from, and the watermark transactions pin.
+pub(crate) enum Clock {
+    /// The one participant's own commit clock: a commit lands at the
+    /// engine's next commit time with a [`Record::Plain`] WAL record. Holds
+    /// the newest published commit.
+    Local(AtomicU64),
+    /// A shared oracle over several participants (or one, in a 1-shard
+    /// cluster): a commit lands at the timestamp drawn after validation.
+    Oracle(CommitOracle),
 }
 
-/// The MVCC front-end over one engine. See the crate docs for the model.
+impl Clock {
+    /// The newest time every commit at or below has published.
+    fn read_ts(&self) -> SysTime {
+        match self {
+            Clock::Local(ts) => SysTime(ts.load(Ordering::Acquire)),
+            Clock::Oracle(o) => o.read_ts(),
+        }
+    }
+}
+
+/// The MVCC front-end: one coordinator over one participant (a standalone
+/// manager, [`Self::new`]) or several (a sharded cluster,
+/// [`Self::sharded`]). See the crate docs for the model.
 ///
-/// Lock hierarchy, outermost first: `state` → `wal` → `commit_log`.
+/// Lock hierarchy, outermost first: participant gates (ascending index) →
+/// `commit_log` → oracle. A participant's `state` and `wal` nest inside its
+/// gate and never overlap `commit_log`.
 pub struct TxnManager {
-    pub(crate) state: RwLock<EngineState>,
-    /// The commit log sink; `None` runs without durability (tests).
-    pub(crate) wal: Mutex<Option<TxnWal>>,
+    participants: Vec<Participant>,
+    /// `route(key, n)` is the participant that owns `key`.
+    route: fn(&Key, usize) -> usize,
+    pub(crate) clock: Clock,
     /// First-committer-wins records and the snapshot pins that floor their
-    /// pruning — a standalone manager's only: cluster shards never take
-    /// it. Innermost lock: held for one statement at a time.
+    /// pruning. Held for one statement at a time.
     pub(crate) commit_log: Mutex<CommitLog>,
-    /// Immutable table metadata, cached so write buffering never takes the
-    /// state lock (a transaction may buffer while holding a [`Snapshot`],
-    /// and `std`'s `RwLock` read-reentrancy can deadlock behind a queued
-    /// writer).
-    defs: Vec<TableDef>,
-    /// Table ids in load order, mirroring `defs` (immutable).
-    ids: Vec<TableId>,
-    pub(crate) counters: TxnCounters,
+    counters: TxnCounters,
 }
 
 impl TxnManager {
-    /// Wraps a loaded engine. `ids` must be the engine's tables in archive
-    /// load order (at most 256, the [`bitempo_histgen::Op`] addressing
-    /// limit); `wal`, when present, receives one record per committed
-    /// writing transaction, encoded exactly as the durability driver's —
-    /// [`bitempo_wal::recover`](fn@bitempo_wal::recover) replays interactive history and replayed
-    /// history identically.
+    /// Wraps a loaded engine as a standalone manager. `ids` must be the
+    /// engine's tables in archive load order (at most 256, the
+    /// [`bitempo_histgen::Op`] addressing limit); `wal`, when present,
+    /// receives one record per committed writing transaction, encoded
+    /// exactly as the durability driver's —
+    /// [`bitempo_wal::recover`](fn@bitempo_wal::recover) replays
+    /// interactive history and replayed history identically.
     ///
     /// A non-empty `wal` is adopted, not reset: sequence numbering
     /// continues from its last appended record, so checkpoints taken from
@@ -116,27 +95,57 @@ impl TxnManager {
         ids: Vec<TableId>,
         wal: Option<TxnWal>,
     ) -> Result<TxnManager> {
-        if ids.len() > 256 {
-            return Err(Error::Invalid(format!(
-                "op encoding addresses at most 256 tables, got {}",
-                ids.len()
-            )));
+        let now = engine.now();
+        let part = Participant::new(engine, ids, wal)?;
+        Ok(TxnManager::over(
+            vec![part],
+            |_, _| 0,
+            Clock::Local(AtomicU64::new(now.0)),
+        ))
+    }
+
+    /// The coordinator over the participants of `shards` (each built by
+    /// [`Self::new`] over an engine of one kind holding a *disjoint* key
+    /// partition of the same tables), routing keys by `route`. Commits
+    /// land at timestamps from one [`CommitOracle`], which starts from the
+    /// newest participant clock, so the first issued timestamp is newer
+    /// than anything any participant holds.
+    pub fn sharded(shards: Vec<TxnManager>, route: fn(&Key, usize) -> usize) -> Result<TxnManager> {
+        let participants: Vec<Participant> =
+            shards.into_iter().flat_map(|m| m.participants).collect();
+        let first = participants
+            .first()
+            .ok_or_else(|| Error::Invalid("a cluster needs at least one shard".into()))?;
+        // One table layout on every participant is what lets one
+        // `TableId` — and one checked op — address all of them.
+        for (i, p) in participants.iter().enumerate() {
+            if p.table_ids() != first.table_ids() {
+                return Err(Error::Invalid(format!(
+                    "shard {i} disagrees with shard 0 on table layout"
+                )));
+            }
         }
-        let defs = ids.iter().map(|&id| engine.table_def(id).clone()).collect();
-        let applied_seq = wal.as_ref().map_or(0, |w| w.submitted_seq());
-        Ok(TxnManager {
-            state: RwLock::new(EngineState {
-                engine,
-                ids: ids.clone(),
-                applied_seq,
-                poisoned: None,
-            }),
-            wal: Mutex::new(wal),
+        let start = participants
+            .iter()
+            .map(Participant::now)
+            .max()
+            .unwrap_or(SysTime::ZERO);
+        let clock = Clock::Oracle(CommitOracle::new(start));
+        Ok(TxnManager::over(participants, route, clock))
+    }
+
+    fn over(
+        participants: Vec<Participant>,
+        route: fn(&Key, usize) -> usize,
+        clock: Clock,
+    ) -> TxnManager {
+        TxnManager {
+            participants,
+            route,
+            clock,
             commit_log: Mutex::new(CommitLog::default()),
-            defs,
-            ids,
             counters: TxnCounters::default(),
-        })
+        }
     }
 
     /// The commit counters.
@@ -144,31 +153,44 @@ impl TxnManager {
         &self.counters
     }
 
-    /// Table ids in load order (the same order as at construction).
+    /// The participants, in routing order.
+    pub fn participants(&self) -> &[Participant] {
+        &self.participants
+    }
+
+    /// Table ids in load order (the same on every participant).
     pub fn table_ids(&self) -> &[TableId] {
-        &self.ids
+        self.participants[0].table_ids()
     }
 
-    /// System time of the latest commit.
-    pub fn now(&self) -> SysTime {
-        self.state.read().expect("txn state poisoned").engine.now()
+    /// The read watermark: the newest time at which every commit has
+    /// published, and the pin [`Self::begin`] takes.
+    pub fn read_ts(&self) -> SysTime {
+        self.clock.read_ts()
     }
 
-    /// Begins a transaction pinned to the latest commit time. Reads through
-    /// [`Transaction::snapshot`] see exactly that commit-prefix state;
-    /// writes buffer locally until [`Transaction::commit`].
+    /// Number of currently registered snapshot pins (the pruning floor's
+    /// population). Zero once every transaction has committed, rolled
+    /// back, or dropped — the balance the isolation suites assert.
+    pub fn active_pins(&self) -> usize {
+        let log = self.commit_log.lock().expect("commit log poisoned");
+        log.active_pins()
+    }
+
+    /// Begins a transaction pinned at the read watermark. Its snapshot
+    /// sees exactly that commit-prefix state; writes buffer locally until
+    /// [`Transaction::commit`]. Refused while a participant is poisoned.
     pub fn begin(&self) -> Result<Transaction<'_>> {
+        for p in &self.participants {
+            p.live()?;
+        }
         let pin = {
-            let st = self.state.read().expect("txn state poisoned");
-            st.live()?;
-            let pin = st.engine.now();
-            // Register the pin while still holding the read lock, so no
-            // concurrent committer can prune past it in between. Naming
-            // the guard keeps its region explicit to readers and to
-            // tblint's guard-region scanner.
+            // Read the watermark and register the pin under the log lock,
+            // so no concurrent committer can prune entries newer than the
+            // watermark in between.
             let mut log = self.commit_log.lock().expect("commit log poisoned");
+            let pin = self.clock.read_ts();
             log.pin(pin);
-            drop(log);
             pin
         };
         self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
@@ -180,123 +202,64 @@ impl TxnManager {
         })
     }
 
-    /// Lands `buf` — this shard's part of a single-shard cluster commit —
-    /// at exactly the oracle timestamp `gts`, with a WAL record that
-    /// recovery re-stamps identically. Returns the publish time plus the
-    /// durability wait still owed: the cluster publishes, drops its shard
-    /// gate, and *then* waits, so one shard's fsync never serializes the
-    /// others.
-    ///
-    /// A participant path, not a transaction: it checks that the manager
-    /// is live and preflights the keys, but takes no pin and neither
-    /// consults nor updates this manager's [`CommitLog`]. The caller owns
-    /// first-committer-wins and must hold the shard's commit gate from
-    /// before its own validation until this returns. Every op in `buf`
-    /// must have been checked against this manager's table layout
-    /// ([`Self::def_for`] of a manager over the same tables).
-    pub fn commit_at(&self, buf: OpBuffer, gts: u64) -> Result<(SysTime, Option<CommitWait<'_>>)> {
-        self.commit_pipeline(buf, Record::CommittedAt(gts))
-    }
-
-    /// First half of a cross-shard two-phase commit on this shard: checks
-    /// and preflights `buf` exactly as [`Self::commit_at`] would, then logs
-    /// a *prepare* record — the full op payload tagged with its oracle
-    /// commit timestamp — without applying anything. The same participant
-    /// contract as [`Self::commit_at`] holds, and the gate stays held until
-    /// the decision: the caller waits on [`PreparedTxn::wait_prepared`] for
-    /// every participant and only then decides. An undecided prepare is
-    /// *presumed aborted* by recovery, so crashing here loses nothing and
-    /// resurrects nothing.
-    ///
-    /// `gts` is the transaction's identity: oracle timestamps are unique,
-    /// and carrying the same value in the prepare and decision records is
-    /// what lets recovery match them up.
-    pub fn prepare(&self, buf: OpBuffer, gts: u64) -> Result<PreparedTxn<'_>> {
-        {
-            let st = self.state.read().expect("txn state poisoned");
-            self.validate(&st, None, &buf)?;
+    /// Opens read guards on every participant pinned at `at`, which must
+    /// be at or below the watermark for a consistent cut. Needs no pin:
+    /// pins only guard the first-committer-wins log, which reads never
+    /// consult.
+    pub fn read_at(&self, at: SysTime) -> Result<Cut<'_>> {
+        let mut snaps = Vec::with_capacity(self.participants.len());
+        for (i, p) in self.participants.iter().enumerate() {
+            let snap = p.snapshot_at(at);
+            // A poisoned participant may be missing a decided commit its
+            // healthy siblings already serve, so any cut that includes it
+            // can be non-atomic at watermarks past the failure. Fail-stop
+            // until recovery rebuilds it.
+            if snap.degraded() {
+                return Err(Error::Internal(format!(
+                    "shard {i} is poisoned: cluster snapshots are unavailable until recovery"
+                )));
+            }
+            snaps.push(snap);
         }
-        // Unlike a commit record the prepare describes a transaction that
-        // has *not* applied — that is the point: it makes the ops durable
-        // before any shard applies, so a crash between shards can always
-        // finish (or presume-abort) the transaction.
-        let logged = if self.logs() {
-            let payload = bitempo_wal::encode_prepare(gts, buf.txn())?;
-            Some(self.submit_unapplied(&payload, "prepare")?)
-        } else {
-            None
-        };
-        Ok(PreparedTxn {
-            mgr: self,
-            gts,
-            buf,
-            logged,
+        Ok(Cut {
+            snaps,
+            at,
+            route: self.route,
         })
     }
 
-    /// Opens a read-only snapshot pinned at an explicit system time,
-    /// without registering a pin or creating a [`Transaction`]. This is
-    /// the cross-shard read seam: a cluster snapshot pins every shard at
-    /// one oracle timestamp and reads each through the same sys-spec
-    /// translation interactive snapshots use. Reading *committed history*
-    /// needs no pin bookkeeping — pins only guard the first-committer-wins
-    /// log, which read-only views never consult. `pin` may exceed the
-    /// shard's local watermark (the shard simply has nothing newer yet);
-    /// visibility is still exactly the commit-prefix at `pin`.
-    pub fn snapshot_at(&self, pin: SysTime) -> Result<Snapshot<'_>> {
-        let guard = self.state.read().expect("txn state poisoned");
-        Ok(Snapshot::new(guard, pin))
-    }
-
-    /// Captures a durability checkpoint of the current committed state,
+    /// Captures a durability checkpoint of a standalone manager's state,
     /// labelled with the exact WAL sequence number it covers. Runs under
-    /// the *write* lock: a checkpoint can never interleave with a commit,
-    /// so the transaction committing concurrently with checkpoint capture
-    /// is either fully inside it (and `seq` covers its WAL record) or fully
-    /// after it (and recovery replays it) — never half-captured.
+    /// the participant's *write* lock: a checkpoint can never interleave
+    /// with a commit, so the transaction committing concurrently with
+    /// capture is either fully inside it (and `seq` covers its WAL record)
+    /// or fully after it (and recovery replays it) — never half-captured.
     pub fn checkpoint(&self) -> Result<Checkpoint> {
-        let mut st = self.state.write().expect("txn state poisoned");
-        let EngineState {
-            engine,
-            ids,
-            applied_seq,
-            ..
-        } = &mut *st;
-        engine.checkpoint();
-        Checkpoint::capture(engine.as_mut(), ids, *applied_seq)
+        match self.participants.as_slice() {
+            [only] => only.checkpoint(),
+            _ => Err(Error::Invalid(
+                "checkpoint each shard of a cluster on its own".into(),
+            )),
+        }
     }
 
-    /// Shuts the manager down: closes the WAL (surfacing any sink failure
-    /// and the durable watermark) and returns the engine with its ids.
+    /// Shuts a standalone manager down: closes the WAL (surfacing any sink
+    /// failure and the durable watermark) and returns the engine with its
+    /// ids.
     pub fn close(self) -> Result<(Box<dyn BitemporalEngine>, Vec<TableId>, u64)> {
-        let wal = self.wal.into_inner().expect("wal lock poisoned");
-        let durable = match wal {
-            Some(w) => w.close()?,
-            None => 0,
-        };
-        let st = self.state.into_inner().expect("txn state poisoned");
-        Ok((st.engine, st.ids, durable))
+        let mut parts = self.into_participants();
+        match (parts.pop(), parts.is_empty()) {
+            (Some(only), true) => only.close(),
+            _ => Err(Error::Invalid("close a cluster shard by shard".into())),
+        }
     }
 
-    /// Number of currently registered snapshot pins (the pruning floor's
-    /// population). Zero once every transaction has committed, rolled
-    /// back, or dropped — the balance the isolation suite asserts.
-    pub fn active_pins(&self) -> usize {
-        let log = self.commit_log.lock().expect("commit log poisoned");
-        log.active_pins()
+    /// The participants, in routing order, once the manager is gone.
+    pub fn into_participants(self) -> Vec<Participant> {
+        self.participants
     }
 
-    /// The load-order index and cached definition of `table`: what
-    /// [`crate::CheckedOp`]'s constructors validate against.
-    pub fn def_for(&self, table: TableId) -> Result<(u8, &TableDef)> {
-        let idx = self
-            .ids
-            .iter()
-            .position(|&id| id == table)
-            .ok_or_else(|| Error::Invalid(format!("table {table:?} is not managed here")))?;
-        Ok((idx as u8, &self.defs[idx]))
-    }
-
+    /// Releases one snapshot pin.
     pub(crate) fn unpin(&self, pin: SysTime) {
         let mut log = self.commit_log.lock().expect("commit log poisoned");
         log.unpin(pin);
@@ -304,229 +267,243 @@ impl TxnManager {
         self.counters.released.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// [`EngineState::poison`] for callers that hold no state guard.
-    pub(crate) fn poison(&self, why: String) -> Error {
-        let mut st = self.state.write().expect("txn state poisoned");
-        st.poison(why)
-    }
-
-    /// The checks that let a buffered write set proceed, under either
-    /// state guard: the manager is live, no commit newer than `pin` (a
-    /// standalone transaction's; participants have none) wrote an
-    /// overlapping entry (first-committer-wins), and every sequenced op's
-    /// key exists — the overwhelmingly common apply failure, caught
-    /// *before* the engine is touched because the engines have no
-    /// rollback.
-    fn validate(&self, st: &EngineState, pin: Option<SysTime>, buf: &OpBuffer) -> Result<()> {
-        st.live()?;
-        if let Some(pin) = pin {
-            let log = self.commit_log.lock().expect("commit log poisoned");
-            if let Some((ts, theirs)) = log.first_conflict(pin, buf.writes()) {
-                self.counters.conflicts.fetch_add(1, Ordering::Relaxed);
-                return Err(Error::Conflict(format!(
-                    "table {} key {} app {:?}: written by the transaction \
-                     committed at {ts} after this snapshot's pin {pin}",
-                    theirs.table, theirs.key, theirs.app
-                )));
-            }
-            drop(log);
-        }
-        preflight(st, &buf.txn().ops)
-    }
-
-    /// Submits a record that describes no applied state (a prepare, an
-    /// abort decision) and returns its durability handle. A failure
-    /// fail-stops the manager even though nothing applied: the stream's
-    /// integrity is now unknown, and a torn frame mid-log would silently
-    /// truncate every later record at recovery.
-    pub(crate) fn submit_unapplied(
-        &self,
-        payload: &[u8],
-        what: &str,
-    ) -> Result<(DurabilityWaiter, u64)> {
-        let mut wal = self.wal.lock().expect("wal lock poisoned");
-        let w = wal.as_mut().expect("caller checked the WAL exists");
-        match w.submit(payload) {
-            Ok(seq) => Ok((w.waiter(), seq)),
-            Err(e) => {
-                drop(wal);
-                Err(self.poison(format!("{what} not logged, WAL submit failed: {e}")))
-            }
-        }
-    }
-
-    /// True when commits are logged (the WAL is fixed at construction).
-    pub(crate) fn logs(&self) -> bool {
-        self.wal.lock().expect("wal lock poisoned").is_some()
-    }
-
-    /// The commit pipeline — *validate → apply → WAL submit → engine
-    /// commit → log insert → prune → unpin* — run by every path that
-    /// publishes: [`Transaction::commit`], [`Self::commit_at`] and
-    /// [`PreparedTxn::commit`] differ only in `record`. Only
-    /// [`Record::Plain`] carries a pin, so only a standalone commit runs
-    /// first-committer-wins here, publishes into the [`CommitLog`] and
-    /// releases its pin; cluster participants were validated by the
-    /// cluster. Returns the commit time and the durability wait still
-    /// owed; on error a pin is the caller's to release.
-    ///
-    /// On [`Error::Conflict`] (or a preflight error) nothing was logged or
-    /// applied. A later failure poisons the manager *with no WAL record*,
-    /// so recovery never replays a transaction whose commit reported
-    /// failure.
-    pub(crate) fn commit_pipeline(
-        &self,
-        buf: OpBuffer,
-        record: Record,
-    ) -> Result<(SysTime, Option<CommitWait<'_>>)> {
-        let mut st = self.state.write().expect("txn state poisoned");
-        let (pin, gts) = match record {
-            Record::Plain { pin } => (Some(pin), None),
-            Record::CommittedAt(g) | Record::Decision(g) => (None, Some(g)),
-        };
-        if matches!(record, Record::Decision(_)) {
-            // Preflighted at prepare, under the commit gate held since.
-            st.live()?;
-        } else {
-            self.validate(&st, pin, &buf)?;
+    /// Commits `buf` for a transaction pinned at `pin` and releases the
+    /// pin, on every path. Under the gate of every participant the writes
+    /// touch (ascending index, the workspace lock order; conflicting
+    /// committers share a key, hence a participant, hence a gate) it
+    /// validates first-committer-wins, draws the timestamp and lands the
+    /// ops: one participant commits directly, several run two-phase commit.
+    /// It publishes into the commit log and the watermark before the gates
+    /// drop, and waits for durability after.
+    pub(crate) fn commit(&self, pin: SysTime, buf: OpBuffer) -> Result<SysTime> {
+        if buf.is_empty() {
+            self.unpin(pin);
+            self.counters.read_only.fetch_add(1, Ordering::Relaxed);
+            self.counters.committed.fetch_add(1, Ordering::Relaxed);
+            return Ok(pin);
         }
         let (txn, writes) = buf.into_parts();
-
-        // Encode the WAL payload up front: encoding is pure on the
-        // buffered ops, so a failure here aborts cleanly, pre-apply.
-        let payload = match record {
-            _ if !self.logs() => None,
-            Record::Plain { .. } => Some(bitempo_histgen::encode_txn(&txn)?),
-            Record::CommittedAt(g) => Some(bitempo_wal::encode_committed_at(g, &txn)?),
-            Record::Decision(g) => Some(bitempo_wal::encode_decision(g, true)),
-        };
-
-        let EngineState {
-            engine,
-            ids,
-            applied_seq,
-            ..
-        } = &mut *st;
-        // Cluster commits land at the oracle's global timestamp, so the
-        // ops' version stamps and the commit itself all carry `gts`,
-        // byte-identical to a single-engine serial history at the same
-        // timestamps.
-        debug_assert!(
-            gts.is_none_or(|g| g > engine.now().0),
-            "oracle timestamps are unique and ascending"
-        );
-        // Apply before logging: a record only enters the WAL once its
-        // transaction has fully applied, so recovery can replay every
-        // logged record. An apply failure past preflight leaves
-        // unpublishable partial state (no rollback), so it poisons the
-        // manager — with nothing logged, the durable history still agrees
-        // with the reported failure. (For a decision the transaction
-        // stands on the shards that did commit: this shard is the
-        // casualty, and recovery converges it from their evidence.)
-        if let Err(e) = apply_txn(engine.as_mut(), ids, &txn.ops, gts) {
-            return Err(st.poison(format!("transaction half-applied: {e}")));
+        let n = self.participants.len();
+        let home = (self.route)(&writes[0].key, n);
+        if writes.iter().any(|w| (self.route)(&w.key, n) != home) {
+            return self.commit_across(pin, txn, writes);
         }
+        let part = &self.participants[home];
+        let (ts, wait) = {
+            let _gate = part.gate.lock().expect("commit gate poisoned");
+            let gts = self.validate(pin, &writes)?;
+            let record = gts.map_or(Record::Plain, Record::CommittedAt);
+            // An `Err` here never published nor logged: preflight refused,
+            // or apply/submit poisoned the participant *without* a record.
+            let landed = part
+                .commit(txn, record)
+                .map_err(|e| self.abandon(pin, gts, e))?;
+            self.publish(pin, landed.0, writes);
+            landed
+        };
+        self.counters.single_shard.fetch_add(1, Ordering::Relaxed);
+        self.counters.committed.fetch_add(1, Ordering::Relaxed);
+        // The durability wait belongs outside every lock: one participant's
+        // fsync must never serialize another's committers, nor readers.
+        if let Some(wait) = wait {
+            wait.wait()?;
+        }
+        Ok(ts)
+    }
 
-        // Log after apply, still inside the exclusive section, so WAL
-        // order is commit order. `submit` writes the frame without
-        // syncing: the fsync belongs to the waiter below, *outside* every
-        // lock, so a strict-mode sync never serializes readers behind the
-        // disk (tblint TB008). A submit failure here poisons: the applied
-        // state cannot be rolled back and must not publish as committed,
-        // and since the record never landed, recovery excludes the
-        // transaction exactly as the returned error reports.
-        let mut waiter: Option<(DurabilityWaiter, u64)> = None;
-        if let Some(payload) = payload {
-            let mut wal = self.wal.lock().expect("wal lock poisoned");
-            let w = wal.as_mut().expect("wal vanished mid-commit");
-            match w.submit(&payload) {
-                Ok(seq) => {
-                    // A decision follows its own prepare record instead.
-                    debug_assert!(
-                        matches!(record, Record::Decision(_)) || seq == *applied_seq + 1,
-                        "WAL order must be commit order"
-                    );
-                    waiter = Some((w.waiter(), seq));
-                }
+    /// [`Self::commit`] for writes that route to several participants.
+    fn commit_across(&self, pin: SysTime, txn: TxnOps, writes: Vec<WriteEntry>) -> Result<SysTime> {
+        let n = self.participants.len();
+        let mut parts: Vec<TxnOps> = (0..n).map(|_| TxnOps::default()).collect();
+        for (op, w) in txn.ops.into_iter().zip(&writes) {
+            parts[(self.route)(&w.key, n)].ops.push(op);
+        }
+        let gates: Vec<_> = self
+            .participants
+            .iter()
+            .zip(&parts)
+            .filter(|(_, ops)| !ops.ops.is_empty())
+            .map(|(p, _)| p.gate.lock().expect("commit gate poisoned"))
+            .collect();
+        let gts = self.validate(pin, &writes)?;
+        let gts = gts.expect("several participants share an oracle");
+        let (outcome, waits) = match self.two_phase(parts, gts) {
+            Ok(waits) => (Ok(SysTime(gts)), waits),
+            // At least one participant logged a commit decision: the
+            // transaction *is* committed globally (recovery finishes the
+            // stragglers), so the log and the watermark must reflect it
+            // even though the failure is reported to the caller.
+            Err((e, Some(waits))) => (Err(e), waits),
+            Err((e, None)) => return Err(self.abandon(pin, Some(gts), e)),
+        };
+        self.publish(pin, SysTime(gts), writes);
+        if outcome.is_ok() {
+            self.counters.cross_shard.fetch_add(1, Ordering::Relaxed);
+            self.counters.committed.fetch_add(1, Ordering::Relaxed);
+        }
+        // A decided failure honors the committed participants' waits too:
+        // "decided" must mean *durably* decided before this returns, or a
+        // crash right after could lose every decision record while readers
+        // had already observed the commit. There a wait failure poisons
+        // its participant fail-stop on its own; the error returned already
+        // tells the caller recovery is needed.
+        drop(gates);
+        for w in waits {
+            let waited = w.wait();
+            if outcome.is_ok() {
+                waited?;
+            }
+        }
+        outcome
+    }
+
+    /// First-committer-wins for a transaction pinned at `pin`, then the
+    /// timestamp draw: the oracle's next, or `None` when the participant's
+    /// own clock stamps the commit. Runs under the gates of every
+    /// participant `writes` touch: any conflicting commit either already
+    /// published its record (seen here) or queues behind a held gate (and
+    /// will see ours). A conflict releases the pin.
+    fn validate(&self, pin: SysTime, writes: &[WriteEntry]) -> Result<Option<u64>> {
+        let mut log = self.commit_log.lock().expect("commit log poisoned");
+        if let Some((ts, theirs)) = log.first_conflict(pin, writes) {
+            let err = Error::Conflict(format!(
+                "table {} key {} app {:?}: written by the transaction \
+                 committed at {ts} after this snapshot's pin {pin}",
+                theirs.table, theirs.key, theirs.app
+            ));
+            log.unpin(pin);
+            drop(log);
+            self.counters.released.fetch_add(1, Ordering::Relaxed);
+            self.counters.conflicts.fetch_add(1, Ordering::Relaxed);
+            return Err(err);
+        }
+        Ok(match &self.clock {
+            Clock::Local(_) => None,
+            Clock::Oracle(o) => Some(o.begin_commit()),
+        })
+    }
+
+    /// Gives up a commit that decided nothing: burns its timestamp, if it
+    /// drew one, and releases the pin. Returns `e`.
+    fn abandon(&self, pin: SysTime, gts: Option<u64>, e: Error) -> Error {
+        if let (Some(g), Clock::Oracle(o)) = (gts, &self.clock) {
+            o.abort(g);
+        }
+        self.unpin(pin);
+        e
+    }
+
+    /// Logs the write set committed at `ts`, advances the watermark,
+    /// releases the committer's pin and prunes what no remaining pin can
+    /// still conflict with — one acquisition of the log. Called with the
+    /// participating gates held, so any later committer sharing a
+    /// participant observes the entry.
+    pub(crate) fn publish(&self, pin: SysTime, ts: SysTime, writes: Vec<WriteEntry>) {
+        let mut log = self.commit_log.lock().expect("commit log poisoned");
+        log.insert(ts, writes);
+        // Advance the watermark *while still holding the log*: begin()
+        // reads it under this same lock, so a concurrent transaction either
+        // pins before this publish — its pin floors the prune below — or
+        // after it, at a watermark past everything pruned here.
+        match &self.clock {
+            Clock::Local(published) => published.store(ts.0, Ordering::Release),
+            Clock::Oracle(o) => o.publish(ts.0),
+        }
+        log.unpin(pin);
+        // The idle floor is the *watermark*, never `ts` itself: with older
+        // oracle commits still in flight the watermark (and any future pin)
+        // can sit well below `ts`, and a transaction pinned there must
+        // still find this entry to validate against.
+        log.prune(self.clock.read_ts());
+        drop(log);
+        self.counters.released.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Two-phase commit of `parts[i]` on participant `i` (empty parts skip
+    /// their participant) at `gts`, under the caller's gates. On error the
+    /// second slot says whether a commit decision was already logged
+    /// somewhere: `Some(waits)` means the transaction stands globally and
+    /// carries the committed participants' durability waits, which the
+    /// caller must still honor; `None` means nothing decided — globally an
+    /// abort.
+    fn two_phase(
+        &self,
+        parts: Vec<TxnOps>,
+        gts: u64,
+    ) -> std::result::Result<Vec<CommitWait<'_>>, (Error, Option<Vec<CommitWait<'_>>>)> {
+        // Phase one: prepare everywhere. Any failure — a poisoned
+        // participant, a vanished key — aborts every prepare already
+        // logged, explicitly, though recovery would presume it.
+        let mut prepared: Vec<PreparedTxn<'_>> = Vec::with_capacity(parts.len());
+        for (p, ops) in self.participants.iter().zip(parts) {
+            if ops.ops.is_empty() {
+                continue;
+            }
+            match p.prepare(ops, gts) {
+                Ok(prep) => prepared.push(prep),
                 Err(e) => {
-                    return Err(st.poison(format!(
-                        "transaction applied but not logged, WAL submit failed: {e}"
-                    )));
+                    abort_all(prepared);
+                    return Err((e, None));
                 }
             }
         }
-        let ts = engine.commit();
-        debug_assert!(
-            gts.is_none_or(|g| ts.0 == g),
-            "a cluster commit must land exactly at its oracle timestamp"
-        );
-        *applied_seq = match &waiter {
-            Some((_, seq)) => *seq,
-            None => *applied_seq + 1,
-        };
 
-        // A standalone commit publishes its write set, then prunes what no
-        // active snapshot can still conflict with: nothing pins below this
-        // manager's own newest commit once no pin is registered. (Cluster
-        // shards never take this lock: their log is the cluster's.)
-        if pin.is_some() {
-            let mut log = self.commit_log.lock().expect("commit log poisoned");
-            log.insert(ts, writes);
-            log.prune(ts);
-            drop(log);
+        // The prepare barrier: every participant's prepare record must be
+        // durable before any participant logs a decision — this is what
+        // makes an observed decision sufficient evidence for recovery to
+        // commit every participant. Blocking on the flusher under the held
+        // gates is the price of that guarantee, paid per cross-participant
+        // commit; releasing them before the barrier would let another
+        // commit interleave WAL records between our prepares and decisions.
+        for p in &prepared {
+            if let Err(e) = p.wait_prepared() {
+                abort_all(prepared);
+                return Err((e, None));
+            }
         }
-        drop(st);
 
-        // Release the snapshot pin at publish, not at drop: the pin is a
-        // pruning floor, and the durability wait ahead can be as long as
-        // an fsync. Rollback and drop release the same way, so pin
-        // accounting stays balanced on every path (the isolation suite
-        // asserts released == snapshots after each storm).
-        if let Some(pin) = pin {
-            self.unpin(pin);
+        // Phase two: decide commit everywhere. After the first durable
+        // decision the transaction stands; a later participant failing to
+        // apply is poisoned fail-stop and recovery converges it from the
+        // decision evidence, so the healthy participants keep committing.
+        let mut waits = Vec::with_capacity(prepared.len());
+        let mut decided = false;
+        let mut failure: Option<Error> = None;
+        let mut rest = prepared.into_iter();
+        while let Some(p) = rest.next() {
+            match p.commit() {
+                Ok((_ts, wait)) => {
+                    decided = true;
+                    waits.extend(wait);
+                }
+                Err(e) => {
+                    if !decided {
+                        // No decision logged anywhere yet: globally this is
+                        // an abort, and the remaining prepares say so.
+                        abort_all(rest.collect());
+                        return Err((e, None));
+                    }
+                    failure.get_or_insert(e);
+                }
+            }
         }
-        self.counters.committed.fetch_add(1, Ordering::Relaxed);
-        // The durability wait belongs outside every lock. Under `Batched`,
-        // concurrent committers park in `wait()` together and one flusher
-        // fsync acks them all; under `Strict`, the waiter performs the
-        // deferred fsync itself — still amortized, because one waiter's
-        // sync covers everything submitted before it ran. Either way
-        // readers are never stuck behind the disk.
-        let wait = waiter.map(|(waiter, seq)| CommitWait {
-            mgr: self,
-            waiter,
-            seq,
-        });
-        Ok((ts, wait))
+        match failure {
+            None => Ok(waits),
+            Some(e) => Err((
+                Error::Internal(format!(
+                    "cross-shard commit {gts} decided but a shard failed to apply it: {e}"
+                )),
+                Some(waits),
+            )),
+        }
     }
 }
 
-/// The durability wait a publish still owes. Dropping it without calling
-/// [`Self::wait`] skips the wait entirely — callers that need the
-/// durability contract must call it.
-#[must_use = "the commit is published but not yet durable: call wait()"]
-pub struct CommitWait<'a> {
-    mgr: &'a TxnManager,
-    waiter: DurabilityWaiter,
-    seq: u64,
-}
-
-impl CommitWait<'_> {
-    /// The WAL sequence number the wait covers.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Blocks until the record is durable under the WAL's mode. On
-    /// failure the record is published and written but its durability is
-    /// unknown (the fsync failed or the flusher died), so the in-memory
-    /// state may be ahead of what the log preserves. Fail-stop: the
-    /// manager poisons rather than letting later commits build on a
-    /// possibly-lost prefix — the one honest ambiguity in the protocol.
-    pub fn wait(self) -> Result<()> {
-        self.waiter.wait_for(self.seq).map_err(|e| {
-            self.mgr
-                .poison(format!("commit published but durability is unknown: {e}"))
-        })
+fn abort_all(prepared: Vec<PreparedTxn<'_>>) {
+    for p in prepared {
+        // An abort that fails to log poisons its participant; the
+        // transaction's outcome (aborted) is already decided, so the error
+        // is not ours to propagate — recovery presumes the abort anyway.
+        let _ = p.abort();
     }
 }

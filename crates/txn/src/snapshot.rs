@@ -1,8 +1,9 @@
-//! Pinned read views: the guard a transaction reads through, and the one
-//! engine adapter that caps every system-time specification at the pin —
-//! over one manager's snapshot or over a cluster cut of several.
+//! Pinned read views: the guard a transaction reads through, the cut of
+//! every participant at one time, and the one engine adapter that caps
+//! every system-time specification at the pin — over one participant's
+//! snapshot or over a cut of several.
 
-use crate::manager::EngineState;
+use crate::participant::EngineState;
 use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, Value};
 use bitempo_engine::api::{
     AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
@@ -23,21 +24,25 @@ pub struct Snapshot<'a> {
 }
 
 impl<'a> Snapshot<'a> {
-    pub(crate) fn new(guard: RwLockReadGuard<'a, EngineState>, pin: SysTime) -> Snapshot<'a> {
+    pub(crate) fn new(
+        guard: RwLockReadGuard<'a, EngineState>,
+        pin: SysTime,
+        degraded: bool,
+    ) -> Snapshot<'a> {
         Snapshot {
             now: guard.engine.now(),
-            degraded: guard.poisoned.is_some(),
+            degraded,
             guard,
             pin,
         }
     }
 
-    /// True when the owning manager is poisoned. The snapshot still
+    /// True when the owning participant is poisoned. The snapshot still
     /// serves the committed prefix (with the current-partition fast path
-    /// disabled), but a poisoned *shard* may sit on the wrong side of a
-    /// decided cross-shard commit its healthy siblings already show —
-    /// cluster readers must treat a degraded member as fail-stop rather
-    /// than assemble a non-atomic cut from it.
+    /// disabled), but a poisoned participant may sit on the wrong side of
+    /// a decided cross-participant commit its healthy siblings already
+    /// show — a [`Cut`] treats a degraded member as fail-stop rather than
+    /// assemble a non-atomic cut from it.
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -76,8 +81,34 @@ impl<'a> Snapshot<'a> {
     }
 }
 
+/// Open read guards on every participant, all pinned at one time. Obtain
+/// per query burst and drop promptly: the guards are what a committer on
+/// each participant waits for.
+pub struct Cut<'a> {
+    pub(crate) snaps: Vec<Snapshot<'a>>,
+    pub(crate) at: SysTime,
+    pub(crate) route: fn(&Key, usize) -> usize,
+}
+
+impl Cut<'_> {
+    /// The pinned time.
+    pub fn at(&self) -> SysTime {
+        self.at
+    }
+
+    /// The read-only engine view over every participant: scans fan out
+    /// and concatenate, key lookups route to the owning participant, and
+    /// each caps every system-time specification at the pinned time.
+    /// Implements the full [`BitemporalEngine`] read surface, so the
+    /// workload query classes run on a cut exactly as they run on one
+    /// engine.
+    pub fn view(&self) -> SnapshotView<'_> {
+        SnapshotView::over(&self.snaps, self.route)
+    }
+}
+
 /// [`BitemporalEngine`] adapter over snapshots pinned at one time: one
-/// manager's, or every shard's of a cluster cut. Scans fan out to every
+/// participant's, or every participant's of a [`Cut`]. Scans fan out to every
 /// member and concatenate, key lookups go to the member `route` names, and
 /// each member caps the system-time specification at the pin against its
 /// own watermark. DML and schema changes are rejected — writes are

@@ -1,6 +1,8 @@
 //! In-crate tests: the serving-layer contracts that need private access
-//! (the commit log behind its lock) or fault-injecting WAL sinks.
+//! (the commit log behind its lock, the oracle, the publish step) or
+//! fault-injecting WAL sinks.
 
+use crate::manager::Clock;
 use crate::*;
 use bitempo_core::fault::FaultyWriter;
 use bitempo_core::{AppDate, AppPeriod, Error, Key, Row, SysTime, TableId, Value};
@@ -9,7 +11,7 @@ use bitempo_engine::testutil::{bitemp_table, plain_table, simple_row};
 use bitempo_engine::{build_engine, SystemKind};
 use bitempo_histgen::{apply_op, encode_txn, Op, Transaction as TxnOps};
 use bitempo_storage::DurabilityMode;
-use bitempo_wal::{canonical_state, recover, Checkpoint, SharedBuf, TxnWal};
+use bitempo_wal::{canonical_state, recover, Checkpoint, SharedBuf, TxnWal, WAL_HEADER_LEN};
 use std::sync::atomic::Ordering;
 
 /// One bitemporal table with rows (1, 10) and (2, 20), committed.
@@ -576,5 +578,164 @@ fn a_failed_durability_wait_after_publish_poisons_the_manager() {
         }
         Err(other) => panic!("expected the manager to be poisoned, got {other:?}"),
         Ok(_) => panic!("expected the manager to be poisoned, but begin succeeded"),
+    };
+}
+
+/// Routes an integer key by parity: the sharded tests' stand-in for the
+/// stable key hash.
+fn parity(key: &Key, n: usize) -> usize {
+    match key.to_values()[0] {
+        Value::Int(k) => k.rem_euclid(n as i64) as usize,
+        ref other => panic!("unexpected key {other:?}"),
+    }
+}
+
+/// A two-participant manager over keys 0..8, even keys on participant 0
+/// and odd keys on participant 1, each row `(k, 10 k)` committed at 1.
+fn sharded(wals: [Option<TxnWal>; 2]) -> TxnManager {
+    let shards = wals
+        .into_iter()
+        .enumerate()
+        .map(|(i, wal)| {
+            let mut engine = build_engine(SystemKind::A);
+            let t = engine.create_table(bitemp_table("t")).unwrap();
+            for k in (0..8).filter(|k| parity(&Key::int(*k), 2) == i) {
+                engine.insert(t, simple_row(k, 10 * k), None).unwrap();
+            }
+            engine.commit();
+            TxnManager::new(engine, vec![t], wal).unwrap()
+        })
+        .collect();
+    TxnManager::sharded(shards, parity).unwrap()
+}
+
+fn oracle(mgr: &TxnManager) -> &CommitOracle {
+    match &mgr.clock {
+        Clock::Oracle(o) => o,
+        Clock::Local(_) => panic!("a sharded manager draws from an oracle"),
+    }
+}
+
+/// Publishes `writes` at `gts` the way a committer pinned at the watermark
+/// does once its commit has landed.
+fn publish_at(mgr: &TxnManager, gts: u64, writes: Vec<WriteEntry>) {
+    let mut committer = mgr.begin().unwrap();
+    committer.unpinned = true; // the publish releases it
+    mgr.publish(committer.pin(), SysTime(gts), writes);
+}
+
+fn key0_write() -> Vec<WriteEntry> {
+    vec![WriteEntry {
+        table: 0,
+        key: Key::int(0),
+        app: AppPeriod::ALL,
+    }]
+}
+
+#[test]
+fn publish_ahead_of_the_watermark_keeps_its_commit_record() {
+    let mgr = sharded([None, None]);
+    let t = mgr.table_ids()[0];
+    // Two in-flight timestamps; the *newer* publishes first while the
+    // older still holds the watermark back. The record must survive
+    // pruning: readers can still pin below it and need it to validate.
+    let a = oracle(&mgr).begin_commit();
+    let b = oracle(&mgr).begin_commit();
+    publish_at(&mgr, b, key0_write());
+    assert!(mgr.read_ts().0 < b, "a still in flight");
+    {
+        let log = mgr.commit_log.lock().expect("commit log");
+        assert!(
+            log.timestamps().any(|ts| ts.0 == b),
+            "pruning must floor at the watermark, not at the published gts"
+        );
+    }
+    let mut txn = mgr.begin().expect("begin");
+    assert!(txn.pin().0 < b);
+    txn.update(t, &Key::int(0), &[(1, Value::Int(9))], None)
+        .expect("update");
+    match txn.commit() {
+        Err(Error::Conflict(_)) => {}
+        other => panic!("expected a conflict with b's write, got {other:?}"),
+    }
+    oracle(&mgr).abort(a);
+}
+
+#[test]
+fn out_of_order_publishes_cannot_hide_commits_from_validation() {
+    let mgr = sharded([None, None]);
+    let t = mgr.table_ids()[0];
+    // A long-lived pin keeps the log from pruning.
+    let reader = mgr.begin().expect("begin");
+    // Three in-flight commits; the newest publishes first, the oldest
+    // second, so *append* order would be [c, a] while gts order is [a, c].
+    let a = oracle(&mgr).begin_commit();
+    let b = oracle(&mgr).begin_commit();
+    let c = oracle(&mgr).begin_commit();
+    publish_at(&mgr, c, key0_write());
+    publish_at(&mgr, a, Vec::new());
+    {
+        let log = mgr.commit_log.lock().expect("commit log");
+        let order: Vec<u64> = log.timestamps().map(|ts| ts.0).collect();
+        assert_eq!(order, vec![a, c], "log stays ascending by gts");
+    }
+    assert_eq!(mgr.read_ts().0, a, "b still holds the watermark at a");
+    // A transaction pinned at exactly a must still see c's conflicting
+    // write: the reverse scan's early exit stops at the first record at or
+    // below the pin, which must never be an out-of-order entry sitting in
+    // front of a newer one.
+    let mut txn = mgr.begin().expect("begin");
+    assert_eq!(txn.pin().0, a);
+    txn.update(t, &Key::int(0), &[(1, Value::Int(9))], None)
+        .expect("update");
+    match txn.commit() {
+        Err(Error::Conflict(_)) => {}
+        other => panic!("expected a conflict with c's write, got {other:?}"),
+    }
+    oracle(&mgr).abort(b);
+    reader.rollback();
+}
+
+#[test]
+fn poisoned_shard_fail_stops_cluster_reads() {
+    let buf0 = SharedBuf::new();
+    let buf1 = SharedBuf::new();
+    // Participant 1's log accepts the stream header and nothing else: its
+    // prepare submit fails, poisoning it before any decision.
+    let mgr = sharded([
+        Some(TxnWal::create(Box::new(buf0.clone()), DurabilityMode::Strict).expect("wal")),
+        Some(
+            TxnWal::create(
+                Box::new(FaultyWriter::new(buf1.clone(), WAL_HEADER_LEN as u64)),
+                DurabilityMode::Strict,
+            )
+            .expect("wal"),
+        ),
+    ]);
+    let t = mgr.table_ids()[0];
+    let before = mgr.read_ts();
+
+    let mut txn = mgr.begin().expect("begin");
+    txn.update(t, &Key::int(0), &[(1, Value::Int(-1))], None)
+        .expect("update");
+    txn.update(t, &Key::int(1), &[(1, Value::Int(-2))], None)
+        .expect("update");
+    match txn.commit() {
+        Err(Error::Internal(_)) => {}
+        other => panic!("expected the prepare submit failure, got {other:?}"),
+    }
+    // Nothing decided: the abort burns the slot (the watermark may step
+    // over it), but no participant applied anything and nothing was
+    // published.
+    assert_eq!(mgr.participants()[0].now(), before);
+    assert_eq!(mgr.participants()[1].now(), before);
+    let log = mgr.commit_log.lock().expect("commit log poisoned");
+    assert!(log.timestamps().next().is_none(), "nothing was published");
+    drop(log);
+    // The poisoned participant makes any cut potentially non-atomic; reads
+    // fail-stop instead of serving it.
+    match mgr.read_at(mgr.read_ts()) {
+        Err(Error::Internal(msg)) => assert!(msg.contains("poisoned"), "{msg}"),
+        other => panic!("expected fail-stop, got {:?}", other.map(|r| r.at())),
     };
 }

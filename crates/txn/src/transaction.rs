@@ -2,28 +2,30 @@
 //! commit, and the buffer-time validation every write passes through.
 
 use crate::commit_log::WriteEntry;
-use crate::manager::{EngineState, Record, TxnManager};
-use crate::Snapshot;
+use crate::{Cut, Snapshot, TxnManager};
 use bitempo_core::{
     AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, TemporalClass, Value,
 };
-use bitempo_engine::api::{AppSpec, SysSpec};
 use bitempo_histgen::{Op, Transaction as TxnOps};
-use std::sync::atomic::Ordering;
 
 /// One write that passed buffer-time validation against its table's
 /// definition — arity, column bounds, temporal class, empty periods — so a
 /// malformed op can never reach the apply loop, where a deterministic
-/// failure would poison the manager. Carries the replayable [`Op`] and the
-/// write-set entry it will be validated under.
-pub struct CheckedOp {
+/// failure would poison a participant. Carries the replayable [`Op`] and
+/// the write-set entry it will be validated under.
+pub(crate) struct CheckedOp {
     op: Op,
     write: WriteEntry,
 }
 
 impl CheckedOp {
     /// An insert of `row` valid for `app` into table `t` (defined by `def`).
-    pub fn insert(t: u8, def: &TableDef, row: Row, app: Option<AppPeriod>) -> Result<CheckedOp> {
+    pub(crate) fn insert(
+        t: u8,
+        def: &TableDef,
+        row: Row,
+        app: Option<AppPeriod>,
+    ) -> Result<CheckedOp> {
         if row.arity() != def.schema.arity() {
             return Err(Error::Invalid(format!(
                 "arity {} vs schema {} for {}",
@@ -44,7 +46,7 @@ impl CheckedOp {
     }
 
     /// A sequenced update of `key` for `portion`.
-    pub fn update(
+    pub(crate) fn update(
         t: u8,
         def: &TableDef,
         key: &Key,
@@ -78,7 +80,7 @@ impl CheckedOp {
     }
 
     /// A sequenced delete of `key` for `portion`.
-    pub fn delete(
+    pub(crate) fn delete(
         t: u8,
         def: &TableDef,
         key: &Key,
@@ -102,7 +104,7 @@ impl CheckedOp {
     /// An application-period overwrite of `key`. Conservatively conflicts
     /// with any concurrent write to the key: the overwrite rewrites every
     /// visible version's period, so no portion is safe.
-    pub fn overwrite_app_period(
+    pub(crate) fn overwrite_app_period(
         t: u8,
         def: &TableDef,
         key: &Key,
@@ -121,11 +123,6 @@ impl CheckedOp {
                 period,
             },
         })
-    }
-
-    /// The primary key the op touches (what a router shards on).
-    pub fn key(&self) -> &Key {
-        &self.write.key
     }
 }
 
@@ -157,11 +154,9 @@ fn check_portion(def: &TableDef, portion: Option<&AppPeriod>) -> Result<()> {
 }
 
 /// Checked writes in execution order, with the write set they will be
-/// validated under. A [`Transaction`] owns one; a cluster transaction owns
-/// one per shard and hands each participant's to [`TxnManager::commit_at`]
-/// or [`TxnManager::prepare`] at commit.
+/// validated under (one entry per op).
 #[derive(Default)]
-pub struct OpBuffer {
+pub(crate) struct OpBuffer {
     /// The ops, already in the shape the WAL encoders take.
     txn: TxnOps,
     writes: Vec<WriteEntry>,
@@ -169,23 +164,14 @@ pub struct OpBuffer {
 
 impl OpBuffer {
     /// Appends a checked write.
-    pub fn push(&mut self, op: CheckedOp) {
+    fn push(&mut self, op: CheckedOp) {
         self.txn.ops.push(op.op);
         self.writes.push(op.write);
     }
 
     /// True when nothing is buffered (a read-only transaction).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.txn.ops.is_empty()
-    }
-
-    /// The write set, one entry per buffered op.
-    pub fn writes(&self) -> &[WriteEntry] {
-        &self.writes
-    }
-
-    pub(crate) fn txn(&self) -> &TxnOps {
-        &self.txn
     }
 
     pub(crate) fn into_parts(self) -> (TxnOps, Vec<WriteEntry>) {
@@ -193,42 +179,9 @@ impl OpBuffer {
     }
 }
 
-/// Checks that every sequenced op's key is visible (or created earlier in
-/// the same transaction), so apply cannot fail on a vanished key.
-pub(crate) fn preflight(st: &EngineState, ops: &[Op]) -> Result<()> {
-    let mut fresh: Vec<(u8, &Key)> = Vec::new();
-    let mut fresh_rows: Vec<(u8, Key)> = Vec::new();
-    for op in ops {
-        match op {
-            Op::Insert { table, row, .. } => {
-                let def = st.engine.table_def(st.ids[*table as usize]);
-                fresh_rows.push((*table, Key::from_row(row, &def.key)));
-            }
-            Op::Update { table, key, .. }
-            | Op::Delete { table, key, .. }
-            | Op::OverwriteApp { table, key, .. } => {
-                let created = fresh.iter().any(|(t, k)| t == table && *k == key)
-                    || fresh_rows.iter().any(|(t, k)| t == table && k == key);
-                if !created {
-                    let out = st.engine.lookup_key(
-                        st.ids[*table as usize],
-                        key,
-                        &SysSpec::Current,
-                        &AppSpec::All,
-                    )?;
-                    if out.rows.is_empty() {
-                        return Err(Error::KeyNotFound(format!("{key} in table index {table}")));
-                    }
-                    fresh.push((*table, key));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// An open transaction: a pinned snapshot plus locally buffered writes.
-/// Dropping it without committing is a rollback.
+/// An open transaction: a pinned snapshot plus locally buffered writes,
+/// over every participant of its manager. Dropping it without committing
+/// is a rollback.
 pub struct Transaction<'a> {
     pub(crate) mgr: &'a TxnManager,
     pub(crate) pin: SysTime,
@@ -242,20 +195,37 @@ impl<'a> Transaction<'a> {
         self.pin
     }
 
-    /// Opens the pinned snapshot for reading. Holds the manager's shared
-    /// lock for the guard's lifetime — queries on it never block each
-    /// other, and a committer waits only for guards currently open, not
-    /// for the transaction's think time.
-    pub fn snapshot(&self) -> Snapshot<'_> {
-        let guard = self.mgr.state.read().expect("txn state poisoned");
-        Snapshot::new(guard, self.pin)
+    /// Opens the pinned snapshot of a standalone manager's one participant
+    /// for reading. Holds its shared lock for the guard's lifetime —
+    /// queries on it never block each other, and a committer waits only
+    /// for guards currently open, not for the transaction's think time. A
+    /// transaction over several participants reads through [`Self::read`].
+    pub fn snapshot(&self) -> Snapshot<'a> {
+        debug_assert_eq!(self.mgr.participants().len(), 1, "read a cut instead");
+        self.mgr.participants()[0].snapshot_at(self.pin)
+    }
+
+    /// Opens the transaction's cut: every participant at the pin. Fails
+    /// while a participant is poisoned.
+    pub fn read(&self) -> Result<Cut<'a>> {
+        self.mgr.read_at(self.pin)
+    }
+
+    /// Buffers a checked write; every participant holds the same tables,
+    /// so the first one's cached definitions check for all of them.
+    fn buffer(
+        &mut self,
+        table: TableId,
+        check: impl FnOnce(u8, &TableDef) -> Result<CheckedOp>,
+    ) -> Result<()> {
+        let (t, def) = self.mgr.participants()[0].def_for(table)?;
+        self.buf.push(check(t, def)?);
+        Ok(())
     }
 
     /// Buffers an insert of `row` valid for `app`.
     pub fn insert(&mut self, table: TableId, row: Row, app: Option<AppPeriod>) -> Result<()> {
-        let (t, def) = self.mgr.def_for(table)?;
-        self.buf.push(CheckedOp::insert(t, def, row, app)?);
-        Ok(())
+        self.buffer(table, |t, def| CheckedOp::insert(t, def, row, app))
     }
 
     /// Buffers a sequenced update of `key` for `portion`.
@@ -266,31 +236,28 @@ impl<'a> Transaction<'a> {
         updates: &[(usize, Value)],
         portion: Option<AppPeriod>,
     ) -> Result<()> {
-        let (t, def) = self.mgr.def_for(table)?;
-        self.buf
-            .push(CheckedOp::update(t, def, key, updates, portion)?);
-        Ok(())
+        self.buffer(table, |t, def| {
+            CheckedOp::update(t, def, key, updates, portion)
+        })
     }
 
     /// Buffers a sequenced delete of `key` for `portion`.
     pub fn delete(&mut self, table: TableId, key: &Key, portion: Option<AppPeriod>) -> Result<()> {
-        let (t, def) = self.mgr.def_for(table)?;
-        self.buf.push(CheckedOp::delete(t, def, key, portion)?);
-        Ok(())
+        self.buffer(table, |t, def| CheckedOp::delete(t, def, key, portion))
     }
 
-    /// Buffers an application-period overwrite of `key` (see
-    /// [`CheckedOp::overwrite_app_period`] for its conflict footprint).
+    /// Buffers an application-period overwrite of `key`. It conservatively
+    /// conflicts with any concurrent write to the key: the overwrite
+    /// rewrites every visible version's period, so no portion is safe.
     pub fn overwrite_app_period(
         &mut self,
         table: TableId,
         key: &Key,
         period: AppPeriod,
     ) -> Result<()> {
-        let (t, def) = self.mgr.def_for(table)?;
-        self.buf
-            .push(CheckedOp::overwrite_app_period(t, def, key, period)?);
-        Ok(())
+        self.buffer(table, |t, def| {
+            CheckedOp::overwrite_app_period(t, def, key, period)
+        })
     }
 
     /// Releases the snapshot pin now rather than at drop. Idempotent.
@@ -309,34 +276,27 @@ impl<'a> Transaction<'a> {
     }
 
     /// Validates, applies, logs and publishes the buffered writes, then
-    /// waits for the WAL's durability contract *outside* the publish lock.
-    /// Returns the commit's system time (the pin itself for a read-only
-    /// transaction, which neither validates nor logs anything).
+    /// waits for every participant's durability contract *outside* the
+    /// publish locks. Returns the commit's system time (the pin itself for
+    /// a read-only transaction, which neither validates nor logs anything).
     ///
     /// On [`Error::Conflict`] nothing was logged or applied; re-run the
     /// whole transaction against a fresh snapshot. On any other error,
-    /// one of three states holds and the error says which: nothing applied
-    /// (the validation and preflight paths); the manager is poisoned *and
-    /// the WAL holds no record of this transaction* (apply/submit
-    /// failures — recovery never replays a transaction whose commit
-    /// reported failure); or, rarest, the record was published and written
-    /// but the durability wait itself failed — the manager poisons
-    /// fail-stop, because whether that tail survives a crash is unknown.
+    /// one of these states holds and the error says which: nothing applied
+    /// (the preflight paths, and a cross-participant commit aborted before
+    /// its first decision); a participant is poisoned *and its WAL holds no
+    /// record of this transaction* (apply/submit failures — recovery never
+    /// replays a transaction whose commit reported failure); a
+    /// cross-participant commit was decided but a participant failed to
+    /// apply it (it stands globally, and recovery finishes the straggler);
+    /// or, rarest, the record was published and written but the
+    /// durability wait itself failed — the participant poisons fail-stop,
+    /// because whether that tail survives a crash is unknown.
     pub fn commit(mut self) -> Result<SysTime> {
-        if self.buf.is_empty() {
-            self.mgr.counters.committed.fetch_add(1, Ordering::Relaxed);
-            self.release_pin();
-            return Ok(self.pin);
-        }
         let buf = std::mem::take(&mut self.buf);
-        let (ts, wait) = self
-            .mgr
-            .commit_pipeline(buf, Record::Plain { pin: self.pin })?;
-        self.unpinned = true; // released at publish
-        if let Some(wait) = wait {
-            wait.wait()?;
-        }
-        Ok(ts)
+        // The manager releases the pin on every path from here on.
+        self.unpinned = true;
+        self.mgr.commit(self.pin, buf)
     }
 }
 

@@ -58,7 +58,9 @@ pub fn r2(ctx: &Ctx<'_>, now: SysTime) -> Result<Vec<Row>> {
 pub fn r3a_naive(ctx: &Ctx<'_>, sys: SysSpec) -> Result<Vec<Row>> {
     let (app_start, app_end) = ctx.app_cols(ctx.t.orders);
     let rows = ctx.scan(ctx.t.orders, &sys, &AppSpec::All, &[])?;
-    temporal_aggregate_naive(&rows, app_start, app_end, &c(col::orders::TOTALPRICE))
+    let (agg, _) =
+        temporal_aggregate_naive(&rows, app_start, app_end, &c(col::orders::TOTALPRICE))?;
+    Ok(agg)
 }
 
 /// R3a in the efficient event-sweep formulation (what a native temporal
@@ -66,7 +68,8 @@ pub fn r3a_naive(ctx: &Ctx<'_>, sys: SysSpec) -> Result<Vec<Row>> {
 pub fn r3a_sweep(ctx: &Ctx<'_>, sys: SysSpec) -> Result<Vec<Row>> {
     let (app_start, app_end) = ctx.app_cols(ctx.t.orders);
     let rows = ctx.scan(ctx.t.orders, &sys, &AppSpec::All, &[])?;
-    temporal_aggregate(&rows, app_start, app_end, &c(col::orders::TOTALPRICE))
+    let (agg, _) = temporal_aggregate(&rows, app_start, app_end, &c(col::orders::TOTALPRICE))?;
+    Ok(agg)
 }
 
 /// R3b: the second aggregation function of R3 — active-order COUNT per
@@ -74,7 +77,8 @@ pub fn r3a_sweep(ctx: &Ctx<'_>, sys: SysSpec) -> Result<Vec<Row>> {
 pub fn r3b_naive(ctx: &Ctx<'_>, sys: SysSpec) -> Result<Vec<Row>> {
     let (app_start, app_end) = ctx.app_cols(ctx.t.orders);
     let rows = ctx.scan(ctx.t.orders, &sys, &AppSpec::All, &[])?;
-    let agg = temporal_aggregate_naive(&rows, app_start, app_end, &c(col::orders::TOTALPRICE))?;
+    let (agg, _) =
+        temporal_aggregate_naive(&rows, app_start, app_end, &c(col::orders::TOTALPRICE))?;
     // Keep (start, end, count).
     Ok(agg.iter().map(|r| r.project(&[0, 1, 3])).collect())
 }
@@ -153,7 +157,8 @@ pub fn r6(ctx: &Ctx<'_>, sys: SysSpec) -> Result<Vec<Row>> {
     let (ix_start, ix_end) = (arity - 2, arity - 1);
     let o_arity = orders.first().map_or(0, Row::arity);
     let price = o_arity + col::lineitem::EXTENDEDPRICE;
-    temporal_aggregate(&joined, ix_start, ix_end, &c(price))
+    let (agg, _) = temporal_aggregate(&joined, ix_start, ix_end, &c(price))?;
+    Ok(agg)
 }
 
 /// R7: suppliers who raised a price by more than 7.5 % in one update —

@@ -79,8 +79,8 @@ proptest! {
                 ])
             })
             .collect();
-        let sweep = temporal_aggregate(&rows, 1, 2, &col(0)).unwrap();
-        let naive = temporal_aggregate_naive(&rows, 1, 2, &col(0)).unwrap();
+        let (sweep, _) = temporal_aggregate(&rows, 1, 2, &col(0)).unwrap();
+        let (naive, _) = temporal_aggregate_naive(&rows, 1, 2, &col(0)).unwrap();
         prop_assert_eq!(sweep, naive);
     }
 
@@ -100,7 +100,7 @@ proptest! {
                 ])
             })
             .collect();
-        let out = temporal_aggregate(&rows, 1, 2, &col(0)).unwrap();
+        let (out, _) = temporal_aggregate(&rows, 1, 2, &col(0)).unwrap();
         let output_mass: f64 = out
             .iter()
             .map(|r| {

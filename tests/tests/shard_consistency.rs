@@ -7,7 +7,9 @@
 //! system `AS OF`, application `AS OF`, system range, all versions).
 //! Commit-at-gts makes that possible: every cluster commit lands on its
 //! shards at exactly the oracle timestamp the serial engine would have
-//! assigned, so the two histories share one time axis.
+//! assigned, so the two histories share one time axis. A standalone
+//! `TxnManager`, the one-participant case of the same commit path, runs
+//! the same script as a further row.
 //!
 //! The crash seeds then check the 2PC recovery matrix at its two
 //! interesting edges: a WAL truncated *after* one shard's commit decision
@@ -21,6 +23,7 @@ use bitempo_engine::api::{AppSpec, BitemporalEngine, SysSpec};
 use bitempo_engine::testutil::{bitemp_table, simple_row};
 use bitempo_engine::{build_engine, SystemKind};
 use bitempo_shard::{partition_checkpoint, recover_cluster, Cluster, ShardInput};
+use bitempo_txn::{Transaction, TxnManager};
 use bitempo_wal::{CanonicalState, Checkpoint, DurabilityMode, SharedBuf, TxnWal};
 
 /// Keys seeded before the scripted history starts.
@@ -92,9 +95,8 @@ fn apply_serial(engine: &mut dyn BitemporalEngine, t: TableId, txn: &[St]) {
     engine.commit();
 }
 
-/// Buffers one scripted transaction on a cluster transaction.
-fn apply_cluster(cluster: &Cluster, t: TableId, txn: &[St]) -> SysTime {
-    let mut ctx = cluster.begin().unwrap();
+/// Buffers one scripted transaction on `ctx` and commits it.
+fn apply_txn(mut ctx: Transaction<'_>, t: TableId, txn: &[St]) -> SysTime {
     for st in txn {
         match st {
             St::Ins(id, v, per) => ctx.insert(t, simple_row(*id, *v), *per).unwrap(),
@@ -122,19 +124,16 @@ fn scan_lines(
     lines
 }
 
-/// Compares the cluster and the serial oracle across the five query
+/// Compares a served view and the serial oracle across the five query
 /// classes. The `AS OF`-style classes sweep **every** commit timestamp.
 fn assert_equivalent(
-    cluster: &Cluster,
+    view: &dyn BitemporalEngine,
     oracle: &dyn BitemporalEngine,
     ct: TableId,
     ot: TableId,
     last_ts: u64,
     label: &str,
 ) {
-    let snap = cluster.snapshot();
-    let guards = snap.read().unwrap();
-    let view = guards.view();
     let mid = AppDate(14);
     // Classes 1 and 5: implicit current, all versions.
     for (sys, app) in [
@@ -142,7 +141,7 @@ fn assert_equivalent(
         (SysSpec::All, AppSpec::All),
     ] {
         assert_eq!(
-            scan_lines(&view, ct, &sys, &app),
+            scan_lines(view, ct, &sys, &app),
             scan_lines(oracle, ot, &sys, &app),
             "{label}: {sys:?}/{app:?}"
         );
@@ -162,7 +161,7 @@ fn assert_equivalent(
             ),
         ] {
             assert_eq!(
-                scan_lines(&view, ct, &sys, &app),
+                scan_lines(view, ct, &sys, &app),
                 scan_lines(oracle, ot, &sys, &app),
                 "{label} at ts {ts}: {sys:?}/{app:?}"
             );
@@ -205,19 +204,38 @@ fn run_sharded(
     let ct = cluster.table_ids()[0];
     let mut last = SysTime(1);
     for txn in &script() {
-        last = apply_cluster(&cluster, ct, txn);
+        last = apply_txn(cluster.begin().unwrap(), ct, txn);
     }
-    assert_equivalent(
-        &cluster,
-        oracle,
-        ct,
-        ot,
-        last.0,
-        &format!("{kind}/{shards}sh"),
-    );
-    assert_eq!(cluster.active_pins(), 0, "{kind}/{shards}sh: leaked pins");
+    let snap = cluster.snapshot();
+    let guards = snap.read().unwrap();
+    let label = format!("{kind}/{shards}sh");
+    assert_equivalent(&guards.view(), oracle, ct, ot, last.0, &label);
+    drop(guards);
+    assert_eq!(cluster.active_pins(), 0, "{label}: leaked pins");
     cluster.close().unwrap();
     (bufs.iter().map(|b| b.snapshot()).collect(), bases, last.0)
+}
+
+/// Runs the scripted history on a standalone `TxnManager` with a Strict
+/// WAL and verifies it against `oracle` at every timestamp, from a
+/// transaction pinned after the last commit.
+fn run_standalone(kind: SystemKind, oracle: &dyn BitemporalEngine, ot: TableId) {
+    let (seed, st) = seed_engine(kind);
+    let wal = TxnWal::create(Box::new(SharedBuf::new()), DurabilityMode::Strict).unwrap();
+    let mgr = TxnManager::new(seed, vec![st], Some(wal)).unwrap();
+    let mt = mgr.table_ids()[0];
+    let mut last = SysTime(1);
+    for txn in &script() {
+        last = apply_txn(mgr.begin().unwrap(), mt, txn);
+    }
+    let reader = mgr.begin().unwrap();
+    assert_eq!(reader.pin(), last, "{kind}/txn: the pin is the last commit");
+    let snap = reader.snapshot();
+    assert_equivalent(&snap.view(), oracle, mt, ot, last.0, &format!("{kind}/txn"));
+    drop(snap);
+    reader.rollback();
+    assert_eq!(mgr.active_pins(), 0, "{kind}/txn: leaked pins");
+    mgr.close().unwrap();
 }
 
 #[test]
@@ -227,6 +245,7 @@ fn sharded_execution_is_byte_identical_to_the_serial_oracle() {
         for txn in &script() {
             apply_serial(oracle.as_mut(), ot, txn);
         }
+        run_standalone(kind, oracle.as_ref(), ot);
         for shards in [1usize, 2, 4] {
             run_sharded(kind, shards, oracle.as_ref(), ot);
         }
