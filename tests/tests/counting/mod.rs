@@ -21,7 +21,8 @@ pub struct Counts {
     pub allocs: u64,
     /// Bytes allocated, a `realloc` counting its new size.
     pub bytes: u64,
-    live: i64,
+    /// The live total above the start when counting stopped.
+    pub live: i64,
     /// The live high-water mark above the start.
     pub high: i64,
 }

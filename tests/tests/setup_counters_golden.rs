@@ -2,14 +2,19 @@
 //! the tiny TPC-BiH set-up — generation, the archive round trip, the
 //! generator's own replay, and per engine the load, the archive replay,
 //! each tuning, a checkpoint's capture / encode / decode / restore, the
-//! recovery of a commit-only log and the canonical state — the allocation
-//! count, the bytes allocated, the live high-water mark above the phase's
-//! start, and the size of what the phase produced. All of it must equal
-//! `setup_counters_golden.txt`.
+//! recovery of a commit-only log and the canonical state — and of the
+//! serving set-up over a 200-key table — the seed, its checkpoint's capture
+//! and encode, the 4-way partition and each shard's restore — the
+//! allocation count, the bytes allocated, the live high-water mark above
+//! the phase's start, the live bytes the phase left behind (its output
+//! included), and the size of what the phase produced. All of it must
+//! equal `setup_counters_golden.txt`.
 //!
 //! These are the exact twins of the benchmark's `setup_s` and
-//! `peak_rss_mib`: counts do not depend on the host, and the high-water
-//! column shows which phase sets the peak. They do depend on the build:
+//! `peak_rss_mib`: counts do not depend on the host, the high-water column
+//! shows which phase sets the peak, and the retained column what a phase
+//! keeps or gives back (it is negative when the phase frees more than it
+//! allocates). They do depend on the build:
 //! the file pins the debug build `cargo test` makes, and a release run
 //! only checks that two runs count the same. Regenerate (only when a count
 //! is *meant* to change) with `BITEMPO_WRITE_GOLDEN=1 cargo test -p
@@ -23,10 +28,12 @@ mod counting;
 use bitempo_core::TableId;
 use bitempo_dbgen::ScaleConfig;
 use bitempo_engine::api::TuningConfig;
+use bitempo_engine::testutil::{bitemp_table, simple_row};
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
 use bitempo_histgen::{
     encode_txn, generate_history, load_initial, replay, Archive, GenDb, HistoryConfig,
 };
+use bitempo_shard::partition_checkpoint;
 use bitempo_wal::{canonical_state, recover, Checkpoint, DurabilityMode, SharedBuf, TxnWal};
 
 const GOLDEN: &str = concat!(
@@ -34,15 +41,25 @@ const GOLDEN: &str = concat!(
     "/tests/setup_counters_golden.txt"
 );
 
+/// Keys of the serving set-up's table.
+const SERVE_KEYS: i64 = 200;
+
+/// Shards the serving set-up partitions its checkpoint into.
+const SERVE_SHARDS: usize = 4;
+
 /// Runs `f` counted and renders what it allocated as
-/// `"{allocs} {bytes} {high-water}"`. The result is dropped after counting
-/// stops.
+/// `"{allocs} {bytes} {high-water} {retained}"`. The result is dropped after
+/// counting stops.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, String) {
     let (out, n) = counting::counted(f);
-    (out, format!("{} {} {}", n.allocs, n.bytes, n.high))
+    (
+        out,
+        format!("{} {} {} {}", n.allocs, n.bytes, n.high, n.live),
+    )
 }
 
-/// The table's lines, one per phase: `phase allocs bytes high out unit`.
+/// The table's lines, one per phase: `phase allocs bytes high retained out
+/// unit`.
 struct Lines(Vec<String>);
 
 impl Lines {
@@ -163,8 +180,43 @@ fn engine_lines(
     lines.push(&label("canonical_state"), n, state.len(), "versions");
 }
 
+/// One engine's serving set-up: the seeded table, its checkpoint, and the
+/// shards a cluster restores from it.
+fn serve_lines(kind: SystemKind, lines: &mut Lines) {
+    let name = kind.name().trim_start_matches("System ");
+    let label = |phase: &str| format!("{name} serve {phase}");
+    let mut engine = engine_at_one_worker(kind);
+    let t = engine.create_table(bitemp_table("balance")).unwrap();
+    let (_, n) = counted(|| {
+        for k in 0..SERVE_KEYS {
+            engine.insert(t, simple_row(k, 0), None).unwrap();
+        }
+        engine.commit();
+    });
+    lines.push(
+        &label("seed"),
+        n,
+        versions(engine.as_ref(), &[t]),
+        "versions",
+    );
+    let (base, n) = counted(|| Checkpoint::capture(engine.as_mut(), &[t], 0).unwrap());
+    lines.push(&label("capture"), n, checkpoint_versions(&base), "versions");
+    let (bytes, n) = counted(|| base.encode());
+    lines.push(&label("encode"), n, bytes.len(), "bytes");
+    let (parts, n) = counted(|| partition_checkpoint(&base, SERVE_SHARDS));
+    lines.push(&label("partition"), n, parts.len(), "shards");
+    for (i, part) in parts.iter().enumerate() {
+        let mut shard = engine_at_one_worker(kind);
+        let (ids, n) = counted(|| part.restore_into(shard.as_mut()).unwrap());
+        let out = versions(shard.as_ref(), &ids);
+        lines.push(&label(&format!("restore {i}")), n, out, "versions");
+    }
+}
+
 fn table() -> String {
-    let mut lines = Lines(vec!["# phase allocs bytes high_water output unit".into()]);
+    let mut lines = Lines(vec![
+        "# phase allocs bytes high_water retained output unit".into()
+    ]);
     let (data, n) = counted(|| bitempo_dbgen::generate(&ScaleConfig::tiny()));
     let rows = data.tables.iter().map(|t| t.rows.len()).sum();
     lines.push("dbgen generate", n, rows, "rows");
@@ -185,6 +237,7 @@ fn table() -> String {
     let log = commit_only_log(&archive);
     for kind in SystemKind::ALL {
         engine_lines(kind, &data, &archive, &log, &mut lines);
+        serve_lines(kind, &mut lines);
     }
     lines.0.join("\n") + "\n"
 }
