@@ -1,11 +1,13 @@
 //! §5.2's architecture analysis: what each layout stores per version, gated
-//! on the bytes its key structures and tuning indexes hold.
+//! on the bytes its key structures, tuning indexes and heap slot arrays
+//! hold.
 
 use crate::report::{FigureReport, Series};
 use crate::runner::{BenchConfig, Instance};
-use bitempo_core::{Error, Result};
+use bitempo_core::{Error, Result, Row};
 use bitempo_engine::api::TuningConfig;
-use bitempo_engine::SystemKind;
+use bitempo_engine::{SystemKind, Version};
+use std::mem::size_of;
 
 /// Ceiling on the resident bytes an engine's key → open-version structure
 /// holds per open version (`BitemporalEngine::key_structures_footprint`),
@@ -39,11 +41,39 @@ fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
     }
 }
 
+/// Ceiling on the bytes A's, B's and D's heap slot arrays hold
+/// (`KeyStructuresFootprint::heap_bytes`) per stored version, as a multiple
+/// of what `heap_slot_bytes` says one slot per version needs — the `arch`
+/// experiment's third gate, set 10 % over the largest value measured across
+/// the first gate's sweep (`--m` / `--h` from 0.25 to 4). The load ends in
+/// a checkpoint, which trims every slot array to its length, so what is
+/// left above 1 is tombstones (a version that died inside its own
+/// transaction, a non-temporal row replaced): 1.008–1.049 on A,
+/// 1.008–1.035 on B, 1.009–1.061 on D. Arrays grown by doubling and never
+/// trimmed measured 1.32–1.66 at CI's two scales. C stores no slot array;
+/// its column fragments are sealed by the delta merge.
+const HEAP_SLOT_BYTES_CEILING: f64 = 1.17;
+
+/// The bytes one slot per stored version takes in `kind`'s slot arrays,
+/// for `open` and `closed` versions; `None` on C. A closed version keeps
+/// its tombstoned slot in A's current table beside its history slot, and
+/// its value slot in B's current table beside its history slot.
+fn heap_slot_bytes(kind: SystemKind, open: usize, closed: usize) -> Option<usize> {
+    let (version, row) = (size_of::<Option<Version>>(), size_of::<Option<Row>>());
+    match kind {
+        SystemKind::A => Some(version * (open + 2 * closed)),
+        SystemKind::B => Some(row * (open + closed) + version * closed),
+        SystemKind::C => None,
+        SystemKind::D => Some(version * (open + closed)),
+    }
+}
+
 /// §5.2: the architecture analysis — what each layout stores per version,
 /// under the Key+Time tuning so that its indexes are priced too (nothing
 /// else reported here depends on the tuning). Fails when an engine's key
-/// structures outgrow `KEY_STRUCTURE_BYTES_CEILING` or its tuning indexes
-/// `tuning_index_bytes_ceiling`.
+/// structures outgrow `KEY_STRUCTURE_BYTES_CEILING`, its tuning indexes
+/// `tuning_index_bytes_ceiling` or its heap slot arrays
+/// `HEAP_SLOT_BYTES_CEILING`.
 pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
     let inst = Instance::build(cfg, &TuningConfig::key_time())?;
     let mut report = FigureReport::new("arch", "Architecture Analysis (§5.2)", "rows");
@@ -106,6 +136,18 @@ pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
                 "{kind}: Key+Time tuning indexes hold {tuning_gated:.1} resident bytes per \
                  {unit}, over the {ceiling} B ceiling: {fp:?}"
             )));
+        }
+        if let Some(slots) = heap_slot_bytes(kind, open, closed) {
+            let over = fp.heap_bytes as f64 / slots.max(1) as f64;
+            if over > HEAP_SLOT_BYTES_CEILING {
+                return Err(Error::Invalid(format!(
+                    "{kind}: heap slot arrays hold {:.1} resident bytes per stored version, \
+                     {over:.2}× the {:.1} B one slot per version takes, over the \
+                     {HEAP_SLOT_BYTES_CEILING}× ceiling: {fp:?}",
+                    fp.heap_bytes as f64 / versions.max(1) as f64,
+                    slots as f64 / versions.max(1) as f64,
+                )));
+            }
         }
     }
     Ok(report)

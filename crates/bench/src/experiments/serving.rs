@@ -581,7 +581,7 @@ fn sharding_cell(
         txn.commit()?;
     }
     let counters = cluster.counters();
-    let committed = counters.committed.load(Relaxed);
+    let committed = counters.committed();
     let cross = counters.cross_shard.load(Relaxed);
     let reads = counters.read_only.load(Relaxed);
     debug_assert_eq!(

@@ -100,3 +100,5 @@ pub fn build_engine(kind: SystemKind) -> Box<dyn BitemporalEngine> {
 
 #[cfg(test)]
 mod open_slots_tests;
+#[cfg(test)]
+mod slack_tests;

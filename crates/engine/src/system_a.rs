@@ -113,9 +113,12 @@ impl TableLayout for TableA {
     fn checkpoint(&mut self, _: &TableDef) {
         // History writes are synchronous (§5.2): nothing staged to flush.
         // The temporal index still uses the quiescent point to sort its
-        // interval endpoint lists.
+        // interval endpoint lists, and the slot arrays give back their
+        // growth slack.
         self.hist.prepare();
         self.cur.prepare();
+        self.current.shrink_to_fit();
+        self.history.shrink_to_fit();
     }
 
     fn stats(&self) -> TableStats {
@@ -146,7 +149,12 @@ impl TableLayout for TableA {
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableA> {
-        let mut t = TableA::new(def);
+        let open = versions.iter().filter(|v| v.sys.is_current()).count();
+        let mut t = TableA {
+            current: Heap::with_capacity(open),
+            history: Heap::with_capacity(versions.len() - open),
+            ..TableA::new(def)
+        };
         for v in versions {
             if v.sys.is_current() {
                 // Open (and non-temporal) versions go through the normal
@@ -164,8 +172,15 @@ impl TableLayout for TableA {
 mod tests {
     use super::*;
     use crate::api::{AccessPath, AppSpec, BitemporalEngine};
+    use crate::slack_tests::SlotArrays;
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
     use bitempo_core::{AppDate, Period, Value};
+
+    impl SlotArrays for TableA {
+        fn spare_bytes(&self) -> usize {
+            self.current.spare_bytes() + self.history.spare_bytes()
+        }
+    }
 
     #[test]
     fn insert_commit_scan_current() {

@@ -346,6 +346,10 @@ impl TableLayout for TableB {
         self.drain_undo();
         self.hist.prepare();
         self.cur.prepare();
+        self.cur_values.shrink_to_fit();
+        self.history.shrink_to_fit();
+        self.hist_meta.shrink_to_fit();
+        self.hist_layout.shrink_to_fit();
     }
 
     fn stats(&self) -> TableStats {
@@ -384,7 +388,15 @@ impl TableLayout for TableB {
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableB> {
-        let mut t = TableB::new(def);
+        let open = versions.iter().filter(|v| v.sys.is_current()).count();
+        let closed = versions.len() - open;
+        let mut t = TableB {
+            cur_values: Heap::with_capacity(open),
+            history: Heap::with_capacity(closed),
+            hist_meta: Vec::with_capacity(closed),
+            hist_layout: Vec::with_capacity(closed),
+            ..TableB::new(def)
+        };
         for v in versions {
             if v.sys.is_current() {
                 t.insert_version(def, v);
@@ -410,8 +422,18 @@ impl TableLayout for TableB {
 mod tests {
     use super::*;
     use crate::api::{AccessPath, AppSpec, BitemporalEngine};
+    use crate::slack_tests::{vec_spare, SlotArrays};
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
     use bitempo_core::{AppDate, Period, Value};
+
+    impl SlotArrays for TableB {
+        fn spare_bytes(&self) -> usize {
+            self.cur_values.spare_bytes()
+                + self.history.spare_bytes()
+                + vec_spare(&self.hist_meta)
+                + vec_spare(&self.hist_layout)
+        }
+    }
 
     #[test]
     fn basic_dml_and_time_travel() {

@@ -552,10 +552,17 @@ impl TableLayout for TableC {
 mod tests {
     use super::*;
     use crate::api::{AccessPath, BitemporalEngine};
+    use crate::slack_tests::SlotArrays;
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
     use bitempo_core::Period;
     use std::cell::Cell;
     use std::collections::HashMap;
+
+    impl SlotArrays for TableC {
+        fn spare_bytes(&self) -> usize {
+            self.current.spare_bytes() + self.history.spare_bytes()
+        }
+    }
 
     thread_local! {
         /// Rows this thread's [`ColumnFragment`]s have materialised.

@@ -140,8 +140,10 @@ impl TableLayout for TableD {
     fn checkpoint(&mut self, _: &TableDef) {
         // One flat table, no staged reorganization to flush — but a tuned
         // temporal index re-sorts its endpoint lists at quiescent points
-        // (and after a bulk load, whose manual timestamps arrive unordered).
+        // (and after a bulk load, whose manual timestamps arrive unordered),
+        // and the slot array gives back its growth slack.
         self.indexes.prepare();
+        self.all.shrink_to_fit();
     }
 
     fn stats(&self) -> TableStats {
@@ -171,7 +173,10 @@ impl TableLayout for TableD {
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableD> {
-        let mut t = TableD::new(def);
+        let mut t = TableD {
+            all: Heap::with_capacity(versions.len()),
+            ..TableD::new(def)
+        };
         for v in versions {
             t.insert_version(def, v);
         }
@@ -183,8 +188,15 @@ impl TableLayout for TableD {
 mod tests {
     use super::*;
     use crate::api::{AccessPath, AppSpec, BitemporalEngine};
+    use crate::slack_tests::SlotArrays;
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
     use bitempo_core::{AppDate, AppPeriod, Period, Value};
+
+    impl SlotArrays for TableD {
+        fn spare_bytes(&self) -> usize {
+            self.all.spare_bytes()
+        }
+    }
 
     #[test]
     fn single_partition_even_for_current_queries() {

@@ -203,7 +203,10 @@ pub fn run(data: &TpchData, config: &HistoryConfig) -> History {
         let today = LAST_ORDER_DATE.plus_days(1 + (i / config.scenarios_per_day.max(1)) as i64);
         let kind = runner.pick_weighted_kind();
         let kind = runner.resolve_kind(kind);
-        let ops = build_ops(kind, &mut runner, &db, today);
+        let mut ops = build_ops(kind, &mut runner, &db, today);
+        // The archive keeps every transaction for the whole load: at its
+        // length, not at the capacity its pushes grew it to.
+        ops.shrink_to_fit();
         let at = db.now().next();
         for op in &ops {
             let has_app = db.def(op.table() as usize).has_app_time();

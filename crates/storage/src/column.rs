@@ -69,6 +69,17 @@ impl ColumnData {
             ColumnData::SysTime(v) => vec_bytes(v),
         }
     }
+
+    /// Bytes of the payload vector's capacity past its length.
+    fn spare_bytes(&self) -> usize {
+        match self {
+            ColumnData::Int(v) => vec_spare(v),
+            ColumnData::Double(v) => vec_spare(v),
+            ColumnData::Str(v) => vec_spare(v),
+            ColumnData::Date(v) => vec_spare(v),
+            ColumnData::SysTime(v) => vec_spare(v),
+        }
+    }
 }
 
 /// Seals a delta buffer onto the end of a main buffer, leaving main with no
@@ -87,6 +98,10 @@ fn seal<T: Copy>(main: &mut Vec<T>, mut delta: Vec<T>) {
 
 fn vec_bytes<T>(v: &Vec<T>) -> usize {
     v.capacity() * std::mem::size_of::<T>()
+}
+
+fn vec_spare<T>(v: &Vec<T>) -> usize {
+    (v.capacity() - v.len()) * std::mem::size_of::<T>()
 }
 
 /// Records whether delta row `pos` of a column is NULL in its lazily
@@ -392,8 +407,9 @@ impl ColumnTable {
     }
 
     /// Merges the delta fragment into main and seals it: main ends up
-    /// holding exactly its rows, and the delta's buffers and null masks are
-    /// released, not kept for the next delta. Row ids are unchanged.
+    /// holding exactly its rows, the delta's buffers and null masks are
+    /// released, not kept for the next delta, and each dictionary's strings
+    /// are held at their count. Row ids are unchanged.
     pub fn merge(&mut self) {
         let delta_rows = self.delta_len();
         for col in 0..self.schema.arity() {
@@ -402,8 +418,8 @@ impl ColumnTable {
             if delta_mask.is_some() || self.main_nulls[col].is_some() {
                 let mut delta_mask = delta_mask.unwrap_or_default();
                 delta_mask.resize(delta_rows, false);
-                let main_mask = self.main_nulls[col].get_or_insert_with(Vec::new);
-                main_mask.resize(self.main_len, false);
+                let main_len = self.main_len;
+                let main_mask = self.main_nulls[col].get_or_insert_with(|| vec![false; main_len]);
                 seal(main_mask, delta_mask);
             }
             let delta = std::mem::replace(
@@ -411,6 +427,7 @@ impl ColumnTable {
                 ColumnData::new(self.schema.column(col).dtype),
             );
             self.main[col].seal_from(delta);
+            self.dicts[col].strings.shrink_to_fit();
         }
         self.main_len += delta_rows;
     }
@@ -418,62 +435,94 @@ impl ColumnTable {
     /// Splits the table by `fate`, one per row: the kept rows become the
     /// whole table, renumbered densely in their order; the moved rows are
     /// appended to `to`'s delta in their order; the dropped rows are gone.
-    /// Works column by column on the typed payloads and re-encodes each
-    /// string on its first use, so every fragment, dictionary and null mask
-    /// ends up as appending the same rows one by one would leave it. Both
-    /// tables hold their new rows in the delta until their next merge.
+    /// Works one column at a time on the typed payloads — the kept column
+    /// is built, the moved cells appended to `to`, and the source column
+    /// released before the next — so the split holds one column (and its
+    /// dictionary) beyond the table, not a copy of the kept rows. Each
+    /// string is re-encoded on its first use, so every fragment, dictionary
+    /// and null mask ends up as appending the same rows one by one would
+    /// leave it. Both tables hold their new rows in the delta until their
+    /// next merge.
     pub fn split_off(&mut self, fate: &[RowFate], to: &mut ColumnTable) {
         assert_eq!(fate.len(), self.len(), "one fate per row");
+        assert_eq!(self.schema.arity(), to.schema.arity(), "same columns");
         let mut kept = ColumnTable::new(self.schema.clone());
-        kept.append_from(self, fate, RowFate::Keep);
-        to.append_from(self, fate, RowFate::Move);
+        let to_base = to.delta_len();
+        for col in 0..self.schema.arity() {
+            kept.append_column(col, 0, self, fate, RowFate::Keep);
+            to.append_column(col, to_base, self, fate, RowFate::Move);
+            let dtype = self.schema.column(col).dtype;
+            self.main[col] = ColumnData::new(dtype);
+            self.delta[col] = ColumnData::new(dtype);
+            self.main_nulls[col] = None;
+            self.delta_nulls[col] = None;
+            self.dicts[col] = Dictionary::default();
+        }
         *self = kept;
     }
 
-    /// Appends the rows of `src` whose fate is `want` to this table's delta.
-    fn append_from(&mut self, src: &ColumnTable, fate: &[RowFate], want: RowFate) {
-        assert_eq!(self.schema.arity(), src.schema.arity(), "same columns");
-        let base = self.delta_len();
-        for col in 0..self.schema.arity() {
-            let picked = (fate, want);
-            match (&mut self.delta[col], &src.main[col], &src.delta[col]) {
-                (ColumnData::Int(d), ColumnData::Int(m), ColumnData::Int(t)) => {
-                    extend_picked(d, (m, t), picked, |x| x)
-                }
-                (ColumnData::Double(d), ColumnData::Double(m), ColumnData::Double(t)) => {
-                    extend_picked(d, (m, t), picked, |x| x)
-                }
-                (ColumnData::Date(d), ColumnData::Date(m), ColumnData::Date(t)) => {
-                    extend_picked(d, (m, t), picked, |x| x)
-                }
-                (ColumnData::SysTime(d), ColumnData::SysTime(m), ColumnData::SysTime(t)) => {
-                    extend_picked(d, (m, t), picked, |x| x)
-                }
-                (ColumnData::Str(d), ColumnData::Str(m), ColumnData::Str(t)) => {
-                    let (from, into) = (&src.dicts[col], &mut self.dicts[col]);
-                    // Old code → new code, `NULL_CODE` until first used.
-                    let mut codes = vec![NULL_CODE; from.strings.len()];
-                    extend_picked(d, (m, t), picked, |code| match code {
-                        NULL_CODE => NULL_CODE,
-                        code => {
-                            let new = &mut codes[code as usize];
-                            if *new == NULL_CODE {
-                                *new = into.encode(from.decode(code));
-                            }
-                            *new
-                        }
-                    })
-                }
-                _ => unreachable!("split between differently-typed columns"),
+    /// Appends column `col` of the rows of `src` whose fate is `want` to
+    /// this table's delta, whose rows of that column start at `base`.
+    fn append_column(
+        &mut self,
+        col: usize,
+        base: usize,
+        src: &ColumnTable,
+        fate: &[RowFate],
+        want: RowFate,
+    ) {
+        let picked = (fate, want);
+        match (&mut self.delta[col], &src.main[col], &src.delta[col]) {
+            (ColumnData::Int(d), ColumnData::Int(m), ColumnData::Int(t)) => {
+                extend_picked(d, (m, t), picked, |x| x)
             }
-            let nulls = &mut self.delta_nulls[col];
-            if nulls.is_some() || src.main_nulls[col].is_some() || src.delta_nulls[col].is_some() {
-                let rows = (0..src.len()).filter(|&row| fate[row] == want);
-                for (i, row) in rows.enumerate() {
-                    push_null_flag(nulls, base + i, src.get_value(col, row).is_null());
-                }
+            (ColumnData::Double(d), ColumnData::Double(m), ColumnData::Double(t)) => {
+                extend_picked(d, (m, t), picked, |x| x)
+            }
+            (ColumnData::Date(d), ColumnData::Date(m), ColumnData::Date(t)) => {
+                extend_picked(d, (m, t), picked, |x| x)
+            }
+            (ColumnData::SysTime(d), ColumnData::SysTime(m), ColumnData::SysTime(t)) => {
+                extend_picked(d, (m, t), picked, |x| x)
+            }
+            (ColumnData::Str(d), ColumnData::Str(m), ColumnData::Str(t)) => {
+                let (from, into) = (&src.dicts[col], &mut self.dicts[col]);
+                // Old code → new code, `NULL_CODE` until first used.
+                let mut codes = vec![NULL_CODE; from.strings.len()];
+                extend_picked(d, (m, t), picked, |code| match code {
+                    NULL_CODE => NULL_CODE,
+                    code => {
+                        let new = &mut codes[code as usize];
+                        if *new == NULL_CODE {
+                            *new = into.encode(from.decode(code));
+                        }
+                        *new
+                    }
+                })
+            }
+            _ => unreachable!("split between differently-typed columns"),
+        }
+        let nulls = &mut self.delta_nulls[col];
+        if nulls.is_some() || src.main_nulls[col].is_some() || src.delta_nulls[col].is_some() {
+            let rows = (0..fate.len()).filter(|&row| fate[row] == want);
+            for (i, row) in rows.enumerate() {
+                push_null_flag(nulls, base + i, src.get_value(col, row).is_null());
             }
         }
+    }
+
+    /// Bytes of capacity past the length of the fragments' payload vectors
+    /// and null masks and of the dictionaries' vectors: zero after a
+    /// [`ColumnTable::merge`].
+    pub fn spare_bytes(&self) -> usize {
+        let payload = self.main.iter().chain(&self.delta);
+        let masks = self.main_nulls.iter().chain(&self.delta_nulls);
+        let dicts = self.dicts.iter();
+        payload.map(ColumnData::spare_bytes).sum::<usize>()
+            + masks.flatten().map(vec_spare).sum::<usize>()
+            + dicts
+                .map(|d| vec_spare(&d.strings) + vec_spare(&d.slots))
+                .sum::<usize>()
     }
 
     /// Bytes the table holds, by capacity: both fragments' payload vectors
@@ -625,6 +674,7 @@ mod tests {
         assert_eq!(t.delta_len(), 0);
         let delta_bytes: usize = t.delta.iter().map(ColumnData::memory_bytes).sum();
         assert_eq!(delta_bytes, 0, "the delta holds no capacity after a merge");
+        assert_eq!(t.spare_bytes(), 0, "nor does any other vector");
         assert!(t.delta_nulls.iter().all(Option::is_none));
         // Four 8-byte columns and one 4-byte dictionary code per row.
         let payload = (n + m) as usize * (4 * 8 + 4);
@@ -674,6 +724,7 @@ mod tests {
         assert_eq!(t.get_value(0, 0), Value::Int(1));
         assert!(t.get_value(1, 1).is_null());
         assert_eq!(t.main_nulls[0].as_ref().map(Vec::len), Some(5));
+        assert_eq!(t.spare_bytes(), 0, "masks sealed exactly too");
     }
 
     #[test]

@@ -17,7 +17,15 @@ pub struct SlotId(pub u32);
 /// leave behind there is out of reach of everything else the owning thread
 /// allocates: recovery of a served engine held ~1 MiB more when that
 /// happened, and whether it happened varied from run to run. A block this
-/// size is carved from the allocating thread's own arena.
+/// size is carved from the allocating thread's own arena. An array smaller
+/// than it (sized exactly by [`Heap::with_capacity`] or trimmed by
+/// [`Heap::shrink_to_fit`]) grows into a fresh first block, not by
+/// `realloc`, for the same reason.
+///
+/// A full array grows to the first block times the least power of two that
+/// holds one more slot: doubling from the first block, as `Vec` would, and
+/// after an exact sizing or a trim to where that doubling would have put
+/// it, so a table's capacity does not depend on when it was last trimmed.
 const FIRST_BLOCK_BYTES: usize = 2048;
 
 /// An append-only arena of records with tombstone deletion.
@@ -53,13 +61,29 @@ impl<T> Heap<T> {
     /// Appends a record and returns its slot.
     pub fn insert(&mut self, record: T) -> SlotId {
         let id = SlotId(self.slots.len() as u32);
-        if self.slots.capacity() == 0 {
-            let first = FIRST_BLOCK_BYTES / std::mem::size_of::<Option<T>>().max(1);
-            self.slots.reserve_exact(first.max(4));
+        if self.slots.len() == self.slots.capacity() {
+            self.grow();
         }
         self.slots.push(Some(record));
         self.live += 1;
         id
+    }
+
+    /// Grows the full slot array as `FIRST_BLOCK_BYTES` lays out.
+    fn grow(&mut self) {
+        let first = (FIRST_BLOCK_BYTES / std::mem::size_of::<Option<T>>().max(1)).max(4);
+        let len = self.slots.len();
+        let mut cap = first;
+        while cap <= len {
+            cap *= 2;
+        }
+        if len < first {
+            let mut block = Vec::with_capacity(cap);
+            block.append(&mut self.slots);
+            self.slots = block;
+        } else {
+            self.slots.reserve_exact(cap - len);
+        }
     }
 
     /// The record in `slot`, if it has not been deleted.
@@ -96,6 +120,20 @@ impl<T> Heap<T> {
     /// an effect the history tables in the paper exhibit too.
     pub fn allocated(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Releases the slot array's capacity past its last slot (tombstones
+    /// stay: slots are stable). A table calls it at a quiescent point, where
+    /// it already does work proportional to the table, so that storage
+    /// holds what it stores; the next insert grows the array again.
+    pub fn shrink_to_fit(&mut self) {
+        self.slots.shrink_to_fit();
+    }
+
+    /// Bytes of slot-array capacity past the last slot: zero after
+    /// [`Heap::shrink_to_fit`] and after filling [`Heap::with_capacity`].
+    pub fn spare_bytes(&self) -> usize {
+        (self.slots.capacity() - self.slots.len()) * std::mem::size_of::<Option<T>>()
     }
 
     /// Bytes the slot array holds, by capacity (tombstones included).
@@ -158,6 +196,37 @@ mod tests {
             h.insert(i);
         }
         assert!(h.memory_bytes() < 2 * 1001 * std::mem::size_of::<Option<u64>>());
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_slots_and_drops_the_rest() {
+        let mut h = Heap::new();
+        let ids: Vec<_> = (0..200u64).map(|i| h.insert(i)).collect();
+        h.remove(ids[3]);
+        assert!(h.spare_bytes() > 0);
+        h.shrink_to_fit();
+        assert_eq!(h.spare_bytes(), 0);
+        let slot = std::mem::size_of::<Option<u64>>();
+        assert_eq!(h.memory_bytes(), 200 * slot);
+        assert_eq!((h.len(), h.allocated()), (199, 200), "the tombstone stays");
+        assert_eq!(h.get(ids[199]), Some(&199));
+        // The next insert grows the array to where doubling from the first
+        // block would have put it.
+        assert_eq!(h.insert(200), SlotId(200));
+        assert_eq!(h.memory_bytes(), 2 * FIRST_BLOCK_BYTES / slot * slot);
+    }
+
+    #[test]
+    fn an_array_below_the_first_block_grows_into_it() {
+        let mut h = Heap::with_capacity(3);
+        for i in 0..3u64 {
+            h.insert(i);
+        }
+        assert_eq!(h.spare_bytes(), 0, "sized exactly");
+        h.insert(3);
+        assert_eq!(h.memory_bytes(), FIRST_BLOCK_BYTES);
+        let seen: Vec<_> = h.iter().map(|(_, v)| *v).collect();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
     }
 
     #[test]

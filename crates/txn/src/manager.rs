@@ -18,8 +18,6 @@ use std::sync::Mutex;
 /// experiments and the pin balance the isolation suites check.
 #[derive(Debug, Default)]
 pub struct TxnCounters {
-    /// Transactions committed (including read-only commits).
-    pub committed: AtomicU64,
     /// Writing commits that landed on exactly one participant.
     pub single_shard: AtomicU64,
     /// Writing commits that ran two-phase commit across participants.
@@ -34,6 +32,17 @@ pub struct TxnCounters {
     /// rollback, or drop. Balances [`Self::snapshots`] once every
     /// transaction has resolved.
     pub released: AtomicU64,
+}
+
+impl TxnCounters {
+    /// Transactions committed, read-only commits included: every commit
+    /// counts in exactly one of the three classes.
+    pub fn committed(&self) -> u64 {
+        [&self.single_shard, &self.cross_shard, &self.read_only]
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum()
+    }
 }
 
 /// Where commit timestamps come from, and the watermark transactions pin.
@@ -279,7 +288,6 @@ impl TxnManager {
         if buf.is_empty() {
             self.unpin(pin);
             self.counters.read_only.fetch_add(1, Ordering::Relaxed);
-            self.counters.committed.fetch_add(1, Ordering::Relaxed);
             return Ok(pin);
         }
         let (txn, writes) = buf.into_parts();
@@ -302,7 +310,6 @@ impl TxnManager {
             landed
         };
         self.counters.single_shard.fetch_add(1, Ordering::Relaxed);
-        self.counters.committed.fetch_add(1, Ordering::Relaxed);
         // The durability wait belongs outside every lock: one participant's
         // fsync must never serialize another's committers, nor readers.
         if let Some(wait) = wait {
@@ -339,7 +346,6 @@ impl TxnManager {
         self.publish(pin, SysTime(gts), writes);
         if outcome.is_ok() {
             self.counters.cross_shard.fetch_add(1, Ordering::Relaxed);
-            self.counters.committed.fetch_add(1, Ordering::Relaxed);
         }
         // A decided failure honors the committed participants' waits too:
         // "decided" must mean *durably* decided before this returns, or a

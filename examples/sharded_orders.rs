@@ -123,7 +123,7 @@ fn main() -> bitempo_core::Result<()> {
     let load = |a: &std::sync::atomic::AtomicU64| a.load(std::sync::atomic::Ordering::Relaxed);
     println!(
         "\ncluster counters: {} committed ({} single-shard, {} cross-shard), {} conflicts",
-        load(&c.committed),
+        c.committed(),
         load(&c.single_shard),
         load(&c.cross_shard),
         load(&c.conflicts)
