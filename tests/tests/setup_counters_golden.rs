@@ -4,7 +4,9 @@
 //! each tuning, a checkpoint's capture / encode / decode / restore, the
 //! recovery of a commit-only log and the canonical state — and of the
 //! serving set-up over a 200-key table — the seed, its checkpoint's capture
-//! and encode, the 4-way partition and each shard's restore — the
+//! and encode, the 4-way partition, each shard's restore, a churn of 2 000
+//! single-key updates through a `TxnManager` logging to a shared buffer,
+//! and the recovery of that log from the seed's checkpoint — the
 //! allocation count, the bytes allocated, the live high-water mark above
 //! the phase's start, the live bytes the phase left behind (its output
 //! included), and the size of what the phase produced. All of it must
@@ -25,7 +27,7 @@
 
 mod counting;
 
-use bitempo_core::TableId;
+use bitempo_core::{Key, TableId, Value};
 use bitempo_dbgen::ScaleConfig;
 use bitempo_engine::api::TuningConfig;
 use bitempo_engine::testutil::{bitemp_table, simple_row};
@@ -34,6 +36,7 @@ use bitempo_histgen::{
     encode_txn, generate_history, load_initial, replay, Archive, GenDb, HistoryConfig,
 };
 use bitempo_shard::partition_checkpoint;
+use bitempo_txn::TxnManager;
 use bitempo_wal::{canonical_state, recover, Checkpoint, DurabilityMode, SharedBuf, TxnWal};
 
 const GOLDEN: &str = concat!(
@@ -46,6 +49,9 @@ const SERVE_KEYS: i64 = 200;
 
 /// Shards the serving set-up partitions its checkpoint into.
 const SERVE_SHARDS: usize = 4;
+
+/// Single-key updates the serving churn commits, round-robin over the keys.
+const SERVE_CHURN: i64 = 2000;
 
 /// Runs `f` counted and renders what it allocated as
 /// `"{allocs} {bytes} {high-water} {retained}"`. The result is dropped after
@@ -211,6 +217,31 @@ fn serve_lines(kind: SystemKind, lines: &mut Lines) {
         let out = versions(shard.as_ref(), &ids);
         lines.push(&label(&format!("restore {i}")), n, out, "versions");
     }
+    drop(parts);
+    let buf = SharedBuf::new();
+    let wal = TxnWal::create(Box::new(buf.clone()), DurabilityMode::Async).unwrap();
+    let mgr = TxnManager::new(engine, vec![t], Some(wal)).unwrap();
+    let (_, n) = counted(|| {
+        for i in 0..SERVE_CHURN {
+            let mut txn = mgr.begin().unwrap();
+            let key = Key::int(i % SERVE_KEYS);
+            txn.update(t, &key, &[(1, Value::Int(i))], None).unwrap();
+            txn.commit().unwrap();
+        }
+    });
+    let (engine, ids, _) = mgr.close().unwrap();
+    lines.push(
+        &label("churn"),
+        n,
+        versions(engine.as_ref(), &ids),
+        "versions",
+    );
+    drop(engine);
+    let log = buf.snapshot();
+    let tuning = TuningConfig::none().with_workers(1);
+    let (rec, n) = counted(|| recover(kind, &log, std::slice::from_ref(&bytes), &tuning).unwrap());
+    let out = versions(rec.engine.as_ref(), &rec.ids);
+    lines.push(&label("churn recover"), n, out, "versions");
 }
 
 fn table() -> String {
