@@ -7,7 +7,7 @@ use crate::runner::{BenchConfig, Instance};
 use bitempo_core::{Error, Result, Row};
 use bitempo_engine::api::TuningConfig;
 use bitempo_engine::{SystemKind, Version};
-use std::mem::size_of;
+use bitempo_storage::Heap;
 
 /// Ceiling on the resident bytes an engine's key → open-version structure
 /// holds per open version (`BitemporalEngine::key_structures_footprint`),
@@ -46,25 +46,28 @@ fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
 /// of what `heap_slot_bytes` says one slot per version needs — the `arch`
 /// experiment's third gate, set 10 % over the largest value measured across
 /// the first gate's sweep (`--m` / `--h` from 0.25 to 4). The load ends in
-/// a checkpoint, which trims every slot array to its length, so what is
-/// left above 1 is tombstones (a version that died inside its own
-/// transaction, a non-temporal row replaced): 1.008–1.049 on A,
-/// 1.008–1.035 on B, 1.009–1.061 on D. Arrays grown by doubling and never
-/// trimmed measured 1.32–1.66 at CI's two scales. C stores no slot array;
+/// a checkpoint, which trims every slot array to its length, and inserts
+/// take freed slots before they add any, so all that could be left above 1
+/// is slots freed since a table last held as many versions live: 1.000 on
+/// A, B and D at every scale of the sweep. Arrays grown by doubling and
+/// never trimmed measured 1.32–1.66 at CI's two scales. Current tables
+/// that kept a tombstone for every closed version measured 1.04–1.14 on A
+/// and B where `--m` ≤ `--h`, and over the ceiling where the history runs
+/// deeper (1.22 on A at the repo benchmark's scale, the one CI scale where
+/// the ceiling catches them). C stores no slot array;
 /// its column fragments are sealed by the delta merge.
 const HEAP_SLOT_BYTES_CEILING: f64 = 1.17;
 
 /// The bytes one slot per stored version takes in `kind`'s slot arrays,
-/// for `open` and `closed` versions; `None` on C. A closed version keeps
-/// its tombstoned slot in A's current table beside its history slot, and
-/// its value slot in B's current table beside its history slot.
+/// for `open` and `closed` versions; `None` on C: A's and D's versions, an
+/// open version's value part in B's current table and a closed one in B's
+/// history.
 fn heap_slot_bytes(kind: SystemKind, open: usize, closed: usize) -> Option<usize> {
-    let (version, row) = (size_of::<Option<Version>>(), size_of::<Option<Row>>());
+    let (version, row) = (Heap::<Version>::SLOT_BYTES, Heap::<Row>::SLOT_BYTES);
     match kind {
-        SystemKind::A => Some(version * (open + 2 * closed)),
-        SystemKind::B => Some(row * (open + closed) + version * closed),
+        SystemKind::A | SystemKind::D => Some(version * (open + closed)),
+        SystemKind::B => Some(row * open + version * closed),
         SystemKind::C => None,
-        SystemKind::D => Some(version * (open + closed)),
     }
 }
 

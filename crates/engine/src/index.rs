@@ -185,15 +185,14 @@ fn values_of<'a>(
 }
 
 /// The tree over flat keys (`arity` cells each) and their slots, given in
-/// arrival order: one stable sort of the entries' positions — equal keys
-/// keep arrival order, as inserts would leave them — then a bottom-up
-/// build.
+/// arrival order: one stable sort of the entries' positions by key and
+/// slot — the order inserts would leave them in — then a bottom-up build.
 fn sorted_tree<C: Ord + Clone>(arity: usize, cells: &[C], slots: Vec<u32>) -> BPlusTree<C, u32> {
     let n = u32::try_from(slots.len()).expect("fewer than 2^32 index entries");
-    let key = |i: &u32| &cells[*i as usize * arity..][..arity];
+    let entry = |i: &u32| (&cells[*i as usize * arity..][..arity], slots[*i as usize]);
     let mut order: Vec<u32> = (0..n).collect();
-    order.sort_by(|a, b| key(a).cmp(key(b)));
-    let sorted = order.iter().flat_map(|i| key(i).iter().cloned());
+    order.sort_by(|a, b| entry(a).cmp(&entry(b)));
+    let sorted = order.iter().flat_map(|i| entry(i).0.iter().cloned());
     let slots = order.iter().map(|&i| slots[i as usize]);
     BPlusTree::from_sorted(arity, sorted, slots)
 }
@@ -448,7 +447,7 @@ impl OrderedIndex {
     /// Builds the index over `entries` at once: exactly what inserting them
     /// one by one, in the given order, would hold — the same integer or
     /// [`Value`] cells, column kinds, domain and distinct counts, with equal
-    /// keys in the given order — laid out in full B+Tree nodes. The keys
+    /// keys in slot order — laid out in full B+Tree nodes. The keys
     /// are extracted as [`OrderedIndex::insert`] extracts them, collected
     /// flat, and stable-sorted once; if any has no integer cell, all of
     /// them go on `Value` cells, as [`OrderedIndex::insert`] would have
@@ -592,8 +591,7 @@ impl OrderedIndex {
         self.first_col.len()
     }
 
-    /// Slots indexed under exactly `key` (every index column), in insertion
-    /// order. It is bookkeeping, not a query access path, so it records no
+    /// Slots indexed under exactly `key` (every index column), ascending. It is bookkeeping, not a query access path, so it records no
     /// span and counts no visits.
     pub fn slots_of(&self, key: &[Value]) -> Vec<u64> {
         if key.len() != self.def.cols.len() {
@@ -809,6 +807,12 @@ impl GistIndex {
     /// Indexes `version` under `slot`.
     pub fn insert(&mut self, version: &impl IndexSource, slot: u64) {
         self.tree.insert(version_rect(version), slot);
+    }
+
+    /// Drops `version`'s rectangle for `slot` (returns whether it was
+    /// indexed).
+    pub fn remove(&mut self, version: &impl IndexSource, slot: u64) -> bool {
+        self.tree.remove(&version_rect(version), &slot)
     }
 
     /// Slots whose rectangle intersects the query window. Counts every

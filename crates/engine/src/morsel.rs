@@ -74,17 +74,17 @@ pub fn morsel_ranges(units: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Runs one morsel under panic containment, returning its rows and metrics
-/// or a [`Error::WorkerPanicked`] naming the morsel.
-fn run_one<T, F>(index: usize, range: Range<usize>, scan: &F) -> Result<(Vec<T>, ScanMetrics)>
+/// Runs morsel `index` of `scan` under panic containment, appending its
+/// rows to `rows`: its metrics, or a [`Error::WorkerPanicked`] naming the
+/// morsel.
+fn run_one<T, F>(index: usize, range: Range<usize>, scan: &F, rows: &mut Vec<T>) -> Result<ScanMetrics>
 where
     F: Fn(Range<usize>, &mut Vec<T>, &mut ScanMetrics) + Sync,
 {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut rows = Vec::new();
         let mut m = ScanMetrics::default();
-        scan(range, &mut rows, &mut m);
-        (rows, m)
+        scan(range, rows, &mut m);
+        m
     }));
     result.map_err(|payload| Error::WorkerPanicked {
         morsel: index as u64,
@@ -96,10 +96,11 @@ where
 /// threads (the calling thread included; `<= 1` runs inline), and returns
 /// the concatenated rows plus merged metrics.
 ///
-/// `scan` is invoked once per morsel with a fresh output buffer and metrics;
-/// results are concatenated in morsel order, so the returned row vector is
-/// identical for every worker count. With one worker (or a single morsel) no
-/// threads are spawned and the morsels run inline, in order.
+/// `scan` is invoked once per morsel with fresh metrics and an output
+/// buffer it appends to; results are concatenated in morsel order, so the
+/// returned row vector is identical for every worker count. With one worker
+/// (or a single morsel) no threads are spawned and the morsels run inline,
+/// in order, all appending to the one returned buffer.
 ///
 /// A panic inside any morsel aborts the scan with
 /// [`Error::WorkerPanicked`]; remaining morsels are not dispatched, already
@@ -125,9 +126,7 @@ where
     if workers == 1 {
         let mut rows = Vec::new();
         for (i, range) in morsels.into_iter().enumerate() {
-            let (mut chunk, m) = run_one(i, range, &scan)?;
-            rows.append(&mut chunk);
-            metrics.merge(&m);
+            metrics.merge(&run_one(i, range, &scan, &mut rows)?);
         }
         // Inline metrics count dispatched morsels only on success; on the
         // error path above the whole scan is discarded anyway.
@@ -143,8 +142,9 @@ where
         }
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(range) = morsels.get(i) else { break };
-        match run_one(i, range.clone(), &scan) {
-            Ok((rows, m)) => produced.push((i, rows, m)),
+        let mut rows = Vec::new();
+        match run_one(i, range.clone(), &scan, &mut rows) {
+            Ok(m) => produced.push((i, rows, m)),
             Err(e) => {
                 poisoned.store(true, Ordering::Relaxed);
                 let mut slot = first_panic.lock().unwrap_or_else(|p| p.into_inner());

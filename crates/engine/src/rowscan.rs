@@ -82,7 +82,7 @@ impl ScanSite<'_> {
 pub trait VersionSource: Sync {
     /// Upper bound (exclusive) on scan positions: the range `0..scan_units()`
     /// covers every live version, and disjoint sub-ranges visit disjoint
-    /// versions. For heaps this counts tombstoned slots too.
+    /// versions. For heaps this counts free slots too.
     fn scan_units(&self) -> usize;
     /// Number of versions the planner costs the partition at.
     fn len(&self) -> usize;
@@ -849,7 +849,7 @@ mod tests {
 
     #[test]
     fn parallel_scan_identical_to_sequential() {
-        // Big enough for several morsels, with tombstones to make slot
+        // Big enough for several morsels, with free slots to make slot
         // positions and live count disagree.
         let mut heap = heap_with(5000);
         for slot in [3u32, 999, 2048, 4096] {
@@ -883,7 +883,7 @@ mod tests {
         };
         let (seq_rows, seq_m) = scan(1);
         assert_eq!(seq_m.morsels, 5, "5000 slots => 5 morsels");
-        assert_eq!(seq_m.rows_visited, 4996, "tombstones are skipped");
+        assert_eq!(seq_m.rows_visited, 4996, "free slots are skipped");
         for workers in [2, 4, 8] {
             let (par_rows, par_m) = scan(workers);
             assert_eq!(par_rows, seq_rows, "workers={workers}");

@@ -9,7 +9,9 @@
 
 use crate::api::{KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::OrderedIndex;
-use crate::partindex::{heap_entries, open_slots_in, system_pk_index, Part, PartIndexes};
+use crate::partindex::{
+    built_pk_index, heap_entries, open_slots_in, system_pk_index, Part, PartIndexes,
+};
 use crate::rowscan::PartitionView;
 use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
@@ -19,6 +21,9 @@ use bitempo_tindex::TemporalIndex;
 
 /// The System A engine. See module docs.
 pub type SystemA = Engine<TableA>;
+
+// A version slot, full or free, takes what `Option<Version>` would.
+const _: () = assert!(Heap::<Version>::SLOT_BYTES == 48);
 
 /// System A's table layout. See module docs.
 #[derive(Debug, Default)]
@@ -105,6 +110,8 @@ impl TableLayout for TableA {
     }
 
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
+        // Nothing reads the old sets while the new ones are built.
+        (self.cur, self.hist) = Default::default();
         self.cur = PartIndexes::build(def, tuning, Part::Current, || heap_entries(&self.current))?;
         self.hist = PartIndexes::build(def, tuning, Part::History, || heap_entries(&self.history))?;
         Ok(())
@@ -153,17 +160,17 @@ impl TableLayout for TableA {
         let mut t = TableA {
             current: Heap::with_capacity(open),
             history: Heap::with_capacity(versions.len() - open),
-            ..TableA::new(def)
+            ..TableA::default()
         };
         for v in versions {
+            // Open (and non-temporal) versions are the current table.
             if v.sys.is_current() {
-                // Open (and non-temporal) versions go through the normal
-                // insert path so the PK index is rebuilt.
-                t.insert_version(def, v);
+                t.current.insert(v);
             } else {
                 t.history.insert(v);
             }
         }
+        t.pk = built_pk_index(def, heap_entries(&t.current));
         Ok(t)
     }
 }
@@ -351,6 +358,26 @@ mod tests {
             (1, 0),
             "the never-visible intermediate version must not reach history"
         );
+    }
+
+    #[test]
+    fn updates_leave_the_current_table_one_slot_per_key() {
+        let mut e = SystemA::new();
+        let t = e.create_table(bitemp_table("t")).unwrap();
+        let keys: Vec<(i64, i64)> = (0..40).map(|k| (k, 0)).collect();
+        insert_rows(&mut e, t, &keys);
+        for round in 1..=10 {
+            for k in 0..40 {
+                e.update(t, &Key::int(k), &[(1, Value::Int(round))], None)
+                    .unwrap();
+            }
+            e.commit();
+        }
+        let table = &e.tables[0];
+        assert_eq!(table.current.allocated(), 40, "each successor took a freed slot");
+        assert_eq!(table.history.allocated(), 400);
+        let out = e.scan(t, &SysSpec::Current, &AppSpec::All, &[]).unwrap();
+        assert!(out.rows.iter().all(|r| r.get(1) == &Value::Int(10)));
     }
 
     #[test]

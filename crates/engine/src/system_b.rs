@@ -24,7 +24,9 @@
 
 use crate::api::{KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::OrderedIndex;
-use crate::partindex::{heap_entries, open_slots_in, system_pk_index, Part, PartIndexes};
+use crate::partindex::{
+    built_pk_index, heap_entries, open_slots_in, system_pk_index, Part, PartIndexes,
+};
 use crate::rowscan::{PartitionView, Reconstructed};
 use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
@@ -38,6 +40,9 @@ use std::collections::BTreeMap;
 
 /// The System B engine. See module docs.
 pub type SystemB = Engine<TableB>;
+
+// A value-part slot, full or free, takes what `Option<Row>` would.
+const _: () = assert!(Heap::<Row>::SLOT_BYTES == 16);
 
 /// Undo-log entries drained to the history table per batch. Roughly 3 % of
 /// single-scenario load transactions trigger a drain, matching the paper's
@@ -330,6 +335,8 @@ impl TableLayout for TableB {
 
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
         self.drain_undo();
+        // Nothing reads the old sets while the new ones are built.
+        (self.cur, self.hist) = Default::default();
         // Reconstructed on the first structure that walks the current
         // partition, and only then: a tuning that builds none of them
         // costs no join.
@@ -343,10 +350,11 @@ impl TableLayout for TableB {
     }
 
     fn checkpoint(&mut self, _: &TableDef) {
+        // The current table's slack goes before the drain grows history.
+        self.cur_values.shrink_to_fit();
         self.drain_undo();
         self.hist.prepare();
         self.cur.prepare();
-        self.cur_values.shrink_to_fit();
         self.history.shrink_to_fit();
         self.hist_meta.shrink_to_fit();
         self.hist_layout.shrink_to_fit();
@@ -395,11 +403,12 @@ impl TableLayout for TableB {
             history: Heap::with_capacity(closed),
             hist_meta: Vec::with_capacity(closed),
             hist_layout: Vec::with_capacity(closed),
-            ..TableB::new(def)
+            ..TableB::default()
         };
         for v in versions {
             if v.sys.is_current() {
-                t.insert_version(def, v);
+                let uid = u64::from(t.cur_values.insert(v.row).0);
+                t.cur_temporal.insert(uid, (v.app, v.sys.start));
             } else {
                 // Closed versions land directly in the drained history, with
                 // the metadata the undo-log path would have recorded: the
@@ -414,6 +423,8 @@ impl TableLayout for TableB {
             }
         }
         t.write_tail();
+        let open = t.cur_values.iter().map(|(uid, _)| u64::from(uid.0));
+        t.pk = built_pk_index(def, open.filter_map(|uid| Some((uid, t.version_of(uid)?))));
         Ok(t)
     }
 }
@@ -454,6 +465,27 @@ mod tests {
             .collect();
         vals.sort_unstable();
         assert_eq!(vals, vec![10, 20]);
+    }
+
+    #[test]
+    fn updates_leave_the_current_table_one_slot_per_key() {
+        let mut e = SystemB::new();
+        let t = e.create_table(bitemp_table("t")).unwrap();
+        let keys: Vec<(i64, i64)> = (0..40).map(|k| (k, 0)).collect();
+        insert_rows(&mut e, t, &keys);
+        for round in 1..=10 {
+            for k in 0..40 {
+                e.update(t, &Key::int(k), &[(1, Value::Int(round))], None)
+                    .unwrap();
+            }
+            e.commit();
+        }
+        let table = &e.tables[0];
+        assert_eq!(table.cur_values.allocated(), 40, "each successor took a freed uid");
+        assert_eq!(table.cur_temporal.len(), 40);
+        assert_eq!(e.stats(t).history_rows, 400);
+        let out = e.scan(t, &SysSpec::Current, &AppSpec::All, &[]).unwrap();
+        assert!(out.rows.iter().all(|r| r.get(1) == &Value::Int(10)));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 
 use crate::api::{AppSpec, ColRange, KeyStructuresFootprint, SysSpec, TableStats, TuningConfig};
 use crate::index::{IndexSource, OrderedIndex};
-use crate::partindex::{open_slots_in, system_pk_index, tindex_name, Part, PartIndexes};
+use crate::partindex::{
+    built_pk_index, open_slots_in, system_pk_index, tindex_name, Part, PartIndexes,
+};
 use crate::rowscan::{PartitionView, VersionSource};
 use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
@@ -532,18 +534,25 @@ impl TableLayout for TableC {
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableC> {
         let mut t = TableC::new(def);
+        // Each partition's delta grows once, to what it is about to hold.
+        let open = versions.iter().filter(|v| v.sys.is_current()).count();
+        t.current.reserve_rows(open);
+        t.history.reserve_rows(versions.len() - open);
         for v in versions {
-            if v.sys.is_current() {
-                t.insert_version(def, v);
+            let part = if v.sys.is_current() {
+                &mut t.current
             } else {
-                append_physical(&mut t.history, t.hidden, &v)
-                    .map_err(|e| Error::Internal(format!("restore history append: {e}")))?;
-            }
+                &mut t.history
+            };
+            append_physical(part, t.hidden, &v)
+                .map_err(|e| Error::Internal(format!("restore append: {e}")))?;
         }
         // The snapshot was taken from merged fragments; seal the deltas so
         // the restored physical layout matches the uncrashed engine's.
         t.current.merge();
         t.history.merge();
+        let open = fragment_rows(&t.current, t.hidden, 0..t.current.len());
+        t.pk = built_pk_index(def, open);
         Ok(t)
     }
 }

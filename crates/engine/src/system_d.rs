@@ -91,9 +91,8 @@ impl TableLayout for TableD {
         self.open -= 1;
         let never_visible = before.sys.start >= end;
         if def.temporal == TemporalClass::NonTemporal || never_visible {
-            // Non-versioned tables (and never-visible versions) vanish.
-            // GiST entries are left stale: the tombstoned slot resolves to
-            // nothing at probe time, which is sound (conservative rects).
+            // Non-versioned tables (and never-visible versions) vanish,
+            // index entries and all: the next insert takes the slot.
             if let Some(gone) = self.all.remove(slot) {
                 self.indexes.remove(&gone, slot64);
             }
@@ -133,6 +132,8 @@ impl TableLayout for TableD {
     }
 
     fn retune(&mut self, def: &TableDef, tuning: &TuningConfig) -> Result<()> {
+        // Nothing reads the old set while the new one is built.
+        self.indexes = PartIndexes::default();
         self.indexes = PartIndexes::build(def, tuning, Part::Single, || heap_entries(&self.all))?;
         Ok(())
     }
@@ -168,10 +169,15 @@ impl TableLayout for TableD {
 
     fn for_each_version(&self, _: &TableDef, f: &mut dyn FnMut(&Version)) {
         // One flat table; removed (never-visible / non-temporal-deleted)
-        // slots are tombstones the iterator already skips.
+        // slots are free, and the iterator skips them.
         self.all.iter().for_each(|(_, v)| f(v));
     }
 
+    /// Inserts the versions one by one, PK entries included. Only versions
+    /// that never became visible free a slot here, so a checkpoint hands
+    /// the versions over in about the order they were created — key order
+    /// after a load, which inserts lay out in full leaves, with internal
+    /// nodes left room for what the log replays next.
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableD> {
         let mut t = TableD {
             all: Heap::with_capacity(versions.len()),

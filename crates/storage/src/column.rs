@@ -47,6 +47,17 @@ impl ColumnData {
         }
     }
 
+    /// Makes room for exactly `rows` more cells.
+    fn reserve_exact(&mut self, rows: usize) {
+        match self {
+            ColumnData::Int(v) => v.reserve_exact(rows),
+            ColumnData::Double(v) => v.reserve_exact(rows),
+            ColumnData::Str(v) => v.reserve_exact(rows),
+            ColumnData::Date(v) => v.reserve_exact(rows),
+            ColumnData::SysTime(v) => v.reserve_exact(rows),
+        }
+    }
+
     /// Seals `delta` onto the end of this main payload (see [`seal`]).
     fn seal_from(&mut self, delta: ColumnData) {
         match (self, delta) {
@@ -269,6 +280,16 @@ impl ColumnTable {
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Makes room in the delta for exactly `rows` more rows, so that a
+    /// caller who knows how many it will append before the next merge
+    /// (a restore) grows every column once instead of by doubling. Null
+    /// masks stay lazy.
+    pub fn reserve_rows(&mut self, rows: usize) {
+        for col in &mut self.delta {
+            col.reserve_exact(rows);
+        }
     }
 
     /// Rows currently sitting in the delta fragment.

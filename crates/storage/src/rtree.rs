@@ -293,6 +293,32 @@ impl<T: Clone> RTree<T> {
         (rect_a, node, rect_b, new_idx)
     }
 
+    /// Removes one entry holding `value` under exactly `rect`; returns
+    /// whether there was one. Nodes are not condensed: a bounding rectangle
+    /// may stay larger than what is left under it, which probes tolerate,
+    /// as they test every leaf rectangle.
+    pub fn remove(&mut self, rect: &Rect, value: &T) -> bool
+    where
+        T: PartialEq,
+    {
+        let mut stack = vec![self.root];
+        while let Some(node) = stack.pop() {
+            let entries = &mut self.nodes[node].entries;
+            for (i, e) in entries.iter().enumerate() {
+                match &e.payload {
+                    Payload::Child(c) if e.rect.union(rect) == e.rect => stack.push(*c),
+                    Payload::Leaf(v) if e.rect == *rect && v == value => {
+                        entries.remove(i);
+                        self.len -= 1;
+                        return true;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        false
+    }
+
     /// All values whose rectangle intersects `query`. Counts every tree
     /// entry examined (internal and leaf) into `visits` — the probe-work
     /// number scan metrics report.

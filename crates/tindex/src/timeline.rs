@@ -252,8 +252,10 @@ impl Timeline {
     /// a probe pinned between the two times surface the recycled slot's
     /// *new* lifetime as if it were the old version's: exactly the reader
     /// anomaly the MVCC layer's pinned snapshots must never observe. The
-    /// heap never recycles slots today (tombstones only), so this is an
-    /// invariant assertion, checked in debug builds.
+    /// heaps recycle slots — a sequenced update frees its closed version's
+    /// slot at the commit time its successor, which may take the slot,
+    /// starts at — so every reuse is causal by construction; this
+    /// assertion checks it in debug builds.
     pub fn activate(&mut self, slot: u64, at: SysTime) {
         let event = Event::new(at, slot, EventKind::Activate);
         #[cfg(debug_assertions)]

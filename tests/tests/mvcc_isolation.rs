@@ -14,6 +14,7 @@
 //!   plus an update atomically, so a torn read would surface immediately).
 
 use bitempo_core::{Key, Pcg32, Value};
+use bitempo_engine::api::{AppSpec, SysSpec, TuningConfig};
 use bitempo_engine::testutil::{bitemp_table, simple_row};
 use bitempo_engine::{build_engine, BitemporalEngine, SystemKind};
 use bitempo_txn::TxnManager;
@@ -50,7 +51,6 @@ fn fresh_engine(kind: SystemKind) -> (Box<dyn BitemporalEngine>, bitempo_core::T
 
 /// `id -> val` of the current snapshot, via the pinned view.
 fn observe(view: &dyn BitemporalEngine, t: bitempo_core::TableId) -> BTreeMap<i64, i64> {
-    use bitempo_engine::api::{AppSpec, SysSpec};
     let out = view.scan(t, &SysSpec::Current, &AppSpec::All, &[]).unwrap();
     out.rows
         .iter()
@@ -245,6 +245,59 @@ fn race_hunting_tier_explores_seeded_interleavings() {
         for kind in SystemKind::ALL {
             let (commits, _) = storm(kind, threads, seed);
             assert!(commits > 0, "{kind}: round {round} must commit something");
+        }
+    }
+}
+
+/// A snapshot pinned before later commits free its versions' slots — and
+/// successors take them — still reads the versions it pinned, through a
+/// scan and through key lookups, on every layout whose heaps reuse slots
+/// and under every tuning, so that the PK, the Key+Time index and the
+/// temporal index each get to answer. Each writer updates every key twice:
+/// on A and B a close frees the slot its successor takes, and on D the
+/// first successor never becomes visible and hands its slot to the second.
+#[test]
+fn a_snapshot_pinned_before_a_slot_is_reused_reads_the_old_version() {
+    let tunings = [
+        ("none", TuningConfig::none()),
+        ("key_time", TuningConfig::key_time()),
+        ("temporal", TuningConfig::temporal()),
+    ];
+    for kind in [SystemKind::A, SystemKind::B, SystemKind::D] {
+        for (name, tuning) in &tunings {
+            let (mut engine, t) = fresh_engine(kind);
+            engine.apply_tuning(&tuning.clone().with_workers(1)).unwrap();
+            let mgr = TxnManager::new(engine, vec![t], None).unwrap();
+            let reader = mgr.begin().unwrap();
+            for round in 1..=3 {
+                let mut txn = mgr.begin().unwrap();
+                for k in 0..HOT_KEYS {
+                    for val in [10 * round, 10 * round + 1] {
+                        txn.update(t, &Key::int(k), &[(1, Value::Int(val))], None)
+                            .unwrap();
+                    }
+                }
+                txn.commit().unwrap();
+            }
+            let lookup = |view: &dyn BitemporalEngine, k| {
+                let out = view.lookup_key(t, &Key::int(k), &SysSpec::Current, &AppSpec::All);
+                let rows = out.unwrap().rows;
+                rows.iter().map(|r| r.get(1).clone()).collect::<Vec<_>>()
+            };
+            {
+                let snap = reader.snapshot();
+                let view = snap.view();
+                let pinned: BTreeMap<i64, i64> = (0..HOT_KEYS).map(|k| (k, 0)).collect();
+                assert_eq!(observe(&view, t), pinned, "{kind} {name}");
+                for k in 0..HOT_KEYS {
+                    assert_eq!(lookup(&view, k), [Value::Int(0)], "{kind} {name} key {k}");
+                }
+            }
+            reader.rollback();
+            let now = mgr.begin().unwrap();
+            let snap = now.snapshot();
+            let latest: BTreeMap<i64, i64> = (0..HOT_KEYS).map(|k| (k, 31)).collect();
+            assert_eq!(observe(&snap.view(), t), latest, "{kind} {name}");
         }
     }
 }

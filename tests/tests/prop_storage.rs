@@ -35,11 +35,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// At arity 1, 2 and 3, insert/remove/range behaviour matches a sorted
-    /// multimap `BTreeMap<(key, seq), val>`, `seq` being the insertion
+    /// multimap `BTreeMap<(key, val, seq), val>`, `seq` being the insertion
     /// counter: range order is key order, duplicates of a key come back in
-    /// insertion order, `remove` takes exactly the first `(key, val)` entry
-    /// (wherever in the key's run of duplicates, which leaf boundaries cut,
-    /// it sits), and a bound shorter than the arity sorts before every key
+    /// value order (equal entries in insertion order), `remove` takes
+    /// exactly the first `(key, val)` entry (wherever in the key's run of
+    /// duplicates, which leaf boundaries cut, it sits), and a bound shorter
+    /// than the arity sorts before every key
     /// it is a prefix of. Long enough op lists split leaves in the middle,
     /// at the right edge (ascending runs) and split the root. The first
     /// `bulk_quarters` quarters of the ops (none to all) are inserts whose
@@ -54,7 +55,7 @@ proptest! {
     ) {
         let bulk = ops.len() * bulk_quarters / 4;
         for arity in 1..=3 {
-            let mut model: BTreeMap<(i64, usize), u32> = BTreeMap::new();
+            let mut model: BTreeMap<(i64, u32, usize), u32> = BTreeMap::new();
             let mut rising = ascending_from;
             // kind 1 appends past the largest key so far, the rest anywhere.
             let mut key_of = |key, kind| {
@@ -66,17 +67,17 @@ proptest! {
                 }
             };
             for (seq, &(key, val, kind)) in ops[..bulk].iter().enumerate() {
-                model.insert((key_of(key, kind), seq), val);
+                model.insert((key_of(key, kind), val, seq), val);
             }
-            let bulk_cells = model.keys().flat_map(|(k, _)| cells(*k, arity));
+            let bulk_cells = model.keys().flat_map(|(k, _, _)| cells(*k, arity));
             let mut tree = BPlusTree::from_sorted(arity, bulk_cells, model.values().copied());
             for (seq, &(key, val, kind)) in ops.iter().enumerate().skip(bulk) {
                 // kind 0 removes.
                 if kind == 0 {
                     let removed = tree.remove(&cells(key, arity), &val);
                     let hit = model
-                        .range((key, 0)..=(key, usize::MAX))
-                        .find(|(_, v)| **v == val)
+                        .range((key, val, 0)..=(key, val, usize::MAX))
+                        .next()
                         .map(|(k, _)| *k);
                     prop_assert_eq!(removed, hit.is_some());
                     if let Some(k) = hit {
@@ -85,15 +86,15 @@ proptest! {
                 } else {
                     let key = key_of(key, kind);
                     tree.insert(&cells(key, arity), val);
-                    model.insert((key, seq), val);
+                    model.insert((key, val, seq), val);
                 }
             }
             prop_assert_eq!(tree.len(), model.len());
             let entries = |lo: Bound<&[i64]>, hi: Bound<&[i64]>| -> Vec<(Vec<i64>, u32)> {
                 tree.range((lo, hi)).map(|(k, v)| (k.to_vec(), *v)).collect()
             };
-            let modelled = |keys: &mut dyn Iterator<Item = (&(i64, usize), &u32)>| {
-                keys.map(|((k, _), v)| (cells(*k, arity), *v)).collect::<Vec<_>>()
+            let modelled = |keys: &mut dyn Iterator<Item = (&(i64, u32, usize), &u32)>| {
+                keys.map(|((k, _, _), v)| (cells(*k, arity), *v)).collect::<Vec<_>>()
             };
             prop_assert_eq!(
                 entries(Bound::Unbounded, Bound::Unbounded),
@@ -101,7 +102,7 @@ proptest! {
             );
             for key in [0, 7, 60, 119, rising] {
                 let want: Vec<u32> = model
-                    .range((key, 0)..=(key, usize::MAX))
+                    .range((key, 0, 0)..=(key, u32::MAX, usize::MAX))
                     .map(|(_, v)| *v)
                     .collect();
                 prop_assert_eq!(tree.get(&cells(key, arity)), want);
@@ -110,11 +111,12 @@ proptest! {
             let (lo_key, hi_key) = (cells(lo, arity), cells(hi, arity));
             prop_assert_eq!(
                 entries(Bound::Included(&lo_key), Bound::Excluded(&hi_key)),
-                modelled(&mut model.range((lo, 0)..(hi, 0)))
+                modelled(&mut model.range((lo, 0, 0)..(hi, 0, 0)))
             );
+            let past = |k| (k, u32::MAX, usize::MAX);
             prop_assert_eq!(
                 entries(Bound::Excluded(&lo_key), Bound::Included(&hi_key)),
-                modelled(&mut model.range((lo, usize::MAX)..=(hi, usize::MAX)))
+                modelled(&mut model.range(past(lo)..=past(hi)))
             );
             // A proper prefix is no stored key: as a lower bound of either
             // kind it admits every key from its first extension on, as an
@@ -122,7 +124,7 @@ proptest! {
             for prefix in 1..arity {
                 let (lo_floor, hi_floor) =
                     (prefix_floor(lo, arity, prefix), prefix_floor(hi, arity, prefix));
-                let want = modelled(&mut model.range((lo_floor, 0)..(hi_floor, 0)));
+                let want = modelled(&mut model.range((lo_floor, 0, 0)..(hi_floor, 0, 0)));
                 let (lo_prefix, hi_prefix) = (&lo_key[..prefix], &hi_key[..prefix]);
                 prop_assert_eq!(
                     entries(Bound::Included(lo_prefix), Bound::Excluded(hi_prefix)),
