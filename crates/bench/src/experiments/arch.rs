@@ -6,6 +6,7 @@ use crate::report::{FigureReport, Series};
 use crate::runner::{BenchConfig, Instance};
 use bitempo_core::{Error, Result, Row};
 use bitempo_engine::api::TuningConfig;
+use bitempo_engine::system_b::TEMPORAL_SLOT_BYTES;
 use bitempo_engine::{SystemKind, Version};
 use bitempo_storage::Heap;
 
@@ -44,29 +45,29 @@ fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
 /// Ceiling on the bytes A's, B's and D's heap slot arrays hold
 /// (`KeyStructuresFootprint::heap_bytes`) per stored version, as a multiple
 /// of what `heap_slot_bytes` says one slot per version needs — the `arch`
-/// experiment's third gate, set 10 % over the largest value measured across
-/// the first gate's sweep (`--m` / `--h` from 0.25 to 4). The load ends in
-/// a checkpoint, which trims every slot array to its length, and inserts
-/// take freed slots before they add any, so all that could be left above 1
-/// is slots freed since a table last held as many versions live: 1.000 on
-/// A, B and D at every scale of the sweep. Arrays grown by doubling and
-/// never trimmed measured 1.32–1.66 at CI's two scales. Current tables
-/// that kept a tombstone for every closed version measured 1.04–1.14 on A
-/// and B where `--m` ≤ `--h`, and over the ceiling where the history runs
-/// deeper (1.22 on A at the repo benchmark's scale, the one CI scale where
-/// the ceiling catches them). C stores no slot array;
-/// its column fragments are sealed by the delta merge.
-const HEAP_SLOT_BYTES_CEILING: f64 = 1.17;
+/// experiment's third gate. The load ends in a checkpoint, which trims
+/// every slot array to its length, and inserts take freed slots before
+/// they add any, so all that could be left above 1 is slots freed since a
+/// table last held as many versions live: 1.000 on A, B and D at every
+/// scale of the first gate's sweep (`--m` / `--h` from 0.25 to 4). Arrays
+/// grown by doubling and never trimmed measured 1.32–1.66 at CI's two
+/// scales; current tables that kept a tombstone for every closed version
+/// measured 1.04–1.14 on A and B where `--m` ≤ `--h` (A 1.075 at CI's
+/// `--h 0.001 --m 0.0005`) and 1.22 on A at the repo benchmark's scale, so
+/// the ceiling sits under the least of those and catches them at both.
+/// C stores no slot array; its column fragments are sealed by the delta
+/// merge.
+const HEAP_SLOT_BYTES_CEILING: f64 = 1.05;
 
 /// The bytes one slot per stored version takes in `kind`'s slot arrays,
 /// for `open` and `closed` versions; `None` on C: A's and D's versions, an
-/// open version's value part in B's current table and a closed one in B's
-/// history.
+/// open version's value and temporal parts in B's current table and a
+/// closed one in B's history.
 fn heap_slot_bytes(kind: SystemKind, open: usize, closed: usize) -> Option<usize> {
     let (version, row) = (Heap::<Version>::SLOT_BYTES, Heap::<Row>::SLOT_BYTES);
     match kind {
         SystemKind::A | SystemKind::D => Some(version * (open + closed)),
-        SystemKind::B => Some(row * open + version * closed),
+        SystemKind::B => Some((row + TEMPORAL_SLOT_BYTES) * open + version * closed),
         SystemKind::C => None,
     }
 }

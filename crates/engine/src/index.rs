@@ -21,9 +21,10 @@
 
 use crate::api::IndexKind;
 use crate::version::Version;
-use bitempo_core::{obs, AppDate, AppPeriod, Key, SysPeriod, SysTime, Value};
+use bitempo_core::{obs, AppDate, AppPeriod, Key, Row, SysPeriod, SysTime, Value};
 use bitempo_storage::{BPlusTree, RTree, Rect};
 use bitempo_tindex::narrow_slot;
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::mem::size_of;
@@ -64,9 +65,9 @@ pub trait IndexSource {
     fn sys(&self) -> SysPeriod;
 }
 
-impl IndexSource for Version {
+impl<R: Borrow<Row>> IndexSource for Version<R> {
     fn value(&self, col: usize) -> Value {
-        self.row.get(col).clone()
+        self.row.borrow().get(col).clone()
     }
     fn app(&self) -> AppPeriod {
         self.app
@@ -793,13 +794,13 @@ impl GistIndex {
     /// A GiST index over `(slot, version)` entries, inserted one by one in
     /// the given order: the R-Tree keeps an incremental load's shape, and
     /// every probe its visit count.
-    pub fn build<'a>(
+    pub fn build<S: IndexSource>(
         name: impl Into<String>,
-        entries: impl IntoIterator<Item = (u64, &'a Version)>,
+        entries: impl IntoIterator<Item = (u64, S)>,
     ) -> GistIndex {
         let mut g = GistIndex::new(name);
         for (slot, version) in entries {
-            g.insert(version, slot);
+            g.insert(&version, slot);
         }
         g
     }

@@ -77,7 +77,12 @@ pub fn morsel_ranges(units: usize) -> Vec<Range<usize>> {
 /// Runs morsel `index` of `scan` under panic containment, appending its
 /// rows to `rows`: its metrics, or a [`Error::WorkerPanicked`] naming the
 /// morsel.
-fn run_one<T, F>(index: usize, range: Range<usize>, scan: &F, rows: &mut Vec<T>) -> Result<ScanMetrics>
+fn run_one<T, F>(
+    index: usize,
+    range: Range<usize>,
+    scan: &F,
+    rows: &mut Vec<T>,
+) -> Result<ScanMetrics>
 where
     F: Fn(Range<usize>, &mut Vec<T>, &mut ScanMetrics) + Sync,
 {
@@ -93,19 +98,25 @@ where
 }
 
 /// Runs `scan` over every morsel range covering `0..units` on `workers`
-/// threads (the calling thread included; `<= 1` runs inline), and returns
-/// the concatenated rows plus merged metrics.
+/// threads (the calling thread included; `<= 1` runs inline), appends the
+/// rows to `out` and returns the merged metrics.
 ///
 /// `scan` is invoked once per morsel with fresh metrics and an output
-/// buffer it appends to; results are concatenated in morsel order, so the
-/// returned row vector is identical for every worker count. With one worker
-/// (or a single morsel) no threads are spawned and the morsels run inline,
-/// in order, all appending to the one returned buffer.
+/// buffer it appends to; results are appended in morsel order, so `out`
+/// ends identical for every worker count. With one worker (or a single
+/// morsel) no threads are spawned and the morsels run inline, in order,
+/// appending straight to `out`.
 ///
 /// A panic inside any morsel aborts the scan with
-/// [`Error::WorkerPanicked`]; remaining morsels are not dispatched, already
-/// running ones finish, and the thread scope unwinds cleanly.
-pub fn run_morsels<T, F>(units: usize, workers: usize, scan: F) -> Result<(Vec<T>, ScanMetrics)>
+/// [`Error::WorkerPanicked`] and leaves `out` as it was; remaining morsels
+/// are not dispatched, already running ones finish, and the thread scope
+/// unwinds cleanly.
+pub fn run_morsels<T, F>(
+    units: usize,
+    workers: usize,
+    out: &mut Vec<T>,
+    scan: F,
+) -> Result<ScanMetrics>
 where
     T: Send,
     F: Fn(Range<usize>, &mut Vec<T>, &mut ScanMetrics) + Sync,
@@ -124,13 +135,17 @@ where
     morsel_span.arg_with("workers", || workers.to_string());
 
     if workers == 1 {
-        let mut rows = Vec::new();
+        let before = out.len();
         for (i, range) in morsels.into_iter().enumerate() {
-            metrics.merge(&run_one(i, range, &scan, &mut rows)?);
+            match run_one(i, range, &scan, out) {
+                Ok(m) => metrics.merge(&m),
+                Err(e) => {
+                    out.truncate(before);
+                    return Err(e);
+                }
+            }
         }
-        // Inline metrics count dispatched morsels only on success; on the
-        // error path above the whole scan is discarded anyway.
-        return Ok((rows, metrics));
+        return Ok(metrics);
     }
 
     let next = AtomicUsize::new(0);
@@ -202,12 +217,12 @@ where
     }
 
     done.sort_unstable_by_key(|(i, _, _)| *i);
-    let mut rows = Vec::with_capacity(done.iter().map(|(_, r, _)| r.len()).sum());
+    out.reserve(done.iter().map(|(_, r, _)| r.len()).sum());
     for (_, mut chunk, m) in done {
-        rows.append(&mut chunk);
+        out.append(&mut chunk);
         metrics.merge(&m);
     }
-    Ok((rows, metrics))
+    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -224,6 +239,16 @@ mod tests {
                 m.versions_pruned += 1;
             }
         }
+    }
+
+    /// [`run_morsels`] into a fresh buffer: the rows and the metrics.
+    fn run<F>(units: usize, workers: usize, scan: F) -> Result<(Vec<usize>, ScanMetrics)>
+    where
+        F: Fn(Range<usize>, &mut Vec<usize>, &mut ScanMetrics) + Sync,
+    {
+        let mut rows = Vec::new();
+        let m = run_morsels(units, workers, &mut rows, scan)?;
+        Ok((rows, m))
     }
 
     /// [`evens`], except that the morsel at index `i` panics.
@@ -249,9 +274,9 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_rows_and_metrics() {
         let units = MORSEL_ROWS * 7 + 123;
-        let (seq_rows, seq_m) = run_morsels(units, 1, evens).unwrap();
+        let (seq_rows, seq_m) = run(units, 1, evens).unwrap();
         for workers in [2, 4, 16] {
-            let (par_rows, par_m) = run_morsels(units, workers, evens).unwrap();
+            let (par_rows, par_m) = run(units, workers, evens).unwrap();
             assert_eq!(par_rows, seq_rows, "workers={workers}");
             assert_eq!(par_m, seq_m, "workers={workers}");
         }
@@ -262,10 +287,10 @@ mod tests {
 
     #[test]
     fn small_input_and_zero_workers_run_inline() {
-        let (rows, m) = run_morsels(10, 0, evens).unwrap();
+        let (rows, m) = run(10, 0, evens).unwrap();
         assert_eq!(rows, vec![0, 2, 4, 6, 8]);
         assert_eq!(m.morsels, 1);
-        let (rows, m) = run_morsels(0, 4, evens).unwrap();
+        let (rows, m) = run(0, 4, evens).unwrap();
         assert!(rows.is_empty());
         assert_eq!(m.morsels, 0);
     }
@@ -273,7 +298,7 @@ mod tests {
     #[test]
     fn injected_panic_is_contained_inline() {
         let units = MORSEL_ROWS * 3;
-        let err = run_morsels(units, 1, panics_at(1)).unwrap_err();
+        let err = run(units, 1, panics_at(1)).unwrap_err();
         assert_eq!(
             err,
             Error::WorkerPanicked {
@@ -284,10 +309,23 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_scan_leaves_the_output_as_it_was() {
+        let units = MORSEL_ROWS * 3;
+        for workers in [1, 2] {
+            let mut out = vec![7, 9];
+            assert!(run_morsels(units, workers, &mut out, panics_at(2)).is_err());
+            assert_eq!(out, [7, 9], "workers={workers}");
+            let m = run_morsels(units, workers, &mut out, evens).unwrap();
+            assert_eq!(out.len(), 2 + units / 2, "workers={workers}");
+            assert_eq!((out[2], m.rows_visited), (0, units as u64));
+        }
+    }
+
+    #[test]
     fn injected_panic_is_contained_parallel() {
         let units = MORSEL_ROWS * 8 + 17;
         for workers in [2, 4] {
-            let err = run_morsels(units, workers, panics_at(3)).unwrap_err();
+            let err = run(units, workers, panics_at(3)).unwrap_err();
             match err {
                 Error::WorkerPanicked { morsel, message } => {
                     assert_eq!(morsel, 3, "workers={workers}");
@@ -306,7 +344,7 @@ mod tests {
             }
             out.extend(range);
         };
-        let err = run_morsels(MORSEL_ROWS * 4, 2, bomb).unwrap_err();
+        let err = run(MORSEL_ROWS * 4, 2, bomb).unwrap_err();
         match err {
             Error::WorkerPanicked { morsel, message } => {
                 assert!(morsel >= 2);
@@ -319,9 +357,9 @@ mod tests {
     #[test]
     fn scan_succeeds_after_failed_attempt() {
         let units = MORSEL_ROWS * 2;
-        assert!(run_morsels(units, 2, panics_at(0)).is_err());
+        assert!(run(units, 2, panics_at(0)).is_err());
         // The same scan without the fault recovers fully.
-        let (rows, _) = run_morsels(units, 2, evens).unwrap();
+        let (rows, _) = run(units, 2, evens).unwrap();
         assert_eq!(rows.len(), units / 2);
     }
 }

@@ -51,7 +51,7 @@ impl PartIndexes {
     /// Builds what `tuning` asks for on partition `part` of `def` over the
     /// partition's `(slot, version)` pairs, walking `entries()` once per
     /// structure. An unknown value-index column is an error.
-    pub(crate) fn build<'a, I: Iterator<Item = (u64, &'a Version)>>(
+    pub(crate) fn build<S: IndexSource, I: Iterator<Item = (u64, S)>>(
         def: &TableDef,
         tuning: &TuningConfig,
         part: Part,
@@ -100,15 +100,15 @@ impl PartIndexes {
             .then(|| GistIndex::build(format!("gist_{table}"), entries()));
         let tindex = tindex_name(def, tuning, part).map(|name| {
             let every = bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY;
-            let periods = |(slot, v): (u64, &Version)| (slot, v.app, v.sys);
+            let periods = |(slot, v): (u64, S)| (slot, v.app(), v.sys());
             if part != Part::Current {
                 return TemporalIndex::build(name, every, entries().map(periods));
             }
             // The open versions activate in the order they started, which
             // slot order does not tell once slots are reused: fed in that
             // order, the timeline's log stays monotone.
-            let mut open: Vec<(u64, &Version)> = entries().collect();
-            open.sort_unstable_by_key(|&(slot, v)| (v.sys.start, slot));
+            let mut open: Vec<(u64, S)> = entries().collect();
+            open.sort_unstable_by_key(|(slot, v)| (v.sys().start, *slot));
             TemporalIndex::build(name, every, open.into_iter().map(periods))
         });
         Ok(PartIndexes {

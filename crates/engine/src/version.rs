@@ -2,12 +2,16 @@
 
 use crate::api::{AppSpec, ColRange, SysSpec};
 use bitempo_core::{AppPeriod, Row, SysPeriod, TableDef, TemporalClass, Value};
+use std::borrow::Borrow;
 
 /// One stored version of a logical row: value columns plus both periods.
+/// A layout that stores the value columns apart from the periods (System
+/// B's current table) judges a `Version<&Row>` assembled from borrowed
+/// parts, without cloning the row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Version {
+pub struct Version<R = Row> {
     /// The value columns.
-    pub row: Row,
+    pub row: R,
     /// Application-time validity. [`AppPeriod::ALL`] on tables without a
     /// native application time.
     pub app: AppPeriod,
@@ -15,7 +19,7 @@ pub struct Version {
     pub sys: SysPeriod,
 }
 
-impl Version {
+impl<R: Borrow<Row>> Version<R> {
     /// True if the version qualifies under both temporal specs.
     pub fn matches(&self, sys: &SysSpec, app: &AppSpec) -> bool {
         sys.matches(&self.sys) && app.matches(&self.app)
@@ -23,7 +27,9 @@ impl Version {
 
     /// True if all pushed predicates hold on the value columns.
     pub fn matches_preds(&self, preds: &[ColRange]) -> bool {
-        preds.iter().all(|p| p.matches(self.row.get(p.col)))
+        preds
+            .iter()
+            .all(|p| p.matches(self.row.borrow().get(p.col)))
     }
 
     /// Assembles the scan output row for this version under `def`'s layout:
@@ -31,7 +37,7 @@ impl Version {
     /// `sys_start`/`sys_end` if system-versioned.
     pub fn output_row(&self, def: &TableDef) -> Row {
         // One exact-size allocation: each arm chains fixed-length pieces.
-        let row = self.row.values().iter().cloned();
+        let row = self.row.borrow().values().iter().cloned();
         let app = [Value::Date(self.app.start), Value::Date(self.app.end)];
         let sys = [Value::SysTime(self.sys.start), Value::SysTime(self.sys.end)];
         match def.temporal {

@@ -186,6 +186,12 @@ impl<T> Heap<T> {
         self.slots.len()
     }
 
+    /// Slots the array has room for before it grows again. A slot-indexed
+    /// array kept beside the heap can follow it to this length.
+    pub fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
     /// Releases the slot array's capacity past its last slot (free slots
     /// stay, on the free list: slots are stable). A table calls it at a
     /// quiescent point, where it already does work proportional to the
