@@ -9,6 +9,10 @@
 //! `u64`), so the encoding is prefix-free and distinct values never share an
 //! image. A row is a `u16` arity followed by its values.
 //!
+//! Every length and count goes through one checked writer, [`put_len`]: a
+//! length past its field's width is an [`Error::Archive`] before a byte of
+//! it is written, never a count that wraps under a valid checksum.
+//!
 //! The cursor trusts nothing: every read names what it reads, a read past
 //! the end is an [`Error::Archive`], and a claimed element count is checked
 //! against the bytes that remain *before* anything is reserved for it, so a
@@ -34,6 +38,38 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Appends an `i64`.
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// A length or count field: an unsigned integer of a fixed width.
+pub trait LenField: TryFrom<usize> {
+    /// Appends the field, little-endian.
+    fn put(self, out: &mut Vec<u8>);
+}
+
+impl LenField for u16 {
+    fn put(self, out: &mut Vec<u8>) {
+        put_u16(out, self);
+    }
+}
+
+impl LenField for u32 {
+    fn put(self, out: &mut Vec<u8>) {
+        put_u32(out, self);
+    }
+}
+
+/// Appends `len`, a length or count that `what` names, as a `T` field;
+/// refuses it with [`Error::Archive`], writing nothing, when it is past
+/// `T`'s width.
+pub fn put_len<T: LenField>(out: &mut Vec<u8>, len: usize, what: &str) -> Result<()> {
+    let field = T::try_from(len).map_err(|_| {
+        Error::Archive(format!(
+            "{what} {len} is past its {}-byte field",
+            std::mem::size_of::<T>()
+        ))
+    })?;
+    field.put(out);
+    Ok(())
 }
 
 /// Appends a string as its `u32` byte length and its UTF-8 bytes.
@@ -83,12 +119,14 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Appends an arity-prefixed value list: a row's values, or a key's.
-pub fn put_row(out: &mut Vec<u8>, values: &[Value]) {
-    put_u16(out, values.len() as u16);
+/// Appends an arity-prefixed value list: a row's values, or a key's;
+/// refuses one of more than `u16::MAX` values, writing nothing.
+pub fn put_row(out: &mut Vec<u8>, values: &[Value]) -> Result<()> {
+    put_len::<u16>(out, values.len(), "row arity")?;
     for v in values {
         put_value(out, v);
     }
+    Ok(())
 }
 
 /// A bounded reader over one encoded buffer.
@@ -236,7 +274,7 @@ mod tests {
             Value::SysTime(SysTime(u64::MAX)),
         ];
         let mut bytes = Vec::new();
-        put_row(&mut bytes, &values);
+        put_row(&mut bytes, &values).unwrap();
         assert_eq!(row_len(&values), bytes.len());
         let mut cur = Cursor::new(&bytes);
         assert_eq!(cur.row().unwrap(), Row::new(values));
@@ -263,5 +301,31 @@ mod tests {
         assert!(cur
             .count(bytes.len() as u64 + 1, 1, "element count")
             .is_err());
+    }
+
+    /// Every length field at its bound reads back, and one past it is
+    /// refused before a byte is written.
+    #[test]
+    fn lengths_at_the_bound_read_back_and_one_over_writes_nothing() {
+        let mut out = vec![9];
+        put_len::<u16>(&mut out, u16::MAX.into(), "count").unwrap();
+        put_len::<u32>(&mut out, u32::MAX as usize, "count").unwrap();
+        let mut cur = Cursor::new(&out[1..]);
+        assert_eq!(cur.u16("count").unwrap(), u16::MAX);
+        assert_eq!(cur.u32("count").unwrap(), u32::MAX);
+        let over = put_len::<u16>(&mut out, usize::from(u16::MAX) + 1, "row arity");
+        assert!(matches!(over, Err(Error::Archive(m)) if m.contains("row arity 65536")));
+        let over = put_len::<u32>(&mut out, u32::MAX as usize + 1, "op count");
+        assert!(matches!(over, Err(Error::Archive(_))));
+        assert_eq!(out.len(), 1 + 2 + 4, "a refused length writes nothing");
+
+        let full = vec![Value::Null; u16::MAX.into()];
+        let mut bytes = Vec::new();
+        put_row(&mut bytes, &full).unwrap();
+        assert_eq!(Cursor::new(&bytes).row().unwrap().values(), &full[..]);
+        let over = vec![Value::Null; usize::from(u16::MAX) + 1];
+        let mut bytes = vec![7];
+        assert!(matches!(put_row(&mut bytes, &over), Err(Error::Archive(_))));
+        assert_eq!(bytes, [7], "a refused row writes nothing");
     }
 }

@@ -21,7 +21,9 @@
 //! Versions 1 and 2 are no longer read: they are rejected by name.
 
 use crate::ops::{Op, ScenarioKind, Transaction};
-use bitempo_core::codec::{put_i64, put_row, put_u16, put_u32, put_u64, put_value, Cursor};
+use bitempo_core::codec::{
+    put_i64, put_len, put_row, put_u16, put_u32, put_u64, put_value, Cursor,
+};
 use bitempo_core::frame::{header_bytes, WalAppender, WalReader, MAX_PAYLOAD_BYTES};
 use bitempo_core::{AppDate, AppPeriod, Error, Key, Period, Result, Value};
 use std::path::Path;
@@ -140,11 +142,11 @@ impl Archive {
 /// the same wire language.
 pub fn encode_txn(txn: &Transaction) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    put_u16(&mut out, txn.scenarios.len() as u16);
+    put_len::<u16>(&mut out, txn.scenarios.len(), "scenario count")?;
     out.extend(txn.scenarios.iter().map(|s| s.tag()));
-    put_u32(&mut out, txn.ops.len() as u32);
+    put_len::<u32>(&mut out, txn.ops.len(), "op count")?;
     for op in &txn.ops {
-        put_op(&mut out, op);
+        put_op(&mut out, op)?;
     }
     if out.len() > MAX_PAYLOAD_BYTES {
         return Err(Error::Archive(format!(
@@ -179,11 +181,11 @@ pub fn decode_txn(bytes: &[u8]) -> Result<Transaction> {
     Ok(Transaction { scenarios, ops })
 }
 
-fn put_op(out: &mut Vec<u8>, op: &Op) {
+fn put_op(out: &mut Vec<u8>, op: &Op) -> Result<()> {
     match op {
         Op::Insert { table, row, app } => {
             out.extend_from_slice(&[0, *table]);
-            put_row(out, row.values());
+            put_row(out, row.values())?;
             put_opt_period(out, app);
         }
         Op::Update {
@@ -193,8 +195,8 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
             portion,
         } => {
             out.extend_from_slice(&[1, *table]);
-            put_row(out, &key.to_values());
-            put_u16(out, updates.len() as u16);
+            put_row(out, &key.to_values())?;
+            put_len::<u16>(out, updates.len(), "update count")?;
             for (c, v) in updates {
                 put_u16(out, *c);
                 put_value(out, v);
@@ -207,15 +209,16 @@ fn put_op(out: &mut Vec<u8>, op: &Op) {
             portion,
         } => {
             out.extend_from_slice(&[2, *table]);
-            put_row(out, &key.to_values());
+            put_row(out, &key.to_values())?;
             put_opt_period(out, portion);
         }
         Op::OverwriteApp { table, key, period } => {
             out.extend_from_slice(&[3, *table]);
-            put_row(out, &key.to_values());
+            put_row(out, &key.to_values())?;
             put_period(out, period);
         }
     }
+    Ok(())
 }
 
 fn read_op(cur: &mut Cursor<'_>) -> Result<Op> {
@@ -510,6 +513,40 @@ mod tests {
             );
         }
         assert!(Archive::decode(&framed(VERSION, 1, &[body])).is_ok());
+    }
+
+    /// The scenario and update counts at their `u16` bound read back; one
+    /// over is refused, not written as a count that wrapped.
+    #[test]
+    fn counts_at_the_bound_read_back_and_one_over_is_refused() {
+        let at = usize::from(u16::MAX);
+        let update = |n: usize| Transaction {
+            scenarios: vec![ScenarioKind::NewOrderNewCustomer; n],
+            ops: vec![Op::Update {
+                table: 1,
+                key: Key::int(7),
+                updates: vec![(2, Value::Null); n],
+                portion: None,
+            }],
+        };
+        let txn = update(at);
+        assert_eq!(decode_txn(&encode_txn(&txn).unwrap()).unwrap(), txn);
+        let mut over = update(at);
+        over.scenarios.push(ScenarioKind::NewOrderNewCustomer);
+        let err = encode_txn(&over).unwrap_err();
+        assert!(
+            matches!(&err, Error::Archive(m) if m.contains("scenario count")),
+            "{err}"
+        );
+        let mut over = update(at);
+        if let Op::Update { updates, .. } = &mut over.ops[0] {
+            updates.push((2, Value::Null));
+        }
+        let err = encode_txn(&over).unwrap_err();
+        assert!(
+            matches!(&err, Error::Archive(m) if m.contains("update count")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -125,13 +125,19 @@ impl CanonicalState {
     ) -> Result<()> {
         let first = self.spans.len();
         let (bytes, spans) = (&mut self.bytes, &mut self.spans);
+        let mut refused = None;
         each(&mut |v| {
             // Offsets past `u32::MAX` wrap here and are refused below,
             // before any span is used.
             let start = bytes.len() as u32;
-            put_version(bytes, v);
+            if let Err(e) = put_version(bytes, v) {
+                refused.get_or_insert(e);
+            }
             spans.push((start, bytes.len() as u32));
         })?;
+        if let Some(e) = refused {
+            return Err(e);
+        }
         if u32::try_from(self.bytes.len()).is_err() {
             return Err(Error::Invalid(format!(
                 "canonical state of {name} exceeds 4 GiB"

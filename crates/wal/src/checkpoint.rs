@@ -14,7 +14,7 @@
 //! [`Error::Archive`], never as an over-allocation. Corrupt checkpoints are
 //! an expected input — recovery falls back to the next-older one.
 
-use bitempo_core::codec::{put_i64, put_row, put_str, put_u16, put_u32, put_u64, row_len, Cursor};
+use bitempo_core::codec::{put_i64, put_len, put_row, put_str, put_u32, put_u64, row_len, Cursor};
 use bitempo_core::crc::crc32;
 use bitempo_core::{
     AppDate, Column, DataType, Error, Period, Result, Schema, SysTime, TableDef, TableId,
@@ -62,10 +62,23 @@ impl Checkpoint {
         })
     }
 
+    /// Serializes the checkpoint ([`Checkpoint::try_encode`]).
+    ///
+    /// # Panics
+    ///
+    /// On a table past the format's `u16` bounds — more columns, key
+    /// columns or row values than a `u16` counts, or a key column past
+    /// one — which no engine table reaches and `try_encode` refuses.
+    pub fn encode(&self) -> Vec<u8> {
+        self.try_encode()
+            .unwrap_or_else(|e| panic!("unencodable checkpoint: {e}"))
+    }
+
     /// Serializes the checkpoint: `magic | version | crc32(body) | body`,
     /// into one buffer of exactly its length whose CRC field is patched
-    /// once the body is in.
-    pub fn encode(&self) -> Vec<u8> {
+    /// once the body is in. A count past its field's width is an
+    /// [`Error::Archive`], with none of it written.
+    pub fn try_encode(&self) -> Result<Vec<u8>> {
         // Header; seq, clock and table count; each table.
         let len = HEADER_LEN
             + (8 + 8 + 4)
@@ -85,14 +98,14 @@ impl Checkpoint {
         put_u32(&mut out, self.tables.len() as u32);
         for (def, versions) in &self.tables {
             put_str(&mut out, &def.name);
-            put_u16(&mut out, def.schema.arity() as u16);
+            put_len::<u16>(&mut out, def.schema.arity(), "column count")?;
             for col in def.schema.columns() {
                 put_str(&mut out, &col.name);
                 out.push(dtype_tag(col.dtype));
             }
-            put_u16(&mut out, def.key.len() as u16);
+            put_len::<u16>(&mut out, def.key.len(), "key arity")?;
             for &k in &def.key {
-                put_u16(&mut out, k as u16);
+                put_len::<u16>(&mut out, k, "key column")?;
             }
             out.push(match def.temporal {
                 TemporalClass::NonTemporal => 0,
@@ -108,12 +121,12 @@ impl Checkpoint {
             }
             put_u64(&mut out, versions.len() as u64);
             for v in versions {
-                put_version(&mut out, v);
+                put_version(&mut out, v)?;
             }
         }
         let crc = crc32(&out[HEADER_LEN..]);
         out[8..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-        out
+        Ok(out)
     }
 
     /// Deserializes and validates a checkpoint blob. Any malformation —
@@ -222,12 +235,13 @@ fn version_len(v: &Version) -> usize {
 /// period bounds. The encoding is prefix-free — values are tagged, strings
 /// length-prefixed, doubles written as their bits — so distinct versions
 /// never share an image.
-pub(crate) fn put_version(out: &mut Vec<u8>, v: &Version) {
-    put_row(out, v.row.values());
+pub(crate) fn put_version(out: &mut Vec<u8>, v: &Version) -> Result<()> {
+    put_row(out, v.row.values())?;
     put_i64(out, v.app.start.0);
     put_i64(out, v.app.end.0);
     put_u64(out, v.sys.start.0);
     put_u64(out, v.sys.end.0);
+    Ok(())
 }
 
 fn read_version(cur: &mut Cursor<'_>) -> Result<Version> {
@@ -324,6 +338,50 @@ mod tests {
         assert_eq!(back, c);
     }
 
+    /// A table at the format's `u16` bounds — columns, key columns, a key
+    /// column's index and a row's values — reads back; one past any of
+    /// them is refused, with no buffer returned.
+    #[test]
+    fn counts_at_the_bound_read_back_and_one_over_is_refused() {
+        let at = usize::from(u16::MAX);
+        let table = |cols: usize, key: Vec<usize>| {
+            let schema = (0..cols).map(|c| Column::new(format!("c{c}"), DataType::Int));
+            let def = TableDef {
+                name: "wide".into(),
+                schema: Schema::new(schema.collect()),
+                key,
+                temporal: TemporalClass::NonTemporal,
+                app_time_name: None,
+            };
+            let v = Version {
+                row: Row::new(vec![Value::Null; cols]),
+                app: AppPeriod::ALL,
+                sys: SysPeriod::ALL,
+            };
+            Checkpoint {
+                seq: 1,
+                now: SysTime(1),
+                tables: vec![(def, vec![v])],
+            }
+        };
+        let at_bound = table(at + 1, (1..=at).collect());
+        let refused = at_bound.try_encode().unwrap_err();
+        assert!(matches!(&refused, Error::Archive(m) if m.contains("column count")));
+        let at_bound = table(at, (0..at).collect());
+        let bytes = at_bound.try_encode().unwrap();
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), at_bound);
+        for (over, what) in [
+            (table(at, (0..=at).map(|k| k % at).collect()), "key arity"),
+            (table(at, vec![at + 1]), "key column"),
+        ] {
+            let err = over.try_encode().unwrap_err();
+            assert!(
+                matches!(&err, Error::Archive(m) if m.contains(what)),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn every_corruption_is_detected() {
         let bytes = sample().encode();
@@ -397,7 +455,7 @@ mod tests {
         let mut bytes = Vec::new();
         for (table, v) in state.versions() {
             bytes.extend_from_slice(table.as_bytes());
-            put_version(&mut bytes, &v);
+            put_version(&mut bytes, &v).unwrap();
         }
         assert_eq!((crc32(&bytes), bytes.len()), (0xF174_9071, 1_800_950));
     }

@@ -85,7 +85,7 @@ pub fn durable_replay(
         run.commits += 1;
         if checkpoint_every > 0 && run.commits.is_multiple_of(checkpoint_every) {
             run.checkpoints
-                .push(Checkpoint::capture(engine, ids, seq)?.encode());
+                .push(Checkpoint::capture(engine, ids, seq)?.try_encode()?);
         }
     }
     Ok(run)
