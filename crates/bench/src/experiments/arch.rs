@@ -1,6 +1,6 @@
 //! §5.2's architecture analysis: what each layout stores per version, gated
-//! on the bytes its key structures, tuning indexes and heap slot arrays
-//! hold.
+//! on the bytes its key structures, tuning indexes and heap slot arrays or
+//! column fragments hold.
 
 use crate::report::{FigureReport, Series};
 use crate::runner::{BenchConfig, Instance};
@@ -55,9 +55,18 @@ fn tuning_index_bytes_ceiling(kind: SystemKind) -> f64 {
 /// measured 1.04–1.14 on A and B where `--m` ≤ `--h` (A 1.075 at CI's
 /// `--h 0.001 --m 0.0005`) and 1.22 on A at the repo benchmark's scale, so
 /// the ceiling sits under the least of those and catches them at both.
-/// C stores no slot array; its column fragments are sealed by the delta
-/// merge.
+/// C stores no slot array; its column fragments have a ceiling of their own,
+/// `COLUMN_FRAGMENT_BYTES_CEILING`.
 const HEAP_SLOT_BYTES_CEILING: f64 = 1.05;
+
+/// Ceiling on the bytes C's column fragments hold
+/// (`KeyStructuresFootprint::heap_bytes`: payload vectors, null masks and
+/// dictionaries) per stored version, the `arch` experiment's fourth gate,
+/// set 10 % over the largest value measured across the first gate's sweep:
+/// 52.5–54.3 B since the merge packs the sealed main into frame-of-reference
+/// codes. Unpacked fragments, 8 bytes per integer-like cell and 4 per
+/// string code, measured 122.8–128.3 B and fail it at every scale.
+const COLUMN_FRAGMENT_BYTES_CEILING: f64 = 60.0;
 
 /// The bytes one slot per stored version takes in `kind`'s slot arrays,
 /// for `open` and `closed` versions; `None` on C: A's and D's versions, an
@@ -76,8 +85,9 @@ fn heap_slot_bytes(kind: SystemKind, open: usize, closed: usize) -> Option<usize
 /// under the Key+Time tuning so that its indexes are priced too (nothing
 /// else reported here depends on the tuning). Fails when an engine's key
 /// structures outgrow `KEY_STRUCTURE_BYTES_CEILING`, its tuning indexes
-/// `tuning_index_bytes_ceiling` or its heap slot arrays
-/// `HEAP_SLOT_BYTES_CEILING`.
+/// `tuning_index_bytes_ceiling`, its heap slot arrays
+/// `HEAP_SLOT_BYTES_CEILING` or, on C, its column fragments
+/// `COLUMN_FRAGMENT_BYTES_CEILING`.
 pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
     let inst = Instance::build(cfg, &TuningConfig::key_time())?;
     let mut report = FigureReport::new("arch", "Architecture Analysis (§5.2)", "rows");
@@ -141,17 +151,22 @@ pub fn architecture(cfg: &BenchConfig) -> Result<FigureReport> {
                  {unit}, over the {ceiling} B ceiling: {fp:?}"
             )));
         }
+        let heap_per_version = fp.heap_bytes as f64 / versions.max(1) as f64;
         if let Some(slots) = heap_slot_bytes(kind, open, closed) {
             let over = fp.heap_bytes as f64 / slots.max(1) as f64;
             if over > HEAP_SLOT_BYTES_CEILING {
                 return Err(Error::Invalid(format!(
-                    "{kind}: heap slot arrays hold {:.1} resident bytes per stored version, \
-                     {over:.2}× the {:.1} B one slot per version takes, over the \
-                     {HEAP_SLOT_BYTES_CEILING}× ceiling: {fp:?}",
-                    fp.heap_bytes as f64 / versions.max(1) as f64,
+                    "{kind}: heap slot arrays hold {heap_per_version:.1} resident bytes per \
+                     stored version, {over:.2}× the {:.1} B one slot per version takes, over \
+                     the {HEAP_SLOT_BYTES_CEILING}× ceiling: {fp:?}",
                     slots as f64 / versions.max(1) as f64,
                 )));
             }
+        } else if heap_per_version > COLUMN_FRAGMENT_BYTES_CEILING {
+            return Err(Error::Invalid(format!(
+                "{kind}: column fragments hold {heap_per_version:.1} resident bytes per stored \
+                 version, over the {COLUMN_FRAGMENT_BYTES_CEILING} B ceiling: {fp:?}"
+            )));
         }
     }
     Ok(report)
