@@ -374,7 +374,11 @@ mod tests {
             e.commit();
         }
         let table = &e.tables[0];
-        assert_eq!(table.current.allocated(), 40, "each successor took a freed slot");
+        assert_eq!(
+            table.current.allocated(),
+            40,
+            "each successor took a freed slot"
+        );
         assert_eq!(table.history.allocated(), 400);
         let out = e.scan(t, &SysSpec::Current, &AppSpec::All, &[]).unwrap();
         assert!(out.rows.iter().all(|r| r.get(1) == &Value::Int(10)));

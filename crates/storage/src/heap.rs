@@ -272,7 +272,11 @@ mod tests {
     #[test]
     fn a_slot_takes_no_more_room_than_an_option() {
         assert_eq!(Heap::<u64>::SLOT_BYTES, std::mem::size_of::<Option<u64>>());
-        assert_eq!(Heap::<Box<u64>>::SLOT_BYTES, 16, "the link sits beside the niche");
+        assert_eq!(
+            Heap::<Box<u64>>::SLOT_BYTES,
+            16,
+            "the link sits beside the niche"
+        );
     }
 
     #[test]
@@ -333,7 +337,11 @@ mod tests {
                 assert_eq!(h.remove(slot), None, "a free slot holds nothing");
             } else {
                 let slot = h.insert(step);
-                assert_eq!(live.insert(slot, step), None, "a full slot is never handed out");
+                assert_eq!(
+                    live.insert(slot, step),
+                    None,
+                    "a full slot is never handed out"
+                );
             }
             peak = peak.max(live.len());
             assert!(h.allocated() <= peak, "step {step}");

@@ -266,7 +266,9 @@ fn a_snapshot_pinned_before_a_slot_is_reused_reads_the_old_version() {
     for kind in [SystemKind::A, SystemKind::B, SystemKind::D] {
         for (name, tuning) in &tunings {
             let (mut engine, t) = fresh_engine(kind);
-            engine.apply_tuning(&tuning.clone().with_workers(1)).unwrap();
+            engine
+                .apply_tuning(&tuning.clone().with_workers(1))
+                .unwrap();
             let mgr = TxnManager::new(engine, vec![t], None).unwrap();
             let reader = mgr.begin().unwrap();
             for round in 1..=3 {
