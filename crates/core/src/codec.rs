@@ -72,10 +72,12 @@ pub fn put_len<T: LenField>(out: &mut Vec<u8>, len: usize, what: &str) -> Result
     Ok(())
 }
 
-/// Appends a string as its `u32` byte length and its UTF-8 bytes.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
+/// Appends a string as its `u32` byte length and its UTF-8 bytes;
+/// refuses one longer than `u32::MAX` bytes, writing nothing.
+pub fn put_str(out: &mut Vec<u8>, s: &str) -> Result<()> {
+    put_len::<u32>(out, s.len(), "string length")?;
     out.extend_from_slice(s.as_bytes());
+    Ok(())
 }
 
 /// The length of [`put_value`]'s image of `v`.
@@ -92,8 +94,8 @@ pub fn row_len(values: &[Value]) -> usize {
     2 + values.iter().map(value_len).sum::<usize>()
 }
 
-/// Appends one tagged value.
-pub fn put_value(out: &mut Vec<u8>, v: &Value) {
+/// Appends one tagged value; refuses a string [`put_str`] refuses.
+pub fn put_value(out: &mut Vec<u8>, v: &Value) -> Result<()> {
     match v {
         Value::Null => out.push(0),
         Value::Int(i) => {
@@ -106,7 +108,7 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Str(s) => {
             out.push(3);
-            put_str(out, s);
+            put_str(out, s)?;
         }
         Value::Date(d) => {
             out.push(4);
@@ -117,6 +119,7 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
             put_u64(out, t.0);
         }
     }
+    Ok(())
 }
 
 /// Appends an arity-prefixed value list: a row's values, or a key's;
@@ -124,7 +127,7 @@ pub fn put_value(out: &mut Vec<u8>, v: &Value) {
 pub fn put_row(out: &mut Vec<u8>, values: &[Value]) -> Result<()> {
     put_len::<u16>(out, values.len(), "row arity")?;
     for v in values {
-        put_value(out, v);
+        put_value(out, v)?;
     }
     Ok(())
 }

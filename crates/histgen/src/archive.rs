@@ -199,7 +199,7 @@ fn put_op(out: &mut Vec<u8>, op: &Op) -> Result<()> {
             put_len::<u16>(out, updates.len(), "update count")?;
             for (c, v) in updates {
                 put_u16(out, *c);
-                put_value(out, v);
+                put_value(out, v)?;
             }
             put_opt_period(out, portion);
         }

@@ -14,7 +14,7 @@
 //! [`Error::Archive`], never as an over-allocation. Corrupt checkpoints are
 //! an expected input — recovery falls back to the next-older one.
 
-use bitempo_core::codec::{put_i64, put_len, put_row, put_str, put_u32, put_u64, row_len, Cursor};
+use bitempo_core::codec::{put_i64, put_len, put_row, put_str, put_u64, row_len, Cursor};
 use bitempo_core::crc::crc32;
 use bitempo_core::{
     AppDate, Column, DataType, Error, Period, Result, Schema, SysTime, TableDef, TableId,
@@ -95,12 +95,12 @@ impl Checkpoint {
         out.extend_from_slice(&[0; 4]);
         put_u64(&mut out, self.seq);
         put_u64(&mut out, self.now.0);
-        put_u32(&mut out, self.tables.len() as u32);
+        put_len::<u32>(&mut out, self.tables.len(), "table count")?;
         for (def, versions) in &self.tables {
-            put_str(&mut out, &def.name);
+            put_str(&mut out, &def.name)?;
             put_len::<u16>(&mut out, def.schema.arity(), "column count")?;
             for col in def.schema.columns() {
-                put_str(&mut out, &col.name);
+                put_str(&mut out, &col.name)?;
                 out.push(dtype_tag(col.dtype));
             }
             put_len::<u16>(&mut out, def.key.len(), "key arity")?;
@@ -116,7 +116,7 @@ impl Checkpoint {
                 None => out.push(0),
                 Some(n) => {
                     out.push(1);
-                    put_str(&mut out, n);
+                    put_str(&mut out, n)?;
                 }
             }
             put_u64(&mut out, versions.len() as u64);
