@@ -6,7 +6,7 @@
 //! * `0` — clean (no unwaived findings);
 //! * `2` — the workspace could not be walked at all;
 //! * `10 + n` — unwaived findings, where `n` is the lowest-numbered firing
-//!   rule (`TB000` → 10, `TB001` → 11, …, `TB010` → 20).
+//!   rule (`TB000` → 10, `TB001` → 11, …, `TB011` → 21).
 
 use std::io::Write;
 use std::path::PathBuf;

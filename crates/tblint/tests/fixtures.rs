@@ -305,6 +305,31 @@ fn tb010_waiver_fixture_suppresses_with_reason() {
 }
 
 #[test]
+fn tb011_fixture_fires_in_stored_format_encoders_only() {
+    let src = fixture("tb011_fires.rs");
+    for path in [
+        "crates/core/src/codec.rs",
+        "crates/core/src/frame.rs",
+        "crates/wal/src/record.rs",
+        "crates/wal/src/checkpoint.rs",
+        "crates/histgen/src/archive.rs",
+    ] {
+        let diags = check_source(path, &src);
+        let want = [rules::TB011; 3];
+        assert_eq!(codes(&diags), want, "{path}: {diags:?}");
+    }
+    // A length cast outside an encoder writes no stored format.
+    assert!(check_source("crates/engine/src/shell.rs", &src).is_empty());
+}
+
+#[test]
+fn tb011_clean_fixture_passes() {
+    let src = fixture("tb011_clean.rs");
+    let diags = check_source("crates/core/src/codec.rs", &src);
+    assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
 fn workspace_run_on_this_repo_is_clean() {
     // The real gate, exercised from the test suite too: zero unwaived
     // findings across the workspace this crate lives in.
