@@ -157,15 +157,6 @@ impl std::fmt::Display for AccessPath {
     }
 }
 
-/// Index families available to the tuning study (paper §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IndexKind {
-    /// Ordered index (the only kind every system supports).
-    BTree,
-    /// Generalized search tree over period rectangles (System D only).
-    Gist,
-}
-
 /// Tuning configuration applied uniformly across engines (paper §5.1):
 /// *A) Time Index*, *B) Key+Time Index*, *C) Value Index*. GiST selects the
 /// index implementation on System D. `workers` sets the degree of

@@ -19,7 +19,6 @@
 //! partition-local and stored in 32 bits (`bitempo_tindex::narrow_slot`);
 //! callers pass and get them as `u64`s.
 
-use crate::api::IndexKind;
 use crate::version::Version;
 use bitempo_core::{obs, AppDate, AppPeriod, Key, Row, SysPeriod, SysTime, Value};
 use bitempo_storage::{BPlusTree, RTree, Rect};
@@ -50,8 +49,6 @@ pub struct IndexDef {
     pub name: String,
     /// Indexed columns, major first.
     pub cols: Vec<IndexedCol>,
-    /// Physical kind.
-    pub kind: IndexKind,
 }
 
 /// What an index reads a key from: a [`Version`], or a row that System C
@@ -873,7 +870,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "pk".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         let max = u64::from(u32::MAX);
         let v = version(7, (0, 10), (3, None));
@@ -907,7 +903,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix_id".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         for i in 0..100 {
             idx.insert(&version(i, (0, 10), (0, None)), i as u64);
@@ -934,7 +929,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         for i in 0..5 {
             idx.insert(&version(i, (0, 10), (0, None)), i as u64);
@@ -948,7 +942,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix_key_time".into(),
             cols: vec![IndexedCol::Value(0), IndexedCol::SysStart],
-            kind: IndexKind::BTree,
         });
         idx.insert(&version(7, (0, 10), (1, Some(5))), 100);
         idx.insert(&version(7, (0, 10), (5, None)), 101);
@@ -964,7 +957,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix_sys_start".into(),
             cols: vec![IndexedCol::SysStart],
-            kind: IndexKind::BTree,
         });
         for t in 0..50u64 {
             idx.insert(&version(t as i64, (0, 10), (t, None)), t);
@@ -983,7 +975,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         for i in 0..=100 {
             idx.insert(&version(i, (0, 10), (0, None)), i as u64);
@@ -1018,7 +1009,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         // Domain 0..=99: a whole-unit grid, span exactly 100.
         for i in 0..100 {
@@ -1067,7 +1057,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         for i in 0..100 {
             idx.insert(&version(i, (0, 10), (0, None)), i as u64);
@@ -1118,7 +1107,6 @@ mod tests {
         let mut idx = OrderedIndex::new(IndexDef {
             name: "ix".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         for i in 0..100 {
             idx.insert(&version(i, (0, 10), (0, None)), i as u64);

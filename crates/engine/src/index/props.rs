@@ -158,7 +158,6 @@ fn check(cols: &[IndexedCol], steps: &[u64], odd_from: usize) -> Result<(), Test
     let def = IndexDef {
         name: "ix".into(),
         cols: cols.to_vec(),
-        kind: IndexKind::BTree,
     };
     let mut narrow = OrderedIndex::new(def.clone());
     let mut wide = OrderedIndex::new(def);
@@ -228,7 +227,6 @@ fn check_build(cols: &[IndexedCol], picks: &[u64], odd_from: usize) -> Result<()
     let def = IndexDef {
         name: "ix".into(),
         cols: cols.to_vec(),
-        kind: IndexKind::BTree,
     };
     let entries: Vec<(u64, Version)> = picks
         .iter()
@@ -302,7 +300,6 @@ fn an_index_widens_on_the_first_value_without_a_cell_and_not_before() {
     let def = IndexDef {
         name: "ix".into(),
         cols: vec![IndexedCol::Value(0), IndexedCol::SysEnd],
-        kind: IndexKind::BTree,
     };
     let mut ix = OrderedIndex::new(def);
     for (slot, pick) in [5u64 << 24, 0, 1 << 24, (2 << 16) | (3 << 24)]

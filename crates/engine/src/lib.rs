@@ -42,8 +42,8 @@ pub mod testutil;
 pub mod version;
 
 pub use api::{
-    AccessPath, AppSpec, BitemporalEngine, ColRange, IndexKind, KeyStructuresFootprint, ScanOutput,
-    SysSpec, TableStats, TuningConfig,
+    AccessPath, AppSpec, BitemporalEngine, ColRange, KeyStructuresFootprint, ScanOutput, SysSpec,
+    TableStats, TuningConfig,
 };
 pub use catalog::Catalog;
 pub use morsel::ScanMetrics;

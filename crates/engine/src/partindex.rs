@@ -7,7 +7,7 @@
 //! decides *when* a version enters or leaves a partition (paper §2, §5.2);
 //! this type decides what that means for the partition's indexes.
 
-use crate::api::{IndexKind, TuningConfig};
+use crate::api::TuningConfig;
 use crate::index::{GistIndex, IndexDef, IndexSource, IndexedCol, OrderedIndex};
 use crate::rowscan::{PartitionView, VersionSource};
 use crate::version::Version;
@@ -65,11 +65,7 @@ impl PartIndexes {
             Part::Single => ("", true),
         };
         let table = &def.name;
-        let btree = |name, cols| IndexDef {
-            name,
-            cols,
-            kind: IndexKind::BTree,
-        };
+        let btree = |name, cols| IndexDef { name, cols };
         let mut defs = Vec::new();
         if tuning.time_index && def.has_app_time() {
             defs.push(btree(format!("ix_{prefix}app_{table}"), vec![AppStart]));
@@ -244,7 +240,6 @@ fn system_pk_def(def: &TableDef) -> Option<IndexDef> {
     (!def.key.is_empty()).then(|| IndexDef {
         name: format!("pk_{}", def.name),
         cols: def.key.iter().map(|&c| IndexedCol::Value(c)).collect(),
-        kind: IndexKind::BTree,
     })
 }
 

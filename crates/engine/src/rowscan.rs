@@ -11,6 +11,11 @@
 //! relative work, not a hard-coded threshold. The plan depends only on the
 //! partition's contents and the query: the estimate is reported as
 //! `planned_rows` beside the rows actually visited, and never fed back.
+//!
+//! Whichever path wins, a partition's [`VersionSource`] judges a version one
+//! way, by scanning a range of positions: an index candidate is resolved as
+//! the one-position range at the source's `position` of its slot, which is
+//! the slot itself except where a layout addresses versions otherwise.
 
 use crate::api::{AccessPath, AppSpec, ColRange, SysSpec};
 use crate::index::{GistIndex, IndexedCol, OrderedIndex};
@@ -70,7 +75,7 @@ impl ScanSite<'_> {
     }
 }
 
-/// One physical partition as the scan pipeline sees it: a slot-addressable
+/// One physical partition as the scan pipeline sees it: a position-addressable
 /// collection of versions that filters first and materialises second. Given
 /// the scan's specification, a source judges a version — does it qualify
 /// under both temporal specs and every pushed predicate? — and appends the
@@ -78,32 +83,17 @@ impl ScanSite<'_> {
 /// that can judge a version without assembling it (a column store) never
 /// builds a row it prunes. The pipeline does the counting.
 ///
+/// A source judges one way only, [`VersionSource::scan_range`]: a sequential
+/// scan calls it per morsel, and an index candidate is the one-position range
+/// at [`VersionSource::position`] of its slot, so index precision can never
+/// change an answer.
+///
 /// `Sync` is a supertrait so sequential scans over a partition can be split
 /// into morsels and executed by scoped worker threads (see
 /// [`crate::morsel`]); every implementation is plain data, owned or borrowed.
 pub trait VersionSource: Sync {
-    /// Upper bound (exclusive) on scan positions: the range `0..scan_units()`
-    /// covers every live version, and disjoint sub-ranges visit disjoint
-    /// versions. For heaps this counts free slots too.
-    fn scan_units(&self) -> usize;
     /// Number of versions the planner costs the partition at.
     fn len(&self) -> usize;
-    /// True when the partition holds no versions.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Judges the version stored at `slot`, appending its output row to
-    /// `out` if it qualifies: `Some(qualified)`, or `None` when no live
-    /// version is stored there (index candidates are supersets).
-    fn probe(
-        &self,
-        slot: u64,
-        def: &TableDef,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-        out: &mut Vec<Row>,
-    ) -> Option<bool>;
     /// Judges every live version whose scan position is in `range`, in
     /// position order, appending the output rows of the qualifying ones to
     /// `out`. Returns how many versions it judged.
@@ -116,6 +106,25 @@ pub trait VersionSource: Sync {
         preds: &[ColRange],
         out: &mut Vec<Row>,
     ) -> u64;
+    /// True when the partition holds no versions.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// Upper bound (exclusive) on scan positions: the range `0..scan_units()`
+    /// covers every live version, and disjoint sub-ranges visit disjoint
+    /// versions. A heap counts its free slots too.
+    fn scan_units(&self) -> usize {
+        self.len()
+    }
+    /// The scan position of the version an index addresses as `slot`, or
+    /// `None` when no position can hold it. A slot is its own position
+    /// unless the source overrides this (System B's current table addresses
+    /// versions by uid).
+    fn position(&self, slot: u64) -> Option<usize> {
+        usize::try_from(slot)
+            .ok()
+            .filter(|&at| at < self.scan_units())
+    }
 }
 
 /// The verdict on a stored [`Version`] — all a row source has to do.
@@ -130,29 +139,11 @@ fn judge<R: Borrow<Row>>(
 }
 
 impl VersionSource for Heap<Version> {
-    fn scan_units(&self) -> usize {
-        self.allocated()
-    }
     fn len(&self) -> usize {
         Heap::len(self)
     }
-    fn probe(
-        &self,
-        slot: u64,
-        def: &TableDef,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-        out: &mut Vec<Row>,
-    ) -> Option<bool> {
-        let row = judge(
-            self.get(bitempo_storage::SlotId(slot as u32))?,
-            def,
-            sys,
-            app,
-            preds,
-        );
-        Some(row.map(|row| out.push(row)).is_some())
+    fn scan_units(&self) -> usize {
+        self.allocated()
     }
     fn scan_range(
         &self,
@@ -177,23 +168,8 @@ impl VersionSource for Heap<Version> {
 /// An undo log's staged versions, addressed by position (System B's staging
 /// partition).
 impl VersionSource for Vec<Version> {
-    fn scan_units(&self) -> usize {
-        Vec::len(self)
-    }
     fn len(&self) -> usize {
         Vec::len(self)
-    }
-    fn probe(
-        &self,
-        slot: u64,
-        def: &TableDef,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-        out: &mut Vec<Row>,
-    ) -> Option<bool> {
-        let row = judge(self.get(usize::try_from(slot).ok()?)?, def, sys, app, preds);
-        Some(row.map(|row| out.push(row)).is_some())
     }
     fn scan_range(
         &self,
@@ -275,25 +251,13 @@ impl<'a> Reconstructed<'a> {
 }
 
 impl VersionSource for Reconstructed<'_> {
-    fn scan_units(&self) -> usize {
-        self.values.len()
-    }
     fn len(&self) -> usize {
         self.values.len()
     }
-    fn probe(
-        &self,
-        slot: u64,
-        def: &TableDef,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-        out: &mut Vec<Row>,
-    ) -> Option<bool> {
-        let i = self.values.binary_search_by_key(&slot, |e| e.0).ok()?;
-        let (_, v) = self.versions(i..i + 1).next()?;
-        let row = judge(&v, def, sys, app, preds);
-        Some(row.map(|row| out.push(row)).is_some())
+    /// Index entries address a version by uid: its position is found by
+    /// binary search.
+    fn position(&self, slot: u64) -> Option<usize> {
+        self.values.binary_search_by_key(&slot, |e| e.0).ok()
     }
     fn scan_range(
         &self,
@@ -529,19 +493,26 @@ fn scan_partition_inner<'a>(
         return Ok(AccessPath::FullScan { partitions: 1 });
     }
 
-    // Resolves one index candidate through the source.
+    // Resolves one index candidate as a one-position scan, judged exactly
+    // as a sequential scan judges it. A slot holding no live version (a
+    // freed heap slot, a dead row, a uid not stored) judges nothing.
     let probe = |slot: u64, out: &mut Vec<Row>, m: &mut ScanMetrics| {
         m.index_probes += 1;
-        match part.source.probe(slot, def, sys, app, preds, out) {
-            Some(true) => {
-                m.rows_visited += 1;
+        let Some(at) = part.source.position(slot) else {
+            return;
+        };
+        let before = out.len();
+        if part
+            .source
+            .scan_range(at..at + 1, def, sys, app, preds, out)
+            == 1
+        {
+            m.rows_visited += 1;
+            if out.len() > before {
                 m.index_hits += 1;
-            }
-            Some(false) => {
-                m.rows_visited += 1;
+            } else {
                 m.versions_pruned += 1;
             }
-            None => {}
         }
     };
 
@@ -706,7 +677,6 @@ pub fn merge_access(paths: &[AccessPath]) -> AccessPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::IndexKind;
     use crate::index::IndexDef;
     use bitempo_core::{
         AppDate, AppPeriod, Column, DataType, Schema, SysPeriod, TableDef, TemporalClass,
@@ -789,7 +759,6 @@ mod tests {
         let mut pk = OrderedIndex::new(IndexDef {
             name: "pk_t".into(),
             cols: vec![IndexedCol::Value(0)],
-            kind: IndexKind::BTree,
         });
         for (slot, v) in heap.iter() {
             pk.insert(v, u64::from(slot.0));
@@ -829,7 +798,6 @@ mod tests {
         let mut ix = OrderedIndex::new(IndexDef {
             name: "ix_sys_start".into(),
             cols: vec![IndexedCol::SysStart],
-            kind: IndexKind::BTree,
         });
         for (slot, v) in heap.iter() {
             ix.insert(v, u64::from(slot.0));
@@ -1011,11 +979,23 @@ mod tests {
         assert_eq!(joined, [(2, SysTime(3)), (5, SysTime(1)), (9, SysTime(2))]);
         let (d, preds) = (def(), [ColRange::eq(1, Value::Int(50))]);
         let mut rows = Vec::new();
-        let mut probe =
-            |slot| recon.probe(slot, &d, &SysSpec::All, &AppSpec::All, &preds, &mut rows);
+        // An index candidate: the uid's position, judged as a one-row scan.
+        let mut probe = |uid| {
+            let at = recon.position(uid)?;
+            let before = rows.len();
+            let judged = recon.scan_range(
+                at..at + 1,
+                &d,
+                &SysSpec::All,
+                &AppSpec::All,
+                &preds,
+                &mut rows,
+            );
+            (judged == 1).then_some(rows.len() > before)
+        };
         assert_eq!(probe(5), Some(true), "stored and qualifying");
         assert_eq!(probe(2), Some(false), "stored, pruned by the predicate");
-        assert_eq!(probe(3), None, "nothing stored at slot 3");
+        assert_eq!(probe(3), None, "nothing stored at uid 3");
         assert_eq!(probe(7), None, "a value without its temporal part");
         assert_eq!(probe(4), None, "a temporal part without its value");
         assert_eq!((recon.len(), rows.len()), (3, 1));
@@ -1114,6 +1094,39 @@ mod tests {
         let (bare_path, bare_out, _) = run(&bare);
         assert_eq!(bare_path, AccessPath::FullScan { partitions: 1 });
         assert_eq!(out, bare_out, "probe output identical to full scan");
+    }
+
+    #[test]
+    fn a_candidate_at_a_freed_slot_is_probed_but_not_visited() {
+        let mut heap = heap_with(1000);
+        let tix = tindex_over(&heap);
+        heap.remove(bitempo_storage::SlotId(3));
+        let part = PartitionView {
+            source: &heap,
+            pk: None,
+            indexes: &[],
+            gist: None,
+            tindex: Some(&tix),
+        };
+        let mut out = Vec::new();
+        let mut m = ScanMetrics::default();
+        let path = scan_partition(
+            site(),
+            &part,
+            &def(),
+            &SysSpec::AsOf(SysTime(5)),
+            &AppSpec::All,
+            &[],
+            SysTime(2000),
+            1,
+            &mut out,
+            &mut m,
+        )
+        .unwrap();
+        assert_eq!(path, AccessPath::TemporalProbe("tix_t".into()));
+        assert_eq!((m.index_probes, m.rows_visited), (6, 5), "{m:?}");
+        assert_eq!((m.index_hits, m.versions_pruned), (5, 0), "{m:?}");
+        assert_eq!(out.len(), 5);
     }
 
     #[test]
@@ -1252,22 +1265,8 @@ mod tests {
     struct PanickingSource;
 
     impl VersionSource for PanickingSource {
-        fn scan_units(&self) -> usize {
-            4 * crate::morsel::MORSEL_ROWS
-        }
         fn len(&self) -> usize {
-            self.scan_units()
-        }
-        fn probe(
-            &self,
-            _: u64,
-            _: &TableDef,
-            _: &SysSpec,
-            _: &AppSpec,
-            _: &[ColRange],
-            _: &mut Vec<Row>,
-        ) -> Option<bool> {
-            None
+            4 * crate::morsel::MORSEL_ROWS
         }
         fn scan_range(
             &self,

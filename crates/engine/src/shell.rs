@@ -399,7 +399,7 @@ mod tests {
     use crate::testutil::{bitemp_table, degenerate_table, plain_table, simple_row};
     use crate::{build_engine, SystemKind};
     use bitempo_core::{
-        AppDate, Column, DataType, Error, Key, Period, Row, Schema, SysPeriod, TableDef,
+        AppDate, Column, DataType, Error, Key, Period, Row, Schema, SysPeriod, SysTime, TableDef,
         TemporalClass, Value,
     };
 
@@ -506,5 +506,67 @@ mod tests {
             errors.iter().all(|e| kind(e) == kind(&errors[0])),
             "{errors:#?}"
         );
+    }
+
+    /// A table without a period on an axis is judged as `ALL` there by
+    /// every layout, at the axis end too: a system-time spec at `MAX` reads
+    /// nothing from a plain table, and an application-time one nothing from
+    /// a plain or a degenerate table.
+    #[test]
+    fn a_missing_period_is_judged_as_all_on_every_layout() {
+        let axis_end = [
+            (SysSpec::AsOf(SysTime::MAX), AppSpec::All),
+            (
+                SysSpec::Range(Period::new(SysTime::MAX, SysTime::MAX)),
+                AppSpec::All,
+            ),
+            (SysSpec::Current, AppSpec::AsOf(AppDate::MAX)),
+            (
+                SysSpec::Current,
+                AppSpec::Range(Period::new(AppDate::MAX, AppDate::MAX)),
+            ),
+        ];
+        let answers = SystemKind::ALL.map(|kind| {
+            let mut e = build_engine(kind);
+            let tables = [
+                e.create_table(plain_table("plain")).unwrap(),
+                e.create_table(degenerate_table("degenerate")).unwrap(),
+                e.create_table(bitemp_table("bitemp")).unwrap(),
+            ];
+            for table in tables {
+                for id in [1, 2] {
+                    e.insert(table, simple_row(id, id * 10), None).unwrap();
+                }
+            }
+            e.commit();
+            let now = e.now();
+            let ordinary = [
+                (SysSpec::AsOf(now), AppSpec::All),
+                (
+                    SysSpec::Range(Period::new(SysTime::ZERO, now)),
+                    AppSpec::All,
+                ),
+                (SysSpec::Current, AppSpec::AsOf(AppDate(0))),
+                (
+                    SysSpec::Current,
+                    AppSpec::Range(Period::new(AppDate(0), AppDate(10))),
+                ),
+            ];
+            let mut answer = Vec::new();
+            for table in tables {
+                for (sys, app) in &axis_end {
+                    let rows = e.scan(table, sys, app, &[]).unwrap().rows;
+                    assert!(rows.is_empty(), "{kind} {table:?} {sys:?} {app:?}");
+                }
+                for (sys, app) in &ordinary {
+                    let mut rows = e.scan(table, sys, app, &[]).unwrap().rows;
+                    rows.sort();
+                    answer.push(rows);
+                }
+            }
+            answer
+        });
+        assert!(answers.iter().all(|a| *a == answers[0]), "{answers:#?}");
+        assert!(answers[0].iter().any(|rows| !rows.is_empty()));
     }
 }

@@ -32,8 +32,8 @@ use crate::shell::{Engine, TableLayout};
 use crate::version::Version;
 use bitempo_core::hash::FxHashSet;
 use bitempo_core::{
-    AppDate, AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime,
-    TableDef, Value,
+    AppPeriod, Column, DataType, Error, Key, Result, Row, Schema, SysPeriod, SysTime, TableDef,
+    Value,
 };
 use bitempo_storage::{ColumnTable, RowFate};
 use bitempo_tindex::TemporalIndex;
@@ -99,58 +99,13 @@ fn physical_schema(def: &TableDef) -> (Schema, HiddenCols) {
     (Schema::new(cols), hidden)
 }
 
-/// Decodes a date-typed hidden column. The hidden columns' types are fixed
-/// by [`physical_schema`] at table creation, so the decode cannot fail.
-fn decode_date(part: &ColumnTable, col: usize, rowid: usize) -> AppDate {
-    // tblint: allow(TB004) hidden-column type is fixed by physical_schema at creation
-    part.get_value(col, rowid).as_date().expect("date column")
-}
-
-/// Decodes a system-time-typed hidden column; see [`decode_date`].
-fn decode_sys(part: &ColumnTable, col: usize, rowid: usize) -> SysTime {
-    part.get_value(col, rowid)
-        .as_sys_time()
-        // tblint: allow(TB004) hidden-column type is fixed by physical_schema at creation
-        .expect("systime column")
-}
-
 impl HiddenCols {
-    /// The stored application period of one physical row; `None` on a
-    /// table without application time (every such version is valid always).
-    fn app_of(self, part: &ColumnTable, rowid: usize) -> Option<AppPeriod> {
-        let c = self.app_start?;
-        Some(AppPeriod::new(
-            decode_date(part, c, rowid),
-            decode_date(part, c + 1, rowid),
-        ))
-    }
-
-    /// The stored system period of one physical row; `None` on a table that
-    /// is not system-versioned.
-    fn sys_of(self, part: &ColumnTable, rowid: usize) -> Option<SysPeriod> {
-        let c = self.sys_start?;
-        Some(SysPeriod::new(
-            decode_sys(part, c, rowid),
-            decode_sys(part, c + 1, rowid),
-        ))
-    }
-
-    /// Both periods of one physical row, as a [`Version`] carries them.
-    fn periods_of(self, part: &ColumnTable, rowid: usize) -> (AppPeriod, SysPeriod) {
-        (
-            self.app_of(part, rowid).unwrap_or(AppPeriod::ALL),
-            self.sys_of(part, rowid).unwrap_or(SysPeriod::ALL),
-        )
-    }
-
-    /// The version stored in one physical row of a table with `arity` value
-    /// columns.
-    fn version_at(self, part: &ColumnTable, arity: usize, rowid: usize) -> Version {
-        let (app, sys) = self.periods_of(part, rowid);
-        Version {
-            row: (0..arity).map(|c| part.get_value(c, rowid)).collect(),
-            app,
-            sys,
+    /// Physical row `rowid` of `part`, read through these hidden columns.
+    fn row(self, part: &ColumnTable, rowid: usize) -> FragmentRow<'_> {
+        FragmentRow {
+            part,
+            hidden: self,
+            rowid,
         }
     }
 }
@@ -174,25 +129,55 @@ fn append_physical(part: &mut ColumnTable, hidden: HiddenCols, version: &Version
     Ok(rowid as u64)
 }
 
-/// One physical row of a fragment as the indexes read it: cell by cell, in
-/// place, with no [`Row`] or [`Version`] materialised.
+/// One physical row of a fragment, read cell by cell in place with no
+/// [`Row`] or [`Version`] materialised: the one reader of a stored row, for
+/// scans, the delta merge, the indexes and checkpoints alike. A period the
+/// table does not store reads as `ALL` on its axis, as every layout stores
+/// it.
 struct FragmentRow<'a> {
     part: &'a ColumnTable,
     hidden: HiddenCols,
     rowid: usize,
 }
 
+impl FragmentRow<'_> {
+    /// The stored version of a table with `arity` value columns.
+    fn version(&self, arity: usize) -> Version {
+        Version {
+            row: (0..arity).map(|c| self.value(c)).collect(),
+            app: self.app(),
+            sys: self.sys(),
+        }
+    }
+}
+
+/// The hidden columns' types are fixed by [`physical_schema`] at table
+/// creation, so decoding a period cell cannot fail.
 impl IndexSource for FragmentRow<'_> {
     fn value(&self, col: usize) -> Value {
         self.part.get_value(col, self.rowid)
     }
     fn app(&self) -> AppPeriod {
-        let app = self.hidden.app_of(self.part, self.rowid);
-        app.unwrap_or(AppPeriod::ALL)
+        self.hidden.app_start.map_or(AppPeriod::ALL, |c| {
+            let date = |col| {
+                self.value(col)
+                    .as_date()
+                    // tblint: allow(TB004) hidden-column type is fixed by physical_schema at creation
+                    .expect("date column")
+            };
+            AppPeriod::new(date(c), date(c + 1))
+        })
     }
     fn sys(&self) -> SysPeriod {
-        let sys = self.hidden.sys_of(self.part, self.rowid);
-        sys.unwrap_or(SysPeriod::ALL)
+        self.hidden.sys_start.map_or(SysPeriod::ALL, |c| {
+            let time = |col| {
+                self.value(col)
+                    .as_sys_time()
+                    // tblint: allow(TB004) hidden-column type is fixed by physical_schema at creation
+                    .expect("systime column")
+            };
+            SysPeriod::new(time(c), time(c + 1))
+        })
     }
 }
 
@@ -202,16 +187,7 @@ fn fragment_rows(
     hidden: HiddenCols,
     rowids: Range<usize>,
 ) -> impl Iterator<Item = (u64, FragmentRow<'_>)> {
-    rowids.map(move |rowid| {
-        (
-            rowid as u64,
-            FragmentRow {
-                part,
-                hidden,
-                rowid,
-            },
-        )
-    })
+    rowids.map(move |rowid| (rowid as u64, hidden.row(part, rowid)))
 }
 
 /// Rebuilds a temporal index over one column-store fragment from scratch
@@ -224,10 +200,7 @@ fn build_column_tindex(
     TemporalIndex::build(
         index_name,
         bitempo_tindex::timeline::DEFAULT_CHECKPOINT_EVERY,
-        (0..part.len()).map(|rowid| {
-            let (app, sys) = hidden.periods_of(part, rowid);
-            (rowid as u64, app, sys)
-        }),
+        fragment_rows(part, hidden, 0..part.len()).map(|(slot, row)| (slot, row.app(), row.sys())),
     )
 }
 
@@ -244,47 +217,13 @@ pub struct ColumnFragment<'a> {
     hidden: HiddenCols,
 }
 
-impl ColumnFragment<'_> {
-    /// The authoritative per-row check, shared by the sequential path and
-    /// by temporal-index candidates so index precision can never change
-    /// scan results.
-    fn qualifies(&self, rowid: usize, sys: &SysSpec, app: &AppSpec, preds: &[ColRange]) -> bool {
-        let (part, hidden) = (self.part, self.hidden);
-        hidden.sys_of(part, rowid).is_none_or(|p| sys.matches(&p))
-            && hidden.app_of(part, rowid).is_none_or(|p| app.matches(&p))
-            && preds
-                .iter()
-                .all(|p| p.matches(&part.get_value(p.col, rowid)))
-    }
-}
-
 impl VersionSource for ColumnFragment<'_> {
-    fn scan_units(&self) -> usize {
-        self.part.len()
-    }
     fn len(&self) -> usize {
         self.part.len()
     }
-    fn probe(
-        &self,
-        slot: u64,
-        def: &TableDef,
-        sys: &SysSpec,
-        app: &AppSpec,
-        preds: &[ColRange],
-        out: &mut Vec<Row>,
-    ) -> Option<bool> {
-        let rowid = slot as usize;
-        if rowid >= self.part.len() {
-            return None;
-        }
-        // A one-row scan: the per-row check keeps a single call site (the
-        // loop below) and so stays inlined into it — a second one measured
-        // 7–17 % slower key-predicate scans.
-        let before = out.len();
-        let judged = self.scan_range(rowid..rowid + 1, def, sys, app, preds, out);
-        (judged == 1).then_some(out.len() > before)
-    }
+    /// Index candidates arrive as one-row ranges too, so the per-row check
+    /// has this one call site and stays inlined into the loop (a second one
+    /// measured 7–17 % slower key-predicate scans).
     fn scan_range(
         &self,
         range: Range<usize>,
@@ -295,16 +234,19 @@ impl VersionSource for ColumnFragment<'_> {
         out: &mut Vec<Row>,
     ) -> u64 {
         let mut judged = 0;
-        for rowid in range {
-            if self.dead.is_some_and(|d| d.contains(&rowid)) {
+        for (_, row) in fragment_rows(self.part, self.hidden, range) {
+            if self.dead.is_some_and(|d| d.contains(&row.rowid)) {
                 continue;
             }
             judged += 1;
-            if self.qualifies(rowid, sys, app, preds) {
+            if sys.matches(&row.sys())
+                && app.matches(&row.app())
+                && preds.iter().all(|p| p.matches(&row.value(p.col)))
+            {
                 #[cfg(test)]
                 tests::MATERIALISED.with(|n| n.set(n.get() + 1));
                 // The physical row is the scan-output row.
-                out.push(self.part.get_row(rowid));
+                out.push(self.part.get_row(row.rowid));
             }
         }
         judged
@@ -324,11 +266,7 @@ impl TableC {
     fn fate(&self, rowid: usize) -> RowFate {
         if self.dead.contains(&rowid) {
             RowFate::Drop
-        } else if self
-            .hidden
-            .sys_of(&self.current, rowid)
-            .is_none_or(|p| p.is_current())
-        {
+        } else if self.hidden.row(&self.current, rowid).sys().is_current() {
             RowFate::Keep
         } else {
             RowFate::Move
@@ -373,7 +311,8 @@ impl TableLayout for TableC {
         }
         Some(
             self.hidden
-                .version_at(&self.current, def.schema.arity(), rowid),
+                .row(&self.current, rowid)
+                .version(def.schema.arity()),
         )
     }
 
@@ -386,11 +325,7 @@ impl TableLayout for TableC {
                 "closing row {rowid} with no live version"
             )));
         }
-        let row = FragmentRow {
-            part: &self.current,
-            hidden: self.hidden,
-            rowid,
-        };
+        let row = self.hidden.row(&self.current, rowid);
         if let Some(pk) = &mut self.pk {
             pk.remove(&row, slot);
         }
@@ -524,12 +459,12 @@ impl TableLayout for TableC {
 
     fn for_each_version(&self, def: &TableDef, f: &mut dyn FnMut(&Version)) {
         let arity = def.schema.arity();
-        let current = (0..self.current.len())
-            .filter(|rowid| !self.dead.contains(rowid))
-            .map(|rowid| self.hidden.version_at(&self.current, arity, rowid));
-        let history = (0..self.history.len())
-            .map(|rowid| self.hidden.version_at(&self.history, arity, rowid));
-        current.chain(history).for_each(|v| f(&v));
+        let current = fragment_rows(&self.current, self.hidden, 0..self.current.len())
+            .filter(|(_, row)| !self.dead.contains(&row.rowid));
+        let history = fragment_rows(&self.history, self.hidden, 0..self.history.len());
+        current
+            .chain(history)
+            .for_each(|(_, row)| f(&row.version(arity)));
     }
 
     fn restore_from(def: &TableDef, versions: Vec<Version>) -> Result<TableC> {
@@ -563,7 +498,7 @@ mod tests {
     use crate::api::{AccessPath, BitemporalEngine};
     use crate::slack_tests::SlotArrays;
     use crate::testutil::{bitemp_table, insert_rows, simple_row};
-    use bitempo_core::Period;
+    use bitempo_core::{AppDate, Period};
     use std::cell::Cell;
     use std::collections::HashMap;
 

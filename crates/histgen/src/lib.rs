@@ -46,9 +46,6 @@ pub struct HistoryConfig {
     pub m: f64,
     /// Seed for the scenario stream (independent of the dbgen seed).
     pub seed: u64,
-    /// Scenarios per application-time day (the paper's history spans months
-    /// of simulated business on top of the TPC-H epoch).
-    pub scenarios_per_day: u64,
 }
 
 impl HistoryConfig {
@@ -57,17 +54,12 @@ impl HistoryConfig {
         HistoryConfig {
             m: 0.0005,
             seed: 0x415C,
-            scenarios_per_day: 4,
         }
     }
 
     /// A configuration with the given `m` and default seed.
     pub fn with_m(m: f64) -> HistoryConfig {
-        HistoryConfig {
-            m,
-            seed: 0x415C,
-            scenarios_per_day: 4,
-        }
+        HistoryConfig { m, seed: 0x415C }
     }
 
     /// Number of scenario executions.

@@ -36,6 +36,10 @@ mod t {
 /// add it here; [`GenDb::current_of`] debug-asserts it.
 pub const READ_TABLES: [u8; 2] = [t::PARTSUPP, t::ORDERS];
 
+/// Scenarios per application-time day (the paper's history spans months of
+/// simulated business on top of the TPC-H epoch).
+const SCENARIOS_PER_DAY: u64 = 4;
+
 /// A pool of int keys with O(1) random pick and removal.
 #[derive(Debug, Default)]
 struct KeyPool {
@@ -200,7 +204,7 @@ pub fn run(data: &TpchData, config: &HistoryConfig) -> History {
     let mut transactions = Vec::with_capacity(config.scenarios() as usize);
 
     for i in 0..config.scenarios() {
-        let today = LAST_ORDER_DATE.plus_days(1 + (i / config.scenarios_per_day.max(1)) as i64);
+        let today = LAST_ORDER_DATE.plus_days(1 + (i / SCENARIOS_PER_DAY) as i64);
         let kind = runner.pick_weighted_kind();
         let kind = runner.resolve_kind(kind);
         let mut ops = build_ops(kind, &mut runner, &db, today);

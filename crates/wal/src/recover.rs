@@ -343,7 +343,6 @@ mod tests {
             &HistoryConfig {
                 m: 0.00012, // 120 scenario transactions
                 seed: 0xFACE,
-                scenarios_per_day: 4,
             },
         );
         (data, hist.archive)

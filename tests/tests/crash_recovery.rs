@@ -43,7 +43,6 @@ fn world() -> &'static (TpchData, Archive) {
             &HistoryConfig {
                 m: 0.0001, // 100 scenario transactions
                 seed: 0x5EED,
-                scenarios_per_day: 4,
             },
         );
         (data, hist.archive)
