@@ -214,6 +214,63 @@ impl AppPeriod {
     }
 }
 
+/// System-time dimension of a scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SysSpec {
+    /// *Implicit* current time: no `AS OF` in the query at all. Engines with
+    /// a current/history split touch only the current partition (paper
+    /// §5.3.4).
+    Current,
+    /// *Explicit* `AS OF t` — even for `t == now` the optimizers of all
+    /// three native systems failed to prune the history partition (Fig 6),
+    /// and so do we: `AsOf` always visits both partitions.
+    AsOf(SysTime),
+    /// `FROM .. TO ..`: all versions whose system period overlaps the range.
+    Range(SysPeriod),
+    /// Every version ever recorded.
+    All,
+}
+
+/// Application-time dimension of a scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppSpec {
+    /// `AS OF DATE d`.
+    AsOf(AppDate),
+    /// All versions whose application period overlaps the range.
+    Range(AppPeriod),
+    /// No application-time constraint.
+    All,
+}
+
+impl SysSpec {
+    /// True if a version with system period `sys` qualifies.
+    pub fn matches(&self, sys: &SysPeriod) -> bool {
+        match self {
+            SysSpec::Current => sys.is_current(),
+            SysSpec::AsOf(t) => sys.contains_point(*t),
+            SysSpec::Range(p) => sys.overlaps(p),
+            SysSpec::All => true,
+        }
+    }
+
+    /// True if this spec can be answered from the current partition alone.
+    /// Only the *implicit* form qualifies — reproducing Fig 6.
+    pub fn current_only(&self) -> bool {
+        matches!(self, SysSpec::Current)
+    }
+}
+
+impl AppSpec {
+    /// True if a version with application period `app` qualifies.
+    pub fn matches(&self, app: &AppPeriod) -> bool {
+        match self {
+            AppSpec::AsOf(d) => app.contains_point(*d),
+            AppSpec::Range(p) => app.overlaps(p),
+            AppSpec::All => true,
+        }
+    }
+}
+
 impl<T: fmt::Display> fmt::Display for Period<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{}, {})", self.start, self.end)
@@ -288,6 +345,32 @@ mod tests {
         assert_eq!(AppDate::MAX.plus_days(5), AppDate::MAX);
         assert_eq!(SysTime::MAX.to_string(), "∞");
         assert_eq!(SysTime(7).to_string(), "t7");
+    }
+
+    #[test]
+    fn sys_spec_matching() {
+        let closed = SysPeriod::new(SysTime(5), SysTime(10));
+        let open = SysPeriod::since(SysTime(7));
+        assert!(!SysSpec::Current.matches(&closed));
+        assert!(SysSpec::Current.matches(&open));
+        assert!(SysSpec::AsOf(SysTime(5)).matches(&closed));
+        assert!(!SysSpec::AsOf(SysTime(10)).matches(&closed));
+        assert!(SysSpec::AsOf(SysTime(100)).matches(&open));
+        assert!(SysSpec::Range(Period::new(SysTime(9), SysTime(20))).matches(&closed));
+        assert!(!SysSpec::Range(Period::new(SysTime(10), SysTime(20))).matches(&closed));
+        assert!(SysSpec::All.matches(&closed));
+        assert!(SysSpec::Current.current_only());
+        assert!(!SysSpec::AsOf(SysTime(0)).current_only());
+    }
+
+    #[test]
+    fn app_spec_matching() {
+        let period = p(10, 20);
+        assert!(AppSpec::AsOf(AppDate(10)).matches(&period));
+        assert!(!AppSpec::AsOf(AppDate(20)).matches(&period));
+        assert!(AppSpec::Range(p(19, 30)).matches(&period));
+        assert!(!AppSpec::Range(p(20, 30)).matches(&period));
+        assert!(AppSpec::All.matches(&period));
     }
 
     #[test]

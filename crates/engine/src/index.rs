@@ -38,8 +38,6 @@ pub enum IndexedCol {
     AppStart,
     /// The system-period start.
     SysStart,
-    /// The system-period end (useful for "visible at t" probes).
-    SysEnd,
 }
 
 /// Definition of one ordered index.
@@ -92,7 +90,6 @@ fn extract_col(source: &impl IndexSource, col: IndexedCol) -> Value {
         IndexedCol::Value(i) => source.value(i),
         IndexedCol::AppStart => Value::Date(source.app().start),
         IndexedCol::SysStart => Value::SysTime(source.sys().start),
-        IndexedCol::SysEnd => Value::SysTime(source.sys().end),
     }
 }
 
@@ -426,7 +423,7 @@ impl OrderedIndex {
         let kinds = def.cols.iter().map(|col| match col {
             IndexedCol::Value(_) => None,
             IndexedCol::AppStart => Some(CellKind::Date),
-            IndexedCol::SysStart | IndexedCol::SysEnd => Some(CellKind::SysTime),
+            IndexedCol::SysStart => Some(CellKind::SysTime),
         });
         OrderedIndex {
             cells: Cells::Int {

@@ -43,12 +43,11 @@ fn version(pick: u64, odd: bool) -> Version {
         2 => AppDate::MAX,
         d => AppDate(d as i64 - 4),
     };
-    let sys_start = (pick >> 12) % 6;
-    let sys_end = match (pick >> 16) % 8 {
+    let sys_start = match (pick >> 16) % 8 {
         0 if odd => SysTime(i64::MAX as u64 + (pick >> 20) % 2),
         1 => SysTime(i64::MAX as u64 - 1),
         2..=4 => SysTime::MAX,
-        d => SysTime(sys_start + d),
+        _ => SysTime((pick >> 12) % 6),
     };
     Version {
         row: Row::new(vec![
@@ -56,7 +55,7 @@ fn version(pick: u64, odd: bool) -> Version {
             column_value(pick >> 40, odd),
         ]),
         app: AppPeriod::new(app_start, AppDate::MAX),
-        sys: SysPeriod::new(SysTime(sys_start), sys_end),
+        sys: SysPeriod::since(sys_start),
     }
 }
 
@@ -92,14 +91,14 @@ fn palette() -> Vec<Value> {
 }
 
 fn shapes() -> Vec<Vec<IndexedCol>> {
-    use IndexedCol::{AppStart, SysEnd, SysStart};
+    use IndexedCol::{AppStart, SysStart};
     vec![
         vec![IndexedCol::Value(0)],
         vec![IndexedCol::Value(0), IndexedCol::Value(1)],
         vec![IndexedCol::Value(0), SysStart],
-        vec![IndexedCol::Value(1), IndexedCol::Value(0), SysEnd],
+        vec![IndexedCol::Value(1), IndexedCol::Value(0), SysStart],
         vec![AppStart],
-        vec![SysEnd, IndexedCol::Value(0)],
+        vec![SysStart, IndexedCol::Value(0)],
     ]
 }
 
@@ -299,7 +298,7 @@ proptest! {
 fn an_index_widens_on_the_first_value_without_a_cell_and_not_before() {
     let def = IndexDef {
         name: "ix".into(),
-        cols: vec![IndexedCol::Value(0), IndexedCol::SysEnd],
+        cols: vec![IndexedCol::Value(0), IndexedCol::SysStart],
     };
     let mut ix = OrderedIndex::new(def);
     for (slot, pick) in [5u64 << 24, 0, 1 << 24, (2 << 16) | (3 << 24)]

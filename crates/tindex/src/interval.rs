@@ -5,12 +5,12 @@
 //! carry no append-order structure, so the Timeline's event-log trick does
 //! not apply. Instead the classic endpoint-list scheme is used: every
 //! `(period, slot)` entry is kept in two orders — by period start, and by
-//! period end as 4-byte positions into the first list. A timeslice probe
-//! at date `d` needs entries with `start <= d` *and* `d` before the
-//! period's end; each sorted list gives one of the two conditions as a
+//! period end as 4-byte positions into the first list. An overlap probe of
+//! `[from, until)` needs entries that start before `until` *and* end after
+//! `from`; each sorted list gives one of the two conditions as a
 //! binary-searched prefix/suffix, and the probe scans whichever side is
-//! smaller, filtering by the full containment test. Overlap probes work the same way on the
-//! `starts-before-range-end` / `ends-after-range-start` pair.
+//! smaller, filtering by the full overlap test. A timeslice (`AS OF` a
+//! date `d`) is the one-day range `[d, d + 1)`, so the index has one probe.
 //!
 //! Appends are cheap (a push to the first list); probes treat the unsorted
 //! tail beyond the last [`IntervalIndex::prepare`] call linearly, so
@@ -123,63 +123,17 @@ impl IntervalIndex {
             as u64
     }
 
-    /// Slots whose period contains `d`, sorted ascending.
-    pub fn stab(&self, d: AppDate, cost: &mut crate::ProbeCost) -> Vec<u64> {
-        let d = day_from(d);
-        self.probe(|e| e.start <= d && d < e.end, d, d, cost)
-    }
-
-    /// Slots whose period overlaps `range`, sorted ascending.
+    /// Slots whose period overlaps `range`, sorted ascending: the cheaper
+    /// endpoint-list side of the sorted prefix, each entry filtered by the
+    /// full overlap test, then the unsorted tail.
     pub fn overlapping(&self, range: &AppPeriod, cost: &mut crate::ProbeCost) -> Vec<u64> {
-        let (from, until) = (day_from(range.start), day_until(range.end));
-        self.probe(|e| e.start < until && from < e.end, until - 1, from, cost)
-    }
-
-    /// Upper bound on [`IntervalIndex::stab`] output size.
-    pub fn estimate_stab(&self, d: AppDate) -> usize {
-        let d = day_from(d);
-        self.estimate(d, d)
-    }
-
-    /// Upper bound on [`IntervalIndex::overlapping`] output size.
-    pub fn estimate_overlapping(&self, range: &AppPeriod) -> usize {
-        self.estimate(day_until(range.end) - 1, day_from(range.start))
-    }
-
-    /// How many sorted entries start at or before `last`, and how many end
-    /// at or before `first`: an entry beyond the one or within the other
-    /// cannot reach into `[first, last]`.
-    fn sorted_sides(&self, last: i32, first: i32) -> (usize, usize) {
-        let s = self.sorted_len;
-        (
-            self.by_lo[..s].partition_point(|e| e.start <= last),
-            self.by_hi
-                .partition_point(|&i| self.by_lo[i as usize].end <= first),
-        )
-    }
-
-    fn estimate(&self, last: i32, first: i32) -> usize {
-        let s = self.sorted_len;
-        let (p, q) = self.sorted_sides(last, first);
-        p.min(s - q) + (self.by_lo.len() - s)
-    }
-
-    /// Shared probe skeleton for the days `[first, last]`: pick the cheaper
-    /// endpoint-list side for the sorted prefix, filter candidates by the
-    /// authoritative `matches` test, then walk the unsorted tail.
-    fn probe(
-        &self,
-        matches: impl Fn(&Entry) -> bool,
-        last: i32,
-        first: i32,
-        cost: &mut crate::ProbeCost,
-    ) -> Vec<u64> {
+        let (last, first) = days(range);
         let s = self.sorted_len;
         let (p, q) = self.sorted_sides(last, first);
         let mut out = Vec::new();
         let mut visit = |e: &Entry| {
             cost.node_visits += 1;
-            if matches(e) {
+            if e.start <= last && first < e.end {
                 out.push(u64::from(e.slot));
             }
         };
@@ -194,6 +148,33 @@ impl IntervalIndex {
         out.dedup();
         out
     }
+
+    /// Upper bound on [`IntervalIndex::overlapping`] output size.
+    pub fn estimate_overlapping(&self, range: &AppPeriod) -> usize {
+        let (last, first) = days(range);
+        let s = self.sorted_len;
+        let (p, q) = self.sorted_sides(last, first);
+        p.min(s - q) + (self.by_lo.len() - s)
+    }
+
+    /// How many sorted entries start at or before `last`, and how many end
+    /// at or before `first`: an entry beyond the one or within the other
+    /// cannot reach into `[first, last]`.
+    fn sorted_sides(&self, last: i32, first: i32) -> (usize, usize) {
+        let s = self.sorted_len;
+        (
+            self.by_lo[..s].partition_point(|e| e.start <= last),
+            self.by_hi
+                .partition_point(|&i| self.by_lo[i as usize].end <= first),
+        )
+    }
+}
+
+/// The last and the first 32-bit day of `range`. For the one-day range
+/// `[d, d + 1)` both are `day_from(d)`, at the sentinels too: `plus_days`
+/// saturates there, and so does the narrowing.
+fn days(range: &AppPeriod) -> (i32, i32) {
+    (day_until(range.end) - 1, day_from(range.start))
 }
 
 #[cfg(test)]
@@ -204,6 +185,15 @@ mod tests {
 
     fn p(a: i64, b: i64) -> AppPeriod {
         Period::new(AppDate(a), AppDate(b))
+    }
+
+    /// The timeslice at `d`: the one-day range `[d, d + 1)`.
+    fn day(d: AppDate) -> AppPeriod {
+        Period::new(d, d.plus_days(1))
+    }
+
+    fn stab(ix: &IntervalIndex, d: i64, cost: &mut crate::ProbeCost) -> Vec<u64> {
+        ix.overlapping(&day(AppDate(d)), cost)
     }
 
     fn sample() -> Vec<(u64, AppPeriod)> {
@@ -235,7 +225,7 @@ mod tests {
             let ix = build(&entries, prepared);
             for d in -2..25i64 {
                 let mut cost = crate::ProbeCost::default();
-                let got = ix.stab(AppDate(d), &mut cost);
+                let got = stab(&ix, d, &mut cost);
                 let mut want: Vec<u64> = entries
                     .iter()
                     .filter(|(_, per)| per.contains_point(AppDate(d)))
@@ -273,10 +263,7 @@ mod tests {
         let max = u64::from(u32::MAX);
         let mut ix = build(&[(max, p(0, 10))], true);
         for d in [0, 9] {
-            assert_eq!(
-                ix.stab(AppDate(d), &mut crate::ProbeCost::default()),
-                vec![max]
-            );
+            assert_eq!(stab(&ix, d, &mut crate::ProbeCost::default()), vec![max]);
         }
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ix.insert(max + 1, p(0, 10));
@@ -293,11 +280,11 @@ mod tests {
     fn half_open_boundary_is_exact() {
         let ix = build(&[(0, p(5, 10))], true);
         let mut cost = crate::ProbeCost::default();
-        assert!(ix.stab(AppDate(4), &mut cost).is_empty());
-        assert_eq!(ix.stab(AppDate(5), &mut cost), vec![0]);
-        assert_eq!(ix.stab(AppDate(9), &mut cost), vec![0]);
+        assert!(stab(&ix, 4, &mut cost).is_empty());
+        assert_eq!(stab(&ix, 5, &mut cost), vec![0]);
+        assert_eq!(stab(&ix, 9, &mut cost), vec![0]);
         assert!(
-            ix.stab(AppDate(10), &mut cost).is_empty(),
+            stab(&ix, 10, &mut cost).is_empty(),
             "the end of a half-open period is excluded"
         );
     }
@@ -310,7 +297,7 @@ mod tests {
         let entries: Vec<(u64, AppPeriod)> = (0..100).map(|i| (i, p(0, 1 + i as i64))).collect();
         let ix = build(&entries, true);
         let mut cost = crate::ProbeCost::default();
-        let got = ix.stab(AppDate(95), &mut cost);
+        let got = stab(&ix, 95, &mut cost);
         assert_eq!(got.len(), 5);
         assert!(
             cost.node_visits <= 10,
@@ -376,8 +363,8 @@ mod tests {
             for &(a, b) in &probes {
                 let mut cost = crate::ProbeCost::default();
                 let d = AppDate(a);
-                prop_assert!(ix.estimate_stab(d) >= ix.stab(d, &mut cost).len());
-                check(ix.stab(d, &mut cost), (lo..hi).contains(&a), &|per| per.contains_point(d))?;
+                prop_assert!(ix.estimate_overlapping(&day(d)) >= ix.overlapping(&day(d), &mut cost).len());
+                check(ix.overlapping(&day(d), &mut cost), (lo..hi).contains(&a), &|per| per.contains_point(d))?;
                 let range = p(a.min(b), a.max(b));
                 let exact = (lo..hi).contains(&range.start.0) && (lo + 1..=hi).contains(&range.end.0);
                 prop_assert!(
@@ -394,7 +381,8 @@ mod tests {
         let ix = build(&entries, true);
         for d in [0i64, 7, 12, 19, 40] {
             let mut cost = crate::ProbeCost::default();
-            assert!(ix.estimate_stab(AppDate(d)) >= ix.stab(AppDate(d), &mut cost).len());
+            let d = day(AppDate(d));
+            assert!(ix.estimate_overlapping(&d) >= ix.overlapping(&d, &mut cost).len());
         }
         let r = p(8, 14);
         let mut cost = crate::ProbeCost::default();
