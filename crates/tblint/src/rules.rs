@@ -296,11 +296,12 @@ fn tb004(toks: &[Tok], out: &mut Vec<Finding>) {
                 || prev.text == ")"
                 || prev.text == "]";
             // Keywords that *end* in an expression position but cannot be
-            // indexed (`return [..]`, `in [..]`, `if x == y [..]` etc.).
+            // indexed (`return [..]`, `in [..]`, `if x == y [..]` etc.), and
+            // `let`, whose `[` opens a slice pattern (`let [lo, hi] = ..`).
             let keyword = prev.kind == TokKind::Ident
                 && matches!(
                     prev.text.as_str(),
-                    "return" | "in" | "break" | "else" | "match" | "mut" | "ref" | "as"
+                    "return" | "in" | "break" | "else" | "match" | "mut" | "ref" | "as" | "let"
                 );
             if expr_end && !keyword {
                 out.push(Finding {
@@ -756,6 +757,7 @@ mod tests {
         assert!(codes(path, "let v = vec![1, 2];").is_empty());
         assert!(codes(path, "#[derive(Debug)] struct S;").is_empty());
         assert!(codes(path, "let a: [u8; 4] = [0; 4];").is_empty());
+        assert!(codes(path, "let [lo, hi] = pair;").is_empty());
         // Out-of-scope files are not hot paths.
         assert!(codes("crates/engine/src/catalog.rs", "x.unwrap();").is_empty());
     }

@@ -90,9 +90,11 @@ fn tb004_fixture_fires_in_hot_paths_only() {
     let diags = check_source("crates/engine/src/rowscan.rs", &src);
     assert_eq!(
         codes(&diags),
-        [rules::TB004, rules::TB004, rules::TB004],
-        "unwrap, expect, slice-index: {diags:?}"
+        [rules::TB004; 4],
+        "unwrap, expect, slice-index twice: {diags:?}"
     );
+    // The last one is `xs[i]`, not the slice pattern the line before.
+    assert_eq!(diags[3].snippet, "xs[i]", "{diags:?}");
     assert!(check_source("crates/engine/src/catalog.rs", &src).is_empty());
 }
 

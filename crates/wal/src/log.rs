@@ -67,6 +67,22 @@ struct DirectSink {
     durable: u64,
 }
 
+impl DirectShared {
+    /// Syncs everything written unless record `seq` is already durable,
+    /// returning the durable watermark. The one place the direct backend
+    /// syncs: the barrier and the final drain pass `u64::MAX` (always
+    /// sync), a strict waiter its record's sequence number.
+    fn sync_through(&self, seq: u64) -> Result<u64> {
+        let mut s = self.sink.lock().expect("wal sink poisoned");
+        if s.durable < seq {
+            // tblint: allow(TB008) the sink mutex serializes the sink itself; the sync runs under it by design, outside every caller lock
+            s.sink.sync()?;
+            s.durable = s.written;
+        }
+        Ok(s.durable)
+    }
+}
+
 impl TxnWal {
     /// Creates a log on `sink`, writing the stream header immediately.
     pub fn create(mut sink: Box<dyn WalSink>, mode: DurabilityMode) -> Result<TxnWal> {
@@ -149,13 +165,7 @@ impl TxnWal {
     /// (or the sink has failed).
     pub fn sync(&mut self) -> Result<()> {
         match &mut self.backend {
-            Backend::Direct { shared, .. } => {
-                let mut s = shared.sink.lock().expect("wal sink poisoned");
-                // tblint: allow(TB008) the sink mutex serializes the sink itself; the barrier syncs under it by design
-                s.sink.sync()?;
-                s.durable = s.written;
-                Ok(())
-            }
+            Backend::Direct { shared, .. } => shared.sync_through(u64::MAX).map(|_| ()),
             Backend::Batched(b) => b.barrier(),
         }
     }
@@ -192,13 +202,7 @@ impl TxnWal {
     /// error-path test hooks (recovery scans the bytes, not the return).
     pub fn close(mut self) -> Result<u64> {
         match &mut self.backend {
-            Backend::Direct { shared, .. } => {
-                let mut s = shared.sink.lock().expect("wal sink poisoned");
-                // tblint: allow(TB008) the sink mutex serializes the sink itself; the final drain syncs under it by design
-                s.sink.sync()?;
-                s.durable = s.written;
-                Ok(s.durable)
-            }
+            Backend::Direct { shared, .. } => shared.sync_through(u64::MAX),
             Backend::Batched(b) => b.shutdown(),
         }
     }
@@ -239,15 +243,7 @@ impl DurabilityWaiter {
     pub fn wait_for(&self, seq: u64) -> Result<()> {
         match &self.0 {
             Waiter::Immediate => Ok(()),
-            Waiter::StrictSync { shared } => {
-                let mut s = shared.sink.lock().expect("wal sink poisoned");
-                if s.durable < seq {
-                    // tblint: allow(TB008) the sink mutex serializes the sink itself; this is the deferred strict fsync, run outside caller locks
-                    s.sink.sync()?;
-                    s.durable = s.written;
-                }
-                Ok(())
-            }
+            Waiter::StrictSync { shared } => shared.sync_through(seq).map(|_| ()),
             Waiter::Batched { shared, interval } => {
                 let mut st = shared.state.lock().expect("wal state poisoned");
                 while st.durable < seq {
