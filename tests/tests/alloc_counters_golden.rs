@@ -18,6 +18,7 @@
 
 mod common;
 mod counting;
+mod golden;
 
 use bitempo_core::{AppDate, Key, Period, Row, Value};
 use bitempo_dbgen::ScaleConfig;
@@ -169,13 +170,5 @@ fn allocations_match_the_committed_table() {
     if !cfg!(debug_assertions) {
         return;
     }
-    if std::env::var_os("BITEMPO_WRITE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &table).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).unwrap();
-    for (i, (want, got)) in golden.lines().zip(table.lines()).enumerate() {
-        assert_eq!(want, got, "alloc_counters_golden.txt line {}", i + 1);
-    }
-    assert_eq!(golden.lines().count(), table.lines().count());
+    golden::assert_golden(GOLDEN, &table);
 }

@@ -24,6 +24,7 @@
 //! bitempo-tests --test memory_ledger`.
 
 mod counting;
+mod golden;
 
 use bitempo_core::{Key, Value};
 use bitempo_dbgen::{ScaleConfig, TpchData};
@@ -165,13 +166,5 @@ fn memory_owners_match_the_committed_ledger() {
     if !cfg!(debug_assertions) {
         return;
     }
-    if std::env::var_os("BITEMPO_WRITE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &ledger).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).unwrap();
-    for (i, (want, got)) in golden.lines().zip(ledger.lines()).enumerate() {
-        assert_eq!(want, got, "memory_ledger.txt line {}", i + 1);
-    }
-    assert_eq!(golden.lines().count(), ledger.lines().count());
+    golden::assert_golden(GOLDEN, &ledger);
 }

@@ -16,6 +16,7 @@
 //! the traced worker count must agree between the two, so a line stores both.
 
 mod common;
+mod golden;
 
 use bitempo_core::{obs, Key, Row, SysTime, TableId};
 use bitempo_engine::api::{AppSpec, ScanOutput, SysSpec, TuningConfig};
@@ -251,13 +252,5 @@ fn scan_counters_match_the_committed_table() {
         );
     }
 
-    if std::env::var_os("BITEMPO_WRITE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &table).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).unwrap();
-    for (i, (want, got)) in golden.lines().zip(table.lines()).enumerate() {
-        assert_eq!(want, got, "scan_counters_golden.txt line {}", i + 1);
-    }
-    assert_eq!(golden.lines().count(), table.lines().count());
+    golden::assert_golden(GOLDEN, &table);
 }

@@ -26,6 +26,7 @@
 //! engine runs at one worker. Tracing stays off.
 
 mod counting;
+mod golden;
 
 use bitempo_core::{Key, TableId, Value};
 use bitempo_dbgen::ScaleConfig;
@@ -280,13 +281,5 @@ fn setup_allocations_match_the_committed_table() {
     if !cfg!(debug_assertions) {
         return;
     }
-    if std::env::var_os("BITEMPO_WRITE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &table).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).unwrap();
-    for (i, (want, got)) in golden.lines().zip(table.lines()).enumerate() {
-        assert_eq!(want, got, "setup_counters_golden.txt line {}", i + 1);
-    }
-    assert_eq!(golden.lines().count(), table.lines().count());
+    golden::assert_golden(GOLDEN, &table);
 }

@@ -24,6 +24,7 @@
 //! write_counters_golden`.
 
 mod counting;
+mod golden;
 
 use bitempo_core::{Error, Key, Value};
 use bitempo_engine::testutil::{bitemp_table, simple_row};
@@ -258,13 +259,5 @@ fn write_counts_match_the_committed_table() {
     if !cfg!(debug_assertions) {
         return;
     }
-    if std::env::var_os("BITEMPO_WRITE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN, &table).unwrap();
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).unwrap();
-    for (i, (want, got)) in golden.lines().zip(table.lines()).enumerate() {
-        assert_eq!(want, got, "write_counters_golden.txt line {}", i + 1);
-    }
-    assert_eq!(golden.lines().count(), table.lines().count());
+    golden::assert_golden(GOLDEN, &table);
 }
