@@ -24,7 +24,7 @@ use crate::version::Version;
 use bitempo_core::{obs, AppPeriod, Result, Row, SysPeriod, SysTime, TableDef, Value};
 use bitempo_query::optimizer::PathKind;
 use bitempo_storage::{Heap, Rect};
-use bitempo_tindex::{ProbeCost, TemporalIndex};
+use bitempo_tindex::{ProbeCost, TemporalIndex, TemporalProbe};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::ops::{Bound, Range};
@@ -352,8 +352,8 @@ enum Choice<'a> {
     BTree(&'a OrderedIndex, (Bound<Value>, Bound<Value>)),
     /// Rectangle probe of the GiST.
     Gist(&'a GistIndex, Rect),
-    /// Temporal-index candidate probe under the scan's own specs.
-    Tix(&'a TemporalIndex),
+    /// Temporal-index candidate probe over the axes the scan constrains.
+    Tix(&'a TemporalIndex, TemporalProbe),
 }
 
 impl Choice<'_> {
@@ -529,10 +529,8 @@ fn scan_partition_inner<'a>(
     // Temporal index, applicable whenever either temporal dimension is
     // constrained. Candidates are a superset, re-checked by the source, and
     // arrive sorted by slot so output order matches a sequential scan.
-    if let Some(tix) = part.tindex {
-        if let Some(frac) = tix.estimate_fraction(sys, app, n) {
-            offer(Choice::Tix(tix), frac);
-        }
+    if let (Some(tix), Some(axes)) = (part.tindex, TemporalProbe::new(sys, app)) {
+        offer(Choice::Tix(tix, axes), tix.estimate_fraction(&axes, n));
     }
 
     metrics.planned_rows += best.1.est_rows;
@@ -556,18 +554,14 @@ fn scan_partition_inner<'a>(
             }
             AccessPath::GistScan(gist.name.clone())
         }
-        Choice::Tix(tix) => {
+        Choice::Tix(tix, axes) => {
             let mut cost = ProbeCost::default();
-            match tix.candidates(sys, app, &mut cost) {
-                Some(slots) => {
-                    metrics.index_node_visits += cost.node_visits;
-                    for slot in slots {
-                        probe(slot, out, metrics);
-                    }
-                    AccessPath::TemporalProbe(tix.name().to_string())
-                }
-                None => run_seq(out, metrics)?,
+            let slots = tix.candidates(&axes, &mut cost);
+            metrics.index_node_visits += cost.node_visits;
+            for slot in slots {
+                probe(slot, out, metrics);
             }
+            AccessPath::TemporalProbe(tix.name().to_string())
         }
         Choice::Seq => run_seq(out, metrics)?,
     })

@@ -81,18 +81,19 @@ impl TableLayout for TableA {
         }
         v.sys = SysPeriod::new(v.sys.start, end);
         if def.temporal != TemporalClass::NonTemporal && !v.sys.is_empty() {
-            let h64 = u64::from(self.history.insert(v.clone()).0);
-            self.hist.insert(&v, h64);
+            let (h, archived) = self.history.store(v);
+            self.hist.insert(archived, u64::from(h.0));
         }
         Ok(())
     }
 
     fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
-        let slot64 = u64::from(self.current.insert(version.clone()).0);
+        let (slot, stored) = self.current.store(version);
+        let slot64 = u64::from(slot.0);
         if let Some(pk) = &mut self.pk {
-            pk.insert(&version, slot64);
+            pk.insert(stored, slot64);
         }
-        self.cur.insert(&version, slot64);
+        self.cur.insert(stored, slot64);
         slot64
     }
 

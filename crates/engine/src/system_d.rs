@@ -111,12 +111,13 @@ impl TableLayout for TableD {
     /// Takes open and closed versions alike (bulk loads and restores carry
     /// both); only open ones enter the PK index.
     fn insert_version(&mut self, _: &TableDef, version: Version) -> u64 {
-        let slot64 = u64::from(self.all.insert(version.clone()).0);
-        self.indexes.insert(&version, slot64);
-        if version.sys.is_current() {
+        let (slot, stored) = self.all.store(version);
+        let slot64 = u64::from(slot.0);
+        self.indexes.insert(stored, slot64);
+        if stored.sys.is_current() {
             self.open += 1;
             if let Some(pk) = &mut self.pk {
-                pk.insert(&version, slot64);
+                pk.insert(stored, slot64);
             }
         }
         slot64

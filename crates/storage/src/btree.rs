@@ -27,7 +27,13 @@
 //! past the right edge of the tree starts a fresh leaf instead of halving
 //! the full one. Ascending loads (the initial load in key order, every index
 //! led by a system-time start) therefore leave every leaf but the last
-//! full; random loads settle around the usual 2/3 fill.
+//! full; random loads settle around the usual 2/3 fill. Such an insert
+//! skips the root-to-leaf descent when it can: an entry sorting strictly
+//! after every entry goes straight into the last leaf if that leaf is
+//! non-empty and has room — the leaf and position the descent would pick —
+//! so an ascending load descends once per full leaf, not once per entry.
+//! The layout does not depend on which path an entry took: node for node,
+//! capacities included, a tree is what the descent alone builds.
 //!
 //! A tree rebuilt from entries that are all present (a tuning index over a
 //! loaded partition, an index moved onto wider cells, System C's primary
@@ -276,8 +282,37 @@ impl<C: Ord + Clone, V: Ord + Clone> BPlusTree<C, V> {
     /// Inserts an entry under `key` (exactly `arity` cells, cloned into the
     /// leaf). Duplicate keys are kept in value order, equal entries in
     /// insertion order.
+    ///
+    /// An entry that sorts strictly after every entry of the tree, and
+    /// whose last leaf is non-empty and has room, is appended there
+    /// without a descent: that leaf is where the descent would put it, at
+    /// the same position. Every other entry (into a full or empty last
+    /// leaf, equal to the maximum, or anywhere before it) descends from the
+    /// root. Either way the tree ends up node for node the same, so its
+    /// layout does not depend on which path an entry took.
     pub fn insert(&mut self, key: &[C], value: V) {
         assert_eq!(key.len(), self.arity, "key arity");
+        self.len += 1;
+        let (arity, leaf) = (self.arity, self.rightmost());
+        let Node::Leaf { cells, vals, .. } = &mut self.nodes[leaf] else {
+            unreachable!("rightmost returned an internal node");
+        };
+        let n = vals.len();
+        let last = n
+            .checked_sub(1)
+            .map(|i| (key_at(cells, arity, i), &vals[i]));
+        if n < MAX_KEYS && last.is_some_and(|last| last < (key, &value)) {
+            insert_entry(cells, vals, n, key, value);
+        } else {
+            self.descend(key, value);
+        }
+    }
+
+    /// Inserts an entry by a root-to-leaf descent, splitting full nodes on
+    /// the way back up. The caller counts it in `len`.
+    fn descend(&mut self, key: &[C], value: V) {
+        #[cfg(test)]
+        tests::DESCENTS.with(|d| d.set(d.get() + 1));
         if let Some((sep, right)) = self.insert_into(self.root, key, value, &mut None) {
             let new_root = Node::Internal {
                 keys: sep,
@@ -286,7 +321,6 @@ impl<C: Ord + Clone, V: Ord + Clone> BPlusTree<C, V> {
             self.nodes.push(new_root);
             self.root = self.nodes.len() - 1;
         }
-        self.len += 1;
     }
 
     /// The first entry of `node`'s subtree, or of the first non-empty leaf
@@ -452,6 +486,16 @@ impl<C: Ord + Clone, V: Ord + Clone> BPlusTree<C, V> {
         }
     }
 
+    /// The rightmost leaf: the last of the chain, holding the tree's
+    /// largest entries unless removes emptied it.
+    fn rightmost(&self) -> usize {
+        let mut node = self.root;
+        while let Node::Internal { children, .. } = &self.nodes[node] {
+            node = children[children.len() - 1];
+        }
+        node
+    }
+
     /// All values under exactly `key`, in value order.
     pub fn get(&self, key: &[C]) -> Vec<V> {
         self.range((Bound::Included(key), Bound::Included(key)))
@@ -561,6 +605,14 @@ impl<'a, C: Ord + Clone, V: Clone> Iterator for RangeIter<'a, C, V> {
 mod tests {
     use super::*;
     use bitempo_core::Value;
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+    use std::fmt::Debug;
+
+    thread_local! {
+        /// Root-to-leaf descents [`BPlusTree::insert`] took on this thread.
+        pub(super) static DESCENTS: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn collect_range(t: &BPlusTree<i64, u32>, lo: Bound<&i64>, hi: Bound<&i64>) -> Vec<(i64, u32)> {
         let (lo, hi) = (lo.map(std::slice::from_ref), hi.map(std::slice::from_ref));
@@ -896,5 +948,110 @@ mod tests {
             + keys.capacity() * 24
             + children.capacity() * 8;
         assert_eq!(t.memory_bytes(), want);
+    }
+
+    #[test]
+    fn ascending_load_descends_once_per_full_leaf() {
+        for n in [1usize, 2, 31, 32, 33, 64, 65, 1_000, 50_000] {
+            let mut t = BPlusTree::new(2);
+            DESCENTS.set(0);
+            for k in 0..n as i64 {
+                t.insert(&[k, 0], k as u32);
+            }
+            // The first insert, then one per full last leaf.
+            assert_eq!(DESCENTS.get(), 1 + (n - 1) / MAX_KEYS, "{n} entries");
+            assert_eq!(t.len(), n);
+        }
+    }
+
+    /// Inserts through the descent alone: the reference the right-edge
+    /// append is held to.
+    fn insert_by_descent<C: Ord + Clone, V: Ord + Clone>(t: &mut BPlusTree<C, V>, key: &[C], v: V) {
+        t.len += 1;
+        t.descend(key, v);
+    }
+
+    /// Every node's contents and vector capacities, the root and the length.
+    fn layout<C: Debug, V: Debug>(t: &BPlusTree<C, V>) -> Vec<String> {
+        let nodes = t.nodes.iter().map(|node| {
+            let capacities = match node {
+                Node::Internal { keys, children } => (keys.capacity(), children.capacity()),
+                Node::Leaf { cells, vals, .. } => (cells.capacity(), vals.capacity()),
+            };
+            format!("{node:?} {capacities:?}")
+        });
+        let root = format!("root {} len {}", t.root, t.len);
+        nodes.chain([root]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// One op sequence fed to a tree through `insert` and to one through
+        /// the descent alone leaves the two node for node alike, vector
+        /// capacities and `memory_bytes` included, and both hold what a
+        /// sorted multimap `(key, value, seq) -> value` holds. Ops (kind
+        /// first) append past the maximum key (0), duplicate the maximum
+        /// key with a larger, equal or smaller value than its last (1),
+        /// remove up to 40 of the largest entries, emptying the last leaf
+        /// (2), insert anywhere (3) and remove anywhere (4). The first
+        /// `bulk_quarters` quarters of the ops are inserts bulk-built into
+        /// both trees with `from_sorted`.
+        #[test]
+        fn right_edge_appends_build_the_descents_layout(
+            ops in proptest::collection::vec((0u8..5, 0i64..200, 0u32..40), 1..1500),
+            bulk_quarters in 0usize..5,
+        ) {
+            let bulk = ops.len() * bulk_quarters / 4;
+            for arity in 1..=2 {
+                let cells = |k: i64| if arity == 1 { vec![k] } else { vec![k / 4, k % 4] };
+                let mut model: BTreeMap<(i64, u32, usize), u32> = BTreeMap::new();
+                for (seq, &(_, k, v)) in ops[..bulk].iter().enumerate() {
+                    model.insert((k, v, seq), v);
+                }
+                let built = || {
+                    let cells = model.keys().flat_map(|&(k, _, _)| cells(k));
+                    BPlusTree::from_sorted(arity, cells, model.values().copied())
+                };
+                let (mut fast, mut descent) = (built(), built());
+                for (seq, &(kind, k, v)) in ops.iter().enumerate().skip(bulk) {
+                    let max = model.keys().next_back().map(|&(k, v, _)| (k, v));
+                    let (insert, removes) = match (kind, max) {
+                        (0, Some((top, _))) => (Some((top + 1 + k % 3, v)), vec![]),
+                        (1, Some((top, last))) => {
+                            (Some((top, (last + v % 3).saturating_sub(1))), vec![])
+                        }
+                        (2, _) => {
+                            let largest = model.keys().rev().take(1 + k as usize % 40);
+                            (None, largest.map(|&(k, v, _)| (k, v)).collect())
+                        }
+                        (4, _) => (None, vec![(k, v)]),
+                        _ => (Some((k, v)), vec![]),
+                    };
+                    for (k, v) in removes {
+                        let hit = model.range((k, v, 0)..=(k, v, usize::MAX)).next();
+                        let hit = hit.map(|(&entry, _)| entry);
+                        proptest::prop_assert_eq!(fast.remove(&cells(k), &v), hit.is_some());
+                        proptest::prop_assert_eq!(descent.remove(&cells(k), &v), hit.is_some());
+                        if let Some(entry) = hit {
+                            model.remove(&entry);
+                        }
+                    }
+                    if let Some((k, v)) = insert {
+                        model.insert((k, v, seq), v);
+                        fast.insert(&cells(k), v);
+                        insert_by_descent(&mut descent, &cells(k), v);
+                    }
+                }
+                proptest::prop_assert_eq!(layout(&fast), layout(&descent));
+                proptest::prop_assert_eq!(fast.memory_bytes(), descent.memory_bytes());
+                let want: Vec<(Vec<i64>, u32)> =
+                    model.iter().map(|(&(k, _, _), &v)| (cells(k), v)).collect();
+                for t in [&fast, &descent] {
+                    let got: Vec<(Vec<i64>, u32)> = t.iter().map(|(k, v)| (k.to_vec(), *v)).collect();
+                    proptest::prop_assert_eq!(&got, &want);
+                }
+            }
+        }
     }
 }

@@ -101,24 +101,36 @@ impl<T> Heap<T> {
     /// last when none is free, and returns its slot.
     #[inline]
     pub fn insert(&mut self, record: T) -> SlotId {
+        self.store(record).0
+    }
+
+    /// Stores a record as [`Heap::insert`] does and returns its slot with
+    /// the record as stored, for a caller that indexes what it stored.
+    #[inline]
+    pub fn store(&mut self, record: T) -> (SlotId, &T) {
         self.live += 1;
-        if self.free == NO_FREE_SLOT {
+        let id = if self.free == NO_FREE_SLOT {
             let id = SlotId(self.slots.len() as u32);
             debug_assert_ne!(id.0, NO_FREE_SLOT, "fewer than 2^32 - 1 slots");
             if self.slots.len() == self.slots.capacity() {
                 self.grow();
             }
             self.slots.push(Slot::Full(record));
-            return id;
-        }
-        let id = SlotId(self.free);
-        let slot = &mut self.slots[self.free as usize];
-        let Slot::Free(next) = *slot else {
-            unreachable!("the free list holds only free slots");
+            id
+        } else {
+            let id = SlotId(self.free);
+            let slot = &mut self.slots[self.free as usize];
+            let Slot::Free(next) = *slot else {
+                unreachable!("the free list holds only free slots");
+            };
+            self.free = next;
+            *slot = Slot::Full(record);
+            id
         };
-        self.free = next;
-        *slot = Slot::Full(record);
-        id
+        let Slot::Full(stored) = &self.slots[id.0 as usize] else {
+            unreachable!("the slot was just filled");
+        };
+        (id, stored)
     }
 
     /// Grows the full slot array as `FIRST_BLOCK_BYTES` lays out.
@@ -254,6 +266,11 @@ mod tests {
         assert_eq!(h.get(a), Some(&"alpha"));
         assert_eq!(h.get(b), Some(&"beta"));
         assert_eq!(h.len(), 2);
+        // `store` hands back the record where it now lives.
+        assert_eq!(h.store("gamma"), (SlotId(2), &"gamma"));
+        h.remove(a);
+        assert_eq!(h.store("delta"), (a, &"delta"), "the freed slot first");
+        assert_eq!(h.len(), 3);
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //!   one-day range `[d, d + 1)`.
 //!
 //! [`TemporalIndex`] bundles both over one storage partition and is probed
-//! with the scan's own [`SysSpec`] / [`AppSpec`] from `bitempo-core`
-//! (`Current` is the slots visible at [`SysTime::MAX`]). Probes return
-//! **candidate supersets**: every slot whose version can match the temporal
-//! constraint is returned, possibly with false positives (degenerate
-//! `[s, s)` periods, reused slots). Callers re-check the authoritative
-//! period on each candidate, which keeps the index sound by construction —
-//! the engines' scan postconditions never depend on index precision.
+//! with a [`TemporalProbe`]: the axes the scan's own [`SysSpec`] /
+//! [`AppSpec`] from `bitempo-core` constrain (`Current` is the slots
+//! visible at [`SysTime::MAX`]). Probes return **candidate supersets**:
+//! every slot whose version can match the temporal constraint is
+//! returned, possibly with false positives (degenerate `[s, s)` periods,
+//! reused slots). Callers re-check the authoritative period on each
+//! candidate, which keeps the index sound by construction — the engines'
+//! scan postconditions never depend on index precision.
 //!
 //! Everything here is deterministic: probes visit entries in slot/time
 //! order and results are returned sorted by slot, so indexed scans produce
@@ -186,64 +187,101 @@ impl TemporalIndex {
         }
     }
 
-    /// Estimated fraction of the partition's `total` slots a probe would
+    /// Estimated fraction of the partition's `total` slots `probe` would
     /// return — the planner compares this against B-Tree selectivity before
     /// committing to the probe. Conservative (an upper bound); with both
-    /// dimensions constrained the tighter of the two bounds applies. `None`
-    /// when neither dimension is constrained (the index cannot help).
-    pub fn estimate_fraction(&self, sys: &SysSpec, app: &AppSpec, total: usize) -> Option<f64> {
-        if matches!((sys, app), (SysSpec::All, AppSpec::All)) {
-            return None;
-        }
+    /// axes constrained the tighter of the two bounds applies.
+    pub fn estimate_fraction(&self, probe: &TemporalProbe, total: usize) -> f64 {
         if total == 0 {
-            return Some(0.0);
+            return 0.0;
         }
-        let sys_bound = match sys {
-            SysSpec::Current => self.timeline.estimate_at(SysTime::MAX),
-            SysSpec::AsOf(at) => self.timeline.estimate_at(*at),
-            SysSpec::Range(r) => self.timeline.estimate_during(r),
-            SysSpec::All => total,
+        let bound = match probe.0 {
+            Axes::Sys(sys) => self.estimate_visible(sys),
+            Axes::App(app) => self.intervals.estimate_overlapping(&app),
+            Axes::Both(sys, app) => {
+                let by_app = self.intervals.estimate_overlapping(&app);
+                self.estimate_visible(sys).min(by_app)
+            }
         };
-        let app_bound = match app_range(app) {
-            Some(r) => self.intervals.estimate_overlapping(&r),
-            None => total,
-        };
-        Some((sys_bound.min(app_bound) as f64 / total as f64).clamp(0.0, 1.0))
+        (bound as f64 / total as f64).clamp(0.0, 1.0)
     }
 
-    /// Candidate slots for the given specs, sorted ascending. Returns
-    /// `None` when neither dimension is constrained (the index cannot
-    /// help). With both dimensions constrained the candidate sets are
-    /// intersected.
-    pub fn candidates(
-        &self,
-        sys: &SysSpec,
-        app: &AppSpec,
-        cost: &mut ProbeCost,
-    ) -> Option<Vec<u64>> {
-        let by_sys = match sys {
-            SysSpec::Current => Some(self.timeline.visible_at(SysTime::MAX, cost)),
-            SysSpec::AsOf(at) => Some(self.timeline.visible_at(*at, cost)),
-            SysSpec::Range(r) => Some(self.timeline.visible_during(r, cost)),
-            SysSpec::All => None,
-        };
-        let by_app = app_range(app).map(|r| self.intervals.overlapping(&r, cost));
-        match (by_sys, by_app) {
-            (Some(s), Some(a)) => Some(intersect_sorted(&s, &a)),
-            (Some(s), None) => Some(s),
-            (None, Some(a)) => Some(a),
-            (None, None) => None,
+    /// Candidate slots for `probe`, sorted ascending. With both axes
+    /// constrained the candidate sets are intersected.
+    pub fn candidates(&self, probe: &TemporalProbe, cost: &mut ProbeCost) -> Vec<u64> {
+        match probe.0 {
+            Axes::Sys(sys) => self.visible(sys, cost),
+            Axes::App(app) => self.intervals.overlapping(&app, cost),
+            Axes::Both(sys, app) => {
+                let by_sys = self.visible(sys, cost);
+                intersect_sorted(&by_sys, &self.intervals.overlapping(&app, cost))
+            }
+        }
+    }
+
+    /// The slots the timeline holds visible under `sys`.
+    fn visible(&self, sys: SysAxis, cost: &mut ProbeCost) -> Vec<u64> {
+        match sys {
+            SysAxis::At(at) => self.timeline.visible_at(at, cost),
+            SysAxis::During(range) => self.timeline.visible_during(&range, cost),
+        }
+    }
+
+    /// An upper bound on how many slots `visible` returns for `sys`.
+    fn estimate_visible(&self, sys: SysAxis) -> usize {
+        match sys {
+            SysAxis::At(at) => self.timeline.estimate_at(at),
+            SysAxis::During(range) => self.timeline.estimate_during(&range),
         }
     }
 }
 
-/// The application-time range a spec probes: `AS OF d` is the one-day
-/// range `[d, d + 1)`, which on the index's days is exactly `start <= d < end`.
-fn app_range(app: &AppSpec) -> Option<AppPeriod> {
-    match app {
-        AppSpec::AsOf(d) => Some(Period::new(*d, d.plus_days(1))),
-        AppSpec::Range(r) => Some(*r),
-        AppSpec::All => None,
+/// The time axes a scan's [`SysSpec`] and [`AppSpec`] constrain, in the
+/// terms a [`TemporalIndex`] probes them. It constrains at least one, so
+/// a probe the planner priced with [`TemporalIndex::estimate_fraction`]
+/// always runs as [`TemporalIndex::candidates`]; [`TemporalProbe::new`]
+/// declines a scan the index cannot narrow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TemporalProbe(Axes);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Axes {
+    Sys(SysAxis),
+    App(AppPeriod),
+    Both(SysAxis, AppPeriod),
+}
+
+/// A system-time constraint: visible at one time (the implicit current
+/// snapshot is [`SysTime::MAX`]) or at some time during a range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SysAxis {
+    At(SysTime),
+    During(SysPeriod),
+}
+
+impl TemporalProbe {
+    /// The axes `sys` and `app` constrain, or `None` when neither does.
+    /// An application `AS OF d` is the one-day range `[d, d + 1)`, which on
+    /// the index's days is exactly `start <= d < end`.
+    pub fn new(sys: &SysSpec, app: &AppSpec) -> Option<TemporalProbe> {
+        let sys = match *sys {
+            SysSpec::Current => Some(SysAxis::At(SysTime::MAX)),
+            SysSpec::AsOf(at) => Some(SysAxis::At(at)),
+            SysSpec::Range(range) => Some(SysAxis::During(range)),
+            SysSpec::All => None,
+        };
+        let app = match *app {
+            AppSpec::AsOf(d) => Some(Period::new(d, d.plus_days(1))),
+            AppSpec::Range(range) => Some(range),
+            AppSpec::All => None,
+        };
+        let axes = match (sys, app) {
+            (Some(sys), Some(app)) => Axes::Both(sys, app),
+            (Some(sys), None) => Axes::Sys(sys),
+            (None, Some(app)) => Axes::App(app),
+            (None, None) => return None,
+        };
+        Some(TemporalProbe(axes))
     }
 }
 
@@ -278,6 +316,10 @@ mod tests {
         Period::new(AppDate(a), AppDate(b))
     }
 
+    fn probe(sys: SysSpec, app: AppSpec) -> TemporalProbe {
+        TemporalProbe::new(&sys, &app).expect("an axis constrained")
+    }
+
     #[test]
     fn combined_probe_intersects_dimensions() {
         let mut ix = TemporalIndex::new("t", 4);
@@ -289,20 +331,11 @@ mod tests {
         ix.insert(2, appp(0, 10), SysPeriod::since(SysTime(6)));
         ix.prepare();
         let mut cost = ProbeCost::default();
-        let got = ix
-            .candidates(
-                &SysSpec::AsOf(SysTime(3)),
-                &AppSpec::AsOf(AppDate(5)),
-                &mut cost,
-            )
-            .unwrap();
-        assert_eq!(got, vec![0]);
+        let both = probe(SysSpec::AsOf(SysTime(3)), AppSpec::AsOf(AppDate(5)));
+        assert_eq!(ix.candidates(&both, &mut cost), vec![0]);
         assert!(cost.node_visits > 0);
         // Unconstrained: the index declines.
-        assert!(ix
-            .candidates(&SysSpec::All, &AppSpec::All, &mut cost)
-            .is_none());
-        assert_eq!(ix.estimate_fraction(&SysSpec::All, &AppSpec::All, 3), None);
+        assert_eq!(TemporalProbe::new(&SysSpec::All, &AppSpec::All), None);
     }
 
     #[test]
@@ -313,9 +346,7 @@ mod tests {
         ix.insert(2, AppPeriod::ALL, SysPeriod::since(SysTime(2)));
         ix.close(2, SysTime(9));
         let mut cost = ProbeCost::default();
-        let got = ix
-            .candidates(&SysSpec::Current, &AppSpec::All, &mut cost)
-            .unwrap();
+        let got = ix.candidates(&probe(SysSpec::Current, AppSpec::All), &mut cost);
         assert_eq!(got, vec![0]);
     }
 
@@ -356,11 +387,11 @@ mod tests {
         // A filtered iterator reports a lower size bound of zero, like the
         // engines' heap iterators do.
         let built = TemporalIndex::build("t", 16, versions.iter().copied().filter(|_| true));
-        let (sys, app) = (SysSpec::AsOf(SysTime(150)), AppSpec::AsOf(AppDate(3)));
+        let both = probe(SysSpec::AsOf(SysTime(150)), AppSpec::AsOf(AppDate(3)));
         let mut cost = ProbeCost::default();
         assert_eq!(
-            built.candidates(&sys, &app, &mut cost),
-            inserted.candidates(&sys, &app, &mut cost)
+            built.candidates(&both, &mut cost),
+            inserted.candidates(&both, &mut cost)
         );
         let fp = built.footprint();
         assert!(fp.bytes <= inserted.footprint().bytes);
@@ -380,12 +411,10 @@ mod tests {
         }
         ix.prepare();
         for probe_at in [0u64, 17, 50, 99, 100] {
-            let probe = SysSpec::AsOf(SysTime(probe_at));
+            let at = probe(SysSpec::AsOf(SysTime(probe_at)), AppSpec::All);
             let mut cost = ProbeCost::default();
-            let got = ix
-                .candidates(&probe, &AppSpec::All, &mut cost)
-                .unwrap_or_default();
-            let est = ix.estimate_fraction(&probe, &AppSpec::All, 100).unwrap();
+            let got = ix.candidates(&at, &mut cost);
+            let est = ix.estimate_fraction(&at, 100);
             assert!(
                 est * 100.0 + 1e-9 >= got.len() as f64,
                 "estimate {est} must bound {} candidates at t{probe_at}",
@@ -393,8 +422,8 @@ mod tests {
             );
         }
         // An empty partition estimates zero, never a phantom minimum.
-        let probe = SysSpec::AsOf(SysTime(10));
-        assert_eq!(ix.estimate_fraction(&probe, &AppSpec::All, 0), Some(0.0));
+        let at = probe(SysSpec::AsOf(SysTime(10)), AppSpec::All);
+        assert_eq!(ix.estimate_fraction(&at, 0), 0.0);
     }
 
     /// The specs at the sentinels and the edges of the index's 32-bit
@@ -453,9 +482,8 @@ mod tests {
         ];
         for d in probes {
             let mut cost = ProbeCost::default();
-            let got = ix
-                .candidates(&SysSpec::All, &AppSpec::AsOf(d), &mut cost)
-                .unwrap();
+            let as_of = probe(SysSpec::All, AppSpec::AsOf(d));
+            let got = ix.candidates(&as_of, &mut cost);
             let exact_probe = (lo..hi).contains(&d.0);
             for (slot, p) in periods.iter().enumerate() {
                 let (got, want) = (got.contains(&(slot as u64)), p.contains_point(d));
@@ -464,15 +492,15 @@ mod tests {
                     assert_eq!(got, want, "AS OF {d}, slot {slot} {p}");
                 }
             }
-            let est = ix.estimate_fraction(&SysSpec::All, &AppSpec::AsOf(d), periods.len());
-            assert!(est.unwrap() * periods.len() as f64 + 1e-9 >= got.len() as f64);
+            let est = ix.estimate_fraction(&as_of, periods.len());
+            assert!(est * periods.len() as f64 + 1e-9 >= got.len() as f64);
         }
         let (mut implicit, mut at_max) = (ProbeCost::default(), ProbeCost::default());
-        let current = ix.candidates(&SysSpec::Current, &AppSpec::All, &mut implicit);
-        let as_of_max = ix.candidates(&SysSpec::AsOf(SysTime::MAX), &AppSpec::All, &mut at_max);
-        assert_eq!(current, as_of_max);
+        let current = ix.candidates(&probe(SysSpec::Current, AppSpec::All), &mut implicit);
+        let as_of_max = probe(SysSpec::AsOf(SysTime::MAX), AppSpec::All);
+        assert_eq!(current, ix.candidates(&as_of_max, &mut at_max));
         assert_eq!(implicit, at_max);
-        assert_eq!(current.unwrap(), vec![0, 2, 5, 6, 8, 9, 12, 14]);
+        assert_eq!(current, vec![0, 2, 5, 6, 8, 9, 12, 14]);
     }
 
     #[test]
