@@ -425,11 +425,14 @@ mod tests {
         let t = cluster.table_ids()[0];
         let (a, b) = split_keys(2, 8);
         let mut single = cluster.begin().expect("begin");
+        assert_eq!(cluster.active_pins(), 1);
         single
             .update(t, &Key::int(a), &[(1, Value::Int(1))], None)
             .expect("update");
         single.commit().expect("single-shard commit");
+        assert_eq!(cluster.active_pins(), 0);
         let mut cross = cluster.begin().expect("begin");
+        assert_eq!(cluster.active_pins(), 1);
         for k in [a, b] {
             cross
                 .update(t, &Key::int(k), &[(1, Value::Int(2))], None)
@@ -441,8 +444,6 @@ mod tests {
         assert_eq!(c.cross_shard.load(Ordering::Relaxed), 1);
         // A shard has no pin registry at all: the two transactions' pins
         // are the coordinator's, one each, and both were released.
-        assert_eq!(c.snapshots.load(Ordering::Relaxed), 2);
-        assert_eq!(c.released.load(Ordering::Relaxed), 2);
         assert_eq!(cluster.active_pins(), 0);
     }
 

@@ -44,9 +44,12 @@ impl CommitLog {
         *self.pins.entry(at).or_insert(0) += 1;
     }
 
-    /// Releases one pin registered at `at`.
+    /// Releases one pin registered at `at`. Releasing a pin that is not
+    /// registered (a double release) is a caller bug: debug builds panic.
     pub fn unpin(&mut self, at: SysTime) {
-        if let Some(n) = self.pins.get_mut(&at) {
+        let n = self.pins.get_mut(&at);
+        debug_assert!(n.is_some(), "unpin of an unregistered pin at {at}");
+        if let Some(n) = n {
             *n -= 1;
             if *n == 0 {
                 self.pins.remove(&at);
@@ -163,6 +166,18 @@ mod tests {
         assert_eq!(stamps(&log), vec![7]);
         log.prune(SysTime(7));
         assert!(stamps(&log).is_empty());
+    }
+
+    /// A double release would silently lower the pruning floor's
+    /// population; the log refuses it where it can tell.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "unpin of an unregistered pin")]
+    fn unpinning_an_unregistered_pin_panics_in_debug_builds() {
+        let mut log = CommitLog::default();
+        log.pin(SysTime(3));
+        log.unpin(SysTime(3));
+        log.unpin(SysTime(3));
     }
 
     #[test]

@@ -13,23 +13,28 @@
 //! every read translates its system-time specification so only versions
 //! committed at or before `T` are visible (`AS OF T` is the snapshot).
 //!
-//! **Concurrency model.** A [`std::sync::RwLock`] guards each engine:
-//! snapshot reads share it, a committing writer takes it exclusively for
-//! the short *preflight → apply → log → commit* critical section. Readers
-//! therefore never observe a partially applied transaction: between
-//! commits there is no pending state at all, and during one the writer
-//! holds the lock exclusively. Writes are
+//! **Concurrency model.** A [`std::sync::RwLock`] guards each engine and
+//! nothing else: snapshot reads share it, a committing writer takes it
+//! exclusively for the short *preflight → apply → commit* critical
+//! section. Readers therefore never observe a partially applied
+//! transaction: between commits there is no pending state at all, and
+//! during one the writer holds the lock exclusively. The participant's
+//! commit gate, a [`std::sync::Mutex`] held from validation through
+//! publish, owns its WAL and orders the log: the record is submitted under
+//! the gate once the state lock is released, so WAL order is commit order
+//! and a submit queued behind another committer's fsync never holds a
+//! reader up. Writes are
 //! buffered in the [`Transaction`], so the writer's exclusive window is
 //! proportional to the write set, never to the user's think time; the
 //! expensive part of commit — waiting for group-commit durability — happens
-//! *after* the lock is released, so concurrent committers amortize one
+//! *after* every lock is released, so concurrent committers amortize one
 //! fsync ([`bitempo_wal::DurabilityWaiter`]).
 //!
 //! **Durable-log agreement.** Buffered ops are validated against the
 //! cached [`bitempo_core::TableDef`] as they are buffered (arity, temporal
 //! class, empty periods, column bounds), so every deterministic apply
 //! failure surfaces before commit even starts. At commit the ops are *applied first and
-//! logged after*, still inside the exclusive section: a WAL record
+//! logged after*, still under the commit gate: a WAL record
 //! therefore always describes a transaction that fully applied, which is
 //! what lets [`bitempo_wal::recover`](fn@bitempo_wal::recover) replay every logged record. In both
 //! failure directions the durable log and the reported outcome agree — a
@@ -50,8 +55,8 @@
 //! snapshot pins, the [`CommitLog`] (first-committer-wins, run once per
 //! commit), the commit timestamps and one [`TxnCounters`]; a participant
 //! owns only its engine, its WAL and the private pipeline that lands a
-//! validated write set (*preflight → apply → WAL submit → engine
-//! commit*). There is one client [`Transaction`] type. A standalone
+//! validated write set (*preflight → apply → engine commit*, then the WAL
+//! submit). There is one client [`Transaction`] type. A standalone
 //! manager ([`TxnManager::new`]) is the one-participant case: its commits
 //! land at the engine's own next commit time with the plain archive
 //! record. A sharded cluster ([`TxnManager::sharded`]) draws timestamps

@@ -3,7 +3,7 @@
 //! commit protocol every transaction runs through them.
 
 use crate::commit_log::{CommitLog, WriteEntry};
-use crate::participant::{CommitWait, Participant, Record};
+use crate::participant::{CommitWait, Log, Participant, Record};
 use crate::prepared::PreparedTxn;
 use crate::transaction::OpBuffer;
 use crate::{CommitOracle, Cut, Transaction};
@@ -12,10 +12,11 @@ use bitempo_engine::api::BitemporalEngine;
 use bitempo_histgen::Transaction as TxnOps;
 use bitempo_wal::{Checkpoint, TxnWal};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Monotonic counters: the conflict rates of the `mvcc` and `sharding`
-/// experiments and the pin balance the isolation suites check.
+/// Monotonic counters: the commit classes and conflict rates of the `mvcc`
+/// and `sharding` experiments. The pins are counted once, by the commit
+/// log ([`TxnManager::active_pins`]).
 #[derive(Debug, Default)]
 pub struct TxnCounters {
     /// Writing commits that landed on exactly one participant.
@@ -26,12 +27,6 @@ pub struct TxnCounters {
     pub read_only: AtomicU64,
     /// Transactions aborted by first-committer-wins validation.
     pub conflicts: AtomicU64,
-    /// Snapshots pinned by [`TxnManager::begin`].
-    pub snapshots: AtomicU64,
-    /// Snapshot pins released — by commit (at publish), conflict,
-    /// rollback, or drop. Balances [`Self::snapshots`] once every
-    /// transaction has resolved.
-    pub released: AtomicU64,
 }
 
 impl TxnCounters {
@@ -71,8 +66,9 @@ impl Clock {
 /// [`Self::sharded`]). See the crate docs for the model.
 ///
 /// Lock hierarchy, outermost first: participant gates (ascending index) →
-/// `commit_log` → oracle. A participant's `state` and `wal` nest inside its
-/// gate and never overlap `commit_log`.
+/// `commit_log` → oracle. A participant's `state` nests inside its gate and
+/// never overlaps `commit_log`; its WAL lives in the gate and is submitted
+/// to with `state` released.
 pub struct TxnManager {
     participants: Vec<Participant>,
     /// `route(key, n)` is the participant that owns `key`.
@@ -202,7 +198,6 @@ impl TxnManager {
             log.pin(pin);
             pin
         };
-        self.counters.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(Transaction {
             mgr: self,
             pin,
@@ -239,10 +234,12 @@ impl TxnManager {
 
     /// Captures a durability checkpoint of a standalone manager's state,
     /// labelled with the exact WAL sequence number it covers. Runs under
-    /// the participant's *write* lock: a checkpoint can never interleave
-    /// with a commit, so the transaction committing concurrently with
-    /// capture is either fully inside it (and `seq` covers its WAL record)
-    /// or fully after it (and recovery replays it) — never half-captured.
+    /// the participant's gate, then its *write* lock: a checkpoint can
+    /// never interleave with a commit, so the transaction committing
+    /// concurrently with capture is either fully inside it (its engine
+    /// commit and its WAL record both, and `seq` covers the record) or
+    /// fully after it (and recovery replays it) — never half-captured.
+    /// Refused while the participant is poisoned.
     pub fn checkpoint(&self) -> Result<Checkpoint> {
         match self.participants.as_slice() {
             [only] => only.checkpoint(),
@@ -272,8 +269,6 @@ impl TxnManager {
     pub(crate) fn unpin(&self, pin: SysTime) {
         let mut log = self.commit_log.lock().expect("commit log poisoned");
         log.unpin(pin);
-        drop(log);
-        self.counters.released.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Commits `buf` for a transaction pinned at `pin` and releases the
@@ -298,13 +293,13 @@ impl TxnManager {
         }
         let part = &self.participants[home];
         let (ts, wait) = {
-            let _gate = part.gate.lock().expect("commit gate poisoned");
+            let mut log = part.gate.lock().expect("commit gate poisoned");
             let gts = self.validate(pin, &writes)?;
             let record = gts.map_or(Record::Plain, Record::CommittedAt);
             // An `Err` here never published nor logged: preflight refused,
             // or apply/submit poisoned the participant *without* a record.
             let landed = part
-                .commit(txn, record)
+                .commit(&mut log, txn, record)
                 .map_err(|e| self.abandon(pin, gts, e))?;
             self.publish(pin, landed.0, writes);
             landed
@@ -325,7 +320,8 @@ impl TxnManager {
         for (op, w) in txn.ops.into_iter().zip(&writes) {
             parts[(self.route)(&w.key, n)].ops.push(op);
         }
-        let gates: Vec<_> = self
+        // The gate of each participant the writes touch, ascending.
+        let mut gates: Vec<MutexGuard<'_, Log>> = self
             .participants
             .iter()
             .zip(&parts)
@@ -334,7 +330,7 @@ impl TxnManager {
             .collect();
         let gts = self.validate(pin, &writes)?;
         let gts = gts.expect("several participants share an oracle");
-        let (outcome, waits) = match self.two_phase(parts, gts) {
+        let (outcome, waits) = match self.two_phase(parts, &mut gates, gts) {
             Ok(waits) => (Ok(SysTime(gts)), waits),
             // At least one participant logged a commit decision: the
             // transaction *is* committed globally (recovery finishes the
@@ -379,7 +375,6 @@ impl TxnManager {
             ));
             log.unpin(pin);
             drop(log);
-            self.counters.released.fetch_add(1, Ordering::Relaxed);
             self.counters.conflicts.fetch_add(1, Ordering::Relaxed);
             return Err(err);
         }
@@ -421,34 +416,32 @@ impl TxnManager {
         // can sit well below `ts`, and a transaction pinned there must
         // still find this entry to validate against.
         log.prune(self.clock.read_ts());
-        drop(log);
-        self.counters.released.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Two-phase commit of `parts[i]` on participant `i` (empty parts skip
-    /// their participant) at `gts`, under the caller's gates. On error the
-    /// second slot says whether a commit decision was already logged
-    /// somewhere: `Some(waits)` means the transaction stands globally and
-    /// carries the committed participants' durability waits, which the
-    /// caller must still honor; `None` means nothing decided — globally an
-    /// abort.
+    /// their participant) at `gts`; `gates` holds, in order, the gate of
+    /// each participant with a non-empty part. On error the second slot
+    /// says whether a commit decision was already logged somewhere:
+    /// `Some(waits)` means the transaction stands globally and carries the
+    /// committed participants' durability waits, which the caller must
+    /// still honor; `None` means nothing decided — globally an abort.
     fn two_phase(
         &self,
         parts: Vec<TxnOps>,
+        gates: &mut [MutexGuard<'_, Log>],
         gts: u64,
     ) -> std::result::Result<Vec<CommitWait<'_>>, (Error, Option<Vec<CommitWait<'_>>>)> {
-        // Phase one: prepare everywhere. Any failure — a poisoned
-        // participant, a vanished key — aborts every prepare already
-        // logged, explicitly, though recovery would presume it.
+        // Phase one: prepare everywhere, each participant under its own
+        // gate. Any failure — a poisoned participant, a vanished key —
+        // aborts every prepare already logged, explicitly, though recovery
+        // would presume it.
         let mut prepared: Vec<PreparedTxn<'_>> = Vec::with_capacity(parts.len());
-        for (p, ops) in self.participants.iter().zip(parts) {
-            if ops.ops.is_empty() {
-                continue;
-            }
-            match p.prepare(ops, gts) {
+        let touched = self.participants.iter().zip(parts);
+        for (i, (p, ops)) in touched.filter(|(_, ops)| !ops.ops.is_empty()).enumerate() {
+            match p.prepare(&mut gates[i], ops, gts) {
                 Ok(prep) => prepared.push(prep),
                 Err(e) => {
-                    abort_all(prepared);
+                    abort_all(prepared.into_iter().zip(gates.iter_mut()));
                     return Err((e, None));
                 }
             }
@@ -461,11 +454,9 @@ impl TxnManager {
         // gates is the price of that guarantee, paid per cross-participant
         // commit; releasing them before the barrier would let another
         // commit interleave WAL records between our prepares and decisions.
-        for p in &prepared {
-            if let Err(e) = p.wait_prepared() {
-                abort_all(prepared);
-                return Err((e, None));
-            }
+        if let Err(e) = prepared.iter().try_for_each(PreparedTxn::wait_prepared) {
+            abort_all(prepared.into_iter().zip(gates.iter_mut()));
+            return Err((e, None));
         }
 
         // Phase two: decide commit everywhere. After the first durable
@@ -475,9 +466,9 @@ impl TxnManager {
         let mut waits = Vec::with_capacity(prepared.len());
         let mut decided = false;
         let mut failure: Option<Error> = None;
-        let mut rest = prepared.into_iter();
-        while let Some(p) = rest.next() {
-            match p.commit() {
+        let mut rest = prepared.into_iter().zip(gates.iter_mut());
+        while let Some((p, log)) = rest.next() {
+            match p.commit(log) {
                 Ok((_ts, wait)) => {
                     decided = true;
                     waits.extend(wait);
@@ -486,7 +477,7 @@ impl TxnManager {
                     if !decided {
                         // No decision logged anywhere yet: globally this is
                         // an abort, and the remaining prepares say so.
-                        abort_all(rest.collect());
+                        abort_all(rest);
                         return Err((e, None));
                     }
                     failure.get_or_insert(e);
@@ -505,11 +496,15 @@ impl TxnManager {
     }
 }
 
-fn abort_all(prepared: Vec<PreparedTxn<'_>>) {
-    for p in prepared {
+/// Logs an abort decision for each prepared transaction, under its
+/// participant's gate.
+fn abort_all<'a, 'g: 'a>(
+    prepared: impl Iterator<Item = (PreparedTxn<'a>, &'a mut MutexGuard<'g, Log>)>,
+) {
+    for (p, log) in prepared {
         // An abort that fails to log poisons its participant; the
         // transaction's outcome (aborted) is already decided, so the error
         // is not ours to propagate — recovery presumes the abort anyway.
-        let _ = p.abort();
+        let _ = p.abort(log);
     }
 }

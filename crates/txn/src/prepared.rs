@@ -1,15 +1,16 @@
 //! A participant's half of two-phase commit between prepare and decision.
 
-use crate::participant::{CommitWait, Participant, Record};
+use crate::participant::{CommitWait, Log, Participant, Record};
 use bitempo_core::{Error, Result, SysTime};
 use bitempo_histgen::Transaction as TxnOps;
 use bitempo_wal::DurabilityWaiter;
 
 /// A transaction prepared on one participant by `Participant::prepare`:
-/// ops preflighted and durably logged, nothing applied. Resolved by
-/// [`Self::commit`] or [`Self::abort`]; dropping it unresolved logs no
-/// decision — recovery then presumes abort, which is also what
-/// [`Self::abort`] makes explicit.
+/// ops preflighted and durably logged, nothing applied, the participant's
+/// gate held by the caller until it resolves the transaction with
+/// [`Self::commit`] or [`Self::abort`], under that gate's `&mut Log`.
+/// Dropping it unresolved logs no decision — recovery then presumes abort,
+/// which is also what [`Self::abort`] makes explicit.
 pub(crate) struct PreparedTxn<'a> {
     pub(crate) part: &'a Participant,
     pub(crate) gts: u64,
@@ -37,17 +38,17 @@ impl<'a> PreparedTxn<'a> {
     /// single-participant commit, minus the preflight prepare already did.
     /// A failure poisons this participant fail-stop; the decision stands on
     /// participants that already committed.
-    pub(crate) fn commit(self) -> Result<(SysTime, Option<CommitWait<'a>>)> {
-        self.part.commit(self.txn, Record::Decision(self.gts))
+    pub(crate) fn commit(self, log: &mut Log) -> Result<(SysTime, Option<CommitWait<'a>>)> {
+        self.part.commit(log, self.txn, Record::Decision(self.gts))
     }
 
     /// Logs an explicit abort decision (recovery would presume it anyway;
-    /// the record just spares the scan). Applies nothing.
-    pub(crate) fn abort(self) -> Result<()> {
+    /// the record just spares the scan). Applies nothing, so it takes no
+    /// lock beyond the gate the caller holds.
+    pub(crate) fn abort(self, log: &mut Log) -> Result<()> {
         if self.logged.is_some() {
             let payload = bitempo_wal::encode_decision(self.gts, false);
-            let (_, seq) = self.part.submit_unapplied(&payload, "abort decision")?;
-            self.part.logged_through(seq);
+            self.part.log_record(log, &payload, "abort decision")?;
         }
         Ok(())
     }

@@ -3,7 +3,6 @@
 //! every system-time specification at the pin — over one participant's
 //! snapshot or over a cut of several.
 
-use crate::participant::EngineState;
 use bitempo_core::{AppPeriod, Error, Key, Result, Row, SysTime, TableDef, TableId, Value};
 use bitempo_engine::api::{
     AppSpec, BitemporalEngine, ColRange, ScanOutput, SysSpec, TableStats, TuningConfig,
@@ -15,7 +14,7 @@ use std::sync::RwLockReadGuard;
 /// A read guard over the pinned snapshot. Obtain per query burst and drop
 /// promptly: open guards are what a committer waits for.
 pub struct Snapshot<'a> {
-    guard: RwLockReadGuard<'a, EngineState>,
+    guard: RwLockReadGuard<'a, Box<dyn BitemporalEngine>>,
     pin: SysTime,
     /// The engine's commit watermark while this guard is held (constant:
     /// the guard excludes writers).
@@ -25,12 +24,12 @@ pub struct Snapshot<'a> {
 
 impl<'a> Snapshot<'a> {
     pub(crate) fn new(
-        guard: RwLockReadGuard<'a, EngineState>,
+        guard: RwLockReadGuard<'a, Box<dyn BitemporalEngine>>,
         pin: SysTime,
         degraded: bool,
     ) -> Snapshot<'a> {
         Snapshot {
-            now: guard.engine.now(),
+            now: guard.now(),
             degraded,
             guard,
             pin,
@@ -55,7 +54,7 @@ impl<'a> Snapshot<'a> {
     }
 
     fn engine(&self) -> &dyn BitemporalEngine {
-        self.guard.engine.as_ref()
+        self.guard.as_ref()
     }
 
     /// Rewrites `sys` so only versions committed at or before the pin are

@@ -330,8 +330,10 @@ fn wal_append_failure_poisons_and_leaves_no_ghost_record() {
     let failure = failure.expect("the byte cut must fire");
     assert!(matches!(failure, Error::Internal(_)), "{failure:?}");
     assert!(acknowledged >= 1, "need an acknowledged prefix to verify");
-    // Poisoned: the manager stops serving rather than lying.
+    // Poisoned: the manager stops serving rather than lying, and takes no
+    // checkpoint of an engine that holds the unlogged commit.
     assert!(matches!(mgr.begin(), Err(Error::Internal(_))));
+    assert!(matches!(mgr.checkpoint(), Err(Error::Internal(_))));
 
     // A fault-free twin serving the same acknowledged prefix is the
     // oracle for what the durable history may contain.
@@ -526,6 +528,141 @@ fn readers_are_not_blocked_while_a_strict_fsync_is_in_flight() {
         release.store(true, AtOrd::SeqCst);
         committer.join().expect("committer thread");
     });
+}
+
+/// With two strict committers, the second submits while the first is
+/// still inside its deferred fsync, which holds the WAL sink. The second
+/// queues there under its gate alone, never under the state lock, so a
+/// reader still gets a snapshot read done.
+#[test]
+fn readers_are_not_blocked_while_a_second_committer_queues_behind_a_strict_fsync() {
+    use std::sync::atomic::{AtomicBool, Ordering as AtOrd};
+    let entered = std::sync::Arc::new(AtomicBool::new(false));
+    let release = std::sync::Arc::new(AtomicBool::new(false));
+    let sink = GateSink {
+        inner: SharedBuf::new(),
+        entered: std::sync::Arc::clone(&entered),
+        release: std::sync::Arc::clone(&release),
+    };
+    let wal = TxnWal::create(Box::new(sink), DurabilityMode::Strict).unwrap();
+    let mgr = &manager(SystemKind::A, Some(wal));
+    let t = mgr.table_ids()[0];
+    let commit_row = |k: i64| {
+        let mut txn = mgr.begin().unwrap();
+        txn.insert(t, simple_row(k, 10 * k), None).unwrap();
+        txn.commit().unwrap();
+    };
+
+    let part = &mgr.participants()[0];
+    let second_commit = part.now().next().next();
+
+    std::thread::scope(|scope| {
+        let first = scope.spawn(|| commit_row(3));
+        while !entered.load(AtOrd::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The first committer is inside its fsync, past its gate. The
+        // second lands its engine commit and then queues on the sink.
+        let second = scope.spawn(|| commit_row(4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = scope.spawn(move || {
+            // Once the engine holds the second commit, that committer is
+            // at or in its submit, which cannot finish before the fsync.
+            while part.now() < second_commit {
+                std::thread::yield_now();
+            }
+            let txn = mgr.begin().unwrap();
+            let snap = txn.snapshot();
+            tx.send(current_ids(&snap.view(), t)).unwrap();
+        });
+        let read = rx.recv_timeout(std::time::Duration::from_secs(5));
+        // Open the fsync either way, so a blocked reader fails the test
+        // instead of hanging it.
+        release.store(true, AtOrd::SeqCst);
+        for h in [first, second, reader] {
+            h.join().expect("test thread");
+        }
+        let ids = read.expect("the reader waited for the second committer's submit");
+        // The first commit published before its fsync; the second cannot
+        // publish before its record lands.
+        assert_eq!(ids, [1, 2, 3]);
+    });
+}
+
+/// A sink whose writes take a while, which holds a committer between its
+/// engine commit and its WAL record long enough for a checkpoint to land
+/// there if nothing keeps it out.
+struct SlowWriteSink(SharedBuf);
+
+impl std::io::Write for SlowWriteSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        std::thread::sleep(std::time::Duration::from_micros(200));
+        std::io::Write::write(&mut self.0, buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        std::io::Write::flush(&mut self.0)
+    }
+}
+
+impl bitempo_wal::WalSink for SlowWriteSink {
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.0.sync()
+    }
+}
+
+/// A checkpoint takes the gate before the state lock, so it never lands
+/// between a commit's engine commit and its WAL record: recovering the
+/// final log from any checkpoint taken while commits ran reproduces the
+/// served state.
+#[test]
+fn checkpoints_taken_while_commits_run_recover_to_the_served_state() {
+    use std::sync::atomic::AtomicBool;
+    const COMMITS: i64 = 100;
+    let buf = SharedBuf::new();
+    let sink = SlowWriteSink(buf.clone());
+    let wal = TxnWal::create(Box::new(sink), DurabilityMode::Async).unwrap();
+    let mgr = manager(SystemKind::A, Some(wal));
+    let t = mgr.table_ids()[0];
+    let done = AtomicBool::new(false);
+
+    let ckpts = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0..COMMITS {
+                let mut txn = mgr.begin().unwrap();
+                txn.insert(t, simple_row(100 + i, i), None).unwrap();
+                txn.update(t, &Key::int(1), &[(1, Value::Int(i))], None)
+                    .unwrap();
+                txn.commit().unwrap();
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        // One checkpoint per covered seq is enough to check every label.
+        let mut ckpts: Vec<Checkpoint> = Vec::new();
+        while !done.load(Ordering::SeqCst) {
+            let ckpt = mgr.checkpoint().unwrap();
+            if ckpts.last().is_none_or(|c| c.seq != ckpt.seq) {
+                ckpts.push(ckpt);
+            }
+        }
+        ckpts
+    });
+
+    let (engine, ids, durable) = mgr.close().unwrap();
+    assert_eq!(durable, COMMITS as u64);
+    let served = canonical_state(engine.as_ref(), &ids).unwrap();
+    let log = buf.snapshot();
+    assert!(!ckpts.is_empty());
+    for ckpt in &ckpts {
+        let rec = recover(SystemKind::A, &log, &[ckpt.encode()], &TuningConfig::none()).unwrap();
+        assert_eq!(rec.report.checkpoint_seq, ckpt.seq);
+        assert_eq!(rec.report.replayed, COMMITS as u64 - ckpt.seq);
+        assert_eq!(
+            canonical_state(rec.engine.as_ref(), &rec.ids).unwrap(),
+            served,
+            "recovered from the checkpoint at seq {}",
+            ckpt.seq
+        );
+    }
 }
 
 /// A sink whose `sync` always fails (writes succeed).

@@ -65,6 +65,28 @@ struct DirectSink {
     written: u64,
     /// Highest sequence number synced to stable storage.
     durable: u64,
+    /// The first write or sync failure; every later submit, wait, sync and
+    /// close returns it. A failed write has already taken its record's seq
+    /// and stream CRC, so a later record would chain after a torn frame
+    /// that recovery stops at; a failed sync may have dropped the written
+    /// pages, so a later sync that succeeds proves nothing about them.
+    error: Option<Error>,
+}
+
+impl DirectSink {
+    /// `Ok` until a write or sync has failed, then that first failure.
+    fn alive(&self) -> Result<()> {
+        self.error.clone().map_or(Ok(()), Err)
+    }
+
+    /// Keeps `res`'s failure unless an earlier one stands, then answers
+    /// as [`Self::alive`].
+    fn check(&mut self, res: std::io::Result<()>) -> Result<()> {
+        if let Err(e) = res {
+            self.error.get_or_insert(e.into());
+        }
+        self.alive()
+    }
 }
 
 impl DirectShared {
@@ -74,9 +96,11 @@ impl DirectShared {
     /// sync), a strict waiter its record's sequence number.
     fn sync_through(&self, seq: u64) -> Result<u64> {
         let mut s = self.sink.lock().expect("wal sink poisoned");
+        s.alive()?;
         if s.durable < seq {
             // tblint: allow(TB008) the sink mutex serializes the sink itself; the sync runs under it by design, outside every caller lock
-            s.sink.sync()?;
+            let synced = s.sink.sync();
+            s.check(synced)?;
             s.durable = s.written;
         }
         Ok(s.durable)
@@ -94,6 +118,7 @@ impl TxnWal {
                         sink,
                         written: 0,
                         durable: 0,
+                        error: None,
                     }),
                 }),
                 appender: WalAppender::new(),
@@ -133,7 +158,9 @@ impl TxnWal {
             Backend::Direct { shared, appender } => {
                 let (seq, frame) = appender.encode(payload)?;
                 let mut s = shared.sink.lock().expect("wal sink poisoned");
-                s.sink.write_all(&frame)?;
+                s.alive()?;
+                let wrote = s.sink.write_all(&frame);
+                s.check(wrote)?;
                 s.written = seq;
                 Ok(seq)
             }
@@ -421,17 +448,16 @@ impl Batched {
 
     /// Asks the flusher to drain and exit, then joins it.
     fn shutdown(&mut self) -> Result<u64> {
-        {
-            let mut st = self.shared.state.lock().expect("wal state poisoned");
-            st.shutdown = true;
-        }
+        self.shared
+            .state
+            .lock()
+            .expect("wal state poisoned")
+            .shutdown = true;
+        // The flusher reads the flag under the state mutex before every
+        // wait, and a wait releases that mutex atomically, so the flag set
+        // above cannot slip past it: this one notify wakes it if it sleeps.
         self.shared.work.notify_one();
         if let Some(handle) = self.handle.take() {
-            // Keep poking until it exits: the flusher may be mid-sleep.
-            while !handle.is_finished() {
-                self.shared.work.notify_one();
-                std::thread::yield_now();
-            }
             handle
                 .join()
                 .map_err(|_| Error::Internal("wal flusher panicked".into()))?;
@@ -629,6 +655,101 @@ mod tests {
         let s = frame::scan(&buf.snapshot());
         assert_eq!(s.last_seq(), crashed_at, "acknowledged appends survive");
         assert!(!s.is_clean(), "the torn tail is detected");
+    }
+
+    /// A sink that fails exactly its `fail_write`-th write and its
+    /// `fail_sync`-th sync (1-based; the stream header is write 1) and
+    /// succeeds at every other call.
+    struct FlakySink {
+        inner: SharedBuf,
+        writes: usize,
+        syncs: usize,
+        fail_write: usize,
+        fail_sync: usize,
+    }
+
+    impl FlakySink {
+        fn new(inner: SharedBuf, fail_write: usize, fail_sync: usize) -> FlakySink {
+            FlakySink {
+                inner,
+                writes: 0,
+                syncs: 0,
+                fail_write,
+                fail_sync,
+            }
+        }
+    }
+
+    impl std::io::Write for FlakySink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.writes == self.fail_write {
+                return Err(std::io::Error::other("simulated write failure"));
+            }
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl WalSink for FlakySink {
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.syncs += 1;
+            if self.syncs == self.fail_sync {
+                return Err(std::io::Error::other("simulated fsync failure"));
+            }
+            self.inner.sync()
+        }
+    }
+
+    /// Every call after the first failure returns it, even though the sink
+    /// itself would succeed again.
+    fn assert_fail_stop(w: &mut TxnWal, failure: &Error) {
+        assert_eq!(w.submit(b"later").as_ref(), Err(failure), "submit");
+        // An async waiter promises nothing, so it has nothing to report.
+        if w.mode == DurabilityMode::Strict {
+            assert_eq!(w.waiter().wait_for(1).as_ref(), Err(failure), "wait_for");
+        }
+        assert_eq!(w.sync().as_ref(), Err(failure), "sync");
+    }
+
+    /// fsyncgate: a failed sync may have dropped the written pages, so a
+    /// later sync that succeeds must not mark them durable.
+    #[test]
+    fn a_failed_sync_is_sticky() {
+        for mode in [DurabilityMode::Strict, DurabilityMode::Async] {
+            let buf = SharedBuf::new();
+            let sink = FlakySink::new(buf.clone(), usize::MAX, 1);
+            let mut w = TxnWal::create(Box::new(sink), mode).unwrap();
+            assert_eq!(w.submit(b"t1").unwrap(), 1, "{mode:?}");
+            let failure = w.sync().unwrap_err();
+            assert!(format!("{failure}").contains("simulated fsync"), "{mode:?}");
+            assert_eq!(w.durable_seq(), 0, "{mode:?}: nothing became durable");
+            assert_fail_stop(&mut w, &failure);
+            assert_eq!(w.durable_seq(), 0, "{mode:?}: nothing became durable");
+            assert_eq!(w.close(), Err(failure), "{mode:?}: close");
+        }
+    }
+
+    /// A failed write has taken its record's seq and stream CRC: a later
+    /// record would chain after a torn frame that recovery stops at.
+    #[test]
+    fn a_failed_write_is_sticky() {
+        for mode in [DurabilityMode::Strict, DurabilityMode::Async] {
+            let buf = SharedBuf::new();
+            let sink = FlakySink::new(buf.clone(), 2, usize::MAX);
+            let mut w = TxnWal::create(Box::new(sink), mode).unwrap();
+            let failure = w.submit(b"t1").unwrap_err();
+            assert!(format!("{failure}").contains("simulated write"), "{mode:?}");
+            assert_fail_stop(&mut w, &failure);
+            assert_eq!(w.close(), Err(failure), "{mode:?}: close");
+            assert_eq!(
+                buf.snapshot().len(),
+                frame::header_bytes().len(),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]

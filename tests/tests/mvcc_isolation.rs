@@ -134,19 +134,12 @@ fn storm(kind: SystemKind, threads: usize, seed: u64) -> (usize, u64) {
     // commit releases at publish, conflict-abort and rollback release
     // eagerly, drop is the backstop. A leak here would pin the commit-log
     // pruning floor forever.
+    // The commit log is the one pin count; a double release debug-asserts
+    // there.
     assert_eq!(
         mgr.active_pins(),
         0,
         "{kind}/{threads}: leaked snapshot pins"
-    );
-    assert_eq!(
-        mgr.counters()
-            .released
-            .load(std::sync::atomic::Ordering::Relaxed),
-        mgr.counters()
-            .snapshots
-            .load(std::sync::atomic::Ordering::Relaxed),
-        "{kind}/{threads}: released pins must balance pinned snapshots"
     );
     let (served, ids, _) = mgr.close().unwrap();
 
