@@ -1,6 +1,6 @@
 //! Figure/table data structures and markdown rendering.
 
-use bitempo_core::obs::ScanTrace;
+use bitempo_core::obs::{ScanMetrics, ScanTrace};
 
 /// One aggregated access-path line for a measured cell: what one
 /// `(table, partition, access path)` combination did during the query —
@@ -15,23 +15,10 @@ pub struct AccessRow {
     pub access: String,
     /// How many times this combination was scanned during the query.
     pub scans: u64,
-    /// Version records examined.
-    pub rows_visited: u64,
     /// Qualifying rows emitted.
     pub rows_emitted: u64,
-    /// Examined versions rejected by temporal specs or predicates.
-    pub versions_pruned: u64,
-    /// Slots resolved through index probes.
-    pub index_probes: u64,
-    /// Probed slots that survived every residual filter — "index helped",
-    /// as opposed to merely "index probed".
-    pub index_hits: u64,
-    /// Internal index entries examined while probing (B-Tree leaf entries,
-    /// R-Tree rectangles, timeline events, endpoint-list entries).
-    pub index_node_visits: u64,
-    /// Rows the optimizer's chosen path was estimated to visit — read
-    /// against `rows_visited` to judge the estimate.
-    pub planned_rows: u64,
+    /// The work of those scans, summed.
+    pub metrics: ScanMetrics,
 }
 
 impl AccessRow {
@@ -41,34 +28,26 @@ impl AccessRow {
     pub fn aggregate(scans: &[ScanTrace]) -> Vec<AccessRow> {
         let mut out: Vec<AccessRow> = Vec::new();
         for t in scans {
-            let found = out
-                .iter_mut()
-                .find(|r| r.table == t.table && r.partition == t.partition && r.access == t.access);
-            match found {
-                Some(r) => {
-                    r.scans += 1;
-                    r.rows_visited += t.rows_visited;
-                    r.rows_emitted += t.rows_emitted;
-                    r.versions_pruned += t.versions_pruned;
-                    r.index_probes += t.index_probes;
-                    r.index_hits += t.index_hits;
-                    r.index_node_visits += t.index_node_visits;
-                    r.planned_rows += t.planned_rows;
+            let found = out.iter().position(|r| {
+                r.table == t.table && r.partition == t.partition && r.access == t.access
+            });
+            let r = match found {
+                Some(i) => &mut out[i],
+                None => {
+                    out.push(AccessRow {
+                        table: t.table.clone(),
+                        partition: t.partition.clone(),
+                        access: t.access.clone(),
+                        scans: 0,
+                        rows_emitted: 0,
+                        metrics: ScanMetrics::default(),
+                    });
+                    out.last_mut().expect("a row was just pushed")
                 }
-                None => out.push(AccessRow {
-                    table: t.table.clone(),
-                    partition: t.partition.clone(),
-                    access: t.access.clone(),
-                    scans: 1,
-                    rows_visited: t.rows_visited,
-                    rows_emitted: t.rows_emitted,
-                    versions_pruned: t.versions_pruned,
-                    index_probes: t.index_probes,
-                    index_hits: t.index_hits,
-                    index_node_visits: t.index_node_visits,
-                    planned_rows: t.planned_rows,
-                }),
-            }
+            };
+            r.scans += 1;
+            r.rows_emitted += t.rows_emitted;
+            r.metrics.merge(&t.metrics);
         }
         out
     }
@@ -204,6 +183,7 @@ impl FigureReport {
             for s in &self.series {
                 for (x, rows) in &s.breakdowns {
                     for r in rows {
+                        let m = &r.metrics;
                         out.push_str(&format!(
                             "| {} | {} | {}/{} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
                             s.label,
@@ -212,13 +192,13 @@ impl FigureReport {
                             r.partition,
                             r.access,
                             r.scans,
-                            r.planned_rows,
-                            r.rows_visited,
+                            m.planned_rows,
+                            m.rows_visited,
                             r.rows_emitted,
-                            r.versions_pruned,
-                            r.index_probes,
-                            r.index_hits,
-                            r.index_node_visits
+                            m.versions_pruned,
+                            m.index_probes,
+                            m.index_hits,
+                            m.index_node_visits
                         ));
                     }
                 }
@@ -261,14 +241,14 @@ mod tests {
             table: "lineitem".into(),
             partition: partition.into(),
             access: access.into(),
-            rows_visited: visited,
             rows_emitted: emitted,
-            versions_pruned: visited - emitted,
-            index_probes: 0,
-            index_hits: 0,
-            index_node_visits: 0,
-            morsels: 1,
-            planned_rows: visited,
+            metrics: ScanMetrics {
+                morsels: 1,
+                rows_visited: visited,
+                versions_pruned: visited - emitted,
+                planned_rows: visited,
+                ..ScanMetrics::default()
+            },
             workers: 1,
             start_nanos: 0,
             dur_nanos: 10,
@@ -282,11 +262,35 @@ mod tests {
         ]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].scans, 2);
-        assert_eq!(rows[0].rows_visited, 150);
+        assert_eq!(rows[0].metrics.rows_visited, 150);
         assert_eq!(rows[0].rows_emitted, 50);
-        assert_eq!(rows[0].versions_pruned, 100);
+        assert_eq!(rows[0].metrics.versions_pruned, 100);
         assert_eq!(rows[1].partition, "history");
         assert_eq!(rows[1].access, "btree(ix_sys)");
+
+        // Every counter sums, the index counters and the estimate included.
+        let probe = |hits: u64, node_visits: u64| {
+            let mut t = scan("history", "btree(ix_sys)", 7, hits);
+            t.metrics.index_probes = 7;
+            t.metrics.index_hits = hits;
+            t.metrics.index_node_visits = node_visits;
+            t
+        };
+        let summed = AccessRow::aggregate(&[probe(3, 20), probe(5, 22)]);
+        assert_eq!(summed.len(), 1);
+        assert_eq!((summed[0].scans, summed[0].rows_emitted), (2, 8));
+        assert_eq!(
+            summed[0].metrics,
+            ScanMetrics {
+                morsels: 2,
+                rows_visited: 14,
+                versions_pruned: 6,
+                index_probes: 14,
+                index_hits: 8,
+                index_node_visits: 42,
+                planned_rows: 14,
+            }
+        );
 
         let mut r = FigureReport::new("explain", "Access paths", "µs");
         let mut s = Series::new("System A");

@@ -54,13 +54,13 @@ fn render(r: &FigureReport, out: &mut String) {
                     a.partition,
                     a.access,
                     a.scans,
-                    a.planned_rows,
-                    a.rows_visited,
+                    a.metrics.planned_rows,
+                    a.metrics.rows_visited,
                     a.rows_emitted,
-                    a.versions_pruned,
-                    a.index_probes,
-                    a.index_hits,
-                    a.index_node_visits
+                    a.metrics.versions_pruned,
+                    a.metrics.index_probes,
+                    a.metrics.index_hits,
+                    a.metrics.index_node_visits
                 )
                 .unwrap();
             }

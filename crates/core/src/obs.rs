@@ -6,10 +6,14 @@
 //! are visited (§5.2, Figs. 5–9). This module lets the benchmark record that
 //! explanation alongside the wall-clock numbers:
 //!
+//! * **Work counters** ([`ScanMetrics`]) — the one set of scan counters:
+//!   morsels, rows visited, versions pruned, index probes, hits and node
+//!   visits, and the planner's estimate. A scan output, a partition trace
+//!   and a report row each carry one.
 //! * **Access-path traces** ([`ScanTrace`]) — one record per physical
-//!   partition scanned: engine, partition, access path, rows
-//!   visited/emitted, versions pruned, index probes, morsels, worker count,
-//!   and the monotonic time spent.
+//!   partition scanned: engine, partition, access path, rows emitted, that
+//!   partition's [`ScanMetrics`], worker count, and the monotonic time
+//!   spent.
 //! * **Operator spans** ([`Span`]) — named, categorized durations recorded
 //!   by the engine and query layers (scan, temporal filter, temporal join,
 //!   temporal aggregation, sort/merge).
@@ -63,6 +67,45 @@ pub struct Span {
     pub args: Vec<(String, String)>,
 }
 
+/// The work counters of a scan: one set per scan output, per partition
+/// trace and per report row. Every counter is additive, and the totals are
+/// identical across worker counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanMetrics {
+    /// Morsels dispatched across all sequentially-scanned partitions.
+    pub morsels: u64,
+    /// Version records examined (sequential morsels and index probes alike).
+    pub rows_visited: u64,
+    /// Examined versions rejected by the temporal specs or predicates.
+    pub versions_pruned: u64,
+    /// Slots resolved through an index (PK, B-Tree, GiST, or temporal) probe.
+    pub index_probes: u64,
+    /// Probed slots that survived every residual filter — "the index
+    /// helped", as opposed to `index_probes` which only says it was asked.
+    pub index_hits: u64,
+    /// Index entries examined internally while probing (checkpoint slots,
+    /// replayed events, endpoint-list entries, B-Tree leaf entries).
+    pub index_node_visits: u64,
+    /// Rows the chosen access path was *estimated* to visit when the
+    /// optimizer committed to it. Comparing against `rows_visited` exposes
+    /// estimate error per scan; the error is reported, never fed back.
+    pub planned_rows: u64,
+}
+
+impl ScanMetrics {
+    /// Accumulates `other` into `self` (all counters are additive).
+    #[inline]
+    pub fn merge(&mut self, other: &ScanMetrics) {
+        self.morsels += other.morsels;
+        self.rows_visited += other.rows_visited;
+        self.versions_pruned += other.versions_pruned;
+        self.index_probes += other.index_probes;
+        self.index_hits += other.index_hits;
+        self.index_node_visits += other.index_node_visits;
+        self.planned_rows += other.planned_rows;
+    }
+}
+
 /// The access-path trace of one physical partition scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanTrace {
@@ -74,23 +117,10 @@ pub struct ScanTrace {
     pub partition: String,
     /// Rendered access path ("full-scan(1)", "btree(ix_...)", ...).
     pub access: String,
-    /// Version records examined.
-    pub rows_visited: u64,
     /// Qualifying rows appended to the scan output.
     pub rows_emitted: u64,
-    /// Examined versions rejected by the temporal specs or predicates.
-    pub versions_pruned: u64,
-    /// Slots resolved through an index probe.
-    pub index_probes: u64,
-    /// Probed slots that survived every residual filter (index *helped*).
-    pub index_hits: u64,
-    /// Index entries examined internally while probing.
-    pub index_node_visits: u64,
-    /// Morsels dispatched (0 on index paths).
-    pub morsels: u64,
-    /// Rows the planner estimated the chosen path would visit — compare
-    /// against `rows_visited` for per-scan estimate error.
-    pub planned_rows: u64,
+    /// The work this partition's scan did.
+    pub metrics: ScanMetrics,
     /// Configured worker threads for the scan.
     pub workers: u64,
     /// Start offset from the trace epoch, nanoseconds.
@@ -168,19 +198,20 @@ impl TraceLog {
         }
         for t in &self.scans {
             let name = format!("{} scan {}/{}", t.engine, t.table, t.partition);
+            let m = &t.metrics;
             let args = vec![
                 ("access".to_string(), t.access.clone()),
-                ("rows_visited".to_string(), t.rows_visited.to_string()),
+                ("rows_visited".to_string(), m.rows_visited.to_string()),
                 ("rows_emitted".to_string(), t.rows_emitted.to_string()),
-                ("versions_pruned".to_string(), t.versions_pruned.to_string()),
-                ("index_probes".to_string(), t.index_probes.to_string()),
-                ("index_hits".to_string(), t.index_hits.to_string()),
+                ("versions_pruned".to_string(), m.versions_pruned.to_string()),
+                ("index_probes".to_string(), m.index_probes.to_string()),
+                ("index_hits".to_string(), m.index_hits.to_string()),
                 (
                     "index_node_visits".to_string(),
-                    t.index_node_visits.to_string(),
+                    m.index_node_visits.to_string(),
                 ),
-                ("morsels".to_string(), t.morsels.to_string()),
-                ("planned_rows".to_string(), t.planned_rows.to_string()),
+                ("morsels".to_string(), m.morsels.to_string()),
+                ("planned_rows".to_string(), m.planned_rows.to_string()),
                 ("workers".to_string(), t.workers.to_string()),
             ];
             push_event(&mut out, "scan", &name, t.start_nanos, t.dur_nanos, &args);
@@ -362,14 +393,14 @@ mod tests {
             table: "orders".into(),
             partition: "current".into(),
             access: "full-scan(1)".into(),
-            rows_visited: 100,
             rows_emitted: 10,
-            versions_pruned: 90,
-            index_probes: 0,
-            index_hits: 0,
-            index_node_visits: 0,
-            morsels: 1,
-            planned_rows: 100,
+            metrics: ScanMetrics {
+                morsels: 1,
+                rows_visited: 100,
+                versions_pruned: 90,
+                planned_rows: 100,
+                ..ScanMetrics::default()
+            },
             workers: 4,
             start_nanos: start,
             dur_nanos: 1_500,
@@ -443,6 +474,15 @@ mod tests {
         assert!(json.contains("join \\\"q\\\""), "quotes escaped: {json}");
         assert!(json.contains("\"access\":\"full-scan(1)\""));
         assert!(json.contains("System A scan orders/current"));
+        assert!(
+            json.contains(
+                "\"args\":{\"access\":\"full-scan(1)\",\"rows_visited\":\"100\",\
+                 \"rows_emitted\":\"10\",\"versions_pruned\":\"90\",\"index_probes\":\"0\",\
+                 \"index_hits\":\"0\",\"index_node_visits\":\"0\",\"morsels\":\"1\",\
+                 \"planned_rows\":\"100\",\"workers\":\"4\"}"
+            ),
+            "scan args keep their names and order: {json}"
+        );
         // Braces/brackets balance — the cheap structural validity check.
         for (open, close) in [('{', '}'), ('[', ']')] {
             let opens = json.matches(open).count();

@@ -25,46 +25,12 @@ use std::sync::Mutex;
 use bitempo_core::fault::panic_message;
 use bitempo_core::{obs, Error, Result};
 
+pub use bitempo_core::obs::ScanMetrics;
+
 /// Rows per morsel. Small enough to load-balance skewed partitions, large
 /// enough that the per-morsel dispatch cost is negligible; partitions below
 /// this size never spawn threads.
 pub const MORSEL_ROWS: usize = 1024;
-
-/// Counters collected by one scan, identical across worker counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanMetrics {
-    /// Morsels dispatched across all sequentially-scanned partitions.
-    pub morsels: u64,
-    /// Version records examined (sequential morsels and index probes alike).
-    pub rows_visited: u64,
-    /// Examined versions rejected by the temporal specs or predicates.
-    pub versions_pruned: u64,
-    /// Slots resolved through an index (PK, B-Tree, GiST, or temporal) probe.
-    pub index_probes: u64,
-    /// Probed slots that survived every residual filter — "the index
-    /// helped", as opposed to `index_probes` which only says it was asked.
-    pub index_hits: u64,
-    /// Index entries examined internally while probing (checkpoint slots,
-    /// replayed events, endpoint-list entries, B-Tree leaf entries).
-    pub index_node_visits: u64,
-    /// Rows the chosen access path was *estimated* to visit when the
-    /// optimizer committed to it. Comparing against `rows_visited` exposes
-    /// estimate error per scan; the error is reported, never fed back.
-    pub planned_rows: u64,
-}
-
-impl ScanMetrics {
-    /// Accumulates `other` into `self` (all counters are additive).
-    pub fn merge(&mut self, other: &ScanMetrics) {
-        self.morsels += other.morsels;
-        self.rows_visited += other.rows_visited;
-        self.versions_pruned += other.versions_pruned;
-        self.index_probes += other.index_probes;
-        self.index_hits += other.index_hits;
-        self.index_node_visits += other.index_node_visits;
-        self.planned_rows += other.planned_rows;
-    }
-}
 
 /// The morsel ranges covering `0..units`, in order.
 pub fn morsel_ranges(units: usize) -> Vec<Range<usize>> {

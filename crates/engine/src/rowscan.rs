@@ -42,39 +42,6 @@ pub struct ScanSite<'a> {
     pub partition: &'a str,
 }
 
-impl ScanSite<'_> {
-    /// Records one [`obs::ScanTrace`] for this site from counter deltas.
-    /// No-op (and no allocation) while tracing is disabled.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &self,
-        access: &AccessPath,
-        delta: ScanMetrics,
-        rows_emitted: u64,
-        workers: usize,
-        start_nanos: u64,
-        dur_nanos: u64,
-    ) {
-        obs::record_scan(|| obs::ScanTrace {
-            engine: self.engine.to_string(),
-            table: self.table.to_string(),
-            partition: self.partition.to_string(),
-            access: access.to_string(),
-            rows_visited: delta.rows_visited,
-            rows_emitted,
-            versions_pruned: delta.versions_pruned,
-            index_probes: delta.index_probes,
-            index_hits: delta.index_hits,
-            index_node_visits: delta.index_node_visits,
-            morsels: delta.morsels,
-            planned_rows: delta.planned_rows,
-            workers: workers as u64,
-            start_nanos,
-            dur_nanos,
-        });
-    }
-}
-
 /// One physical partition as the scan pipeline sees it: a position-addressable
 /// collection of versions that filters first and materialises second. Given
 /// the scan's specification, a source judges a version — does it qualify
@@ -405,14 +372,17 @@ pub fn scan_partition(
     let result = scan_partition_inner(part, def, sys, app, preds, now, workers, out, &mut delta);
     let end = obs::trace_clock().unwrap_or(start);
     if let Ok(path) = &result {
-        site.record(
-            path,
-            delta,
-            (out.len() - rows_before) as u64,
-            workers.max(1),
-            start,
-            end.saturating_sub(start),
-        );
+        obs::record_scan(|| obs::ScanTrace {
+            engine: site.engine.to_string(),
+            table: site.table.to_string(),
+            partition: site.partition.to_string(),
+            access: path.to_string(),
+            rows_emitted: (out.len() - rows_before) as u64,
+            metrics: delta,
+            workers: workers.max(1) as u64,
+            start_nanos: start,
+            dur_nanos: end.saturating_sub(start),
+        });
     }
     metrics.merge(&delta);
     result

@@ -36,14 +36,6 @@ impl DurabilityMode {
     }
 }
 
-impl Default for DurabilityMode {
-    /// No sync by default: durability is an explicit tuning decision, like
-    /// building an index, and only takes effect where a WAL is attached.
-    fn default() -> DurabilityMode {
-        DurabilityMode::Async
-    }
-}
-
 impl std::fmt::Display for DurabilityMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
@@ -62,6 +54,5 @@ mod tests {
             "dur_batched_10ms".to_string()
         );
         assert_eq!(DurabilityMode::Async.label(), "dur_async");
-        assert_eq!(DurabilityMode::default(), DurabilityMode::Async);
     }
 }

@@ -274,9 +274,7 @@ impl DurabilityWaiter {
             Waiter::Batched { shared, interval } => {
                 let mut st = shared.state.lock().expect("wal state poisoned");
                 while st.durable < seq {
-                    if let Some(e) = &st.error {
-                        return Err(Error::Archive(format!("wal flusher failed: {e}")));
-                    }
+                    st.alive()?;
                     if st.shutdown {
                         return Err(Error::Archive(
                             "wal flusher shut down before the commit became durable".into(),
@@ -312,9 +310,16 @@ struct State {
     submitted: u64,
     /// Highest sequence number written + synced.
     durable: u64,
-    /// First sink failure; the flusher stops consuming after it.
-    error: Option<String>,
+    /// The flusher's first sink failure; every later call returns it.
+    error: Option<Error>,
     shutdown: bool,
+}
+
+impl State {
+    /// `Ok` until the flusher has failed, then that first failure.
+    fn alive(&self) -> Result<()> {
+        self.error.clone().map_or(Ok(()), Err)
+    }
 }
 
 /// The group-commit backend: a flusher thread that coalesces submitted
@@ -366,7 +371,9 @@ impl Batched {
                         match res {
                             Ok(()) => st.durable = st.durable.max(target),
                             Err(e) => {
-                                st.error.get_or_insert(e.to_string());
+                                st.error.get_or_insert(Error::Archive(format!(
+                                    "wal flusher failed: {e}"
+                                )));
                                 st.shutdown = true;
                             }
                         }
@@ -397,9 +404,7 @@ impl Batched {
     fn enqueue(&mut self, payload: &[u8]) -> Result<u64> {
         let (seq, frame) = self.appender.encode(payload)?;
         let mut st = self.shared.state.lock().expect("wal state poisoned");
-        if let Some(e) = &st.error {
-            return Err(Error::Archive(format!("wal flusher failed: {e}")));
-        }
+        st.alive()?;
         st.buf.extend_from_slice(&frame);
         st.submitted = seq;
         Ok(seq)
@@ -426,9 +431,7 @@ impl Batched {
         let mut st = self.shared.state.lock().expect("wal state poisoned");
         let target = st.submitted;
         while st.durable < target {
-            if let Some(e) = &st.error {
-                return Err(Error::Archive(format!("wal flusher failed: {e}")));
-            }
+            st.alive()?;
             let flusher_dead = self.handle.as_ref().is_none_or(JoinHandle::is_finished);
             if flusher_dead {
                 return Err(Error::Archive(
@@ -463,10 +466,7 @@ impl Batched {
                 .map_err(|_| Error::Internal("wal flusher panicked".into()))?;
         }
         let st = self.shared.state.lock().expect("wal state poisoned");
-        match &st.error {
-            Some(e) => Err(Error::Archive(format!("wal flusher failed: {e}"))),
-            None => Ok(st.durable),
-        }
+        st.alive().map(|()| st.durable)
     }
 }
 
@@ -708,17 +708,25 @@ mod tests {
     fn assert_fail_stop(w: &mut TxnWal, failure: &Error) {
         assert_eq!(w.submit(b"later").as_ref(), Err(failure), "submit");
         // An async waiter promises nothing, so it has nothing to report.
-        if w.mode == DurabilityMode::Strict {
+        if w.mode != DurabilityMode::Async {
             assert_eq!(w.waiter().wait_for(1).as_ref(), Err(failure), "wait_for");
         }
         assert_eq!(w.sync().as_ref(), Err(failure), "sync");
     }
 
+    /// The modes the sticky-failure tests run: under `Batched` the flusher
+    /// writes and syncs, so a failure first surfaces at the barrier.
+    const MODES: [DurabilityMode; 3] = [
+        DurabilityMode::Strict,
+        DurabilityMode::Async,
+        DurabilityMode::Batched(1),
+    ];
+
     /// fsyncgate: a failed sync may have dropped the written pages, so a
     /// later sync that succeeds must not mark them durable.
     #[test]
     fn a_failed_sync_is_sticky() {
-        for mode in [DurabilityMode::Strict, DurabilityMode::Async] {
+        for mode in MODES {
             let buf = SharedBuf::new();
             let sink = FlakySink::new(buf.clone(), usize::MAX, 1);
             let mut w = TxnWal::create(Box::new(sink), mode).unwrap();
@@ -736,12 +744,18 @@ mod tests {
     /// record would chain after a torn frame that recovery stops at.
     #[test]
     fn a_failed_write_is_sticky() {
-        for mode in [DurabilityMode::Strict, DurabilityMode::Async] {
+        for mode in MODES {
             let buf = SharedBuf::new();
             let sink = FlakySink::new(buf.clone(), 2, usize::MAX);
             let mut w = TxnWal::create(Box::new(sink), mode).unwrap();
-            let failure = w.submit(b"t1").unwrap_err();
+            let failure = if let DurabilityMode::Batched(_) = mode {
+                assert_eq!(w.submit(b"t1"), Ok(1), "{mode:?}");
+                w.sync().unwrap_err()
+            } else {
+                w.submit(b"t1").unwrap_err()
+            };
             assert!(format!("{failure}").contains("simulated write"), "{mode:?}");
+            assert_eq!(w.durable_seq(), 0, "{mode:?}: nothing became durable");
             assert_fail_stop(&mut w, &failure);
             assert_eq!(w.close(), Err(failure), "{mode:?}: close");
             assert_eq!(

@@ -102,14 +102,17 @@ fn render(
             table,
             partition,
             access,
-            rows_visited,
             rows_emitted,
-            versions_pruned,
-            index_probes,
-            index_hits,
-            index_node_visits,
-            morsels,
-            planned_rows,
+            metrics:
+                ScanMetrics {
+                    morsels,
+                    rows_visited,
+                    versions_pruned,
+                    index_probes,
+                    index_hits,
+                    index_node_visits,
+                    planned_rows,
+                },
             workers: _,
             start_nanos: _,
             dur_nanos: _,
